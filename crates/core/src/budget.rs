@@ -22,7 +22,6 @@ use crate::{CoreError, Result};
 /// A fitted power-law model of space variability vs run length:
 /// `CoV(L) = coefficient · L^(−exponent)`, with CoV in percent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CovModel {
     coefficient: f64,
     exponent: f64,
@@ -163,7 +162,6 @@ impl CovModel {
 
 /// The recommended split of a fixed budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BudgetPlan {
     /// Number of perturbed runs.
     pub runs: usize,

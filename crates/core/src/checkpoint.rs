@@ -26,12 +26,12 @@
 //! [`Machine::restore`]: mtvar_sim::machine::Machine::restore
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use mtvar_sim::checkpoint::Checkpoint;
+
+use crate::spill::SpillDir;
 
 /// Content address of one warmed snapshot: the complete identity of "this
 /// machine, warmed this far". Two sweeps that agree on all four fields may
@@ -57,10 +57,7 @@ pub struct CheckpointKey {
 
 impl CheckpointKey {
     fn file_name(&self) -> String {
-        format!(
-            "ck-{:016x}-{:016x}-{:016x}-w{}.ckpt",
-            self.config, self.workload, self.base_seed, self.warmup
-        )
+        format!("{}{}.ckpt", self.file_prefix(), self.warmup)
     }
 
     /// The filename prefix shared by every warmup length of this space.
@@ -100,11 +97,9 @@ impl StoreInner {
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
     capacity: usize,
-    disk: Option<PathBuf>,
-    /// Diagnostics from degraded disk operations (unreadable or corrupt
-    /// spill files, abandoned prefix searches). Bounded; see
-    /// [`CheckpointStore::take_warnings`].
-    warnings: Mutex<Vec<String>>,
+    /// The spill directory and its warnings
+    /// ([`CheckpointStore::take_warnings`]); `None` for a memory-only store.
+    disk: Option<SpillDir>,
 }
 
 /// How many *additional* prefix candidates [`CheckpointStore::longest_prefix`]
@@ -115,10 +110,6 @@ pub struct CheckpointStore {
 /// search forever. Beyond the cap the store warns and reports a miss — the
 /// caller re-simulates, which is always correct.
 const CORRUPT_RETRY_LIMIT: usize = 1;
-
-/// Cap on buffered warnings; beyond it new warnings still reach stderr but
-/// are not stored (a degraded spill dir can fail on every sweep).
-const MAX_WARNINGS: usize = 64;
 
 impl Default for CheckpointStore {
     fn default() -> Self {
@@ -142,7 +133,6 @@ impl CheckpointStore {
             inner: Mutex::new(StoreInner::default()),
             capacity: Self::DEFAULT_CAPACITY,
             disk: None,
-            warnings: Mutex::new(Vec::new()),
         }
     }
 
@@ -159,7 +149,7 @@ impl CheckpointStore {
     /// is written through; misses in memory fall back to disk.
     #[must_use]
     pub fn with_disk_spill(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.disk = Some(dir.into());
+        self.disk = Some(SpillDir::new("checkpoint store", dir));
         self
     }
 
@@ -186,21 +176,15 @@ impl CheckpointStore {
     }
 
     /// Drains and returns the warnings accumulated from degraded disk
-    /// operations: unreadable spill files, corrupt files (deleted or not),
-    /// and prefix searches abandoned after `CORRUPT_RETRY_LIMIT` failed
-    /// candidates. Every warning was also written to stderr when it
-    /// occurred; this accessor exists so tests and callers can assert on
-    /// them programmatically.
+    /// operations: failed writes, unreadable spill files, corrupt files
+    /// (deleted or not), and prefix searches abandoned after
+    /// `CORRUPT_RETRY_LIMIT` failed candidates. Every warning was also
+    /// written to stderr when it occurred; this accessor exists so tests and
+    /// callers can assert on them programmatically.
     pub fn take_warnings(&self) -> Vec<String> {
-        std::mem::take(&mut *self.warnings.lock().expect("store poisoned"))
-    }
-
-    fn warn(&self, message: String) {
-        eprintln!("mtvar checkpoint store: {message}");
-        let mut warnings = self.warnings.lock().expect("store poisoned");
-        if warnings.len() < MAX_WARNINGS {
-            warnings.push(message);
-        }
+        self.disk
+            .as_ref()
+            .map_or_else(Vec::new, SpillDir::take_warnings)
     }
 
     /// Looks up the snapshot for `key`: memory first, then disk. A memory
@@ -216,7 +200,11 @@ impl CheckpointStore {
                 return Some(Arc::clone(&entry.1));
             }
         }
-        let ck = self.load_from_disk(key)?;
+        let ck = Arc::new(
+            self.disk
+                .as_ref()?
+                .read_validated(&key.file_name(), Checkpoint::from_bytes)?,
+        );
         self.insert_memory(*key, Arc::clone(&ck));
         Some(ck)
     }
@@ -224,10 +212,10 @@ impl CheckpointStore {
     /// Stores a snapshot under `key`, evicting the least-recently-used
     /// in-memory entry beyond capacity and spilling to disk when enabled.
     /// Disk spill is best-effort: an I/O failure degrades to memory-only
-    /// caching rather than failing the sweep.
+    /// caching (with a warning) rather than failing the sweep.
     pub fn insert(&self, key: CheckpointKey, checkpoint: Arc<Checkpoint>) {
-        if let Some(dir) = &self.disk {
-            let _ = write_atomically(dir, &key.file_name(), &checkpoint.to_bytes());
+        if let Some(disk) = &self.disk {
+            disk.write(&key.file_name(), &checkpoint.to_bytes());
         }
         self.insert_memory(key, checkpoint);
     }
@@ -257,24 +245,12 @@ impl CheckpointStore {
                 }
             }
         }
-        if let Some(dir) = &self.disk {
+        if let Some(disk) = &self.disk {
             let prefix = key.file_prefix();
-            for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(rest) = name.strip_prefix(&prefix) else {
-                    continue;
-                };
-                let Some(warmup) = rest
-                    .strip_suffix(".ckpt")
-                    .and_then(|w| w.parse::<u64>().ok())
-                else {
-                    continue;
-                };
-                if warmup < key.warmup {
-                    candidates.push(warmup);
-                }
-            }
+            candidates.extend(disk.names().filter_map(|name| {
+                let warmup = name.strip_prefix(&prefix)?.strip_suffix(".ckpt")?;
+                warmup.parse::<u64>().ok().filter(|w| *w < key.warmup)
+            }));
         }
         candidates.sort_unstable();
         candidates.dedup();
@@ -286,12 +262,16 @@ impl CheckpointStore {
             }
             failures += 1;
             if failures > CORRUPT_RETRY_LIMIT {
-                self.warn(format!(
-                    "abandoning prefix search for {}{} after {failures} corrupt or \
-                     vanished candidate(s); falling back to re-simulation",
-                    key.file_prefix(),
-                    key.warmup,
-                ));
+                // Only disk entries fail validation; a memory-only store
+                // gets here by racing an eviction, which is not degradation.
+                if let Some(disk) = &self.disk {
+                    disk.warn(format!(
+                        "abandoning prefix search for {}{} after {failures} corrupt or \
+                         vanished candidate(s); falling back to re-simulation",
+                        key.file_prefix(),
+                        key.warmup,
+                    ));
+                }
                 return None;
             }
         }
@@ -314,65 +294,13 @@ impl CheckpointStore {
             inner.map.remove(&oldest);
         }
     }
-
-    fn load_from_disk(&self, key: &CheckpointKey) -> Option<Arc<Checkpoint>> {
-        let dir = self.disk.as_ref()?;
-        let path = dir.join(key.file_name());
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                // Present but unreadable (permissions, a directory squatting
-                // on the name, I/O error): surface it — silent misses here
-                // hide a degraded spill dir that will fail on every sweep.
-                self.warn(format!("spill entry {} is unreadable: {e}", path.display()));
-                return None;
-            }
-        };
-        match Checkpoint::from_bytes(&bytes) {
-            Ok(ck) => Some(Arc::new(ck)),
-            Err(e) => {
-                // Truncated or corrupt: remove it so it cannot poison later
-                // sweeps, and report a miss so the caller re-simulates.
-                match fs::remove_file(&path) {
-                    Ok(()) => self.warn(format!(
-                        "deleted corrupt spill entry {} ({e})",
-                        path.display()
-                    )),
-                    Err(rm) => self.warn(format!(
-                        "corrupt spill entry {} ({e}) could not be deleted: {rm}",
-                        path.display()
-                    )),
-                }
-                None
-            }
-        }
-    }
-}
-
-/// Writes `bytes` to `dir/name` via temp-file + `fsync` + atomic rename, so
-/// an interrupted write never leaves a truncated file under the final name.
-/// Shared with the run-result spill ([`crate::resultcache::ResultStore`]),
-/// which reuses the same crash-safety machinery.
-pub(crate) fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    match fs::rename(&tmp, dir.join(name)) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::temp_dir;
+    use std::fs;
 
     fn key(warmup: u64) -> CheckpointKey {
         CheckpointKey {
@@ -385,13 +313,6 @@ mod tests {
 
     fn snapshot(tag: u8) -> Arc<Checkpoint> {
         Arc::new(Checkpoint::from_payload(vec![tag; 64]))
-    }
-
-    fn temp_dir(label: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mtvar-ckpt-test-{label}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
     }
 
     #[test]
@@ -443,7 +364,7 @@ mod tests {
 
     #[test]
     fn disk_spill_survives_a_fresh_store() {
-        let dir = temp_dir("spill");
+        let dir = temp_dir("ckpt-spill");
         {
             let store = CheckpointStore::new().with_disk_spill(&dir);
             store.insert(key(50), snapshot(5));
@@ -462,7 +383,7 @@ mod tests {
 
     #[test]
     fn corrupt_disk_file_is_deleted_and_misses() {
-        let dir = temp_dir("corrupt");
+        let dir = temp_dir("ckpt-corrupt");
         let store = CheckpointStore::new().with_disk_spill(&dir);
         store.insert(key(50), snapshot(5));
         let path = dir.join(key(50).file_name());
@@ -496,7 +417,7 @@ mod tests {
 
     #[test]
     fn prefix_search_retry_is_bounded_over_corrupt_files() {
-        let dir = temp_dir("bounded-retry");
+        let dir = temp_dir("ckpt-bounded-retry");
         fs::create_dir_all(&dir).unwrap();
         // Four garbage .ckpt files at increasing warmups — every candidate
         // fails frame validation. The search must try the deepest, retry
@@ -532,7 +453,7 @@ mod tests {
 
     #[test]
     fn undeletable_corrupt_entries_terminate_with_a_warning() {
-        let dir = temp_dir("undeletable");
+        let dir = temp_dir("ckpt-undeletable");
         // Plant corrupt entries the store *cannot unlink*: directories
         // squatting on the .ckpt names (remove_file fails on a directory,
         // and read fails without deleting). Before the retry bound, a chain
@@ -565,16 +486,17 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_leaves_no_tmp_behind() {
-        let dir = temp_dir("atomic");
+    fn failed_spill_warns_and_memory_still_serves() {
+        // A regular file squatting on the spill-dir path: the directory can
+        // never be created, so every write fails.
+        let dir = temp_dir("ckpt-squatted");
+        fs::write(&dir, b"not a directory").unwrap();
         let store = CheckpointStore::new().with_disk_spill(&dir);
-        store.insert(key(9), snapshot(9));
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "tmp files must be renamed away");
-        let _ = fs::remove_dir_all(&dir);
+        store.insert(key(5), snapshot(5));
+        let warnings = store.take_warnings();
+        assert_eq!(warnings.len(), 1, "one failed write, one warning");
+        assert!(warnings[0].contains("failed to spill"), "{warnings:?}");
+        assert_eq!(store.get(&key(5)).unwrap().payload(), &[5u8; 64][..]);
+        let _ = fs::remove_file(&dir);
     }
 }

@@ -14,7 +14,6 @@ use crate::{CoreError, Result};
 /// A two-configuration comparison over multi-run samples of a runtime-like
 /// metric (lower is better).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Comparison {
     name_a: String,
     name_b: String,
@@ -26,7 +25,6 @@ pub struct Comparison {
 
 /// Outcome of a variability-aware comparison at a given significance level.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Verdict {
     /// One configuration is statistically better; the wrong-conclusion
     /// probability is bounded by `wrong_conclusion_bound`.

@@ -21,7 +21,6 @@ use crate::{CoreError, Result};
 
 /// A named configuration under test.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Arm {
     /// Display name ("2-way", "ROB-64", ...).
     pub name: String,
@@ -31,7 +30,6 @@ pub struct Arm {
 
 /// A declarative multi-configuration comparison experiment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Experiment {
     name: String,
     arms: Vec<Arm>,
@@ -179,7 +177,6 @@ impl Experiment {
 
 /// Per-configuration outcome.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArmResult {
     /// Configuration name.
     pub name: String,
@@ -195,7 +192,6 @@ pub struct ArmResult {
 
 /// Pairwise comparison outcome.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairResult {
     /// First configuration name.
     pub first: String,
@@ -210,7 +206,6 @@ pub struct PairResult {
 
 /// The assembled result of an [`Experiment`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentReport {
     name: String,
     alpha: f64,

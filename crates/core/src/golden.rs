@@ -21,38 +21,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use mtvar_sim::hash::Fnv1a;
 use mtvar_sim::stats::RunResult;
 
 use crate::CoreError;
-
-/// Streaming FNV-1a over `u64` words with a SplitMix64 finalizer — the same
-/// construction `runspace` uses for configuration fingerprints, so digests
-/// share its dispersion properties.
-#[derive(Debug, Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    fn new() -> Self {
-        Digest(Self::FNV_BASIS)
-    }
-
-    fn push(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Digests every integer field of a [`RunResult`] into one `u64`.
 ///
@@ -61,13 +33,14 @@ impl Digest {
 /// all 4 lock counters, all 4 scheduler counters, busy time, and CPU count.
 /// Excluded: `sched_events` (observational; empty unless enabled).
 pub fn run_digest(result: &RunResult) -> u64 {
-    let mut d = Digest::new();
-    d.push(result.start_cycle);
-    d.push(result.end_cycle);
-    d.push(result.transactions);
-    d.push(result.commit_cycles.len() as u64);
+    let mut h = Fnv1a::new();
+    let mut push = |word: u64| h.update(&word.to_le_bytes());
+    push(result.start_cycle);
+    push(result.end_cycle);
+    push(result.transactions);
+    push(result.commit_cycles.len() as u64);
     for &c in &result.commit_cycles {
-        d.push(c);
+        push(c);
     }
     let m = &result.mem;
     for w in [
@@ -86,7 +59,7 @@ pub fn run_digest(result: &RunResult) -> u64 {
         m.bus_wait_ns,
         m.perturbation_ns,
     ] {
-        d.push(w);
+        push(w);
     }
     let p = &result.proc;
     for w in [
@@ -98,19 +71,19 @@ pub fn run_digest(result: &RunResult) -> u64 {
         p.window_stall_ns,
         p.drain_ns,
     ] {
-        d.push(w);
+        push(w);
     }
     let l = &result.locks;
     for w in [l.acquisitions, l.contended, l.wait_ns, l.hold_ns] {
-        d.push(w);
+        push(w);
     }
     let s = &result.sched;
     for w in [s.dispatches, s.preemptions, s.migrations, s.yields] {
-        d.push(w);
+        push(w);
     }
-    d.push(result.cpu_busy_ns);
-    d.push(result.cpus as u64);
-    d.finish()
+    push(result.cpu_busy_ns);
+    push(result.cpus as u64);
+    h.finish()
 }
 
 /// A named collection of golden digests with a stable, diff-friendly text
@@ -227,6 +200,8 @@ mod tests {
         let a = sample_result();
         let base = run_digest(&a);
         assert_eq!(base, run_digest(&a.clone()));
+        // Pinned: `tests/golden/benchmarks.txt` is written in this hash.
+        assert_eq!(base, 0xE9FB_7633_1809_CA9D);
 
         // Every category of field must perturb the digest.
         let mut b = a.clone();

@@ -71,6 +71,7 @@ pub mod report;
 pub mod resultcache;
 pub mod runspace;
 pub mod sampling;
+mod spill;
 pub mod timesample;
 pub mod wcr;
 

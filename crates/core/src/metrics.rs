@@ -7,7 +7,6 @@ use crate::{CoreError, Result};
 
 /// The paper's variability metrics over a sample of runtimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VariabilityReport {
     /// Number of runs.
     pub runs: u64,

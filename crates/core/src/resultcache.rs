@@ -21,15 +21,14 @@
 //!
 //! [`Executor`]: crate::runspace::Executor
 
-use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use mtvar_sim::checkpoint::{CheckpointError, Decoder, Encoder, Snap};
+use mtvar_sim::hash::Fnv1a;
 use mtvar_sim::stats::RunResult;
 
-use crate::checkpoint::write_atomically;
 use crate::runspace::Violation;
+use crate::spill::SpillDir;
 
 /// Magic bytes opening a framed run-result record.
 pub const RESULT_MAGIC: [u8; 8] = *b"MTVARRES";
@@ -38,9 +37,6 @@ pub const RESULT_MAGIC: [u8; 8] = *b"MTVARRES";
 /// changes; old spill files are then rejected (and deleted) instead of
 /// misread.
 pub const RESULT_VERSION: u32 = 1;
-
-/// Cap on buffered warnings, mirroring the checkpoint store's bound.
-const MAX_WARNINGS: usize = 64;
 
 /// Cache key: the complete identity of one simulated run. Two sweeps that
 /// agree on all five fields may share a result; any disagreement keys them
@@ -105,7 +101,7 @@ pub fn encode_record(record: &RunRecord) -> Vec<u8> {
     out.extend_from_slice(&RESULT_MAGIC);
     out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
+    out.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -135,7 +131,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<RunRecord, CheckpointError> {
         return Err(CheckpointError::Truncated);
     }
     let payload = dec.get_bytes(payload_len as usize)?;
-    let actual = fingerprint_bytes(payload);
+    let actual = Fnv1a::hash(payload);
     if stored != actual {
         return Err(CheckpointError::FingerprintMismatch { stored, actual });
     }
@@ -143,20 +139,6 @@ pub fn decode_record(bytes: &[u8]) -> Result<RunRecord, CheckpointError> {
     let record = RunRecord::decode_snap(&mut body)?;
     body.finish()?;
     Ok(record)
-}
-
-/// FNV-1a over bytes with a SplitMix64 finalizer — the workspace's standard
-/// content fingerprint construction.
-fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// On-disk run-result store: one validated frame per completed run, written
@@ -167,8 +149,7 @@ fn fingerprint_bytes(bytes: &[u8]) -> u64 {
 /// [`Executor::with_result_spill`]: crate::runspace::Executor::with_result_spill
 #[derive(Debug)]
 pub struct ResultStore {
-    dir: PathBuf,
-    warnings: Mutex<Vec<String>>,
+    spill: SpillDir,
 }
 
 impl ResultStore {
@@ -180,29 +161,15 @@ impl ResultStore {
     /// A store spilling under `dir` (created on first write).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         ResultStore {
-            dir: dir.into(),
-            warnings: Mutex::new(Vec::new()),
+            spill: SpillDir::new("result store", dir),
         }
-    }
-
-    /// The spill directory.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
     }
 
     /// Drains and returns the warnings accumulated from degraded disk
     /// operations (unreadable or corrupt spill files, failed writes). Every
     /// warning was also written to stderr when it occurred.
     pub fn take_warnings(&self) -> Vec<String> {
-        std::mem::take(&mut *self.warnings.lock().expect("store poisoned"))
-    }
-
-    fn warn(&self, message: String) {
-        eprintln!("mtvar result store: {message}");
-        let mut warnings = self.warnings.lock().expect("store poisoned");
-        if warnings.len() < MAX_WARNINGS {
-            warnings.push(message);
-        }
+        self.spill.take_warnings()
     }
 
     /// Loads the record for `key` from disk. A file that fails frame
@@ -210,54 +177,22 @@ impl ResultStore {
     /// reported as a miss — the caller re-simulates and the next insert
     /// rewrites it whole.
     pub fn get(&self, key: &RunKey) -> Option<RunRecord> {
-        let path = self.dir.join(key.file_name());
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                self.warn(format!("spill entry {} is unreadable: {e}", path.display()));
-                return None;
-            }
-        };
-        match decode_record(&bytes) {
-            Ok(record) => Some(record),
-            Err(e) => {
-                match fs::remove_file(&path) {
-                    Ok(()) => self.warn(format!(
-                        "deleted corrupt spill entry {} ({e})",
-                        path.display()
-                    )),
-                    Err(rm) => self.warn(format!(
-                        "corrupt spill entry {} ({e}) could not be deleted: {rm}",
-                        path.display()
-                    )),
-                }
-                None
-            }
-        }
+        self.spill.read_validated(&key.file_name(), decode_record)
     }
 
     /// Writes `record` under `key` via temp-file + `fsync` + atomic rename.
     /// Best-effort: an I/O failure degrades to memory-only caching (with a
     /// warning) rather than failing the sweep.
     pub fn insert(&self, key: &RunKey, record: &RunRecord) {
-        let bytes = encode_record(record);
-        if let Err(e) = write_atomically(&self.dir, &key.file_name(), &bytes) {
-            self.warn(format!(
-                "failed to spill run result {}: {e}",
-                key.file_name()
-            ));
-        }
+        self.spill.write(&key.file_name(), &encode_record(record));
     }
 
     /// Number of `.run` records currently on disk (a directory scan; used by
     /// stats reporting, not hot paths).
     pub fn len_on_disk(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".run"))
+        self.spill
+            .names()
+            .filter(|name| name.ends_with(".run"))
             .count()
     }
 }
@@ -265,7 +200,9 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::temp_dir;
     use mtvar_sim::stats::RunResult;
+    use std::fs;
 
     fn key(seed: u64) -> RunKey {
         RunKey {
@@ -300,13 +237,6 @@ mod tests {
         }
     }
 
-    fn temp_dir(label: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mtvar-result-test-{label}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn frame_round_trips() {
         let r = record(3);
@@ -339,7 +269,7 @@ mod tests {
 
     #[test]
     fn disk_round_trip_and_corrupt_fallback() {
-        let dir = temp_dir("spill");
+        let dir = temp_dir("result-spill");
         let store = ResultStore::new(&dir);
         assert!(store.get(&key(1)).is_none());
         store.insert(&key(1), &record(1));
@@ -365,22 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_leaves_no_tmp_behind() {
-        let dir = temp_dir("atomic");
-        let store = ResultStore::new(&dir);
-        store.insert(&key(9), &record(9));
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "tmp files must be renamed away");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn violations_persist_across_the_spill() {
-        let dir = temp_dir("violations");
+        let dir = temp_dir("result-violations");
         let store = ResultStore::new(&dir);
         let mut r = record(2);
         r.monitored = true;

@@ -9,10 +9,10 @@
 //! # Parallel execution
 //!
 //! Every run in a space is independent — the ensemble is embarrassingly
-//! parallel — so the [`Executor`] fans runs out across OS threads with a
-//! small work-stealing pool built on [`std::thread::scope`] (no external
-//! crates). Three properties make the parallel path safe to adopt
-//! everywhere:
+//! parallel — so the [`Executor`] fans runs out across scoped OS threads
+//! ([`std::thread::scope`], no external crates) that claim run indices from
+//! one shared atomic counter. Three properties make the parallel path safe
+//! to adopt everywhere:
 //!
 //! 1. **Deterministic seeding.** Each run's perturbation seed is derived by
 //!    [`derive_run_seed`], a SplitMix64-style mix of `(config_id, base_seed,
@@ -44,7 +44,7 @@
 //! # }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -52,6 +52,7 @@ use std::time::{Duration, Instant};
 
 use mtvar_sim::checkpoint::{Checkpoint, Snap};
 use mtvar_sim::config::MachineConfig;
+use mtvar_sim::hash::{finalize64, Fnv1a, GOLDEN_GAMMA};
 use mtvar_sim::ids::Nanos;
 use mtvar_sim::machine::Machine;
 use mtvar_sim::stats::RunResult;
@@ -66,7 +67,6 @@ use crate::{CoreError, Result};
 
 /// Design of a multi-run experiment on one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunPlan {
     /// Number of perturbed runs (the paper's experiments use 20).
     pub runs: usize,
@@ -151,7 +151,6 @@ impl RunPlan {
 /// Invariant violations recorded by one run of a space, as reported through
 /// the executor's violations channel.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunViolations {
     /// Run index (seed order) within the space.
     pub run: usize,
@@ -164,7 +163,6 @@ pub struct RunViolations {
 
 /// The collected space of runs for one configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSpace {
     results: Vec<RunResult>,
     /// Violation records of the runs that recorded any, ascending by run
@@ -246,15 +244,6 @@ impl RunSpace {
 // Deterministic seed derivation and fingerprinting
 // ---------------------------------------------------------------------------
 
-/// One round of the SplitMix64 output mix: a strong 64-bit finalizer.
-#[inline]
-fn splitmix_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives the perturbation seed of run `run_index` by SplitMix64-style
 /// mixing of `(source_id, base_seed, run_index)`.
 ///
@@ -266,9 +255,9 @@ fn splitmix_mix(mut z: u64) -> u64 {
 /// decorrelates the seed streams of different experiment arms (or different
 /// checkpoints) that share a `base_seed`.
 pub fn derive_run_seed(source_id: u64, base_seed: u64, run_index: u64) -> u64 {
-    let a = splitmix_mix(source_id ^ 0x6A09_E667_F3BC_C909);
-    let b = splitmix_mix(base_seed ^ 0xBB67_AE85_84CA_A73B);
-    splitmix_mix(a ^ b.rotate_left(32) ^ run_index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    let a = finalize64(source_id ^ 0x6A09_E667_F3BC_C909);
+    let b = finalize64(base_seed ^ 0xBB67_AE85_84CA_A73B);
+    finalize64(a ^ b.rotate_left(32) ^ run_index.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Domain separator XORed into a configuration fingerprint to form the
@@ -281,32 +270,6 @@ pub fn derive_run_seed(source_id: u64, base_seed: u64, run_index: u64) -> u64 {
 /// monitor into it).
 const SHARED_WARMUP_DOMAIN: u64 = 0x5EED_C4EC_4901_4B75;
 
-/// FNV-1a over the bytes fed through `fmt::Write` — a tiny streaming hasher
-/// used to fingerprint configurations and machine states without allocating
-/// their full debug representation.
-struct FnvWriter(u64);
-
-impl FnvWriter {
-    fn new() -> Self {
-        FnvWriter(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn finish(&self) -> u64 {
-        // One extra mix so low-entropy inputs still avalanche.
-        splitmix_mix(self.0)
-    }
-}
-
-impl fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Ok(())
-    }
-}
-
 /// A stable-within-process fingerprint of a machine configuration, used both
 /// as the `source_id` for [`derive_run_seed`] and as part of the result-cache
 /// key.
@@ -315,7 +278,7 @@ impl fmt::Write for FnvWriter {
 /// field difference (cache geometry, processor model, noise, perturbation
 /// magnitude, ...) yields a different fingerprint.
 pub fn config_fingerprint(config: &MachineConfig) -> u64 {
-    let mut w = FnvWriter::new();
+    let mut w = Fnv1a::new();
     let _ = write!(w, "{config:?}");
     w.finish()
 }
@@ -328,7 +291,7 @@ pub fn config_fingerprint(config: &MachineConfig) -> u64 {
 /// identity the executor's caches use. Probing consumes ops, so pass a
 /// throwaway instance, never one that will be simulated.
 pub fn workload_fingerprint<W: Workload>(probe: &mut W) -> u64 {
-    let mut w = FnvWriter::new();
+    let mut w = Fnv1a::new();
     let _ = write!(w, "{}/{}", probe.name(), probe.thread_count());
     let threads = probe.thread_count();
     for t in 0..threads.min(8) {
@@ -346,7 +309,7 @@ pub fn workload_fingerprint<W: Workload>(probe: &mut W) -> u64 {
 /// their cached runs apart and decorrelates their derived seed streams —
 /// replacing any need for manual seed blocking between checkpoints.
 pub fn machine_fingerprint<W: Workload + fmt::Debug>(machine: &Machine<W>) -> u64 {
-    let mut w = FnvWriter::new();
+    let mut w = Fnv1a::new();
     let _ = write!(w, "{machine:?}");
     w.finish()
 }
@@ -708,7 +671,6 @@ impl Executor {
         // per-run clone only, below, so it can never change the seeds.
         let config_id = config_fingerprint(config);
         let workload_id = workload_fingerprint(&mut make_workload());
-        let perturbation_max = config.perturbation_max_ns;
         if plan.shared_warmup && plan.warmup_transactions > 0 {
             let snapshot = self.warm_checkpoint(
                 config,
@@ -723,37 +685,19 @@ impl Executor {
             // The domain constant keeps them decorrelated from (and the
             // cache disjoint with) the legacy path's seed stream.
             let source_id = config_id ^ SHARED_WARMUP_DOMAIN;
-            // Decode once, fork per run: the template's cache arrays are
-            // copy-on-write, so each fork clones pointers, not payloads.
-            // Decoding here (rather than reusing the machine warm_checkpoint
-            // just simulated) leaves the decoder's resident-line seed on
-            // every array, which makes each fork's first-write
-            // materialization a single sequential pass. The decode itself
-            // spreads the per-node cache sections across this executor's
-            // thread budget (bit-identical for any thread count).
-            let template: Machine<W> = Machine::restore_with_threads(&snapshot, self.threads)?;
-            return self.execute(plan, source_id, workload_id, |seed| {
-                let mut machine = template.fork();
-                machine.set_perturbation(perturbation_max, seed);
-                if self.strict_invariants {
-                    machine.enable_invariant_checks();
-                }
-                let result = machine.run_transactions(plan.transactions)?;
-                Ok(extract_record(result, &mut machine))
-            });
+            let template: Machine<W> = self.restore_template(&snapshot)?;
+            // The snapshot already embodies the plan's warmup: no settling.
+            let source = Source::Snapshot(&template, config.perturbation_max_ns);
+            return self.execute(plan, source_id, workload_id, 0, &source);
         }
-        self.execute(plan, config_id, workload_id, |seed| {
-            let mut cfg = config.clone().with_perturbation(perturbation_max, seed);
-            if self.strict_invariants {
-                cfg = cfg.with_invariant_checks();
-            }
-            let mut machine = Machine::new(cfg, make_workload())?;
-            if plan.warmup_transactions > 0 {
-                machine.run_transactions(plan.warmup_transactions)?;
-            }
-            let result = machine.run_transactions(plan.transactions)?;
-            Ok(extract_record(result, &mut machine))
-        })
+        let source = Source::Cold(config, &make_workload);
+        self.execute(
+            plan,
+            config_id,
+            workload_id,
+            plan.warmup_transactions,
+            &source,
+        )
     }
 
     /// Runs `plan` from a checkpoint: every run restarts from the identical
@@ -782,17 +726,13 @@ impl Executor {
         // Fingerprint the caller's checkpoint before strict mode touches the
         // per-run clones, for the same seed-stability reason as run_space.
         let state_id = machine_fingerprint(checkpoint);
-        self.execute(plan, state_id, 0, |seed| {
-            let mut machine = checkpoint.with_perturbation_seed(seed);
-            if self.strict_invariants {
-                machine.enable_invariant_checks();
-            }
-            if plan.warmup_transactions > 0 {
-                machine.run_transactions(plan.warmup_transactions)?;
-            }
-            let result = machine.run_transactions(plan.transactions)?;
-            Ok(extract_record(result, &mut machine))
-        })
+        self.execute(
+            plan,
+            state_id,
+            0,
+            plan.warmup_transactions,
+            &Source::Live(checkpoint),
+        )
     }
 
     /// Produces the warmed snapshot for `(config, workload, base_seed,
@@ -863,7 +803,7 @@ impl Executor {
         let snapshot = match prefix {
             Some((done, ck)) if done == warmup => ck,
             Some((done, ck)) => {
-                let mut machine: Machine<W> = Machine::restore_with_threads(&ck, self.threads)?;
+                let mut machine: Machine<W> = self.restore_template(&ck)?;
                 machine.run_transactions(warmup - done)?;
                 machine.normalize_measurement();
                 Arc::new(machine.snapshot())
@@ -908,23 +848,62 @@ impl Executor {
         W: Workload + Snap + Clone + Send + Sync,
     {
         plan.validate()?;
-        let source_id = snapshot.fingerprint();
-        // Decode once, fork per run (copy-on-write cache arrays) — the
-        // restore cost is paid once per snapshot instead of once per run,
-        // and the decode fans the per-node sections across the executor's
-        // thread budget.
-        let template: Machine<W> = Machine::restore_with_threads(snapshot, self.threads)?;
-        self.execute(plan, source_id, 0, |seed| {
-            let mut machine = template.fork();
-            if self.strict_invariants {
-                machine.enable_invariant_checks();
+        let template: Machine<W> = self.restore_template(snapshot)?;
+        let source = Source::Snapshot(&template, perturbation_max_ns);
+        self.execute(
+            plan,
+            snapshot.fingerprint(),
+            0,
+            plan.warmup_transactions,
+            &source,
+        )
+    }
+
+    /// Decodes `snapshot` once into the machine a sweep forks every run
+    /// from (or a warmup extends). The decode leaves the decoder's
+    /// resident-line seed on every copy-on-write cache array, which makes
+    /// each fork's first-write materialization a single sequential pass,
+    /// and spreads the per-node cache sections across this executor's
+    /// thread budget (bit-identical for any thread count).
+    fn restore_template<W: Workload + Snap>(&self, snapshot: &Checkpoint) -> Result<Machine<W>> {
+        Ok(Machine::restore_with_threads(snapshot, self.threads)?)
+    }
+
+    /// One perturbed run, from machine acquisition to cacheable record:
+    /// acquire from `source`, turn the monitor on if strict, settle for
+    /// `settle` transactions, measure `transactions`, and package the
+    /// measurement with the invariant findings made while producing it.
+    fn launch<W: Workload + Clone>(
+        &self,
+        source: &Source<'_, W>,
+        seed: u64,
+        settle: u64,
+        transactions: u64,
+    ) -> Result<RunRecord> {
+        let mut machine = match *source {
+            Source::Cold(config, make_workload) => {
+                let max = config.perturbation_max_ns;
+                Machine::new(config.clone().with_perturbation(max, seed), make_workload())?
             }
-            if plan.warmup_transactions > 0 {
-                machine.run_transactions(plan.warmup_transactions)?;
-            }
-            machine.set_perturbation(perturbation_max_ns, seed);
-            let result = machine.run_transactions(plan.transactions)?;
-            Ok(extract_record(result, &mut machine))
+            Source::Live(machine) => machine.with_perturbation_seed(seed),
+            Source::Snapshot(template, _) => template.fork(),
+        };
+        if self.strict_invariants {
+            machine.enable_invariant_checks();
+        }
+        if settle > 0 {
+            machine.run_transactions(settle)?;
+        }
+        if let Source::Snapshot(_, perturbation_max) = *source {
+            machine.set_perturbation(perturbation_max, seed);
+        }
+        let result = machine.run_transactions(transactions)?;
+        let monitor = machine.invariant_monitor();
+        Ok(RunRecord {
+            result,
+            monitored: monitor.is_some(),
+            total_violations: monitor.map_or(0, |m| m.total_violations()),
+            violations: machine.take_invariant_violations(),
         })
     }
 
@@ -932,15 +911,16 @@ impl Executor {
     /// (replaying their recorded violations), fan the misses out over the
     /// pool, reassemble in run-index order, then resolve errors and
     /// violations with the lowest run index winning.
-    fn execute<J>(
+    fn execute<W>(
         &self,
         plan: &RunPlan,
         source_id: u64,
         workload_id: u64,
-        job: J,
+        settle: u64,
+        source: &Source<'_, W>,
     ) -> Result<RunSpace>
     where
-        J: Fn(u64) -> Result<RunRecord> + Sync,
+        W: Workload + Clone + Send + Sync,
     {
         let keys: Vec<RunKey> = (0..plan.runs)
             .map(|i| RunKey {
@@ -977,7 +957,7 @@ impl Executor {
                 p.run_started(run_index);
             }
             let t0 = Instant::now();
-            let outcome = job(keys[run_index].seed);
+            let outcome = self.launch(source, keys[run_index].seed, settle, plan.transactions);
             if let (Ok(record), Some(p)) = (&outcome, &self.progress) {
                 p.run_completed(run_index, t0.elapsed());
                 if !record.violations.is_empty() {
@@ -1023,30 +1003,28 @@ impl Executor {
     }
 }
 
-/// Pulls the invariant findings out of a finished machine and packages them
-/// with its measurement as the executor's cacheable unit.
-fn extract_record<W: Workload>(result: RunResult, machine: &mut Machine<W>) -> RunRecord {
-    let monitored = machine.invariant_monitor().is_some();
-    let total_violations = machine
-        .invariant_monitor()
-        .map_or(0, mtvar_sim::check::InvariantMonitor::total_violations);
-    let violations = machine.take_invariant_violations();
-    RunRecord {
-        result,
-        monitored,
-        total_violations,
-        violations,
-    }
+/// Where a perturbed run's machine comes from — the only thing the three
+/// launch protocols differ in besides *when* the perturbation is armed.
+enum Source<'a, W> {
+    /// A fresh machine per run from `(config, workload factory)`, perturbed
+    /// from cycle zero: the legacy per-run-warmup protocol.
+    Cold(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
+    /// A clone of the caller's live machine, re-seeded; it keeps the
+    /// machine's own perturbation magnitude, active from the clone onward.
+    Live(&'a Machine<W>),
+    /// A copy-on-write fork of a decoded snapshot. The fork settles
+    /// unperturbed; the perturbation (this magnitude, the run's seed) is
+    /// armed at measurement start.
+    Snapshot(&'a Machine<W>, Nanos),
 }
 
-/// Executes `job` for every element of `items` on a scoped work-stealing
-/// pool and returns the outcomes in `items` order.
+/// Executes `job` for every element of `items` on scoped worker threads and
+/// returns the outcomes in `items` order.
 ///
-/// Each worker owns a deque preloaded round-robin; workers pop locally from
-/// the front and steal from the back of the fullest other queue when empty.
-/// Ordering of *execution* is nondeterministic; ordering of *results* is by
-/// construction the input order, which is what keeps parallel run spaces
-/// bit-identical to sequential ones.
+/// Workers claim the next unclaimed position from one shared counter until
+/// it runs past the end. Ordering of *execution* is nondeterministic;
+/// ordering of *results* is by construction the input order, which is what
+/// keeps parallel run spaces bit-identical to sequential ones.
 fn run_on_pool<T, J>(threads: usize, items: &[usize], job: J) -> Vec<T>
 where
     T: Send + Sync,
@@ -1059,36 +1037,15 @@ where
 
     // Slot k receives the outcome of items[k].
     let slots: Vec<OnceLock<T>> = (0..items.len()).map(|_| OnceLock::new()).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, queue) in (0..items.len()).zip((0..workers).cycle()) {
-        queues[queue].lock().expect("queue poisoned").push_back(k);
-    }
-
+    // Relaxed: the counter only hands out distinct positions. The outcomes
+    // are published by the slots and by the scope's join, not by it.
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let queues = &queues;
-            let job = &job;
-            scope.spawn(move || loop {
-                // Local work first (front of own deque)...
-                let mut next = queues[w].lock().expect("queue poisoned").pop_front();
-                if next.is_none() {
-                    // ...then steal from the back of the fullest other deque.
-                    let victim = (0..workers)
-                        .filter(|&v| v != w)
-                        .max_by_key(|&v| queues[v].lock().expect("queue poisoned").len());
-                    if let Some(v) = victim {
-                        next = queues[v].lock().expect("queue poisoned").pop_back();
-                    }
-                }
-                match next {
-                    Some(k) => {
-                        let outcome = job(items[k]);
-                        let _ = slots[k].set(outcome);
-                    }
-                    None => break,
-                }
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&item) = items.get(k) else { break };
+                let _ = slots[k].set(job(item));
             });
         }
     });
@@ -1276,6 +1233,21 @@ mod tests {
         // Different arms (config ids) get decorrelated streams.
         let other = config_fingerprint(&small_config().with_cpus(8));
         assert_ne!(derive_run_seed(other, 0, 0), seeds[0]);
+    }
+
+    /// Every spilled result's file name and every stored checkpoint's key
+    /// embeds these values: they must never move.
+    #[test]
+    fn seed_and_fingerprint_known_answers() {
+        assert_eq!(derive_run_seed(1, 2, 3), 0xDDFC_8682_F836_1AAF);
+        assert_eq!(
+            config_fingerprint(&MachineConfig::hpca2003()),
+            0x7102_4520_6328_D876
+        );
+        assert_eq!(
+            workload_fingerprint(&mut small_workload()),
+            0x082E_CDBB_486C_708B
+        );
     }
 
     #[test]
@@ -1493,11 +1465,22 @@ mod tests {
     }
 
     #[test]
-    fn pool_preserves_input_order_under_stealing() {
+    fn pool_runs_every_item_once_and_preserves_input_order() {
         for threads in [1, 2, 4, 16] {
-            let items: Vec<usize> = (0..97).collect();
-            let out = run_on_pool(threads, &items, |i| i * 3);
-            assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+            // 97 items, then fewer items than threads, then none.
+            for len in [97, 3, 0] {
+                let items: Vec<usize> = (0..len).rev().collect();
+                let executed: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let out = run_on_pool(threads, &items, |i| {
+                    executed[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+                assert!(
+                    executed.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                    "{threads} threads, {len} items: every item runs exactly once"
+                );
+            }
         }
     }
 
@@ -1639,8 +1622,7 @@ mod tests {
 
     #[test]
     fn result_spill_survives_a_fresh_executor() {
-        let dir = std::env::temp_dir().join(format!("mtvar-runspace-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::spill::temp_dir("runspace-spill");
         let plan = RunPlan::new(20).with_runs(4).with_warmup(5);
         let baseline = Executor::sequential()
             .without_cache()
@@ -1675,9 +1657,7 @@ mod tests {
 
     #[test]
     fn result_spill_replays_violations() {
-        let dir =
-            std::env::temp_dir().join(format!("mtvar-runspace-spill-viol-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::spill::temp_dir("runspace-spill-viol");
         let plan = RunPlan::new(30).with_runs(2);
         let first = Executor::sequential()
             .with_result_spill(&dir)

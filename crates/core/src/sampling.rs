@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 use mtvar_sim::checkpoint::{Checkpoint, Snap};
 use mtvar_sim::config::MachineConfig;
+use mtvar_sim::hash::{mix64, GOLDEN_GAMMA};
 use mtvar_sim::workload::Workload;
 use mtvar_stats::sampling::live::{live_sample, LiveDesign};
 use mtvar_stats::sampling::ranked_set::{ranked_set_sample, RankedSetDesign};
@@ -56,7 +57,6 @@ const PROXY_SEED_SALT: u64 = 0x70D0_5EED_0000_A11B;
 /// The position frame a study samples from: `positions` starting points at
 /// warmup depths `spacing, 2·spacing, …, positions·spacing` transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SamplingFrame {
     /// Number of sampling positions (the population size `N`).
     pub positions: u64,
@@ -405,7 +405,6 @@ fn lift(e: SamplingError<CoreError>) -> CoreError {
 
 /// An estimator selection with its knobs — the unit [`evaluate`] scores.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Method {
     /// Simple-random (`strata == 1`) or stratified position sampling.
     Position {
@@ -559,12 +558,10 @@ impl Evaluation {
     }
 }
 
-/// Derives decorrelated per-trial design seeds (splitmix-style).
+/// Derives decorrelated per-trial design seeds. The trial index is spread
+/// by the multiply, so this is [`mix64`] alone — no additive step.
 fn trial_seed(base: u64, trial: usize) -> u64 {
-    let mut z = base ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(base ^ (trial as u64).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Scores `methods` on a comparison experiment: `base` versus `alt` are two
@@ -684,6 +681,12 @@ mod tests {
             &RunPlan::new(10).with_runs(2),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn trial_seed_known_answer() {
+        // Unlike `derive_run_seed`, this mix has no additive step.
+        assert_eq!(trial_seed(7, 3), 0xE831_3FE1_D735_0611);
     }
 
     #[test]

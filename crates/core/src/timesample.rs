@@ -25,7 +25,6 @@ use crate::{CoreError, Result};
 /// samples" as future work; the random and stratified placements implement
 /// that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SamplingStrategy {
     /// Fixed spacing: point `i` at `(i+1) · span / points` (the paper's
     /// §5.2 choice).
@@ -97,7 +96,6 @@ pub fn checkpoint_positions(
 /// Per-checkpoint run groups: `groups[p]` holds the cycles-per-transaction
 /// of every perturbed run launched from starting point `p`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSampleStudy {
     groups: Vec<Vec<f64>>,
     /// Warmup transactions executed before each starting point, aligned with

@@ -15,7 +15,6 @@ use crate::{CoreError, Result};
 
 /// Which configuration a comparison ranks better (lower runtime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Superior {
     /// The first configuration's mean is lower (faster).
     First,
@@ -25,7 +24,6 @@ pub enum Superior {
 
 /// Result of a wrong-conclusion-ratio enumeration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Wcr {
     /// Which configuration the run averages rank better.
     pub superior: Superior,

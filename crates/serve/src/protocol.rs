@@ -19,6 +19,10 @@
 use std::io::{Read, Write};
 
 use mtvar_sim::checkpoint::{CheckpointError, Decoder, Encoder, Snap};
+use mtvar_sim::hash::Fnv1a;
+
+/// Folds per-run digests into the job-level digest `JobDone` carries.
+pub use mtvar_sim::hash::fold_digest;
 
 use crate::{Result, ServeError};
 
@@ -64,10 +68,10 @@ impl FrameKind {
     }
 }
 
-/// FNV-1a over bytes with a SplitMix64 finalizer — the workspace's standard
-/// content fingerprint, applied here as the frame checksum.
+/// The workspace's content hash ([`Fnv1a`]), applied here as the frame
+/// checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    checksum_parts(&[bytes])
+    Fnv1a::hash(bytes)
 }
 
 /// [`checksum`] over the concatenation of `parts`, without materializing
@@ -76,24 +80,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// reader and writer validate/emit frames from separate header and body
 /// buffers with no assembly copy.
 pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.update(part);
     }
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Folds one per-run digest into a job-level digest. Order-sensitive (runs
-/// fold in run-index order), so two sweeps agree iff every run agrees — the
-/// same construction the benches use for whole-study digests.
-pub fn fold_digest(acc: u64, run_digest: u64) -> u64 {
-    acc.rotate_left(7) ^ run_digest
+    h.finish()
 }
 
 /// Encodes one complete frame.
@@ -1269,6 +1260,15 @@ mod tests {
         let a = fold_digest(fold_digest(0, 1), 2);
         let b = fold_digest(fold_digest(0, 2), 1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        let pattern: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
+        assert_eq!(checksum(b""), 0xC381_7C01_6BA4_FF30);
+        assert_eq!(checksum(&pattern), 0xF88C_FB1E_BBAC_3CEF);
+        let split = checksum_parts(&[&pattern[..100], &pattern[100..]]);
+        assert_eq!(split, 0xF88C_FB1E_BBAC_3CEF);
     }
 
     #[test]

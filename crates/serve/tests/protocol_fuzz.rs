@@ -12,22 +12,10 @@ use mtvar_serve::protocol::{
     ConfigSpec, ErrorCode, FrameKind, PlanSpec, Priority, Request, Response, ServerStats,
     SweepSpec, WorkloadSpec, FRAME_HEADER, MAX_FRAME_BODY,
 };
+use mtvar_sim::rng::SplitMix64;
 
-/// SplitMix64 — the repo's convention for in-test deterministic streams.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
 }
 
 fn sample_request() -> Request {
@@ -76,14 +64,14 @@ fn sample_response() -> Response {
 fn every_bit_flip_is_rejected() {
     let req = sample_request();
     let resp = sample_response();
-    let mut rng = Rng(0xF1A9);
+    let mut rng = SplitMix64::new(0xF1A9);
     for (frame, decodes) in [
         (encode_request(&req), true),
         (encode_response(&resp), false),
     ] {
         let mut buf = frame.clone();
         for i in 0..frame.len() {
-            let bit = 1u8 << rng.below(8);
+            let bit = 1u8 << below(&mut rng, 8);
             buf[i] ^= bit;
             let rejected = if decodes {
                 decode_request(&buf).is_err()
@@ -133,32 +121,32 @@ fn every_truncation_and_extension_is_rejected() {
 fn random_splices_are_rejected() {
     let a = encode_request(&sample_request());
     let b = encode_response(&sample_response());
-    let mut rng = Rng(0x0057_11CE);
+    let mut rng = SplitMix64::new(0x0057_11CE);
     for round in 0..400 {
         let mut buf = a.clone();
-        match rng.below(4) {
+        match below(&mut rng, 4) {
             0 => {
                 // Insert 1..32 random bytes at a random offset.
-                let at = rng.below(buf.len() + 1);
-                let n = 1 + rng.below(32);
+                let at = below(&mut rng, buf.len() + 1);
+                let n = 1 + below(&mut rng, 32);
                 let mut chunk = Vec::with_capacity(n);
                 for _ in 0..n {
-                    chunk.push(rng.next() as u8);
+                    chunk.push(rng.next_u64() as u8);
                 }
                 buf.splice(at..at, chunk);
             }
             1 => {
                 // Delete a random nonempty range.
-                let at = rng.below(buf.len());
-                let n = 1 + rng.below((buf.len() - at).min(64));
+                let at = below(&mut rng, buf.len());
+                let n = 1 + below(&mut rng, (buf.len() - at).min(64));
                 buf.drain(at..at + n);
             }
             2 => {
                 // Duplicate a range over another (simulates a torn buffer).
-                let src = rng.below(buf.len());
-                let n = 1 + rng.below((buf.len() - src).min(64));
+                let src = below(&mut rng, buf.len());
+                let n = 1 + below(&mut rng, (buf.len() - src).min(64));
                 let chunk: Vec<u8> = buf[src..src + n].to_vec();
-                let dst = rng.below(buf.len() - n + 1);
+                let dst = below(&mut rng, buf.len() - n + 1);
                 if dst == src {
                     continue; // identity overwrite: not a mutation
                 }
@@ -171,8 +159,8 @@ fn random_splices_are_rejected() {
                 // Head of the request frame + tail of the response frame.
                 // Even a clean 0/0 cut yields a whole response frame, which
                 // decode_request must still reject on kind.
-                let cut_a = rng.below(a.len());
-                let cut_b = rng.below(b.len());
+                let cut_a = below(&mut rng, a.len());
+                let cut_b = below(&mut rng, b.len());
                 buf = a[..cut_a].to_vec();
                 buf.extend_from_slice(&b[cut_b..]);
                 if buf == a {
@@ -228,7 +216,7 @@ fn mutated_bodies_never_panic_the_message_decoder() {
         let frame = encode_response(&sample_response());
         frame[FRAME_HEADER..frame.len() - 8].to_vec()
     };
-    let mut rng = Rng(0xDEC0DE);
+    let mut rng = SplitMix64::new(0xDEC0DE);
     for round in 0..600 {
         let (body, kind) = if round % 2 == 0 {
             (&req_body, FrameKind::Request)
@@ -236,20 +224,20 @@ fn mutated_bodies_never_panic_the_message_decoder() {
             (&resp_body, FrameKind::Response)
         };
         let mut mutated = body.clone();
-        match rng.below(3) {
+        match below(&mut rng, 3) {
             0 => {
-                let i = rng.below(mutated.len());
-                mutated[i] ^= 1 << rng.below(8);
+                let i = below(&mut rng, mutated.len());
+                mutated[i] ^= 1 << below(&mut rng, 8);
             }
             1 => {
-                mutated.truncate(rng.below(mutated.len()));
+                mutated.truncate(below(&mut rng, mutated.len()));
             }
             _ => {
-                let at = rng.below(mutated.len());
-                let n = 1 + rng.below(16);
+                let at = below(&mut rng, mutated.len());
+                let n = 1 + below(&mut rng, 16);
                 let mut chunk = Vec::with_capacity(n);
                 for _ in 0..n {
-                    chunk.push(rng.next() as u8);
+                    chunk.push(rng.next_u64() as u8);
                 }
                 mutated.splice(at..at, chunk);
             }
@@ -272,12 +260,12 @@ fn mutated_bodies_never_panic_the_message_decoder() {
 /// for every seed tried, across both message types.
 #[test]
 fn random_bodies_decode_to_errors() {
-    let mut rng = Rng(0x5EED);
+    let mut rng = SplitMix64::new(0x5EED);
     for _ in 0..300 {
-        let n = rng.below(256);
+        let n = below(&mut rng, 256);
         let mut body = Vec::with_capacity(n);
         for _ in 0..n {
-            body.push(rng.next() as u8);
+            body.push(rng.next_u64() as u8);
         }
         // Tags 0..=4 (requests) and 0..=10 (responses) exist, so a random
         // first byte frequently names a real variant — the inner field

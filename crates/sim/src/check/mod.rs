@@ -33,7 +33,6 @@ use crate::sched::{Scheduler, ThreadState};
 
 /// The class of invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InvariantKind {
     /// Per-block protocol invariant: at most one Modified/Exclusive/Owned
     /// holder, exclusive states imply no other valid copy, and no state
@@ -55,7 +54,6 @@ pub enum InvariantKind {
 /// One invariant violation, with enough context to debug it: the kind, the
 /// cycle it was detected at, the block and CPUs involved, and a prose detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Violation {
     /// Which invariant broke.
     pub kind: InvariantKind,
@@ -106,7 +104,6 @@ const MAX_STORED_VIOLATIONS: usize = 64;
 /// [`check_block`]: InvariantMonitor::check_block
 /// [`check_conservation`]: InvariantMonitor::check_conservation
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InvariantMonitor {
     protocol: CoherenceProtocol,
     violations: Vec<Violation>,

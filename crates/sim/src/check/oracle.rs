@@ -25,7 +25,6 @@ use crate::ops::AccessKind;
 /// Coarser than [`AccessSource`]: the oracle has no L1, so both L1 and L2
 /// hits collapse into [`OracleSource::LocalHit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OracleSource {
     /// Served locally with sufficient permission (timed: L1 or L2 hit,
     /// including a silent Exclusive → Modified upgrade).

@@ -24,6 +24,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::hash::Fnv1a;
 use crate::ids::{BlockAddr, CpuId, LockId, ThreadId};
 
 /// Magic bytes opening a framed checkpoint file.
@@ -593,40 +594,6 @@ impl Snap for BlockAddr {
     }
 }
 
-/// FNV-1a offset basis (the running-state seed for [`fnv1a_update`]).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Folds `bytes` into a running FNV-1a state. Resumable: hashing a
-/// concatenation equals chaining updates, which is what lets
-/// [`SectionEncoder::finish`] compute the whole-payload fingerprint
-/// alongside the per-section ones in a single traversal.
-#[inline]
-fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Finishes an FNV-1a state with a splitmix64 diffusion step for avalanche.
-#[inline]
-fn fnv_finish(h: u64) -> u64 {
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over `bytes`, finished with a splitmix diffusion step — the same
-/// construction the fingerprint helpers in `mtvar-core` use, applied to a
-/// checkpoint's payload to content-address it.
-fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv_finish(fnv1a_update(FNV_OFFSET, bytes))
-}
-
 /// Identifies one section of a sectioned checkpoint payload. The order of
 /// sections in a machine snapshot is fixed (see
 /// [`Machine::snapshot`](crate::machine::Machine::snapshot)): `Meta`,
@@ -778,33 +745,24 @@ impl SectionEncoder {
     pub fn finish(mut self) -> Checkpoint {
         self.close_open();
         let payload = self.enc.into_bytes();
-        // One traversal computes every fingerprint: each byte feeds two
-        // independent FNV chains (its section's and the whole payload's).
-        // The chains carry no data dependency on each other, so the CPU
-        // overlaps their serial multiply chains and the fused pass costs
-        // barely more than one — where hashing a multi-megabyte payload
-        // twice costs double.
-        let mut whole = FNV_OFFSET;
+        // One traversal computes every fingerprint: each byte feeds its
+        // section's chain and the whole payload's (`Fnv1a::update_both`).
+        let mut whole = Fnv1a::new();
         let mut cursor = 0usize;
         for s in &mut self.sections {
             // Bytes between sections (none in practice: `begin` is called
             // before the first byte and sections abut) still feed the
             // whole-payload chain.
-            whole = fnv1a_update(whole, &payload[cursor..s.start]);
-            let mut sec = FNV_OFFSET;
-            for &b in &payload[s.start..s.start + s.len] {
-                sec ^= u64::from(b);
-                sec = sec.wrapping_mul(FNV_PRIME);
-                whole ^= u64::from(b);
-                whole = whole.wrapping_mul(FNV_PRIME);
-            }
-            s.fingerprint = fnv_finish(sec);
+            whole.update(&payload[cursor..s.start]);
+            let mut sec = Fnv1a::new();
+            Fnv1a::update_both(&mut sec, &mut whole, &payload[s.start..s.start + s.len]);
+            s.fingerprint = sec.finish();
             cursor = s.start + s.len;
         }
-        whole = fnv1a_update(whole, &payload[cursor..]);
+        whole.update(&payload[cursor..]);
         Checkpoint {
             payload,
-            fingerprint: fnv_finish(whole),
+            fingerprint: whole.finish(),
             sections: self.sections,
         }
     }
@@ -899,7 +857,7 @@ impl Checkpoint {
     /// carries no section table (callers that want one use
     /// [`SectionEncoder`]); decode falls back to one linear pass.
     pub fn from_payload(payload: Vec<u8>) -> Self {
-        let fingerprint = fingerprint_bytes(&payload);
+        let fingerprint = Fnv1a::hash(&payload);
         Checkpoint {
             payload,
             fingerprint,
@@ -963,7 +921,7 @@ impl Checkpoint {
             out.extend_from_slice(&(s.len as u64).to_le_bytes());
             out.extend_from_slice(&s.fingerprint.to_le_bytes());
         }
-        let header_checksum = fingerprint_bytes(&out);
+        let header_checksum = Fnv1a::hash(&out);
         out.extend_from_slice(&header_checksum.to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
@@ -1045,7 +1003,7 @@ impl Checkpoint {
         // payload bytes are intact.
         let header_end = bytes.len() - dec.remaining();
         let header_checksum = dec.get_u64()?;
-        let actual_checksum = fingerprint_bytes(&bytes[..header_end]);
+        let actual_checksum = Fnv1a::hash(&bytes[..header_end]);
         if header_checksum != actual_checksum {
             return Err(CheckpointError::Corrupt {
                 what: "header checksum mismatch".into(),
@@ -1056,12 +1014,12 @@ impl Checkpoint {
         }
         let payload = dec.get_bytes(payload_len)?.to_vec();
         dec.finish()?;
-        let actual = fingerprint_bytes(&payload);
+        let actual = Fnv1a::hash(&payload);
         if actual != stored {
             return Err(CheckpointError::FingerprintMismatch { stored, actual });
         }
         for s in &sections {
-            let actual = fingerprint_bytes(&payload[s.start..s.start + s.len]);
+            let actual = Fnv1a::hash(&payload[s.start..s.start + s.len]);
             if actual != s.fingerprint {
                 return Err(CheckpointError::Corrupt {
                     what: format!("section {} fingerprint mismatch", s.kind),

@@ -10,7 +10,6 @@ use crate::SimError;
 /// Test hook: which machine structure a [`FaultSpec`] corrupts.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// Forcibly set `block` to `state` in `cpu`'s L2 (via the memory
     /// system's `force_l2_state` test hook), bypassing the protocol.
@@ -49,7 +48,6 @@ impl FaultKind {
 /// the violations channel reports it; never set it in real experiments.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// Cumulative commit count (across warmup and measurement intervals) at
     /// which the fault fires, exactly once.
@@ -92,7 +90,6 @@ impl FaultSpec {
 /// assert_eq!(cfg.cpus, 16);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Number of processor nodes.
     pub cpus: usize,

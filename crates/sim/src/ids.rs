@@ -20,7 +20,6 @@ pub type Nanos = u64;
 
 /// A processor (node) index in the simulated multiprocessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuId(pub u32);
 
 impl fmt::Display for CpuId {
@@ -39,7 +38,6 @@ impl CpuId {
 
 /// A software thread index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreadId(pub u32);
 
 impl fmt::Display for ThreadId {
@@ -58,7 +56,6 @@ impl ThreadId {
 
 /// A lock (mutex) identifier within the workload's lock namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LockId(pub u32);
 
 impl fmt::Display for LockId {
@@ -72,7 +69,6 @@ impl fmt::Display for LockId {
 /// The simulator never needs sub-block offsets, so addresses are stored
 /// directly at block granularity (one unit = one 64-byte block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockAddr(pub u64);
 
 impl fmt::Display for BlockAddr {

@@ -37,6 +37,7 @@ pub mod check;
 pub mod checkpoint;
 pub mod config;
 pub mod equeue;
+pub mod hash;
 pub mod ids;
 pub mod machine;
 pub mod mem;

@@ -28,7 +28,6 @@ use crate::SimError;
 
 /// A scheduled simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Event {
     time: Cycle,
     seq: u64,
@@ -36,7 +35,6 @@ struct Event {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum EventKind {
     /// The CPU finished its previous step and can take another.
     CpuReady(CpuId),
@@ -52,7 +50,6 @@ impl crate::equeue::Timed for Event {
 
 /// Per-CPU execution state.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Cpu {
     core: ProcCore,
     thread: Option<ThreadId>,
@@ -81,7 +78,6 @@ struct Cpu {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Machine<W> {
     config: MachineConfig,
     now: Cycle,
@@ -959,9 +955,7 @@ impl<W: Workload + Clone> Machine<W> {
     /// here, at measurement start.
     pub fn with_perturbation(&self, max_ns: Nanos, seed: u64) -> Machine<W> {
         let mut m = self.clone();
-        m.config.perturbation_max_ns = max_ns;
-        m.config.perturbation_seed = seed;
-        m.mem.set_perturbation(Perturbation::new(max_ns, seed));
+        m.set_perturbation(max_ns, seed);
         m
     }
 
@@ -969,11 +963,7 @@ impl<W: Workload + Clone> Machine<W> {
     /// (`seed`), everything else identical — "runs starting from the same
     /// initial conditions" (§2.1).
     pub fn with_perturbation_seed(&self, seed: u64) -> Machine<W> {
-        let mut m = self.clone();
-        m.config.perturbation_seed = seed;
-        m.mem
-            .set_perturbation(Perturbation::new(m.config.perturbation_max_ns, seed));
-        m
+        self.with_perturbation(self.config.perturbation_max_ns, seed)
     }
 
     /// Returns a copy with a fresh environmental-noise seed (for simulated
@@ -1411,7 +1401,6 @@ mod tests {
     /// A workload whose threads all deadlock: everyone acquires the same
     /// lock and never releases it.
     #[derive(Debug, Clone)]
-    #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
     struct DeadlockWorkload {
         threads: usize,
         acquired: Vec<bool>,
@@ -1467,7 +1456,6 @@ mod tests {
     /// thread that has exited its op stream (yields forever are impossible —
     /// so we emulate with both threads blocking on each other's locks).
     #[derive(Debug, Clone)]
-    #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
     struct CrossLockWorkload {
         step: Vec<u8>,
     }

@@ -16,7 +16,6 @@ use crate::SimError;
 /// subsets of it, selected by
 /// [`CoherenceProtocol`](crate::mem::CoherenceProtocol)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum CoherenceState {
     /// Invalid: no copy. Discriminant 0 so an all-zero `Line` is a default
@@ -73,7 +72,6 @@ impl CoherenceState {
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -146,7 +144,6 @@ impl CacheConfig {
 /// One cache line's metadata. Crate-visible so the decode arena
 /// ([`super::arena`]) can pool retired line buffers by type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Line {
     tag: u64,
     state: CoherenceState,
@@ -297,7 +294,6 @@ impl PartialEq for CowLines {
 /// Stores metadata only (tags and states); the simulator never models data
 /// values, just their movement.
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheArray {
     config: CacheConfig,
     /// Shared copy-on-write line array. Forks of one decoded machine clone

@@ -30,7 +30,6 @@ use crate::SimError;
 /// field) so every derived configuration fingerprint, golden key, and
 /// checkpoint-cache key distinguishes them automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CoherenceProtocol {
     /// Modified/Owned/Shared/Invalid — dirty sharing, cache-to-cache supply
     /// from the owner (the paper's protocol).
@@ -108,7 +107,6 @@ impl CoherenceProtocol {
 
 /// Latency and geometry configuration for the memory hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryConfig {
     /// L1 instruction-cache geometry (paper: 128 KB, 4-way, 64 B).
     pub l1i: CacheConfig,
@@ -198,7 +196,6 @@ impl MemoryConfig {
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessSource {
     /// L1 hit.
     L1,
@@ -224,7 +221,6 @@ pub struct AccessOutcome {
 
 /// Aggregate memory-system counters for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// L1 instruction-cache hits.
     pub l1i_hits: u64,
@@ -301,7 +297,6 @@ impl MemStats {
 
 /// Per-node cache stack.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Node {
     l1i: CacheArray,
     l1d: CacheArray,
@@ -312,7 +307,6 @@ struct Node {
 /// `[0, max_ns]` added to every L2 miss. `max_ns = 0` restores the
 /// deterministic baseline simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Perturbation {
     max_ns: Nanos,
     rng: Xoshiro256StarStar,
@@ -389,7 +383,6 @@ impl PartialEq for ScanScratch {
 
 /// The full coherent memory system shared by all processors.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemorySystem {
     config: MemoryConfig,
     nodes: Vec<Node>,

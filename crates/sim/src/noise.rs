@@ -19,7 +19,6 @@ use crate::SimError;
 
 /// Configuration of the environmental noise source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseConfig {
     /// Timer-interrupt period per CPU (ns). Solaris ticks at 100 Hz; scaled
     /// simulations shrink this proportionally.
@@ -67,7 +66,6 @@ impl NoiseConfig {
 
 /// Live noise state for one machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseState {
     config: NoiseConfig,
     rng: Xoshiro256StarStar,

@@ -11,7 +11,6 @@ use crate::ids::{BlockAddr, LockId, Nanos};
 
 /// Whether a memory access reads or writes its block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load: needs a readable (M/O/S) copy of the block.
     Read,
@@ -22,7 +21,6 @@ pub enum AccessKind {
 /// Direction hint for conditional branches, produced by the workload's own
 /// deterministic control-flow model and consumed by the branch predictors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BranchInfo {
     /// Static identity of the branch (hashes into predictor tables).
     pub pc: u32,
@@ -32,7 +30,6 @@ pub struct BranchInfo {
 
 /// One unit of work in a thread's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// Execute `instructions` ALU instructions touching the code region
     /// identified by `code_block` (drives the L1 I-cache model).

@@ -25,9 +25,7 @@ use crate::mem::MemorySystem;
 use crate::ops::Op;
 
 /// Which processor timing model drives each CPU.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ProcessorConfig {
     /// Blocking in-order model (IPC 1 with perfect L1s).
     #[default]
@@ -38,7 +36,6 @@ pub enum ProcessorConfig {
 
 /// Counters accumulated by one processor core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcStats {
     /// Instructions executed (compute bursts count their full size).
     pub instructions: u64,
@@ -70,7 +67,6 @@ impl ProcStats {
 
 /// One CPU's processor state, dispatching to the configured model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProcCore {
     /// Blocking model state.
     Simple(SimpleCore),

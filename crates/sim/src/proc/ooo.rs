@@ -19,7 +19,6 @@ use crate::ops::Op;
 
 /// Configuration of the out-of-order core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OooConfig {
     /// Issue/retire width in instructions per cycle (TFsim: 4).
     pub width: u32,
@@ -53,7 +52,6 @@ impl OooConfig {
 
 /// One in-flight long-latency access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Outstanding {
     complete: Cycle,
     /// Cumulative instruction count when this access issued.
@@ -62,7 +60,6 @@ struct Outstanding {
 
 /// State of one out-of-order core.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OooCore {
     config: OooConfig,
     yags: Yags,

@@ -7,14 +7,12 @@
 //! into the second stage when the first stage mispredicts.
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Stage1Entry {
     target: u32,
     valid: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Stage2Entry {
     tag: u16,
     target: u32,
@@ -23,7 +21,6 @@ struct Stage2Entry {
 
 /// The cascaded two-stage indirect branch predictor.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CascadedIndirect {
     stage1: Vec<Stage1Entry>,
     stage2: Vec<Stage2Entry>,

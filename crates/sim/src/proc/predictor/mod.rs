@@ -15,7 +15,6 @@ pub use yags::Yags;
 
 /// A saturating 2-bit counter used throughout the predictors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Counter2(u8);
 
 impl Counter2 {

@@ -6,7 +6,6 @@
 /// Overflow wraps (oldest entries are overwritten), underflow mispredicts —
 /// both behaviours of real hardware RASes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReturnAddressStack {
     stack: Vec<u32>,
     top: usize,

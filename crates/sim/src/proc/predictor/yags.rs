@@ -9,7 +9,6 @@
 use super::Counter2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct DirEntry {
     tag: u16,
     counter: Counter2,
@@ -18,7 +17,6 @@ struct DirEntry {
 
 /// A YAGS direct branch predictor.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Yags {
     choice: Vec<Counter2>,
     taken_cache: Vec<DirEntry>,

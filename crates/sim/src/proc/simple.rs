@@ -9,7 +9,6 @@ use crate::ops::Op;
 /// State of a simple blocking core (counters only — the model has no
 /// microarchitectural state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimpleCore {
     stats: ProcStats,
 }

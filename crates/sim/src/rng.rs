@@ -8,6 +8,8 @@
 //! between `rand` versions and it is not serializable), so we carry our own
 //! [`SplitMix64`] (seeding) and [`Xoshiro256StarStar`] (simulation streams).
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
+
 /// SplitMix64: a tiny 64-bit generator used to expand one `u64` seed into the
 /// 256-bit state of [`Xoshiro256StarStar`], and as a cheap standalone stream
 /// where statistical quality demands are low.
@@ -22,7 +24,6 @@
 /// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -35,11 +36,8 @@ impl SplitMix64 {
 
     /// Returns the next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 }
 
@@ -47,7 +45,6 @@ impl SplitMix64 {
 /// perturbations. Fast, tiny state, excellent statistical quality, and the
 /// algorithm is pinned in this crate so checkpoints stay replayable forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }
@@ -64,7 +61,7 @@ impl Xoshiro256StarStar {
         // An all-zero state is a fixed point; SplitMix64 cannot produce four
         // consecutive zeros, but guard anyway.
         if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = GOLDEN_GAMMA;
         }
         Xoshiro256StarStar { s }
     }

@@ -14,7 +14,6 @@ use crate::SimError;
 
 /// Scheduler tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedConfig {
     /// Time-slice length (ns). Solaris' time-share class uses 20–200 ms;
     /// scaled down so scheduling stays active in short simulations.
@@ -62,7 +61,6 @@ impl SchedConfig {
 
 /// Lifecycle state of a simulated thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ThreadState {
     /// Runnable, waiting in the ready queue.
     Ready,
@@ -76,7 +74,6 @@ pub enum ThreadState {
 
 /// What a scheduling-log entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedEventKind {
     /// Thread dispatched onto a CPU.
     Dispatch,
@@ -94,7 +91,6 @@ pub enum SchedEventKind {
 
 /// One scheduling event (a point in Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedEvent {
     /// When it happened.
     pub cycle: Cycle,
@@ -108,7 +104,6 @@ pub struct SchedEvent {
 
 /// Scheduler counters for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedStats {
     /// Threads dispatched onto CPUs.
     pub dispatches: u64,
@@ -122,7 +117,6 @@ pub struct SchedStats {
 
 /// Per-thread scheduler bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ThreadRecord {
     state: ThreadState,
     last_cpu: Option<CpuId>,
@@ -137,7 +131,6 @@ struct ThreadRecord {
 /// The scheduler: a global ready queue with round-robin dispatch, soft CPU
 /// affinity and quantum-based preemption.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scheduler {
     config: SchedConfig,
     threads: Vec<ThreadRecord>,

@@ -12,7 +12,6 @@ use crate::sync::LockStats;
 /// §3.1 metric: simulated time to finish a fixed number of transactions,
 /// divided by that number.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunResult {
     /// Cycle at which measurement began.
     pub start_cycle: Cycle,

@@ -26,7 +26,6 @@ pub enum AcquireOutcome {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct LockState {
     holder: Option<ThreadId>,
     waiters: VecDeque<ThreadId>,
@@ -36,7 +35,6 @@ struct LockState {
 
 /// Aggregate lock counters for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LockStats {
     /// Successful acquisitions (immediate or after waiting).
     pub acquisitions: u64,
@@ -61,7 +59,6 @@ impl LockStats {
 
 /// The lock table: one entry per `LockId`, grown on demand.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LockTable {
     locks: Vec<LockState>,
     /// When each blocked thread started waiting (indexed by thread).

@@ -39,7 +39,6 @@ pub trait Workload {
 /// A trivial single-op workload, useful in unit tests: every thread spins on
 /// compute bursts and commits a transaction every `ops_per_txn` ops.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformWorkload {
     threads: usize,
     ops_per_txn: u32,
@@ -95,7 +94,6 @@ impl Workload for UniformWorkload {
 /// benchmark profiles live in the `mtvar-workloads` crate; this one exists
 /// for simulator tests and quick experiments.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SharingWorkload {
     threads: usize,
     ops_per_txn: u32,
@@ -112,7 +110,6 @@ use crate::ops::AccessKind;
 use crate::rng::Xoshiro256StarStar;
 
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct SharingThreadState {
     rng: Xoshiro256StarStar,
     ops: u64,

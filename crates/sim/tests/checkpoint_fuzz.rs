@@ -16,23 +16,11 @@
 use mtvar_sim::checkpoint::Checkpoint;
 use mtvar_sim::config::MachineConfig;
 use mtvar_sim::machine::Machine;
+use mtvar_sim::rng::SplitMix64;
 use mtvar_sim::workload::SharingWorkload;
 
-/// SplitMix64 — the repo's convention for in-test deterministic streams.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
 }
 
 fn warmed_frame() -> (Checkpoint, Vec<u8>) {
@@ -53,10 +41,10 @@ fn warmed_frame() -> (Checkpoint, Vec<u8>) {
 #[test]
 fn every_bit_flip_in_the_frame_is_rejected() {
     let (ck, bytes) = warmed_frame();
-    let mut rng = Rng(0xF1A9);
+    let mut rng = SplitMix64::new(0xF1A9);
     let mut buf = bytes.clone();
     for i in 0..bytes.len() {
-        let bit = 1u8 << rng.below(8);
+        let bit = 1u8 << below(&mut rng, 8);
         buf[i] ^= bit;
         match Checkpoint::from_bytes(&buf) {
             Err(_) => {}
@@ -78,7 +66,7 @@ fn every_bit_flip_in_the_frame_is_rejected() {
 #[test]
 fn every_truncation_is_rejected() {
     let (_, bytes) = warmed_frame();
-    let mut rng = Rng(0x7249);
+    let mut rng = SplitMix64::new(0x7249);
     // All short prefixes exhaustively (they exercise header parsing), then
     // random cuts across the body.
     for len in 0..256.min(bytes.len()) {
@@ -88,7 +76,7 @@ fn every_truncation_is_rejected() {
         );
     }
     for _ in 0..500 {
-        let len = rng.below(bytes.len() - 1);
+        let len = below(&mut rng, bytes.len() - 1);
         assert!(
             Checkpoint::from_bytes(&bytes[..len]).is_err(),
             "prefix of {len} bytes decoded Ok"
@@ -109,32 +97,32 @@ fn random_splices_are_rejected() {
     m2.run_transactions(25).unwrap();
     let b = m2.snapshot().to_bytes();
 
-    let mut rng = Rng(0x0057_11CE);
+    let mut rng = SplitMix64::new(0x0057_11CE);
     for round in 0..400 {
         let mut buf = a.clone();
-        match rng.below(4) {
+        match below(&mut rng, 4) {
             0 => {
                 // Insert 1..32 random bytes at a random offset.
-                let at = rng.below(buf.len() + 1);
-                let n = 1 + rng.below(32);
+                let at = below(&mut rng, buf.len() + 1);
+                let n = 1 + below(&mut rng, 32);
                 let mut chunk = Vec::with_capacity(n);
                 for _ in 0..n {
-                    chunk.push(rng.next() as u8);
+                    chunk.push(rng.next_u64() as u8);
                 }
                 buf.splice(at..at, chunk);
             }
             1 => {
                 // Delete a random nonempty range.
-                let at = rng.below(buf.len());
-                let n = 1 + rng.below((buf.len() - at).min(64));
+                let at = below(&mut rng, buf.len());
+                let n = 1 + below(&mut rng, (buf.len() - at).min(64));
                 buf.drain(at..at + n);
             }
             2 => {
                 // Duplicate a range over another (simulates torn pages).
-                let src = rng.below(buf.len());
-                let n = 1 + rng.below((buf.len() - src).min(64));
+                let src = below(&mut rng, buf.len());
+                let n = 1 + below(&mut rng, (buf.len() - src).min(64));
                 let chunk: Vec<u8> = buf[src..src + n].to_vec();
-                let dst = rng.below(buf.len() - n + 1);
+                let dst = below(&mut rng, buf.len() - n + 1);
                 if dst == src {
                     continue; // identity overwrite: not a mutation
                 }
@@ -145,8 +133,8 @@ fn random_splices_are_rejected() {
             }
             _ => {
                 // Head of one valid frame + tail of the other.
-                let cut_a = rng.below(a.len());
-                let cut_b = rng.below(b.len());
+                let cut_a = below(&mut rng, a.len());
+                let cut_b = below(&mut rng, b.len());
                 buf = a[..cut_a].to_vec();
                 buf.extend_from_slice(&b[cut_b..]);
                 if buf == a || buf == b {
@@ -189,23 +177,23 @@ fn hostile_lengths_are_rejected() {
 #[test]
 fn mutated_payloads_never_panic_restore() {
     let (ck, _) = warmed_frame();
-    let mut rng = Rng(0xDEC0DE);
+    let mut rng = SplitMix64::new(0xDEC0DE);
     for _ in 0..300 {
         let mut payload = ck.payload().to_vec();
-        match rng.below(3) {
+        match below(&mut rng, 3) {
             0 => {
-                let i = rng.below(payload.len());
-                payload[i] ^= 1 << rng.below(8);
+                let i = below(&mut rng, payload.len());
+                payload[i] ^= 1 << below(&mut rng, 8);
             }
             1 => {
-                payload.truncate(rng.below(payload.len()));
+                payload.truncate(below(&mut rng, payload.len()));
             }
             _ => {
-                let at = rng.below(payload.len());
-                let n = 1 + rng.below(16);
+                let at = below(&mut rng, payload.len());
+                let n = 1 + below(&mut rng, 16);
                 let mut chunk = Vec::with_capacity(n);
                 for _ in 0..n {
-                    chunk.push(rng.next() as u8);
+                    chunk.push(rng.next_u64() as u8);
                 }
                 payload.splice(at..at, chunk);
             }

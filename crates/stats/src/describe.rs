@@ -29,7 +29,6 @@ use crate::{Result, StatsError};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -34,7 +34,6 @@ fn check_level(level: f64) -> Result<()> {
 
 /// A two-sided confidence interval for a population parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfidenceInterval {
     lower: f64,
     upper: f64,
@@ -171,7 +170,6 @@ pub fn mean_confidence_interval(summary: &Summary, level: f64) -> Result<Confide
 
 /// Which two-sample t-test to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TTestKind {
     /// Pooled-variance test (the paper's §5.1.2 formulation, `2n − 2`
     /// degrees of freedom for equal group sizes).
@@ -183,7 +181,6 @@ pub enum TTestKind {
 
 /// Result of a two-sample t-test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TTest {
     statistic: f64,
     df: f64,
@@ -328,7 +325,6 @@ pub fn sample_size_for_relative_error(
 
 /// Result of a one-way analysis of variance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Anova {
     ss_between: f64,
     ss_within: f64,
@@ -475,7 +471,6 @@ pub fn anova_one_way(groups: &[&[f64]]) -> Result<Anova> {
 /// this diagnostic flags samples where that assumption is shaky (e.g. a
 /// bimodal run space caused by a lock convoy that forms in some runs only).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JarqueBera {
     statistic: f64,
     skewness: f64,
@@ -555,7 +550,6 @@ pub fn jarque_bera(values: &[f64]) -> Result<JarqueBera> {
 
 /// Result of a two-way (two-factor, with replication) analysis of variance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoWayAnova {
     /// F statistic and p-value for factor A (rows).
     pub factor_a: (f64, f64),

@@ -21,7 +21,6 @@ use super::{
 
 /// Design of a live (adaptive) position sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LiveDesign {
     /// Size of the position frame; positions are `0..population`.
     pub population: u64,
@@ -86,7 +85,6 @@ impl LiveDesign {
 
 /// Outcome of a live sample: the estimate plus how the adaptation ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LiveOutcome {
     /// The estimate at the point the loop stopped.
     pub estimate: Estimate,

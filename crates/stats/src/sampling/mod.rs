@@ -69,7 +69,6 @@ use crate::StatsError;
 /// simulated cycles, so an estimator's total cost is directly comparable to
 /// the simulated-cycle cost of the full-run methodology it replaces.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Measurement {
     /// The observed value (cycles-per-transaction in the simulator setting).
     pub value: f64,
@@ -188,7 +187,6 @@ where
 
 /// What an estimator spent to produce its estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SamplingCost {
     /// Full-fidelity measurements taken.
     pub measurements: u64,
@@ -213,7 +211,6 @@ impl SamplingCost {
 
 /// An estimator's output: point estimate, confidence interval, and cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Estimate {
     point: f64,
     ci: ConfidenceInterval,
@@ -296,15 +293,19 @@ pub(crate) fn design_err<T, E>(what: impl Into<String>) -> SamplingResult<T, E> 
 
 /// SplitMix64: the crate-local seeded generator behind position draws.
 /// Deterministic for a given seed, so every estimator is reproducible.
+/// Public so this crate's integration tests draw from it instead of
+/// carrying copies.
 #[derive(Debug, Clone)]
-pub(crate) struct SplitMix64(u64);
+pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
+    /// A generator seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    /// The next 64 pseudo-random bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

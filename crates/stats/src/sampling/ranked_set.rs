@@ -28,7 +28,6 @@ use super::{
 
 /// Design of a balanced ranked-set sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RankedSetDesign {
     /// Size of the position frame; positions are `0..population`.
     pub population: u64,

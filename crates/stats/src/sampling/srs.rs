@@ -28,7 +28,6 @@ use super::{
 /// Design of a simple-random (`strata == 1`) or stratified (`strata > 1`)
 /// position sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PositionDesign {
     /// Size of the position frame; positions are `0..population`.
     pub population: u64,

@@ -10,19 +10,19 @@ use mtvar_stats::infer::{
     anova_one_way, anova_two_way, jarque_bera, mean_confidence_interval, two_sample_t_test,
     TTestKind,
 };
+use mtvar_stats::sampling::SplitMix64;
 use mtvar_stats::special::{erf, erfc, reg_inc_beta, reg_lower_gamma};
 
-/// SplitMix64 — the same tiny generator the simulator uses for seeding,
-/// duplicated here because `mtvar-stats` depends on no other crate.
-struct Gen(u64);
+/// Case generator over the crate's own seeded stream.
+struct Gen(SplitMix64);
 
 impl Gen {
+    fn new(seed: u64) -> Self {
+        Gen(SplitMix64::new(seed))
+    }
+
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform f64 in [0, 1).
@@ -51,7 +51,7 @@ const CASES: usize = 200;
 
 #[test]
 fn erf_is_odd_bounded_and_monotone() {
-    let mut g = Gen(0xE5F_0001);
+    let mut g = Gen::new(0xE5F_0001);
     for _ in 0..CASES {
         let x = g.range(-30.0, 30.0);
         let e = erf(x);
@@ -66,7 +66,7 @@ fn erf_is_odd_bounded_and_monotone() {
 
 #[test]
 fn incomplete_gamma_in_unit_interval() {
-    let mut g = Gen(0xE5F_0002);
+    let mut g = Gen::new(0xE5F_0002);
     for _ in 0..CASES {
         let a = g.range(0.05, 50.0);
         let x = g.range(0.0, 200.0);
@@ -77,7 +77,7 @@ fn incomplete_gamma_in_unit_interval() {
 
 #[test]
 fn incomplete_beta_symmetry_and_monotonicity() {
-    let mut g = Gen(0xE5F_0003);
+    let mut g = Gen::new(0xE5F_0003);
     for _ in 0..CASES {
         let a = g.range(0.1, 30.0);
         let b = g.range(0.1, 30.0);
@@ -99,7 +99,7 @@ fn incomplete_beta_symmetry_and_monotonicity() {
 
 #[test]
 fn normal_t_and_chi_square_quantiles_round_trip() {
-    let mut g = Gen(0xE5F_0004);
+    let mut g = Gen::new(0xE5F_0004);
     for _ in 0..CASES {
         let p = g.range(0.0001, 0.9999);
         let mean = g.range(-100.0, 100.0);
@@ -124,7 +124,7 @@ fn normal_t_and_chi_square_quantiles_round_trip() {
 
 #[test]
 fn f_cdf_monotone() {
-    let mut g = Gen(0xE5F_0005);
+    let mut g = Gen::new(0xE5F_0005);
     for _ in 0..CASES {
         let d1 = g.range(0.5, 40.0);
         let d2 = g.range(0.5, 40.0);
@@ -137,7 +137,7 @@ fn f_cdf_monotone() {
 
 #[test]
 fn summary_matches_naive_moments() {
-    let mut g = Gen(0xE5F_0006);
+    let mut g = Gen::new(0xE5F_0006);
     for _ in 0..CASES {
         let values = g.finite_sample(2);
         let s = Summary::from_slice(&values).unwrap();
@@ -152,7 +152,7 @@ fn summary_matches_naive_moments() {
 
 #[test]
 fn summary_merge_is_order_independent() {
-    let mut g = Gen(0xE5F_0007);
+    let mut g = Gen::new(0xE5F_0007);
     for _ in 0..CASES {
         let a = g.finite_sample(1);
         let b = g.finite_sample(1);
@@ -173,7 +173,7 @@ fn summary_merge_is_order_independent() {
 
 #[test]
 fn ci_tightens_with_confidence_and_contains_mean() {
-    let mut g = Gen(0xE5F_0008);
+    let mut g = Gen::new(0xE5F_0008);
     for _ in 0..CASES {
         let values = g.finite_sample(3);
         let s = Summary::from_slice(&values).unwrap();
@@ -189,7 +189,7 @@ fn ci_tightens_with_confidence_and_contains_mean() {
 
 #[test]
 fn t_test_is_antisymmetric() {
-    let mut g = Gen(0xE5F_0009);
+    let mut g = Gen::new(0xE5F_0009);
     for _ in 0..CASES {
         let a = g.finite_sample(2);
         let b = g.finite_sample(2);
@@ -208,7 +208,7 @@ fn t_test_is_antisymmetric() {
 
 #[test]
 fn anova_p_value_in_unit_interval() {
-    let mut g = Gen(0xE5F_000A);
+    let mut g = Gen::new(0xE5F_000A);
     for _ in 0..CASES {
         let g1 = g.finite_sample(2);
         let g2 = g.finite_sample(2);
@@ -225,7 +225,7 @@ fn anova_p_value_in_unit_interval() {
 
 #[test]
 fn jarque_bera_outputs_are_coherent() {
-    let mut g = Gen(0xE5F_000B);
+    let mut g = Gen::new(0xE5F_000B);
     for _ in 0..CASES {
         let values = g.finite_sample(4);
         if !values.iter().any(|&v| (v - values[0]).abs() > 1e-9) {
@@ -243,7 +243,7 @@ fn jarque_bera_outputs_are_coherent() {
 
 #[test]
 fn two_way_anova_p_values_are_probabilities() {
-    let mut g = Gen(0xE5F_000C);
+    let mut g = Gen::new(0xE5F_000C);
     for _ in 0..CASES {
         let r = g.index(3, 6);
         let c00: Vec<f64> = (0..r).map(|_| g.range(0.0, 100.0)).collect();
@@ -273,7 +273,7 @@ fn two_way_anova_p_values_are_probabilities() {
 
 #[test]
 fn quantile_is_monotone_in_q() {
-    let mut g = Gen(0xE5F_000D);
+    let mut g = Gen::new(0xE5F_000D);
     for _ in 0..CASES {
         let values = g.finite_sample(1);
         let q1 = g.unit();

@@ -9,23 +9,11 @@ use mtvar_stats::dist::{ContinuousDistribution, Normal};
 use mtvar_stats::sampling::live::{live_sample, LiveDesign};
 use mtvar_stats::sampling::ranked_set::{ranked_set_sample, RankedSetDesign};
 use mtvar_stats::sampling::srs::{position_sample, PositionDesign};
-use mtvar_stats::sampling::{Measurement, ProxyOracle};
+use mtvar_stats::sampling::{Measurement, ProxyOracle, SplitMix64};
 
-/// SplitMix64, inlined so this crate's tests stay dependency-free.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_open01(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
-    }
+/// Uniform strictly inside (0, 1), safe to feed to `quantile`.
+fn next_open01(rng: &mut SplitMix64) -> f64 {
+    ((rng.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
 }
 
 const POPULATION: u64 = 200;
@@ -36,9 +24,9 @@ const TRIALS: usize = 300;
 /// known exactly by enumeration — the yardstick every CI is scored against.
 fn synthetic_frame(seed: u64, trend: f64, noise_sd: f64) -> Vec<f64> {
     let z = Normal::standard();
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..POPULATION)
-        .map(|p| 100.0 + trend * p as f64 + noise_sd * z.quantile(rng.next_open01()).unwrap())
+        .map(|p| 100.0 + trend * p as f64 + noise_sd * z.quantile(next_open01(&mut rng)).unwrap())
         .collect()
 }
 

@@ -14,31 +14,15 @@ use mtvar_stats::infer::{
     anova_one_way, mean_confidence_interval, sample_size_for_relative_error, two_sample_t_test,
     TTestKind,
 };
+use mtvar_stats::sampling::SplitMix64;
 
 const TOL: f64 = 1e-9;
 
-/// SplitMix64, inlined so this crate's tests stay dependency-free; only used
-/// to drive the seeded calibration experiments below.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform strictly inside (0, 1), safe to feed to `quantile`.
-    fn next_open01(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// One N(mean, sd²) draw by inverse-transform sampling.
-    fn next_normal(&mut self, z: &Normal, mean: f64, sd: f64) -> f64 {
-        mean + sd * z.quantile(self.next_open01()).unwrap()
-    }
+/// One N(mean, sd²) draw by inverse-transform sampling, from a uniform
+/// strictly inside (0, 1). Drives the seeded calibration experiments below.
+fn next_normal(rng: &mut SplitMix64, z: &Normal, mean: f64, sd: f64) -> f64 {
+    let open01 = ((rng.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
+    mean + sd * z.quantile(open01).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -136,10 +120,12 @@ fn confidence_interval_coverage_is_nominal() {
     const EXPERIMENTS: usize = 1500;
     const N: usize = 10;
     let z = Normal::standard();
-    let mut rng = SplitMix64(0x5E1F_C0DE_0000_0001);
+    let mut rng = SplitMix64::new(0x5E1F_C0DE_0000_0001);
     let mut covered = 0usize;
     for _ in 0..EXPERIMENTS {
-        let sample: Vec<f64> = (0..N).map(|_| rng.next_normal(&z, 100.0, 15.0)).collect();
+        let sample: Vec<f64> = (0..N)
+            .map(|_| next_normal(&mut rng, &z, 100.0, 15.0))
+            .collect();
         let summary = Summary::from_slice(&sample).unwrap();
         let ci = mean_confidence_interval(&summary, 0.95).unwrap();
         if ci.contains(100.0) {
@@ -160,11 +146,15 @@ fn t_test_type_i_error_rate_is_nominal() {
     const REPS: usize = 800;
     const N: usize = 8;
     let z = Normal::standard();
-    let mut rng = SplitMix64(0x5E1F_C0DE_0000_0002);
+    let mut rng = SplitMix64::new(0x5E1F_C0DE_0000_0002);
     let mut rejections = 0usize;
     for _ in 0..REPS {
-        let a: Vec<f64> = (0..N).map(|_| rng.next_normal(&z, 0.0, 1.0)).collect();
-        let b: Vec<f64> = (0..N).map(|_| rng.next_normal(&z, 0.0, 1.0)).collect();
+        let a: Vec<f64> = (0..N)
+            .map(|_| next_normal(&mut rng, &z, 0.0, 1.0))
+            .collect();
+        let b: Vec<f64> = (0..N)
+            .map(|_| next_normal(&mut rng, &z, 0.0, 1.0))
+            .collect();
         let sa = Summary::from_slice(&a).unwrap();
         let sb = Summary::from_slice(&b).unwrap();
         let t = two_sample_t_test(&sa, &sb, TTestKind::Pooled).unwrap();
@@ -186,11 +176,15 @@ fn anova_type_i_error_rate_is_nominal() {
     const REPS: usize = 600;
     const N: usize = 6;
     let z = Normal::standard();
-    let mut rng = SplitMix64(0x5E1F_C0DE_0000_0003);
+    let mut rng = SplitMix64::new(0x5E1F_C0DE_0000_0003);
     let mut rejections = 0usize;
     for _ in 0..REPS {
         let g: Vec<Vec<f64>> = (0..3)
-            .map(|_| (0..N).map(|_| rng.next_normal(&z, 0.0, 1.0)).collect())
+            .map(|_| {
+                (0..N)
+                    .map(|_| next_normal(&mut rng, &z, 0.0, 1.0))
+                    .collect()
+            })
             .collect();
         let groups: Vec<&[f64]> = g.iter().map(Vec::as_slice).collect();
         let anova = anova_one_way(&groups).unwrap();
@@ -223,12 +217,12 @@ fn sample_size_estimate_achieves_its_promised_power() {
     assert_eq!(n, 20, "the paper's worked example");
 
     let z = Normal::standard();
-    let mut rng = SplitMix64(0x5E1F_C0DE_0000_0005);
+    let mut rng = SplitMix64::new(0x5E1F_C0DE_0000_0005);
     let hits = |runs: usize, rng: &mut SplitMix64| -> f64 {
         let mut within = 0usize;
         for _ in 0..REPS {
             let mean: f64 = (0..runs)
-                .map(|_| rng.next_normal(&z, MEAN, SD))
+                .map(|_| next_normal(rng, &z, MEAN, SD))
                 .sum::<f64>()
                 / runs as f64;
             if (mean - MEAN).abs() <= REL_ERR * MEAN {
@@ -266,10 +260,12 @@ fn ci_coverage_degrades_when_interval_is_misused() {
     const EXPERIMENTS: usize = 1000;
     const N: usize = 10;
     let z = Normal::standard();
-    let mut rng = SplitMix64(0x5E1F_C0DE_0000_0004);
+    let mut rng = SplitMix64::new(0x5E1F_C0DE_0000_0004);
     let mut covered = 0usize;
     for _ in 0..EXPERIMENTS {
-        let sample: Vec<f64> = (0..N).map(|_| rng.next_normal(&z, 100.0, 15.0)).collect();
+        let sample: Vec<f64> = (0..N)
+            .map(|_| next_normal(&mut rng, &z, 100.0, 15.0))
+            .collect();
         let summary = Summary::from_slice(&sample).unwrap();
         let ci = mean_confidence_interval(&summary, 0.80).unwrap();
         if ci.contains(100.0) {

@@ -26,7 +26,6 @@ const RECENT_RING: usize = 192;
 
 /// One transaction type in the mix (e.g. TPC-C's new-order).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TxnType {
     /// Relative weight in the mix.
     pub weight: u32,
@@ -112,7 +111,6 @@ impl TxnType {
 /// per-thread transaction index, so they shift behaviour *between
 /// checkpoints* without adding within-checkpoint randomness.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseModel {
     /// Period, in per-thread transactions, of the work-intensity wave.
     pub period_txns: u64,
@@ -162,7 +160,6 @@ impl PhaseModel {
 
 /// The complete description of one benchmark's behaviour.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadProfile {
     /// Benchmark name ("oltp", "apache", ...).
     pub name: String,
@@ -240,7 +237,6 @@ impl WorkloadProfile {
 
 /// Per-thread generator state.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ThreadGen {
     rng: Xoshiro256StarStar,
     txns: u64,
@@ -264,7 +260,6 @@ struct ThreadGen {
 /// let _op = w.next_op(mtvar_sim::ids::ThreadId(0));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProfiledWorkload {
     profile: WorkloadProfile,
     cum_weights: Vec<u32>,

@@ -19,6 +19,7 @@ use std::time::Instant;
 use mtvar_core::golden::run_digest;
 use mtvar_core::runspace::{Executor, RunPlan};
 use mtvar_sim::config::MachineConfig;
+use mtvar_sim::hash::fold_digest;
 use mtvar_sim::machine::Machine;
 use mtvar_sim::proc::{OooConfig, ProcessorConfig};
 use mtvar_workloads::Benchmark;
@@ -85,7 +86,7 @@ fn space_sample() -> (f64, u64) {
         .results()
         .iter()
         .fold(0xcbf2_9ce4_8422_2325u64, |acc, r| {
-            acc.rotate_left(7) ^ run_digest(r)
+            fold_digest(acc, run_digest(r))
         });
     (wall, digest)
 }

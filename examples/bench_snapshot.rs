@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use mtvar_core::golden::run_digest;
 use mtvar_sim::config::MachineConfig;
+use mtvar_sim::hash::fold_digest;
 use mtvar_sim::machine::Machine;
 use mtvar_workloads::profile::ProfiledWorkload;
 use mtvar_workloads::Benchmark;
@@ -95,7 +96,7 @@ where
     (0..FORKS).fold(0xcbf2_9ce4_8422_2325u64, |acc, i| {
         let mut m = acquire().with_perturbation_seed(i as u64);
         let result = m.run_transactions(FORK_TXNS).expect("forked run");
-        acc.rotate_left(7) ^ run_digest(&result)
+        fold_digest(acc, run_digest(&result))
     })
 }
 

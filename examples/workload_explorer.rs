@@ -14,6 +14,14 @@ use mtvar_workloads::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let filter = std::env::args().nth(1);
+    if let Some(f) = &filter {
+        if !Benchmark::ALL.iter().any(|b| b.name() == f) {
+            let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+            return Err(
+                format!("unknown benchmark {f:?}; valid names: {}", names.join(", ")).into(),
+            );
+        }
+    }
     // One executor across all profiles: each benchmark's small run space
     // (4 perturbed runs) executes in parallel, and the first run supplies
     // the detailed event counts below.

@@ -7,6 +7,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# One-home guard: the hash and mixer constants live in mtvar_sim::hash (the
+# dependency-free stats crate keeps its own SplitMix64), and the serde
+# feature is gone. A second copy anywhere else fails here, before any build.
+echo "==> one-home guard: hash constants and the serde feature"
+stray=$(
+    grep -rln --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
+    grep -rln --include='*.rs' -e '0xCBF2_9CE4_8422_2325' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/hash.rs' || true
+    grep -rln -e 'feature = "serde"' crates src tests examples Cargo.toml || true
+)
+if [ -n "$stray" ]; then
+    echo "hash constant or serde feature outside its one home:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
@@ -144,6 +161,14 @@ echo "    served $SERVED == batch digest"
 
 echo "==> bench records: asserted fields must not regress"
 sh scripts/bench_check.sh
+
+# The stand-alone benchmark package builds against the library crates by
+# path: a library API change that breaks it must fail here, not in the
+# pipeline that runs it. Building may not touch its lock file or sources.
+echo "==> stand-alone benchmark: build, unit tests, tree untouched"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
