@@ -113,8 +113,10 @@ fn main() {
             }
         }
         "fig9" => {
-            use mtvar_core::runspace::run_space_from_checkpoint;
+            use mtvar_core::runspace::Executor;
             use mtvar_sim::machine::Machine;
+            use mtvar_workloads::profile::ProfiledWorkload;
+            let executor = Executor::sequential().without_cache();
             for (b, spacing, txns) in [
                 (Benchmark::Oltp, 1000u64, 200u64),
                 (Benchmark::Specjbb, 2000, 500),
@@ -126,7 +128,9 @@ fn main() {
                 for pt in 0..10u64 {
                     m.run_transactions(spacing).unwrap();
                     let plan = RunPlan::new(txns).with_runs(5).with_base_seed(pt * 1000);
-                    let space = run_space_from_checkpoint(&m, &plan).unwrap();
+                    let space = executor
+                        .run_space_from_snapshot::<ProfiledWorkload>(&m.snapshot(), 4, &plan)
+                        .unwrap();
                     let rep = VariabilityReport::from_runtimes(&space.runtimes()).unwrap();
                     means.push(rep.mean);
                     covs.push(rep.cov_percent);

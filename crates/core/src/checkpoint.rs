@@ -9,7 +9,7 @@
 //! with optional on-disk spill under `target/mtvar-checkpoints/` so warmed
 //! state survives the process.
 //!
-//! Two properties matter for correctness:
+//! Three properties matter for correctness:
 //!
 //! * **Prefix extension.** [`CheckpointStore::longest_prefix`] finds the
 //!   deepest stored snapshot of the same space with a *shorter* warmup, so a
@@ -22,12 +22,17 @@
 //!   `.ckpt` behind. Reads validate the frame fingerprint; a corrupt or
 //!   truncated file is deleted and reported as a miss, and the caller falls
 //!   back to re-simulation.
+//! * **Single-flight warmup.** [`CheckpointStore::get_or_warm`] lets exactly
+//!   one of any number of concurrent callers asking for the same key
+//!   simulate it; the rest wait and share the stored snapshot. Executors
+//!   sharing a store therefore pay for each warmup once, whoever asks.
 //!
 //! [`Machine::restore`]: mtvar_sim::machine::Machine::restore
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use mtvar_sim::checkpoint::Checkpoint;
 
@@ -73,6 +78,9 @@ impl CheckpointKey {
 struct StoreInner {
     map: HashMap<CheckpointKey, (u64, Arc<Checkpoint>)>,
     tick: u64,
+    /// Keys some [`CheckpointStore::get_or_warm`] caller is warming right
+    /// now; a key leaves the set the moment its warmup ends.
+    in_flight: HashSet<CheckpointKey>,
 }
 
 impl StoreInner {
@@ -96,7 +104,11 @@ impl StoreInner {
 #[derive(Debug)]
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
+    /// Signalled whenever a key leaves `in_flight`.
+    settled: Condvar,
     capacity: usize,
+    warmups_simulated: AtomicU64,
+    warmups_shared: AtomicU64,
     /// The spill directory and its warnings
     /// ([`CheckpointStore::take_warnings`]); `None` for a memory-only store.
     disk: Option<SpillDir>,
@@ -131,7 +143,10 @@ impl CheckpointStore {
     pub fn new() -> Self {
         CheckpointStore {
             inner: Mutex::new(StoreInner::default()),
+            settled: Condvar::new(),
             capacity: Self::DEFAULT_CAPACITY,
+            warmups_simulated: AtomicU64::new(0),
+            warmups_shared: AtomicU64::new(0),
             disk: None,
         }
     }
@@ -220,6 +235,59 @@ impl CheckpointStore {
         self.insert_memory(key, checkpoint);
     }
 
+    /// The snapshot for `key`, simulated at most once however many callers
+    /// ask at the same time: a stored snapshot is returned as is; otherwise
+    /// the first caller runs `warm` and stores its snapshot, while every
+    /// other caller of the same key waits and then shares it. The lock is
+    /// never held while `warm` runs, so other keys proceed in parallel.
+    ///
+    /// # Errors
+    ///
+    /// `warm`'s error goes to the caller that ran it, alone; one waiter then
+    /// runs its own `warm`. A panic in `warm` releases the waiters the same
+    /// way.
+    pub fn get_or_warm<E>(
+        &self,
+        key: CheckpointKey,
+        warm: impl FnOnce() -> Result<Arc<Checkpoint>, E>,
+    ) -> Result<Arc<Checkpoint>, E> {
+        loop {
+            if let Some(hit) = self.get(&key) {
+                // Relaxed: a statistic that publishes no other data.
+                self.warmups_shared.fetch_add(1, Ordering::Relaxed);
+                return Ok(hit);
+            }
+            let inner = self.inner.lock().expect("store poisoned");
+            let mut inner = self
+                .settled
+                .wait_while(inner, |inner| inner.in_flight.contains(&key))
+                .expect("store poisoned");
+            // Stored by now if the caller we waited for succeeded, or if one
+            // finished between the lookup above and the lock: look again.
+            if inner.map.contains_key(&key) {
+                continue;
+            }
+            inner.in_flight.insert(key);
+            break;
+        }
+        let _in_flight = InFlight { store: self, key };
+        let snapshot = warm()?;
+        self.insert(key, Arc::clone(&snapshot));
+        self.warmups_simulated.fetch_add(1, Ordering::Relaxed);
+        Ok(snapshot)
+    }
+
+    /// Warmups [`CheckpointStore::get_or_warm`] ran to completion.
+    pub fn warmups_simulated(&self) -> u64 {
+        self.warmups_simulated.load(Ordering::Relaxed)
+    }
+
+    /// [`CheckpointStore::get_or_warm`] calls answered with a snapshot
+    /// another call produced — waited for, or already stored.
+    pub fn warmups_shared(&self) -> u64 {
+        self.warmups_shared.load(Ordering::Relaxed)
+    }
+
     /// Finds the stored snapshot of the same `(config, workload, base_seed)`
     /// space with the largest warmup strictly below `key.warmup`, searching
     /// memory and disk. Returns `(warmup, checkpoint)`; the caller restores
@@ -296,11 +364,34 @@ impl CheckpointStore {
     }
 }
 
+/// Holds one key's in-flight mark for the duration of its warmup. Dropping
+/// it — on return, error or unwind — clears the mark and wakes every waiter.
+struct InFlight<'a> {
+    store: &'a CheckpointStore,
+    key: CheckpointKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // A drop must not panic, and every update under this lock leaves the
+        // map valid, so a poisoned lock is entered rather than propagated.
+        let mut inner = self
+            .store
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.in_flight.remove(&self.key);
+        drop(inner);
+        self.store.settled.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spill::temp_dir;
     use std::fs;
+    use std::sync::Barrier;
 
     fn key(warmup: u64) -> CheckpointKey {
         CheckpointKey {
@@ -360,6 +451,99 @@ mod tests {
             ..key(800)
         };
         assert!(store.longest_prefix(&other).is_none());
+    }
+
+    type Warmed = Result<Arc<Checkpoint>, &'static str>;
+
+    /// Runs a first caller of `key(10)` that is held inside its warmup until
+    /// `others` more callers of the same key have been spawned, then ends
+    /// the warmup with `finish`. Whether a later caller parks on the
+    /// in-flight mark or arrives after it cleared is up to the scheduler;
+    /// the store must give the same answers either way. Returns the first
+    /// caller's join result and the others' results.
+    fn race_one_key(
+        store: &CheckpointStore,
+        others: usize,
+        finish: impl FnOnce() -> Warmed + Send,
+    ) -> (std::thread::Result<Warmed>, Vec<Warmed>) {
+        let entered = Barrier::new(2);
+        let release = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                store.get_or_warm(key(10), || {
+                    entered.wait();
+                    release.wait();
+                    finish()
+                })
+            });
+            entered.wait(); // the first caller is now inside its warmup
+            let rest: Vec<_> = (0..others)
+                .map(|_| scope.spawn(|| store.get_or_warm(key(10), || Ok(snapshot(2)))))
+                .collect();
+            release.wait();
+            (
+                first.join(),
+                rest.into_iter()
+                    .map(|h| h.join().expect("a later caller panicked"))
+                    .collect(),
+            )
+        })
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_share_one_warmup() {
+        let store = CheckpointStore::new();
+        let (first, rest) = race_one_key(&store, 3, || Ok(snapshot(1)));
+        assert_eq!(first.unwrap().unwrap().payload(), &[1u8; 64][..]);
+        for shared in rest {
+            assert_eq!(
+                shared.unwrap().payload(),
+                &[1u8; 64][..],
+                "a later caller must get the first caller's snapshot, not warm its own"
+            );
+        }
+        assert_eq!(store.warmups_simulated(), 1);
+        assert_eq!(store.warmups_shared(), 3);
+        // A late arrival finds the snapshot stored and never warms.
+        let late = store.get_or_warm(key(10), || Err("warmed a stored key"));
+        assert_eq!(late.unwrap().payload(), &[1u8; 64][..]);
+        assert_eq!(store.warmups_shared(), 4);
+        assert!(store.inner.lock().unwrap().in_flight.is_empty());
+    }
+
+    #[test]
+    fn distinct_keys_do_not_share_a_warmup() {
+        let store = CheckpointStore::new();
+        let warm = |tag| move || Ok::<_, ()>(snapshot(tag));
+        let a = store.get_or_warm(key(10), warm(1)).unwrap();
+        let b = store.get_or_warm(key(20), warm(2)).unwrap();
+        assert_ne!(a.payload(), b.payload(), "different warmup, different key");
+        assert_eq!(store.warmups_simulated(), 2);
+        assert_eq!(store.warmups_shared(), 0);
+    }
+
+    #[test]
+    fn failed_warmup_is_retried_by_a_later_caller() {
+        let store = CheckpointStore::new();
+        let (first, rest) = race_one_key(&store, 1, || Err("warmup exploded"));
+        assert_eq!(first.unwrap().unwrap_err(), "warmup exploded");
+        // The error went to the first caller alone; the second ran its own
+        // warmup and got its own snapshot.
+        assert_eq!(rest[0].as_ref().unwrap().payload(), &[2u8; 64][..]);
+        assert_eq!(store.warmups_simulated(), 1);
+        assert_eq!(store.warmups_shared(), 0);
+    }
+
+    #[test]
+    fn panicking_warmup_releases_later_callers() {
+        let store = CheckpointStore::new();
+        let (first, rest) = race_one_key(&store, 1, || panic!("warmup panicked"));
+        assert!(first.is_err(), "the first caller's thread panicked");
+        // Without the unwind path the key would stay in flight and the
+        // second caller would wait for ever.
+        assert_eq!(rest[0].as_ref().unwrap().payload(), &[2u8; 64][..]);
+        assert_eq!(store.warmups_simulated(), 1);
+        assert!(store.inner.lock().unwrap().in_flight.is_empty());
     }
 
     #[test]

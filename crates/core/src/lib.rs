@@ -11,17 +11,19 @@
 //! is that methodology:
 //!
 //! * [`runspace`] — execute the space of perturbed runs for one
-//!   configuration (optionally from a checkpoint), sequentially or in
-//!   parallel via the deterministic [`runspace::Executor`]: seeds derive
-//!   from `(configuration, run index)`, so results are bit-identical for
-//!   any thread count, with run-result caching and progress observation.
+//!   configuration (or from a snapshot, the only kind of checkpoint),
+//!   sequentially or in parallel via the deterministic
+//!   [`runspace::Executor`]: seeds derive from `(configuration or snapshot
+//!   content, run index)`, so results are bit-identical for any thread
+//!   count, with run-result caching and progress observation.
 //!   By default a sweep with warmup simulates the warmup *once*, snapshots,
 //!   and forks each perturbed run from the restored snapshot (§3.2.2's
 //!   checkpoint protocol); `RunPlan::with_shared_warmup(false)` keeps the
 //!   legacy perturb-from-cycle-zero path.
 //! * [`checkpoint`] — the content-addressed [`checkpoint::CheckpointStore`]
 //!   behind shared warmup: an in-memory LRU of machine snapshots with
-//!   crash-safe disk spill and longest-prefix warmup extension.
+//!   crash-safe disk spill, longest-prefix warmup extension, and the
+//!   single-flight that lets concurrent callers pay for a warmup once.
 //! * [`resultcache`] — the run-result cache's persistent layer
 //!   ([`resultcache::ResultStore`]): completed measurements and their
 //!   violation records spill to disk with the same crash-safe framing, so a
@@ -31,7 +33,8 @@
 //! * [`wcr`] — the wrong-conclusion ratio by pairwise enumeration (§4.1).
 //! * [`compare`] — confidence intervals, hypothesis tests, minimum-run
 //!   estimation and verdicts for comparison experiments (§5.1).
-//! * [`timesample`] — checkpoint sweeps and one-way ANOVA to decide whether
+//! * [`timesample`] — snapshot sweeps over starting points
+//!   ([`timesample::sweep_positions_with`]) and one-way ANOVA to decide whether
 //!   time sampling is required (§5.2).
 //! * [`sampling`] — 2024-era sampling methodologies (stratified, ranked-set,
 //!   live) driven over the checkpoint substrate, with an evaluation harness

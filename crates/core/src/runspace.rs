@@ -2,7 +2,7 @@
 //! or in parallel.
 //!
 //! The paper's mechanism: start every run from the same initial conditions
-//! (fresh machine or checkpoint), give each a unique perturbation seed, and
+//! (fresh machine or snapshot), give each a unique perturbation seed, and
 //! collect the resulting cycles-per-transaction sample. "We use the mean of
 //! these runs as our performance metric."
 //!
@@ -248,12 +248,12 @@ impl RunSpace {
 /// mixing of `(source_id, base_seed, run_index)`.
 ///
 /// `source_id` is a [`config_fingerprint`] (fresh-machine spaces) or a
-/// [`machine_fingerprint`] (checkpoint spaces). The derivation is a pure
+/// [`Checkpoint::fingerprint`] (snapshot spaces). The derivation is a pure
 /// function of its arguments: it does not depend on thread count, scheduling
 /// order, or any global state, which is what makes parallel run spaces
 /// bit-identical to sequential ones. Mixing the source identity in also
 /// decorrelates the seed streams of different experiment arms (or different
-/// checkpoints) that share a `base_seed`.
+/// snapshots) that share a `base_seed`.
 pub fn derive_run_seed(source_id: u64, base_seed: u64, run_index: u64) -> u64 {
     let a = finalize64(source_id ^ 0x6A09_E667_F3BC_C909);
     let b = finalize64(base_seed ^ 0xBB67_AE85_84CA_A73B);
@@ -286,10 +286,8 @@ pub fn config_fingerprint(config: &MachineConfig) -> u64 {
 /// Fingerprints a workload *factory* by probing one fresh instance: its
 /// name, thread count, and a prefix of every thread's op stream. This
 /// distinguishes workloads that share a name but differ in internal seed or
-/// sizing, which must not collide in the result cache. Public so out-of-core
-/// layers (the serve daemon's warmup coalescer) can key work by the same
-/// identity the executor's caches use. Probing consumes ops, so pass a
-/// throwaway instance, never one that will be simulated.
+/// sizing, which must not collide in the result cache. Probing consumes
+/// ops, so pass a throwaway instance, never one that will be simulated.
 pub fn workload_fingerprint<W: Workload>(probe: &mut W) -> u64 {
     let mut w = Fnv1a::new();
     let _ = write!(w, "{}/{}", probe.name(), probe.thread_count());
@@ -300,17 +298,6 @@ pub fn workload_fingerprint<W: Workload>(probe: &mut W) -> u64 {
             let _ = write!(w, "{op:?}");
         }
     }
-    w.finish()
-}
-
-/// Fingerprints a checkpointed machine's complete state (configuration,
-/// event queue, caches, scheduler, workload position). Two checkpoints taken
-/// at different points of a workload's lifetime hash differently, which keys
-/// their cached runs apart and decorrelates their derived seed streams —
-/// replacing any need for manual seed blocking between checkpoints.
-pub fn machine_fingerprint<W: Workload + fmt::Debug>(machine: &Machine<W>) -> u64 {
-    let mut w = Fnv1a::new();
-    let _ = write!(w, "{machine:?}");
     w.finish()
 }
 
@@ -700,58 +687,29 @@ impl Executor {
         )
     }
 
-    /// Runs `plan` from a checkpoint: every run restarts from the identical
-    /// machine state, differing only in derived perturbation seed — the
-    /// paper's space-variability protocol, parallel and cached.
-    ///
-    /// Seeds derive from the checkpoint's [`machine_fingerprint`], so
-    /// different checkpoints of one workload get decorrelated seed streams
-    /// and distinct cache entries without any manual seed blocking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (lowest failing run index wins); in
-    /// strict mode, also [`CoreError::InvariantViolation`]. Note that a
-    /// checkpoint taken from a machine whose monitor already holds findings
-    /// replays those findings into every run of the space.
-    pub fn run_space_from_checkpoint<W>(
-        &self,
-        checkpoint: &Machine<W>,
-        plan: &RunPlan,
-    ) -> Result<RunSpace>
-    where
-        W: Workload + Clone + Send + Sync + fmt::Debug,
-    {
-        plan.validate()?;
-        // Fingerprint the caller's checkpoint before strict mode touches the
-        // per-run clones, for the same seed-stability reason as run_space.
-        let state_id = machine_fingerprint(checkpoint);
-        self.execute(
-            plan,
-            state_id,
-            0,
-            plan.warmup_transactions,
-            &Source::Live(checkpoint),
-        )
-    }
-
     /// Produces the warmed snapshot for `(config, workload, base_seed,
-    /// warmup)`, consulting the attached [`CheckpointStore`] (if any) before
-    /// simulating. Warmup always runs **unperturbed** — the §3.3 timing
-    /// perturbation belongs to the measured region, and neutralizing it here
-    /// lets one snapshot serve every perturbation magnitude and seed — and
-    /// the store key uses that neutralized configuration's fingerprint.
+    /// warmup)` — the one way to warm a machine. Warmup always runs
+    /// **unperturbed** — the §3.3 timing perturbation belongs to the
+    /// measured region, and neutralizing it here lets one snapshot serve
+    /// every perturbation magnitude and seed — and the store key uses that
+    /// neutralized configuration's fingerprint.
     ///
-    /// On a store miss, the deepest stored shorter-warmup snapshot of the
-    /// same `(config, workload, base_seed)` is extended instead of warming
-    /// from cycle zero; extension is bit-identical to a straight warmup
-    /// because warmup-region state carries no measurement counters. The
-    /// caller may pass its own `(warmed_transactions, checkpoint)` candidate
-    /// in `from` (how [`timesample`](crate::timesample) chains sweep
-    /// positions without a store); whichever prefix is deepest wins. The
-    /// result is inserted back into the store, and returned behind an `Arc`
-    /// so a store hit shares the cached allocation instead of copying the
-    /// payload.
+    /// With a [`CheckpointStore`] attached the warmup is single-flight
+    /// ([`CheckpointStore::get_or_warm`]): a stored snapshot is returned as
+    /// is, and of any callers asking for the same key at once — on this
+    /// executor or any other sharing the store — one simulates while the
+    /// rest wait for its snapshot.
+    ///
+    /// The caller that simulates extends the deepest stored shorter-warmup
+    /// snapshot of the same `(config, workload, base_seed)` instead of
+    /// warming from cycle zero; extension is bit-identical to a straight
+    /// warmup because warmup-region state carries no measurement counters.
+    /// The caller may pass its own `(warmed_transactions, checkpoint)`
+    /// candidate in `from` (how [`timesample`](crate::timesample) chains
+    /// sweep positions without a store); whichever prefix is deepest wins.
+    /// The result is inserted back into the store, and returned behind an
+    /// `Arc` so a store hit shares the cached allocation instead of copying
+    /// the payload.
     ///
     /// # Errors
     ///
@@ -784,52 +742,56 @@ impl Executor {
             base_seed,
             warmup,
         };
-        let store = self.checkpoint_store.as_ref();
-        if let Some(hit) = store.and_then(|s| s.get(&key)) {
-            return Ok(hit);
-        }
-        // Deepest usable prefix: the store's longest shorter-warmup entry
-        // vs. the caller-supplied candidate.
-        let mut prefix: Option<(u64, Arc<Checkpoint>)> = store.and_then(|s| s.longest_prefix(&key));
-        if let Some((done, ck)) = from {
-            if done <= warmup && prefix.as_ref().is_none_or(|(w, _)| done > *w) {
-                prefix = Some((done, Arc::new(ck.clone())));
+        let store = self.checkpoint_store.as_deref();
+        let warm = || {
+            // Deepest usable prefix: the store's longest shorter-warmup entry
+            // vs. the caller-supplied candidate.
+            let mut prefix = store.and_then(|s| s.longest_prefix(&key));
+            if let Some((done, ck)) = from {
+                if done <= warmup && prefix.as_ref().is_none_or(|(w, _)| done > *w) {
+                    prefix = Some((done, Arc::new(ck.clone())));
+                }
             }
-        }
-        // Counters are normalized before snapshotting so the bytes — and the
-        // fingerprint that seeds `run_space_from_snapshot` — depend only on
-        // the warmed architectural state, never on whether it was reached in
-        // one warmup call or by extending a stored prefix.
-        let snapshot = match prefix {
-            Some((done, ck)) if done == warmup => ck,
-            Some((done, ck)) => {
-                let mut machine: Machine<W> = self.restore_template(&ck)?;
-                machine.run_transactions(warmup - done)?;
-                machine.normalize_measurement();
-                Arc::new(machine.snapshot())
-            }
-            None => {
-                let mut machine = Machine::new(warm_cfg, make_workload())?;
-                machine.run_transactions(warmup)?;
-                machine.normalize_measurement();
-                Arc::new(machine.snapshot())
-            }
+            // Counters are normalized before snapshotting so the bytes — and
+            // the fingerprint that seeds `run_space_from_snapshot` — depend
+            // only on the warmed architectural state, never on whether it
+            // was reached in one warmup call or by extending a prefix.
+            let mut machine: Machine<W> = match prefix {
+                Some((done, ck)) if done == warmup => return Ok(ck),
+                Some((done, ck)) => {
+                    let mut machine = self.restore_template(&ck)?;
+                    machine.run_transactions(warmup - done)?;
+                    machine
+                }
+                None => {
+                    let mut machine = Machine::new(warm_cfg, make_workload())?;
+                    machine.run_transactions(warmup)?;
+                    machine
+                }
+            };
+            machine.normalize_measurement();
+            Ok(Arc::new(machine.snapshot()))
         };
-        if let Some(s) = store {
-            s.insert(key, Arc::clone(&snapshot));
+        match store {
+            Some(store) => store.get_or_warm(key, warm),
+            None => warm(),
         }
-        Ok(snapshot)
     }
 
     /// Runs `plan` with every run forked from `snapshot`: restore, switch
     /// the perturbation on (`perturbation_max_ns`, derived seed), then
-    /// measure. This is the fork step of the shared-warmup protocol,
-    /// exposed for callers that manage snapshots themselves (the
-    /// [`timesample`](crate::timesample) sweeps); [`Executor::run_space`]
+    /// measure — the paper's space-variability protocol (§2.1, §3.3): runs
+    /// from identical initial conditions that differ only in perturbation
+    /// seed. This is the fork step of the shared-warmup protocol, exposed
+    /// for callers that manage snapshots themselves (the
+    /// [`timesample`](crate::timesample) sweeps, or `machine.snapshot()` of
+    /// a machine the caller warmed by hand); [`Executor::run_space`]
     /// composes it with [`Executor::warm_checkpoint`] automatically.
     ///
     /// Seeds derive from the snapshot's content fingerprint, so different
-    /// snapshots get decorrelated seed streams and distinct cache entries.
+    /// snapshots get decorrelated seed streams and distinct cache entries,
+    /// while a machine, its restored copy and its fork — one architectural
+    /// state, byte-identical snapshots — launch one and the same run space.
     /// Any `plan.warmup_transactions` run unperturbed *after* the restore
     /// and before measurement (extra per-run settling on top of whatever
     /// warmup the snapshot already embodies).
@@ -885,7 +847,6 @@ impl Executor {
                 let max = config.perturbation_max_ns;
                 Machine::new(config.clone().with_perturbation(max, seed), make_workload())?
             }
-            Source::Live(machine) => machine.with_perturbation_seed(seed),
             Source::Snapshot(template, _) => template.fork(),
         };
         if self.strict_invariants {
@@ -1003,15 +964,12 @@ impl Executor {
     }
 }
 
-/// Where a perturbed run's machine comes from — the only thing the three
+/// Where a perturbed run's machine comes from — the only thing the two
 /// launch protocols differ in besides *when* the perturbation is armed.
 enum Source<'a, W> {
     /// A fresh machine per run from `(config, workload factory)`, perturbed
     /// from cycle zero: the legacy per-run-warmup protocol.
     Cold(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
-    /// A clone of the caller's live machine, re-seeded; it keeps the
-    /// machine's own perturbation magnitude, active from the clone onward.
-    Live(&'a Machine<W>),
     /// A copy-on-write fork of a decoded snapshot. The fork settles
     /// unperturbed; the perturbation (this magnitude, the run's seed) is
     /// armed at measurement start.
@@ -1075,25 +1033,6 @@ where
     Executor::sequential()
         .without_cache()
         .run_space(config, make_workload, plan)
-}
-
-/// Runs `plan` from a checkpoint, sequentially: every run restarts from the
-/// identical machine state, differing only in derived perturbation seed —
-/// the paper's space-variability protocol.
-///
-/// [`Executor::run_space_from_checkpoint`] is the parallel, cached form;
-/// both produce bit-identical results.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_space_from_checkpoint<W>(checkpoint: &Machine<W>, plan: &RunPlan) -> Result<RunSpace>
-where
-    W: Workload + Clone + Send + Sync + fmt::Debug,
-{
-    Executor::sequential()
-        .without_cache()
-        .run_space_from_checkpoint(checkpoint, plan)
 }
 
 #[cfg(test)]
@@ -1250,33 +1189,44 @@ mod tests {
         );
     }
 
+    /// The paper's space-variability protocol from a caller-held machine:
+    /// snapshot it, fork every run from the snapshot.
+    fn snapshot_space(
+        exec: Executor,
+        m: &Machine<SharingWorkload>,
+        plan: &RunPlan,
+    ) -> Result<RunSpace> {
+        let max_ns = m.config().perturbation_max_ns;
+        exec.run_space_from_snapshot::<SharingWorkload>(&m.snapshot(), max_ns, plan)
+    }
+
     #[test]
-    fn checkpoint_space_starts_from_identical_state() {
+    fn snapshot_space_starts_from_identical_state() {
         let mut m = Machine::new(small_config(), small_workload()).unwrap();
         m.run_transactions(20).unwrap();
         let plan = RunPlan::new(30).with_runs(4);
-        let a = run_space_from_checkpoint(&m, &plan).unwrap();
-        let b = run_space_from_checkpoint(&m, &plan).unwrap();
+        let sequential = || Executor::sequential().without_cache();
+        let a = snapshot_space(sequential(), &m, &plan).unwrap();
+        let b = snapshot_space(sequential(), &m, &plan).unwrap();
         assert_eq!(a.runtimes(), b.runtimes());
         assert_eq!(a.len(), 4);
         // The parallel executor agrees bit-for-bit.
-        let c = Executor::with_threads(4)
-            .run_space_from_checkpoint(&m, &plan)
-            .unwrap();
+        let c = snapshot_space(Executor::with_threads(4), &m, &plan).unwrap();
         assert_eq!(a.runtimes(), c.runtimes());
     }
 
     #[test]
-    fn checkpoints_at_different_positions_decorrelate() {
+    fn snapshots_at_different_positions_decorrelate() {
         let mut m = Machine::new(small_config(), small_workload()).unwrap();
         m.run_transactions(10).unwrap();
-        let early = machine_fingerprint(&m);
+        let early = m.snapshot().fingerprint();
         m.run_transactions(10).unwrap();
-        let late = machine_fingerprint(&m);
+        let late = m.snapshot().fingerprint();
         assert_ne!(
             early, late,
             "advancing the machine must change its fingerprint"
         );
+        assert_ne!(derive_run_seed(early, 0, 0), derive_run_seed(late, 0, 0));
     }
 
     #[test]
@@ -1426,29 +1376,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_space_reports_violations_in_both_modes() {
+    fn snapshot_space_reports_violations_in_both_modes() {
         use mtvar_sim::config::FaultSpec;
         use mtvar_sim::mem::CoherenceState;
         let mut m = Machine::new(faulted_config(), small_workload()).unwrap();
-        // Checkpoint before the fault's trigger commit so it fires inside
+        // Snapshot before the fault's trigger commit so it fires inside
         // each run of the space, not before it.
         m.run_transactions(5).unwrap();
         assert!(m.invariant_violations().is_empty());
         let plan = RunPlan::new(30).with_runs(2);
 
-        let space = Executor::with_threads(2)
-            .without_cache()
-            .run_space_from_checkpoint(&m, &plan)
-            .unwrap();
+        let observing = Executor::with_threads(2).without_cache();
+        let space = snapshot_space(observing, &m, &plan).unwrap();
         assert_eq!(space.violations().len(), 2);
 
-        let err = Executor::with_threads(2)
-            .with_invariant_checks()
-            .run_space_from_checkpoint(&m, &plan)
-            .unwrap_err();
+        let strict = || Executor::with_threads(2).with_invariant_checks();
+        let err = snapshot_space(strict(), &m, &plan).unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
 
-        // Strict also monitors checkpoints built without a monitor.
+        // Strict also monitors snapshots taken without a monitor.
         let cfg = small_config().with_fault(FaultSpec::coherence(
             12,
             1,
@@ -1457,10 +1403,7 @@ mod tests {
         ));
         let mut unmonitored = Machine::new(cfg, small_workload()).unwrap();
         unmonitored.run_transactions(5).unwrap();
-        let err = Executor::sequential()
-            .with_invariant_checks()
-            .run_space_from_checkpoint(&unmonitored, &plan)
-            .unwrap_err();
+        let err = snapshot_space(strict(), &unmonitored, &plan).unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
     }
 

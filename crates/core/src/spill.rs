@@ -4,6 +4,9 @@
 //! * **Writes** go to a temporary file unique to the writer, `fsync`, then an
 //!   atomic rename — an interrupted write never leaves a truncated file under
 //!   the final name, and two writers of one name never share a temporary.
+//!   A writer killed before its rename leaves that temporary behind; the
+//!   first write through each `SpillDir` removes the ones too old to have a
+//!   live writer.
 //! * **Reads** hand the bytes to the caller's decoder; an entry that fails
 //!   validation is deleted and reported as a miss, so the caller falls back
 //!   to re-simulation and the next write replaces it whole.
@@ -15,11 +18,16 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
+use std::time::{Duration, SystemTime};
 
 /// Cap on buffered warnings; beyond it new warnings still reach stderr but
 /// are not stored (a degraded spill dir can fail on every sweep).
 const MAX_WARNINGS: usize = 64;
+
+/// A temporary file at least this old cannot belong to a live writer (a spill
+/// write lasts milliseconds): its writer died between create and rename.
+const ORPHAN_AGE: Duration = Duration::from_secs(600);
 
 /// Distinguishes the temporary files of concurrent writers in one process;
 /// the process id distinguishes processes.
@@ -31,6 +39,8 @@ pub(crate) struct SpillDir {
     owner: &'static str,
     dir: PathBuf,
     warnings: Mutex<Vec<String>>,
+    /// Runs the orphan sweep before this directory's first write.
+    swept: Once,
 }
 
 impl SpillDir {
@@ -40,6 +50,7 @@ impl SpillDir {
             owner,
             dir: dir.into(),
             warnings: Mutex::new(Vec::new()),
+            swept: Once::new(),
         }
     }
 
@@ -61,6 +72,7 @@ impl SpillDir {
     /// Writes `bytes` under `name`. Best-effort: an I/O failure warns and
     /// leaves the caller on its in-memory copy rather than failing a sweep.
     pub(crate) fn write(&self, name: &str, bytes: &[u8]) {
+        self.swept.call_once(|| self.sweep_orphans());
         // Relaxed: only uniqueness matters; the counter publishes no data.
         let writer = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
         let tmp = self
@@ -76,6 +88,29 @@ impl SpillDir {
         if let Err(e) = published {
             let _ = fs::remove_file(&tmp);
             self.warn(format!("failed to spill {name}: {e}"));
+        }
+    }
+
+    /// Removes the temporaries of writers that died before their rename:
+    /// no later write reuses their unique names, so nothing else would.
+    fn sweep_orphans(&self) {
+        let now = SystemTime::now();
+        let orphaned = |path: &PathBuf| {
+            fs::metadata(path)
+                .and_then(|meta| meta.modified())
+                .is_ok_and(|at| now.duration_since(at).is_ok_and(|age| age >= ORPHAN_AGE))
+        };
+        let removed = self
+            .names()
+            .filter(|name| name.ends_with(".tmp"))
+            .map(|name| self.dir.join(name))
+            .filter(orphaned)
+            .filter(|path| fs::remove_file(path).is_ok())
+            .count();
+        if removed > 0 {
+            self.warn(format!(
+                "removed {removed} temporary file(s) orphaned by interrupted writes"
+            ));
         }
     }
 
@@ -159,6 +194,26 @@ mod tests {
         }
         assert_eq!(spill.take_warnings().len(), MAX_WARNINGS);
         assert!(spill.take_warnings().is_empty());
+    }
+
+    #[test]
+    fn first_write_sweeps_orphaned_temporaries_only() {
+        let spill = SpillDir::new("test store", temp_dir("spill-orphans"));
+        fs::create_dir_all(&spill.dir).unwrap();
+        let plant = |name: &str| fs::File::create(spill.dir.join(name)).unwrap();
+        plant("x.ckpt.1-0.tmp")
+            .set_modified(SystemTime::now() - 2 * ORPHAN_AGE)
+            .unwrap();
+        // A temporary this young may belong to a writer in another process.
+        plant("x.ckpt.1-1.tmp");
+        spill.write("y.ckpt", b"entry");
+        let mut names: Vec<String> = spill.names().collect();
+        names.sort();
+        assert_eq!(names, ["x.ckpt.1-1.tmp", "y.ckpt"]);
+        let warnings = spill.take_warnings();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("removed 1 temporary"), "{warnings:?}");
+        let _ = fs::remove_dir_all(&spill.dir);
     }
 
     #[test]

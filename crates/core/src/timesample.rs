@@ -5,12 +5,10 @@
 //! starting point, or whether the sample should contain runs from many
 //! starting points."
 
-use std::fmt;
 use std::sync::Arc;
 
 use mtvar_sim::checkpoint::{Checkpoint, Snap};
 use mtvar_sim::config::MachineConfig;
-use mtvar_sim::machine::Machine;
 use mtvar_sim::rng::Xoshiro256StarStar;
 use mtvar_sim::workload::Workload;
 use mtvar_stats::infer::{anova_one_way, Anova};
@@ -178,127 +176,10 @@ impl TimeSampleStudy {
     }
 }
 
-/// Collects a [`TimeSampleStudy`] by systematic sampling (§5.2): advance the
-/// machine `spacing_txns` transactions between consecutive starting points,
-/// checkpoint at each, and launch `plan` (perturbed runs) from every
-/// checkpoint.
-///
-/// The machine should already be past its initial warmup when passed in.
-///
-/// # Errors
-///
-/// Propagates simulator errors; returns [`CoreError::InvalidExperiment`]
-/// for a degenerate design.
-pub fn sweep_checkpoints<W>(
-    machine: &mut Machine<W>,
-    points: usize,
-    spacing_txns: u64,
-    plan: &RunPlan,
-) -> Result<TimeSampleStudy>
-where
-    W: Workload + Clone + Send + Sync + fmt::Debug,
-{
-    sweep_checkpoints_with(&Executor::sequential(), machine, points, spacing_txns, plan)
-}
-
-/// [`sweep_checkpoints`] driven by an explicit [`Executor`]: each
-/// checkpoint's run space fans out over the executor's thread pool, and the
-/// executor's cache carries run results across overlapping sweeps.
-///
-/// # Errors
-///
-/// Propagates simulator errors; returns [`CoreError::InvalidExperiment`]
-/// for a degenerate design.
-pub fn sweep_checkpoints_with<W>(
-    executor: &Executor,
-    machine: &mut Machine<W>,
-    points: usize,
-    spacing_txns: u64,
-    plan: &RunPlan,
-) -> Result<TimeSampleStudy>
-where
-    W: Workload + Clone + Send + Sync + fmt::Debug,
-{
-    if spacing_txns == 0 {
-        return Err(CoreError::InvalidExperiment {
-            what: "sweep needs positive spacing".into(),
-        });
-    }
-    let positions: Vec<u64> = (1..=points as u64).map(|i| i * spacing_txns).collect();
-    sweep_checkpoints_at_with(executor, machine, &positions, plan)
-}
-
-/// Like [`sweep_checkpoints`], but with explicit checkpoint positions
-/// (cumulative warmup transactions, strictly increasing) — the entry point
-/// for [`SamplingStrategy`]-placed starting points from
-/// [`checkpoint_positions`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidExperiment`] for fewer than two positions or
-/// non-increasing positions, and propagates simulator errors.
-pub fn sweep_checkpoints_at<W>(
-    machine: &mut Machine<W>,
-    positions: &[u64],
-    plan: &RunPlan,
-) -> Result<TimeSampleStudy>
-where
-    W: Workload + Clone + Send + Sync + fmt::Debug,
-{
-    sweep_checkpoints_at_with(&Executor::sequential(), machine, positions, plan)
-}
-
-/// [`sweep_checkpoints_at`] driven by an explicit [`Executor`].
-///
-/// Per-checkpoint seed independence comes from the executor's seed
-/// derivation: each checkpoint's machine state fingerprints differently, so
-/// the derived seed streams are decorrelated without manual seed blocking
-/// (formerly `base_seed + p * 10_000`, which collided for plans of more than
-/// 10,000 runs and correlated identically-seeded points).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidExperiment`] for fewer than two positions or
-/// non-increasing positions, and propagates simulator errors.
-pub fn sweep_checkpoints_at_with<W>(
-    executor: &Executor,
-    machine: &mut Machine<W>,
-    positions: &[u64],
-    plan: &RunPlan,
-) -> Result<TimeSampleStudy>
-where
-    W: Workload + Clone + Send + Sync + fmt::Debug,
-{
-    if positions.len() < 2 {
-        return Err(CoreError::InvalidExperiment {
-            what: "sweep needs >= 2 starting points".into(),
-        });
-    }
-    if positions.windows(2).any(|w| w[1] <= w[0]) || positions[0] == 0 {
-        return Err(CoreError::InvalidExperiment {
-            what: "checkpoint positions must be strictly increasing and positive".into(),
-        });
-    }
-    let mut groups = Vec::with_capacity(positions.len());
-    let mut checkpoints = Vec::with_capacity(positions.len());
-    let mut violations = Vec::with_capacity(positions.len());
-    let mut warmed: u64 = 0;
-    for &pos in positions {
-        machine.run_transactions(pos - warmed)?;
-        warmed = pos;
-        let ckpt = machine.checkpoint();
-        let space = executor.run_space_from_checkpoint(&ckpt, plan)?;
-        groups.push(space.runtimes());
-        checkpoints.push(warmed);
-        violations.push(space.total_violations());
-    }
-    let mut study = TimeSampleStudy::from_groups(groups, checkpoints)?;
-    study.violations = violations;
-    Ok(study)
-}
-
-/// The snapshot-native form of [`sweep_checkpoints_at_with`]: builds the
-/// machine itself from `(config, make_workload)`, warms each position via
+/// Collects a [`TimeSampleStudy`] (§5.2) over explicit starting points —
+/// `positions` are cumulative warmup transactions, strictly increasing, e.g.
+/// from [`checkpoint_positions`]. Builds the machine itself from
+/// `(config, make_workload)`, warms each position via
 /// [`Executor::warm_checkpoint`] — so an attached
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore) memoizes the
 /// warmed states across sweeps and processes — and forks each position's
@@ -308,7 +189,9 @@ where
 /// Consecutive positions chain even without a store: position `p[i+1]`
 /// extends position `p[i]`'s snapshot, so one sweep simulates
 /// `max(positions)` warmup transactions in total rather than their sum.
-/// Warmup is unperturbed under this protocol (the perturbation stream starts
+/// Seeds derive from each snapshot's content fingerprint, so the positions'
+/// seed streams are decorrelated without manual seed blocking. Warmup is
+/// unperturbed under this protocol (the perturbation stream starts
 /// at each run's measurement start); see `EXPERIMENTS.md` for how that
 /// differs from the legacy perturb-from-cycle-zero semantics.
 ///
@@ -403,26 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_collects_expected_shape() {
-        let cfg = MachineConfig::hpca2003()
-            .with_cpus(2)
-            .with_perturbation(4, 0);
-        let mut m = Machine::new(cfg, SharingWorkload::new(4, 3, 30, 2048, 8)).unwrap();
-        let plan = RunPlan::new(20).with_runs(3);
-        let study = sweep_checkpoints(&mut m, 2, 15, &plan).unwrap();
-        assert_eq!(study.groups().len(), 2);
-        assert_eq!(study.groups()[0].len(), 3);
-        assert_eq!(study.checkpoints(), &[15, 30]);
-        assert_eq!(study.violation_counts(), &[0, 0]);
-        assert!(study.is_clean());
-    }
-
-    #[test]
     fn sweep_surfaces_per_checkpoint_violations() {
         use mtvar_sim::config::FaultSpec;
         use mtvar_sim::mem::CoherenceState;
-        // Checkpoints sit at cumulative commits 15 and 30 and each run
-        // measures 20 transactions, so runs from the first checkpoint span
+        // Snapshots sit at cumulative commits 15 and 30 and each run
+        // measures 20 transactions, so runs from the first snapshot span
         // commits 16-35 and runs from the second span 31-50. Commit 33 lies
         // in both windows (and past the sweep's own warmup advances), so the
         // fault fires inside every group's runs and nowhere else.
@@ -436,26 +304,16 @@ mod tests {
                 0xFA11,
                 CoherenceState::Exclusive,
             ));
-        let mut m = Machine::new(cfg, SharingWorkload::new(4, 3, 30, 2048, 8)).unwrap();
+        let wl = || SharingWorkload::new(4, 3, 30, 2048, 8);
         let plan = RunPlan::new(20).with_runs(2);
-        let study = sweep_checkpoints(&mut m, 2, 15, &plan).unwrap();
+        let study =
+            sweep_positions_with(&Executor::sequential(), &cfg, wl, &[15, 30], &plan).unwrap();
         assert!(!study.is_clean());
         assert!(
             study.violation_counts().iter().all(|&v| v > 0),
-            "every checkpoint's runs cross commit 33: {:?}",
+            "every position's runs cross commit 33: {:?}",
             study.violation_counts()
         );
-    }
-
-    #[test]
-    fn sweep_validation() {
-        let cfg = MachineConfig::hpca2003().with_cpus(2);
-        let mut m = Machine::new(cfg, SharingWorkload::new(4, 3, 30, 2048, 8)).unwrap();
-        let plan = RunPlan::new(10).with_runs(2);
-        assert!(sweep_checkpoints(&mut m, 1, 10, &plan).is_err());
-        assert!(sweep_checkpoints(&mut m, 2, 0, &plan).is_err());
-        assert!(sweep_checkpoints_at(&mut m, &[10, 10], &plan).is_err());
-        assert!(sweep_checkpoints_at(&mut m, &[0, 10], &plan).is_err());
     }
 
     #[test]
@@ -509,35 +367,25 @@ mod tests {
         let wl = || SharingWorkload::new(4, 3, 30, 2048, 8);
         let plan = RunPlan::new(15).with_runs(3);
         let bare = Executor::sequential();
-        let a = sweep_positions_with(&bare, &cfg, wl, &[10, 25], &plan).unwrap();
-        assert_eq!(a.checkpoints(), &[10, 25]);
-        assert_eq!(a.groups().len(), 2);
+        let a = sweep_positions_with(&bare, &cfg, wl, &[10, 25, 45], &plan).unwrap();
+        assert_eq!(a.checkpoints(), &[10, 25, 45]);
+        assert_eq!(a.groups().len(), 3);
         assert_eq!(a.groups()[0].len(), 3);
+        assert_eq!(a.violation_counts(), &[0, 0, 0]);
+        assert!(a.is_clean());
 
         // A store must change the work done, never the statistics.
         let store = Arc::new(CheckpointStore::new());
         let stored = Executor::sequential().with_checkpoint_store(store.clone());
-        let b = sweep_positions_with(&stored, &cfg, wl, &[10, 25], &plan).unwrap();
+        let b = sweep_positions_with(&stored, &cfg, wl, &[10, 25, 45], &plan).unwrap();
         assert_eq!(a, b);
-        assert_eq!(store.len(), 2, "one snapshot memoized per position");
-        let c = sweep_positions_with(&stored, &cfg, wl, &[10, 25], &plan).unwrap();
+        assert_eq!(store.len(), 3, "one snapshot memoized per position");
+        let c = sweep_positions_with(&stored, &cfg, wl, &[10, 25, 45], &plan).unwrap();
         assert_eq!(a, c);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), 3);
 
         assert!(sweep_positions_with(&bare, &cfg, wl, &[10], &plan).is_err());
         assert!(sweep_positions_with(&bare, &cfg, wl, &[10, 10], &plan).is_err());
         assert!(sweep_positions_with(&bare, &cfg, wl, &[0, 10], &plan).is_err());
-    }
-
-    #[test]
-    fn sweep_at_explicit_positions() {
-        let cfg = MachineConfig::hpca2003()
-            .with_cpus(2)
-            .with_perturbation(4, 0);
-        let mut m = Machine::new(cfg, SharingWorkload::new(4, 3, 30, 2048, 8)).unwrap();
-        let plan = RunPlan::new(15).with_runs(2);
-        let study = sweep_checkpoints_at(&mut m, &[10, 25, 45], &plan).unwrap();
-        assert_eq!(study.checkpoints(), &[10, 25, 45]);
-        assert_eq!(study.groups().len(), 3);
     }
 }

@@ -33,8 +33,7 @@ commands:
   serve     start the daemon            --socket PATH [--dispatchers N]
                                         [--threads N] [--queue N]
                                         [--checkpoint-spill DIR]
-                                        [--result-spill DIR]
-                                        [--no-coalesce] [--strict]
+                                        [--result-spill DIR] [--strict]
   submit    submit a sweep              --socket PATH [sweep flags] [--quiet]
   status    query a job                 --socket PATH --job ID
   cancel    cancel a job                --socket PATH --job ID
@@ -243,7 +242,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut queue = 64usize;
     let mut checkpoint_spill = None;
     let mut result_spill = None;
-    let mut coalesce = true;
     let mut strict = false;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
@@ -254,7 +252,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--queue" => queue = flags.parse(flag)?,
             "--checkpoint-spill" => checkpoint_spill = Some(PathBuf::from(flags.value(flag)?)),
             "--result-spill" => result_spill = Some(PathBuf::from(flags.value(flag)?)),
-            "--no-coalesce" => coalesce = false,
             "--strict" => strict = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -267,7 +264,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         queue_limit: queue,
         checkpoint_spill,
         result_spill,
-        coalesce,
         strict,
     };
     signal::install();

@@ -18,10 +18,6 @@
 //! * [`job`] — the prioritized job queue: admission control (bounded depth,
 //!   typed rejection), three priority lanes, per-job cancellation, and the
 //!   job registry that `status` queries read.
-//! * [`batcher`] — the warmup coalescer: jobs that share a
-//!   `(config, workload, seed, warmup)` family elect one leader to simulate
-//!   the warmup while followers block, so N clients asking overlapping
-//!   questions pay for one warmup and fork from one snapshot.
 //! * [`server`] — the daemon: accept loop, dispatcher pool, the
 //!   [`RunProgress`] bridge that streams per-run digests and violation
 //!   summaries back to the submitting client, and graceful
@@ -33,18 +29,19 @@
 //! same [`Executor::run_space`] entry point as a batch study — same
 //! fingerprints, same derived seeds, same caches — so a served sweep's
 //! statistics digest is bit-identical to the batch path's, cache hits replay
-//! recorded violations instead of dropping them, and the coalescer only
-//! pre-warms a snapshot the executor would have produced anyway.
+//! recorded violations instead of dropping them, and N clients asking
+//! overlapping questions pay for one warmup because the shared store's
+//! [`get_or_warm`] is single-flight.
 //!
 //! [`Executor`]: mtvar_core::runspace::Executor
 //! [`Executor::run_space`]: mtvar_core::runspace::Executor::run_space
 //! [`CheckpointStore`]: mtvar_core::checkpoint::CheckpointStore
+//! [`get_or_warm`]: mtvar_core::checkpoint::CheckpointStore::get_or_warm
 //! [`RunProgress`]: mtvar_core::runspace::RunProgress
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batcher;
 pub mod client;
 pub mod job;
 pub mod protocol;

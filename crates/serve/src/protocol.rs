@@ -737,9 +737,11 @@ pub struct ServerStats {
     pub runs_cached: u64,
     /// Invariant-violation reports observed.
     pub run_violations: u64,
-    /// Warmups simulated by coalescer leaders.
+    /// Warmups simulated
+    /// ([`CheckpointStore::warmups_simulated`](mtvar_core::checkpoint::CheckpointStore::warmups_simulated)).
     pub coalesce_leaders: u64,
-    /// Warmups avoided by coalescer followers.
+    /// Warmups answered by a snapshot another job produced
+    /// ([`CheckpointStore::warmups_shared`](mtvar_core::checkpoint::CheckpointStore::warmups_shared)).
     pub coalesce_followers: u64,
     /// Warmed snapshots resident in the checkpoint store.
     pub checkpoints_in_memory: u64,

@@ -2,9 +2,10 @@
 //! streams per-run results back to the submitting client.
 //!
 //! One server process owns one [`Executor`] (result cache, optional disk
-//! spill), one [`CheckpointStore`], and one [`WarmupCoalescer`]; every job
-//! executes through the exact same [`Executor::run_space`] entry point a
-//! batch study uses, so served digests are bit-identical to batch ones.
+//! spill) and one [`CheckpointStore`]; every job executes through the exact
+//! same [`Executor::run_space`] entry point a batch study uses, so served
+//! digests are bit-identical to batch ones, and concurrent jobs that need
+//! the same warmup share one simulation of it through the store.
 //! Connections and dispatchers are plain threads — no async runtime — and
 //! graceful shutdown (SIGINT, SIGTERM, or a [`Request::Shutdown`] frame)
 //! drains in-flight jobs while rejecting new submissions with a typed
@@ -13,7 +14,6 @@
 //! [`Executor`]: mtvar_core::runspace::Executor
 //! [`Executor::run_space`]: mtvar_core::runspace::Executor::run_space
 //! [`CheckpointStore`]: mtvar_core::checkpoint::CheckpointStore
-//! [`WarmupCoalescer`]: crate::batcher::WarmupCoalescer
 //! [`Request::Shutdown`]: crate::protocol::Request::Shutdown
 //! [`ErrorCode::Draining`]: crate::protocol::ErrorCode::Draining
 
@@ -25,17 +25,14 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mtvar_core::checkpoint::{CheckpointKey, CheckpointStore};
+use mtvar_core::checkpoint::CheckpointStore;
 use mtvar_core::golden::run_digest;
-use mtvar_core::runspace::{
-    config_fingerprint, workload_fingerprint, Executor, ProgressCounters, RunProgress, RunSpace,
-};
+use mtvar_core::runspace::{Executor, ProgressCounters, RunProgress, RunSpace};
 use mtvar_core::CoreError;
 use mtvar_sim::checkpoint::{Decoder, Snap};
 use mtvar_sim::stats::RunResult;
 use mtvar_sim::workload::{SharingWorkload, Workload};
 
-use crate::batcher::WarmupCoalescer;
 use crate::job::{AdmissionError, JobQueue, JobRecord, JobRegistry};
 use crate::protocol::{
     fold_digest, read_frame, ErrorCode, FrameKind, FrameSink, JobState, Request, Response,
@@ -98,15 +95,13 @@ pub struct ServeConfig {
     pub checkpoint_spill: Option<PathBuf>,
     /// Disk-spill directory for run results, if any.
     pub result_spill: Option<PathBuf>,
-    /// Whether jobs sharing a warmup family coalesce onto one leader.
-    pub coalesce: bool,
     /// Strict invariant monitoring (fail sweeps on violations).
     pub strict: bool,
 }
 
 impl ServeConfig {
-    /// Defaults: 2 dispatchers, 2 executor threads, depth-64 queue,
-    /// coalescing on, no disk spill, relaxed invariants.
+    /// Defaults: 2 dispatchers, 2 executor threads, depth-64 queue, no disk
+    /// spill, relaxed invariants.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         ServeConfig {
             socket: socket.into(),
@@ -115,7 +110,6 @@ impl ServeConfig {
             queue_limit: 64,
             checkpoint_spill: None,
             result_spill: None,
-            coalesce: true,
             strict: false,
         }
     }
@@ -130,9 +124,7 @@ struct Shared {
     /// checkpoint store through their `Arc`s.
     executor: Executor,
     store: Arc<CheckpointStore>,
-    coalescer: WarmupCoalescer,
     counters: Arc<ProgressCounters>,
-    coalesce: bool,
     shutdown: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -158,8 +150,8 @@ impl Shared {
             runs_completed: self.counters.completed() as u64,
             runs_cached: self.counters.cached() as u64,
             run_violations: self.counters.violations(),
-            coalesce_leaders: self.coalescer.leaders(),
-            coalesce_followers: self.coalescer.followers(),
+            coalesce_leaders: self.store.warmups_simulated(),
+            coalesce_followers: self.store.warmups_shared(),
             checkpoints_in_memory: self.store.len() as u64,
             results_on_disk: self
                 .executor
@@ -250,11 +242,11 @@ impl RunProgress for JobObserver {
     }
 }
 
-/// Executes one sweep: optionally coalesce the warmup with concurrent jobs
-/// sharing its family, then run the space through the shared executor.
+/// Executes one sweep through the shared executor, with the job's observer
+/// attached.
 fn run_sweep<W, F>(
     shared: &Shared,
-    job: &Arc<JobRecord>,
+    job: &JobRecord,
     observer: Arc<JobObserver>,
     config: &mtvar_sim::config::MachineConfig,
     factory: F,
@@ -263,41 +255,11 @@ where
     W: Workload + Snap + Clone + Send + Sync,
     F: Fn() -> W + Sync,
 {
-    let plan_spec = &job.spec.plan;
-    let plan = plan_spec.build();
-    let executor = shared
+    shared
         .executor
         .clone()
-        .with_progress(observer as Arc<dyn RunProgress>);
-    if shared.coalesce && plan_spec.shared_warmup && plan_spec.warmup > 0 {
-        // Derive the same neutralized key `warm_checkpoint` uses internally:
-        // warmup runs unperturbed (and monitored, in strict mode), so sweeps
-        // that differ only in perturbation magnitude land in one family.
-        let mut warm_cfg = config.clone().with_perturbation(0, 0);
-        if executor.strict_invariants() {
-            warm_cfg = warm_cfg.with_invariant_checks();
-        }
-        let key = CheckpointKey {
-            config: config_fingerprint(&warm_cfg),
-            workload: workload_fingerprint(&mut factory()),
-            base_seed: plan_spec.base_seed,
-            warmup: plan_spec.warmup,
-        };
-        shared.coalescer.coalesce(key, || {
-            executor
-                .warm_checkpoint(
-                    config,
-                    &factory,
-                    plan_spec.base_seed,
-                    plan_spec.warmup,
-                    None,
-                )
-                .map(|_snapshot| ())
-        })?;
-        // Leader or follower, the snapshot is now in the shared store;
-        // run_space's own warm_checkpoint call below hits it.
-    }
-    executor.run_space(config, factory, &plan)
+        .with_progress(observer as Arc<dyn RunProgress>)
+        .run_space(config, factory, &job.spec.plan.build())
 }
 
 fn dispatch_loop(shared: &Arc<Shared>) {
@@ -564,9 +526,7 @@ impl Server {
             registry: JobRegistry::new(),
             executor,
             store,
-            coalescer: WarmupCoalescer::new(),
             counters: Arc::new(ProgressCounters::new()),
-            coalesce: config.coalesce,
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),

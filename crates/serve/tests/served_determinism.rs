@@ -179,6 +179,45 @@ fn concurrent_clients_get_identical_digests_and_share_one_simulation() {
     assert!(!socket.exists(), "socket file removed after drain");
 }
 
+/// Two concurrent sweeps that differ only in perturbation magnitude need the
+/// same (unperturbed) warmup: exactly one of them simulates it — whether the
+/// other waits on it or finds it stored — and both still match batch.
+#[test]
+fn sweeps_differing_only_in_perturbation_simulate_one_warmup() {
+    let socket = socket_path("warm");
+    let handle = Server::start(ServeConfig {
+        dispatchers: 2,
+        executor_threads: 1,
+        ..ServeConfig::new(&socket)
+    })
+    .expect("start server");
+
+    let specs = [2u64, 8].map(|magnitude| {
+        let mut spec = sweep();
+        spec.config.perturbation_max_ns = magnitude;
+        spec
+    });
+    std::thread::scope(|scope| {
+        for spec in &specs {
+            let socket = &socket;
+            scope.spawn(move || {
+                let outcome = Client::new(socket).submit(spec.clone(), |_| {});
+                let SweepOutcome::Done(done) = outcome.expect("submit") else {
+                    panic!("sweep did not complete");
+                };
+                assert_eq!(done.digest, batch_digest(spec));
+            });
+        }
+    });
+
+    let client = Client::new(&socket);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.coalesce_leaders, 1, "one warmup simulated");
+    assert_eq!(stats.coalesce_followers, 1, "the other sweep shared it");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// Unknown jobs and malformed submissions earn typed errors, and `status` /
 /// `cancel` reflect a completed job's terminal state.
 #[test]

@@ -254,10 +254,11 @@ impl<W: Workload> Machine<W> {
     }
 
     /// Reconfigures the §3.3 perturbation in place — magnitude and seed —
-    /// leaving everything else untouched. The in-place form of
-    /// [`Machine::with_perturbation`], used by the shared-warmup executor on
-    /// machines restored from a snapshot: warmup ran unperturbed, and each
-    /// run's perturbation stream starts here, at measurement start.
+    /// leaving everything else untouched: "runs starting from the same
+    /// initial conditions" (§2.1) are [`Machine::fork`]s that differ only in
+    /// this call. The shared-warmup executor uses it on forks of a restored
+    /// snapshot: warmup ran unperturbed, and each run's perturbation stream
+    /// starts here, at measurement start.
     pub fn set_perturbation(&mut self, max_ns: Nanos, seed: u64) {
         self.config.perturbation_max_ns = max_ns;
         self.config.perturbation_seed = seed;
@@ -930,40 +931,17 @@ impl<W: Workload + Snap> Machine<W> {
 }
 
 impl<W: Workload + Clone> Machine<W> {
-    /// Captures a checkpoint: a full copy of machine + workload state, like
-    /// Simics' checkpoint facility (§3.2.2). Restarting runs from the same
-    /// checkpoint with different perturbation seeds is the paper's mechanism
-    /// for exploring the space of executions.
-    pub fn checkpoint(&self) -> Machine<W> {
-        self.clone()
-    }
-
-    /// Forks a cheap copy for a perturbed run. This is a `clone`, but the
-    /// dominant state — every cache's line array — is copy-on-write
-    /// ([`Arc`](std::sync::Arc)-shared until a fork's first write to the
-    /// set), so forking a decoded template is a pointer copy per cache
-    /// instead of a multi-megabyte decode. The shared-warmup executor
-    /// restores each snapshot **once** and calls `fork` per run.
+    /// Forks a copy of the complete machine + workload state, like Simics'
+    /// checkpoint facility (§3.2.2): restarting forks of one machine with
+    /// different perturbation seeds ([`Machine::set_perturbation`]) is the
+    /// paper's mechanism for exploring the space of executions. This is a
+    /// `clone`, but the dominant state — every cache's line array — is
+    /// copy-on-write ([`Arc`](std::sync::Arc)-shared until a fork's first
+    /// write to the set), so forking a decoded template is a pointer copy
+    /// per cache instead of a multi-megabyte decode. The shared-warmup
+    /// executor restores each snapshot **once** and calls `fork` per run.
     pub fn fork(&self) -> Machine<W> {
         self.clone()
-    }
-
-    /// Returns a copy with the §3.3 perturbation reconfigured — both the
-    /// magnitude and the seed — everything else identical. This is how the
-    /// shared-warmup executor forks perturbed runs from one warmed snapshot:
-    /// warmup runs unperturbed, and each run's perturbation stream starts
-    /// here, at measurement start.
-    pub fn with_perturbation(&self, max_ns: Nanos, seed: u64) -> Machine<W> {
-        let mut m = self.clone();
-        m.set_perturbation(max_ns, seed);
-        m
-    }
-
-    /// Returns a copy of this machine with a fresh perturbation stream
-    /// (`seed`), everything else identical — "runs starting from the same
-    /// initial conditions" (§2.1).
-    pub fn with_perturbation_seed(&self, seed: u64) -> Machine<W> {
-        self.with_perturbation(self.config.perturbation_max_ns, seed)
     }
 
     /// Returns a copy with a fresh environmental-noise seed (for simulated
@@ -1073,39 +1051,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resumes_identically() {
+    fn forks_resume_identically() {
         let mut m = machine(4, 8);
         m.run_transactions(30).unwrap();
-        let mut a = m.checkpoint();
-        let mut b = m.checkpoint();
+        let mut a = m.fork();
+        let mut b = m.fork();
         let ra = a.run_transactions(50).unwrap();
         let rb = b.run_transactions(50).unwrap();
         assert_eq!(ra.elapsed(), rb.elapsed());
         assert_eq!(ra.commit_cycles, rb.commit_cycles);
-    }
-
-    #[test]
-    fn with_perturbation_seed_diverges_from_checkpoint() {
-        // A sharing workload sustains L2 (coherence) misses, so perturbation
-        // has injection points even after warmup.
-        let cfg = MachineConfig::hpca2003()
-            .with_cpus(4)
-            .with_perturbation(4, 0);
-        let wl = crate::workload::SharingWorkload::new(8, 7, 40, 4096, 10);
-        let mut m = Machine::new(cfg, wl).unwrap();
-        m.run_transactions(20).unwrap();
-        let base = m.checkpoint();
-        let runtimes: Vec<u64> = (0..6)
-            .map(|s| {
-                let mut run = base.with_perturbation_seed(s);
-                run.run_transactions(60).unwrap().elapsed()
-            })
-            .collect();
-        let first = runtimes[0];
-        assert!(
-            runtimes.iter().any(|&r| r != first),
-            "perturbed runs from one checkpoint should diverge: {runtimes:?}"
-        );
     }
 
     #[test]
@@ -1191,11 +1145,13 @@ mod tests {
             Machine::restore(&m.snapshot()).unwrap();
         // Forks of one template must behave exactly like independent
         // restores of the same checkpoint.
-        let mut f1 = template.fork().with_perturbation_seed(11);
-        let mut f2 = template.fork().with_perturbation_seed(12);
-        let mut r1: Machine<crate::workload::SharingWorkload> = Machine::restore(&m.snapshot())
-            .unwrap()
-            .with_perturbation_seed(11);
+        let reseeded = |mut m: Machine<crate::workload::SharingWorkload>, seed| {
+            m.set_perturbation(4, seed);
+            m
+        };
+        let mut f1 = reseeded(template.fork(), 11);
+        let mut f2 = reseeded(template.fork(), 12);
+        let mut r1 = reseeded(Machine::restore(&m.snapshot()).unwrap(), 11);
         assert_eq!(
             f1.run_transactions(40).unwrap(),
             r1.run_transactions(40).unwrap()
@@ -1226,22 +1182,21 @@ mod tests {
     }
 
     #[test]
-    fn with_perturbation_forks_at_measurement_start() {
+    fn perturbation_armed_on_a_fork_diverges_and_reproduces() {
+        // A sharing workload sustains L2 (coherence) misses, so perturbation
+        // has injection points even after warmup.
         let cfg = MachineConfig::hpca2003().with_cpus(4);
         let wl = crate::workload::SharingWorkload::new(8, 7, 40, 4096, 10);
         let mut m = Machine::new(cfg, wl).unwrap();
         m.run_transactions(20).unwrap();
-        let elapsed: Vec<u64> = (0..6)
-            .map(|s| {
-                let mut run = m.with_perturbation(4, s);
-                run.run_transactions(60).unwrap().elapsed()
-            })
-            .collect();
-        // Same seed reproduces...
-        assert_eq!(elapsed[0], {
-            let mut run = m.with_perturbation(4, 0);
+        let perturbed = |seed| {
+            let mut run = m.fork();
+            run.set_perturbation(4, seed);
             run.run_transactions(60).unwrap().elapsed()
-        });
+        };
+        let elapsed: Vec<u64> = (0..6).map(perturbed).collect();
+        // Same seed reproduces...
+        assert_eq!(elapsed[0], perturbed(0));
         // ...different seeds diverge.
         assert!(
             elapsed.iter().any(|&e| e != elapsed[0]),

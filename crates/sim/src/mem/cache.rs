@@ -206,6 +206,7 @@ fn zeroed_lines(len: usize) -> Vec<Line> {
 /// stays a `Vec` (not a boxed slice) precisely so it can round-trip
 /// through the pool without the shrink-to-fit realloc `into_boxed_slice`
 /// would cost.
+#[derive(Debug)]
 struct CowLines {
     dense: Vec<Line>,
     resident: Option<Vec<(u32, Line)>>,
@@ -273,16 +274,6 @@ impl Clone for CowLines {
     }
 }
 
-impl std::fmt::Debug for CowLines {
-    /// Renders exactly like the dense `Vec<Line>` it wraps. The machine
-    /// fingerprint hashes `Debug` output, and the resident seed is a
-    /// materialization hint, not state — it must never reach the
-    /// fingerprint.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.dense.fmt(f)
-    }
-}
-
 impl PartialEq for CowLines {
     fn eq(&self, other: &Self) -> bool {
         self.dense == other.dense
@@ -293,7 +284,7 @@ impl PartialEq for CowLines {
 ///
 /// Stores metadata only (tags and states); the simulator never models data
 /// values, just their movement.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheArray {
     config: CacheConfig,
     /// Shared copy-on-write line array. Forks of one decoded machine clone
@@ -301,8 +292,8 @@ pub struct CacheArray {
     /// materialize a private copy on first write ([`Arc::make_mut`] in
     /// [`CacheArray::set_slice_mut`]) — and that copy is sparse, seeded
     /// from the decoder's resident-line list (see [`CowLines`]).
-    /// `CowLines`'s `Debug`/`PartialEq` delegate to the dense vector, so
-    /// fingerprints and comparisons are unaffected by sharing.
+    /// `CowLines`'s `PartialEq` compares the dense vector only, so
+    /// comparisons are unaffected by sharing.
     lines: Arc<CowLines>,
     sets: u64,
     ways: usize,
@@ -320,24 +311,6 @@ pub struct CacheArray {
     /// capacity seed, O(1) instead of a dense scan of megabytes of line
     /// arrays per snapshot.
     resident_count: usize,
-}
-
-impl std::fmt::Debug for CacheArray {
-    /// Prints the serialized field set only. `resident_count` (like the
-    /// `CowLines` seed) is derived state and must stay out: the machine
-    /// fingerprint hashes `Debug` output, and an extra field would silently
-    /// reseed every checkpoint-derived run space.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheArray")
-            .field("config", &self.config)
-            .field("lines", &self.lines)
-            .field("sets", &self.sets)
-            .field("ways", &self.ways)
-            .field("use_clock", &self.use_clock)
-            .field("set_mask", &self.set_mask)
-            .field("set_shift", &self.set_shift)
-            .finish()
-    }
 }
 
 /// Result of inserting a block: what had to leave to make room.

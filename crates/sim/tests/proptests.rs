@@ -186,7 +186,7 @@ fn checkpoint_equivalence_under_random_split() {
             .with_perturbation(4, 3);
         let mut m = Machine::new(cfg, SharingWorkload::new(4, wseed, 25, 256, 6)).unwrap();
         m.run_transactions(split).unwrap();
-        let mut fork = m.checkpoint();
+        let mut fork = m.fork();
         let straight = m.run_transactions(30).unwrap();
         let forked = fork.run_transactions(30).unwrap();
         assert_eq!(straight.elapsed(), forked.elapsed());

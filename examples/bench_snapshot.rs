@@ -94,7 +94,8 @@ where
     F: FnMut() -> Machine<ProfiledWorkload>,
 {
     (0..FORKS).fold(0xcbf2_9ce4_8422_2325u64, |acc, i| {
-        let mut m = acquire().with_perturbation_seed(i as u64);
+        let mut m = acquire();
+        m.set_perturbation(m.config().perturbation_max_ns, i as u64);
         let result = m.run_transactions(FORK_TXNS).expect("forked run");
         fold_digest(acc, run_digest(&result))
     })

@@ -11,9 +11,8 @@
 use mtvar_core::budget::{plan_budget, CovModel};
 use mtvar_core::metrics::VariabilityReport;
 use mtvar_core::runspace::{Executor, RunPlan};
-use mtvar_core::timesample::{checkpoint_positions, sweep_checkpoints_at_with, SamplingStrategy};
+use mtvar_core::timesample::{checkpoint_positions, sweep_positions_with, SamplingStrategy};
 use mtvar_sim::config::MachineConfig;
-use mtvar_sim::machine::Machine;
 use mtvar_workloads::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,9 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let positions = checkpoint_positions(SamplingStrategy::Stratified { seed: 9 }, 4, 4_000)?;
     println!("stratified starting points (txns warmed): {positions:?}");
 
-    let mut machine = Machine::new(cfg, Benchmark::Oltp.workload(16, 42))?;
     let run_plan = RunPlan::new(plan.transactions_per_run).with_runs(plan.runs.min(5));
-    let study = sweep_checkpoints_at_with(&executor, &mut machine, &positions, &run_plan)?;
+    let study = sweep_positions_with(
+        &executor,
+        &cfg,
+        || Benchmark::Oltp.workload(16, 42),
+        &positions,
+        &run_plan,
+    )?;
     assert!(
         study.is_clean(),
         "campaign runs violated invariants: {:?}",

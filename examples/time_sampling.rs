@@ -11,27 +11,27 @@
 //! ```
 
 use mtvar_core::runspace::{Executor, RunPlan};
-use mtvar_core::timesample::sweep_checkpoints_with;
+use mtvar_core::timesample::sweep_positions_with;
 use mtvar_sim::config::MachineConfig;
-use mtvar_sim::machine::Machine;
 use mtvar_stats::describe::Summary;
 use mtvar_workloads::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = MachineConfig::hpca2003().with_perturbation(4, 0);
-    let mut machine = Machine::new(cfg, Benchmark::Specjbb.workload(16, 42))?;
 
     // Six starting points, 1,500 transactions apart, five perturbed
-    // 400-transaction runs from each. Each checkpoint's run space fans out
-    // over the executor's threads; seeds derive from the checkpoint state,
-    // so the groups are decorrelated and reproducible.
+    // 400-transaction runs from each. Each snapshot's run space fans out
+    // over the executor's threads; seeds derive from the snapshot's content
+    // fingerprint, so the groups are decorrelated and reproducible.
     let executor = Executor::new();
     println!(
         "sweeping checkpoints through the SPECjbb lifetime on {} thread(s)...",
         executor.threads()
     );
     let plan = RunPlan::new(400).with_runs(5);
-    let study = sweep_checkpoints_with(&executor, &mut machine, 6, 1_500, &plan)?;
+    let positions: Vec<u64> = (1..=6).map(|point| point * 1_500).collect();
+    let workload = || Benchmark::Specjbb.workload(16, 42);
+    let study = sweep_positions_with(&executor, &cfg, workload, &positions, &plan)?;
     if !study.is_clean() {
         println!(
             "  !! invariant violations per checkpoint: {:?}",

@@ -8,18 +8,25 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # One-home guard: the hash and mixer constants live in mtvar_sim::hash (the
-# dependency-free stats crate keeps its own SplitMix64), and the serde
-# feature is gone. A second copy anywhere else fails here, before any build.
-echo "==> one-home guard: hash constants and the serde feature"
+# dependency-free stats crate keeps its own SplitMix64), the serde feature is
+# gone, snapshots are the only checkpoint, and warm_checkpoint over the
+# store's single-flight is the only warmup (so nothing outside mtvar-core
+# rebuilds a CheckpointKey). A second copy or a revived entry point anywhere
+# else fails here, before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points"
 stray=$(
     grep -rln --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
     grep -rln --include='*.rs' -e '0xCBF2_9CE4_8422_2325' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' || true
     grep -rln -e 'feature = "serde"' crates src tests examples Cargo.toml || true
+    grep -rln -e 'machine_fingerprint' -e 'run_space_from_checkpoint' -e 'sweep_checkpoints' \
+        -e 'with_perturbation_seed' -e 'WarmupCoalescer' -e 'no-coalesce' \
+        crates src tests examples || true
+    grep -rlnF -e 'CheckpointKey {' crates src tests examples | grep -v '^crates/core/' || true
 )
 if [ -n "$stray" ]; then
-    echo "hash constant or serde feature outside its one home:" >&2
+    echo "hash constant, serde feature or superseded launch entry point outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi

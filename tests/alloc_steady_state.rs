@@ -164,7 +164,7 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     let restore_bytes = restore_bytes_1 - restore_bytes_0;
 
     let (fork_allocs_0, fork_bytes_0) = counters();
-    let fork = template.fork();
+    let mut fork = template.fork();
     let (fork_allocs_1, fork_bytes_1) = counters();
     let fork_allocs = fork_allocs_1 - fork_allocs_0;
     let fork_bytes = fork_bytes_1 - fork_bytes_0;
@@ -183,7 +183,7 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     // The fork must still be a working machine: run a perturbed window
     // (the first write to each array materializes its private copy via the
     // decoder's resident-line seed).
-    let mut fork = fork.with_perturbation_seed(7);
+    fork.set_perturbation(fork.config().perturbation_max_ns, 7);
     fork.run_transactions(20).expect("forked run");
     drop(template);
 }

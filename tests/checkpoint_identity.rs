@@ -6,8 +6,9 @@
 //!    `WARMUP`, restoring into a fresh machine, and continuing: identical
 //!    [`RunResult`]s, identical digests, and identical follow-up snapshots.
 //! 2. **Executor-level identity** — shared-warmup sweeps are bit-identical
-//!    across thread counts, and attaching a [`CheckpointStore`] changes the
-//!    work done but never the statistics.
+//!    across thread counts, attaching a [`CheckpointStore`] changes the
+//!    work done but never the statistics, and a warmed machine, its restored
+//!    copy and its fork launch one and the same run space.
 //! 3. **Crash safety** — a truncated or bit-flipped spill file is detected
 //!    by content fingerprint and falls back to re-simulation with the same
 //!    results.
@@ -217,6 +218,41 @@ fn shared_warmup_sweeps_are_thread_count_and_store_invariant() {
                 bench.name()
             );
             assert_eq!(store.len(), 1, "{}", bench.name());
+        }
+    }
+}
+
+/// What identifies an initial condition is its content: the original warmed
+/// machine, its restore and its fork hold one architectural state, so run
+/// spaces launched from their snapshots must be equal result for result.
+#[test]
+fn original_restored_and_forked_machines_launch_one_run_space() {
+    let mut original =
+        Machine::new(config(), Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED)).unwrap();
+    original.run_transactions(WARMUP).expect("warmup");
+    let restored: Machine<ProfiledWorkload> =
+        Machine::restore(&original.snapshot()).expect("restore");
+    let forked = original.fork();
+
+    let plan = RunPlan::new(MEASURE).with_runs(4);
+    let launch = |threads, machine: &Machine<ProfiledWorkload>| {
+        Executor::with_threads(threads)
+            .without_cache()
+            .run_space_from_snapshot::<ProfiledWorkload>(&machine.snapshot(), 4, &plan)
+            .unwrap()
+    };
+    let want = launch(1, &original);
+    for threads in [1, 4] {
+        for (label, machine) in [
+            ("original", &original),
+            ("restored", &restored),
+            ("forked", &forked),
+        ] {
+            assert_eq!(
+                want.results(),
+                launch(threads, machine).results(),
+                "the {label} machine launched a different run space on {threads} thread(s)"
+            );
         }
     }
 }

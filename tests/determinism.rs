@@ -9,11 +9,10 @@
 
 use std::sync::Arc;
 
-use mtvar::core::runspace::{
-    run_space, run_space_from_checkpoint, Executor, ProgressCounters, RunPlan,
-};
+use mtvar::core::runspace::{run_space, Executor, ProgressCounters, RunPlan};
 use mtvar::sim::config::MachineConfig;
 use mtvar::sim::machine::Machine;
+use mtvar::workloads::profile::ProfiledWorkload;
 use mtvar::workloads::Benchmark;
 
 fn small_config() -> MachineConfig {
@@ -97,10 +96,10 @@ fn checkpoint_resume_is_bit_identical() {
     )
     .expect("machine");
     m.run_transactions(40).expect("warmup");
-    let ckpt = m.checkpoint();
+    let ckpt = m.fork();
 
-    let mut a = ckpt.checkpoint();
-    let mut b = ckpt.checkpoint();
+    let mut a = ckpt.fork();
+    let mut b = ckpt.fork();
     let ra = a.run_transactions(60).expect("a");
     let rb = b.run_transactions(60).expect("b");
     assert_eq!(ra.commit_cycles, rb.commit_cycles);
@@ -120,18 +119,12 @@ fn reseeded_checkpoint_diverges_but_reproduces() {
     .expect("machine");
     m.run_transactions(40).expect("warmup");
 
-    let r1 = m
-        .with_perturbation_seed(77)
-        .run_transactions(80)
-        .expect("run");
-    let r2 = m
-        .with_perturbation_seed(77)
-        .run_transactions(80)
-        .expect("run");
-    let r3 = m
-        .with_perturbation_seed(78)
-        .run_transactions(80)
-        .expect("run");
+    let reseeded = |seed| {
+        let mut run = m.fork();
+        run.set_perturbation(m.config().perturbation_max_ns, seed);
+        run.run_transactions(80).expect("run")
+    };
+    let (r1, r2, r3) = (reseeded(77), reseeded(77), reseeded(78));
     assert_eq!(r1.elapsed(), r2.elapsed(), "same seed must reproduce");
     assert_ne!(
         r1.commit_cycles, r3.commit_cycles,
@@ -173,11 +166,14 @@ fn parallel_checkpoint_space_is_bit_identical_across_thread_counts() {
     m.run_transactions(50).expect("warmup");
     let plan = RunPlan::new(50).with_runs(6);
 
-    let reference = run_space_from_checkpoint(&m, &plan).expect("sequential space");
+    let from_snapshot = |executor: Executor| {
+        executor
+            .run_space_from_snapshot::<ProfiledWorkload>(&m.snapshot(), 4, &plan)
+            .expect("snapshot space")
+    };
+    let reference = from_snapshot(Executor::sequential().without_cache());
     for threads in [2, 5] {
-        let space = Executor::with_threads(threads)
-            .run_space_from_checkpoint(&m, &plan)
-            .expect("parallel space");
+        let space = from_snapshot(Executor::with_threads(threads));
         assert_eq!(reference.results(), space.results());
     }
 }

@@ -218,19 +218,21 @@ fn clean_sweeps_are_identical_with_and_without_strictness() {
 #[test]
 fn checkpoint_spaces_carry_the_channel_too() {
     let mut m = Machine::new(faulted_config(), workload()).unwrap();
-    // Stop before the fault's trigger commit so it fires inside each run.
+    // Snapshot before the fault's trigger commit so it fires inside each run.
     m.run_transactions(5).unwrap();
     assert!(m.invariant_violations().is_empty());
     let plan = RunPlan::new(30).with_runs(3);
+    let from_snapshot = |executor: Executor| {
+        executor.run_space_from_snapshot::<SharingWorkload>(&m.snapshot(), 4, &plan)
+    };
 
     let mut reference: Option<BTreeMap<usize, Vec<Violation>>> = None;
     for threads in [1, 4] {
         let map = Arc::new(ViolationMap::default());
-        let space = Executor::with_threads(threads)
+        let executor = Executor::with_threads(threads)
             .without_cache()
-            .with_progress(map.clone())
-            .run_space_from_checkpoint(&m, &plan)
-            .unwrap();
+            .with_progress(map.clone());
+        let space = from_snapshot(executor).unwrap();
         assert_eq!(space.violations().len(), 3);
         let snap = map.snapshot();
         match &reference {
@@ -239,9 +241,6 @@ fn checkpoint_spaces_carry_the_channel_too() {
         }
     }
 
-    let err = Executor::with_threads(2)
-        .with_invariant_checks()
-        .run_space_from_checkpoint(&m, &plan)
-        .unwrap_err();
+    let err = from_snapshot(Executor::with_threads(2).with_invariant_checks()).unwrap_err();
     assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
 }

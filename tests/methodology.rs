@@ -4,11 +4,12 @@
 
 use mtvar::core::compare::{Comparison, Verdict};
 use mtvar::core::metrics::{windowed_series, VariabilityReport};
-use mtvar::core::runspace::{run_space, run_space_from_checkpoint, Executor, RunPlan};
-use mtvar::core::timesample::sweep_checkpoints_with;
+use mtvar::core::runspace::{run_space, Executor, RunPlan};
+use mtvar::core::timesample::sweep_positions_with;
 use mtvar::core::wcr::wcr_from_spaces;
 use mtvar::sim::config::MachineConfig;
 use mtvar::sim::machine::Machine;
+use mtvar::workloads::profile::ProfiledWorkload;
 use mtvar::workloads::Benchmark;
 
 fn cfg() -> MachineConfig {
@@ -82,7 +83,9 @@ fn checkpoint_run_space_and_windows() {
     let mut m = Machine::new(cfg(), Benchmark::Oltp.workload(4, 42)).expect("machine");
     m.run_transactions(50).expect("warmup");
     let plan = RunPlan::new(100).with_runs(4);
-    let space = run_space_from_checkpoint(&m, &plan).expect("space");
+    let space = Executor::sequential()
+        .run_space_from_snapshot::<ProfiledWorkload>(&m.snapshot(), 4, &plan)
+        .expect("space");
     assert_eq!(space.len(), 4);
     // Windowed series over one of the runs.
     let series = windowed_series(&space.results()[0], 20).expect("series");
@@ -92,10 +95,15 @@ fn checkpoint_run_space_and_windows() {
 
 #[test]
 fn time_sampling_study_end_to_end() {
-    let mut m = Machine::new(cfg(), Benchmark::Specjbb.workload(4, 42)).expect("machine");
-    m.run_transactions(100).expect("warmup");
     let plan = RunPlan::new(60).with_runs(3);
-    let study = sweep_checkpoints_with(&Executor::new(), &mut m, 3, 400, &plan).expect("sweep");
+    let study = sweep_positions_with(
+        &Executor::new(),
+        &cfg(),
+        || Benchmark::Specjbb.workload(4, 42),
+        &[500, 900, 1300],
+        &plan,
+    )
+    .expect("sweep");
     assert_eq!(study.groups().len(), 3);
     let anova = study.anova().expect("anova");
     assert!(anova.f_statistic() >= 0.0);
