@@ -1,10 +1,12 @@
 //! Shared plumbing for the `mtvar` benchmark harness.
 //!
 //! Every bench target under `benches/` regenerates one table or figure of
-//! the HPCA 2003 paper and prints the measured artifact next to the values
-//! the paper reports, so shapes can be compared at a glance. See
-//! `EXPERIMENTS.md` at the workspace root for the full index and the scaling
-//! notes.
+//! the HPCA 2003 paper, or one methodology study built on it, and prints the
+//! measured artifact next to the values the paper reports, so shapes can be
+//! compared at a glance. See `EXPERIMENTS.md` at the workspace root for the
+//! full index and the scaling notes. Nothing here is a stopwatch: timings
+//! live in `sh benchmark/run.sh` (`BENCHMARK.json` metric names), identities
+//! in `tests/`.
 //!
 //! Environment knobs:
 //!
@@ -14,10 +16,6 @@
 //! * `MTVAR_STRICT` — set to `1` to run every sweep under a strict
 //!   executor: any invariant violation aborts the bench with a typed
 //!   error instead of being merely reported.
-//! * `MTVAR_CKPT_STORE` — set to `0` to detach the warmup checkpoint store
-//!   (every sweep then re-simulates its warmup from cycle zero). On by
-//!   default, with on-disk spill under `target/mtvar-checkpoints/` so
-//!   repeated bench invocations reuse warmed machine snapshots.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,20 +56,16 @@ pub fn seed() -> u64 {
 /// The bench harness's executor: observing by default, strict when
 /// `MTVAR_STRICT=1` (any invariant violation then surfaces as
 /// [`mtvar_core::CoreError::InvariantViolation`] instead of a count), and
-/// backed by a disk-spilling warmup [`CheckpointStore`] unless
-/// `MTVAR_CKPT_STORE=0`. The store never changes a statistic — run seeds
-/// derive from the configuration, not the store — it only removes repeated
-/// warmup simulation within and across bench invocations.
+/// always backed by a warmup [`CheckpointStore`] spilling to
+/// `target/mtvar-checkpoints/`. The store never changes a statistic — run
+/// seeds derive from the configuration, not the store — it only removes
+/// repeated warmup simulation within and across bench invocations.
 pub fn executor() -> Executor {
     let mut exec = Executor::new();
     if std::env::var("MTVAR_STRICT").is_ok_and(|v| v == "1") {
         exec = exec.with_invariant_checks();
     }
-    if !std::env::var("MTVAR_CKPT_STORE").is_ok_and(|v| v == "0") {
-        exec =
-            exec.with_checkpoint_store(Arc::new(CheckpointStore::new().with_default_disk_spill()));
-    }
-    exec
+    exec.with_checkpoint_store(Arc::new(CheckpointStore::new().with_default_disk_spill()))
 }
 
 /// Prints a one-line invariant report for a sweep when anything fired;

@@ -824,11 +824,9 @@ impl Executor {
     /// Decodes `snapshot` once into the machine a sweep forks every run
     /// from (or a warmup extends). The decode leaves the decoder's
     /// resident-line seed on every copy-on-write cache array, which makes
-    /// each fork's first-write materialization a single sequential pass,
-    /// and spreads the per-node cache sections across this executor's
-    /// thread budget (bit-identical for any thread count).
+    /// each fork's first-write materialization a single sequential pass.
     fn restore_template<W: Workload + Snap>(&self, snapshot: &Checkpoint) -> Result<Machine<W>> {
-        Ok(Machine::restore_with_threads(snapshot, self.threads)?)
+        Ok(Machine::restore(snapshot)?)
     }
 
     /// One perturbed run, from machine acquisition to cacheable record:

@@ -167,6 +167,7 @@ fn concurrent_clients_get_identical_digests_and_share_one_simulation() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.submitted, CLIENTS as u64);
     assert_eq!(stats.completed, CLIENTS as u64);
+    assert_eq!(stats.failed, 0);
     assert_eq!(stats.runs_completed, runs);
     assert_eq!(stats.runs_cached, (CLIENTS as u64 - 1) * runs);
     assert!(

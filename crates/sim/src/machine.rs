@@ -746,23 +746,6 @@ impl<W: Workload + Snap> Machine<W> {
     /// [`SimError::InvalidConfig`] when the embedded configuration fails
     /// validation.
     pub fn restore(ck: &Checkpoint) -> Result<Self, SimError> {
-        Self::restore_with_threads(ck, 1)
-    }
-
-    /// [`Machine::restore`] with the per-node cache decode spread over up to
-    /// `decode_threads` scoped worker threads (the dominant cost of a
-    /// restore is rebuilding the line arrays from their run-length
-    /// sections). The decoded machine is bit-identical for every thread
-    /// count — each `MemNode` section is an independently fingerprinted
-    /// byte range decoded into its own slot, reassembled in index order —
-    /// so callers pick a thread count for latency, never for correctness.
-    /// `decode_threads <= 1` decodes inline with no thread spawned; the
-    /// executor passes its worker-pool width here when launching templates.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::restore`].
-    pub fn restore_with_threads(ck: &Checkpoint, decode_threads: usize) -> Result<Self, SimError> {
         // Sectioned checkpoints (everything `snapshot` produces) decode each
         // component at its own boundary; unsectioned ones (raw payloads via
         // `Checkpoint::from_payload`, e.g. older spill files re-wrapped) fall
@@ -771,9 +754,22 @@ impl<W: Workload + Snap> Machine<W> {
         let parts = if ck.sections().is_empty() {
             Self::decode_linear(ck.payload())?
         } else {
-            Self::decode_sectioned(ck, decode_threads)?
+            Self::decode_sectioned(ck)?
         };
         Self::assemble(parts)
+    }
+
+    /// Forwards to [`Machine::restore`]; the thread count is ignored, because
+    /// decode is single-threaded. The name exists only for the stand-alone
+    /// benchmark (`benchmark/src/layers.rs`, the `sim.template_decode_mt_us`
+    /// probe), which compiles against it; the `benchmark`-archetype issue
+    /// that drops that probe deletes this too.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::restore`].
+    pub fn restore_with_threads(ck: &Checkpoint, _decode_threads: usize) -> Result<Self, SimError> {
+        Self::restore(ck)
     }
 
     fn decode_linear(payload: &[u8]) -> Result<MachineParts<W>, SimError> {
@@ -813,10 +809,7 @@ impl<W: Workload + Snap> Machine<W> {
         })
     }
 
-    fn decode_sectioned(
-        ck: &Checkpoint,
-        decode_threads: usize,
-    ) -> Result<MachineParts<W>, SimError> {
+    fn decode_sectioned(ck: &Checkpoint) -> Result<MachineParts<W>, SimError> {
         let mut sr = SectionReader::new(ck);
         let mut dec = sr.expect(SectionKind::Meta)?;
         let config = MachineConfig::decode_snap(&mut dec)?;
@@ -827,7 +820,7 @@ impl<W: Workload + Snap> Machine<W> {
         let mut dec = sr.expect(SectionKind::Cpus)?;
         let cpus: Vec<Cpu> = Snap::decode_snap(&mut dec)?;
         dec.finish()?;
-        let mem = MemorySystem::decode_snap_sectioned(&mut sr, decode_threads)?;
+        let mem = MemorySystem::decode_snap_sectioned(&mut sr)?;
         let mut dec = sr.expect(SectionKind::Sched)?;
         let sched = Scheduler::decode_snap(&mut dec)?;
         let locks = LockTable::decode_snap(&mut dec)?;

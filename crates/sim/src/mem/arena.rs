@@ -16,9 +16,9 @@
 //! residency-proportional state (the seed contents, scheduler queues) —
 //! the line arrays circulate through the pool.
 //!
-//! Pools are strictly thread-local, so the parallel sectioned decode gets a
-//! per-worker arena by construction: no locks, no cross-thread traffic, and
-//! a worker that decodes the same node sizes every round reaches a 100%
+//! Pools are strictly thread-local, so every thread that decodes or forks
+//! gets its own arena by construction: no locks, no cross-thread traffic, and
+//! a thread that decodes the same node sizes every round reaches a 100%
 //! hit rate. Buffers are handed out *dirty* (the decode path zeroes the
 //! gaps between resident lines itself, word-at-a-time), which is what makes
 //! recycling free: no memset on return, no memset on take.

@@ -198,26 +198,6 @@ impl SnoopFilter {
         }
     }
 
-    /// [`Self::note_fill`] with the region already hashed — the parallel
-    /// sectioned decode computes `region_of` on its worker threads while
-    /// walking each node's resident lines, and the (sequential) merge into
-    /// the filter then only touches the count and bit arrays. State after
-    /// the merge is identical to calling `note_fill` per block: counts sum
-    /// and the presence bit is set iff a region count is nonzero,
-    /// regardless of call order.
-    #[inline]
-    pub(crate) fn note_region_fill(&mut self, cpu: usize, region: usize) {
-        if !self.enabled() {
-            return;
-        }
-        debug_assert!(region < REGIONS);
-        let c = &mut self.counts[region * self.cpus + cpu];
-        *c += 1;
-        if *c == 1 {
-            self.bits[region * self.words + cpu / 64] |= 1u64 << (cpu % 64);
-        }
-    }
-
     /// Records that node `cpu`'s L2 lost a block it held (eviction or
     /// invalidation of a resident copy).
     #[inline]

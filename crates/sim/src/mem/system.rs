@@ -11,7 +11,7 @@
 
 use super::cache::{CacheArray, CacheConfig, CoherenceState};
 use super::directory::{home_of, Directory};
-use super::filter::{region_of, words_for, SnoopFilter};
+use super::filter::{words_for, SnoopFilter};
 use crate::ids::{BlockAddr, CpuId, Cycle, Nanos};
 use crate::ops::AccessKind;
 use crate::rng::Xoshiro256StarStar;
@@ -1079,7 +1079,6 @@ impl crate::checkpoint::Snap for MemorySystem {
             stats,
             last_access,
             home_free_at,
-            None,
         )
     }
 
@@ -1101,45 +1100,12 @@ impl crate::checkpoint::Snap for MemorySystem {
 /// an allocation.
 const MAX_SNAP_NODES: u64 = 1 << 20;
 
-/// One node's residency contribution to the derived coherence summary:
-/// `(block, region)` for every resident L2 line, in line-index order. The
-/// parallel decode precomputes one list per node on its worker threads
-/// (hashing `region_of` there), so the sequential merge into the snoop
-/// filter or directory only touches the summary arrays.
-type ResidencySeed = Vec<(BlockAddr, u32)>;
-
-/// Decodes one `MemNode` section body and walks the node's L2 for its
-/// [`ResidencySeed`] — the per-node unit of work the sectioned decode
-/// distributes across worker threads.
-fn decode_node_section(
-    dec: &mut crate::checkpoint::Decoder<'_>,
-) -> Result<(Node, ResidencySeed), crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::Snap;
-    let node = Node::decode_snap(dec)?;
-    dec.finish()?;
-    let mut seed = Vec::with_capacity(node.l2.resident_blocks());
-    node.l2.for_each_resident(|addr, _| {
-        // `region_of` is a 16-bit region index; u32 keeps the tuple at 16
-        // bytes with headroom if `REGIONS` ever grows.
-        seed.push((addr, region_of(addr) as u32));
-    });
-    Ok((node, seed))
-}
-
 impl MemorySystem {
     /// Assembles a decoded memory system, validating the directory register
     /// count and rebuilding the derived residency state (snoop filter or
     /// directory) from the restored cache contents. Shared by the linear
     /// [`Snap`](crate::checkpoint::Snap) decode and the sectioned decode so
     /// both produce byte-for-byte identical machines.
-    ///
-    /// `seeds`, when present, carries each node's precomputed residency
-    /// list (from the parallel sectioned decode); the merge below then
-    /// replays them in node order, which leaves the filter/directory in
-    /// exactly the state the `for_each_resident` walk would have built —
-    /// counts are order-independent sums and presence bits depend only on
-    /// the counts.
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         config: MemoryConfig,
         nodes: Vec<Node>,
@@ -1148,7 +1114,6 @@ impl MemorySystem {
         stats: MemStats,
         last_access: Cycle,
         home_free_at: Vec<Cycle>,
-        seeds: Option<Vec<ResidencySeed>>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         let dir = config.protocol.is_directory();
         let cpus = nodes.len();
@@ -1162,32 +1127,11 @@ impl MemorySystem {
         } else {
             (SnoopFilter::new(cpus), None)
         };
-        match seeds {
-            Some(seeds) => {
-                debug_assert_eq!(seeds.len(), cpus, "one residency seed per node");
-                for (i, seed) in seeds.iter().enumerate() {
-                    match &mut directory {
-                        Some(d) => {
-                            for &(addr, _) in seed {
-                                d.note_fill(i, addr);
-                            }
-                        }
-                        None => {
-                            for &(_, region) in seed {
-                                filter.note_region_fill(i, region as usize);
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                for (i, node) in nodes.iter().enumerate() {
-                    node.l2.for_each_resident(|addr, _| match &mut directory {
-                        Some(d) => d.note_fill(i, addr),
-                        None => filter.note_fill(i, addr),
-                    });
-                }
-            }
+        for (i, node) in nodes.iter().enumerate() {
+            node.l2.for_each_resident(|addr, _| match &mut directory {
+                Some(d) => d.note_fill(i, addr),
+                None => filter.note_fill(i, addr),
+            });
         }
         Ok(MemorySystem {
             config,
@@ -1238,25 +1182,12 @@ impl MemorySystem {
     /// stack is reported against that node instead of corrupting its
     /// neighbours' decode.
     ///
-    /// With `threads > 1` the per-node sections are decoded on that many
-    /// scoped worker threads. The section table makes this safe and exact:
-    /// every `MemNode(i)` decoder borrows a disjoint, independently
-    /// fingerprinted byte range of the payload, each worker decodes a
-    /// contiguous chunk of nodes into its own slots, and the results are
-    /// reassembled in node index order — so the decoded machine is
-    /// bit-identical to the single-threaded walk by construction, not by
-    /// scheduling luck. Workers also pre-walk each node's L2 for its
-    /// residency seed (the expensive `region_of` hashing), leaving only an
-    /// order-insensitive count merge on the calling thread.
-    ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`](crate::checkpoint::CheckpointError) on
-    /// any malformed or out-of-order section; the first failing node (in
-    /// index order) wins, matching the sequential walk.
+    /// any malformed or out-of-order section.
     pub(crate) fn decode_snap_sectioned(
         sr: &mut crate::checkpoint::SectionReader<'_>,
-        threads: usize,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{CheckpointError, SectionKind, Snap};
         let mut dec = sr.expect(SectionKind::MemHeader)?;
@@ -1268,41 +1199,11 @@ impl MemorySystem {
                 what: "memory-system node count".into(),
             });
         }
-        let count = node_count as usize;
-        // Collect every node section's decoder before decoding anything:
-        // each one borrows its own slice of the payload, which is what lets
-        // the workers run without synchronizing on the reader.
-        let mut decoders = Vec::with_capacity(count);
+        let mut nodes = Vec::with_capacity(node_count as usize);
         for i in 0..node_count as u32 {
-            decoders.push(sr.expect(SectionKind::MemNode(i))?);
-        }
-        let workers = threads.clamp(1, count.max(1));
-        let mut slots: Vec<Option<Result<(Node, ResidencySeed), CheckpointError>>> =
-            (0..count).map(|_| None).collect();
-        if workers <= 1 {
-            for (slot, dec) in slots.iter_mut().zip(decoders.iter_mut()) {
-                *slot = Some(decode_node_section(dec));
-            }
-        } else {
-            let chunk = count.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (slot_chunk, dec_chunk) in
-                    slots.chunks_mut(chunk).zip(decoders.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for (slot, dec) in slot_chunk.iter_mut().zip(dec_chunk.iter_mut()) {
-                            *slot = Some(decode_node_section(dec));
-                        }
-                    });
-                }
-            });
-        }
-        let mut nodes = Vec::with_capacity(count);
-        let mut seeds = Vec::with_capacity(count);
-        for slot in slots {
-            let (node, seed) = slot.expect("every node slot is visited exactly once")?;
-            nodes.push(node);
-            seeds.push(seed);
+            let mut dec = sr.expect(SectionKind::MemNode(i))?;
+            nodes.push(Node::decode_snap(&mut dec)?);
+            dec.finish()?;
         }
         let mut dec = sr.expect(SectionKind::MemShared)?;
         let bus_free_at = Snap::decode_snap(&mut dec)?;
@@ -1323,7 +1224,6 @@ impl MemorySystem {
             stats,
             last_access,
             home_free_at,
-            Some(seeds),
         )
     }
 }

@@ -136,65 +136,6 @@ fn warmed_64_cpu_directory_machine_restores_bit_identically() {
     );
 }
 
-/// The parallel-decode gate: restoring one snapshot with 1, 2, 4, and 8
-/// decode workers must produce byte-identical machines — equal re-snapshot
-/// payload fingerprints, equal continued-run statistics and digests, and
-/// equal post-measurement fingerprints — across the snooping and directory
-/// protocols at the paper's 16 CPUs and the scaled 64. The snoop filter
-/// and directory sharer sets are rebuilt from per-node residency seeds
-/// computed on the workers, so this pins the derived state too, not just
-/// the serialized bytes.
-#[test]
-fn parallel_decode_thread_counts_are_bit_identical() {
-    for (cpus, directory) in [(16, false), (64, false), (16, true), (64, true)] {
-        let mut cfg = MachineConfig::hpca2003()
-            .with_cpus(cpus)
-            .with_perturbation(4, 0x1DE7);
-        if directory {
-            cfg = cfg.with_directory_coherence();
-        }
-        let label = format!(
-            "{cpus} CPUs, {} coherence",
-            if directory { "directory" } else { "snooping" }
-        );
-        let mut warmed = Machine::new(cfg, Benchmark::Oltp.workload(cpus, WORKLOAD_SEED)).unwrap();
-        warmed.run_transactions(WARMUP).expect("warmup");
-        let snapshot = warmed.snapshot();
-        drop(warmed);
-
-        let mut reference: Machine<ProfiledWorkload> =
-            Machine::restore(&snapshot).expect("single-threaded restore");
-        assert_eq!(
-            reference.snapshot().fingerprint(),
-            snapshot.fingerprint(),
-            "{label}: single-threaded restore must reproduce the snapshot"
-        );
-        let want = reference.run_transactions(MEASURE).expect("measure");
-        let want_fp = reference.snapshot().fingerprint();
-
-        for threads in [2, 4, 8] {
-            let mut decoded: Machine<ProfiledWorkload> =
-                Machine::restore_with_threads(&snapshot, threads).expect("multi-threaded restore");
-            assert_eq!(
-                decoded.snapshot().fingerprint(),
-                snapshot.fingerprint(),
-                "{label}: {threads}-thread decode changed the re-encoded payload"
-            );
-            let got = decoded.run_transactions(MEASURE).expect("measure");
-            assert_eq!(
-                want, got,
-                "{label}: a run continued from a {threads}-thread decode diverged"
-            );
-            assert_eq!(run_digest(&want), run_digest(&got), "{label}: {threads}");
-            assert_eq!(
-                decoded.snapshot().fingerprint(),
-                want_fp,
-                "{label}: post-measurement state diverged after {threads}-thread decode"
-            );
-        }
-    }
-}
-
 #[test]
 fn shared_warmup_sweeps_are_thread_count_and_store_invariant() {
     let plan = RunPlan::new(MEASURE).with_runs(4).with_warmup(WARMUP);

@@ -18,13 +18,19 @@
 //! then review and commit the diff of `tests/golden/benchmarks.txt` together
 //! with the change that caused it.
 //!
+//! Two literals ride alongside the file, both at the paper's 16 CPUs: the
+//! kernel's reference interval, and the one pin of `Executor::run_space`
+//! end to end.
+//!
 //! [`RunResult`]: mtvar::sim::stats::RunResult
 
 use std::fs;
 use std::path::PathBuf;
 
 use mtvar::core::golden::{run_digest, GoldenFile};
+use mtvar::core::runspace::{Executor, RunPlan};
 use mtvar::sim::config::MachineConfig;
+use mtvar::sim::hash::fold_digest;
 use mtvar::sim::machine::Machine;
 use mtvar::sim::proc::{OooConfig, ProcessorConfig};
 use mtvar::workloads::Benchmark;
@@ -177,4 +183,43 @@ fn golden_digests_are_stable_across_repeat_runs() {
     // otherwise the golden comparison would flake rather than gate.
     let bench = Benchmark::Barnes;
     assert_eq!(digest_benchmark(bench), digest_benchmark(bench));
+}
+
+/// The kernel's reference interval: 16-CPU OLTP on the paper's machine, 2000
+/// measured transactions after 100 of warmup, perturbation (4 ns, seed 1).
+/// A reordering of same-time events that only shows at full machine width,
+/// which the 4-CPU file above can miss, fails here.
+#[test]
+fn sixteen_cpu_oltp_interval_matches_its_pinned_digest() {
+    let config = MachineConfig::hpca2003().with_perturbation(4, 1);
+    let mut m = Machine::new(config, Benchmark::Oltp.workload(16, WORKLOAD_SEED)).expect("machine");
+    m.run_transactions(100).expect("warmup");
+    let result = m.run_transactions(2000).expect("measurement");
+    assert_eq!(run_digest(&result), 0x3169_0f97_be50_30cb);
+}
+
+/// The executor's launch pipeline end to end — per-run seed derivation,
+/// shared warmup, fork, perturbation armed at measurement start — on 16
+/// perturbed runs of the ROB-32 machine, folded from zero like the daemon's
+/// and `mtvar batch`'s sweep digests. A change to `derive_run_seed` or the
+/// shared-warmup seed domain moves every run and fails here.
+#[test]
+fn sixteen_run_rob32_space_matches_its_pinned_digest() {
+    let config = MachineConfig::hpca2003()
+        .with_processor(ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(32)))
+        .with_perturbation(4, 0);
+    let plan = RunPlan::new(50).with_runs(16).with_warmup(400);
+    let space = Executor::sequential()
+        .without_cache()
+        .run_space(
+            &config,
+            || Benchmark::Oltp.workload(16, WORKLOAD_SEED),
+            &plan,
+        )
+        .expect("run space");
+    let digest = space
+        .results()
+        .iter()
+        .fold(0, |acc, r| fold_digest(acc, run_digest(r)));
+    assert_eq!(digest, 0xbe34_42eb_b53d_bdc1);
 }

@@ -1,9 +1,9 @@
 //! Fast sampling-estimator gate: a small-n run of the evaluation harness on
 //! a scaled-down OLTP frame, asserting each estimator lands within
 //! tolerance of the full-run ground truth at a fraction of its cost. The
-//! full-size record lives in `BENCH_sampling.json` (see
-//! `examples/bench_sampling.rs`); this is the cheap always-on version
-//! `scripts/verify.sh` runs.
+//! full-size study is `cargo bench -p mtvar-bench --bench
+//! sampling_estimators`; this is the cheap version `cargo test` runs
+//! (`scripts/verify.sh` runs both).
 
 use mtvar::core::runspace::{Executor, RunPlan};
 use mtvar::core::sampling::{evaluate, Method, SamplingFrame, SamplingStudy};
