@@ -822,9 +822,9 @@ impl Executor {
     }
 
     /// Decodes `snapshot` once into the machine a sweep forks every run
-    /// from (or a warmup extends). The decode leaves the decoder's
-    /// resident-line seed on every copy-on-write cache array, which makes
-    /// each fork's first-write materialization a single sequential pass.
+    /// from (or a warmup extends). A decoded machine holds its cache arrays
+    /// and snoop filter in shareable form, so each fork is a pointer copy
+    /// per array that copies only the chunks its run writes.
     fn restore_template<W: Workload + Snap>(&self, snapshot: &Checkpoint) -> Result<Machine<W>> {
         Ok(Machine::restore(snapshot)?)
     }

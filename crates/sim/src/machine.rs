@@ -928,11 +928,16 @@ impl<W: Workload + Clone> Machine<W> {
     /// checkpoint facility (§3.2.2): restarting forks of one machine with
     /// different perturbation seeds ([`Machine::set_perturbation`]) is the
     /// paper's mechanism for exploring the space of executions. This is a
-    /// `clone`, but the dominant state — every cache's line array — is
-    /// copy-on-write ([`Arc`](std::sync::Arc)-shared until a fork's first
-    /// write to the set), so forking a decoded template is a pointer copy
-    /// per cache instead of a multi-megabyte decode. The shared-warmup
-    /// executor restores each snapshot **once** and calls `fork` per run.
+    /// `clone`, but the dominant state — every cache's line array and the
+    /// snoop filter's counts — is copy-on-write in small chunks: forking a decoded
+    /// ([`Machine::restore`]d) template is a pointer copy per array, and the
+    /// fork then copies a chunk (16 cache sets, or one filter region row)
+    /// the first time it writes into it, so a short run pays for the few
+    /// percent of the machine it touches and never writes what it shares.
+    /// Forks may outlive the template and be forked again. A machine that
+    /// was built rather than restored has nothing in shareable form and is
+    /// copied whole. The shared-warmup executor restores each snapshot
+    /// **once** and calls `fork` per run.
     pub fn fork(&self) -> Machine<W> {
         self.clone()
     }

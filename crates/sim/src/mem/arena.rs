@@ -1,35 +1,43 @@
 //! Thread-local decode arena: recycled buffers for snapshot restore and
 //! fork launch.
 //!
-//! The buffers that dominate a template decode are the dense line arrays
-//! (megabytes per L2) and the resident-line seeds built alongside them.
-//! Both have the same lifetime shape in a sweep: decode a template, fork
-//! it N times, run the forks, drop everything, decode the next template.
-//! Allocating them fresh every round puts a multi-megabyte `alloc`/`free`
-//! pair on the launch path of every run.
+//! The buffers that dominate a launch round are the dense line arrays a
+//! template decode fills (megabytes per L2), the resident-line seeds built
+//! alongside them, the snoop filter's count and presence arrays, and — per
+//! fork — the private chunk buffers and chunk maps of the copy-on-write
+//! arrays (`mem::cow`). All have the same lifetime shape in a sweep:
+//! decode a template, fork it N times, run the forks, drop everything,
+//! decode the next template. Allocating them fresh every round puts
+//! `alloc`/`free` pairs, and worse the page faults of never-touched memory,
+//! on the launch path of every run: a fork that grew a fresh private buffer
+//! per array ran slower than one that copied every array whole.
 //!
 //! The arena breaks that cycle. Each worker thread keeps a small pool of
-//! retired buffers; the cache's copy-on-write line store returns its
-//! backing storage here on drop, and the decode / copy-on-write
-//! materialization paths take a recycled buffer when one fits. Steady-state
-//! sweep launches therefore hit the allocator only for the small,
-//! residency-proportional state (the seed contents, scheduler queues) —
-//! the line arrays circulate through the pool.
+//! retired buffers per element type; every copy-on-write buffer (base,
+//! private and map alike), the filter's presence words and every resident
+//! seed is a `Recycled` vector that returns its backing storage here on
+//! drop, and the decode, clone and first-write paths take a recycled buffer
+//! when one fits. Steady-state sweep launches therefore hit the
+//! allocator only for the small per-run containers (event wheel, scheduler
+//! queues) — the arrays circulate through the pool.
 //!
 //! Pools are strictly thread-local, so every thread that decodes or forks
 //! gets its own arena by construction: no locks, no cross-thread traffic, and
 //! a thread that decodes the same node sizes every round reaches a 100%
 //! hit rate. Buffers are handed out *dirty* (the decode path zeroes the
-//! gaps between resident lines itself, word-at-a-time), which is what makes
-//! recycling free: no memset on return, no memset on take.
+//! gaps between resident lines itself, word-at-a-time; a fork's private
+//! buffer is only ever appended to), which is what makes recycling free: no
+//! memset on return, no memset on take.
 
 use std::cell::RefCell;
 
 use super::cache::Line;
 
-/// Most buffers one thread will pool. 64 CPUs × 3 arrays per node plus
-/// seeds fit comfortably; anything beyond this is a workload churning
-/// through geometries, and fresh allocation is the right answer there.
+/// Most buffers one thread will pool per element type. The paper's 16-CPU
+/// machine needs 48 line arrays per template and 48 private buffers per
+/// live fork; a 64-CPU template's 192 fit too. Anything beyond this is a
+/// workload churning through geometries, and fresh allocation is the right
+/// answer there.
 const MAX_POOLED_BUFS: usize = 256;
 
 /// Byte ceiling per pool per thread. A 64-CPU machine's line arrays total
@@ -39,7 +47,7 @@ const MAX_POOLED_BUFS: usize = 256;
 const MAX_POOLED_BYTES: usize = 192 << 20;
 
 /// A free list of retired `Vec<T>` buffers, reused by capacity.
-struct Pool<T> {
+pub(crate) struct Pool<T> {
     bufs: Vec<Vec<T>>,
     bytes: usize,
 }
@@ -107,17 +115,16 @@ impl<T: Copy> Pool<T> {
     }
 }
 
-/// One thread's decode arena: pooled line arrays, resident seeds, and the
-/// snoop filter's presence/count arrays, plus reuse counters for the
-/// observability API.
-struct DecodeArena {
+/// One thread's decode arena: pooled line arrays (whole and private),
+/// resident seeds, the snoop filter's presence/count arrays and the
+/// copy-on-write chunk maps, plus reuse counters for the observability API.
+pub(crate) struct DecodeArena {
     lines: Pool<Line>,
     resident: Pool<(u32, Line)>,
     /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`).
     words: Pool<u64>,
-    /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`) — at 4 MB
-    /// for the paper's 16-CPU machine, the single largest non-line buffer
-    /// a fork clones.
+    /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`, 4 MB for
+    /// the paper's 16-CPU machine) and every copy-on-write chunk map.
     counts: Pool<u32>,
     takes: u64,
     hits: u64,
@@ -140,16 +147,44 @@ thread_local! {
     static ARENA: RefCell<DecodeArena> = const { RefCell::new(DecodeArena::new()) };
 }
 
-/// Takes a recycled line buffer with at least `min_capacity` capacity, or
-/// `None` when the pool has nothing suitable (caller allocates fresh).
-/// The buffer comes back empty but **dirty** — the caller must write every
-/// element it exposes.
-pub(crate) fn take_lines(min_capacity: usize) -> Option<Vec<Line>> {
+/// An element type the arena pools buffers of; names its pool.
+pub(crate) trait Pooled: Copy + 'static {
+    /// The pool of `Vec<Self>` buffers inside one thread's arena.
+    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self>;
+}
+
+impl Pooled for Line {
+    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
+        &mut arena.lines
+    }
+}
+
+impl Pooled for (u32, Line) {
+    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
+        &mut arena.resident
+    }
+}
+
+impl Pooled for u64 {
+    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
+        &mut arena.words
+    }
+}
+
+impl Pooled for u32 {
+    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
+        &mut arena.counts
+    }
+}
+
+/// One counted request against this thread's arena: `None` when the pool
+/// has nothing suitable or the thread is tearing down.
+fn take_with<T: Pooled>(pick: impl FnOnce(&mut Pool<T>) -> Option<Vec<T>>) -> Option<Vec<T>> {
     ARENA
         .try_with(|arena| {
             let mut arena = arena.borrow_mut();
             arena.takes += 1;
-            let got = arena.lines.take(min_capacity);
+            let got = pick(T::pool(&mut arena));
             if got.is_some() {
                 arena.hits += 1;
             }
@@ -159,86 +194,59 @@ pub(crate) fn take_lines(min_capacity: usize) -> Option<Vec<Line>> {
         .flatten()
 }
 
-/// Retires a line buffer into this thread's pool (or frees it if the pool
-/// is full / the thread is tearing down).
-pub(crate) fn give_lines(buf: Vec<Line>) {
+/// Takes a recycled buffer with at least `min_capacity` capacity, or `None`
+/// when the pool has nothing suitable (caller allocates fresh). The buffer
+/// comes back empty but **dirty** — the caller must write every element it
+/// exposes.
+pub(crate) fn take<T: Pooled>(min_capacity: usize) -> Option<Vec<T>> {
+    take_with(|pool| pool.take(min_capacity))
+}
+
+/// Takes the largest recycled buffer, or an empty `Vec` when the pool is
+/// dry — for the decoder's resident seed, whose final size is only known
+/// after the run-length walk, so "largest available" is the fit policy.
+pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
+    take_with(Pool::take_largest).unwrap_or_default()
+}
+
+/// Retires a buffer into this thread's pool (or frees it if the pool is
+/// full / the thread is tearing down).
+pub(crate) fn give<T: Pooled>(buf: Vec<T>) {
     let _kept = ARENA
-        .try_with(|arena| arena.borrow_mut().lines.give(buf))
+        .try_with(|arena| T::pool(&mut arena.borrow_mut()).give(buf))
         .unwrap_or(false);
 }
 
-/// Takes the largest recycled resident-seed buffer, or an empty `Vec` when
-/// the pool is dry. The seed's final size is only known after the
-/// run-length walk, so "largest available" is the fit policy.
-pub(crate) fn take_resident() -> Vec<(u32, Line)> {
-    ARENA
-        .try_with(|arena| {
-            let mut arena = arena.borrow_mut();
-            arena.takes += 1;
-            let got = arena.resident.take_largest();
-            if got.is_some() {
-                arena.hits += 1;
-            }
-            got
-        })
-        .ok()
-        .flatten()
-        .unwrap_or_default()
+/// A `Vec` that lives in the arena's cycle: it retires into the dropping
+/// thread's pool, and its clones are drawn from the cloning thread's.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Recycled<T: Pooled>(pub(crate) Vec<T>);
+
+impl<T: Pooled> Recycled<T> {
+    /// An empty recycled buffer with room for `capacity` elements (fresh
+    /// when the arena has none that fits).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Recycled(take(capacity).unwrap_or_else(|| Vec::with_capacity(capacity)))
+    }
+
+    /// A copy of `src` in a buffer with room for `capacity` elements.
+    pub(crate) fn copy_of(src: &[T], capacity: usize) -> Self {
+        let mut buf = Self::with_capacity(capacity);
+        buf.0.extend_from_slice(src);
+        buf
+    }
 }
 
-/// Retires a resident-seed buffer into this thread's pool.
-pub(crate) fn give_resident(buf: Vec<(u32, Line)>) {
-    let _kept = ARENA
-        .try_with(|arena| arena.borrow_mut().resident.give(buf))
-        .unwrap_or(false);
+impl<T: Pooled> Clone for Recycled<T> {
+    fn clone(&self) -> Self {
+        Self::copy_of(&self.0, self.0.len())
+    }
 }
 
-/// Takes a recycled `u64` buffer (snoop-filter presence words) with at
-/// least `min_capacity` capacity. Empty-but-dirty, like [`take_lines`].
-pub(crate) fn take_u64s(min_capacity: usize) -> Option<Vec<u64>> {
-    ARENA
-        .try_with(|arena| {
-            let mut arena = arena.borrow_mut();
-            arena.takes += 1;
-            let got = arena.words.take(min_capacity);
-            if got.is_some() {
-                arena.hits += 1;
-            }
-            got
-        })
-        .ok()
-        .flatten()
-}
-
-/// Retires a `u64` buffer into this thread's pool.
-pub(crate) fn give_u64s(buf: Vec<u64>) {
-    let _kept = ARENA
-        .try_with(|arena| arena.borrow_mut().words.give(buf))
-        .unwrap_or(false);
-}
-
-/// Takes a recycled `u32` buffer (snoop-filter residency counts) with at
-/// least `min_capacity` capacity. Empty-but-dirty, like [`take_lines`].
-pub(crate) fn take_u32s(min_capacity: usize) -> Option<Vec<u32>> {
-    ARENA
-        .try_with(|arena| {
-            let mut arena = arena.borrow_mut();
-            arena.takes += 1;
-            let got = arena.counts.take(min_capacity);
-            if got.is_some() {
-                arena.hits += 1;
-            }
-            got
-        })
-        .ok()
-        .flatten()
-}
-
-/// Retires a `u32` buffer into this thread's pool.
-pub(crate) fn give_u32s(buf: Vec<u32>) {
-    let _kept = ARENA
-        .try_with(|arena| arena.borrow_mut().counts.give(buf))
-        .unwrap_or(false);
+impl<T: Pooled> Drop for Recycled<T> {
+    fn drop(&mut self) {
+        give(std::mem::take(&mut self.0));
+    }
 }
 
 /// A point-in-time view of this thread's arena, for tests and benches that
@@ -321,10 +329,10 @@ mod tests {
     #[test]
     fn clear_resets_stats_and_drops_pools() {
         clear();
-        give_lines(Vec::with_capacity(8));
+        give::<Line>(Vec::with_capacity(8));
         let before = stats();
         assert_eq!(before.pooled_buffers, 1);
-        let took = take_lines(4).expect("pooled buffer fits");
+        let took = take::<Line>(4).expect("pooled buffer fits");
         assert_eq!(took.capacity(), 8);
         let after = stats();
         assert_eq!(after.takes, 1);

@@ -6,9 +6,8 @@
 //! MESI/MOSI/MOESI family. [`CoherenceState`] carries the per-block state
 //! and [`CacheArray`] the tag/LRU bookkeeping shared by the L1 and L2 models.
 
-use std::sync::Arc;
-
-use super::arena;
+use super::arena::{self, Recycled};
+use super::cow::ChunkCow;
 use crate::ids::BlockAddr;
 use crate::SimError;
 
@@ -178,105 +177,34 @@ fn zeroed_lines(len: usize) -> Vec<Line> {
     }
 }
 
-/// The shareable body of a [`CacheArray`]: the dense line array plus an
-/// optional resident-line seed.
-///
-/// Forks of one decoded machine share this behind an `Arc`; the first write
-/// re-materializes a private copy via [`Clone`], and that clone is *sparse*:
-/// a zeroed ([`zeroed_lines`]) dense array with only the resident lines
-/// scattered in. For the mostly-Invalid arrays a warmed machine carries,
-/// a fork's materialization cost is proportional to residency — like the
-/// run-length decode path — not to raw geometry, which is megabytes per L2.
-///
-/// `resident` lists `(index, line)` for every non-Invalid line, in index
-/// order. The snapshot decoder builds it as a free byproduct of its
-/// run-length walk; any in-place mutation drops it (see
-/// [`CacheArray::set_slice_mut`]), because a written array no longer matches
-/// the list. A seeded clone canonicalizes Invalid lines to
-/// `Line::default()`: their residual `tag`/`lru` values are dead state —
-/// every lookup and victim choice tests `state` first, and the snapshot
-/// encoding run-length-encodes Invalid lines — so the clone is
-/// behaviourally identical and re-encodes to the same bytes. An unseeded
-/// clone is a plain memcpy.
-/// The backing buffers are recycled through the thread-local decode arena
-/// (`super::arena`): `Drop` retires `dense` and the seed there, and the
-/// decode / clone paths take recycled buffers when one fits — in
-/// steady-state sweeps (decode a template, fork it, drop everything,
-/// repeat) the multi-megabyte arrays never touch the allocator. The seed
-/// stays a `Vec` (not a boxed slice) precisely so it can round-trip
-/// through the pool without the shrink-to-fit realloc `into_boxed_slice`
-/// would cost.
-#[derive(Debug)]
-struct CowLines {
-    dense: Vec<Line>,
-    resident: Option<Vec<(u32, Line)>>,
-}
+/// Sets per copy-on-write chunk of a line array: a fork copies
+/// `CHUNK_SETS × ways` lines (64 lines, 1.5 KB, for the paper's 4-way L2)
+/// the first time it writes any of them. Short runs write scattered sets,
+/// so the bytes a fork copies grow with the chunk — a 25-transaction OLTP
+/// run from a template warmed 1000 transactions copies 4.6 MB of the
+/// 16-CPU machine's 26.7 MB at 16 sets, 9.5 MB at 64 — while below 16 the
+/// smaller copies stop paying for the larger map (EXPERIMENTS.md,
+/// "Snapshot forks").
+const CHUNK_SETS: usize = 16;
 
-impl Drop for CowLines {
-    fn drop(&mut self) {
-        if let Some(list) = self.resident.take() {
-            arena::give_resident(list);
-        }
-        arena::give_lines(std::mem::take(&mut self.dense));
-    }
-}
+/// The snapshot decoder's list of `(index, line)` for every non-Invalid
+/// line, in index order — a free byproduct of its run-length walk that lets
+/// [`CacheArray::for_each_resident`] (the snoop-filter / directory rebuild
+/// that follows every decode) skip the dense scan. It describes the array as
+/// decoded, so it is consulted only while the array is unwritten, is not
+/// handed to clones, and never takes part in equality.
+#[derive(Debug, Default)]
+struct DecodeSeed(Option<Recycled<(u32, Line)>>);
 
-impl Clone for CowLines {
+impl Clone for DecodeSeed {
     fn clone(&self) -> Self {
-        let len = self.dense.len();
-        // A recycled buffer arrives dirty, which is fine on both branches:
-        // the seeded pass below writes every element before `set_len`, and
-        // the unseeded branch copies over a cleared (`len == 0`) vector.
-        let mut dense: Vec<Line> =
-            arena::take_lines(len).unwrap_or_else(|| Vec::with_capacity(len));
-        match &self.resident {
-            Some(list) => {
-                // One sequential pass over uninitialized memory: zero the
-                // gaps between resident lines, write each resident line in
-                // place. (A zeroed allocation plus scatter would traverse
-                // the multi-megabyte array twice — memset, then revisit
-                // every page.) This canonicalizes Invalid lines to
-                // `Line::default()`, exactly as decode does: their residual
-                // `tag`/`lru` values are dead state, and the run-length
-                // snapshot encoding never emits them.
-                let ptr = dense.as_mut_ptr();
-                let mut cursor = 0usize;
-                // SAFETY: the seed's indices are strictly ascending and
-                // < len (the decoder builds it that way while filling the
-                // array front to back), so every element of [0, len) is
-                // written exactly once — gap elements with zero bytes (a
-                // valid `Line`: fields are plain integers and
-                // `CoherenceState` is `repr(u8)` with `Invalid = 0`),
-                // resident slots with their line — before `set_len`
-                // exposes them. `Line` is `Copy`, so no drops are skipped.
-                unsafe {
-                    for &(i, line) in list.iter() {
-                        let i = i as usize;
-                        debug_assert!(i >= cursor && i < len, "seed order/bounds");
-                        ptr.add(cursor).write_bytes(0u8, i - cursor);
-                        ptr.add(i).write(line);
-                        cursor = i + 1;
-                    }
-                    ptr.add(cursor).write_bytes(0u8, len - cursor);
-                    dense.set_len(len);
-                }
-            }
-            // No seed (the source has been written in place): a straight
-            // memcpy, byte-exact including any junk on Invalid lines.
-            None => dense.extend_from_slice(&self.dense),
-        }
-        // The clone exists to be written (Arc::make_mut), so the seed would
-        // be dropped on the next call anyway; skip copying it.
-        CowLines {
-            dense,
-            resident: None,
-        }
+        DecodeSeed(None)
     }
 }
 
-impl PartialEq for CowLines {
-    fn eq(&self, other: &Self) -> bool {
-        self.dense == other.dense
+impl PartialEq for DecodeSeed {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
@@ -284,17 +212,19 @@ impl PartialEq for CowLines {
 ///
 /// Stores metadata only (tags and states); the simulator never models data
 /// values, just their movement.
+///
+/// The line array is copy-on-write in chunks of 16 sets (`CHUNK_SETS`,
+/// `mem::cow`): cloning a decoded array is a pointer copy, even for a
+/// 65,536-line L2, and the clone then copies each chunk the first time it
+/// writes a set in it — a fork costs what it touches. An array that was
+/// never shared (a fresh one, or a restore that nobody forked) is a plain
+/// `Vec` behind one enum branch. Equality, snapshot bytes and residency
+/// walks see the logical contents and are unaffected by sharing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheArray {
     config: CacheConfig,
-    /// Shared copy-on-write line array. Forks of one decoded machine clone
-    /// this `Arc` (a pointer copy, even for a 65,536-line L2) and only
-    /// materialize a private copy on first write ([`Arc::make_mut`] in
-    /// [`CacheArray::set_slice_mut`]) — and that copy is sparse, seeded
-    /// from the decoder's resident-line list (see [`CowLines`]).
-    /// `CowLines`'s `PartialEq` compares the dense vector only, so
-    /// comparisons are unaffected by sharing.
-    lines: Arc<CowLines>,
+    lines: ChunkCow<Line>,
+    seed: DecodeSeed,
     sets: u64,
     ways: usize,
     use_clock: u64,
@@ -334,10 +264,8 @@ impl CacheArray {
         let ways = config.associativity as usize;
         Ok(CacheArray {
             config,
-            lines: Arc::new(CowLines {
-                dense: zeroed_lines((sets as usize) * ways),
-                resident: Some(Vec::new()),
-            }),
+            lines: ChunkCow::owned(zeroed_lines((sets as usize) * ways), CHUNK_SETS * ways),
+            seed: DecodeSeed::default(),
             sets,
             ways,
             use_clock: 0,
@@ -369,25 +297,14 @@ impl CacheArray {
 
     #[inline]
     fn set_slice_mut(&mut self, set: usize) -> &mut [Line] {
-        let start = set * self.ways;
-        // First mutation after a fork materializes a private copy (sparse
-        // and calloc-backed — see [`CowLines`]'s `Clone`); thereafter the
-        // Arc is unique and this is a plain borrow. Any in-place write
-        // invalidates the decoder's resident-line seed, which describes the
-        // array as it was decoded.
-        let cow = Arc::make_mut(&mut self.lines);
-        if let Some(list) = cow.resident.take() {
-            // The seed is dead the moment the array is written; retire its
-            // buffer to the decode arena instead of freeing it.
-            arena::give_resident(list);
-        }
-        &mut cow.dense[start..start + self.ways]
+        self.lines
+            .slice_mut(set / CHUNK_SETS, set % CHUNK_SETS * self.ways, self.ways)
     }
 
     #[inline]
     fn set_slice(&self, set: usize) -> &[Line] {
-        let start = set * self.ways;
-        &self.lines.dense[start..start + self.ways]
+        self.lines
+            .slice(set / CHUNK_SETS, set % CHUNK_SETS * self.ways, self.ways)
     }
 
     /// Returns the current state of `addr` without touching LRU (a snoop
@@ -456,56 +373,39 @@ impl CacheArray {
         self.use_clock += 1;
         let clock = self.use_clock;
 
-        // Already resident?
-        for line in self.set_slice_mut(set) {
-            if line.state != CoherenceState::Invalid && line.tag == tag {
-                line.state = state;
-                line.lru = clock;
-                return None;
-            }
-        }
-        // Free way?
-        let filled_free_way = {
-            let slice = self.set_slice_mut(set);
-            match slice
-                .iter_mut()
-                .find(|l| l.state == CoherenceState::Invalid)
-            {
-                Some(line) => {
-                    *line = Line {
-                        tag,
-                        state,
-                        lru: clock,
-                    };
-                    true
-                }
-                None => false,
-            }
-        };
-        if filled_free_way {
-            self.resident_count += 1;
-            return None;
-        }
-        // Evict LRU.
-        let (victim_idx, victim) = {
-            let slice = self.set_slice(set);
-            let (i, l) = slice
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("associativity >= 1");
-            (i, *l)
-        };
-        let evicted = Eviction {
-            addr: self.addr_of(set, victim.tag),
-            state: victim.state,
-        };
-        self.set_slice_mut(set)[victim_idx] = Line {
+        let new = Line {
             tag,
             state,
             lru: clock,
         };
-        Some(evicted)
+        let slice = self.set_slice_mut(set);
+        // Already resident?
+        if let Some(line) = slice
+            .iter_mut()
+            .find(|l| l.state != CoherenceState::Invalid && l.tag == tag)
+        {
+            *line = new;
+            return None;
+        }
+        // Free way?
+        if let Some(line) = slice
+            .iter_mut()
+            .find(|l| l.state == CoherenceState::Invalid)
+        {
+            *line = new;
+            self.resident_count += 1;
+            return None;
+        }
+        // Evict LRU.
+        let victim = slice
+            .iter_mut()
+            .min_by_key(|l| l.lru)
+            .expect("associativity >= 1");
+        let Line { tag, state, .. } = std::mem::replace(victim, new);
+        Some(Eviction {
+            addr: self.addr_of(set, tag),
+            state,
+        })
     }
 
     /// Invalidates `addr` if resident; returns the state it held.
@@ -533,8 +433,8 @@ impl CacheArray {
         debug_assert_eq!(
             self.resident_count,
             self.lines
-                .dense
-                .iter()
+                .pieces()
+                .flatten()
                 .filter(|l| l.state != CoherenceState::Invalid)
                 .count(),
             "resident counter drifted from the line array"
@@ -547,30 +447,30 @@ impl CacheArray {
     /// after a checkpoint restore, where only the cache contents are
     /// serialized.
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr, CoherenceState)) {
-        if let Some(list) = &self.lines.resident {
+        if let (Some(list), true) = (&self.seed.0, self.lines.is_unwritten()) {
             // The decoder's seed skips the dense scan entirely (the list is
             // built in index order, matching the scan below).
-            for &(i, line) in list.iter() {
+            for &(i, line) in list.0.iter() {
                 let set = i as usize / self.ways;
                 f(self.addr_of(set, line.tag), line.state);
             }
             return;
         }
-        // No seed (the array has been written in place): skip Invalid
-        // stretches with the same word-at-a-time run scan the snapshot
-        // encoder uses, instead of branching on every one of a mostly
-        // empty L2's lines.
-        let dense = &self.lines.dense;
-        let mut i = 0usize;
-        while i < dense.len() {
-            i += invalid_run_len(&dense[i..]);
-            if i == dense.len() {
-                break;
+        // No seed, or the array has been written since it was decoded:
+        // skip Invalid stretches with the same word-at-a-time run scan the
+        // snapshot encoder uses, instead of branching on every one of a
+        // mostly empty L2's lines.
+        let mut base = 0usize;
+        for piece in self.lines.pieces() {
+            let mut i = 0usize;
+            loop {
+                i += invalid_run_len(&piece[i..]);
+                let Some(line) = piece.get(i) else { break };
+                let set = (base + i) / self.ways;
+                f(self.addr_of(set, line.tag), line.state);
+                i += 1;
             }
-            let line = &dense[i];
-            let set = i / self.ways;
-            f(self.addr_of(set, line.tag), line.state);
-            i += 1;
+            base += piece.len();
         }
     }
 }
@@ -653,24 +553,34 @@ fn invalid_run_len(lines: &[Line]) -> usize {
 /// bytes, while a fully Invalid L2 costs 6 bytes instead of a megabyte.
 impl crate::checkpoint::Snap for CacheArray {
     fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        let lines = &self.lines.dense;
         self.config.encode_snap(enc);
-        enc.put_u64(lines.len() as u64);
-        let mut i = 0usize;
-        while i < lines.len() {
-            let run = invalid_run_len(&lines[i..]);
-            if run > 0 {
+        enc.put_u64(self.lines.len() as u64);
+        // An Invalid run may continue across the pieces of a forked array,
+        // so it is carried and emitted when a resident line (or the end)
+        // closes it: the bytes are those of the flat array.
+        let mut run = 0u64;
+        let flush = |enc: &mut crate::checkpoint::Encoder, run: &mut u64| {
+            if *run > 0 {
                 enc.put_u8(SNAP_INVALID_RUN);
-                enc.put_u64(run as u64);
-                i += run;
-            } else {
-                let line = &lines[i];
+                enc.put_u64(*run);
+                *run = 0;
+            }
+        };
+        for piece in self.lines.pieces() {
+            let mut i = 0usize;
+            loop {
+                let skip = invalid_run_len(&piece[i..]);
+                run += skip as u64;
+                i += skip;
+                let Some(line) = piece.get(i) else { break };
+                flush(enc, &mut run);
                 line.state.encode_snap(enc);
                 enc.put_u64(line.tag);
                 enc.put_u64(line.lru);
                 i += 1;
             }
         }
+        flush(enc, &mut run);
         self.sets.encode_snap(enc);
         self.ways.encode_snap(enc);
         self.use_clock.encode_snap(enc);
@@ -698,15 +608,14 @@ impl crate::checkpoint::Snap for CacheArray {
         // zeroed in bulk (`write_bytes`, the decode-side counterpart of
         // the encoder's word-at-a-time run scan) as the run-length walk
         // passes over them. Each resident line is written in place and
-        // recorded in the resident seed — which later powers both
-        // `for_each_resident` (snoop-filter rebuild) and the sparse
-        // copy-on-write materialization of forks (`CowLines`).
-        let (mut dense, zero_gaps) = match arena::take_lines(len) {
+        // recorded in the resident seed, which powers the residency
+        // rebuild that follows (`for_each_resident`).
+        let (mut dense, zero_gaps) = match arena::take(len) {
             Some(buf) => (buf, true),
             None => (zeroed_lines(len), false),
         };
         let ptr = dense.as_mut_ptr();
-        let mut resident = arena::take_resident();
+        let mut resident = arena::take_largest();
         let mut filled = 0usize;
         while filled < len {
             match dec.get_u8()? {
@@ -762,18 +671,21 @@ impl crate::checkpoint::Snap for CacheArray {
         let sets: u64 = Snap::decode_snap(dec)?;
         let ways = Snap::decode_snap(dec)?;
         let use_clock = Snap::decode_snap(dec)?;
-        if !sets.is_power_of_two() {
+        // The chunk map and the set mask are derived from these: they must
+        // describe the array that was just read.
+        if !sets.is_power_of_two() || ways == 0 || (sets as usize).checked_mul(ways) != Some(len) {
             return Err(CheckpointError::Corrupt {
-                what: "CacheArray set count must be a power of two".into(),
+                what: "CacheArray geometry does not match its line count".into(),
             });
         }
         let resident_count = resident.len();
+        // A decoded array is a fork template: clones share it.
+        let mut lines = ChunkCow::owned(dense, CHUNK_SETS * ways);
+        lines.share();
         Ok(CacheArray {
             config,
-            lines: Arc::new(CowLines {
-                dense,
-                resident: Some(resident),
-            }),
+            lines,
+            seed: DecodeSeed(Some(Recycled(resident))),
             sets,
             ways,
             use_clock,
@@ -936,99 +848,94 @@ mod tests {
         });
     }
 
+    fn snap_bytes(c: &CacheArray) -> Vec<u8> {
+        use crate::checkpoint::{Encoder, Snap};
+        let mut enc = Encoder::new();
+        c.encode_snap(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn residents(c: &CacheArray) -> Vec<(BlockAddr, CoherenceState)> {
+        let mut out = Vec::new();
+        c.for_each_resident(|addr, state| out.push((addr, state)));
+        out
+    }
+
     #[test]
-    fn sparse_clone_preserves_contents_and_canonicalizes_junk() {
-        use crate::checkpoint::{Decoder, Encoder, Snap};
-        fn bytes_of(c: &CacheArray) -> Vec<u8> {
-            let mut enc = Encoder::new();
-            c.encode_snap(&mut enc);
-            enc.into_bytes()
-        }
-
-        let mut a = small();
-        a.insert(BlockAddr(12), CoherenceState::Modified);
-        a.insert(BlockAddr(5), CoherenceState::Shared);
-        a.insert(BlockAddr(9), CoherenceState::Owned);
-        // Leave junk tag/lru bits on an Invalid line: invalidate keeps them.
-        a.invalidate(BlockAddr(9));
-
-        // Materialize through the scan path (a's in-place writes dropped
-        // the seed). Invalidating a non-resident block calls the mutable
-        // path — splitting the Arc — without changing any state.
-        let mut b = a.clone();
-        assert!(b.lines.resident.is_none());
-        b.invalidate(BlockAddr(60));
-        assert!(!Arc::ptr_eq(&a.lines, &b.lines), "clone materialized");
-        for addr in 0..64u64 {
-            assert_eq!(
-                a.probe(BlockAddr(addr)),
-                b.probe(BlockAddr(addr)),
-                "probe mismatch at {addr}"
-            );
-        }
-        assert_eq!(a.resident_blocks(), b.resident_blocks());
-        // Snapshot bytes are identical: the encoding run-length-encodes
-        // Invalid lines, so the junk the clone canonicalized never appears.
-        assert_eq!(bytes_of(&a), bytes_of(&b));
-
-        // Materialize through the decoder's resident seed.
-        let encoded = bytes_of(&a);
-        let restored = CacheArray::decode_snap(&mut Decoder::new(&encoded)).unwrap();
-        assert!(restored.lines.resident.is_some());
-        let mut c = restored.clone();
-        c.invalidate(BlockAddr(60));
-        assert!(!Arc::ptr_eq(&restored.lines, &c.lines));
-        assert_eq!(bytes_of(&c), encoded);
+    fn forked_array_encodes_and_walks_like_a_flat_one() {
+        use crate::checkpoint::{Decoder, Snap};
+        // 64 sets x 2 ways: four copy-on-write chunks.
+        let build = || CacheArray::new(CacheConfig::new(8192, 2, 64).unwrap()).unwrap();
+        let warm = |c: &mut CacheArray| {
+            for a in [3u64, 67, 20, 40, 63] {
+                c.insert(BlockAddr(a), CoherenceState::Shared);
+            }
+            // Leave junk tag/lru bits on an Invalid line: invalidate keeps
+            // them, a chunk copy carries them, the encoding never emits them.
+            c.invalidate(BlockAddr(20));
+        };
+        let run = |c: &mut CacheArray| {
+            c.insert(BlockAddr(131), CoherenceState::Modified); // set 3: evicts
+            c.touch(BlockAddr(63)); // last chunk
+            c.invalidate(BlockAddr(40)); // third chunk; second stays shared
+        };
+        let mut flat = build();
+        warm(&mut flat);
+        let template = CacheArray::decode_snap(&mut Decoder::new(&snap_bytes(&flat))).unwrap();
+        let mut fork = template.clone();
+        run(&mut fork);
+        run(&mut flat);
+        assert_eq!(snap_bytes(&fork), snap_bytes(&flat));
+        assert_eq!(residents(&fork), residents(&flat));
+        assert_eq!(fork.resident_blocks(), flat.resident_blocks());
+        assert!(fork.clone() == fork && fork != template);
     }
 
     #[test]
     fn decode_seeds_the_resident_list() {
-        use crate::checkpoint::{Decoder, Encoder, Snap};
+        use crate::checkpoint::{Decoder, Snap};
         let mut a = small();
         a.insert(BlockAddr(12), CoherenceState::Modified);
         a.insert(BlockAddr(5), CoherenceState::Shared);
-        let mut enc = Encoder::new();
-        a.encode_snap(&mut enc);
-        let bytes = enc.into_bytes();
-        let restored = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
+        let bytes = snap_bytes(&a);
+        let mut restored = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
 
         // The decoder records every resident line as it fills the array.
-        let seed = restored.lines.resident.as_ref().expect("decode seeds");
+        let seed = &restored.seed.0.as_ref().expect("decode seeds").0;
         assert_eq!(seed.len(), 2);
         assert!(seed.windows(2).all(|w| w[0].0 < w[1].0), "index order");
 
-        // The seeded fast paths agree with a dense scan.
+        // The seeded fast paths agree with a dense scan, and a clone (which
+        // is not handed the seed) agrees with both.
         assert_eq!(restored.resident_blocks(), a.resident_blocks());
-        let mut from_seed = Vec::new();
-        restored.for_each_resident(|addr, state| from_seed.push((addr, state)));
-        let mut from_scan = Vec::new();
-        a.for_each_resident(|addr, state| from_scan.push((addr, state)));
-        assert_eq!(from_seed, from_scan);
+        assert_eq!(residents(&restored), residents(&a));
+        assert!(restored.clone().seed.0.is_none());
+        assert_eq!(residents(&restored.clone()), residents(&a));
 
-        // A write drops the seed (it no longer describes the array).
-        let mut restored = restored;
+        // A write retires the seed from use (it no longer describes the
+        // array).
         restored.insert(BlockAddr(1), CoherenceState::Exclusive);
-        assert!(restored.lines.resident.is_none());
+        a.insert(BlockAddr(1), CoherenceState::Exclusive);
         assert_eq!(restored.resident_blocks(), 3);
+        assert_eq!(residents(&restored), residents(&a));
     }
 
     #[test]
     fn forked_clone_shares_lines_until_first_write() {
+        use crate::checkpoint::{Decoder, Snap};
         let mut a = small();
         a.insert(BlockAddr(12), CoherenceState::Modified);
-        let mut b = a.clone();
-        assert!(
-            Arc::ptr_eq(&a.lines, &b.lines),
-            "clone must share the line array"
-        );
-        // Reads keep sharing; the first mutation splits the Arc and leaves
-        // the sibling untouched.
+        let template = CacheArray::decode_snap(&mut Decoder::new(&snap_bytes(&a))).unwrap();
+        let mut b = template.clone();
+        // Reads keep sharing; the first mutation starts the fork's overlay
+        // and leaves the template untouched.
         assert_eq!(b.probe(BlockAddr(12)), CoherenceState::Modified);
-        assert!(Arc::ptr_eq(&a.lines, &b.lines));
+        assert!(b.lines.is_unwritten());
         b.invalidate(BlockAddr(12));
-        assert!(!Arc::ptr_eq(&a.lines, &b.lines));
-        assert_eq!(a.probe(BlockAddr(12)), CoherenceState::Modified);
+        assert!(!b.lines.is_unwritten() && template.lines.is_unwritten());
+        assert_eq!(template.probe(BlockAddr(12)), CoherenceState::Modified);
         assert_eq!(b.probe(BlockAddr(12)), CoherenceState::Invalid);
+        assert_eq!(snap_bytes(&template), snap_bytes(&a));
     }
 
     #[test]

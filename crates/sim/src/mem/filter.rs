@@ -34,7 +34,8 @@
 //! exact per-block [`Directory`](super::Directory) and construct it
 //! [`disabled`](SnoopFilter::disabled).
 
-use super::arena;
+use super::arena::{self, Pooled, Recycled};
+use super::cow::ChunkCow;
 use crate::ids::BlockAddr;
 
 /// Number of residency regions block addresses hash into. With the paper's
@@ -58,80 +59,41 @@ pub(crate) fn words_for(cpus: usize) -> usize {
     cpus.div_ceil(64)
 }
 
-/// Takes a zero-filled `u64` buffer of exactly `len` elements, recycled
-/// through the decode arena when a retired filter's array fits. Recycled
-/// buffers are dirty, so the resize-from-empty writes the zeros.
-fn zeroed_u64s(len: usize) -> Vec<u64> {
-    match arena::take_u64s(len) {
-        Some(mut buf) => {
-            buf.resize(len, 0);
-            buf
-        }
-        None => vec![0; len],
-    }
-}
-
-/// [`zeroed_u64s`] for the count array's element type.
-fn zeroed_u32s(len: usize) -> Vec<u32> {
-    match arena::take_u32s(len) {
-        Some(mut buf) => {
-            buf.resize(len, 0);
-            buf
-        }
-        None => vec![0; len],
-    }
+/// Takes a zero-filled buffer of exactly `len` elements, recycled through
+/// the decode arena when a retired filter's array fits. Recycled buffers are
+/// dirty, so the resize-from-empty writes the zeros.
+fn zeroed<T: Pooled + Default>(len: usize) -> Vec<T> {
+    let mut buf = arena::take(len).unwrap_or_default();
+    buf.resize(len, T::default());
+    buf
 }
 
 /// Conservative per-region summary of which nodes' L2 caches may hold a
 /// block; see the module docs for the contract.
-#[derive(Debug, PartialEq)]
+///
+/// The count array — 4 MB at the paper's 16 CPUs, written only when a
+/// block enters or leaves an L2 — is copy-on-write one region row at a time
+/// (`mem::cow`): a fork of a decoded machine shares its template's counts
+/// and copies a row the first time a residency transition lands in it.
+/// Regions are hashed, so the transitions of a short run scatter over all of
+/// them and any coarser grain would copy nearly everything. The presence
+/// words stay a flat array that a fork copies whole (512 KB, through the
+/// decode arena): they are read on every simulated L2 miss, where a chunk
+/// map would put a second dependent host-cache miss in front of each lookup.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnoopFilter {
     /// Presence bitsets, `REGIONS × words` row-major by region: bit `i` of a
     /// region's word group is set iff `counts` for node `i` in the region is
     /// nonzero. Empty when the filter is disabled.
-    bits: Vec<u64>,
+    bits: Recycled<u64>,
     /// Resident-block counts, `REGIONS × cpus`, row-major by region. A
     /// count needs 32 bits: one region can in principle absorb an entire
     /// 65,536-block L2.
-    counts: Vec<u32>,
+    counts: ChunkCow<u32>,
     /// Node count; 0 marks the filter disabled (directory configurations).
     cpus: usize,
     /// `u64` words per region: `ceil(cpus / 64)`.
     words: usize,
-}
-
-/// A fork clones its parent's filter wholesale — at the paper's 16 CPUs
-/// that is a 4 MB count array plus a 512 KB presence bitset, far and away
-/// the largest buffers a fork allocates once the line arrays are
-/// copy-on-write. Route both through the decode arena so steady-state
-/// sweep launches recycle a retired fork's arrays instead of hitting the
-/// allocator per fork.
-impl Clone for SnoopFilter {
-    fn clone(&self) -> Self {
-        let mut bits = (!self.bits.is_empty())
-            .then(|| arena::take_u64s(self.bits.len()))
-            .flatten()
-            .unwrap_or_default();
-        bits.extend_from_slice(&self.bits);
-        let mut counts = (!self.counts.is_empty())
-            .then(|| arena::take_u32s(self.counts.len()))
-            .flatten()
-            .unwrap_or_default();
-        counts.extend_from_slice(&self.counts);
-        SnoopFilter {
-            bits,
-            counts,
-            cpus: self.cpus,
-            words: self.words,
-        }
-    }
-}
-
-impl Drop for SnoopFilter {
-    fn drop(&mut self) {
-        arena::give_u64s(std::mem::take(&mut self.bits));
-        arena::give_u32s(std::mem::take(&mut self.counts));
-    }
 }
 
 impl SnoopFilter {
@@ -141,8 +103,8 @@ impl SnoopFilter {
     pub fn new(cpus: usize) -> Self {
         let words = words_for(cpus);
         SnoopFilter {
-            bits: zeroed_u64s(REGIONS * words),
-            counts: zeroed_u32s(REGIONS * cpus),
+            bits: Recycled(zeroed(REGIONS * words)),
+            counts: ChunkCow::owned(zeroed(REGIONS * cpus), cpus),
             cpus,
             words,
         }
@@ -153,11 +115,18 @@ impl SnoopFilter {
     /// the exact [`Directory`](super::Directory) instead.
     pub fn disabled() -> Self {
         SnoopFilter {
-            bits: Vec::new(),
-            counts: Vec::new(),
+            bits: Recycled(Vec::new()),
+            counts: ChunkCow::owned(Vec::new(), 1),
             cpus: 0,
             words: 0,
         }
+    }
+
+    /// Makes the count array shareable: clones made from here on share it
+    /// and copy a region row when they first change it. Called once a
+    /// restore has rebuilt the filter from the decoded caches.
+    pub fn share(&mut self) {
+        self.counts.share();
     }
 
     /// Whether the filter is tracking residency (always true for filters
@@ -175,7 +144,7 @@ impl SnoopFilter {
     pub fn candidates(&self, addr: BlockAddr) -> &[u64] {
         debug_assert!(self.enabled());
         let r = region_of(addr);
-        &self.bits[r * self.words..(r + 1) * self.words]
+        &self.bits.0[r * self.words..(r + 1) * self.words]
     }
 
     /// Whether node `cpu`'s presence bit is set for `addr`'s region.
@@ -191,10 +160,10 @@ impl SnoopFilter {
             return;
         }
         let r = region_of(addr);
-        let c = &mut self.counts[r * self.cpus + cpu];
+        let c = &mut self.counts.slice_mut(r, cpu, 1)[0];
         *c += 1;
         if *c == 1 {
-            self.bits[r * self.words + cpu / 64] |= 1u64 << (cpu % 64);
+            self.bits.0[r * self.words + cpu / 64] |= 1u64 << (cpu % 64);
         }
     }
 
@@ -206,11 +175,11 @@ impl SnoopFilter {
             return;
         }
         let r = region_of(addr);
-        let c = &mut self.counts[r * self.cpus + cpu];
+        let c = &mut self.counts.slice_mut(r, cpu, 1)[0];
         debug_assert!(*c > 0, "evicting from an empty region summary");
         *c -= 1;
         if *c == 0 {
-            self.bits[r * self.words + cpu / 64] &= !(1u64 << (cpu % 64));
+            self.bits.0[r * self.words + cpu / 64] &= !(1u64 << (cpu % 64));
         }
     }
 }

@@ -4,6 +4,7 @@
 
 pub mod arena;
 mod cache;
+mod cow;
 pub mod directory;
 pub mod filter;
 mod system;

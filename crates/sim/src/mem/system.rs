@@ -1133,6 +1133,9 @@ impl MemorySystem {
                 None => filter.note_fill(i, addr),
             });
         }
+        // A decoded machine is a fork template: its filter's counts, like
+        // its line arrays, are shared by the forks until they write them.
+        filter.share();
         Ok(MemorySystem {
             config,
             nodes,

@@ -197,6 +197,7 @@ fn checkpoint_equivalence_under_random_split() {
 /// A reference LRU model for one cache: per-set recency lists, least recent
 /// first. Mirrors the documented CacheArray contract: `insert`/`touch`
 /// refresh recency, `probe` does not, eviction takes the least recent line.
+#[derive(Clone)]
 struct LruModel {
     sets: u64,
     ways: usize,
@@ -264,40 +265,109 @@ impl LruModel {
     }
 }
 
+const STATES: [CoherenceState; 4] = [
+    CoherenceState::Modified,
+    CoherenceState::Owned,
+    CoherenceState::Exclusive,
+    CoherenceState::Shared,
+];
+
+/// A random cache operation: `(kind, address, state pick)`.
+fn random_cache_op(rng: &mut Xoshiro256StarStar, addrs: u64) -> (u64, u64, usize) {
+    (
+        rng.next_below(4),
+        rng.next_below(addrs),
+        rng.next_below(4) as usize,
+    )
+}
+
+/// Applies one operation to `cache` and `model` alike, asserting that every
+/// observable result agrees.
+fn apply_cache_op(cache: &mut CacheArray, model: &mut LruModel, op: (u64, u64, usize)) {
+    let (kind, addr, pick) = op;
+    match kind {
+        0 => {
+            let got = cache.insert(BlockAddr(addr), STATES[pick]);
+            let want = model.insert(addr, STATES[pick]);
+            assert_eq!(
+                got.map(|e| (e.addr.0, e.state)),
+                want,
+                "insert({addr}) evicted the wrong line"
+            );
+        }
+        1 => assert_eq!(cache.touch(BlockAddr(addr)), model.touch(addr)),
+        2 => assert_eq!(cache.probe(BlockAddr(addr)), model.probe(addr)),
+        _ => assert_eq!(cache.invalidate(BlockAddr(addr)), model.invalidate(addr)),
+    }
+    let resident: usize = model.recency.iter().map(Vec::len).sum();
+    assert_eq!(cache.resident_blocks(), resident);
+}
+
+fn cache_bytes(cache: &CacheArray) -> Vec<u8> {
+    use mtvar_sim::checkpoint::{Encoder, Snap};
+    let mut enc = Encoder::new();
+    cache.encode_snap(&mut enc);
+    enc.into_bytes()
+}
+
+fn decode_cache(bytes: &[u8]) -> CacheArray {
+    use mtvar_sim::checkpoint::{Decoder, Snap};
+    CacheArray::decode_snap(&mut Decoder::new(bytes)).expect("own encoding decodes")
+}
+
+fn resident_walk(cache: &CacheArray) -> Vec<(BlockAddr, CoherenceState)> {
+    let mut out = Vec::new();
+    cache.for_each_resident(|addr, state| out.push((addr, state)));
+    out
+}
+
 #[test]
 fn cache_array_matches_lru_reference_model() {
     // Random op soup against the reference model: every probe/touch result,
-    // every eviction (victim address AND state), and residency must agree.
-    let states = [
-        CoherenceState::Modified,
-        CoherenceState::Owned,
-        CoherenceState::Exclusive,
-        CoherenceState::Shared,
+    // every eviction (victim address AND state), and residency must agree —
+    // on a freshly built array, and then, mid-trace, on a decoded template
+    // and two clones of it, which share its lines chunk by chunk while each
+    // continues on a random suffix of its own. Every sharer must also stay
+    // indistinguishable from a flat array (a decode nobody shares owns its
+    // lines outright) driven through the same suffix.
+    let geometries = [
+        (1024, 4),  // 4 sets × 4 ways: one short chunk
+        (1024, 2),  // 8 sets × 2 ways: likewise
+        (2048, 1),  // 32 sets × 1 way: two chunks
+        (8192, 2),  // 64 sets × 2 ways: four chunks
+        (16384, 4), // 64 sets × 4 ways
     ];
     let mut rng = Xoshiro256StarStar::new(0x51_0009);
-    for _ in 0..48 {
-        let cfg = CacheConfig::new(1024, 4, 64).unwrap(); // 4 sets × 4 ways
+    for round in 0..50 {
+        let (size, ways) = geometries[round % geometries.len()];
+        let cfg = CacheConfig::new(size, ways, 64).unwrap();
+        // 16 tags per set: plenty of evictions.
+        let addrs = cfg.sets() * 16;
         let mut cache = CacheArray::new(cfg).unwrap();
         let mut model = LruModel::new(&cfg);
-        for _ in 0..400 {
-            let addr = rng.next_below(64); // 16 tags per set: plenty of evictions
-            match rng.next_below(4) {
-                0 => {
-                    let state = states[rng.next_below(4) as usize];
-                    let got = cache.insert(BlockAddr(addr), state);
-                    let want = model.insert(addr, state);
-                    assert_eq!(
-                        got.map(|e| (e.addr.0, e.state)),
-                        want,
-                        "insert({addr}) evicted the wrong line"
-                    );
-                }
-                1 => assert_eq!(cache.touch(BlockAddr(addr)), model.touch(addr)),
-                2 => assert_eq!(cache.probe(BlockAddr(addr)), model.probe(addr)),
-                _ => assert_eq!(cache.invalidate(BlockAddr(addr)), model.invalidate(addr)),
+        for _ in 0..rng.next_range(1, 400) {
+            apply_cache_op(&mut cache, &mut model, random_cache_op(&mut rng, addrs));
+        }
+
+        let bytes = cache_bytes(&cache);
+        let template = decode_cache(&bytes);
+        assert_eq!(resident_walk(&template), resident_walk(&cache));
+        let mut sharers = [template.clone(), template.clone(), template];
+        for (i, sharer) in sharers.iter_mut().enumerate() {
+            let (mut flat, mut flat_model) = (decode_cache(&bytes), model.clone());
+            let mut model = model.clone();
+            for _ in 0..rng.next_range(1, 300) {
+                let op = random_cache_op(&mut rng, addrs);
+                apply_cache_op(sharer, &mut model, op);
+                apply_cache_op(&mut flat, &mut flat_model, op);
             }
-            let resident: usize = model.recency.iter().map(Vec::len).sum();
-            assert_eq!(cache.resident_blocks(), resident);
+            for addr in 0..addrs {
+                assert_eq!(sharer.probe(BlockAddr(addr)), model.probe(addr));
+            }
+            assert_eq!(resident_walk(sharer), resident_walk(&flat));
+            assert_eq!(cache_bytes(sharer), cache_bytes(&flat));
+            assert!(*sharer == flat, "sharer {i} differs from the flat array");
+            assert!(sharer.clone() == flat, "a clone of sharer {i} differs");
         }
     }
 }
@@ -439,6 +509,7 @@ fn commit_log_is_sorted_and_complete() {
 /// Naive reference model for the snoop filter: each node's exact resident
 /// set, answering candidate queries by scanning for any resident block in
 /// the queried address's region.
+#[derive(Clone)]
 struct FilterModel {
     resident: Vec<std::collections::HashSet<u64>>,
 }
@@ -458,12 +529,59 @@ impl FilterModel {
     }
 }
 
+/// One random fill-or-evict of a pool address on `filter`, `model` and the
+/// `flat` rebuild, followed by an exactness check of the full candidate
+/// bitset for a random probe address (resident or not) against the model.
+fn step_filter(
+    rng: &mut Xoshiro256StarStar,
+    pool: &[u64],
+    cpus: usize,
+    filter: &mut mtvar_sim::mem::SnoopFilter,
+    flat: &mut mtvar_sim::mem::SnoopFilter,
+    model: &mut FilterModel,
+) {
+    let cpu = rng.next_below(cpus as u64) as usize;
+    let addr = pool[rng.next_below(pool.len() as u64) as usize];
+    if model.resident[cpu].remove(&addr) {
+        filter.note_evict(cpu, BlockAddr(addr));
+        flat.note_evict(cpu, BlockAddr(addr));
+    } else {
+        filter.note_fill(cpu, BlockAddr(addr));
+        flat.note_fill(cpu, BlockAddr(addr));
+        model.resident[cpu].insert(addr);
+    }
+    let probe = BlockAddr(pool[rng.next_below(pool.len() as u64) as usize]);
+    assert_eq!(
+        filter.candidates(probe).len(),
+        cpus.div_ceil(64),
+        "{cpus} cpus: candidate bitset has the wrong width"
+    );
+    for c in 0..cpus {
+        assert_eq!(
+            filter.may_hold(c, probe),
+            model.may_hold(c, probe),
+            "{cpus} cpus: node {c} presence bit diverged for block {:#x}",
+            probe.0,
+        );
+        if !filter.may_hold(c, probe) {
+            assert!(
+                !model.resident[c].contains(&probe.0),
+                "{cpus} cpus: clear bit was a false negative",
+            );
+        }
+    }
+}
+
 /// Random fill/evict/query sequences against the reference model, at node
 /// counts on both sides of the old u16 limit and both sides of a bitset
 /// word boundary. The filter must be *exact at region granularity*: bit set
 /// iff the node holds at least one block in the region — which subsumes the
 /// conservative-exact property (a clear bit is never a false negative: the
-/// node provably holds no copy of the queried address).
+/// node provably holds no copy of the queried address). Mid-trace the filter
+/// is made shareable, as a restore leaves it, and cloned twice; the three
+/// sharers then copy region rows on write while each continues on a random
+/// suffix of its own, and each must still match its own model and a flat
+/// filter rebuilt from the same operations.
 #[test]
 fn snoop_filter_matches_reference_model_at_every_scale() {
     use mtvar_sim::mem::SnoopFilter;
@@ -471,6 +589,7 @@ fn snoop_filter_matches_reference_model_at_every_scale() {
         let mut rng = Xoshiro256StarStar::new(0x51_F1_7E ^ (cpus as u64));
         for _ in 0..8 {
             let mut filter = SnoopFilter::new(cpus);
+            let mut flat = SnoopFilter::new(cpus);
             assert!(filter.enabled(), "{cpus} cpus: filter must stay enabled");
             let mut model = FilterModel::new(cpus);
             // Structured pool like the workload generators': widely spaced
@@ -478,38 +597,20 @@ fn snoop_filter_matches_reference_model_at_every_scale() {
             let pool: Vec<u64> = (0..96u64)
                 .map(|i| 0x10_0000_0000 + (i % 6) * 0x4000_0000 + (i / 6) * 64)
                 .collect();
-            for _ in 0..600 {
-                let cpu = rng.next_below(cpus as u64) as usize;
-                let addr = pool[rng.next_below(pool.len() as u64) as usize];
-                if model.resident[cpu].contains(&addr) {
-                    filter.note_evict(cpu, BlockAddr(addr));
-                    model.resident[cpu].remove(&addr);
-                } else {
-                    filter.note_fill(cpu, BlockAddr(addr));
-                    model.resident[cpu].insert(addr);
+            for _ in 0..300 {
+                step_filter(&mut rng, &pool, cpus, &mut filter, &mut flat, &mut model);
+            }
+            filter.share();
+            let mut sharers = [filter.clone(), filter.clone(), filter];
+            for sharer in &mut sharers {
+                let (mut flat, mut model) = (flat.clone(), model.clone());
+                for _ in 0..100 {
+                    step_filter(&mut rng, &pool, cpus, sharer, &mut flat, &mut model);
                 }
-                // Exactness of the full candidate bitset for a random probe
-                // address (resident or not) against the naive model.
-                let probe = BlockAddr(pool[rng.next_below(pool.len() as u64) as usize]);
-                assert_eq!(
-                    filter.candidates(probe).len(),
-                    cpus.div_ceil(64),
-                    "{cpus} cpus: candidate bitset has the wrong width"
+                assert!(
+                    *sharer == flat,
+                    "{cpus} cpus: sharer differs from a flat rebuild"
                 );
-                for c in 0..cpus {
-                    assert_eq!(
-                        filter.may_hold(c, probe),
-                        model.may_hold(c, probe),
-                        "{cpus} cpus: node {c} presence bit diverged for block {:#x}",
-                        probe.0,
-                    );
-                    if !filter.may_hold(c, probe) {
-                        assert!(
-                            !model.resident[c].contains(&probe.0),
-                            "{cpus} cpus: clear bit was a false negative",
-                        );
-                    }
-                }
             }
         }
     }

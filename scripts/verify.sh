@@ -16,9 +16,12 @@ cd "$(dirname "$0")/.."
 # methodology tables in crates/bench/benches/ — so no BENCH_*.json record or
 # examples/bench_* stopwatch comes back — and snapshot decode is
 # single-threaded (restore_with_threads is a forward kept in machine.rs for
-# the frozen benchmark/ alone). A second copy or a revived entry point
-# anywhere else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence"
+# the frozen benchmark/ alone). Copy-on-write has one home as well:
+# mem::cow's chunk map (found by its sentinel constant) is the only way an
+# array is shared, so whole-array Arc::make_mut and the CowLines seeded clone
+# stay gone. A second copy or a revived entry point anywhere else fails here,
+# before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -32,9 +35,12 @@ stray=$(
     grep -rln -e 'restore_with_threads' -e 'note_region_fill' -e 'ResidencySeed' \
         crates src tests examples | grep -v -x -e 'crates/sim/src/machine.rs' || true
     ls BENCH_*.json examples/bench_* 2>/dev/null || true
+    grep -rln -e 'make_mut' -e 'CowLines' crates/sim/src || true
+    grep -rln -e 'CHUNK_UNMAPPED' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/mem/cow.rs' || true
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point or retired bench record outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record or copy-on-write mechanism outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi

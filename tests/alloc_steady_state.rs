@@ -33,16 +33,23 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Largest single request since it was last reset.
+static LARGEST_ALLOCATION: AtomicU64 = AtomicU64::new(0);
 
 /// Serializes the tests in this binary: the counters above are
 /// process-global, and the harness runs `#[test]`s concurrently.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    LARGEST_ALLOCATION.fetch_max(bytes as u64, Ordering::Relaxed);
+}
+
 // SAFETY: defers entirely to `System`; the counters are relaxed atomics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -52,17 +59,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Regrowth is exactly what this test hunts; count it like an alloc.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // The cache line arrays are calloc-backed (sparse copy-on-write
-        // materialization); count those allocations the same as the rest so
-        // the fork-vs-restore budget below measures them faithfully.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // Fresh cache line arrays are calloc-backed; count those
+        // allocations the same as the rest so the fork-vs-restore budget
+        // below measures them faithfully.
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -169,10 +174,11 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     let fork_allocs = fork_allocs_1 - fork_allocs_0;
     let fork_bytes = fork_bytes_1 - fork_bytes_0;
 
-    // The line arrays — the dominant decoded state — are Arc-shared until
-    // first write, so a fork allocates only the small per-run containers
-    // (event wheel, scheduler state, workload queues), a fraction of what a
-    // full decode pays.
+    // The line arrays and the snoop filter's counts — the dominant decoded
+    // state — are shared until written, so a fork allocates only the
+    // filter's presence words (512 KB; the arena is cold here) and the small
+    // per-run containers (event wheel, scheduler state, workload queues), a
+    // fraction of what a full decode pays.
     assert!(
         fork_bytes <= restore_bytes / 4,
         "fork allocated {fork_bytes} bytes vs {restore_bytes} for a full \
@@ -181,23 +187,62 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     );
 
     // The fork must still be a working machine: run a perturbed window
-    // (the first write to each array materializes its private copy via the
-    // decoder's resident-line seed).
+    // (each array copies in the chunks the window writes).
     fork.set_perturbation(fork.config().perturbation_max_ns, 7);
     fork.run_transactions(20).expect("forked run");
     drop(template);
 }
 
+/// A fork costs what it touches, and what it touches is recycled: after one
+/// warm-up round has left this thread's pool holding a fork's private chunk
+/// buffers and chunk maps, a whole launch — fork the template, run a short
+/// perturbed window, drop the fork — asks the allocator for under a megabyte
+/// in total (the per-run containers of the test below, plus their regrowth
+/// during the window) and never for a megabyte at once. Growing a fresh
+/// private buffer for one L2 (1.5 MB of capacity), or copying the snoop
+/// filter's count array (4 MB) past the arena, fails both bounds on its own.
+#[test]
+fn warm_fork_and_short_run_allocate_under_a_megabyte() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    mtvar_sim::mem::arena::clear();
+    let machine = warmed_reference_machine();
+    let ck = machine.snapshot();
+    drop(machine);
+    let template: Machine<mtvar_workloads::profile::ProfiledWorkload> =
+        Machine::restore(&ck).expect("restore");
+    let launch = |seed| {
+        let mut fork = template.fork();
+        fork.set_perturbation(fork.config().perturbation_max_ns, seed);
+        fork.run_transactions(25).expect("forked run");
+    };
+    launch(1);
+
+    LARGEST_ALLOCATION.store(0, Ordering::Relaxed);
+    let (allocs_0, bytes_0) = counters();
+    launch(2);
+    let (allocs_1, bytes_1) = counters();
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    let (allocs, bytes) = (allocs_1 - allocs_0, bytes_1 - bytes_0);
+    assert!(
+        largest < 1 << 20 && bytes <= 1 << 20,
+        "a warm fork + 25-transaction run allocated {bytes} bytes in {allocs} \
+         requests, the largest {largest}; forks have stopped recycling what \
+         they copy"
+    );
+}
+
 /// The decode arena's claim for steady-state sweep launches: once the
 /// thread's pools hold one round's worth of retired buffers, a template
-/// decode plus 32 forks never re-allocates the multi-megabyte recycled
-/// buffers — the dense line arrays (~25 MB across the reference machine's
-/// 48 caches) on the decode side, and the snoop filter's 4 MB count +
-/// 0.5 MB presence arrays on the fork side — and the arena's hit counter
-/// proves the pooled buffers were actually reused rather than the working
-/// set merely shrinking. What remains inside the budgets is the honest
-/// per-round container churn: the decoded event list, scheduler and
-/// workload state, and each fork's private wheel/core/queue clones.
+/// decode never re-allocates the multi-megabyte recycled buffers — the
+/// dense line arrays (~25 MB across the reference machine's 48 caches) and
+/// the snoop filter's 4 MB count + 0.5 MB presence arrays — and the arena's
+/// hit counter proves the pooled buffers were actually reused rather than
+/// the working set merely shrinking. The 32 forks that follow share the
+/// line arrays and the counts with the template (a pointer copy each) and
+/// draw their presence words from the pool, so what remains inside the
+/// budgets is the honest per-round container churn: the decoded event list,
+/// scheduler and workload state, and each fork's private wheel/core/queue
+/// clones.
 #[test]
 fn arena_warm_template_decode_and_forks_stay_in_budget() {
     use mtvar_sim::mem::arena;
@@ -210,9 +255,9 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     // Retire the warmed machine's line arrays into this thread's arena.
     drop(machine);
 
-    // Warmup round: one decode + fork batch, fully dropped, grows every
-    // pooled buffer (line arrays, resident seeds, filter arrays) to
-    // steady-state size.
+    // Warmup round: one decode + fork batch, fully dropped, leaves every
+    // buffer a decode takes (line arrays, resident seeds, filter arrays) in
+    // the pool.
     {
         let template: Machine<mtvar_workloads::profile::ProfiledWorkload> =
             Machine::restore(&ck).expect("warmup decode");
@@ -248,13 +293,15 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
         "warm template decode allocated {decode_allocs} times / \
          {decode_bytes} bytes; the arena stopped recycling decode buffers"
     );
-    // A warm fork allocates ~600 KB of per-run containers (~290
-    // allocations). If the snoop-filter arrays stop recycling, each fork
-    // pays 4.5 MB again and the batch lands near 150 MB — 4x over budget.
+    // A fork allocates ~600 KB of per-run containers (~290 allocations):
+    // 19.2 MB for the batch, plus a quarter. A fork that copied the
+    // filter's counts (4 MB) or a single L2 (1.5 MB) instead of sharing
+    // them, or took its presence words (0.5 MB) past the arena, would land
+    // the batch at 147 MB, 67 MB or 36 MB.
     assert!(
-        fork_allocs <= 12_000 && (fork_bytes as usize) <= 40_000_000,
-        "{FORKS} warm forks allocated {fork_allocs} times / {fork_bytes} \
-         bytes; the arena stopped recycling the filter arrays"
+        fork_allocs <= 12_000 && (fork_bytes as usize) <= 24_000_000,
+        "{FORKS} forks allocated {fork_allocs} times / {fork_bytes} bytes; \
+         forks have stopped sharing the template's arrays"
     );
     drop(forks);
     drop(template);

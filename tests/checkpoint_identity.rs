@@ -12,6 +12,12 @@
 //! 3. **Crash safety** — a truncated or bit-flipped spill file is detected
 //!    by content fingerprint and falls back to re-simulation with the same
 //!    results.
+//! 4. **Fork isolation** — forks share their template's line arrays and
+//!    snoop filter chunk by chunk, so: running forks never changes the
+//!    template; a fork that outlives its template, and a fork of a fork, run
+//!    exactly as a fresh restore does (results, digests and post-run
+//!    snapshot bytes — the encoder walking a forked array); and siblings
+//!    running at once on two threads never see each other.
 //!
 //! [`RunResult`]: mtvar::sim::stats::RunResult
 
@@ -196,6 +202,104 @@ fn original_restored_and_forked_machines_launch_one_run_space() {
             );
         }
     }
+}
+
+const FORK_WINDOW: u64 = 25;
+
+/// A decoded template of the warmed OLTP machine, and the snapshot it was
+/// decoded from.
+fn fork_template() -> (
+    Machine<ProfiledWorkload>,
+    mtvar::sim::checkpoint::Checkpoint,
+) {
+    let mut warmed = Machine::new(config(), Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED)).unwrap();
+    warmed.run_transactions(WARMUP).expect("warmup");
+    let snapshot = warmed.snapshot();
+    (Machine::restore(&snapshot).expect("restore"), snapshot)
+}
+
+/// One perturbed window on `machine`: its result, digest and the bytes of
+/// the state it leaves behind.
+fn perturbed_window(
+    machine: &mut Machine<ProfiledWorkload>,
+    seed: u64,
+) -> (mtvar::sim::stats::RunResult, u64, Vec<u8>) {
+    machine.set_perturbation(4, seed);
+    let result = machine.run_transactions(FORK_WINDOW).expect("window");
+    let digest = run_digest(&result);
+    (result, digest, machine.snapshot().payload().to_vec())
+}
+
+#[test]
+fn running_forks_leaves_the_template_untouched() {
+    let (template, snapshot) = fork_template();
+    for seed in 0..8 {
+        let mut fork = template.fork();
+        perturbed_window(&mut fork, seed);
+    }
+    let after = template.snapshot();
+    assert_eq!(after.fingerprint(), snapshot.fingerprint());
+    assert_eq!(after.payload(), snapshot.payload());
+}
+
+#[test]
+fn outliving_and_second_generation_forks_run_like_a_fresh_restore() {
+    let (template, snapshot) = fork_template();
+    let fresh = || -> Machine<ProfiledWorkload> { Machine::restore(&snapshot).expect("restore") };
+
+    // The reference never shares anything: a restore nobody forks owns its
+    // arrays outright from its first write.
+    let mut reference = fresh();
+    let want_first = perturbed_window(&mut reference, 11);
+    let want_second = perturbed_window(&mut reference, 12);
+
+    let mut parent = template.fork();
+    let mut outliving = template.fork();
+    drop(template);
+    assert_eq!(
+        perturbed_window(&mut outliving, 11),
+        want_first,
+        "a fork that outlived its template diverged from a fresh restore"
+    );
+
+    // Second generation: forked from a fork that already carries an overlay
+    // of its own, and run after that fork has moved on.
+    assert_eq!(perturbed_window(&mut parent, 11), want_first);
+    let mut grandchild = parent.fork();
+    perturbed_window(&mut parent, 99);
+    assert_eq!(
+        perturbed_window(&mut grandchild, 12),
+        want_second,
+        "a fork of a fork diverged from a fresh restore"
+    );
+}
+
+#[test]
+fn sibling_forks_on_two_threads_match_the_same_forks_run_in_turn() {
+    let (template, snapshot) = fork_template();
+    let in_turn: Vec<_> = [21, 22]
+        .map(|seed| perturbed_window(&mut template.fork(), seed))
+        .into();
+
+    // Both siblings make their first write — the moment each decides it
+    // shares the template — and run their windows at the same time.
+    let start = std::sync::Barrier::new(2);
+    let at_once: Vec<_> = std::thread::scope(|scope| {
+        let handles = [21, 22].map(|seed| {
+            let mut fork = template.fork();
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                perturbed_window(&mut fork, seed)
+            })
+        });
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sibling fork panicked"))
+            .collect()
+    });
+    assert_eq!(at_once, in_turn);
+    assert_eq!(template.snapshot().payload(), snapshot.payload());
 }
 
 #[test]
