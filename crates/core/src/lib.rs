@@ -70,6 +70,7 @@ pub mod compare;
 pub mod experiment;
 pub mod golden;
 pub mod metrics;
+mod pool;
 pub mod report;
 pub mod resultcache;
 pub mod runspace;

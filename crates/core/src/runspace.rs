@@ -9,10 +9,17 @@
 //! # Parallel execution
 //!
 //! Every run in a space is independent — the ensemble is embarrassingly
-//! parallel — so the [`Executor`] fans runs out across scoped OS threads
-//! ([`std::thread::scope`], no external crates) that claim run indices from
-//! one shared atomic counter. Three properties make the parallel path safe
-//! to adopt everywhere:
+//! parallel — so an [`Executor`] of `T >= 2` threads fans runs out across
+//! `T` persistent worker threads (std only, no external crates) that claim
+//! run indices from one shared atomic counter. The workers start with the
+//! first sweep that needs them, park between sweeps — so their thread-local
+//! decode arenas stay warm from sweep to sweep — are shared by the
+//! executor's clones, and are joined when the last clone drops. A
+//! [`timesample`](crate::timesample) checkpoint sweep adds one more thread,
+//! which warms the next starting point while the workers run the forks of
+//! the current one. An executor of one thread is strictly single-threaded:
+//! every warmup and every run happens on the calling thread. Three
+//! properties make the parallel path safe to adopt everywhere:
 //!
 //! 1. **Deterministic seeding.** Each run's perturbation seed is derived by
 //!    [`derive_run_seed`], a SplitMix64-style mix of `(config_id, base_seed,
@@ -47,7 +54,7 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mtvar_sim::checkpoint::{Checkpoint, Snap};
@@ -62,6 +69,7 @@ use mtvar_stats::describe::Summary;
 pub use mtvar_sim::check::{InvariantKind, Violation};
 
 use crate::checkpoint::{CheckpointKey, CheckpointStore};
+use crate::pool::Pool;
 use crate::resultcache::{ResultStore, RunKey, RunRecord};
 use crate::{CoreError, Result};
 
@@ -480,12 +488,15 @@ impl ResultCache {
 ///
 /// Fans the perturbed runs of a [`RunPlan`] out across OS threads, memoizes
 /// completed runs, and reports progress — see the [module docs](self) for
-/// the determinism contract. Construction is cheap; the thread pool is
-/// scoped per call, while the cache lives for the executor's lifetime (and
-/// is shared by clones of the executor).
+/// the determinism contract. Construction is cheap: the worker threads
+/// start with the first sweep that fans out, and then live — like the cache
+/// — for the executor's lifetime, shared by clones of the executor and
+/// joined when the last clone drops. A run that panics takes no worker with
+/// it: the panic resurfaces, payload intact, from the call that launched
+/// the sweep, and the executor stays usable.
 #[derive(Clone)]
 pub struct Executor {
-    threads: usize,
+    pool: Arc<Pool>,
     cache: Option<Arc<ResultCache>>,
     checkpoint_store: Option<Arc<CheckpointStore>>,
     progress: Option<Arc<dyn RunProgress>>,
@@ -495,7 +506,7 @@ pub struct Executor {
 impl fmt::Debug for Executor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Executor")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .field("cached_runs", &self.cache_len())
             .field("has_checkpoint_store", &self.checkpoint_store.is_some())
             .field("has_progress", &self.progress.is_some())
@@ -527,7 +538,7 @@ impl Executor {
     /// caching enabled.
     pub fn with_threads(threads: usize) -> Self {
         Executor {
-            threads: threads.max(1),
+            pool: Arc::new(Pool::new(threads)),
             cache: Some(Arc::new(ResultCache::default())),
             checkpoint_store: None,
             progress: None,
@@ -537,7 +548,7 @@ impl Executor {
 
     /// Number of worker threads this executor uses.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// Attaches a progress observer (shared with clones of the executor).
@@ -729,53 +740,7 @@ impl Executor {
         W: Workload + Snap,
         F: Fn() -> W,
     {
-        let mut warm_cfg = config.clone().with_perturbation(0, 0);
-        if self.strict_invariants {
-            // Strict warmup still watches for violations; the monitored
-            // configuration fingerprints differently, so monitored and
-            // unmonitored snapshots never alias in the store.
-            warm_cfg = warm_cfg.with_invariant_checks();
-        }
-        let key = CheckpointKey {
-            config: config_fingerprint(&warm_cfg),
-            workload: workload_fingerprint(&mut make_workload()),
-            base_seed,
-            warmup,
-        };
-        let store = self.checkpoint_store.as_deref();
-        let warm = || {
-            // Deepest usable prefix: the store's longest shorter-warmup entry
-            // vs. the caller-supplied candidate.
-            let mut prefix = store.and_then(|s| s.longest_prefix(&key));
-            if let Some((done, ck)) = from {
-                if done <= warmup && prefix.as_ref().is_none_or(|(w, _)| done > *w) {
-                    prefix = Some((done, Arc::new(ck.clone())));
-                }
-            }
-            // Counters are normalized before snapshotting so the bytes — and
-            // the fingerprint that seeds `run_space_from_snapshot` — depend
-            // only on the warmed architectural state, never on whether it
-            // was reached in one warmup call or by extending a prefix.
-            let mut machine: Machine<W> = match prefix {
-                Some((done, ck)) if done == warmup => return Ok(ck),
-                Some((done, ck)) => {
-                    let mut machine = self.restore_template(&ck)?;
-                    machine.run_transactions(warmup - done)?;
-                    machine
-                }
-                None => {
-                    let mut machine = Machine::new(warm_cfg, make_workload())?;
-                    machine.run_transactions(warmup)?;
-                    machine
-                }
-            };
-            machine.normalize_measurement();
-            Ok(Arc::new(machine.snapshot()))
-        };
-        match store {
-            Some(store) => store.get_or_warm(key, warm),
-            None => warm(),
-        }
+        WarmChain::new(self, config, make_workload, base_seed).advance(warmup, from)
     }
 
     /// Runs `plan` with every run forked from `snapshot`: restore, switch
@@ -911,7 +876,7 @@ impl Executor {
             }
         }
 
-        let outcomes = run_on_pool(self.threads, &misses, |run_index| {
+        let outcomes = self.pool.run(&misses, |run_index| {
             if let Some(p) = &self.progress {
                 p.run_started(run_index);
             }
@@ -974,42 +939,120 @@ enum Source<'a, W> {
     Snapshot(&'a Machine<W>, Nanos),
 }
 
-/// Executes `job` for every element of `items` on scoped worker threads and
-/// returns the outcomes in `items` order.
-///
-/// Workers claim the next unclaimed position from one shared counter until
-/// it runs past the end. Ordering of *execution* is nondeterministic;
-/// ordering of *results* is by construction the input order, which is what
-/// keeps parallel run spaces bit-identical to sequential ones.
-fn run_on_pool<T, J>(threads: usize, items: &[usize], job: J) -> Vec<T>
+/// One warmup that advances from starting point to starting point: the
+/// body of [`Executor::warm_checkpoint`], which advances a fresh chain once,
+/// and of a [`timesample`](crate::timesample) sweep, which advances one
+/// chain through every position. The chain keeps the machine it warmed
+/// alive, so the next position simulates only the transactions in between
+/// instead of decoding the snapshot the same machine has just encoded.
+pub(crate) struct WarmChain<'a, W, F> {
+    executor: &'a Executor,
+    warm_cfg: MachineConfig,
+    make_workload: &'a F,
+    /// The chain's `(config, workload, base_seed)` space; `warmup` is set
+    /// per advance.
+    key: CheckpointKey,
+    /// The machine the last simulated advance left behind, and how many
+    /// transactions it has warmed. `None` before the first one, and after an
+    /// advance that failed part-way (its machine cannot be trusted).
+    live: Option<(u64, Machine<W>)>,
+}
+
+impl<'a, W, F> WarmChain<'a, W, F>
 where
-    T: Send + Sync,
-    J: Fn(usize) -> T + Sync,
+    W: Workload + Snap,
+    F: Fn() -> W,
 {
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(|&i| job(i)).collect();
+    pub(crate) fn new(
+        executor: &'a Executor,
+        config: &MachineConfig,
+        make_workload: &'a F,
+        base_seed: u64,
+    ) -> Self {
+        let mut warm_cfg = config.clone().with_perturbation(0, 0);
+        if executor.strict_invariants {
+            // Strict warmup still watches for violations; the monitored
+            // configuration fingerprints differently, so monitored and
+            // unmonitored snapshots never alias in the store.
+            warm_cfg = warm_cfg.with_invariant_checks();
+        }
+        let key = CheckpointKey {
+            config: config_fingerprint(&warm_cfg),
+            workload: workload_fingerprint(&mut make_workload()),
+            base_seed,
+            warmup: 0,
+        };
+        WarmChain {
+            executor,
+            warm_cfg,
+            make_workload,
+            key,
+            live: None,
+        }
     }
 
-    // Slot k receives the outcome of items[k].
-    let slots: Vec<OnceLock<T>> = (0..items.len()).map(|_| OnceLock::new()).collect();
-    // Relaxed: the counter only hands out distinct positions. The outcomes
-    // are published by the slots and by the scope's join, not by it.
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&item) = items.get(k) else { break };
-                let _ = slots[k].set(job(item));
-            });
+    /// The snapshot after `warmup` transactions, through the store's
+    /// single-flight when the executor has a store: a stored snapshot is
+    /// returned as is and the live machine stays where it was.
+    pub(crate) fn advance(
+        &mut self,
+        warmup: u64,
+        from: Option<(u64, &Checkpoint)>,
+    ) -> Result<Arc<Checkpoint>> {
+        let key = CheckpointKey { warmup, ..self.key };
+        let executor = self.executor;
+        match executor.checkpoint_store.as_deref() {
+            Some(store) => store.get_or_warm(key, || self.warm(&key, from)),
+            None => self.warm(&key, from),
         }
-    });
+    }
 
-    slots
+    fn warm(
+        &mut self,
+        key: &CheckpointKey,
+        from: Option<(u64, &Checkpoint)>,
+    ) -> Result<Arc<Checkpoint>> {
+        let warmup = key.warmup;
+        // Deepest usable snapshot: the store's longest shorter-warmup entry
+        // vs. the caller-supplied candidate (the store wins a tie).
+        let store = self.executor.checkpoint_store.as_deref();
+        let stored = store.and_then(|s| s.longest_prefix(key));
+        let snapshot = [
+            from.filter(|(done, _)| *done <= warmup),
+            stored.as_ref().map(|(done, ck)| (*done, ck.as_ref())),
+        ]
         .into_iter()
-        .map(|slot| slot.into_inner().expect("all jobs completed"))
-        .collect()
+        .flatten()
+        .max_by_key(|(done, _)| *done);
+        let mut live = self.live.take().filter(|(done, _)| *done <= warmup);
+        match snapshot {
+            // Only the caller's candidate can sit at `warmup` itself: the
+            // one arm that hands a copy of it back.
+            Some((done, ck)) if done == warmup => return Ok(Arc::new(ck.clone())),
+            // Restore only what is deeper than the machine already in hand.
+            Some((done, ck)) if live.as_ref().is_none_or(|(at, _)| done > *at) => {
+                live = Some((done, self.executor.restore_template(ck)?));
+            }
+            _ => {}
+        }
+        let (done, mut machine) = match live {
+            Some(live) => live,
+            None => (
+                0,
+                Machine::new(self.warm_cfg.clone(), (self.make_workload)())?,
+            ),
+        };
+        machine.run_transactions(warmup - done)?;
+        // Counters are normalized before snapshotting so the bytes — and
+        // the fingerprint that seeds `run_space_from_snapshot` — depend
+        // only on the warmed architectural state, never on whether it was
+        // reached in one warmup call, by extending a restored prefix, or by
+        // a machine that has been snapshotted before and kept running.
+        machine.normalize_measurement();
+        let snapshot = Arc::new(machine.snapshot());
+        self.live = Some((warmup, machine));
+        Ok(snapshot)
+    }
 }
 
 /// Runs `plan` on a fresh machine per run, sequentially: build with the
@@ -1037,6 +1080,7 @@ where
 mod tests {
     use super::*;
     use mtvar_sim::workload::SharingWorkload;
+    use std::collections::HashSet;
 
     fn small_config() -> MachineConfig {
         MachineConfig::hpca2003()
@@ -1405,6 +1449,15 @@ mod tests {
         assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
     }
 
+    /// The pool as `execute` drives it, on a pool of its own.
+    fn run_on_pool<T, J>(threads: usize, items: &[usize], job: J) -> Vec<T>
+    where
+        T: Send + Sync,
+        J: Fn(usize) -> T + Sync,
+    {
+        Pool::new(threads).run(items, job)
+    }
+
     #[test]
     fn pool_runs_every_item_once_and_preserves_input_order() {
         for threads in [1, 2, 4, 16] {
@@ -1423,6 +1476,137 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Records which threads run the runs, and counts those threads' exits:
+    /// the first run on a thread parks a guard in a thread-local, whose
+    /// destructor runs when the thread ends — before a `join` of it returns.
+    #[derive(Default)]
+    struct WorkerWatch {
+        seen: Mutex<HashSet<std::thread::ThreadId>>,
+        exited: Arc<AtomicUsize>,
+    }
+
+    struct ExitGuard(Arc<AtomicUsize>);
+
+    impl Drop for ExitGuard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_GUARD: std::cell::RefCell<Option<ExitGuard>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    impl WorkerWatch {
+        /// The threads seen since the last call.
+        fn take_threads(&self) -> HashSet<std::thread::ThreadId> {
+            std::mem::take(&mut *self.seen.lock().unwrap())
+        }
+    }
+
+    impl RunProgress for WorkerWatch {
+        fn run_started(&self, _run_index: usize) {
+            self.seen
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            EXIT_GUARD.with(|guard| {
+                guard
+                    .borrow_mut()
+                    .get_or_insert_with(|| ExitGuard(Arc::clone(&self.exited)));
+            });
+        }
+    }
+
+    #[test]
+    fn workers_persist_across_sweeps_are_shared_by_clones_and_exit_with_the_last() {
+        let watch = Arc::new(WorkerWatch::default());
+        let exec = Executor::with_threads(2)
+            .without_cache()
+            .with_progress(watch.clone() as Arc<dyn RunProgress>);
+        let plan = RunPlan::new(20).with_runs(8);
+        let sweep = |exec: &Executor| {
+            exec.run_space(&small_config(), small_workload, &plan)
+                .unwrap()
+        };
+        let reference = sweep(&exec);
+        let first = watch.take_threads();
+        assert!(
+            !first.is_empty() && first.len() <= 2,
+            "two workers at most: {first:?}"
+        );
+        assert!(
+            !first.contains(&std::thread::current().id()),
+            "at T = 2 the submitting thread runs nothing"
+        );
+        // Until both workers have been seen, a later sweep may still add one.
+        let mut workers = first;
+        for _ in 0..3 {
+            assert_eq!(sweep(&exec), reference);
+            workers.extend(watch.take_threads());
+            assert!(workers.len() <= 2, "a sweep ran on a fresh thread");
+        }
+        // A clone — differently configured, even — submits to the same pool.
+        let clone = exec.clone().with_invariant_checks();
+        assert_eq!(sweep(&clone).results(), reference.results());
+        assert!(watch.take_threads().is_subset(&workers));
+        drop(exec);
+        assert_eq!(
+            watch.exited.load(Ordering::SeqCst),
+            0,
+            "workers outlive all but the last clone"
+        );
+        assert_eq!(sweep(&clone).results(), reference.results());
+        assert!(watch.take_threads().is_subset(&workers));
+        drop(clone);
+        assert_eq!(
+            watch.exited.load(Ordering::SeqCst),
+            workers.len(),
+            "dropping the last clone joins every worker"
+        );
+
+        // One thread is no pool at all: the caller runs everything.
+        let solo = Executor::sequential()
+            .without_cache()
+            .with_progress(watch.clone() as Arc<dyn RunProgress>);
+        assert_eq!(sweep(&solo), reference);
+        assert_eq!(
+            watch.take_threads(),
+            HashSet::from([std::thread::current().id()])
+        );
+    }
+
+    #[test]
+    fn a_panicking_run_resurfaces_on_the_caller_and_leaves_the_executor_usable() {
+        /// Panics at the start of run 2 while armed.
+        struct Tripwire(std::sync::atomic::AtomicBool);
+        impl RunProgress for Tripwire {
+            fn run_started(&self, run_index: usize) {
+                if run_index == 2 && self.0.load(Ordering::SeqCst) {
+                    panic!("run 2 tripped");
+                }
+            }
+        }
+        let tripwire = Arc::new(Tripwire(true.into()));
+        let exec = Executor::with_threads(2)
+            .without_cache()
+            .with_progress(tripwire.clone() as Arc<dyn RunProgress>);
+        let plan = RunPlan::new(20).with_runs(6);
+        let sweep = |exec: &Executor| exec.run_space(&small_config(), small_workload, &plan);
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep(&exec))).unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"run 2 tripped"),
+            "the run's own panic, not a pool's summary of it"
+        );
+        tripwire.0.store(false, Ordering::SeqCst);
+        let after = sweep(&exec).unwrap();
+        let fresh = sweep(&Executor::with_threads(2).without_cache()).unwrap();
+        assert_eq!(after, fresh, "results, hence digests, of an untouched pool");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mtvar_sim::rng::Xoshiro256StarStar;
 use mtvar_sim::workload::Workload;
 use mtvar_stats::infer::{anova_one_way, Anova};
 
-use crate::runspace::{Executor, RunPlan};
+use crate::runspace::{Executor, RunPlan, WarmChain};
 use crate::{CoreError, Result};
 
 /// How starting points are placed through the workload's lifetime.
@@ -179,16 +179,28 @@ impl TimeSampleStudy {
 /// Collects a [`TimeSampleStudy`] (§5.2) over explicit starting points —
 /// `positions` are cumulative warmup transactions, strictly increasing, e.g.
 /// from [`checkpoint_positions`]. Builds the machine itself from
-/// `(config, make_workload)`, warms each position via
-/// [`Executor::warm_checkpoint`] — so an attached
+/// `(config, make_workload)`, warms each position with the one warmup body
+/// behind [`Executor::warm_checkpoint`] — so an attached
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore) memoizes the
 /// warmed states across sweeps and processes — and forks each position's
 /// perturbed run space from the restored snapshot with
 /// [`Executor::run_space_from_snapshot`].
 ///
-/// Consecutive positions chain even without a store: position `p[i+1]`
-/// extends position `p[i]`'s snapshot, so one sweep simulates
-/// `max(positions)` warmup transactions in total rather than their sum.
+/// Consecutive positions chain even without a store: the machine that
+/// warmed position `p[i]` is snapshotted and then simply keeps running to
+/// `p[i+1]` (a stored snapshot deeper than that machine is restored
+/// instead), so one sweep simulates `max(positions)` warmup transactions in
+/// total rather than their sum.
+///
+/// On an executor of two or more threads the chain runs on a thread of its
+/// own, exactly one position ahead: while the executor's workers run the
+/// forks of `p[i]`, the chain thread warms `p[i+1]` and then waits to hand
+/// it over. The warmups themselves stay strictly serial, one machine
+/// advancing through the positions in order, so every snapshot — and with
+/// it every seed and result — is the one a single-threaded sweep takes. On
+/// an executor of one thread the chain is advanced on the calling thread
+/// and the sweep starts no thread at all.
+///
 /// Seeds derive from each snapshot's content fingerprint, so the positions'
 /// seed streams are decorrelated without manual seed blocking. Warmup is
 /// unperturbed under this protocol (the perturbation stream starts
@@ -198,7 +210,9 @@ impl TimeSampleStudy {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidExperiment`] for fewer than two positions or
-/// non-increasing positions, and propagates simulator errors.
+/// non-increasing positions, and propagates simulator errors: the error of
+/// the earliest position that failed, whether in its warmup or in its runs,
+/// regardless of what the chain thread met further ahead.
 pub fn sweep_positions_with<W, F>(
     executor: &Executor,
     config: &MachineConfig,
@@ -220,28 +234,55 @@ where
             what: "checkpoint positions must be strictly increasing and positive".into(),
         });
     }
-    let mut groups = Vec::with_capacity(positions.len());
-    let mut checkpoints = Vec::with_capacity(positions.len());
-    let mut violations = Vec::with_capacity(positions.len());
-    let mut prev: Option<(u64, Arc<Checkpoint>)> = None;
-    for &pos in positions {
-        let snap = executor.warm_checkpoint(
-            config,
-            &make_workload,
-            plan.base_seed,
-            pos,
-            prev.as_ref().map(|(warmed, ck)| (*warmed, ck.as_ref())),
-        )?;
-        let space =
-            executor.run_space_from_snapshot::<W>(&snap, config.perturbation_max_ns, plan)?;
-        groups.push(space.runtimes());
-        checkpoints.push(pos);
-        violations.push(space.total_violations());
-        prev = Some((pos, snap));
+    let mut chain = WarmChain::new(executor, config, &make_workload, plan.base_seed);
+    // The one sweep loop: fork each position's runs from its snapshot, in
+    // order, stopping at the first failure — wherever the snapshots come from.
+    let fork_each = |snapshots: &mut dyn Iterator<Item = Result<Arc<Checkpoint>>>| {
+        let mut groups = Vec::with_capacity(positions.len());
+        let mut violations = Vec::with_capacity(positions.len());
+        for snapshot in snapshots {
+            let snapshot = snapshot?;
+            let space = executor.run_space_from_snapshot::<W>(
+                &snapshot,
+                config.perturbation_max_ns,
+                plan,
+            )?;
+            groups.push(space.runtimes());
+            violations.push(space.total_violations());
+        }
+        let mut study = TimeSampleStudy::from_groups(groups, positions.to_vec())?;
+        study.violations = violations;
+        Ok(study)
+    };
+    if executor.threads() == 1 {
+        return fork_each(&mut positions.iter().map(|&pos| chain.advance(pos, None)));
     }
-    let mut study = TimeSampleStudy::from_groups(groups, checkpoints)?;
-    study.violations = violations;
-    Ok(study)
+    std::thread::scope(|scope| {
+        // A rendezvous: the chain thread warms position i+1 while the loop
+        // above forks position i, then blocks here until the loop comes back
+        // for it — never more than one snapshot ahead.
+        let (ahead, snapshots) = std::sync::mpsc::sync_channel(0);
+        let chain_thread = scope.spawn(move || {
+            for &pos in positions {
+                let snapshot = chain.advance(pos, None);
+                let failed = snapshot.is_err();
+                // The receiver is gone once the loop has failed: stop warming.
+                if ahead.send(snapshot).is_err() || failed {
+                    break;
+                }
+            }
+        });
+        // Dropping the receiver when the loop ends (early or not) is what
+        // releases a chain thread blocked in `send`.
+        let study = fork_each(&mut snapshots.into_iter());
+        // Joined by hand rather than left to the scope: the thread has then
+        // exited, its decode arena freed, before the sweep returns, and a
+        // panic inside a warmup resurfaces as itself.
+        if let Err(panic) = chain_thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+        study
+    })
 }
 
 #[cfg(test)]

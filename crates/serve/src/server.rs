@@ -87,7 +87,10 @@ pub struct ServeConfig {
     pub socket: PathBuf,
     /// Dispatcher threads executing jobs (>= 1).
     pub dispatchers: usize,
-    /// Worker threads inside the shared executor (>= 1).
+    /// Worker threads inside the shared executor (>= 1). Two or more are
+    /// one pool that every dispatcher's sweep submits to, so this caps the
+    /// runs in flight across all jobs; with one, each dispatcher runs its
+    /// job's sweep on its own thread.
     pub executor_threads: usize,
     /// Queue admission limit.
     pub queue_limit: usize,

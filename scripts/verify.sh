@@ -19,9 +19,14 @@ cd "$(dirname "$0")/.."
 # the frozen benchmark/ alone). Copy-on-write has one home as well:
 # mem::cow's chunk map (found by its sentinel constant) is the only way an
 # array is shared, so whole-array Arc::make_mut and the CowLines seeded clone
-# stay gone. A second copy or a revived entry point anywhere else fails here,
-# before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write"
+# stay gone. Threads have one home each in mtvar-core: the executor's
+# persistent workers are started in pool.rs and a sweep's warm-ahead chain
+# thread in timesample.rs, so no other non-test code there spawns or scopes
+# a thread; and the warmup body — run to the position, normalize_measurement,
+# snapshot — is WarmChain::warm in runspace.rs, once, shared by
+# warm_checkpoint and the sweep. A second copy or a revived entry point
+# anywhere else fails here, before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -38,9 +43,19 @@ stray=$(
     grep -rln -e 'make_mut' -e 'CowLines' crates/sim/src || true
     grep -rln -e 'CHUNK_UNMAPPED' crates src tests examples |
         grep -v -x -e 'crates/sim/src/mem/cow.rs' || true
+    for f in crates/core/src/*.rs; do
+        # Non-test code only: everything above the file's test module.
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -q -e 'thread::scope' -e 'thread::spawn' -e 'thread::Builder' &&
+            echo "$f"
+    done | grep -v -x -e 'crates/core/src/pool.rs' -e 'crates/core/src/timesample.rs' || true
+    grep -rln -e 'normalize_measurement' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/machine.rs' -e 'crates/core/src/runspace.rs' || true
+    [ "$(grep -c -e 'normalize_measurement()' crates/core/src/runspace.rs)" -eq 1 ] ||
+        echo "crates/core/src/runspace.rs: the warmup body must appear exactly once"
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record or copy-on-write mechanism outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread or warmup body outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -142,6 +157,18 @@ cargo test -q --offline --release --test alloc_steady_state
 
 echo "==> snapshot gate: restore/fork allocation budget, release (invariant monitor on)"
 cargo test -q --offline --release --features invariant-monitor --test alloc_steady_state
+
+# Pipeline gate: a checkpoint sweep warms on a chain thread one position
+# ahead of the forks and keeps its warmed machine live between positions;
+# studies and stored snapshots must not depend on thread count, on what the
+# store already held, or on whether a position was reached live or by
+# restore, and a failure must return the earliest position's error with the
+# chain thread gone. Release, so the 16-CPU and 64-CPU chains run at size.
+echo "==> pipeline gate: sweep thread-count/store invariance, failure order, release"
+cargo test -q --offline --release --test sweep_pipeline
+
+echo "==> pipeline gate: sweep pipeline, release (invariant monitor on)"
+cargo test -q --offline --release --features invariant-monitor --test sweep_pipeline
 
 # Service gate: the run-space daemon. Frame fuzz proves every mutated or
 # hostile request/response frame errors without panicking or allocating

@@ -23,10 +23,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Mutex};
 
+use mtvar_core::runspace::{Executor, RunPlan, RunProgress};
 use mtvar_sim::config::MachineConfig;
 use mtvar_sim::machine::Machine;
+use mtvar_workloads::profile::ProfiledWorkload;
 use mtvar_workloads::Benchmark;
 
 struct CountingAllocator;
@@ -305,4 +307,57 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     );
     drop(forks);
     drop(template);
+}
+
+/// The executor's workers are persistent, so their decode arenas are too:
+/// the first fork sweep on a T = 2 executor finds both workers' arenas
+/// empty and allocates every fork's presence words, chunk maps and private
+/// chunk buffers fresh; the second finds them parked where the first left
+/// them. (The calling thread's arena is warmed beforehand, so the template
+/// decode costs both sweeps the same.) Workers that died with their sweep —
+/// scoped threads — would make the two sweeps allocate alike.
+#[test]
+fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
+    /// Makes the first two runs overlap, so that both workers fork — and
+    /// fill their arenas — in the first sweep however the host schedules.
+    struct BothWorkers {
+        arrivals: AtomicU64,
+        together: Barrier,
+    }
+    impl RunProgress for BothWorkers {
+        fn run_started(&self, _run_index: usize) {
+            if self.arrivals.fetch_add(1, Ordering::SeqCst) < 2 {
+                self.together.wait();
+            }
+        }
+    }
+
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    mtvar_sim::mem::arena::clear();
+    let machine = warmed_reference_machine();
+    let ck = machine.snapshot();
+    let max_ns = machine.config().perturbation_max_ns;
+    drop(machine);
+    drop(Machine::<ProfiledWorkload>::restore(&ck).expect("arena-warming decode"));
+
+    let exec = Executor::with_threads(2)
+        .without_cache()
+        .with_progress(Arc::new(BothWorkers {
+            arrivals: AtomicU64::new(0),
+            together: Barrier::new(2),
+        }));
+    let sweep_bytes = |base_seed| {
+        let plan = RunPlan::new(25).with_runs(4).with_base_seed(base_seed);
+        let (_, bytes_0) = counters();
+        exec.run_space_from_snapshot::<ProfiledWorkload>(&ck, max_ns, &plan)
+            .expect("fork sweep");
+        counters().1 - bytes_0
+    };
+    let first = sweep_bytes(1);
+    let second = sweep_bytes(2);
+    assert!(
+        second < first / 2,
+        "the second sweep allocated {second} bytes against the first's {first}; \
+         the workers' arenas did not survive from one sweep to the next"
+    );
 }

@@ -1,0 +1,367 @@
+//! The checkpoint sweep's pipeline gate, run by `scripts/verify.sh` in
+//! release with the `invariant-monitor` feature both off and on.
+//!
+//! `sweep_positions_with` warms its starting points with one chain — a
+//! machine that is snapshotted and keeps running, restored only when the
+//! store holds something deeper — and, on an executor of two or more
+//! threads, runs that chain on a thread of its own, one position ahead of
+//! the forks. None of that may show in a result:
+//!
+//! 1. **Thread-count and store invariance** — at T = 1 / 2 / 4, with no
+//!    store, an empty one, a full one and partly filled ones (which force
+//!    the chain to switch between its live machine and a restore), the
+//!    studies are equal and every stored snapshot is byte-equal to a
+//!    straight warmup from cycle zero.
+//! 2. **Live chain == restore-extended chain** — on the paper's 16-CPU
+//!    snooping OLTP machine and on a 64-CPU directory machine.
+//! 3. **Failure order and shutdown** — the error returned is the earliest
+//!    position's, whatever the chain thread met further ahead; the call
+//!    returns, and the chain thread is gone when it does.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use mtvar::core::checkpoint::CheckpointStore;
+use mtvar::core::runspace::{Executor, RunPlan};
+use mtvar::core::timesample::{sweep_positions_with, TimeSampleStudy};
+use mtvar::core::CoreError;
+use mtvar::sim::checkpoint::Checkpoint;
+use mtvar::sim::config::{FaultSpec, MachineConfig};
+use mtvar::sim::ids::{LockId, ThreadId};
+use mtvar::sim::machine::Machine;
+use mtvar::sim::mem::CoherenceState;
+use mtvar::sim::ops::Op;
+use mtvar::sim::workload::{SharingWorkload, Workload};
+use mtvar::sim::SimError;
+use mtvar::workloads::profile::ProfiledWorkload;
+use mtvar::workloads::Benchmark;
+
+const WORKLOAD_SEED: u64 = 42;
+
+/// Each position's snapshot as the store holds it after a sweep. Every
+/// lookup must be a hit: asking may not simulate anything.
+fn stored_snapshots(
+    store: &Arc<CheckpointStore>,
+    config: &MachineConfig,
+    make: &impl Fn() -> ProfiledWorkload,
+    positions: &[u64],
+) -> Vec<Arc<Checkpoint>> {
+    let exec = Executor::sequential().with_checkpoint_store(Arc::clone(store));
+    let simulated = store.warmups_simulated();
+    let snapshots = positions
+        .iter()
+        .map(|&pos| exec.warm_checkpoint(config, make, 0, pos, None).unwrap())
+        .collect();
+    assert_eq!(
+        store.warmups_simulated(),
+        simulated,
+        "a position was missing"
+    );
+    snapshots
+}
+
+fn assert_byte_equal(got: &[Arc<Checkpoint>], want: &[Arc<Checkpoint>], what: &str) {
+    assert_eq!(got.len(), want.len());
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            got.fingerprint(),
+            want.fingerprint(),
+            "{what}: position {i}"
+        );
+        assert!(
+            got.payload() == want.payload(),
+            "{what}: position {i} bytes"
+        );
+    }
+}
+
+#[test]
+fn sweeps_are_thread_count_and_store_invariant() {
+    const CPUS: usize = 4;
+    let config = MachineConfig::hpca2003()
+        .with_cpus(CPUS)
+        .with_perturbation(4, 0x1DE7);
+    let make = || Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED);
+    let positions: Vec<u64> = (1..=6).map(|i| i * 10).collect();
+    let plan = RunPlan::new(15).with_runs(4);
+
+    // The reference snapshots: each position warmed straight from cycle
+    // zero, no store, no chain.
+    let straight: Vec<Arc<Checkpoint>> = positions
+        .iter()
+        .map(|&pos| {
+            Executor::sequential()
+                .warm_checkpoint(&config, &make, 0, pos, None)
+                .unwrap()
+        })
+        .collect();
+
+    // Which positions the store holds before the sweep; `None` is no store.
+    let every: Vec<usize> = (0..positions.len()).collect();
+    let prefills: [(&str, Option<&[usize]>); 5] = [
+        ("no store", None),
+        ("empty store", Some(&[])),
+        ("full store", Some(&every)),
+        // p0 built, p1 hit, p2 restored from p1, p3 hit, p4 restored, p5 hit.
+        ("every other position", Some(&[1, 3, 5])),
+        // p0 built, p1 hit, p2 restored, p3 live, p4 hit, p5 restored.
+        ("two positions", Some(&[1, 4])),
+    ];
+
+    let mut reference: Option<TimeSampleStudy> = None;
+    for (what, prefill) in prefills {
+        for threads in [1, 2, 4] {
+            let what = format!("{what}, T = {threads}");
+            let mut exec = Executor::with_threads(threads).without_cache();
+            let store = prefill.map(|held| {
+                let store = Arc::new(CheckpointStore::new());
+                let filler = Executor::sequential().with_checkpoint_store(Arc::clone(&store));
+                for &i in held {
+                    filler
+                        .warm_checkpoint(&config, &make, 0, positions[i], None)
+                        .unwrap();
+                }
+                assert_eq!(store.len(), held.len());
+                store
+            });
+            if let Some(store) = &store {
+                exec = exec.with_checkpoint_store(Arc::clone(store));
+            }
+
+            let study = sweep_positions_with(&exec, &config, make, &positions, &plan).unwrap();
+            assert_eq!(study.checkpoints(), positions, "{what}");
+            // Equal studies are equal snapshots too: every run's seed derives
+            // from its snapshot's fingerprint.
+            assert_eq!(
+                reference.get_or_insert_with(|| study.clone()),
+                &study,
+                "{what}"
+            );
+
+            if let Some(store) = &store {
+                assert_eq!(store.len(), positions.len(), "{what}");
+                assert_eq!(
+                    store.warmups_simulated(),
+                    positions.len() as u64,
+                    "{what}: each position is simulated once, before or by the sweep"
+                );
+                let stored = stored_snapshots(store, &config, &make, &positions);
+                assert_byte_equal(&stored, &straight, &what);
+            }
+        }
+    }
+}
+
+/// Sweeps `positions` with the live chain (empty store, T = 2: every
+/// position is a miss, so one machine runs through all of them on the chain
+/// thread) and, separately, warms them one `warm_checkpoint` call at a time
+/// (each call restores the deepest stored prefix and extends it).
+fn live_chain_matches_restore_extension(config: &MachineConfig, cpus: usize) {
+    let make = move || Benchmark::Oltp.workload(cpus, WORKLOAD_SEED);
+    let positions = [4, 8, 12];
+    let plan = RunPlan::new(5).with_runs(2);
+
+    let live = Arc::new(CheckpointStore::new());
+    let exec = Executor::with_threads(2)
+        .without_cache()
+        .with_checkpoint_store(Arc::clone(&live));
+    let study = sweep_positions_with(&exec, config, make, &positions, &plan).unwrap();
+    assert_eq!(live.warmups_simulated(), 3);
+
+    let extended = Arc::new(CheckpointStore::new());
+    let stepwise = Executor::sequential()
+        .without_cache()
+        .with_checkpoint_store(Arc::clone(&extended));
+    for pos in positions {
+        stepwise
+            .warm_checkpoint(config, &make, 0, pos, None)
+            .unwrap();
+    }
+    assert_byte_equal(
+        &stored_snapshots(&live, config, &make, &positions),
+        &stored_snapshots(&extended, config, &make, &positions),
+        "live chain vs restore-extended",
+    );
+    // And the forks of those snapshots, single-threaded, are the same study.
+    let again = sweep_positions_with(&stepwise, config, make, &positions, &plan).unwrap();
+    assert_eq!(study, again);
+}
+
+#[test]
+fn live_chain_snapshots_equal_restore_extended_ones_on_the_16_cpu_snooping_machine() {
+    let config = MachineConfig::hpca2003().with_perturbation(4, 0x1DE7);
+    assert_eq!(config.cpus, 16);
+    live_chain_matches_restore_extension(&config, 16);
+}
+
+#[test]
+fn live_chain_snapshots_equal_restore_extended_ones_on_a_64_cpu_directory_machine() {
+    let config = MachineConfig::hpca2003()
+        .with_cpus(64)
+        .with_directory_coherence()
+        .with_perturbation(4, 0x1DE7);
+    live_chain_matches_restore_extension(&config, 64);
+}
+
+// ---------------------------------------------------------------------------
+// Failure order and shutdown
+// ---------------------------------------------------------------------------
+
+/// Two threads of lock-free sharing traffic that wedge for good once each
+/// has committed `limit` transactions: each takes a lock of its own with its
+/// first op and holds it for ever, and asks for the other's when it is done.
+/// The machine can therefore commit exactly `2 * limit` transactions, on
+/// any perturbation seed, and reports a deadlock on the next.
+#[derive(Debug, Clone)]
+struct Wedging {
+    inner: SharingWorkload,
+    limit: u32,
+    started: Vec<bool>,
+    committed: Vec<u32>,
+}
+
+impl Wedging {
+    fn new(limit: u32) -> Self {
+        Wedging {
+            inner: SharingWorkload::new(2, 9, 12, 512, 0),
+            limit,
+            started: vec![false; 2],
+            committed: vec![0; 2],
+        }
+    }
+}
+
+impl Workload for Wedging {
+    fn thread_count(&self) -> usize {
+        2
+    }
+
+    fn next_op(&mut self, thread: ThreadId) -> Op {
+        let i = thread.index();
+        let own_lock = |i: usize| LockId(100 + i as u32);
+        if !self.started[i] {
+            self.started[i] = true;
+            return Op::Lock(own_lock(i));
+        }
+        if self.committed[i] == self.limit {
+            return Op::Lock(own_lock(1 - i));
+        }
+        let op = self.inner.next_op(thread);
+        if op == Op::TxnEnd {
+            self.committed[i] += 1;
+        }
+        op
+    }
+
+    fn name(&self) -> &str {
+        "wedging"
+    }
+}
+
+mtvar::sim::impl_snap!(Wedging {
+    inner,
+    limit,
+    started,
+    committed
+});
+
+/// Counts the exits of threads other than the test's that called the
+/// workload factory — on a pipelined sweep that is the chain thread, which
+/// builds the machine. The guard parks in a thread-local, whose destructor
+/// runs as the thread ends.
+struct ExitGuard(Arc<AtomicUsize>);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static EXIT_GUARD: std::cell::RefCell<Option<ExitGuard>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Runs a three-position sweep whose third warmup must wedge, on a thread of
+/// its own so that a hang fails the test instead of stalling the suite.
+/// Returns the sweep's error and how many foreign factory-calling threads
+/// had exited by the time the sweep returned.
+fn wedged_sweep(exec: Executor, config: MachineConfig) -> (CoreError, usize) {
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let home = std::thread::current().id();
+        let exited = Arc::new(AtomicUsize::new(0));
+        let make = || {
+            if std::thread::current().id() != home {
+                EXIT_GUARD.with(|guard| {
+                    guard
+                        .borrow_mut()
+                        .get_or_insert_with(|| ExitGuard(Arc::clone(&exited)));
+                });
+            }
+            Wedging::new(15)
+        };
+        // 30 commits in all. The runs of 10 span commits 11-18 and those of
+        // 20 span 21-28; warming on from 20 to 40 wedges at 30.
+        let plan = RunPlan::new(8).with_runs(3);
+        let error = sweep_positions_with(&exec, &config, make, &[10, 20, 40], &plan).unwrap_err();
+        let _ = done.send((error, exited.load(Ordering::SeqCst)));
+    });
+    outcome
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the sweep hung or panicked instead of returning its error")
+}
+
+fn wedging_config() -> MachineConfig {
+    MachineConfig::hpca2003()
+        .with_cpus(2)
+        .with_perturbation(4, 0)
+}
+
+#[test]
+fn the_wedging_workload_commits_exactly_its_limit() {
+    let mut machine = Machine::new(wedging_config(), Wedging::new(15)).unwrap();
+    machine.run_transactions(30).expect("2 x 15 commits");
+    let err = machine.run_transactions(1).unwrap_err();
+    assert!(matches!(err, SimError::Deadlock { .. }), "got {err}");
+}
+
+#[test]
+fn a_failing_warmup_ends_the_sweep_and_the_chain_thread() {
+    for threads in [1, 2, 4] {
+        let exec = Executor::with_threads(threads).without_cache();
+        let (error, chain_exits) = wedged_sweep(exec, wedging_config());
+        assert!(
+            matches!(error, CoreError::Sim(SimError::Deadlock { .. })),
+            "T = {threads}: got {error}"
+        );
+        // T = 1 never leaves the calling thread; above it there is exactly
+        // one chain thread, and the sweep does not return before it ends.
+        assert_eq!(chain_exits, usize::from(threads > 1), "T = {threads}");
+    }
+}
+
+#[test]
+fn the_earliest_positions_error_wins_over_a_failure_further_ahead() {
+    // Commit 24 falls inside the runs launched from 20 and nowhere before,
+    // so a strict executor fails that position's runs — while the chain
+    // thread, one position ahead, is wedging on its way to 40.
+    let faulted = wedging_config().with_fault(FaultSpec::coherence(
+        24,
+        1,
+        0xFA11,
+        CoherenceState::Exclusive,
+    ));
+    for threads in [1, 2, 4] {
+        let exec = Executor::with_threads(threads)
+            .without_cache()
+            .with_invariant_checks();
+        let (error, chain_exits) = wedged_sweep(exec, faulted.clone());
+        assert!(
+            matches!(error, CoreError::InvariantViolation { run: 0, .. }),
+            "T = {threads}: position 20's violation must win, got {error}"
+        );
+        assert_eq!(chain_exits, usize::from(threads > 1), "T = {threads}");
+    }
+}
