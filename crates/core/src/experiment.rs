@@ -106,25 +106,33 @@ impl Experiment {
         self.run_with(&Executor::sequential(), make_workload)
     }
 
-    /// Runs every arm's perturbed run space on `executor` and assembles the
-    /// report.
+    /// Runs every arm's perturbed run space on `executor` as one batch and
+    /// assembles the report.
     ///
-    /// Each arm's runs fan out over the executor's thread pool; per-arm seed
-    /// streams derive from each configuration's fingerprint, so the result is
-    /// independent of thread count and of the order arms execute in. The
-    /// executor's cache lets repeated or overlapping experiments re-use runs.
+    /// The arms' shared warmups run side by side, one pool job per arm
+    /// (through the checkpoint store's single-flight when one is attached,
+    /// so arms that warm the same state simulate it once), and then every
+    /// arm's runs fan out over the executor's thread pool together. Per-arm
+    /// seed streams derive from each configuration's fingerprint, so the
+    /// report equals the one assembled from one [`Executor::run_space`] call
+    /// per arm, on any thread count. The executor's cache lets repeated or
+    /// overlapping experiments — and arms with equal configurations under
+    /// different names — re-use runs.
     ///
     /// # Errors
     ///
-    /// Propagates simulator and statistics errors.
+    /// Propagates simulator and statistics errors: the first one of the
+    /// arm-by-arm reading (an arm's warmup, then its runs, lowest run index
+    /// first), whatever order the batch met them in.
     pub fn run_with<W, F>(&self, executor: &Executor, make_workload: F) -> Result<ExperimentReport>
     where
         W: Workload + Snap + Clone + Send + Sync,
         F: Fn() -> W + Sync,
     {
+        let configs: Vec<&MachineConfig> = self.arms.iter().map(|arm| &arm.config).collect();
+        let spaces = executor.run_spaces(&configs, make_workload, &self.plan)?;
         let mut arms = Vec::with_capacity(self.arms.len());
-        for arm in &self.arms {
-            let space = executor.run_space(&arm.config, &make_workload, &self.plan)?;
+        for (arm, space) in self.arms.iter().zip(spaces) {
             let runtimes = space.runtimes();
             let variability = VariabilityReport::from_runtimes(&runtimes)?;
             arms.push(ArmResult {

@@ -17,9 +17,15 @@
 //! executor's clones, and are joined when the last clone drops. A
 //! [`timesample`](crate::timesample) checkpoint sweep adds one more thread,
 //! which warms the next starting point while the workers run the forks of
-//! the current one. An executor of one thread is strictly single-threaded:
-//! every warmup and every run happens on the calling thread. Three
-//! properties make the parallel path safe to adopt everywhere:
+//! the current one. An [`Experiment`](crate::experiment::Experiment) hands
+//! all its arms to the workers as one batch: every arm's shared warmup and
+//! template decode at once, one job per arm, then every arm's runs in one
+//! fan-out, then every template dropped on a worker, so that its arrays
+//! park in an arena that decodes again. A lone sweep is the same batch with
+//! one arm, whose warmup and template stay on the calling thread. An
+//! executor of one thread is strictly single-threaded: every warmup and
+//! every run happens on the calling thread. Three properties make the
+//! parallel path safe to adopt everywhere:
 //!
 //! 1. **Deterministic seeding.** Each run's perturbation seed is derived by
 //!    [`derive_run_seed`], a SplitMix64-style mix of `(config_id, base_seed,
@@ -51,7 +57,7 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -317,6 +323,11 @@ pub fn workload_fingerprint<W: Workload>(probe: &mut W) -> u64 {
 ///
 /// All methods have empty defaults; implementations must be cheap and
 /// thread-safe — callbacks arrive concurrently from worker threads.
+///
+/// A `run_index` is always the run's index within its own space. The arms
+/// of an [`Experiment`](crate::experiment::Experiment) run as one batch, so
+/// their callbacks interleave, and several arms report the same indices:
+/// an observer that must tell the arms apart needs one executor per arm.
 pub trait RunProgress: Send + Sync {
     /// A run left the queue and began simulating.
     fn run_started(&self, run_index: usize) {
@@ -652,7 +663,8 @@ impl Executor {
     /// Propagates configuration and deadlock errors from the simulator; in
     /// strict mode, also [`CoreError::InvariantViolation`]. When several
     /// runs fail, the error of the lowest run index is returned
-    /// (deterministically, regardless of scheduling).
+    /// (deterministically, regardless of scheduling); a warmup error comes
+    /// before every run error.
     pub fn run_space<W, F>(
         &self,
         config: &MachineConfig,
@@ -663,39 +675,47 @@ impl Executor {
         W: Workload + Snap + Clone + Send + Sync,
         F: Fn() -> W + Sync,
     {
+        let mut spaces = self.run_spaces(&[config], make_workload, plan)?;
+        Ok(spaces.pop().expect("one space per configuration"))
+    }
+
+    /// Runs `plan` for every configuration of `configs` as one batch: the
+    /// body of [`Executor::run_space`] (one configuration) and of
+    /// [`Experiment::run_with`](crate::experiment::Experiment::run_with)
+    /// (one per arm). Every configuration's space is the one `run_space`
+    /// would return for it alone; only the scheduling differs — all shared
+    /// warmups at once, then all runs in one fan-out.
+    ///
+    /// # Errors
+    ///
+    /// The first error of the sequential reading: configuration by
+    /// configuration, its warmup before its runs, the lowest run index
+    /// first.
+    pub(crate) fn run_spaces<W, F>(
+        &self,
+        configs: &[&MachineConfig],
+        make_workload: F,
+        plan: &RunPlan,
+    ) -> Result<Vec<RunSpace>>
+    where
+        W: Workload + Snap + Clone + Send + Sync,
+        F: Fn() -> W + Sync,
+    {
         plan.validate()?;
-        // The fingerprint (and hence every derived seed) comes from the
-        // caller's configuration; strict mode flips check_invariants on the
-        // per-run clone only, below, so it can never change the seeds.
-        let config_id = config_fingerprint(config);
         let workload_id = workload_fingerprint(&mut make_workload());
-        if plan.shared_warmup && plan.warmup_transactions > 0 {
-            let snapshot = self.warm_checkpoint(
-                config,
-                &make_workload,
-                plan.base_seed,
-                plan.warmup_transactions,
-                None,
-            )?;
-            // Seeds stay a pure function of the *caller's* configuration —
-            // not of the snapshot bytes, which differ between feature
-            // builds — so shared-warmup sweeps are reproducible everywhere.
-            // The domain constant keeps them decorrelated from (and the
-            // cache disjoint with) the legacy path's seed stream.
-            let source_id = config_id ^ SHARED_WARMUP_DOMAIN;
-            let template: Machine<W> = self.restore_template(&snapshot)?;
-            // The snapshot already embodies the plan's warmup: no settling.
-            let source = Source::Snapshot(&template, config.perturbation_max_ns);
-            return self.execute(plan, source_id, workload_id, 0, &source);
-        }
-        let source = Source::Cold(config, &make_workload);
-        self.execute(
-            plan,
-            config_id,
-            workload_id,
-            plan.warmup_transactions,
-            &source,
-        )
+        let make: &(dyn Fn() -> W + Sync) = &make_workload;
+        let shared = plan.shared_warmup && plan.warmup_transactions > 0;
+        let starts: Vec<Start<'_, W>> = configs
+            .iter()
+            .map(|&config| {
+                if shared {
+                    Start::Warmed(config, make)
+                } else {
+                    Start::Cold(config, make)
+                }
+            })
+            .collect();
+        self.launch_arms(plan, workload_id, &starts)
     }
 
     /// Produces the warmed snapshot for `(config, workload, base_seed,
@@ -775,15 +795,9 @@ impl Executor {
         W: Workload + Snap + Clone + Send + Sync,
     {
         plan.validate()?;
-        let template: Machine<W> = self.restore_template(snapshot)?;
-        let source = Source::Snapshot(&template, perturbation_max_ns);
-        self.execute(
-            plan,
-            snapshot.fingerprint(),
-            0,
-            plan.warmup_transactions,
-            &source,
-        )
+        let start = Start::<W>::Snapshot(snapshot, perturbation_max_ns);
+        let mut spaces = self.launch_arms(plan, 0, &[start])?;
+        Ok(spaces.pop().expect("one space per snapshot"))
     }
 
     /// Decodes `snapshot` once into the machine a sweep forks every run
@@ -792,6 +806,71 @@ impl Executor {
     /// per array that copies only the chunks its run writes.
     fn restore_template<W: Workload + Snap>(&self, snapshot: &Checkpoint) -> Result<Machine<W>> {
         Ok(Machine::restore(snapshot)?)
+    }
+
+    /// The launch body of every sweep. Three pool batches: each arm's
+    /// template is warmed (or fetched from the store) and decoded, one job
+    /// per arm, so the arms' warmups run side by side and equal warmups
+    /// meet in the store's single-flight; every arm's runs fan out
+    /// together, so the tail of one arm never idles a worker the next could
+    /// use; and the templates are dropped on the workers, so their arrays
+    /// park in the arenas that decode and fork the next ones instead of in
+    /// the caller's, which never takes them back. A batch of one job, and
+    /// every batch at T = 1, runs on the calling thread.
+    ///
+    /// Returns one space per arm, or the first error of the sequential
+    /// reading: arm by arm, its warmup before its runs.
+    fn launch_arms<W>(
+        &self,
+        plan: &RunPlan,
+        workload_id: u64,
+        starts: &[Start<'_, W>],
+    ) -> Result<Vec<RunSpace>>
+    where
+        W: Workload + Snap + Clone + Send + Sync,
+    {
+        let every_arm: Vec<usize> = (0..starts.len()).collect();
+        let decoded = self.pool.run(&every_arm, |arm| {
+            let warmed;
+            let snapshot = match starts[arm] {
+                Start::Cold(..) => return Ok(None),
+                Start::Warmed(config, make_workload) => {
+                    warmed = self.warm_checkpoint(
+                        config,
+                        &make_workload,
+                        plan.base_seed,
+                        plan.warmup_transactions,
+                        None,
+                    )?;
+                    &*warmed
+                }
+                Start::Snapshot(snapshot, _) => snapshot,
+            };
+            self.restore_template(snapshot).map(Some)
+        });
+        // Read in sequence, the first failed warmup ends the batch: the
+        // arms before it launch, the ones after it never would.
+        let mut templates: Vec<Option<Machine<W>>> = Vec::with_capacity(starts.len());
+        let mut warm_error = None;
+        for decoded in decoded {
+            match decoded {
+                Ok(template) => templates.push(template),
+                Err(e) => {
+                    warm_error = Some(e);
+                    break;
+                }
+            }
+        }
+        let arms: Vec<(u64, u64, Source<'_, W>)> = starts
+            .iter()
+            .zip(&templates)
+            .map(|(start, template)| start.source(plan, template.as_ref()))
+            .collect();
+        let mut spaces = self.execute(plan, workload_id, &arms);
+        drop(arms);
+        self.retire(templates);
+        spaces.extend(warm_error.map(Err));
+        spaces.into_iter().collect()
     }
 
     /// One perturbed run, from machine acquisition to cacheable record:
@@ -831,57 +910,72 @@ impl Executor {
         })
     }
 
-    /// Shared execution core: derive seeds, satisfy runs from the cache
-    /// (replaying their recorded violations), fan the misses out over the
-    /// pool, reassemble in run-index order, then resolve errors and
-    /// violations with the lowest run index winning.
+    /// Shared execution core for a batch of arms, each `(source_id, settle,
+    /// source)`: derive seeds, satisfy runs from the cache (replaying their
+    /// recorded violations), fan every arm's misses out over the pool as
+    /// one batch, reassemble in run-index order, then resolve each arm's
+    /// errors and violations with the lowest run index winning. With a
+    /// cache, a run key that several arms share (equal configurations under
+    /// different names) is simulated once and its repeats are served as the
+    /// cache hits they would have been, arm after arm; without one, every
+    /// arm simulates its own runs.
     fn execute<W>(
         &self,
         plan: &RunPlan,
-        source_id: u64,
         workload_id: u64,
-        settle: u64,
-        source: &Source<'_, W>,
-    ) -> Result<RunSpace>
+        arms: &[(u64, u64, Source<'_, W>)],
+    ) -> Vec<Result<RunSpace>>
     where
         W: Workload + Clone + Send + Sync,
     {
-        let keys: Vec<RunKey> = (0..plan.runs)
-            .map(|i| RunKey {
-                source: source_id,
-                workload: workload_id,
-                seed: derive_run_seed(source_id, plan.base_seed, i as u64),
-                warmup: plan.warmup_transactions,
-                transactions: plan.transactions,
+        // Slot `arm * runs + i` holds run `i` of `arm`.
+        let runs = plan.runs;
+        let keys: Vec<RunKey> = arms
+            .iter()
+            .flat_map(|&(source_id, ..)| {
+                (0..runs).map(move |i| RunKey {
+                    source: source_id,
+                    workload: workload_id,
+                    seed: derive_run_seed(source_id, plan.base_seed, i as u64),
+                    warmup: plan.warmup_transactions,
+                    transactions: plan.transactions,
+                })
             })
             .collect();
 
-        let mut slots: Vec<Option<Result<RunRecord>>> = (0..plan.runs).map(|_| None).collect();
-        let mut misses: Vec<usize> = Vec::with_capacity(plan.runs);
-        for (i, key) in keys.iter().enumerate() {
+        let mut slots: Vec<Option<Result<RunRecord>>> = keys.iter().map(|_| None).collect();
+        let mut misses: Vec<usize> = Vec::with_capacity(keys.len());
+        // Slots whose key an earlier miss of this batch simulates, with the
+        // position of that miss.
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut first_miss: HashMap<RunKey, usize> = HashMap::new();
+        for (slot, key) in keys.iter().enumerate() {
             match self.cache.as_ref().and_then(|c| c.get(key)) {
                 // A strict executor cannot vouch for a run that was cached
                 // without a monitor watching it; treat it as a miss.
                 Some(hit) if !self.strict_invariants || hit.monitored => {
-                    if let Some(p) = &self.progress {
-                        p.run_cached(i);
-                        if !hit.violations.is_empty() {
-                            p.run_violations(i, &hit.violations);
-                        }
-                        p.run_result(i, &hit.result);
-                    }
-                    slots[i] = Some(Ok(hit));
+                    self.report_cached(slot % runs, &hit);
+                    slots[slot] = Some(Ok(hit));
                 }
-                _ => misses.push(i),
+                _ if self.cache.is_some() => match first_miss.entry(*key) {
+                    Entry::Occupied(miss) => repeats.push((slot, *miss.get())),
+                    Entry::Vacant(miss) => {
+                        miss.insert(misses.len());
+                        misses.push(slot);
+                    }
+                },
+                _ => misses.push(slot),
             }
         }
 
-        let outcomes = self.pool.run(&misses, |run_index| {
+        let outcomes = self.pool.run(&misses, |slot| {
+            let run_index = slot % runs;
+            let (_, settle, source) = &arms[slot / runs];
             if let Some(p) = &self.progress {
                 p.run_started(run_index);
             }
             let t0 = Instant::now();
-            let outcome = self.launch(source, keys[run_index].seed, settle, plan.transactions);
+            let outcome = self.launch(source, keys[slot].seed, *settle, plan.transactions);
             if let (Ok(record), Some(p)) = (&outcome, &self.progress) {
                 p.run_completed(run_index, t0.elapsed());
                 if !record.violations.is_empty() {
@@ -892,19 +986,57 @@ impl Executor {
             outcome
         });
 
-        for (&i, outcome) in misses.iter().zip(outcomes) {
-            if let (Ok(record), Some(c)) = (&outcome, &self.cache) {
-                c.insert(keys[i], record.clone());
+        for (slot, miss) in repeats {
+            let outcome = &outcomes[miss];
+            if let Ok(record) = outcome {
+                self.report_cached(slot % runs, record);
             }
-            slots[i] = Some(outcome);
+            slots[slot] = Some(outcome.clone());
+        }
+        for (&slot, outcome) in misses.iter().zip(outcomes) {
+            if let (Ok(record), Some(c)) = (&outcome, &self.cache) {
+                c.insert(keys[slot], record.clone());
+            }
+            slots[slot] = Some(outcome);
         }
 
-        // Single ascending pass so the winning error — sim failure or strict
-        // violation alike — is the one of the lowest run index, no matter
-        // how the pool scheduled the work.
-        let mut results = Vec::with_capacity(plan.runs);
+        let mut slots = slots.into_iter();
+        arms.iter()
+            .map(|_| self.resolve(slots.by_ref().take(runs)))
+            .collect()
+    }
+
+    /// Reports a run served from the cache, replaying the violations
+    /// recorded when it was simulated.
+    fn report_cached(&self, run_index: usize, hit: &RunRecord) {
+        if let Some(p) = &self.progress {
+            p.run_cached(run_index);
+            if !hit.violations.is_empty() {
+                p.run_violations(run_index, &hit.violations);
+            }
+            p.run_result(run_index, &hit.result);
+        }
+    }
+
+    /// Drops `templates` inside one pool batch, so that their arrays park
+    /// in the arenas of the threads that decode and fork the next ones.
+    fn retire<W: Send + Sync>(&self, templates: Vec<Option<Machine<W>>>) {
+        let templates: Vec<Mutex<Option<Machine<W>>>> =
+            templates.into_iter().map(Mutex::new).collect();
+        let every: Vec<usize> = (0..templates.len()).collect();
+        self.pool.run(&every, |k| {
+            drop(templates[k].lock().expect("template lock poisoned").take());
+        });
+    }
+
+    /// Assembles one arm's space from its slots in run-index order. A
+    /// single ascending pass, so the winning error — sim failure or strict
+    /// violation alike — is the one of the lowest run index, no matter how
+    /// the pool scheduled the work.
+    fn resolve(&self, slots: impl Iterator<Item = Option<Result<RunRecord>>>) -> Result<RunSpace> {
+        let mut results = Vec::with_capacity(slots.size_hint().0);
         let mut violations = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
+        for (i, slot) in slots.enumerate() {
             let record = slot.expect("slot filled")?;
             if record.total_violations > 0 {
                 if self.strict_invariants {
@@ -937,6 +1069,59 @@ enum Source<'a, W> {
     /// unperturbed; the perturbation (this magnitude, the run's seed) is
     /// armed at measurement start.
     Snapshot(&'a Machine<W>, Nanos),
+}
+
+/// Where an arm of a batch starts, before anything is simulated or
+/// decoded: what the launch body turns into the arm's [`Source`].
+enum Start<'a, W> {
+    /// Fresh machines per run, perturbed from cycle zero: the legacy
+    /// protocol, and every plan without warmup.
+    Cold(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
+    /// The configuration's shared warmup, warmed once and decoded once.
+    Warmed(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
+    /// A caller-held snapshot, decoded once, perturbed at this magnitude.
+    Snapshot(&'a Checkpoint, Nanos),
+}
+
+impl<'a, W> Start<'a, W> {
+    /// The arm's `(source_id, settle, source)`, its runs forking from
+    /// `template` unless they start cold.
+    fn source<'t>(
+        &self,
+        plan: &RunPlan,
+        template: Option<&'t Machine<W>>,
+    ) -> (u64, u64, Source<'t, W>)
+    where
+        'a: 't,
+    {
+        let template = || template.expect("a decoded template");
+        // The fingerprint (and hence every derived seed) comes from the
+        // caller's configuration; strict mode flips check_invariants on the
+        // per-run clone only, so it can never change the seeds.
+        match *self {
+            Start::Cold(config, make_workload) => (
+                config_fingerprint(config),
+                plan.warmup_transactions,
+                Source::Cold(config, make_workload),
+            ),
+            // Seeds stay a pure function of the *caller's* configuration —
+            // not of the snapshot bytes, which differ between feature
+            // builds — so shared-warmup sweeps are reproducible everywhere.
+            // The domain constant keeps them decorrelated from (and the
+            // cache disjoint with) the legacy path's seed stream. The
+            // snapshot already embodies the plan's warmup: no settling.
+            Start::Warmed(config, _) => (
+                config_fingerprint(config) ^ SHARED_WARMUP_DOMAIN,
+                0,
+                Source::Snapshot(template(), config.perturbation_max_ns),
+            ),
+            Start::Snapshot(snapshot, perturbation_max_ns) => (
+                snapshot.fingerprint(),
+                plan.warmup_transactions,
+                Source::Snapshot(template(), perturbation_max_ns),
+            ),
+        }
+    }
 }
 
 /// One warmup that advances from starting point to starting point: the

@@ -24,9 +24,13 @@ cd "$(dirname "$0")/.."
 # thread in timesample.rs, so no other non-test code there spawns or scopes
 # a thread; and the warmup body — run to the position, normalize_measurement,
 # snapshot — is WarmChain::warm in runspace.rs, once, shared by
-# warm_checkpoint and the sweep. A second copy or a revived entry point
-# anywhere else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body"
+# warm_checkpoint and the sweep. Templates have one home too: the launch
+# body (Executor::launch_arms) decodes a sweep's templates and WarmChain::warm
+# a chain's restores, and nothing else calls restore_template; an
+# experiment's arms launch as one batch, so non-test experiment.rs never
+# calls run_space per arm. A second copy or a revived entry point anywhere
+# else fails here, before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -53,9 +57,22 @@ stray=$(
         grep -v -x -e 'crates/sim/src/machine.rs' -e 'crates/core/src/runspace.rs' || true
     [ "$(grep -c -e 'normalize_measurement()' crates/core/src/runspace.rs)" -eq 1 ] ||
         echo "crates/core/src/runspace.rs: the warmup body must appear exactly once"
+    grep -rln -e 'restore_template' crates src tests examples |
+        grep -v -x -e 'crates/core/src/runspace.rs' || true
+    # The functions calling restore_template( in non-test runspace.rs.
+    callers=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/runspace.rs |
+        awk '/^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?fn [a-z_]+/ {
+                 match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3)
+             }
+             /restore_template\(/ { print f }' | sort | tr '\n' ' ')
+    [ "$callers" = "launch_arms warm " ] ||
+        echo "crates/core/src/runspace.rs: restore_template( called from: $callers(want the launch body and WarmChain::warm)"
+    if sed '/^#\[cfg(test)\]/,$d' crates/core/src/experiment.rs | grep -q -e 'run_space('; then
+        echo "crates/core/src/experiment.rs: an experiment's arms launch as one batch, not one run_space per arm"
+    fi
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread or warmup body outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode or per-arm launch outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -169,6 +186,17 @@ cargo test -q --offline --release --test sweep_pipeline
 
 echo "==> pipeline gate: sweep pipeline, release (invariant monitor on)"
 cargo test -q --offline --release --features invariant-monitor --test sweep_pipeline
+
+# Batch gate: an experiment's arms warm side by side and fan out as one
+# batch; the report must equal the arm-by-arm one at every thread count,
+# with and without a store, equal arms must simulate once on a cached
+# executor, and the error returned must be the one the arm-by-arm reading
+# meets first.
+echo "==> batch gate: experiment arms as one batch, release"
+cargo test -q --offline --release --test experiment_batch
+
+echo "==> batch gate: experiment arms as one batch, release (invariant monitor on)"
+cargo test -q --offline --release --features invariant-monitor --test experiment_batch
 
 # Service gate: the run-space daemon. Frame fuzz proves every mutated or
 # hostile request/response frame errors without panicking or allocating
