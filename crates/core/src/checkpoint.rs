@@ -390,6 +390,7 @@ impl Drop for InFlight<'_> {
 mod tests {
     use super::*;
     use crate::spill::temp_dir;
+    use mtvar_sim::hash::Fnv1a;
     use std::fs;
     use std::sync::Barrier;
 
@@ -574,14 +575,28 @@ mod tests {
         assert!(path.exists());
 
         // Truncate the file mid-frame, as an interrupted non-atomic write
-        // would have; then corrupt a byte in a full-length copy.
+        // would have; then corrupt a byte in a full-length copy; then leave
+        // the version-2 (sectioned) frame an older build wrote: the same
+        // header at version 2, an empty section table and its checksum.
         let full = fs::read(&path).unwrap();
-        for mangled in [full[..full.len() / 2].to_vec(), {
-            let mut m = full.clone();
-            let last = m.len() - 1;
-            m[last] ^= 0xFF;
+        let version_2 = {
+            let mut m = full[..28].to_vec();
+            m[8..12].copy_from_slice(&2u32.to_le_bytes());
+            m.extend_from_slice(&0u32.to_le_bytes());
+            m.extend_from_slice(&Fnv1a::hash(&m).to_le_bytes());
+            m.extend_from_slice(&full[28..]);
             m
-        }] {
+        };
+        for mangled in [
+            full[..full.len() / 2].to_vec(),
+            {
+                let mut m = full.clone();
+                let last = m.len() - 1;
+                m[last] ^= 0xFF;
+                m
+            },
+            version_2,
+        ] {
             fs::write(&path, &mangled).unwrap();
             let fresh = CheckpointStore::new().with_disk_spill(&dir);
             assert!(

@@ -23,8 +23,7 @@
 
 use std::path::PathBuf;
 
-use mtvar_sim::checkpoint::{CheckpointError, Decoder, Encoder, Snap};
-use mtvar_sim::hash::Fnv1a;
+use mtvar_sim::checkpoint::{frame, unframe, CheckpointError, Decoder, Encoder, Snap};
 use mtvar_sim::stats::RunResult;
 
 use crate::runspace::Violation;
@@ -91,50 +90,25 @@ mtvar_sim::impl_snap!(RunRecord {
     violations,
 });
 
-/// Encodes one record into its framed byte form: `magic | version |
-/// payload_len | fingerprint | payload`.
+/// Encodes one record into the spill frame
+/// ([`mtvar_sim::checkpoint::frame`]) under [`RESULT_MAGIC`] and
+/// [`RESULT_VERSION`].
 pub fn encode_record(record: &RunRecord) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(28 + record.snap_size_hint());
+    let mut enc = Encoder::with_capacity(record.snap_size_hint());
     record.encode_snap(&mut enc);
-    let payload = enc.into_bytes();
-    let mut out = Vec::with_capacity(28 + payload.len());
-    out.extend_from_slice(&RESULT_MAGIC);
-    out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&Fnv1a::hash(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame(RESULT_MAGIC, RESULT_VERSION, &enc.into_bytes())
 }
 
-/// Decodes a framed record, validating magic, version, length, fingerprint
-/// and structure. Every malformed input — truncation, bit flip, splice,
-/// hostile length — is an error, never a panic, and lengths are checked
-/// against the actual byte count before anything is sized from them.
+/// Decodes a framed record: the frame checks of
+/// [`mtvar_sim::checkpoint::unframe`] (magic, version, length, fingerprint),
+/// then the record's structure. Every malformed input — truncation, bit
+/// flip, splice, hostile length — is an error, never a panic.
 ///
 /// # Errors
 ///
 /// Returns the [`CheckpointError`] naming the first validation failure.
 pub fn decode_record(bytes: &[u8]) -> Result<RunRecord, CheckpointError> {
-    let mut dec = Decoder::new(bytes);
-    if dec.get_bytes(8)? != RESULT_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = dec.get_u32()?;
-    if version != RESULT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion { found: version });
-    }
-    let payload_len = dec.get_u64()?;
-    let stored = dec.get_u64()?;
-    // Hostile-length rejection: the claimed length must match what is
-    // actually present, and is never used to size an allocation.
-    if payload_len != dec.remaining() as u64 {
-        return Err(CheckpointError::Truncated);
-    }
-    let payload = dec.get_bytes(payload_len as usize)?;
-    let actual = Fnv1a::hash(payload);
-    if stored != actual {
-        return Err(CheckpointError::FingerprintMismatch { stored, actual });
-    }
+    let (payload, _) = unframe(RESULT_MAGIC, RESULT_VERSION, bytes)?;
     let mut body = Decoder::new(payload);
     let record = RunRecord::decode_snap(&mut body)?;
     body.finish()?;
@@ -201,6 +175,7 @@ impl ResultStore {
 mod tests {
     use super::*;
     use crate::spill::temp_dir;
+    use mtvar_sim::hash::Fnv1a;
     use mtvar_sim::stats::RunResult;
     use std::fs;
 
@@ -242,6 +217,22 @@ mod tests {
         let r = record(3);
         let bytes = encode_record(&r);
         assert_eq!(decode_record(&bytes).unwrap(), r);
+    }
+
+    #[test]
+    fn record_frame_is_byte_identical_to_earlier_spills() {
+        // Pinned from the frame written before the record store shared the
+        // checkpoint frame: spilled result files must keep validating.
+        let bytes = encode_record(&record(3));
+        assert_eq!(bytes.len(), 365);
+        assert_eq!(
+            bytes[..28],
+            [
+                77, 84, 86, 65, 82, 82, 69, 83, 1, 0, 0, 0, 81, 1, 0, 0, 0, 0, 0, 0, 202, 106, 91,
+                169, 220, 188, 191, 130
+            ]
+        );
+        assert_eq!(Fnv1a::hash(&bytes), 0x08ac_8fef_48cd_a022);
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!   decodes bit-identically forever (no `serde`, no layout dependence).
 //! * [`Checkpoint`] — an opaque container for one encoded
 //!   [`Machine`](crate::machine::Machine): a payload plus a content
-//!   fingerprint, with a framed byte format ([`Checkpoint::to_bytes`] /
-//!   [`Checkpoint::from_bytes`]) whose magic, version, length and
-//!   fingerprint are all validated on load. A truncated or corrupted file
-//!   is rejected with a [`CheckpointError`] instead of yielding a broken
-//!   machine.
+//!   fingerprint, persisted with [`Checkpoint::to_bytes`] /
+//!   [`Checkpoint::from_bytes`].
+//! * [`frame`] / [`unframe`] — the workspace's one spill frame, `magic |
+//!   version | payload_len | payload_fingerprint | payload`, shared by
+//!   checkpoint files and run-result records. Magic, version, length and
+//!   fingerprint are all validated on load, so a truncated or corrupted
+//!   file is rejected with a [`CheckpointError`] instead of yielding a
+//!   broken machine or a wrong result.
 //!
 //! Determinism contract: restoring a checkpoint and continuing must be
 //! bit-identical to never having snapshotted. Every RNG stream, LRU clock,
@@ -37,16 +40,18 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"MTVARCKP";
 ///
 /// * **1** — monolithic frame: `magic | version | payload_len | fingerprint
 ///   | payload`.
-/// * **2** — sectioned frame: the header additionally carries a section
-///   table (kind, length and per-section fingerprint for every
-///   [`Section`] of the payload) plus a checksum over the whole header.
-///   The *payload* bytes are unchanged from version 1 — sections are
-///   offsets into the same byte stream — so payload fingerprints (and
-///   everything derived from them: store keys, run seeds, golden
-///   statistics) carry over without re-blessing. Only the framed on-disk
-///   form changed, which is why the version bump rejects old spill files
+/// * **2** — sectioned frame: the header additionally carried a section
+///   table (kind, length and per-section fingerprint for every per-node and
+///   per-subsystem range of the payload) plus a checksum over the whole
+///   header.
+/// * **3** — the version-1 layout again, written by [`frame`] and shared
+///   with the run-result store; nothing read the section table. The
+///   *payload* bytes are unchanged through all three versions, so payload
+///   fingerprints (and everything derived from them: store keys, run seeds,
+///   golden statistics) carry over without re-blessing. Only the framed
+///   on-disk form changed, which is why each bump rejects old spill files
 ///   instead of misreading their headers.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +59,8 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 pub enum CheckpointError {
     /// The byte stream ended before the value was complete.
     Truncated,
-    /// The framed header does not start with [`CHECKPOINT_MAGIC`].
+    /// The framed header does not start with the expected magic
+    /// ([`CHECKPOINT_MAGIC`] for checkpoint files).
     BadMagic,
     /// The encoding version is not supported by this build.
     UnsupportedVersion {
@@ -594,274 +600,94 @@ impl Snap for BlockAddr {
     }
 }
 
-/// Identifies one section of a sectioned checkpoint payload. The order of
-/// sections in a machine snapshot is fixed (see
-/// [`Machine::snapshot`](crate::machine::Machine::snapshot)): `Meta`,
-/// `Cpus`, `MemHeader`, one `MemNode` per node, `MemShared`, `Sched`,
-/// `Workload`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SectionKind {
-    /// Machine config, clock, sequence counter and the sorted event queue.
-    Meta,
-    /// All processor cores (pipelines, predictors, per-CPU accounting).
-    Cpus,
-    /// Memory-system configuration and the node count.
-    MemHeader,
-    /// One node's cache stack (L1I, L1D, L2) — the payload's dominant
-    /// sections, and the unit of copy-on-write sharing between forks.
-    MemNode(u32),
-    /// Memory-system tail: bus/occupancy timing, perturbation RNG, stats.
-    MemShared,
-    /// Scheduler, lock table, noise model and invariant monitor.
-    Sched,
-    /// Workload generators and commit accounting.
-    Workload,
+/// Bytes ahead of the payload in a [`frame`]: `magic(8) | version(4) |
+/// payload_len(8) | payload_fingerprint(8)`.
+const FRAME_HEADER_BYTES: usize = 28;
+
+/// Wraps `payload` in the workspace's one spill frame:
+///
+/// ```text
+/// magic(8) | version(4) | payload_len(8) | payload_fingerprint(8) | payload
+/// ```
+///
+/// Integers are little-endian and the fingerprint is [`Fnv1a::hash`] of the
+/// payload. Checkpoint files ([`Checkpoint::to_bytes`]) and run-result
+/// records both write through here, each under its own magic and version;
+/// [`unframe`] is the matching reader.
+pub fn frame(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&Fnv1a::hash(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
-impl SectionKind {
-    fn wire(self) -> (u8, u32) {
-        match self {
-            SectionKind::Meta => (0, 0),
-            SectionKind::Cpus => (1, 0),
-            SectionKind::MemHeader => (2, 0),
-            SectionKind::MemNode(i) => (3, i),
-            SectionKind::MemShared => (4, 0),
-            SectionKind::Sched => (5, 0),
-            SectionKind::Workload => (6, 0),
-        }
+/// Validates a [`frame`] written under `magic` and `version`, returning its
+/// payload and the payload's fingerprint.
+///
+/// Any single corruption fails at least one check: the magic; the version
+/// (an older layout is rejected, never misread); the payload length,
+/// against `usize` (so a wrapped length cannot mis-slice on 32-bit targets)
+/// and then against the bytes actually present, before anything is sized
+/// from it — short is [`CheckpointError::Truncated`], trailing bytes are
+/// [`CheckpointError::Corrupt`]; and the fingerprint over the payload.
+///
+/// # Errors
+///
+/// Returns a [`CheckpointError`] describing the first failed check.
+pub fn unframe(
+    magic: [u8; 8],
+    version: u32,
+    bytes: &[u8],
+) -> Result<(&[u8], u64), CheckpointError> {
+    let mut dec = Decoder::new(bytes);
+    if dec.get_bytes(8)? != magic {
+        return Err(CheckpointError::BadMagic);
     }
-
-    fn from_wire(tag: u8, index: u32) -> Result<Self, CheckpointError> {
-        let kind = match (tag, index) {
-            (0, 0) => SectionKind::Meta,
-            (1, 0) => SectionKind::Cpus,
-            (2, 0) => SectionKind::MemHeader,
-            (3, i) => SectionKind::MemNode(i),
-            (4, 0) => SectionKind::MemShared,
-            (5, 0) => SectionKind::Sched,
-            (6, 0) => SectionKind::Workload,
-            _ => {
-                return Err(CheckpointError::Corrupt {
-                    what: format!("section kind tag {tag}/{index}"),
-                })
-            }
-        };
-        Ok(kind)
+    let found = dec.get_u32()?;
+    if found != version {
+        return Err(CheckpointError::UnsupportedVersion { found });
     }
-}
-
-impl fmt::Display for SectionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SectionKind::Meta => write!(f, "Meta"),
-            SectionKind::Cpus => write!(f, "Cpus"),
-            SectionKind::MemHeader => write!(f, "MemHeader"),
-            SectionKind::MemNode(i) => write!(f, "MemNode({i})"),
-            SectionKind::MemShared => write!(f, "MemShared"),
-            SectionKind::Sched => write!(f, "Sched"),
-            SectionKind::Workload => write!(f, "Workload"),
-        }
+    let payload_len = dec.get_u64()?;
+    let payload_len: usize = payload_len
+        .try_into()
+        .map_err(|_| CheckpointError::Corrupt {
+            what: format!("payload length {payload_len} exceeds this platform's usize"),
+        })?;
+    let stored = dec.get_u64()?;
+    let payload = dec.get_bytes(payload_len)?;
+    dec.finish()?;
+    let actual = Fnv1a::hash(payload);
+    if actual != stored {
+        return Err(CheckpointError::FingerprintMismatch { stored, actual });
     }
-}
-
-/// One contiguous, individually fingerprinted range of a checkpoint payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Section {
-    /// What machine state the range holds.
-    pub kind: SectionKind,
-    /// Byte offset of the section's first byte within the payload.
-    pub start: usize,
-    /// Section length in bytes.
-    pub len: usize,
-    /// Content fingerprint of exactly this range (same construction as the
-    /// whole-payload fingerprint).
-    pub fingerprint: u64,
-}
-
-/// Wire size of one section-table entry in the framed format:
-/// `tag(1) | index(4) | len(8) | fingerprint(8)`.
-const SECTION_ENTRY_BYTES: usize = 21;
-
-/// Sanity cap on the section count a frame may declare: `Meta` + `Cpus` +
-/// `MemHeader` + `MemShared` + `Sched` + `Workload` + one node per CPU.
-/// No machine we build approaches 2^20 nodes, so anything larger is a
-/// corrupt header, rejected before it can size an allocation.
-const MAX_SECTIONS: usize = (1 << 20) + 8;
-
-/// An [`Encoder`] that records section boundaries as it goes: callers mark
-/// the start of each logical region with [`SectionEncoder::begin`], append
-/// bytes through [`SectionEncoder::enc`], and [`SectionEncoder::finish`]
-/// closes the table and fingerprints every section. The byte stream produced
-/// is exactly what the same `encode_snap` calls would feed a bare
-/// [`Encoder`] — marking boundaries adds table entries, never bytes — which
-/// is what keeps sectioned payloads (and their fingerprints) identical to
-/// the pre-section encoding.
-#[derive(Debug)]
-pub struct SectionEncoder {
-    enc: Encoder,
-    sections: Vec<Section>,
-    open: Option<(SectionKind, usize)>,
-}
-
-impl SectionEncoder {
-    /// Creates an encoder with `capacity` payload bytes and room for
-    /// `sections` table entries pre-reserved (machine snapshots know both up
-    /// front, keeping encode free of regrowth).
-    pub fn with_capacity(capacity: usize, sections: usize) -> Self {
-        SectionEncoder {
-            enc: Encoder::with_capacity(capacity),
-            sections: Vec::with_capacity(sections),
-            open: None,
-        }
-    }
-
-    /// Closes the current section (if any) and opens a new one of `kind` at
-    /// the current byte offset.
-    pub fn begin(&mut self, kind: SectionKind) {
-        self.close_open();
-        self.open = Some((kind, self.enc.len()));
-    }
-
-    /// The underlying byte encoder; everything appended lands in the
-    /// section most recently opened with [`SectionEncoder::begin`].
-    pub fn enc(&mut self) -> &mut Encoder {
-        &mut self.enc
-    }
-
-    fn close_open(&mut self) {
-        if let Some((kind, start)) = self.open.take() {
-            self.sections.push(Section {
-                kind,
-                start,
-                len: self.enc.len() - start,
-                fingerprint: 0,
-            });
-        }
-    }
-
-    /// Closes the table, fingerprints every section and the whole payload,
-    /// and returns the finished [`Checkpoint`].
-    pub fn finish(mut self) -> Checkpoint {
-        self.close_open();
-        let payload = self.enc.into_bytes();
-        // One traversal computes every fingerprint: each byte feeds its
-        // section's chain and the whole payload's (`Fnv1a::update_both`).
-        let mut whole = Fnv1a::new();
-        let mut cursor = 0usize;
-        for s in &mut self.sections {
-            // Bytes between sections (none in practice: `begin` is called
-            // before the first byte and sections abut) still feed the
-            // whole-payload chain.
-            whole.update(&payload[cursor..s.start]);
-            let mut sec = Fnv1a::new();
-            Fnv1a::update_both(&mut sec, &mut whole, &payload[s.start..s.start + s.len]);
-            s.fingerprint = sec.finish();
-            cursor = s.start + s.len;
-        }
-        whole.update(&payload[cursor..]);
-        Checkpoint {
-            payload,
-            fingerprint: whole.finish(),
-            sections: self.sections,
-        }
-    }
-}
-
-/// Sequential reader over a sectioned checkpoint: each
-/// [`SectionReader::expect`] demands the next section be of a given kind and
-/// hands back a [`Decoder`] scoped to exactly that section's bytes, so a
-/// decode overrun in one component is caught at its own boundary (with the
-/// section named) instead of silently consuming its neighbour's bytes.
-#[derive(Debug)]
-pub struct SectionReader<'a> {
-    ck: &'a Checkpoint,
-    next: usize,
-}
-
-impl<'a> SectionReader<'a> {
-    /// Positions a reader at `ck`'s first section.
-    pub fn new(ck: &'a Checkpoint) -> Self {
-        SectionReader { ck, next: 0 }
-    }
-
-    /// Number of sections not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.ck.sections.len() - self.next
-    }
-
-    /// The kind of the next section, if any (for data-dependent layouts
-    /// like the per-node memory sections).
-    pub fn peek(&self) -> Option<SectionKind> {
-        self.ck.sections.get(self.next).map(|s| s.kind)
-    }
-
-    /// Opens the next section, requiring it to be `kind`; returns a decoder
-    /// over exactly its bytes. The caller must fully consume it (checked
-    /// with [`Decoder::finish`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Corrupt`] when sections are exhausted or
-    /// the next section is of a different kind.
-    pub fn expect(&mut self, kind: SectionKind) -> Result<Decoder<'a>, CheckpointError> {
-        let Some(s) = self.ck.sections.get(self.next) else {
-            return Err(CheckpointError::Corrupt {
-                what: format!("missing section {kind}"),
-            });
-        };
-        if s.kind != kind {
-            return Err(CheckpointError::Corrupt {
-                what: format!("expected section {kind}, found {}", s.kind),
-            });
-        }
-        self.next += 1;
-        Ok(Decoder::new(&self.ck.payload[s.start..s.start + s.len]))
-    }
-
-    /// Asserts every section was consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Corrupt`] if sections remain.
-    pub fn finish(&self) -> Result<(), CheckpointError> {
-        if self.remaining() != 0 {
-            return Err(CheckpointError::Corrupt {
-                what: format!("{} unread trailing section(s)", self.remaining()),
-            });
-        }
-        Ok(())
-    }
+    Ok((payload, stored))
 }
 
 /// One serialized machine state: an opaque payload plus its content
-/// fingerprint and (for machine snapshots) a table of [`Section`]s over the
-/// payload.
+/// fingerprint.
 ///
 /// Produced by [`Machine::snapshot`](crate::machine::Machine::snapshot) and
 /// consumed by [`Machine::restore`](crate::machine::Machine::restore).
 /// The framed byte form ([`Checkpoint::to_bytes`]) is safe to persist:
-/// [`Checkpoint::from_bytes`] re-verifies magic, version, header checksum,
-/// length, the whole-payload fingerprint and every per-section fingerprint,
-/// so a truncated or bit-flipped file — in header or payload — is detected
-/// instead of silently restoring a wrong machine.
+/// [`Checkpoint::from_bytes`] re-verifies magic, version, length and the
+/// payload fingerprint, so a truncated or bit-flipped file — in header or
+/// payload — is detected instead of silently restoring a wrong machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     payload: Vec<u8>,
     fingerprint: u64,
-    sections: Vec<Section>,
 }
 
 impl Checkpoint {
-    /// Wraps an encoded payload, computing its fingerprint. The checkpoint
-    /// carries no section table (callers that want one use
-    /// [`SectionEncoder`]); decode falls back to one linear pass.
+    /// Wraps an encoded payload, computing its fingerprint.
     pub fn from_payload(payload: Vec<u8>) -> Self {
         let fingerprint = Fnv1a::hash(&payload);
         Checkpoint {
             payload,
             fingerprint,
-            sections: Vec::new(),
         }
     }
 
@@ -872,17 +698,9 @@ impl Checkpoint {
 
     /// Content fingerprint of the payload (FNV-1a + splitmix finalizer).
     /// Two checkpoints have the same fingerprint exactly when their encoded
-    /// state is byte-identical. Independent of the section table — a
-    /// sectioned and an unsectioned checkpoint over the same bytes
-    /// fingerprint identically.
+    /// state is byte-identical.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The section table (empty for [`Checkpoint::from_payload`]
-    /// checkpoints). Sections tile the payload exactly, in order.
-    pub fn sections(&self) -> &[Section] {
-        &self.sections
     }
 
     /// Payload size in bytes.
@@ -895,141 +713,24 @@ impl Checkpoint {
         self.payload.is_empty()
     }
 
-    /// Serializes to the framed byte format:
-    ///
-    /// ```text
-    /// magic(8) | version(4) | payload_len(8) | payload_fingerprint(8)
-    ///   | section_count(4) | section entries (21 bytes each)
-    ///   | header_checksum(8) | payload
-    /// ```
-    ///
-    /// The header checksum fingerprints every header byte before it, so a
-    /// flipped bit in the section table (or the lengths) is caught on load
-    /// without consulting the payload.
+    /// Serializes to the spill [`frame`] under [`CHECKPOINT_MAGIC`] and
+    /// [`CHECKPOINT_VERSION`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let header_len = 32 + self.sections.len() * SECTION_ENTRY_BYTES + 8;
-        let mut out = Vec::with_capacity(header_len + self.payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for s in &self.sections {
-            let (tag, index) = s.kind.wire();
-            out.push(tag);
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&(s.len as u64).to_le_bytes());
-            out.extend_from_slice(&s.fingerprint.to_le_bytes());
-        }
-        let header_checksum = Fnv1a::hash(&out);
-        out.extend_from_slice(&header_checksum.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &self.payload)
     }
 
-    /// Parses and validates the framed byte format.
-    ///
-    /// Validation is layered so any single corruption is caught by at least
-    /// one check: magic and version first; the header checksum (covering
-    /// lengths and the section table); the payload length against the bytes
-    /// actually present (an interrupted write) and against `usize` (so a
-    /// wrapped length cannot mis-slice on 32-bit targets); the
-    /// whole-payload fingerprint; and finally every section's own
-    /// fingerprint over its recorded range, which localizes payload damage
-    /// to a named section.
+    /// Parses a frame written by [`Checkpoint::to_bytes`], with every check
+    /// of [`unframe`]. A frame of any other [`CHECKPOINT_VERSION`] is
+    /// [`CheckpointError::UnsupportedVersion`].
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] describing the first failed check.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut dec = Decoder::new(bytes);
-        let magic = dec.get_bytes(8)?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = dec.get_u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion { found: version });
-        }
-        let payload_len = dec.get_u64()?;
-        // Reject lengths that do not fit in this platform's usize *before*
-        // any cast — `payload_len as usize` would silently truncate on
-        // 32-bit targets and slice the wrong range.
-        let payload_len: usize = payload_len
-            .try_into()
-            .map_err(|_| CheckpointError::Corrupt {
-                what: format!("payload length {payload_len} exceeds this platform's usize"),
-            })?;
-        let stored = dec.get_u64()?;
-        let section_count = dec.get_u32()? as usize;
-        if section_count > MAX_SECTIONS {
-            return Err(CheckpointError::Corrupt {
-                what: format!("section count {section_count}"),
-            });
-        }
-        let mut sections = Vec::with_capacity(section_count);
-        let mut start = 0usize;
-        for _ in 0..section_count {
-            let tag = dec.get_u8()?;
-            let index = dec.get_u32()?;
-            let kind = SectionKind::from_wire(tag, index)?;
-            let len: usize = dec
-                .get_u64()?
-                .try_into()
-                .map_err(|_| CheckpointError::Corrupt {
-                    what: format!("section {kind} length exceeds this platform's usize"),
-                })?;
-            let fingerprint = dec.get_u64()?;
-            sections.push(Section {
-                kind,
-                start,
-                len,
-                fingerprint,
-            });
-            start = start
-                .checked_add(len)
-                .filter(|&end| end <= payload_len)
-                .ok_or_else(|| CheckpointError::Corrupt {
-                    what: format!("section {kind} overruns the payload"),
-                })?;
-        }
-        if section_count > 0 && start != payload_len {
-            return Err(CheckpointError::Corrupt {
-                what: format!("section table covers {start} of {payload_len} payload byte(s)"),
-            });
-        }
-        // The checksum fingerprints every header byte before itself, so a
-        // corrupted length or table entry is caught here even when the
-        // payload bytes are intact.
-        let header_end = bytes.len() - dec.remaining();
-        let header_checksum = dec.get_u64()?;
-        let actual_checksum = Fnv1a::hash(&bytes[..header_end]);
-        if header_checksum != actual_checksum {
-            return Err(CheckpointError::Corrupt {
-                what: "header checksum mismatch".into(),
-            });
-        }
-        if payload_len > dec.remaining() {
-            return Err(CheckpointError::Truncated);
-        }
-        let payload = dec.get_bytes(payload_len)?.to_vec();
-        dec.finish()?;
-        let actual = Fnv1a::hash(&payload);
-        if actual != stored {
-            return Err(CheckpointError::FingerprintMismatch { stored, actual });
-        }
-        for s in &sections {
-            let actual = Fnv1a::hash(&payload[s.start..s.start + s.len]);
-            if actual != s.fingerprint {
-                return Err(CheckpointError::Corrupt {
-                    what: format!("section {} fingerprint mismatch", s.kind),
-                });
-            }
-        }
+        let (payload, fingerprint) = unframe(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
         Ok(Checkpoint {
-            payload,
-            fingerprint: stored,
-            sections,
+            payload: payload.to_vec(),
+            fingerprint,
         })
     }
 }
@@ -1149,6 +850,38 @@ mod tests {
         assert_eq!(ck, back);
         assert_eq!(back.len(), 5);
         assert!(!back.is_empty());
+    }
+
+    #[test]
+    fn version_3_frame_is_pinned_byte_for_byte() {
+        let expected: [u8; 33] = [
+            b'M', b'T', b'V', b'A', b'R', b'C', b'K', b'P', // magic
+            3, 0, 0, 0, // version
+            5, 0, 0, 0, 0, 0, 0, 0, // payload_len
+            11, 100, 68, 116, 247, 237, 237, 28, // payload_fingerprint
+            1, 2, 3, 4, 5, // payload
+        ];
+        assert_eq!(
+            Checkpoint::from_payload(vec![1, 2, 3, 4, 5]).to_bytes(),
+            expected
+        );
+    }
+
+    #[test]
+    fn version_2_frame_is_unsupported() {
+        // A sectioned header: magic, version 2, payload length and
+        // fingerprint, an empty section table, then its checksum.
+        let mut old = CHECKPOINT_MAGIC.to_vec();
+        old.extend_from_slice(&2u32.to_le_bytes());
+        old.extend_from_slice(&5u64.to_le_bytes());
+        old.extend_from_slice(&Fnv1a::hash(&[1, 2, 3, 4, 5]).to_le_bytes());
+        old.extend_from_slice(&0u32.to_le_bytes());
+        old.extend_from_slice(&Fnv1a::hash(&old).to_le_bytes());
+        old.extend_from_slice(&[1, 2, 3, 4, 5]);
+        assert_eq!(
+            Checkpoint::from_bytes(&old),
+            Err(CheckpointError::UnsupportedVersion { found: 2 })
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one content hash and one 64-bit mixer.
 //!
-//! Checkpoint fingerprints, frame checksums, spill-record validation, golden
-//! digests, configuration fingerprints and every derived perturbation seed
+//! Checkpoint fingerprints, spill-frame validation, golden digests,
+//! configuration fingerprints and every derived perturbation seed
 //! are built from these few functions, so they live here once and every
 //! crate calls in. Changing a constant re-keys every stored checkpoint,
 //! spilled result and golden digest; the known-answer tests below pin them.
@@ -68,19 +68,6 @@ impl Fnv1a {
         }
     }
 
-    /// Folds `bytes` into two hashers in one traversal. The chains carry no
-    /// data dependency on each other, so the CPU overlaps their serial
-    /// multiplies and the fused pass costs barely more than one — which lets
-    /// a snapshot encode fingerprint each section and the whole payload
-    /// without reading a multi-megabyte buffer twice.
-    #[inline]
-    pub fn update_both(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
-        for &byte in bytes {
-            a.0 = (a.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            b.0 = (b.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
     /// The finished hash of everything fed so far.
     #[inline]
     pub fn finish(self) -> u64 {
@@ -127,10 +114,9 @@ mod tests {
         let bytes = pattern();
         let whole = Fnv1a::hash(&bytes);
         for split in [0, 1, 100, bytes.len()] {
-            let (mut tail, mut chained) = (Fnv1a::new(), Fnv1a::new());
+            let mut chained = Fnv1a::new();
             chained.update(&bytes[..split]);
-            Fnv1a::update_both(&mut tail, &mut chained, &bytes[split..]);
-            assert_eq!(tail.finish(), Fnv1a::hash(&bytes[split..]));
+            chained.update(&bytes[split..]);
             assert_eq!(chained.finish(), whole, "split at {split}");
         }
         let mut written = Fnv1a::new();

@@ -10,9 +10,7 @@
 //! through the configured perturbation or noise seeds.
 
 use crate::check::{InvariantMonitor, Violation};
-use crate::checkpoint::{
-    Checkpoint, CheckpointError, Decoder, Encoder, SectionEncoder, SectionKind, SectionReader, Snap,
-};
+use crate::checkpoint::{Checkpoint, CheckpointError, Decoder, Encoder, Snap};
 use crate::config::{FaultKind, MachineConfig};
 use crate::equeue::EventQueue;
 use crate::ids::{BlockAddr, CpuId, Cycle, Nanos, ThreadId};
@@ -646,27 +644,6 @@ crate::impl_snap!(Cpu {
     busy_ns,
 });
 
-/// Decoded-but-unvalidated machine state: what both the linear and the
-/// sectioned checkpoint decoders produce, and what
-/// [`Machine::restore`]'s shared assembly validates and wires up.
-struct MachineParts<W> {
-    config: MachineConfig,
-    now: Nanos,
-    seq: u64,
-    events: Vec<Event>,
-    cpus: Vec<Cpu>,
-    mem: MemorySystem,
-    sched: Scheduler,
-    locks: LockTable,
-    noise: Option<NoiseState>,
-    monitor: Option<InvariantMonitor>,
-    workload: W,
-    committed: u64,
-    commit_log: Vec<Nanos>,
-    measure_start: Nanos,
-    measure_committed_base: u64,
-}
-
 impl<W: Workload + Snap> Machine<W> {
     /// Serializes the complete machine state — caches and coherence state,
     /// memory-system counters, processor cores and predictors, scheduler,
@@ -679,34 +656,26 @@ impl<W: Workload + Snap> Machine<W> {
     /// (and hence equal fingerprints) regardless of queue-internal layout.
     pub fn snapshot(&self) -> Checkpoint {
         // Reserving the full estimate up front saves the ~10 doubling copies
-        // of growing a multi-megabyte payload from empty. Sections are
-        // ranges over this one buffer, so the single reservation covers the
-        // largest section by construction (there is no per-section buffer to
-        // under-size).
-        let mut se =
-            SectionEncoder::with_capacity(self.snapshot_size_hint(), self.mem.node_count() + 6);
-        se.begin(SectionKind::Meta);
-        self.config.encode_snap(se.enc());
-        self.now.encode_snap(se.enc());
-        self.seq.encode_snap(se.enc());
+        // of growing a multi-megabyte payload from empty.
+        let mut enc = Encoder::with_capacity(self.snapshot_size_hint());
+        self.config.encode_snap(&mut enc);
+        self.now.encode_snap(&mut enc);
+        self.seq.encode_snap(&mut enc);
         let mut events: Vec<Event> = self.events.to_vec();
         events.sort_unstable();
-        events.encode_snap(se.enc());
-        se.begin(SectionKind::Cpus);
-        self.cpus.encode_snap(se.enc());
-        self.mem.encode_snap_sectioned(&mut se);
-        se.begin(SectionKind::Sched);
-        self.sched.encode_snap(se.enc());
-        self.locks.encode_snap(se.enc());
-        self.noise.encode_snap(se.enc());
-        self.monitor.encode_snap(se.enc());
-        se.begin(SectionKind::Workload);
-        self.workload.encode_snap(se.enc());
-        self.committed.encode_snap(se.enc());
-        self.commit_log.encode_snap(se.enc());
-        self.measure_start.encode_snap(se.enc());
-        self.measure_committed_base.encode_snap(se.enc());
-        se.finish()
+        events.encode_snap(&mut enc);
+        self.cpus.encode_snap(&mut enc);
+        self.mem.encode_snap(&mut enc);
+        self.sched.encode_snap(&mut enc);
+        self.locks.encode_snap(&mut enc);
+        self.noise.encode_snap(&mut enc);
+        self.monitor.encode_snap(&mut enc);
+        self.workload.encode_snap(&mut enc);
+        self.committed.encode_snap(&mut enc);
+        self.commit_log.encode_snap(&mut enc);
+        self.measure_start.encode_snap(&mut enc);
+        self.measure_committed_base.encode_snap(&mut enc);
+        Checkpoint::from_payload(enc.into_bytes())
     }
 
     /// Upper bound on the encoded size of [`Machine::snapshot`]'s payload,
@@ -734,6 +703,11 @@ impl<W: Workload + Snap> Machine<W> {
     /// machine that produced it: continuing a restored machine yields
     /// exactly the execution the original would have produced.
     ///
+    /// One linear pass decodes the payload in the order
+    /// [`Machine::snapshot`] wrote it; the decoded parts are then checked
+    /// against each other (configuration, CPU and thread counts) before the
+    /// machine is assembled.
+    ///
     /// Like [`Machine::new`], the `invariant-monitor` cargo feature ORs a
     /// fresh monitor in when the snapshot carried none, so a checkpoint
     /// taken by a feature-off build stays checkable in a feature-on build.
@@ -746,34 +720,7 @@ impl<W: Workload + Snap> Machine<W> {
     /// [`SimError::InvalidConfig`] when the embedded configuration fails
     /// validation.
     pub fn restore(ck: &Checkpoint) -> Result<Self, SimError> {
-        // Sectioned checkpoints (everything `snapshot` produces) decode each
-        // component at its own boundary; unsectioned ones (raw payloads via
-        // `Checkpoint::from_payload`, e.g. older spill files re-wrapped) fall
-        // back to one linear pass over the same bytes. Both paths feed the
-        // same assembly, so the machines they build are identical.
-        let parts = if ck.sections().is_empty() {
-            Self::decode_linear(ck.payload())?
-        } else {
-            Self::decode_sectioned(ck)?
-        };
-        Self::assemble(parts)
-    }
-
-    /// Forwards to [`Machine::restore`]; the thread count is ignored, because
-    /// decode is single-threaded. The name exists only for the stand-alone
-    /// benchmark (`benchmark/src/layers.rs`, the `sim.template_decode_mt_us`
-    /// probe), which compiles against it; the `benchmark`-archetype issue
-    /// that drops that probe deletes this too.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::restore`].
-    pub fn restore_with_threads(ck: &Checkpoint, _decode_threads: usize) -> Result<Self, SimError> {
-        Self::restore(ck)
-    }
-
-    fn decode_linear(payload: &[u8]) -> Result<MachineParts<W>, SimError> {
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(ck.payload());
         let config = MachineConfig::decode_snap(&mut dec)?;
         let now = Snap::decode_snap(&mut dec)?;
         let seq = Snap::decode_snap(&mut dec)?;
@@ -790,88 +737,6 @@ impl<W: Workload + Snap> Machine<W> {
         let measure_start = Snap::decode_snap(&mut dec)?;
         let measure_committed_base = Snap::decode_snap(&mut dec)?;
         dec.finish()?;
-        Ok(MachineParts {
-            config,
-            now,
-            seq,
-            events,
-            cpus,
-            mem,
-            sched,
-            locks,
-            noise,
-            monitor,
-            workload,
-            committed,
-            commit_log,
-            measure_start,
-            measure_committed_base,
-        })
-    }
-
-    fn decode_sectioned(ck: &Checkpoint) -> Result<MachineParts<W>, SimError> {
-        let mut sr = SectionReader::new(ck);
-        let mut dec = sr.expect(SectionKind::Meta)?;
-        let config = MachineConfig::decode_snap(&mut dec)?;
-        let now = Snap::decode_snap(&mut dec)?;
-        let seq = Snap::decode_snap(&mut dec)?;
-        let events: Vec<Event> = Snap::decode_snap(&mut dec)?;
-        dec.finish()?;
-        let mut dec = sr.expect(SectionKind::Cpus)?;
-        let cpus: Vec<Cpu> = Snap::decode_snap(&mut dec)?;
-        dec.finish()?;
-        let mem = MemorySystem::decode_snap_sectioned(&mut sr)?;
-        let mut dec = sr.expect(SectionKind::Sched)?;
-        let sched = Scheduler::decode_snap(&mut dec)?;
-        let locks = LockTable::decode_snap(&mut dec)?;
-        let noise = Snap::decode_snap(&mut dec)?;
-        let monitor: Option<InvariantMonitor> = Snap::decode_snap(&mut dec)?;
-        dec.finish()?;
-        let mut dec = sr.expect(SectionKind::Workload)?;
-        let workload = W::decode_snap(&mut dec)?;
-        let committed = Snap::decode_snap(&mut dec)?;
-        let commit_log = Snap::decode_snap(&mut dec)?;
-        let measure_start = Snap::decode_snap(&mut dec)?;
-        let measure_committed_base = Snap::decode_snap(&mut dec)?;
-        dec.finish()?;
-        sr.finish()?;
-        Ok(MachineParts {
-            config,
-            now,
-            seq,
-            events,
-            cpus,
-            mem,
-            sched,
-            locks,
-            noise,
-            monitor,
-            workload,
-            committed,
-            commit_log,
-            measure_start,
-            measure_committed_base,
-        })
-    }
-
-    fn assemble(parts: MachineParts<W>) -> Result<Self, SimError> {
-        let MachineParts {
-            config,
-            now,
-            seq,
-            events,
-            cpus,
-            mem,
-            sched,
-            locks,
-            noise,
-            monitor,
-            workload,
-            committed,
-            commit_log,
-            measure_start,
-            measure_committed_base,
-        } = parts;
         config.validate()?;
         if cpus.len() != config.cpus {
             return Err(CheckpointError::Corrupt {
@@ -920,6 +785,19 @@ impl<W: Workload + Snap> Machine<W> {
             idle_cpus,
             slot_scratch: Vec::new(),
         })
+    }
+
+    /// Forwards to [`Machine::restore`]; the thread count is ignored, because
+    /// decode is single-threaded. The name exists only for the stand-alone
+    /// benchmark (`benchmark/src/layers.rs`, the `sim.template_decode_mt_us`
+    /// probe), which compiles against it; the `benchmark`-archetype issue
+    /// that drops that probe deletes this too.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::restore`].
+    pub fn restore_with_threads(ck: &Checkpoint, _decode_threads: usize) -> Result<Self, SimError> {
+        Self::restore(ck)
     }
 }
 
@@ -1089,46 +967,14 @@ mod tests {
         m.run_transactions(15).unwrap();
         let ck = m.snapshot();
         let bytes = ck.to_bytes();
-        let back = crate::checkpoint::Checkpoint::from_bytes(&bytes).unwrap();
+        let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back.fingerprint(), ck.fingerprint());
+        assert_eq!(Checkpoint::from_payload(ck.payload().to_vec()), ck);
         let mut restored: Machine<UniformWorkload> = Machine::restore(&back).unwrap();
         assert_eq!(
             m.run_transactions(10).unwrap(),
             restored.run_transactions(10).unwrap()
         );
-    }
-
-    #[test]
-    fn sectioned_and_linear_decode_build_identical_machines() {
-        let mut m = machine(4, 8);
-        m.run_transactions(30).unwrap();
-        let ck = m.snapshot();
-        // A machine snapshot carries sections: Meta, Cpus, MemHeader, one
-        // per node, MemShared, Sched, Workload — tiling the payload exactly.
-        assert_eq!(ck.sections().len(), 4 + 6);
-        let covered: usize = ck.sections().iter().map(|s| s.len).sum();
-        assert_eq!(covered, ck.len());
-        for (i, s) in ck.sections().iter().enumerate() {
-            let prev_end = if i == 0 {
-                0
-            } else {
-                ck.sections()[i - 1].start + ck.sections()[i - 1].len
-            };
-            assert_eq!(s.start, prev_end, "section {i} not contiguous");
-        }
-        // Stripping the table (as a raw-payload re-wrap would) leaves the
-        // same bytes, same fingerprint, and the linear fallback decode must
-        // build a machine that re-snapshots identically.
-        let legacy = Checkpoint::from_payload(ck.payload().to_vec());
-        assert!(legacy.sections().is_empty());
-        assert_eq!(legacy.fingerprint(), ck.fingerprint());
-        let a: Machine<UniformWorkload> = Machine::restore(&ck).unwrap();
-        let b: Machine<UniformWorkload> = Machine::restore(&legacy).unwrap();
-        assert_eq!(a.snapshot().fingerprint(), ck.fingerprint());
-        assert_eq!(b.snapshot().fingerprint(), ck.fingerprint());
-        // Sections survive the framed byte round-trip.
-        let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
-        assert_eq!(back.sections(), ck.sections());
     }
 
     #[test]

@@ -1059,66 +1059,25 @@ impl crate::checkpoint::Snap for MemorySystem {
     fn decode_snap(
         dec: &mut crate::checkpoint::Decoder<'_>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
+        use crate::checkpoint::{CheckpointError, Snap};
         let config = MemoryConfig::decode_snap(dec)?;
         let nodes: Vec<Node> = Snap::decode_snap(dec)?;
         let bus_free_at = Snap::decode_snap(dec)?;
         let perturbation = Snap::decode_snap(dec)?;
         let stats = Snap::decode_snap(dec)?;
         let last_access = Snap::decode_snap(dec)?;
-        let home_free_at: Vec<Cycle> = if config.protocol.is_directory() {
+        let dir = config.protocol.is_directory();
+        let home_free_at: Vec<Cycle> = if dir {
             Snap::decode_snap(dec)?
         } else {
             Vec::new()
         };
-        MemorySystem::from_parts(
-            config,
-            nodes,
-            bus_free_at,
-            perturbation,
-            stats,
-            last_access,
-            home_free_at,
-        )
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        // `home_free_at` is counted unconditionally — an over-estimate on
-        // snooping configs, which is the direction hints are allowed to err.
-        self.config.snap_size_hint()
-            + self.nodes.snap_size_hint()
-            + self.bus_free_at.snap_size_hint()
-            + self.perturbation.snap_size_hint()
-            + self.stats.snap_size_hint()
-            + self.last_access.snap_size_hint()
-            + self.home_free_at.snap_size_hint()
-    }
-}
-
-/// Sanity cap on a decoded node count: no machine we build approaches 2^20
-/// CPUs, so a larger value is a corrupt header, rejected before it can size
-/// an allocation.
-const MAX_SNAP_NODES: u64 = 1 << 20;
-
-impl MemorySystem {
-    /// Assembles a decoded memory system, validating the directory register
-    /// count and rebuilding the derived residency state (snoop filter or
-    /// directory) from the restored cache contents. Shared by the linear
-    /// [`Snap`](crate::checkpoint::Snap) decode and the sectioned decode so
-    /// both produce byte-for-byte identical machines.
-    fn from_parts(
-        config: MemoryConfig,
-        nodes: Vec<Node>,
-        bus_free_at: Cycle,
-        perturbation: Perturbation,
-        stats: MemStats,
-        last_access: Cycle,
-        home_free_at: Vec<Cycle>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let dir = config.protocol.is_directory();
+        // Validate the directory register count, then rebuild the derived
+        // residency state (snoop filter or directory) from the restored
+        // cache contents.
         let cpus = nodes.len();
         if dir && home_free_at.len() != cpus {
-            return Err(crate::checkpoint::CheckpointError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 what: "home occupancy register count".into(),
             });
         }
@@ -1151,83 +1110,16 @@ impl MemorySystem {
         })
     }
 
-    /// Encodes into per-section ranges of a [`SectionEncoder`]: a
-    /// `MemHeader` section (config + node count), one `MemNode` section per
-    /// node, and a `MemShared` tail. The concatenated section bytes are
-    /// **identical** to what [`Snap::encode_snap`](crate::checkpoint::Snap)
-    /// produces — `Vec<Node>`'s linear encoding is its length followed by
-    /// each element, and the section boundaries fall exactly on those
-    /// element boundaries — so whole-payload fingerprints are unchanged by
-    /// sectioning.
-    pub(crate) fn encode_snap_sectioned(&self, se: &mut crate::checkpoint::SectionEncoder) {
-        use crate::checkpoint::{SectionKind, Snap};
-        se.begin(SectionKind::MemHeader);
-        self.config.encode_snap(se.enc());
-        se.enc().put_u64(self.nodes.len() as u64);
-        for (i, node) in self.nodes.iter().enumerate() {
-            se.begin(SectionKind::MemNode(i as u32));
-            node.encode_snap(se.enc());
-        }
-        se.begin(SectionKind::MemShared);
-        self.bus_free_at.encode_snap(se.enc());
-        self.perturbation.encode_snap(se.enc());
-        self.stats.encode_snap(se.enc());
-        self.last_access.encode_snap(se.enc());
-        if self.config.protocol.is_directory() {
-            self.home_free_at.encode_snap(se.enc());
-        }
-    }
-
-    /// Decodes the sectioned form written by
-    /// [`MemorySystem::encode_snap_sectioned`], consuming the `MemHeader`,
-    /// `MemNode` and `MemShared` sections from `sr`. Each section's decoder
-    /// is finished at its own boundary, so an overrun in one node's cache
-    /// stack is reported against that node instead of corrupting its
-    /// neighbours' decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`](crate::checkpoint::CheckpointError) on
-    /// any malformed or out-of-order section.
-    pub(crate) fn decode_snap_sectioned(
-        sr: &mut crate::checkpoint::SectionReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, SectionKind, Snap};
-        let mut dec = sr.expect(SectionKind::MemHeader)?;
-        let config = MemoryConfig::decode_snap(&mut dec)?;
-        let node_count = dec.get_u64()?;
-        dec.finish()?;
-        if node_count > MAX_SNAP_NODES {
-            return Err(CheckpointError::Corrupt {
-                what: "memory-system node count".into(),
-            });
-        }
-        let mut nodes = Vec::with_capacity(node_count as usize);
-        for i in 0..node_count as u32 {
-            let mut dec = sr.expect(SectionKind::MemNode(i))?;
-            nodes.push(Node::decode_snap(&mut dec)?);
-            dec.finish()?;
-        }
-        let mut dec = sr.expect(SectionKind::MemShared)?;
-        let bus_free_at = Snap::decode_snap(&mut dec)?;
-        let perturbation = Snap::decode_snap(&mut dec)?;
-        let stats = Snap::decode_snap(&mut dec)?;
-        let last_access = Snap::decode_snap(&mut dec)?;
-        let home_free_at: Vec<Cycle> = if config.protocol.is_directory() {
-            Snap::decode_snap(&mut dec)?
-        } else {
-            Vec::new()
-        };
-        dec.finish()?;
-        MemorySystem::from_parts(
-            config,
-            nodes,
-            bus_free_at,
-            perturbation,
-            stats,
-            last_access,
-            home_free_at,
-        )
+    fn snap_size_hint(&self) -> usize {
+        // `home_free_at` is counted unconditionally — an over-estimate on
+        // snooping configs, which is the direction hints are allowed to err.
+        self.config.snap_size_hint()
+            + self.nodes.snap_size_hint()
+            + self.bus_free_at.snap_size_hint()
+            + self.perturbation.snap_size_hint()
+            + self.stats.snap_size_hint()
+            + self.last_access.snap_size_hint()
+            + self.home_free_at.snap_size_hint()
     }
 }
 

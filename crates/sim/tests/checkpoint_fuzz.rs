@@ -2,11 +2,11 @@
 //!
 //! A spill file can come back truncated, bit-flipped, or spliced together
 //! from two writes; an adversarial one can claim absurd lengths. The frame
-//! format layers enough validation (magic, version, header checksum over the
-//! section table, payload length, whole-payload fingerprint, per-section
-//! fingerprints) that **every** such mutation must surface as a
-//! [`CheckpointError`] from `Checkpoint::from_bytes` — never a panic, and
-//! never an `Ok` carrying different bytes than were framed.
+//! layers enough validation (magic, version, payload length against both
+//! `usize` and the bytes present, trailing bytes, payload fingerprint) that
+//! **every** such mutation must surface as a [`CheckpointError`] from
+//! `Checkpoint::from_bytes` — never a panic, and never an `Ok` carrying
+//! different bytes than were framed.
 //!
 //! Payload-level damage is a separate layer: `Checkpoint::from_payload`
 //! recomputes the fingerprint, so the frame validates and the corruption
@@ -35,8 +35,8 @@ fn warmed_frame() -> (Checkpoint, Vec<u8>) {
     (ck, bytes)
 }
 
-/// Every single-bit flip anywhere in the frame — header, section table,
-/// checksum, payload — must be rejected. Exhaustive over byte positions
+/// Every single-bit flip anywhere in the frame — magic, version, length,
+/// fingerprint, payload — must be rejected. Exhaustive over byte positions
 /// (one pseudo-random bit per byte) so no field escapes coverage.
 #[test]
 fn every_bit_flip_in_the_frame_is_rejected() {
@@ -61,8 +61,7 @@ fn every_bit_flip_in_the_frame_is_rejected() {
 }
 
 /// Every proper prefix must be rejected as truncated/corrupt — an
-/// interrupted write can cut the frame anywhere, including mid-header and
-/// mid-section-table.
+/// interrupted write can cut the frame anywhere, including mid-header.
 #[test]
 fn every_truncation_is_rejected() {
     let (_, bytes) = warmed_frame();
@@ -149,8 +148,8 @@ fn random_splices_are_rejected() {
     }
 }
 
-/// Hostile headers: absurd payload lengths and section counts must be
-/// rejected *before* they can size an allocation. (The `u64::MAX` length
+/// Hostile headers: absurd payload lengths must be rejected *before* they
+/// can size an allocation. (The `u64::MAX` length
 /// also covers the 32-bit `as usize` truncation this PR fixes: on any
 /// platform the length is rejected, not wrapped.)
 #[test]
@@ -165,10 +164,6 @@ fn hostile_lengths_are_rejected() {
         buf[offset as usize..offset as usize + 8].copy_from_slice(&value.to_le_bytes());
         assert!(Checkpoint::from_bytes(&buf).is_err());
     }
-    // Section count is the u32 at offset 28.
-    let mut buf = bytes.clone();
-    buf[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(Checkpoint::from_bytes(&buf).is_err());
 }
 
 /// Payload-level corruption re-wrapped through `from_payload` (which makes

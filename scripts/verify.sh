@@ -28,9 +28,13 @@ cd "$(dirname "$0")/.."
 # body (Executor::launch_arms) decodes a sweep's templates and WarmChain::warm
 # a chain's restores, and nothing else calls restore_template; an
 # experiment's arms launch as one batch, so non-test experiment.rs never
-# calls run_space per arm. A second copy or a revived entry point anywhere
-# else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch"
+# calls run_space per arm. Snapshots have one frame and one decode path: the
+# sectioned format (its section types, sectioned encode/decode, the
+# MachineParts split, the fused update_both hash) stays gone, and the spill
+# frame has one writer, checkpoint::frame, so no magic is framed by hand
+# outside crates/sim/src/checkpoint.rs. A second copy or a revived entry point
+# anywhere else fails here, before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, snapshot frame"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -70,9 +74,14 @@ stray=$(
     if sed '/^#\[cfg(test)\]/,$d' crates/core/src/experiment.rs | grep -q -e 'run_space('; then
         echo "crates/core/src/experiment.rs: an experiment's arms launch as one batch, not one run_space per arm"
     fi
+    grep -rln -e 'SectionKind' -e 'SectionEncoder' -e 'SectionReader' -e 'decode_sectioned' \
+        -e 'encode_snap_sectioned' -e 'MachineParts' -e 'update_both' \
+        crates src tests examples || true
+    grep -rlnE -e 'extend_from_slice\(.*(RESULT|CHECKPOINT)_MAGIC' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode or per-arm launch outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch or snapshot frame code outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -153,13 +162,14 @@ cargo test -q --offline --test snoop_filter_checkpoint
 echo "==> kernel parity: steady-state allocation budget"
 cargo test -q --offline --test alloc_steady_state
 
-# Snapshot gate: the sectioned checkpoint format and copy-on-write fork
-# path. Decode fuzz proves every frame mutation is an error, never a
-# panic; the bounded-retry suite pins the corrupt-spill fallback in the
-# checkpoint store; the alloc-budget suite (release, so capacity seeds
-# face real payload sizes) pins encode-fits-seed and fork-vs-restore
-# cost. Feature off and on: the invariant monitor rides inside the
-# Sched section, so both frame shapes must hold the line.
+# Snapshot gate: the checkpoint frame and copy-on-write fork path. Decode
+# fuzz proves every frame mutation is an error, never a panic; the
+# bounded-retry suite pins the corrupt-spill fallback (including stale
+# version-2 files) in the checkpoint store; the alloc-budget suite
+# (release, so capacity seeds face real payload sizes) pins
+# encode-fits-seed and fork-vs-restore cost. Feature off and on: the
+# invariant monitor rides inside the payload, so both payload shapes must
+# hold the line.
 echo "==> snapshot gate: decode fuzz over frames and payloads"
 cargo test -q --offline -p mtvar-sim --test checkpoint_fuzz
 

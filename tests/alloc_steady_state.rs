@@ -13,8 +13,7 @@
 //! The snapshot path carries the same discipline: encode must fit the
 //! up-front capacity seed (no doubling regrowth of a multi-megabyte buffer),
 //! and forking a decoded template must cost a small fraction of a full
-//! restore — the copy-on-write fork is the point of the sectioned snapshot
-//! work.
+//! restore — the copy-on-write fork is the point of the snapshot work.
 //!
 //! These tests live in their own integration-test binary because a global
 //! allocator is per-binary; they additionally serialize on a mutex because
@@ -122,10 +121,9 @@ fn snapshot_encode_fits_its_capacity_seed() {
     let machine = warmed_reference_machine();
 
     // The capacity seed (the sum of every component's `snap_size_hint`)
-    // must cover the whole payload — and therefore every section, since
-    // sections are ranges over the one buffer. If this inequality breaks,
-    // encode regrows the buffer mid-snapshot and the allocation budget
-    // below breaks with it.
+    // must cover the whole payload. If this inequality breaks, encode
+    // regrows the buffer mid-snapshot and the allocation budget below
+    // breaks with it.
     let seed = machine.snapshot_size_hint();
     let (allocs_before, _) = counters();
     let ck = machine.snapshot();
@@ -136,13 +134,11 @@ fn snapshot_encode_fits_its_capacity_seed() {
          encode is regrowing mid-snapshot",
         ck.len()
     );
-    let covered: usize = ck.sections().iter().map(|s| s.len).sum();
-    assert_eq!(covered, ck.len(), "sections must tile the payload");
 
-    // Encoding allocates the payload buffer, the section table, and the
-    // sorted event list — a fixed handful, independent of machine size.
-    // Doubling growth of a warmed 16-CPU payload from empty would cost ~10
-    // reallocs on its own and fail this budget.
+    // Encoding allocates the payload buffer and the sorted event list — a
+    // fixed handful, independent of machine size. Doubling growth of a
+    // warmed 16-CPU payload from empty would cost ~10 reallocs on its own
+    // and fail this budget.
     let allocs = allocs_after - allocs_before;
     assert!(
         allocs <= 16,
