@@ -23,7 +23,7 @@ use mtvar_serve::client::{Client, SweepOutcome};
 use mtvar_serve::protocol::{
     fold_digest, ConfigSpec, PlanSpec, Priority, Response, SweepSpec, WorkloadSpec,
 };
-use mtvar_serve::server::{signal, ServeConfig, Server};
+use mtvar_serve::server::{ServeConfig, Server};
 use mtvar_sim::workload::SharingWorkload;
 
 const USAGE: &str = "\
@@ -269,8 +269,53 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     signal::install();
     let handle = Server::start(config).map_err(|e| e.to_string())?;
     eprintln!("[mtvar-serve] listening on {}", socket.display());
+    // A signal becomes a `Shutdown` request, whose drain ends `join`. The
+    // watcher stays detached: without a signal it never returns.
+    std::thread::spawn(move || {
+        while !signal::requested() {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        let _ = Client::new(socket).shutdown();
+    });
     handle.join();
     Ok(())
+}
+
+/// SIGINT / SIGTERM for `mtvar serve`: the handler does the only
+/// async-signal-safe thing — it stores to a static atomic — and
+/// `cmd_serve`'s watcher thread turns the flag into a `Shutdown` request.
+mod signal {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+
+    extern "C" fn on_signal(_signum: i32) {
+        SHUTDOWN.store(true, Ordering::SeqCst);
+    }
+
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+
+    /// Installs the SIGINT/SIGTERM handlers that request a graceful drain.
+    pub fn install() {
+        let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `signal` with a function whose body only stores to a
+        // static atomic is async-signal-safe; 2 and 15 are valid signal
+        // numbers on every Unix this crate targets.
+        unsafe {
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+    }
+
+    /// Whether a handled signal has requested shutdown.
+    pub fn requested() -> bool {
+        SHUTDOWN.load(Ordering::SeqCst)
+    }
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {

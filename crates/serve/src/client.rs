@@ -12,10 +12,11 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
-use mtvar_sim::checkpoint::{CheckpointError, Decoder, Snap};
+use mtvar_sim::checkpoint::CheckpointError;
 
 use crate::protocol::{
-    encode_request, read_frame_into, FrameKind, JobState, Request, Response, ServerStats, SweepSpec,
+    decode_message, encode_request, read_frame_into, FrameKind, JobState, Request, Response,
+    ServerStats, SweepSpec,
 };
 use crate::{Result, ServeError};
 
@@ -108,7 +109,7 @@ impl Client {
         // `RunDone` frame per run, and reusing the buffer keeps the hot
         // loop allocation-free once it has grown to the largest frame.
         let mut body = Vec::new();
-        match read_response_into(&mut stream, &mut body)? {
+        match read_response(&mut stream, &mut body)? {
             Response::Submitted { .. } => {}
             Response::Error { code, message } => {
                 return Err(ServeError::Rejected { code, message });
@@ -116,7 +117,7 @@ impl Client {
             other => return Err(unexpected(&other)),
         }
         loop {
-            let event = read_response_into(&mut stream, &mut body)?;
+            let event = read_response(&mut stream, &mut body)?;
             on_event(&event);
             match event {
                 Response::JobDone {
@@ -160,7 +161,7 @@ impl Client {
     /// [`ErrorCode::UnknownJob`]: crate::protocol::ErrorCode::UnknownJob
     pub fn status(&self, job: u64) -> Result<StatusReport> {
         let mut stream = self.open(&Request::Status { job })?;
-        match read_response(&mut stream)? {
+        match read_response(&mut stream, &mut Vec::new())? {
             Response::JobStatus {
                 job,
                 state,
@@ -188,7 +189,7 @@ impl Client {
     /// as themselves.
     pub fn cancel(&self, job: u64) -> Result<bool> {
         let mut stream = self.open(&Request::Cancel { job })?;
-        match read_response(&mut stream)? {
+        match read_response(&mut stream, &mut Vec::new())? {
             Response::CancelResult { cancelled, .. } => Ok(cancelled),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
@@ -202,7 +203,7 @@ impl Client {
     /// I/O and protocol errors as themselves.
     pub fn stats(&self) -> Result<ServerStats> {
         let mut stream = self.open(&Request::Stats)?;
-        match read_response(&mut stream)? {
+        match read_response(&mut stream, &mut Vec::new())? {
             Response::StatsReport(stats) => Ok(stats),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
@@ -216,7 +217,7 @@ impl Client {
     /// I/O and protocol errors as themselves.
     pub fn shutdown(&self) -> Result<()> {
         let mut stream = self.open(&Request::Shutdown)?;
-        match read_response(&mut stream)? {
+        match read_response(&mut stream, &mut Vec::new())? {
             Response::ShuttingDown => Ok(()),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
@@ -224,22 +225,10 @@ impl Client {
     }
 }
 
-fn read_response(stream: &mut UnixStream) -> Result<Response> {
-    read_response_into(stream, &mut Vec::new())
-}
-
-/// [`read_response`] through a caller-owned, recycled frame-body buffer.
-fn read_response_into(stream: &mut UnixStream, body: &mut Vec<u8>) -> Result<Response> {
+/// Reads one response through a caller-owned, recyclable frame-body buffer.
+fn read_response(stream: &mut UnixStream, body: &mut Vec<u8>) -> Result<Response> {
     let kind = read_frame_into(stream, body)?;
-    if kind != FrameKind::Response {
-        return Err(ServeError::Protocol(CheckpointError::Corrupt {
-            what: "expected a response frame".into(),
-        }));
-    }
-    let mut dec = Decoder::new(body);
-    let resp = Response::decode_snap(&mut dec)?;
-    dec.finish()?;
-    Ok(resp)
+    Ok(decode_message(FrameKind::Response, (kind, body))?)
 }
 
 fn unexpected(resp: &Response) -> ServeError {

@@ -122,8 +122,9 @@ pub enum AdmissionError {
 struct QueueInner {
     lanes: [VecDeque<Arc<JobRecord>>; 3],
     draining: bool,
-    /// Dispatchers still inside `run` — drained shutdown waits for zero.
-    running: usize,
+    /// Admitted jobs whose submitting connection has not closed its stream
+    /// — a drained shutdown waits for zero.
+    open: usize,
 }
 
 impl QueueInner {
@@ -179,6 +180,7 @@ impl JobQueue {
         let lane = spec.priority.lane();
         let record = Arc::new(JobRecord::new(id, spec, events));
         inner.lanes[lane].push_back(Arc::clone(&record));
+        inner.open += 1;
         drop(inner);
         self.ready.notify_one();
         Ok(record)
@@ -194,10 +196,7 @@ impl JobQueue {
         loop {
             let next = inner.lanes.iter_mut().find_map(|lane| lane.pop_front());
             match next {
-                Some(job) => {
-                    inner.running += 1;
-                    return Some(job);
-                }
+                Some(job) => return Some(job),
                 None if inner.draining => return None,
                 None => {
                     inner = self.ready.wait(inner).expect("queue poisoned");
@@ -206,15 +205,11 @@ impl JobQueue {
         }
     }
 
-    /// Marks the popping dispatcher's job as finished executing (success,
-    /// failure, or cancellation alike). Pairs with [`JobQueue::pop_blocking`].
-    pub fn note_done(&self) {
+    /// Marks an admitted job's stream closed: its terminal frame is
+    /// written, or its client is gone. Pairs with [`JobQueue::submit`].
+    pub fn note_closed(&self) {
         let mut inner = self.inner.lock().expect("queue poisoned");
-        inner.running = inner.running.saturating_sub(1);
-        drop(inner);
-        // Wake drain waiters (and any dispatcher re-checking the exit
-        // condition).
-        self.ready.notify_all();
+        inner.open = inner.open.saturating_sub(1);
     }
 
     /// Switches to draining: new submissions are rejected, queued jobs still
@@ -229,25 +224,17 @@ impl JobQueue {
         self.inner.lock().expect("queue poisoned").draining
     }
 
-    /// Blocks until the queue is empty and no dispatcher is mid-job. Only
-    /// meaningful after [`JobQueue::drain`].
-    pub fn wait_idle(&self) {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        while inner.depth() > 0 || inner.running > 0 {
-            inner = self.ready.wait(inner).expect("queue poisoned");
-        }
-    }
-
     /// Jobs currently queued (not counting the one a dispatcher holds).
     pub fn depth(&self) -> usize {
         self.inner.lock().expect("queue poisoned").depth()
     }
 
-    /// Whether the queue is empty *and* no dispatcher is mid-job — the
-    /// non-blocking peek the accept loop polls during a drain.
-    pub fn is_idle(&self) -> bool {
+    /// Whether the drain is complete: draining, and every admitted job's
+    /// stream closed (nothing queued, no terminal frame unwritten). Once
+    /// true it stays true: a draining queue admits nothing.
+    pub fn is_drained(&self) -> bool {
         let inner = self.inner.lock().expect("queue poisoned");
-        inner.depth() == 0 && inner.running == 0
+        inner.draining && inner.open == 0
     }
 }
 
@@ -339,11 +326,12 @@ mod tests {
         // Queued jobs still pop during the drain; then the queue reports
         // exhaustion instead of blocking.
         assert!(q.pop_blocking().is_some());
-        q.note_done();
+        q.note_closed();
         assert!(q.pop_blocking().is_some());
-        q.note_done();
+        assert!(!q.is_drained(), "a job's stream is still open");
+        q.note_closed();
         assert!(q.pop_blocking().is_none());
-        q.wait_idle();
+        assert!(q.is_drained());
     }
 
     #[test]
@@ -359,7 +347,7 @@ mod tests {
         assert_eq!(popped.id, a.id);
         assert!(popped.cancel_requested());
         popped.set_state(JobState::Cancelled);
-        q.note_done();
+        q.note_closed();
         assert!(
             !a.request_cancel(),
             "re-cancelling a terminal job reports no effect"
@@ -367,7 +355,7 @@ mod tests {
         let popped = q.pop_blocking().unwrap();
         assert_eq!(popped.id, b.id);
         assert!(!popped.cancel_requested());
-        q.note_done();
+        q.note_closed();
         assert!(q.pop_blocking().is_none());
     }
 

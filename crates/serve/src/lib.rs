@@ -18,10 +18,10 @@
 //! * [`job`] — the prioritized job queue: admission control (bounded depth,
 //!   typed rejection), three priority lanes, per-job cancellation, and the
 //!   job registry that `status` queries read.
-//! * [`server`] — the daemon: accept loop, dispatcher pool, the
-//!   [`RunProgress`] bridge that streams per-run digests and violation
-//!   summaries back to the submitting client, and graceful
-//!   SIGINT/SIGTERM drain.
+//! * [`server`] — the daemon: an accept loop that blocks until a client or
+//!   the completed drain wakes it, the dispatcher pool, the [`RunProgress`]
+//!   bridge that streams per-run digests and violation summaries back to the
+//!   submitting client, and the drain on a `Shutdown` request.
 //! * [`client`] — the blocking client API the `mtvar` CLI (and the tests)
 //!   speak through.
 //!

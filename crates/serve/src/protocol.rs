@@ -91,11 +91,7 @@ pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
 pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
     assert!(body.len() <= MAX_FRAME_BODY, "frame body over the cap");
     let mut out = Vec::with_capacity(FRAME_HEADER + body.len() + 8);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(kind.to_byte());
-    out.push(0); // reserved
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&frame_header(kind, body.len()));
     out.extend_from_slice(body);
     let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
@@ -362,59 +358,10 @@ pub enum WorkloadSpec {
     },
 }
 
-impl Snap for WorkloadSpec {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        match self {
-            WorkloadSpec::Sharing {
-                threads,
-                seed,
-                ops_per_txn,
-                footprint_blocks,
-                lock_every,
-            } => {
-                enc.put_u8(0);
-                threads.encode_snap(enc);
-                seed.encode_snap(enc);
-                ops_per_txn.encode_snap(enc);
-                footprint_blocks.encode_snap(enc);
-                lock_every.encode_snap(enc);
-            }
-            WorkloadSpec::Benchmark { name, cpus, seed } => {
-                enc.put_u8(1);
-                name.encode_snap(enc);
-                cpus.encode_snap(enc);
-                seed.encode_snap(enc);
-            }
-        }
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(WorkloadSpec::Sharing {
-                threads: Snap::decode_snap(dec)?,
-                seed: Snap::decode_snap(dec)?,
-                ops_per_txn: Snap::decode_snap(dec)?,
-                footprint_blocks: Snap::decode_snap(dec)?,
-                lock_every: Snap::decode_snap(dec)?,
-            }),
-            1 => Ok(WorkloadSpec::Benchmark {
-                name: Snap::decode_snap(dec)?,
-                cpus: Snap::decode_snap(dec)?,
-                seed: Snap::decode_snap(dec)?,
-            }),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid WorkloadSpec tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        match self {
-            WorkloadSpec::Sharing { .. } => 1 + 5 * 8,
-            WorkloadSpec::Benchmark { name, .. } => 1 + name.snap_size_hint() + 16,
-        }
-    }
-}
+mtvar_sim::impl_snap!(enum WorkloadSpec {
+    0 => Sharing { threads, seed, ops_per_txn, footprint_blocks, lock_every },
+    1 => Benchmark { name, cpus, seed },
+});
 
 impl WorkloadSpec {
     /// Resolves a benchmark name against [`Benchmark::ALL`]
@@ -516,26 +463,11 @@ impl Priority {
     }
 }
 
-impl Snap for Priority {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u8(self.lane() as u8);
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(Priority::High),
-            1 => Ok(Priority::Normal),
-            2 => Ok(Priority::Low),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid Priority tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
+mtvar_sim::impl_snap!(enum Priority {
+    0 => High,
+    1 => Normal,
+    2 => Low,
+});
 
 /// One complete sweep request: what to simulate and how urgently.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -584,50 +516,13 @@ pub enum Request {
     Shutdown,
 }
 
-impl Snap for Request {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        match self {
-            Request::Submit(spec) => {
-                enc.put_u8(0);
-                spec.encode_snap(enc);
-            }
-            Request::Status { job } => {
-                enc.put_u8(1);
-                job.encode_snap(enc);
-            }
-            Request::Cancel { job } => {
-                enc.put_u8(2);
-                job.encode_snap(enc);
-            }
-            Request::Stats => enc.put_u8(3),
-            Request::Shutdown => enc.put_u8(4),
-        }
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(Request::Submit(Snap::decode_snap(dec)?)),
-            1 => Ok(Request::Status {
-                job: Snap::decode_snap(dec)?,
-            }),
-            2 => Ok(Request::Cancel {
-                job: Snap::decode_snap(dec)?,
-            }),
-            3 => Ok(Request::Stats),
-            4 => Ok(Request::Shutdown),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid Request tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        match self {
-            Request::Submit(spec) => 1 + spec.snap_size_hint(),
-            _ => 16,
-        }
-    }
-}
+mtvar_sim::impl_snap!(enum Request {
+    0 => Submit(spec),
+    1 => Status { job },
+    2 => Cancel { job },
+    3 => Stats,
+    4 => Shutdown,
+});
 
 /// Machine-readable rejection reasons carried by [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -643,32 +538,12 @@ pub enum ErrorCode {
     UnknownJob,
 }
 
-impl Snap for ErrorCode {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            ErrorCode::QueueFull => 0,
-            ErrorCode::Draining => 1,
-            ErrorCode::BadRequest => 2,
-            ErrorCode::UnknownJob => 3,
-        });
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(ErrorCode::QueueFull),
-            1 => Ok(ErrorCode::Draining),
-            2 => Ok(ErrorCode::BadRequest),
-            3 => Ok(ErrorCode::UnknownJob),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid ErrorCode tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
+mtvar_sim::impl_snap!(enum ErrorCode {
+    0 => QueueFull,
+    1 => Draining,
+    2 => BadRequest,
+    3 => UnknownJob,
+});
 
 /// Lifecycle state of a job, as reported by [`Response::JobStatus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -685,34 +560,13 @@ pub enum JobState {
     Cancelled,
 }
 
-impl Snap for JobState {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Done => 2,
-            JobState::Failed => 3,
-            JobState::Cancelled => 4,
-        });
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(JobState::Queued),
-            1 => Ok(JobState::Running),
-            2 => Ok(JobState::Done),
-            3 => Ok(JobState::Failed),
-            4 => Ok(JobState::Cancelled),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid JobState tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
+mtvar_sim::impl_snap!(enum JobState {
+    0 => Queued,
+    1 => Running,
+    2 => Done,
+    3 => Failed,
+    4 => Cancelled,
+});
 
 /// A snapshot of the server's counters, returned by [`Request::Stats`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -866,154 +720,19 @@ pub enum Response {
     },
 }
 
-impl Snap for Response {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        match self {
-            Response::Submitted { job } => {
-                enc.put_u8(0);
-                job.encode_snap(enc);
-            }
-            Response::JobStarted { job } => {
-                enc.put_u8(1);
-                job.encode_snap(enc);
-            }
-            Response::RunDone {
-                job,
-                run_index,
-                digest,
-                cached,
-                violations,
-            } => {
-                enc.put_u8(2);
-                job.encode_snap(enc);
-                run_index.encode_snap(enc);
-                digest.encode_snap(enc);
-                cached.encode_snap(enc);
-                violations.encode_snap(enc);
-            }
-            Response::JobDone {
-                job,
-                digest,
-                runs,
-                completed,
-                cached,
-                violations,
-                mean_cpt,
-            } => {
-                enc.put_u8(3);
-                job.encode_snap(enc);
-                digest.encode_snap(enc);
-                runs.encode_snap(enc);
-                completed.encode_snap(enc);
-                cached.encode_snap(enc);
-                violations.encode_snap(enc);
-                mean_cpt.encode_snap(enc);
-            }
-            Response::JobFailed { job, message } => {
-                enc.put_u8(4);
-                job.encode_snap(enc);
-                message.encode_snap(enc);
-            }
-            Response::Cancelled { job } => {
-                enc.put_u8(5);
-                job.encode_snap(enc);
-            }
-            Response::JobStatus {
-                job,
-                state,
-                runs_done,
-                runs_total,
-                digest,
-            } => {
-                enc.put_u8(6);
-                job.encode_snap(enc);
-                state.encode_snap(enc);
-                runs_done.encode_snap(enc);
-                runs_total.encode_snap(enc);
-                digest.encode_snap(enc);
-            }
-            Response::CancelResult { job, cancelled } => {
-                enc.put_u8(7);
-                job.encode_snap(enc);
-                cancelled.encode_snap(enc);
-            }
-            Response::StatsReport(stats) => {
-                enc.put_u8(8);
-                stats.encode_snap(enc);
-            }
-            Response::ShuttingDown => enc.put_u8(9),
-            Response::Error { code, message } => {
-                enc.put_u8(10);
-                code.encode_snap(enc);
-                message.encode_snap(enc);
-            }
-        }
-    }
-
-    fn decode_snap(dec: &mut Decoder<'_>) -> std::result::Result<Self, CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(Response::Submitted {
-                job: Snap::decode_snap(dec)?,
-            }),
-            1 => Ok(Response::JobStarted {
-                job: Snap::decode_snap(dec)?,
-            }),
-            2 => Ok(Response::RunDone {
-                job: Snap::decode_snap(dec)?,
-                run_index: Snap::decode_snap(dec)?,
-                digest: Snap::decode_snap(dec)?,
-                cached: Snap::decode_snap(dec)?,
-                violations: Snap::decode_snap(dec)?,
-            }),
-            3 => Ok(Response::JobDone {
-                job: Snap::decode_snap(dec)?,
-                digest: Snap::decode_snap(dec)?,
-                runs: Snap::decode_snap(dec)?,
-                completed: Snap::decode_snap(dec)?,
-                cached: Snap::decode_snap(dec)?,
-                violations: Snap::decode_snap(dec)?,
-                mean_cpt: Snap::decode_snap(dec)?,
-            }),
-            4 => Ok(Response::JobFailed {
-                job: Snap::decode_snap(dec)?,
-                message: Snap::decode_snap(dec)?,
-            }),
-            5 => Ok(Response::Cancelled {
-                job: Snap::decode_snap(dec)?,
-            }),
-            6 => Ok(Response::JobStatus {
-                job: Snap::decode_snap(dec)?,
-                state: Snap::decode_snap(dec)?,
-                runs_done: Snap::decode_snap(dec)?,
-                runs_total: Snap::decode_snap(dec)?,
-                digest: Snap::decode_snap(dec)?,
-            }),
-            7 => Ok(Response::CancelResult {
-                job: Snap::decode_snap(dec)?,
-                cancelled: Snap::decode_snap(dec)?,
-            }),
-            8 => Ok(Response::StatsReport(Snap::decode_snap(dec)?)),
-            9 => Ok(Response::ShuttingDown),
-            10 => Ok(Response::Error {
-                code: Snap::decode_snap(dec)?,
-                message: Snap::decode_snap(dec)?,
-            }),
-            b => Err(CheckpointError::Corrupt {
-                what: format!("invalid Response tag {b}"),
-            }),
-        }
-    }
-
-    fn snap_size_hint(&self) -> usize {
-        match self {
-            Response::StatsReport(stats) => 1 + stats.snap_size_hint(),
-            Response::JobFailed { message, .. } | Response::Error { message, .. } => {
-                16 + message.snap_size_hint()
-            }
-            _ => 64,
-        }
-    }
-}
+mtvar_sim::impl_snap!(enum Response {
+    0 => Submitted { job },
+    1 => JobStarted { job },
+    2 => RunDone { job, run_index, digest, cached, violations },
+    3 => JobDone { job, digest, runs, completed, cached, violations, mean_cpt },
+    4 => JobFailed { job, message },
+    5 => Cancelled { job },
+    6 => JobStatus { job, state, runs_done, runs_total, digest },
+    7 => CancelResult { job, cancelled },
+    8 => StatsReport(stats),
+    9 => ShuttingDown,
+    10 => Error { code, message },
+});
 
 /// Encodes a request as one complete frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -1029,16 +748,25 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 ///
 /// Returns the [`CheckpointError`] naming the first validation failure.
 pub fn decode_request(frame: &[u8]) -> std::result::Result<Request, CheckpointError> {
-    let (kind, body) = decode_frame(frame)?;
-    if kind != FrameKind::Request {
+    decode_message(FrameKind::Request, decode_frame(frame)?)
+}
+
+/// The one message decode behind every reader, here and in the server and
+/// client: checks that a validated frame is of the `expected` kind, then
+/// decodes its body as `M`, rejecting trailing bytes.
+pub(crate) fn decode_message<M: Snap>(
+    expected: FrameKind,
+    (kind, body): (FrameKind, &[u8]),
+) -> std::result::Result<M, CheckpointError> {
+    if kind != expected {
         return Err(CheckpointError::Corrupt {
-            what: "expected a request frame".into(),
+            what: format!("expected a {expected:?} frame"),
         });
     }
     let mut dec = Decoder::new(body);
-    let req = Request::decode_snap(&mut dec)?;
+    let message = M::decode_snap(&mut dec)?;
     dec.finish()?;
-    Ok(req)
+    Ok(message)
 }
 
 /// Encodes a response as one complete frame.
@@ -1092,16 +820,7 @@ impl FrameSink {
 ///
 /// Returns the [`CheckpointError`] naming the first validation failure.
 pub fn decode_response(frame: &[u8]) -> std::result::Result<Response, CheckpointError> {
-    let (kind, body) = decode_frame(frame)?;
-    if kind != FrameKind::Response {
-        return Err(CheckpointError::Corrupt {
-            what: "expected a response frame".into(),
-        });
-    }
-    let mut dec = Decoder::new(body);
-    let resp = Response::decode_snap(&mut dec)?;
-    dec.finish()?;
-    Ok(resp)
+    decode_message(FrameKind::Response, decode_frame(frame)?)
 }
 
 #[cfg(test)]
@@ -1135,6 +854,8 @@ mod tests {
         }
     }
 
+    /// Every request round-trips, and its frame's [`Fnv1a::hash`] is pinned:
+    /// a change to any tag byte or field order fails here.
     #[test]
     fn requests_round_trip() {
         let reqs = [
@@ -1152,15 +873,47 @@ mod tests {
             Request::Cancel { job: 9 },
             Request::Stats,
             Request::Shutdown,
+            Request::Submit(SweepSpec {
+                priority: Priority::Low,
+                ..sample_spec()
+            }),
         ];
+        let mut hashes = Vec::new();
         for req in reqs {
             let frame = encode_request(&req);
             assert_eq!(decode_request(&frame).unwrap(), req);
+            hashes.push(Fnv1a::hash(&frame));
         }
+        assert_eq!(
+            hashes,
+            [
+                0xe6a4_8f1d_36f6_af53,
+                0x83f2_9f1c_9af6_4387,
+                0x8864_66fd_7efa_6bdb,
+                0xef1d_8088_e737_af5a,
+                0x583b_5a8b_961c_b64a,
+                0x3601_06ea_1025_ccfc,
+                0x99de_ceea_c596_9c1f
+            ],
+            "frame hashes {hashes:#018x?}"
+        );
     }
 
+    /// Every response round-trips — every [`JobState`] and [`ErrorCode`]
+    /// included — and its frame's [`Fnv1a::hash`] is pinned.
     #[test]
     fn responses_round_trip() {
+        let status = |state| Response::JobStatus {
+            job: 1,
+            state,
+            runs_done: 2,
+            runs_total: 6,
+            digest: Some(0xABCD),
+        };
+        let error = |code| Response::Error {
+            code,
+            message: "no".into(),
+        };
         let resps = [
             Response::Submitted { job: 1 },
             Response::JobStarted { job: 1 },
@@ -1207,10 +960,70 @@ mod tests {
                 code: ErrorCode::Draining,
                 message: "bye".into(),
             },
+            status(JobState::Queued),
+            status(JobState::Done),
+            status(JobState::Failed),
+            status(JobState::Cancelled),
+            error(ErrorCode::QueueFull),
+            error(ErrorCode::BadRequest),
+            error(ErrorCode::UnknownJob),
         ];
+        let mut hashes = Vec::new();
         for resp in resps {
             let frame = encode_response(&resp);
             assert_eq!(decode_response(&frame).unwrap(), resp);
+            hashes.push(Fnv1a::hash(&frame));
+        }
+        assert_eq!(
+            hashes,
+            [
+                0x9705_2723_a65a_c11b,
+                0x9144_b4a8_1398_e3ea,
+                0xdffa_98b9_76db_abca,
+                0x1f9b_12d1_a34c_5c02,
+                0xc9db_5728_0f93_aadc,
+                0xa3b2_a6da_9da9_3665,
+                0x4f6c_9ba1_f498_81d6,
+                0xe7f4_090c_822c_f610,
+                0xe88e_be80_ab30_929d,
+                0x37ac_8638_12fd_0f75,
+                0x275a_f638_4294_6371,
+                0xa7c5_3c83_065b_6b82,
+                0x6fc6_bf44_097f_4631,
+                0x4096_429f_7d9c_9cbf,
+                0xfc4d_fb30_29ee_5e75,
+                0xf6c5_7564_e848_eebc,
+                0x82cd_ba21_6c65_c0e1,
+                0x3394_868c_20c0_e486
+            ],
+            "frame hashes {hashes:#018x?}"
+        );
+    }
+
+    #[test]
+    fn a_tag_past_the_largest_is_corrupt_and_an_empty_buffer_truncated() {
+        fn check<T: Snap + std::fmt::Debug>(tag: u8) {
+            let name = std::any::type_name::<T>();
+            let mut bytes = vec![tag];
+            bytes.resize(256, 0);
+            let corrupt = T::decode_snap(&mut Decoder::new(&bytes));
+            assert!(
+                matches!(corrupt, Err(CheckpointError::Corrupt { .. })),
+                "{name}"
+            );
+            let empty = T::decode_snap(&mut Decoder::new(&[]));
+            assert!(matches!(empty, Err(CheckpointError::Truncated)), "{name}");
+        }
+        let table: [(u8, fn(u8)); 6] = [
+            (2, check::<WorkloadSpec>),
+            (3, check::<Priority>),
+            (5, check::<Request>),
+            (4, check::<ErrorCode>),
+            (5, check::<JobState>),
+            (11, check::<Response>),
+        ];
+        for (tag, check) in table {
+            check(tag);
         }
     }
 

@@ -7,9 +7,12 @@
 //! digests are bit-identical to batch ones, and concurrent jobs that need
 //! the same warmup share one simulation of it through the store.
 //! Connections and dispatchers are plain threads — no async runtime — and
-//! graceful shutdown (SIGINT, SIGTERM, or a [`Request::Shutdown`] frame)
+//! graceful shutdown (a [`Request::Shutdown`] frame, which the `mtvar serve`
+//! binary also sends on SIGINT/SIGTERM, or [`ServerHandle::shutdown`])
 //! drains in-flight jobs while rejecting new submissions with a typed
-//! [`ErrorCode::Draining`] frame.
+//! [`ErrorCode::Draining`] frame. The acceptor blocks in `accept`; the
+//! thread that completes the drain wakes it with a connection to its own
+//! socket.
 //!
 //! [`Executor`]: mtvar_core::runspace::Executor
 //! [`Executor::run_space`]: mtvar_core::runspace::Executor::run_space
@@ -20,7 +23,7 @@
 use std::collections::{HashMap, HashSet};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -29,56 +32,16 @@ use mtvar_core::checkpoint::CheckpointStore;
 use mtvar_core::golden::run_digest;
 use mtvar_core::runspace::{Executor, ProgressCounters, RunProgress, RunSpace};
 use mtvar_core::CoreError;
-use mtvar_sim::checkpoint::{Decoder, Snap};
+use mtvar_sim::checkpoint::Snap;
 use mtvar_sim::stats::RunResult;
 use mtvar_sim::workload::{SharingWorkload, Workload};
 
 use crate::job::{AdmissionError, JobQueue, JobRecord, JobRegistry};
 use crate::protocol::{
-    fold_digest, read_frame, ErrorCode, FrameKind, FrameSink, JobState, Request, Response,
-    ServerStats, WorkloadSpec,
+    decode_message, fold_digest, read_frame, ErrorCode, FrameKind, FrameSink, JobState, Request,
+    Response, ServerStats, WorkloadSpec,
 };
 use crate::ServeError;
-
-/// Process-wide shutdown flag driven by SIGINT / SIGTERM.
-///
-/// The handler does the only async-signal-safe thing — it stores to a static
-/// atomic — and the accept loop polls the flag between accepts. Installation
-/// is explicit (the `mtvar serve` binary calls [`signal::install`]) so
-/// embedding a server in a test binary never hijacks the harness's Ctrl-C.
-pub mod signal {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_signum: i32) {
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Installs the SIGINT/SIGTERM handlers that request a graceful drain.
-    pub fn install() {
-        let handler = on_signal as extern "C" fn(i32) as usize;
-        // SAFETY: `signal` with a function whose body only stores to a
-        // static atomic is async-signal-safe; 2 and 15 are valid signal
-        // numbers on every Unix this crate targets.
-        unsafe {
-            signal(SIGINT, handler);
-            signal(SIGTERM, handler);
-        }
-    }
-
-    /// Whether a handled signal has requested shutdown.
-    pub fn shutdown_requested() -> bool {
-        SHUTDOWN.load(Ordering::SeqCst)
-    }
-}
 
 /// Everything needed to start a server.
 #[derive(Debug, Clone)]
@@ -128,7 +91,7 @@ struct Shared {
     executor: Executor,
     store: Arc<CheckpointStore>,
     counters: Arc<ProgressCounters>,
-    shutdown: AtomicBool,
+    socket: PathBuf,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -137,6 +100,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// The acceptor blocks in `accept`: called after every drain request and
+    /// every closed job stream, this wakes it with a connection to its own
+    /// socket once the drain is complete ([`JobQueue::is_drained`]).
+    fn wake_acceptor_if_drained(&self) {
+        if self.queue.is_drained() {
+            // Fails only if the acceptor has already exited.
+            let _ = UnixStream::connect(&self.socket);
+        }
+    }
+
     fn stats_snapshot(&self) -> ServerStats {
         let mut warnings = self.store.take_warnings();
         if let Some(results) = self.executor.result_store() {
@@ -267,11 +240,12 @@ where
 
 fn dispatch_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop_blocking() {
+        // Each outcome is counted before its terminal frame goes out, so a
+        // client that has read the frame sees it in the next `stats`.
         if job.cancel_requested() {
             job.set_state(JobState::Cancelled);
-            job.send(Response::Cancelled { job: job.id });
             shared.cancelled.fetch_add(1, Ordering::Relaxed);
-            shared.queue.note_done();
+            job.send(Response::Cancelled { job: job.id });
             continue;
         }
         job.set_state(JobState::Running);
@@ -318,8 +292,8 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 // so nothing was wasted) but the job reports cancelled.
                 drop(space);
                 job.set_state(JobState::Cancelled);
-                job.send(Response::Cancelled { job: job.id });
                 shared.cancelled.fetch_add(1, Ordering::Relaxed);
+                job.send(Response::Cancelled { job: job.id });
             }
             Ok(space) => {
                 let digest = space
@@ -330,6 +304,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 let mean_cpt = runtimes.iter().sum::<f64>() / runtimes.len() as f64;
                 job.set_digest(digest);
                 job.set_state(JobState::Done);
+                shared.completed.fetch_add(1, Ordering::Relaxed);
                 job.send(Response::JobDone {
                     job: job.id,
                     digest,
@@ -339,18 +314,16 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     violations: space.total_violations(),
                     mean_cpt,
                 });
-                shared.completed.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
                 job.set_state(JobState::Failed);
+                shared.failed.fetch_add(1, Ordering::Relaxed);
                 job.send(Response::JobFailed {
                     job: job.id,
                     message: e.to_string(),
                 });
-                shared.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shared.queue.note_done();
     }
 }
 
@@ -379,17 +352,7 @@ fn serve_connection(
     sink: &mut FrameSink,
 ) -> crate::Result<()> {
     let (kind, body) = read_frame(stream)?;
-    if kind != FrameKind::Request {
-        return Err(ServeError::Protocol(
-            mtvar_sim::checkpoint::CheckpointError::Corrupt {
-                what: "expected a request frame".into(),
-            },
-        ));
-    }
-    let mut dec = Decoder::new(&body);
-    let request = Request::decode_snap(&mut dec)?;
-    dec.finish()?;
-    match request {
+    match decode_message(FrameKind::Request, (kind, &body))? {
         Request::Submit(spec) => {
             if let Err(what) = spec.workload.validate() {
                 sink.write_response(
@@ -429,11 +392,11 @@ fn serve_connection(
                 Ok(job) => {
                     shared.registry.register(Arc::clone(&job));
                     shared.submitted.fetch_add(1, Ordering::Relaxed);
-                    sink.write_response(stream, &Response::Submitted { job: job.id })?;
+                    let acked = sink.write_response(stream, &Response::Submitted { job: job.id });
                     // Stream events until the job's terminal frame. If the
                     // client hangs up, the job still runs to completion —
                     // its results land in the shared cache either way.
-                    for event in inbox {
+                    for event in inbox.iter().take_while(|_| acked.is_ok()) {
                         let terminal = matches!(
                             event,
                             Response::JobDone { .. }
@@ -447,6 +410,11 @@ fn serve_connection(
                             break;
                         }
                     }
+                    // Closed only now, after the terminal frame is written,
+                    // so a completed drain never outruns a job's last frame.
+                    shared.queue.note_closed();
+                    shared.wake_acceptor_if_drained();
+                    acked?;
                 }
             }
         }
@@ -483,8 +451,8 @@ fn serve_connection(
             sink.write_response(stream, &Response::StatsReport(shared.stats_snapshot()))?;
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
             shared.queue.drain();
+            shared.wake_acceptor_if_drained();
             sink.write_response(stream, &Response::ShuttingDown)?;
         }
     }
@@ -509,7 +477,6 @@ impl Server {
             std::fs::remove_file(&config.socket)?;
         }
         let listener = UnixListener::bind(&config.socket)?;
-        listener.set_nonblocking(true)?;
 
         let mut store = CheckpointStore::new();
         if let Some(dir) = &config.checkpoint_spill {
@@ -530,7 +497,7 @@ impl Server {
             executor,
             store,
             counters: Arc::new(ProgressCounters::new()),
-            shutdown: AtomicBool::new(false),
+            socket: config.socket.clone(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -548,19 +515,13 @@ impl Server {
             })
             .collect();
 
-        let socket = config.socket.clone();
         let accept_shared = Arc::clone(&shared);
-        let accept_socket = socket.clone();
         let thread = std::thread::Builder::new()
             .name("mtvar-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, dispatchers, &accept_socket))
+            .spawn(move || accept_loop(listener, accept_shared, dispatchers))
             .expect("spawn accept loop");
 
-        Ok(ServerHandle {
-            socket,
-            shared,
-            thread,
-        })
+        Ok(ServerHandle { shared, thread })
     }
 }
 
@@ -568,34 +529,23 @@ fn accept_loop(
     listener: UnixListener,
     shared: Arc<Shared>,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
-    socket: &Path,
 ) {
-    loop {
-        if signal::shutdown_requested() || shared.shutdown.load(Ordering::SeqCst) {
-            // Idempotent: flips admission to typed Draining rejections while
-            // queued jobs keep executing.
-            shared.queue.drain();
-        }
-        if shared.queue.is_draining() && shared.queue.is_idle() {
+    for stream in listener.incoming() {
+        // A client's connection or the drain's own wake: once the drain is
+        // complete, nothing more is served.
+        if shared.queue.is_drained() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("mtvar-conn".into())
-                    .spawn(move || handle_connection(&shared, stream));
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        if let Ok(stream) = stream {
+            let shared = Arc::clone(&shared);
+            let _ = std::thread::Builder::new()
+                .name("mtvar-conn".into())
+                .spawn(move || handle_connection(&shared, stream));
         }
     }
-    // Drained: no queued work, no running job, admission rejects. Stop the
-    // dispatchers, surface the final accounting, release the socket.
-    shared.queue.drain();
-    shared.queue.wait_idle();
+    // Drained: admission rejects and every job's stream is closed. Join the
+    // dispatchers (one may still finish a job whose client hung up), surface
+    // the final accounting, release the socket.
     for d in dispatchers {
         let _ = d.join();
     }
@@ -619,15 +569,14 @@ fn accept_loop(
     for warning in &stats.warnings {
         eprintln!("[mtvar-serve] warning: {warning}");
     }
-    let _ = std::fs::remove_file(socket);
+    let _ = std::fs::remove_file(&shared.socket);
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
-/// [`ServerHandle::shutdown`] (or send SIGINT/SIGTERM/a `Shutdown` frame)
-/// and then [`ServerHandle::join`].
+/// [`ServerHandle::shutdown`] (or send a `Shutdown` frame) and then
+/// [`ServerHandle::join`].
 #[derive(Debug)]
 pub struct ServerHandle {
-    socket: PathBuf,
     shared: Arc<Shared>,
     thread: std::thread::JoinHandle<()>,
 }
@@ -644,13 +593,13 @@ impl std::fmt::Debug for Shared {
 impl ServerHandle {
     /// The socket path clients connect to.
     pub fn socket(&self) -> &Path {
-        &self.socket
+        &self.shared.socket
     }
 
-    /// Requests a graceful drain, as if the process received SIGTERM.
+    /// Requests a graceful drain, like a `Shutdown` frame.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue.drain();
+        self.shared.wake_acceptor_if_drained();
     }
 
     /// Blocks until the accept loop exits (after a drain completes).

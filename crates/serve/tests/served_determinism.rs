@@ -381,6 +381,28 @@ fn cancelling_a_queued_job_streams_a_terminal_frame() {
     handle.join();
 }
 
+/// The acceptor blocks in `accept` instead of polling, so a one-connection
+/// request costs a round trip, not a poll interval: 50 sequential `stats`
+/// calls stay well under 150 ms (a 5 ms poll alone would take 250 ms).
+#[test]
+fn sequential_requests_are_not_paced_by_the_acceptor() {
+    let socket = socket_path("rtt");
+    let handle = Server::start(ServeConfig::new(&socket)).expect("start server");
+    let client = Client::new(&socket);
+    client.stats().expect("warm-up request");
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        client.stats().expect("stats");
+    }
+    let elapsed = start.elapsed();
+    client.shutdown().expect("shutdown");
+    handle.join();
+    assert!(
+        elapsed < std::time::Duration::from_millis(150),
+        "50 sequential stats requests took {elapsed:?}"
+    );
+}
+
 /// Disk spill: a second server started on the same spill directories
 /// replays the whole sweep from disk — same digest, all runs cached.
 #[test]

@@ -480,37 +480,13 @@ impl InvariantMonitor {
     }
 }
 
-impl crate::checkpoint::Snap for InvariantKind {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_u8(match self {
-            InvariantKind::Coherence => 0,
-            InvariantKind::Inclusion => 1,
-            InvariantKind::TimeRegression => 2,
-            InvariantKind::Conservation => 3,
-            InvariantKind::Scheduling => 4,
-        });
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        Ok(match dec.get_u8()? {
-            0 => InvariantKind::Coherence,
-            1 => InvariantKind::Inclusion,
-            2 => InvariantKind::TimeRegression,
-            3 => InvariantKind::Conservation,
-            4 => InvariantKind::Scheduling,
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "InvariantKind tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
-
+crate::impl_snap!(enum InvariantKind {
+    0 => Coherence,
+    1 => Inclusion,
+    2 => TimeRegression,
+    3 => Conservation,
+    4 => Scheduling,
+});
 crate::impl_snap!(Violation {
     kind,
     cycle,

@@ -9,6 +9,8 @@
 //!   little-endian, floats round-trip through their IEEE-754 bit patterns,
 //!   and enums carry explicit tag bytes, so an encoding produced today
 //!   decodes bit-identically forever (no `serde`, no layout dependence).
+//!   [`impl_snap!`](crate::impl_snap) derives it for structs, tagged enums
+//!   and newtypes, so each such type's wire format is one invocation.
 //! * [`Checkpoint`] — an opaque container for one encoded
 //!   [`Machine`](crate::machine::Machine): a payload plus a content
 //!   fingerprint, persisted with [`Checkpoint::to_bytes`] /
@@ -28,7 +30,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::hash::Fnv1a;
-use crate::ids::{BlockAddr, CpuId, LockId, ThreadId};
 
 /// Magic bytes opening a framed checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"MTVARCKP";
@@ -299,23 +300,127 @@ pub trait Snap: Sized {
     /// are not a valid encoding of this type.
     fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError>;
 
-    /// Upper estimate of this value's encoded size in bytes, used to seed
-    /// encoder capacity so snapshot encoding never regrows its buffer
-    /// mid-encode (gated by the alloc-budget suite). Estimates must err
-    /// high, never low; the default generously covers small fixed-size
-    /// values (hand-written enum encodings), and containers sum their
-    /// elements. [`impl_snap!`](crate::impl_snap) derives it as the sum of
-    /// the field hints.
-    fn snap_size_hint(&self) -> usize {
-        64
-    }
+    /// Estimate of this value's encoded size in bytes, used to seed encoder
+    /// capacity so snapshot encoding never regrows its buffer mid-encode
+    /// (gated by the alloc-budget suite). Estimates must be exact or high,
+    /// never low: primitives return their width, containers sum their
+    /// elements, and [`impl_snap!`](crate::impl_snap) derives the sum of
+    /// the field hints (plus the tag byte for enums).
+    fn snap_size_hint(&self) -> usize;
 }
 
-/// Implements [`Snap`] for a struct with named fields by encoding the listed
-/// fields in order. Usable from dependent crates for their own state types
-/// (the workload crates use it for generator state).
+/// Implements [`Snap`] by encoding the listed fields in order; the
+/// invocation is the wire-format spec. Three shapes are accepted:
+///
+/// * **Struct** — `impl_snap!(Type { field, ... })`: the named fields.
+/// * **Tagged enum** — `impl_snap!(enum Type { tag => Variant, ... })`: the
+///   variant's tag byte, then its fields. Unit, tuple (`Variant(a, b)`,
+///   naming a binding per field) and struct (`Variant { a, b }`) variants
+///   mix freely; an unlisted tag decodes to [`CheckpointError::Corrupt`].
+/// * **Newtype** — `impl_snap!(Type(Inner))`: exactly `Inner`'s encoding.
+///
+/// The derived [`Snap::snap_size_hint`] sums the field hints (plus one for
+/// an enum's tag), so it is exact whenever theirs are. Dependent crates use
+/// it for their own state types too.
+///
+/// ```
+/// use mtvar_sim::checkpoint::{CheckpointError, Decoder, Encoder, Snap};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// mtvar_sim::impl_snap!(enum Shape {
+///     0 => Dot,
+///     1 => Circle(radius),
+///     7 => Rect { w, h },
+/// });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Meters(u64);
+/// mtvar_sim::impl_snap!(Meters(u64));
+///
+/// let value = (Shape::Rect { w: 3, h: 4 }, Meters(2));
+/// let mut enc = Encoder::new();
+/// value.encode_snap(&mut enc);
+/// let bytes = enc.into_bytes();
+/// // The tag byte, `w`, `h`, then the newtype's u64.
+/// assert_eq!(bytes, [7, 3, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(value.snap_size_hint(), bytes.len());
+/// assert_eq!(Snap::decode_snap(&mut Decoder::new(&bytes)), Ok(value));
+///
+/// assert_eq!(
+///     Shape::decode_snap(&mut Decoder::new(&[2])),
+///     Err(CheckpointError::Corrupt { what: "invalid Shape tag 2".into() })
+/// );
+/// assert_eq!(Shape::decode_snap(&mut Decoder::new(&[])), Err(CheckpointError::Truncated));
+/// ```
+//
+// The enum arm comes first: once a `ty` fragment fails to parse (as `enum`
+// does), `macro_rules` reports an error instead of trying the next arm.
 #[macro_export]
 macro_rules! impl_snap {
+    (enum $name:ident {
+        $( $tag:literal => $variant:ident
+            $( ( $($tfield:ident),+ $(,)? ) )?
+            $( { $($sfield:ident),+ $(,)? } )?
+        ),+ $(,)?
+    }) => {
+        impl $crate::checkpoint::Snap for $name {
+            fn encode_snap(&self, enc: &mut $crate::checkpoint::Encoder) {
+                // The tag has its own match: a lookup table, not a branch per
+                // variant, for field-less enums such as a cache line's state.
+                enc.put_u8(match self {
+                    $( Self::$variant { .. } => $tag, )+
+                });
+                match self {
+                    $( Self::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )? => {
+                        $($( $crate::checkpoint::Snap::encode_snap($tfield, enc); )+)?
+                        $($( $crate::checkpoint::Snap::encode_snap($sfield, enc); )+)?
+                    } )+
+                }
+            }
+            fn decode_snap(
+                dec: &mut $crate::checkpoint::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::checkpoint::CheckpointError> {
+                match dec.get_u8()? {
+                    $( $tag => {
+                        $($( let $tfield = $crate::checkpoint::Snap::decode_snap(dec)?; )+)?
+                        $($( let $sfield = $crate::checkpoint::Snap::decode_snap(dec)?; )+)?
+                        Ok(Self::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )?)
+                    } )+
+                    tag => Err($crate::checkpoint::CheckpointError::Corrupt {
+                        what: ::std::format!("invalid {} tag {tag}", ::std::stringify!($name)),
+                    }),
+                }
+            }
+            fn snap_size_hint(&self) -> usize {
+                match self {
+                    $( Self::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )? => {
+                        1 $($( + $crate::checkpoint::Snap::snap_size_hint($tfield) )+)?
+                          $($( + $crate::checkpoint::Snap::snap_size_hint($sfield) )+)?
+                    } )+
+                }
+            }
+        }
+    };
+    ($name:ident ( $inner:ty )) => {
+        impl $crate::checkpoint::Snap for $name {
+            fn encode_snap(&self, enc: &mut $crate::checkpoint::Encoder) {
+                $crate::checkpoint::Snap::encode_snap(&self.0, enc);
+            }
+            fn decode_snap(
+                dec: &mut $crate::checkpoint::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(Self(<$inner as $crate::checkpoint::Snap>::decode_snap(dec)?))
+            }
+            fn snap_size_hint(&self) -> usize {
+                $crate::checkpoint::Snap::snap_size_hint(&self.0)
+            }
+        }
+    };
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::checkpoint::Snap for $ty {
             fn encode_snap(&self, enc: &mut $crate::checkpoint::Encoder) {
@@ -552,51 +657,15 @@ fn decode_len(dec: &mut Decoder<'_>) -> Result<usize, CheckpointError> {
     Ok(len as usize)
 }
 
-impl Snap for CpuId {
+impl<T: Snap> Snap for Box<T> {
     fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        (**self).encode_snap(enc);
     }
     fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        Ok(CpuId(dec.get_u32()?))
+        Ok(Box::new(T::decode_snap(dec)?))
     }
     fn snap_size_hint(&self) -> usize {
-        4
-    }
-}
-
-impl Snap for ThreadId {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
-    }
-    fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        Ok(ThreadId(dec.get_u32()?))
-    }
-    fn snap_size_hint(&self) -> usize {
-        4
-    }
-}
-
-impl Snap for LockId {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
-    }
-    fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        Ok(LockId(dec.get_u32()?))
-    }
-    fn snap_size_hint(&self) -> usize {
-        4
-    }
-}
-
-impl Snap for BlockAddr {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        enc.put_u64(self.0);
-    }
-    fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        Ok(BlockAddr(dec.get_u64()?))
-    }
-    fn snap_size_hint(&self) -> usize {
-        8
+        (**self).snap_size_hint()
     }
 }
 
@@ -735,9 +804,157 @@ impl Checkpoint {
     }
 }
 
+/// Test helpers shared by the modules that own a tagged encoding.
+#[cfg(test)]
+pub(crate) mod pins {
+    use super::*;
+
+    /// Byte length and [`Fnv1a::hash`] of `values` encoded back to back,
+    /// after checking that the stream decodes back to `values`.
+    pub(crate) fn encoding_pin<T: Snap + PartialEq + fmt::Debug>(values: &[T]) -> (usize, u64) {
+        let mut enc = Encoder::new();
+        values.iter().for_each(|v| v.encode_snap(&mut enc));
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        for v in values {
+            assert_eq!(&T::decode_snap(&mut dec).expect("decode"), v);
+        }
+        dec.finish().expect("fully consumed");
+        (bytes.len(), Fnv1a::hash(&bytes))
+    }
+
+    /// Asserts that `tag` (one past `T`'s largest, then zero padding)
+    /// decodes to `Corrupt`, and an empty buffer to `Truncated`.
+    pub(crate) fn assert_rejects_bad_tag<T: Snap + fmt::Debug>(tag: u8) {
+        let name = std::any::type_name::<T>();
+        let mut bytes = vec![tag];
+        bytes.resize(65, 0);
+        let corrupt = T::decode_snap(&mut Decoder::new(&bytes));
+        assert!(
+            matches!(corrupt, Err(CheckpointError::Corrupt { .. })),
+            "{name}"
+        );
+        let empty = T::decode_snap(&mut Decoder::new(&[]));
+        assert!(matches!(empty, Err(CheckpointError::Truncated)), "{name}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::pins::{assert_rejects_bad_tag, encoding_pin};
     use super::*;
+    use crate::check::InvariantKind;
+    use crate::config::FaultKind;
+    use crate::ids::{BlockAddr, CpuId, LockId, ThreadId};
+    use crate::mem::{CoherenceProtocol, CoherenceState};
+    use crate::ops::{AccessKind, BranchInfo, Op};
+    use crate::proc::{OooConfig, ProcCore, ProcessorConfig};
+    use crate::sched::{SchedEventKind, ThreadState};
+
+    /// One value of every variant, encoded back to back per type; the table
+    /// pins each stream's length and hash.
+    #[test]
+    fn tagged_and_newtype_encodings_are_pinned() {
+        use AccessKind::*;
+        use CoherenceProtocol::*;
+        use CoherenceState::*;
+        use InvariantKind::*;
+        use SchedEventKind::*;
+        use ThreadState::*;
+        let pins = [
+            encoding_pin(&[
+                Coherence,
+                Inclusion,
+                TimeRegression,
+                Conservation,
+                Scheduling,
+            ]),
+            encoding_pin(&[Read, Write]),
+            encoding_pin(&[
+                Op::Compute {
+                    instructions: 17,
+                    code_block: BlockAddr(0x1234),
+                },
+                Op::Memory {
+                    addr: BlockAddr(0xBEEF),
+                    kind: Write,
+                    dependent: true,
+                },
+                Op::Branch(BranchInfo {
+                    pc: 0x40,
+                    taken: true,
+                }),
+                Op::IndirectBranch {
+                    pc: 0x41,
+                    target: 0x99,
+                },
+                Op::Call { return_pc: 0x42 },
+                Op::Return { return_pc: 0x42 },
+                Op::Lock(LockId(3)),
+                Op::Unlock(LockId(3)),
+                Op::TxnEnd,
+                Op::Io(5_000),
+                Op::Yield,
+            ]),
+            encoding_pin(&[
+                FaultKind::CoherenceState {
+                    cpu: 1,
+                    block: 0xFA11,
+                    state: Exclusive,
+                },
+                FaultKind::SchedulerDoubleRun { cpu: 2 },
+            ]),
+            encoding_pin(&[
+                ProcessorConfig::Simple,
+                ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(64)),
+            ]),
+            encoding_pin(&[Mosi, Mesi, Moesi, DirMosi, DirMesi, DirMoesi]),
+            encoding_pin(&[Modified, Exclusive, Owned, Shared, Invalid]),
+            encoding_pin(&[Ready, Running(CpuId(5)), Blocked(LockId(6)), Sleeping]),
+            encoding_pin(&[Dispatch, Preempt, BlockLock(LockId(7)), Sleep, Wake, Yield]),
+            encoding_pin(&[CpuId(0), CpuId(63)]),
+            encoding_pin(&[ThreadId(1), ThreadId(u32::MAX)]),
+            encoding_pin(&[LockId(0), LockId(9)]),
+            encoding_pin(&[BlockAddr(0x40), BlockAddr(u64::MAX)]),
+        ];
+        let expected = [
+            (5, 0xe383_6862_3001_02bb),  // InvariantKind
+            (2, 0x5326_f9e0_796e_dfd6),  // AccessKind
+            (70, 0x9819_dedc_64f2_ec97), // Op
+            (19, 0x2fdc_00c6_3481_4d45), // FaultKind
+            (22, 0xf270_8398_3286_d164), // ProcessorConfig
+            (6, 0x7cf1_b7ac_2725_33bf),  // CoherenceProtocol
+            (5, 0xe383_6862_3001_02bb),  // CoherenceState
+            (12, 0x0145_de85_dfdb_0270), // ThreadState
+            (10, 0xed56_e7d0_9341_4b3c), // SchedEventKind
+            (8, 0x69d6_8ab4_c088_aa54),  // CpuId
+            (8, 0x2343_69ff_e2d4_54a0),  // ThreadId
+            (8, 0xeb5b_b8f6_4262_1ac4),  // LockId
+            (16, 0xad16_9620_6c4e_ab80), // BlockAddr
+        ];
+        assert_eq!(pins, expected);
+    }
+
+    #[test]
+    fn a_tag_past_the_largest_is_corrupt_and_an_empty_buffer_truncated() {
+        let table: [(u8, fn(u8)); 12] = [
+            (2, assert_rejects_bad_tag::<bool>),
+            (2, assert_rejects_bad_tag::<Option<u64>>),
+            (5, assert_rejects_bad_tag::<InvariantKind>),
+            (2, assert_rejects_bad_tag::<AccessKind>),
+            (11, assert_rejects_bad_tag::<Op>),
+            (2, assert_rejects_bad_tag::<FaultKind>),
+            (2, assert_rejects_bad_tag::<ProcessorConfig>),
+            (2, assert_rejects_bad_tag::<ProcCore>),
+            (6, assert_rejects_bad_tag::<CoherenceProtocol>),
+            (5, assert_rejects_bad_tag::<CoherenceState>),
+            (4, assert_rejects_bad_tag::<ThreadState>),
+            (6, assert_rejects_bad_tag::<SchedEventKind>),
+        ];
+        for (tag, check) in table {
+            check(tag);
+        }
+    }
 
     fn round_trip<T: Snap + PartialEq + fmt::Debug>(v: T) {
         let mut enc = Encoder::new();
@@ -787,34 +1004,12 @@ mod tests {
     }
 
     #[test]
-    fn id_round_trips() {
-        round_trip(CpuId(7));
-        round_trip(ThreadId(31));
-        round_trip(LockId(0));
-        round_trip(BlockAddr(u64::MAX));
-    }
-
-    #[test]
     fn truncated_stream_errors() {
         let mut enc = Encoder::new();
         0xAABB_CCDDu32.encode_snap(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes[..2]);
         assert_eq!(u32::decode_snap(&mut dec), Err(CheckpointError::Truncated));
-    }
-
-    #[test]
-    fn bad_tags_error() {
-        let mut dec = Decoder::new(&[7]);
-        assert!(matches!(
-            bool::decode_snap(&mut dec),
-            Err(CheckpointError::Corrupt { .. })
-        ));
-        let mut dec = Decoder::new(&[9, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert!(matches!(
-            Option::<u64>::decode_snap(&mut dec),
-            Err(CheckpointError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -276,47 +276,10 @@ impl Default for MachineConfig {
     }
 }
 
-impl crate::checkpoint::Snap for FaultKind {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match *self {
-            FaultKind::CoherenceState { cpu, block, state } => {
-                enc.put_u8(0);
-                cpu.encode_snap(enc);
-                block.encode_snap(enc);
-                state.encode_snap(enc);
-            }
-            FaultKind::SchedulerDoubleRun { cpu } => {
-                enc.put_u8(1);
-                cpu.encode_snap(enc);
-            }
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => FaultKind::CoherenceState {
-                cpu: Snap::decode_snap(dec)?,
-                block: Snap::decode_snap(dec)?,
-                state: Snap::decode_snap(dec)?,
-            },
-            1 => FaultKind::SchedulerDoubleRun {
-                cpu: Snap::decode_snap(dec)?,
-            },
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "FaultKind tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        // Largest variant: tag + cpu + block + state.
-        14
-    }
-}
-
+crate::impl_snap!(enum FaultKind {
+    0 => CoherenceState { cpu, block, state },
+    1 => SchedulerDoubleRun { cpu },
+});
 crate::impl_snap!(FaultSpec {
     after_commits,
     kind

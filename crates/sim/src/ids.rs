@@ -77,6 +77,11 @@ impl fmt::Display for BlockAddr {
     }
 }
 
+crate::impl_snap!(CpuId(u32));
+crate::impl_snap!(ThreadId(u32));
+crate::impl_snap!(LockId(u32));
+crate::impl_snap!(BlockAddr(u64));
+
 #[cfg(test)]
 mod tests {
     use super::*;

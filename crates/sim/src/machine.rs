@@ -607,35 +607,10 @@ impl<W: Workload> Machine<W> {
     }
 }
 
-impl crate::checkpoint::Snap for EventKind {
-    fn encode_snap(&self, enc: &mut Encoder) {
-        match self {
-            EventKind::CpuReady(cpu) => {
-                enc.put_u8(0);
-                cpu.encode_snap(enc);
-            }
-            EventKind::ThreadWake(thread) => {
-                enc.put_u8(1);
-                thread.encode_snap(enc);
-            }
-        }
-    }
-    fn decode_snap(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        Ok(match dec.get_u8()? {
-            0 => EventKind::CpuReady(Snap::decode_snap(dec)?),
-            1 => EventKind::ThreadWake(Snap::decode_snap(dec)?),
-            _ => {
-                return Err(CheckpointError::Corrupt {
-                    what: "EventKind tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        5
-    }
-}
-
+crate::impl_snap!(enum EventKind {
+    0 => CpuReady(cpu),
+    1 => ThreadWake(thread),
+});
 crate::impl_snap!(Event { time, seq, kind });
 crate::impl_snap!(Cpu {
     core,
@@ -856,7 +831,16 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::pins::{assert_rejects_bad_tag, encoding_pin};
     use crate::workload::UniformWorkload;
+
+    #[test]
+    fn event_kind_encoding_is_pinned_and_rejects_bad_tags() {
+        use EventKind::*;
+        let pin = encoding_pin(&[CpuReady(CpuId(3)), ThreadWake(ThreadId(9))]);
+        assert_eq!(pin, (10, 0x036d_f286_0ad9_c30a));
+        assert_rejects_bad_tag::<EventKind>(2);
+    }
 
     fn machine(cpus: usize, threads: usize) -> Machine<UniformWorkload> {
         let cfg = MachineConfig::hpca2003().with_cpus(cpus);

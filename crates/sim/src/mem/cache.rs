@@ -20,7 +20,7 @@ pub enum CoherenceState {
     /// Invalid: no copy. Discriminant 0 so an all-zero `Line` is a default
     /// (empty) line and zeroed allocations are valid line arrays — see
     /// `zeroed_lines`. The snapshot byte for each state is an explicit
-    /// constant in the `Snap` impl below, independent of these
+    /// tag in the `impl_snap!` invocation below, independent of these
     /// discriminants, so checkpoint bytes do not depend on declaration
     /// order.
     #[default]
@@ -475,35 +475,13 @@ impl CacheArray {
     }
 }
 
-impl crate::checkpoint::Snap for CoherenceState {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_u8(match self {
-            CoherenceState::Modified => 0,
-            CoherenceState::Exclusive => 1,
-            CoherenceState::Owned => 2,
-            CoherenceState::Shared => 3,
-            CoherenceState::Invalid => 4,
-        });
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(CoherenceState::Modified),
-            1 => Ok(CoherenceState::Exclusive),
-            2 => Ok(CoherenceState::Owned),
-            3 => Ok(CoherenceState::Shared),
-            4 => Ok(CoherenceState::Invalid),
-            _ => Err(crate::checkpoint::CheckpointError::Corrupt {
-                what: "CoherenceState tag".into(),
-            }),
-        }
-    }
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
-
+crate::impl_snap!(enum CoherenceState {
+    0 => Modified,
+    1 => Exclusive,
+    2 => Owned,
+    3 => Shared,
+    4 => Invalid,
+});
 crate::impl_snap!(CacheConfig {
     size_bytes,
     associativity,
@@ -589,7 +567,7 @@ impl crate::checkpoint::Snap for CacheArray {
     fn decode_snap(
         dec: &mut crate::checkpoint::Decoder<'_>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Snap};
+        use crate::checkpoint::{CheckpointError, Decoder, Snap};
         let config = CacheConfig::decode_snap(dec)?;
         let len = dec.get_u64()? as usize;
         // Largest plausible array: a 16 GB cache of 64-byte lines. Anything
@@ -635,11 +613,10 @@ impl crate::checkpoint::Snap for CacheArray {
                     filled += run;
                 }
                 tag_byte => {
-                    let state = match tag_byte {
-                        0 => CoherenceState::Modified,
-                        1 => CoherenceState::Exclusive,
-                        2 => CoherenceState::Owned,
-                        3 => CoherenceState::Shared,
+                    // A resident line's tag is its state's own tag; Invalid
+                    // lines only ever appear inside runs.
+                    let state = match CoherenceState::decode_snap(&mut Decoder::new(&[tag_byte])) {
+                        Ok(state) if state != CoherenceState::Invalid => state,
                         _ => {
                             return Err(CheckpointError::Corrupt {
                                 what: "CacheArray line tag".into(),

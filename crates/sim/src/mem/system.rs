@@ -972,37 +972,14 @@ impl MemorySystem {
     }
 }
 
-impl crate::checkpoint::Snap for CoherenceProtocol {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_u8(match self {
-            CoherenceProtocol::Mosi => 0,
-            CoherenceProtocol::Mesi => 1,
-            CoherenceProtocol::Moesi => 2,
-            CoherenceProtocol::DirMosi => 3,
-            CoherenceProtocol::DirMesi => 4,
-            CoherenceProtocol::DirMoesi => 5,
-        });
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(CoherenceProtocol::Mosi),
-            1 => Ok(CoherenceProtocol::Mesi),
-            2 => Ok(CoherenceProtocol::Moesi),
-            3 => Ok(CoherenceProtocol::DirMosi),
-            4 => Ok(CoherenceProtocol::DirMesi),
-            5 => Ok(CoherenceProtocol::DirMoesi),
-            _ => Err(crate::checkpoint::CheckpointError::Corrupt {
-                what: "CoherenceProtocol tag".into(),
-            }),
-        }
-    }
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
-
+crate::impl_snap!(enum CoherenceProtocol {
+    0 => Mosi,
+    1 => Mesi,
+    2 => Moesi,
+    3 => DirMosi,
+    4 => DirMesi,
+    5 => DirMoesi,
+});
 crate::impl_snap!(MemoryConfig {
     l1i,
     l1d,

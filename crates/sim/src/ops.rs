@@ -120,127 +120,24 @@ impl Op {
     }
 }
 
-impl crate::checkpoint::Snap for AccessKind {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_u8(match self {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        });
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        match dec.get_u8()? {
-            0 => Ok(AccessKind::Read),
-            1 => Ok(AccessKind::Write),
-            _ => Err(crate::checkpoint::CheckpointError::Corrupt {
-                what: "AccessKind tag".into(),
-            }),
-        }
-    }
-    fn snap_size_hint(&self) -> usize {
-        1
-    }
-}
-
+crate::impl_snap!(enum AccessKind {
+    0 => Read,
+    1 => Write,
+});
 crate::impl_snap!(BranchInfo { pc, taken });
-
-impl crate::checkpoint::Snap for Op {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match self {
-            Op::Compute {
-                instructions,
-                code_block,
-            } => {
-                enc.put_u8(0);
-                instructions.encode_snap(enc);
-                code_block.encode_snap(enc);
-            }
-            Op::Memory {
-                addr,
-                kind,
-                dependent,
-            } => {
-                enc.put_u8(1);
-                addr.encode_snap(enc);
-                kind.encode_snap(enc);
-                dependent.encode_snap(enc);
-            }
-            Op::Branch(info) => {
-                enc.put_u8(2);
-                info.encode_snap(enc);
-            }
-            Op::IndirectBranch { pc, target } => {
-                enc.put_u8(3);
-                pc.encode_snap(enc);
-                target.encode_snap(enc);
-            }
-            Op::Call { return_pc } => {
-                enc.put_u8(4);
-                return_pc.encode_snap(enc);
-            }
-            Op::Return { return_pc } => {
-                enc.put_u8(5);
-                return_pc.encode_snap(enc);
-            }
-            Op::Lock(id) => {
-                enc.put_u8(6);
-                id.encode_snap(enc);
-            }
-            Op::Unlock(id) => {
-                enc.put_u8(7);
-                id.encode_snap(enc);
-            }
-            Op::TxnEnd => enc.put_u8(8),
-            Op::Io(ns) => {
-                enc.put_u8(9);
-                ns.encode_snap(enc);
-            }
-            Op::Yield => enc.put_u8(10),
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => Op::Compute {
-                instructions: Snap::decode_snap(dec)?,
-                code_block: Snap::decode_snap(dec)?,
-            },
-            1 => Op::Memory {
-                addr: Snap::decode_snap(dec)?,
-                kind: Snap::decode_snap(dec)?,
-                dependent: Snap::decode_snap(dec)?,
-            },
-            2 => Op::Branch(Snap::decode_snap(dec)?),
-            3 => Op::IndirectBranch {
-                pc: Snap::decode_snap(dec)?,
-                target: Snap::decode_snap(dec)?,
-            },
-            4 => Op::Call {
-                return_pc: Snap::decode_snap(dec)?,
-            },
-            5 => Op::Return {
-                return_pc: Snap::decode_snap(dec)?,
-            },
-            6 => Op::Lock(Snap::decode_snap(dec)?),
-            7 => Op::Unlock(Snap::decode_snap(dec)?),
-            8 => Op::TxnEnd,
-            9 => Op::Io(Snap::decode_snap(dec)?),
-            10 => Op::Yield,
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "Op tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        // Largest variant: tag + two u64 fields (Compute, IndirectBranch).
-        17
-    }
-}
+crate::impl_snap!(enum Op {
+    0 => Compute { instructions, code_block },
+    1 => Memory { addr, kind, dependent },
+    2 => Branch(info),
+    3 => IndirectBranch { pc, target },
+    4 => Call { return_pc },
+    5 => Return { return_pc },
+    6 => Lock(lock),
+    7 => Unlock(lock),
+    8 => TxnEnd,
+    9 => Io(ns),
+    10 => Yield,
+});
 
 #[cfg(test)]
 mod tests {

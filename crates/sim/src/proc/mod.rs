@@ -129,73 +129,14 @@ impl ProcCore {
     }
 }
 
-impl crate::checkpoint::Snap for ProcessorConfig {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match self {
-            ProcessorConfig::Simple => enc.put_u8(0),
-            ProcessorConfig::OutOfOrder(cfg) => {
-                enc.put_u8(1);
-                cfg.encode_snap(enc);
-            }
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => ProcessorConfig::Simple,
-            1 => ProcessorConfig::OutOfOrder(Snap::decode_snap(dec)?),
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "ProcessorConfig tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        1 + match self {
-            ProcessorConfig::Simple => 0,
-            ProcessorConfig::OutOfOrder(cfg) => cfg.snap_size_hint(),
-        }
-    }
-}
-
-impl crate::checkpoint::Snap for ProcCore {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match self {
-            ProcCore::Simple(core) => {
-                enc.put_u8(0);
-                core.encode_snap(enc);
-            }
-            ProcCore::Ooo(core) => {
-                enc.put_u8(1);
-                core.as_ref().encode_snap(enc);
-            }
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => ProcCore::Simple(Snap::decode_snap(dec)?),
-            1 => ProcCore::Ooo(Box::new(Snap::decode_snap(dec)?)),
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "ProcCore tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        1 + match self {
-            ProcCore::Simple(core) => core.snap_size_hint(),
-            ProcCore::Ooo(core) => core.as_ref().snap_size_hint(),
-        }
-    }
-}
-
+crate::impl_snap!(enum ProcessorConfig {
+    0 => Simple,
+    1 => OutOfOrder(config),
+});
+crate::impl_snap!(enum ProcCore {
+    0 => Simple(core),
+    1 => Ooo(core),
+});
 crate::impl_snap!(ProcStats {
     instructions,
     branches,
@@ -251,6 +192,15 @@ mod tests {
             ..ProcStats::default()
         };
         assert!((stats.branch_misprediction_ratio() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn core_encoding_is_pinned() {
+        let pin = crate::checkpoint::pins::encoding_pin(&[
+            ProcCore::new(&ProcessorConfig::Simple),
+            ProcCore::new(&ProcessorConfig::OutOfOrder(OooConfig::tfsim_default())),
+        ]);
+        assert_eq!(pin, (13594, 0x34ab_dab3_9b87_8e97));
     }
 
     #[test]

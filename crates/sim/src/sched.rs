@@ -359,79 +359,20 @@ impl Scheduler {
     }
 }
 
-impl crate::checkpoint::Snap for ThreadState {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match self {
-            ThreadState::Ready => enc.put_u8(0),
-            ThreadState::Running(cpu) => {
-                enc.put_u8(1);
-                cpu.encode_snap(enc);
-            }
-            ThreadState::Blocked(lock) => {
-                enc.put_u8(2);
-                lock.encode_snap(enc);
-            }
-            ThreadState::Sleeping => enc.put_u8(3),
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => ThreadState::Ready,
-            1 => ThreadState::Running(Snap::decode_snap(dec)?),
-            2 => ThreadState::Blocked(Snap::decode_snap(dec)?),
-            3 => ThreadState::Sleeping,
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "ThreadState tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        5
-    }
-}
-
-impl crate::checkpoint::Snap for SchedEventKind {
-    fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
-        match self {
-            SchedEventKind::Dispatch => enc.put_u8(0),
-            SchedEventKind::Preempt => enc.put_u8(1),
-            SchedEventKind::BlockLock(lock) => {
-                enc.put_u8(2);
-                lock.encode_snap(enc);
-            }
-            SchedEventKind::Sleep => enc.put_u8(3),
-            SchedEventKind::Wake => enc.put_u8(4),
-            SchedEventKind::Yield => enc.put_u8(5),
-        }
-    }
-    fn decode_snap(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::Snap;
-        Ok(match dec.get_u8()? {
-            0 => SchedEventKind::Dispatch,
-            1 => SchedEventKind::Preempt,
-            2 => SchedEventKind::BlockLock(Snap::decode_snap(dec)?),
-            3 => SchedEventKind::Sleep,
-            4 => SchedEventKind::Wake,
-            5 => SchedEventKind::Yield,
-            _ => {
-                return Err(crate::checkpoint::CheckpointError::Corrupt {
-                    what: "SchedEventKind tag".into(),
-                })
-            }
-        })
-    }
-    fn snap_size_hint(&self) -> usize {
-        5
-    }
-}
-
+crate::impl_snap!(enum ThreadState {
+    0 => Ready,
+    1 => Running(cpu),
+    2 => Blocked(lock),
+    3 => Sleeping,
+});
+crate::impl_snap!(enum SchedEventKind {
+    0 => Dispatch,
+    1 => Preempt,
+    2 => BlockLock(lock),
+    3 => Sleep,
+    4 => Wake,
+    5 => Yield,
+});
 crate::impl_snap!(SchedConfig {
     quantum_ns,
     context_switch_ns,

@@ -32,9 +32,15 @@ cd "$(dirname "$0")/.."
 # sectioned format (its section types, sectioned encode/decode, the
 # MachineParts split, the fused update_both hash) stays gone, and the spill
 # frame has one writer, checkpoint::frame, so no magic is framed by hand
-# outside crates/sim/src/checkpoint.rs. A second copy or a revived entry point
-# anywhere else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, snapshot frame"
+# outside crates/sim/src/checkpoint.rs. Tagged encodings have one home:
+# impl_snap! derives every enum and newtype codec, so `fn encode_snap` is
+# written out only in checkpoint.rs and the four types with real format
+# logic (CacheArray, MemorySystem, InvariantMonitor, Counter2); and the
+# daemon's acceptor blocks in accept, woken by the drain, with signal
+# handling in the mtvar binary, so non-test server.rs neither sleeps nor
+# holds a signal module. A second copy or a revived entry point anywhere
+# else fails here, before any build.
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, snapshot frame, tagged encodings, blocking accept"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -79,9 +85,17 @@ stray=$(
         crates src tests examples || true
     grep -rlnE -e 'extend_from_slice\(.*(RESULT|CHECKPOINT)_MAGIC' crates src tests examples |
         grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
+    grep -rln -e 'fn encode_snap' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/checkpoint.rs' -e 'crates/sim/src/mem/cache.rs' \
+            -e 'crates/sim/src/mem/system.rs' -e 'crates/sim/src/check/mod.rs' \
+            -e 'crates/sim/src/proc/predictor/mod.rs' || true
+    if sed '/^#\[cfg(test)\]/,$d' crates/serve/src/server.rs |
+        grep -q -e 'thread::sleep' -e 'mod signal'; then
+        echo "crates/serve/src/server.rs: the acceptor blocks in accept and signal handling lives in the mtvar binary"
+    fi
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch or snapshot frame code outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch, snapshot frame, hand-written codec or accept-path code outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi

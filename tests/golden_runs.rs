@@ -29,9 +29,10 @@ use std::path::PathBuf;
 
 use mtvar::core::golden::{run_digest, GoldenFile};
 use mtvar::core::runspace::{Executor, RunPlan};
-use mtvar::sim::config::MachineConfig;
+use mtvar::sim::config::{FaultSpec, MachineConfig};
 use mtvar::sim::hash::fold_digest;
 use mtvar::sim::machine::Machine;
+use mtvar::sim::mem::CoherenceState;
 use mtvar::sim::proc::{OooConfig, ProcessorConfig};
 use mtvar::workloads::Benchmark;
 
@@ -196,6 +197,57 @@ fn sixteen_cpu_oltp_interval_matches_its_pinned_digest() {
     m.run_transactions(100).expect("warmup");
     let result = m.run_transactions(2000).expect("measurement");
     assert_eq!(run_digest(&result), 0x3169_0f97_be50_30cb);
+}
+
+/// Checkpoint fingerprints of four warmed machines: the 16-CPU OLTP machine
+/// with in-order and with ROB-64 out-of-order cores, the 64-CPU directory
+/// machine, and a monitored 4-CPU machine whose planted coherence fault has
+/// been recorded. The fingerprint hashes the whole snapshot payload, so a
+/// change to any type's encoding — a tag byte, a field order, a
+/// length prefix — fails here. The `invariant-monitor` feature puts a
+/// monitor into the three unmonitored machines, so each of them pins one
+/// fingerprint per build.
+#[test]
+fn warmed_machines_match_their_pinned_checkpoint_fingerprints() {
+    let per_build = |off: u64, on: u64| {
+        if cfg!(feature = "invariant-monitor") {
+            on
+        } else {
+            off
+        }
+    };
+    let fingerprint = |config: MachineConfig, cpus: usize, warmup: u64| {
+        let mut m =
+            Machine::new(config, Benchmark::Oltp.workload(cpus, WORKLOAD_SEED)).expect("machine");
+        m.run_transactions(warmup).expect("warmup");
+        (m.snapshot().fingerprint(), m.invariant_violations().len())
+    };
+    let sixteen = MachineConfig::hpca2003().with_perturbation(4, 1);
+    let faulted = golden_config().with_fault(FaultSpec::coherence(
+        12,
+        1,
+        0xFA11,
+        CoherenceState::Exclusive,
+    ));
+    let actual = [
+        fingerprint(sixteen.clone(), 16, 100),
+        fingerprint(
+            sixteen.with_processor(ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(64))),
+            16,
+            100,
+        ),
+        fingerprint(dir64_config(), DIR64_CPUS, 40),
+        fingerprint(faulted, CPUS, 40),
+    ];
+    assert!(actual[3].1 > 0, "the planted fault must be recorded");
+    let actual = actual.map(|(fp, _)| fp);
+    let expected = [
+        per_build(0x0575_b3ae_f912_b8bb, 0xf669_a32f_e8eb_822a),
+        per_build(0x63fd_2636_c295_fc90, 0x842b_6d8e_489a_2604),
+        0xe144_a9e5_345a_3511,
+        0xaa26_6e4e_2b5c_0544,
+    ];
+    assert_eq!(actual, expected, "fingerprints {actual:#018x?}");
 }
 
 /// The executor's launch pipeline end to end — per-run seed derivation,
