@@ -24,7 +24,6 @@ use mtvar_serve::protocol::{
     fold_digest, ConfigSpec, PlanSpec, Priority, Response, SweepSpec, WorkloadSpec,
 };
 use mtvar_serve::server::{ServeConfig, Server};
-use mtvar_sim::workload::SharingWorkload;
 
 const USAGE: &str = "\
 usage: mtvar <command> [flags]
@@ -430,40 +429,10 @@ fn cmd_shutdown(args: &[String]) -> Result<(), String> {
 /// summary lines as `submit` — the digest line must match byte-for-byte.
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let flags = parse_sweep_flags(args)?;
-    let config = flags.spec.config.build();
-    let plan = flags.spec.plan.build();
-    let executor = Executor::with_threads(flags.threads.max(1));
-    let space = match flags.spec.workload {
-        WorkloadSpec::Sharing {
-            threads,
-            seed,
-            ops_per_txn,
-            footprint_blocks,
-            lock_every,
-        } => executor.run_space(
-            &config,
-            move || {
-                SharingWorkload::new(
-                    threads as usize,
-                    seed,
-                    ops_per_txn as u32,
-                    footprint_blocks,
-                    lock_every as u32,
-                )
-            },
-            &plan,
-        ),
-        WorkloadSpec::Benchmark {
-            ref name,
-            cpus,
-            seed,
-        } => {
-            let bench = WorkloadSpec::resolve_benchmark(name)
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))?;
-            executor.run_space(&config, move || bench.workload(cpus as usize, seed), &plan)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let space = flags
+        .spec
+        .run(&Executor::with_threads(flags.threads.max(1)))
+        .map_err(|e| e.to_string())?;
     let digest = space
         .results()
         .iter()

@@ -8,15 +8,13 @@
 //! [`ServeError::Rejected`], so callers can distinguish "the server said no"
 //! from "the wire broke".
 
-use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use mtvar_sim::checkpoint::CheckpointError;
 
 use crate::protocol::{
-    decode_message, encode_request, read_frame_into, FrameKind, JobState, Request, Response,
-    ServerStats, SweepSpec,
+    read_message, write_message, JobState, Request, Response, ServerStats, SweepSpec,
 };
 use crate::{Result, ServeError};
 
@@ -84,8 +82,7 @@ impl Client {
 
     fn open(&self, request: &Request) -> Result<UnixStream> {
         let mut stream = UnixStream::connect(&self.socket)?;
-        stream.write_all(&encode_request(request))?;
-        stream.flush()?;
+        write_message(&mut stream, request)?;
         Ok(stream)
     }
 
@@ -105,11 +102,7 @@ impl Client {
         mut on_event: impl FnMut(&Response),
     ) -> Result<SweepOutcome> {
         let mut stream = self.open(&Request::Submit(spec))?;
-        // One body buffer for the whole drain: the stream carries a
-        // `RunDone` frame per run, and reusing the buffer keeps the hot
-        // loop allocation-free once it has grown to the largest frame.
-        let mut body = Vec::new();
-        match read_response(&mut stream, &mut body)? {
+        match read_message(&mut stream)? {
             Response::Submitted { .. } => {}
             Response::Error { code, message } => {
                 return Err(ServeError::Rejected { code, message });
@@ -117,7 +110,7 @@ impl Client {
             other => return Err(unexpected(&other)),
         }
         loop {
-            let event = read_response(&mut stream, &mut body)?;
+            let event: Response = read_message(&mut stream)?;
             on_event(&event);
             match event {
                 Response::JobDone {
@@ -161,7 +154,7 @@ impl Client {
     /// [`ErrorCode::UnknownJob`]: crate::protocol::ErrorCode::UnknownJob
     pub fn status(&self, job: u64) -> Result<StatusReport> {
         let mut stream = self.open(&Request::Status { job })?;
-        match read_response(&mut stream, &mut Vec::new())? {
+        match read_message(&mut stream)? {
             Response::JobStatus {
                 job,
                 state,
@@ -189,7 +182,7 @@ impl Client {
     /// as themselves.
     pub fn cancel(&self, job: u64) -> Result<bool> {
         let mut stream = self.open(&Request::Cancel { job })?;
-        match read_response(&mut stream, &mut Vec::new())? {
+        match read_message(&mut stream)? {
             Response::CancelResult { cancelled, .. } => Ok(cancelled),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
@@ -203,7 +196,7 @@ impl Client {
     /// I/O and protocol errors as themselves.
     pub fn stats(&self) -> Result<ServerStats> {
         let mut stream = self.open(&Request::Stats)?;
-        match read_response(&mut stream, &mut Vec::new())? {
+        match read_message(&mut stream)? {
             Response::StatsReport(stats) => Ok(stats),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
@@ -217,18 +210,12 @@ impl Client {
     /// I/O and protocol errors as themselves.
     pub fn shutdown(&self) -> Result<()> {
         let mut stream = self.open(&Request::Shutdown)?;
-        match read_response(&mut stream, &mut Vec::new())? {
+        match read_message(&mut stream)? {
             Response::ShuttingDown => Ok(()),
             Response::Error { code, message } => Err(ServeError::Rejected { code, message }),
             other => Err(unexpected(&other)),
         }
     }
-}
-
-/// Reads one response through a caller-owned, recyclable frame-body buffer.
-fn read_response(stream: &mut UnixStream, body: &mut Vec<u8>) -> Result<Response> {
-    let kind = read_frame_into(stream, body)?;
-    Ok(decode_message(FrameKind::Response, (kind, body))?)
 }
 
 fn unexpected(resp: &Response) -> ServeError {

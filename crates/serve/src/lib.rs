@@ -5,16 +5,17 @@
 //! nothing was shared across invocations or users. This crate turns the
 //! substrate into a **daemon**: one long-lived process owns one shared
 //! [`Executor`], [`CheckpointStore`], and run-result spill, and serves sweep
-//! requests over a hand-rolled length-prefixed frame protocol on a Unix
-//! domain socket. Std-only — no async runtime; connections and dispatchers
-//! are plain threads, and the wire format follows the house style of the
-//! checkpoint codec (versioned, checksummed, hostile-length-rejecting).
+//! requests over a Unix domain socket. Std-only — no async runtime;
+//! connections and dispatchers are plain threads, and every message travels
+//! in the frame checkpoint files use ([`mtvar_sim::checkpoint::frame`]:
+//! versioned, fingerprinted, hostile-length-rejecting).
 //!
 //! The moving parts:
 //!
-//! * [`protocol`] — the frame format and the typed request/response
-//!   messages, including the declarative [`protocol::SweepSpec`] that names
-//!   a configuration, workload, and plan without shipping code.
+//! * [`protocol`] — the typed request/response messages, their one stream
+//!   reader and writer, and the declarative [`protocol::SweepSpec`] that
+//!   names a configuration, workload, and plan without shipping code, with
+//!   [`protocol::SweepSpec::run`], the one way from a spec to a run space.
 //! * [`job`] — the prioritized job queue: admission control (bounded depth,
 //!   typed rejection), three priority lanes, per-job cancellation, and the
 //!   job registry that `status` queries read.
@@ -25,9 +26,10 @@
 //! * [`client`] — the blocking client API the `mtvar` CLI (and the tests)
 //!   speak through.
 //!
-//! **Why served results are trustworthy:** a job executes through the exact
-//! same [`Executor::run_space`] entry point as a batch study — same
-//! fingerprints, same derived seeds, same caches — so a served sweep's
+//! **Why served results are trustworthy:** a job executes through
+//! [`protocol::SweepSpec::run`], the call `mtvar batch` makes, which reaches
+//! the exact same [`Executor::run_space`] entry point as a batch study —
+//! same fingerprints, same derived seeds, same caches — so a served sweep's
 //! statistics digest is bit-identical to the batch path's, cache hits replay
 //! recorded violations instead of dropping them, and N clients asking
 //! overlapping questions pay for one warmup because the shared store's
@@ -55,7 +57,7 @@ use std::fmt;
 pub enum ServeError {
     /// A socket or file operation failed.
     Io(std::io::Error),
-    /// A frame failed validation (bad magic, version, length, checksum) or
+    /// A frame failed validation (magic, version, length, fingerprint) or
     /// a message body failed to decode.
     Protocol(mtvar_sim::checkpoint::CheckpointError),
     /// The server rejected the request with a typed error frame.

@@ -1,236 +1,102 @@
-//! The wire protocol: length-prefixed, checksummed frames carrying typed
-//! request/response messages.
+//! The wire protocol: typed request/response messages, each in the
+//! workspace's one frame.
 //!
-//! One frame is
+//! Every message travels in [`mtvar_sim::checkpoint::frame`], the frame
+//! checkpoint files and spilled run results use:
 //!
 //! ```text
-//! magic "MTVS" (4) | version u16 | kind u8 | reserved u8 | body_len u32
-//! | body (body_len bytes) | checksum u64
+//! magic(8) | version(4) | payload_len(8) | payload_fingerprint(8) | payload
 //! ```
 //!
-//! with every multi-byte field little-endian, the checksum an FNV-1a +
-//! SplitMix64 fingerprint over header *and* body, and `body_len` capped at
-//! [`MAX_FRAME_BODY`] **before** any allocation — a hostile length is
-//! rejected from the 12-byte header alone, mirroring the checkpoint codec's
-//! `decode_len` discipline. Message bodies are [`Snap`]-encoded (fixed-width
-//! LE integers, explicit enum tags), so the format is stable across builds
-//! and every malformed input decodes to an error, never a panic.
+//! Requests carry [`REQUEST_MAGIC`], responses [`RESPONSE_MAGIC`], both at
+//! [`PROTOCOL_VERSION`], so a frame sent to the wrong side fails on its
+//! magic. The payload is the message's [`Snap`] encoding (fixed-width LE
+//! integers, explicit enum tags), so the format is stable across builds and
+//! every malformed input decodes to an error, never a panic. The stream
+//! reader ([`read_message`]) checks the header with
+//! [`frame_payload_len`] and rejects a length over [`MAX_FRAME_BODY`]
+//! **before** any allocation.
 
 use std::io::{Read, Write};
 
-use mtvar_sim::checkpoint::{CheckpointError, Decoder, Encoder, Snap};
+use mtvar_core::runspace::{Executor, RunSpace};
+use mtvar_core::CoreError;
+use mtvar_sim::checkpoint::{
+    frame, frame_payload_len, unframe, CheckpointError, Decoder, Encoder, Snap, FRAME_HEADER_BYTES,
+};
 use mtvar_sim::hash::Fnv1a;
+use mtvar_sim::workload::SharingWorkload;
 
 /// Folds per-run digests into the job-level digest `JobDone` carries.
 pub use mtvar_sim::hash::fold_digest;
 
 use crate::{Result, ServeError};
 
-/// Magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"MTVS";
+/// Frame magic of every [`Request`].
+pub const REQUEST_MAGIC: [u8; 8] = *b"MTVARREQ";
 
-/// Current protocol version; requests from other versions are rejected.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Frame magic of every [`Response`].
+pub const RESPONSE_MAGIC: [u8; 8] = *b"MTVARRSP";
+
+/// Current protocol version; frames of other versions are rejected.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on a frame body. Far above any real message (the largest is a
 /// stats report with its warning strings), and small enough that a hostile
-/// `body_len` can never drive a large allocation.
+/// `payload_len` can never drive a large allocation.
 pub const MAX_FRAME_BODY: usize = 1 << 20;
 
-/// Frame header size in bytes: magic + version + kind + reserved + body_len.
-pub const FRAME_HEADER: usize = 12;
-
-/// Whether a frame carries a request or a response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Client → server.
-    Request,
-    /// Server → client.
-    Response,
-}
-
-impl FrameKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            FrameKind::Request => 1,
-            FrameKind::Response => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> std::result::Result<Self, CheckpointError> {
-        match b {
-            1 => Ok(FrameKind::Request),
-            2 => Ok(FrameKind::Response),
-            other => Err(CheckpointError::Corrupt {
-                what: format!("invalid frame kind {other}"),
-            }),
-        }
-    }
-}
-
-/// The workspace's content hash ([`Fnv1a`]), applied here as the frame
-/// checksum.
+/// The workspace's content hash ([`Fnv1a`]), applied here as the frame's
+/// payload fingerprint.
 pub fn checksum(bytes: &[u8]) -> u64 {
     Fnv1a::hash(bytes)
 }
 
-/// [`checksum`] over the concatenation of `parts`, without materializing
-/// it. FNV-1a is a plain byte fold, so summing header and body in place is
-/// exactly the sum of the contiguous frame — this is what lets the stream
-/// reader and writer validate/emit frames from separate header and body
-/// buffers with no assembly copy.
-pub fn checksum_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = Fnv1a::new();
-    for part in parts {
-        h.update(part);
-    }
-    h.finish()
+/// A wire message: its [`Snap`] body travels in a frame under its own
+/// magic, so requests and responses cannot be mistaken for each other.
+pub trait Message: Snap {
+    /// [`REQUEST_MAGIC`] or [`RESPONSE_MAGIC`].
+    const MAGIC: [u8; 8];
 }
 
-/// Encodes one complete frame.
-pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME_BODY, "frame body over the cap");
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len() + 8);
-    out.extend_from_slice(&frame_header(kind, body.len()));
-    out.extend_from_slice(body);
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+/// Encodes a message as one complete frame.
+fn encode_message<M: Message>(message: &M) -> Vec<u8> {
+    let mut enc = Encoder::with_capacity(message.snap_size_hint());
+    message.encode_snap(&mut enc);
+    frame(M::MAGIC, PROTOCOL_VERSION, &enc.into_bytes())
 }
 
-/// Validates the 12-byte header, returning the body length. Shared by the
-/// slice and stream decoders so both reject hostile lengths before any
-/// allocation or read.
-fn validate_header(
-    header: &[u8; FRAME_HEADER],
-) -> std::result::Result<(FrameKind, usize), CheckpointError> {
-    if header[..4] != FRAME_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != PROTOCOL_VERSION {
-        return Err(CheckpointError::UnsupportedVersion {
-            found: u32::from(version),
-        });
-    }
-    let kind = FrameKind::from_byte(header[6])?;
-    if header[7] != 0 {
-        return Err(CheckpointError::Corrupt {
-            what: format!("nonzero reserved byte {}", header[7]),
-        });
-    }
-    let body_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
-    if body_len > MAX_FRAME_BODY {
-        return Err(CheckpointError::Corrupt {
-            what: format!("frame body length {body_len} exceeds cap {MAX_FRAME_BODY}"),
-        });
-    }
-    Ok((kind, body_len))
+/// The one message decode behind every reader: validates the frame
+/// ([`unframe`]), then decodes its body as `M`, rejecting trailing bytes.
+fn decode_message<M: Message>(bytes: &[u8]) -> std::result::Result<M, CheckpointError> {
+    let (body, _) = unframe(M::MAGIC, PROTOCOL_VERSION, bytes)?;
+    let mut dec = Decoder::new(body);
+    let message = M::decode_snap(&mut dec)?;
+    dec.finish()?;
+    Ok(message)
 }
 
-/// Decodes one frame from a byte slice, validating magic, version, kind,
-/// length (against both the cap and the actual byte count) and checksum.
-///
-/// # Errors
-///
-/// Returns the [`CheckpointError`] naming the first validation failure.
-pub fn decode_frame(bytes: &[u8]) -> std::result::Result<(FrameKind, &[u8]), CheckpointError> {
-    if bytes.len() < FRAME_HEADER + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let header: [u8; FRAME_HEADER] = bytes[..FRAME_HEADER].try_into().expect("sized");
-    let (kind, body_len) = validate_header(&header)?;
-    let framed = FRAME_HEADER + body_len;
-    if bytes.len() != framed + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let stored = u64::from_le_bytes(bytes[framed..framed + 8].try_into().expect("sized"));
-    let actual = checksum(&bytes[..framed]);
-    if stored != actual {
-        return Err(CheckpointError::FingerprintMismatch { stored, actual });
-    }
-    Ok((kind, &bytes[FRAME_HEADER..framed]))
-}
-
-/// Builds the 12-byte header for a frame with the given kind and body
-/// length. The caller has already checked the length against
-/// [`MAX_FRAME_BODY`].
-fn frame_header(kind: FrameKind, body_len: usize) -> [u8; FRAME_HEADER] {
-    let mut header = [0u8; FRAME_HEADER];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    header[6] = kind.to_byte();
-    header[7] = 0; // reserved
-    header[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
-    header
-}
-
-/// Writes one frame to a stream.
+/// Writes one message as one frame and flushes it.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
-    assert!(body.len() <= MAX_FRAME_BODY, "frame body over the cap");
-    let header = frame_header(kind, body.len());
-    let sum = checksum_parts(&[&header, body]).to_le_bytes();
-    // One vectored write of header + body + checksum: the frame goes out
-    // without ever being assembled into a contiguous buffer, so streaming
-    // a body costs zero copies beyond its own encode. Short vectored
-    // writes fall back to `write_all` on each remaining piece.
-    let mut bufs = [
-        std::io::IoSlice::new(&header),
-        std::io::IoSlice::new(body),
-        std::io::IoSlice::new(&sum),
-    ];
-    let total = header.len() + body.len() + sum.len();
-    let mut slices = &mut bufs[..];
-    let mut written = 0usize;
-    while written < total {
-        match w.write_vectored(slices) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write whole frame",
-                ));
-            }
-            Ok(n) => {
-                written += n;
-                std::io::IoSlice::advance_slices(&mut slices, n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+pub fn write_message<M: Message>(w: &mut impl Write, message: &M) -> std::io::Result<()> {
+    w.write_all(&encode_message(message))?;
     w.flush()
 }
 
-/// Reads one frame from a stream: header first, length validated against
-/// the cap before the body buffer is sized, then checksum verification.
+/// Reads one message from a stream: the header first, its length checked
+/// against [`MAX_FRAME_BODY`] before the frame buffer is sized, then the
+/// payload, validated and decoded by the same path as a byte slice.
 ///
 /// # Errors
 ///
-/// [`ServeError::Disconnected`] on clean EOF before any header byte;
-/// [`ServeError::Io`] on short reads; [`ServeError::Protocol`] on
-/// validation failure.
-pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
-    let mut body = Vec::new();
-    let kind = read_frame_into(r, &mut body)?;
-    Ok((kind, body))
-}
-
-/// [`read_frame`] into a caller-owned body buffer, reusing its capacity.
-/// `body` is cleared and on success holds exactly the frame body; the
-/// checksum is verified over the separate header and body buffers
-/// ([`checksum_parts`]), so a steady-state reader — a client draining a
-/// stream of `RunDone` frames — performs no per-frame allocation at all
-/// once the buffer has grown to the stream's largest body.
-///
-/// # Errors
-///
-/// As for [`read_frame`].
-pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<FrameKind> {
-    let mut header = [0u8; FRAME_HEADER];
+/// [`ServeError::Disconnected`] on a clean close before any header byte;
+/// [`ServeError::Io`] on a failed read; [`ServeError::Protocol`] on a cut
+/// mid-frame ([`CheckpointError::Truncated`]) or any validation failure.
+pub fn read_message<M: Message>(r: &mut impl Read) -> Result<M> {
+    let mut header = [0u8; FRAME_HEADER_BYTES];
     // Distinguish a clean close (no bytes at all) from a mid-frame cut.
     let mut filled = 0;
     while filled < header.len() {
@@ -244,24 +110,18 @@ pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<FrameKin
         }
         filled += n;
     }
-    let (kind, body_len) = validate_header(&header)?;
-    body.clear();
-    // `body_len` is capped by `validate_header`, so this sizes at most
-    // MAX_FRAME_BODY + 8 bytes; the extra 8 hold the trailing checksum so
-    // body and checksum arrive in one read.
-    body.resize(body_len + 8, 0);
-    r.read_exact(body)
-        .map_err(|_| ServeError::Protocol(CheckpointError::Truncated))?;
-    let stored = u64::from_le_bytes(body[body_len..].try_into().expect("sized"));
-    let actual = checksum_parts(&[&header, &body[..body_len]]);
-    if stored != actual {
-        return Err(ServeError::Protocol(CheckpointError::FingerprintMismatch {
-            stored,
-            actual,
+    let body_len = frame_payload_len(M::MAGIC, PROTOCOL_VERSION, &header)?;
+    if body_len > MAX_FRAME_BODY {
+        return Err(ServeError::Protocol(CheckpointError::Corrupt {
+            what: format!("frame body length {body_len} exceeds cap {MAX_FRAME_BODY}"),
         }));
     }
-    body.truncate(body_len);
-    Ok(kind)
+    let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
+    bytes.extend_from_slice(&header);
+    bytes.resize(FRAME_HEADER_BYTES + body_len, 0);
+    r.read_exact(&mut bytes[FRAME_HEADER_BYTES..])
+        .map_err(|_| ServeError::Protocol(CheckpointError::Truncated))?;
+    Ok(decode_message(&bytes)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +191,7 @@ impl ConfigSpec {
 /// profiled benchmarks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadSpec {
-    /// [`SharingWorkload`](mtvar_sim::workload::SharingWorkload) with its
-    /// five constructor parameters.
+    /// [`SharingWorkload`] with its five constructor parameters.
     Sharing {
         /// Number of threads.
         threads: u64,
@@ -374,7 +233,8 @@ impl WorkloadSpec {
             .find(|b| b.name().eq_ignore_ascii_case(name))
     }
 
-    /// Validates the spec without building anything: nonzero sizing, a
+    /// Validates the spec without building anything: nonzero sizing,
+    /// `ops_per_txn` and `lock_every` within the simulator's `u32`, a
     /// resolvable benchmark name.
     pub fn validate(&self) -> std::result::Result<(), String> {
         match self {
@@ -382,12 +242,19 @@ impl WorkloadSpec {
                 threads,
                 ops_per_txn,
                 footprint_blocks,
+                lock_every,
                 ..
             } => {
                 if *threads == 0 || *ops_per_txn == 0 || *footprint_blocks == 0 {
                     return Err("sharing workload needs threads, ops_per_txn and \
                                 footprint_blocks >= 1"
                         .into());
+                }
+                if u32::try_from(*ops_per_txn).is_err() || u32::try_from(*lock_every).is_err() {
+                    return Err(format!(
+                        "sharing workload needs ops_per_txn and lock_every <= {}",
+                        u32::MAX
+                    ));
                 }
                 Ok(())
             }
@@ -488,6 +355,55 @@ mtvar_sim::impl_snap!(SweepSpec {
     plan,
     priority,
 });
+
+impl SweepSpec {
+    /// Runs the sweep on `executor`: the one way from a spec to a run
+    /// space, taken by the daemon's dispatchers and by `mtvar batch` alike,
+    /// so a served digest equals the batch one by construction.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidExperiment`] if the workload fails
+    /// [`WorkloadSpec::validate`]; otherwise the executor's error.
+    pub fn run(&self, executor: &Executor) -> mtvar_core::Result<RunSpace> {
+        self.workload
+            .validate()
+            .map_err(|what| CoreError::InvalidExperiment { what })?;
+        let config = self.config.build();
+        let plan = self.plan.build();
+        match self.workload {
+            WorkloadSpec::Sharing {
+                threads,
+                seed,
+                ops_per_txn,
+                footprint_blocks,
+                lock_every,
+            } => executor.run_space(
+                &config,
+                // `validate` has checked that both counts fit a `u32`.
+                move || {
+                    SharingWorkload::new(
+                        threads as usize,
+                        seed,
+                        ops_per_txn as u32,
+                        footprint_blocks,
+                        lock_every as u32,
+                    )
+                },
+                &plan,
+            ),
+            WorkloadSpec::Benchmark {
+                ref name,
+                cpus,
+                seed,
+            } => {
+                let bench =
+                    WorkloadSpec::resolve_benchmark(name).expect("validate resolved the name");
+                executor.run_space(&config, move || bench.workload(cpus as usize, seed), &plan)
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Requests and responses
@@ -734,93 +650,42 @@ mtvar_sim::impl_snap!(enum Response {
     10 => Error { code, message },
 });
 
-/// Encodes a request as one complete frame.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(req.snap_size_hint());
-    req.encode_snap(&mut enc);
-    encode_frame(FrameKind::Request, &enc.into_bytes())
+impl Message for Request {
+    const MAGIC: [u8; 8] = REQUEST_MAGIC;
 }
 
-/// Decodes a request from one complete frame, rejecting response frames and
-/// trailing bytes.
+impl Message for Response {
+    const MAGIC: [u8; 8] = RESPONSE_MAGIC;
+}
+
+/// Encodes a request as one complete frame.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    encode_message(req)
+}
+
+/// Decodes a request from one complete frame; a response frame is
+/// [`CheckpointError::BadMagic`] and trailing bytes are an error.
 ///
 /// # Errors
 ///
 /// Returns the [`CheckpointError`] naming the first validation failure.
 pub fn decode_request(frame: &[u8]) -> std::result::Result<Request, CheckpointError> {
-    decode_message(FrameKind::Request, decode_frame(frame)?)
-}
-
-/// The one message decode behind every reader, here and in the server and
-/// client: checks that a validated frame is of the `expected` kind, then
-/// decodes its body as `M`, rejecting trailing bytes.
-pub(crate) fn decode_message<M: Snap>(
-    expected: FrameKind,
-    (kind, body): (FrameKind, &[u8]),
-) -> std::result::Result<M, CheckpointError> {
-    if kind != expected {
-        return Err(CheckpointError::Corrupt {
-            what: format!("expected a {expected:?} frame"),
-        });
-    }
-    let mut dec = Decoder::new(body);
-    let message = M::decode_snap(&mut dec)?;
-    dec.finish()?;
-    Ok(message)
+    decode_message(frame)
 }
 
 /// Encodes a response as one complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(resp.snap_size_hint());
-    resp.encode_snap(&mut enc);
-    encode_frame(FrameKind::Response, &enc.into_bytes())
+    encode_message(resp)
 }
 
-/// A per-connection frame writer that owns one reusable body buffer.
-///
-/// [`encode_response`] + `write_all` builds every frame twice: the body is
-/// encoded into a fresh `Vec`, then copied into a second fresh `Vec`
-/// behind a header. For a one-shot control reply that is noise; for the
-/// `Submit` path — which streams one `RunDone` frame per run, thousands per
-/// sweep — it is two allocations and a full body copy per run. The sink
-/// encodes each response into the same recycled buffer
-/// ([`Encoder::from_vec`]) and hands header, body, and checksum to one
-/// vectored [`write_frame`], so a draining connection reaches a
-/// zero-allocation, zero-copy steady state.
-#[derive(Debug, Default)]
-pub struct FrameSink {
-    body: Vec<u8>,
-}
-
-impl FrameSink {
-    /// An empty sink; the body buffer grows to the connection's largest
-    /// response and stays there.
-    pub fn new() -> Self {
-        FrameSink::default()
-    }
-
-    /// Encodes `resp` into the recycled body buffer and writes it as one
-    /// vectored frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_response(&mut self, w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-        let mut enc = Encoder::from_vec(std::mem::take(&mut self.body));
-        resp.encode_snap(&mut enc);
-        self.body = enc.into_bytes();
-        write_frame(w, FrameKind::Response, &self.body)
-    }
-}
-
-/// Decodes a response from one complete frame, rejecting request frames and
-/// trailing bytes.
+/// Decodes a response from one complete frame; a request frame is
+/// [`CheckpointError::BadMagic`] and trailing bytes are an error.
 ///
 /// # Errors
 ///
 /// Returns the [`CheckpointError`] naming the first validation failure.
 pub fn decode_response(frame: &[u8]) -> std::result::Result<Response, CheckpointError> {
-    decode_message(FrameKind::Response, decode_frame(frame)?)
+    decode_message(frame)
 }
 
 #[cfg(test)]
@@ -854,8 +719,16 @@ mod tests {
         }
     }
 
-    /// Every request round-trips, and its frame's [`Fnv1a::hash`] is pinned:
-    /// a change to any tag byte or field order fails here.
+    /// The [`Fnv1a::hash`] of every frame and of its body, in that order.
+    fn frame_and_body_hashes(magic: [u8; 8], frame: &[u8]) -> (u64, u64) {
+        let (body, _) = unframe(magic, PROTOCOL_VERSION, frame).unwrap();
+        (Fnv1a::hash(frame), Fnv1a::hash(body))
+    }
+
+    /// Every request round-trips, and the [`Fnv1a::hash`] of its body and of
+    /// its frame are pinned: a change to any tag byte or field order fails
+    /// here. The body pins predate protocol version 2 and never move; the
+    /// frame pins move with the frame.
     #[test]
     fn requests_round_trip() {
         let reqs = [
@@ -878,29 +751,45 @@ mod tests {
                 ..sample_spec()
             }),
         ];
-        let mut hashes = Vec::new();
+        let (mut hashes, mut bodies) = (Vec::new(), Vec::new());
         for req in reqs {
             let frame = encode_request(&req);
             assert_eq!(decode_request(&frame).unwrap(), req);
-            hashes.push(Fnv1a::hash(&frame));
+            let (hash, body) = frame_and_body_hashes(REQUEST_MAGIC, &frame);
+            hashes.push(hash);
+            bodies.push(body);
         }
+        assert_eq!(
+            bodies,
+            [
+                0x8735_d30a_63e9_829d,
+                0x30e4_ce8b_2811_785b,
+                0x60be_a350_a66d_8570,
+                0xca4d_dfc9_2936_6404,
+                0xcc28_0d4b_8806_f793,
+                0xad00_7841_5cb9_ab67,
+                0x1331_c940_9693_0d10
+            ],
+            "body hashes {bodies:#018x?}"
+        );
         assert_eq!(
             hashes,
             [
-                0xe6a4_8f1d_36f6_af53,
-                0x83f2_9f1c_9af6_4387,
-                0x8864_66fd_7efa_6bdb,
-                0xef1d_8088_e737_af5a,
-                0x583b_5a8b_961c_b64a,
-                0x3601_06ea_1025_ccfc,
-                0x99de_ceea_c596_9c1f
+                0x1b8e_a3e8_e3ce_9a0b,
+                0x4c2d_101b_205e_faa3,
+                0xa558_a664_064f_aad2,
+                0xa406_32af_5aa7_5623,
+                0xa29e_91c9_e72e_2746,
+                0x2df6_53f1_73e4_d15e,
+                0xa801_cc5f_b913_dad6
             ],
             "frame hashes {hashes:#018x?}"
         );
     }
 
     /// Every response round-trips — every [`JobState`] and [`ErrorCode`]
-    /// included — and its frame's [`Fnv1a::hash`] is pinned.
+    /// included — and the [`Fnv1a::hash`] of its body and of its frame are
+    /// pinned, as for requests.
     #[test]
     fn responses_round_trip() {
         let status = |state| Response::JobStatus {
@@ -968,33 +857,59 @@ mod tests {
             error(ErrorCode::BadRequest),
             error(ErrorCode::UnknownJob),
         ];
-        let mut hashes = Vec::new();
+        let (mut hashes, mut bodies) = (Vec::new(), Vec::new());
         for resp in resps {
             let frame = encode_response(&resp);
             assert_eq!(decode_response(&frame).unwrap(), resp);
-            hashes.push(Fnv1a::hash(&frame));
+            let (hash, body) = frame_and_body_hashes(RESPONSE_MAGIC, &frame);
+            hashes.push(hash);
+            bodies.push(body);
         }
+        assert_eq!(
+            bodies,
+            [
+                0x3561_90d1_e770_67cb,
+                0x2854_78f2_ee18_debf,
+                0x4f47_fba4_22d7_8cd0,
+                0x8df4_bc26_faa2_a957,
+                0xfc87_292d_c69b_e7dc,
+                0x020f_2340_e5a2_5254,
+                0x791e_c8d4_cad6_f377,
+                0x773f_93cc_5f98_9d1d,
+                0x7f55_cac1_5053_4578,
+                0x884b_3f19_8a3e_cae1,
+                0xbf3a_0239_73a3_ddd9,
+                0x83a3_8f8e_1bad_4553,
+                0x0fa4_e604_93a7_e06a,
+                0xa48e_2d87_b178_ed38,
+                0x7db0_6fbe_271c_dcca,
+                0xa149_bd3e_16a8_88c1,
+                0x9a7f_2e65_c88a_5d3d,
+                0xf8c4_c270_6a4e_486a
+            ],
+            "body hashes {bodies:#018x?}"
+        );
         assert_eq!(
             hashes,
             [
-                0x9705_2723_a65a_c11b,
-                0x9144_b4a8_1398_e3ea,
-                0xdffa_98b9_76db_abca,
-                0x1f9b_12d1_a34c_5c02,
-                0xc9db_5728_0f93_aadc,
-                0xa3b2_a6da_9da9_3665,
-                0x4f6c_9ba1_f498_81d6,
-                0xe7f4_090c_822c_f610,
-                0xe88e_be80_ab30_929d,
-                0x37ac_8638_12fd_0f75,
-                0x275a_f638_4294_6371,
-                0xa7c5_3c83_065b_6b82,
-                0x6fc6_bf44_097f_4631,
-                0x4096_429f_7d9c_9cbf,
-                0xfc4d_fb30_29ee_5e75,
-                0xf6c5_7564_e848_eebc,
-                0x82cd_ba21_6c65_c0e1,
-                0x3394_868c_20c0_e486
+                0x8f1f_7273_49f5_479a,
+                0x255b_9862_a861_2022,
+                0x37c3_ae9c_2280_7c0b,
+                0x1674_ab09_72f9_29e8,
+                0xcc7b_0468_a1f1_40d8,
+                0x3fcd_4233_ea0a_6db9,
+                0x876b_edf4_8133_3dad,
+                0xc7c8_7a15_a6d1_c007,
+                0x542b_9792_0201_a127,
+                0xb1e5_705f_2bff_2bc6,
+                0x6ca4_e1ac_e280_8a1a,
+                0xddc4_4e46_776c_cc44,
+                0x8c92_4a51_39a0_9d9d,
+                0xe300_e590_e12b_1afe,
+                0x0fd9_2339_3c87_07f1,
+                0xe58b_8c9a_c2f8_d25d,
+                0x6c5f_1454_2f6a_39c2,
+                0x7676_9a85_0f24_896d
             ],
             "frame hashes {hashes:#018x?}"
         );
@@ -1028,46 +943,48 @@ mod tests {
     }
 
     #[test]
-    fn kinds_do_not_cross() {
+    fn a_frame_sent_to_the_wrong_side_is_bad_magic() {
         let frame = encode_request(&Request::Stats);
-        assert!(decode_response(&frame).is_err());
+        assert_eq!(decode_response(&frame), Err(CheckpointError::BadMagic));
         let frame = encode_response(&Response::ShuttingDown);
-        assert!(decode_request(&frame).is_err());
+        assert_eq!(decode_request(&frame), Err(CheckpointError::BadMagic));
     }
 
     #[test]
     fn stream_round_trip_distinguishes_clean_close() {
+        let request = Request::Submit(sample_spec());
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, b"body").unwrap();
+        write_message(&mut buf, &request).unwrap();
+        assert_eq!(buf, encode_request(&request));
         let mut cursor = std::io::Cursor::new(buf.clone());
-        let (kind, body) = read_frame(&mut cursor).unwrap();
-        assert_eq!(kind, FrameKind::Request);
-        assert_eq!(body, b"body");
+        assert_eq!(read_message::<Request>(&mut cursor).unwrap(), request);
         // Clean EOF at a frame boundary is Disconnected...
-        match read_frame(&mut cursor) {
+        match read_message::<Request>(&mut cursor) {
             Err(ServeError::Disconnected) => {}
             other => panic!("expected Disconnected, got {other:?}"),
         }
-        // ...a cut inside the header is a protocol error.
-        let mut cut = std::io::Cursor::new(buf[..5].to_vec());
-        match read_frame(&mut cut) {
-            Err(ServeError::Protocol(CheckpointError::Truncated)) => {}
-            other => panic!("expected Truncated, got {other:?}"),
+        // ...a cut inside the header or the body is a protocol error.
+        for cut in [5, FRAME_HEADER_BYTES + 1] {
+            let mut cut = std::io::Cursor::new(buf[..cut].to_vec());
+            match read_message::<Request>(&mut cut) {
+                Err(ServeError::Protocol(CheckpointError::Truncated)) => {}
+                other => panic!("expected Truncated, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn hostile_length_is_rejected_from_the_header() {
-        let mut frame = encode_frame(FrameKind::Request, b"x");
-        frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode_frame(&frame).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Corrupt { ref what } if what.contains("exceeds cap")),
-            "got {err:?}"
-        );
-        // The stream reader rejects it too, before allocating.
-        let mut cursor = std::io::Cursor::new(frame);
-        assert!(read_frame(&mut cursor).is_err());
+        let mut frame = encode_request(&Request::Stats);
+        frame[12..20].copy_from_slice(&((MAX_FRAME_BODY + 1) as u64).to_le_bytes());
+        assert_eq!(decode_request(&frame), Err(CheckpointError::Truncated));
+        // The stream reader rejects it from the header, before allocating.
+        match read_message::<Request>(&mut std::io::Cursor::new(frame)) {
+            Err(ServeError::Protocol(CheckpointError::Corrupt { what })) => {
+                assert!(what.contains("exceeds cap"), "{what}");
+            }
+            other => panic!("expected the cap to reject, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1082,85 +999,5 @@ mod tests {
         let pattern: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
         assert_eq!(checksum(b""), 0xC381_7C01_6BA4_FF30);
         assert_eq!(checksum(&pattern), 0xF88C_FB1E_BBAC_3CEF);
-        let split = checksum_parts(&[&pattern[..100], &pattern[100..]]);
-        assert_eq!(split, 0xF88C_FB1E_BBAC_3CEF);
-    }
-
-    #[test]
-    fn checksum_parts_matches_contiguous_checksum() {
-        let bytes = b"the frame header then the frame body";
-        for split in [0, 1, 12, bytes.len()] {
-            assert_eq!(
-                checksum_parts(&[&bytes[..split], &bytes[split..]]),
-                checksum(bytes),
-                "split at {split}"
-            );
-        }
-        assert_eq!(checksum_parts(&[]), checksum(b""));
-    }
-
-    #[test]
-    fn vectored_write_frame_is_byte_identical_to_encode_frame() {
-        for body in [&b""[..], b"x", &[0xA5u8; 4096]] {
-            let mut streamed = Vec::new();
-            write_frame(&mut streamed, FrameKind::Response, body).unwrap();
-            assert_eq!(streamed, encode_frame(FrameKind::Response, body));
-        }
-    }
-
-    #[test]
-    fn read_frame_into_reuses_one_buffer_across_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Response, b"first, the longer body").unwrap();
-        write_frame(&mut wire, FrameKind::Request, b"second").unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        let mut body = Vec::new();
-        assert_eq!(
-            read_frame_into(&mut cursor, &mut body).unwrap(),
-            FrameKind::Response
-        );
-        assert_eq!(body, b"first, the longer body");
-        let capacity = body.capacity();
-        assert_eq!(
-            read_frame_into(&mut cursor, &mut body).unwrap(),
-            FrameKind::Request
-        );
-        assert_eq!(body, b"second");
-        assert_eq!(body.capacity(), capacity, "no regrowth for smaller frames");
-        // A corrupted checksum still fails through the split-buffer path.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Response, b"body").unwrap();
-        let last = wire.len() - 1;
-        wire[last] ^= 1;
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(matches!(
-            read_frame_into(&mut cursor, &mut body),
-            Err(ServeError::Protocol(
-                CheckpointError::FingerprintMismatch { .. }
-            ))
-        ));
-    }
-
-    #[test]
-    fn frame_sink_frames_match_encode_response() {
-        let resps = [
-            Response::Submitted { job: 9 },
-            Response::RunDone {
-                job: 9,
-                run_index: 0,
-                digest: 0x1234_5678,
-                cached: false,
-                violations: 0,
-            },
-            Response::ShuttingDown,
-        ];
-        let mut sink = FrameSink::new();
-        let mut streamed = Vec::new();
-        let mut reference = Vec::new();
-        for resp in &resps {
-            sink.write_response(&mut streamed, resp).unwrap();
-            reference.extend_from_slice(&encode_response(resp));
-        }
-        assert_eq!(streamed, reference);
     }
 }

@@ -2,10 +2,11 @@
 //! streams per-run results back to the submitting client.
 //!
 //! One server process owns one [`Executor`] (result cache, optional disk
-//! spill) and one [`CheckpointStore`]; every job executes through the exact
-//! same [`Executor::run_space`] entry point a batch study uses, so served
-//! digests are bit-identical to batch ones, and concurrent jobs that need
-//! the same warmup share one simulation of it through the store.
+//! spill) and one [`CheckpointStore`]; every job executes through
+//! [`SweepSpec::run`], the same call `mtvar batch` makes, so served digests
+//! are bit-identical to batch ones, and concurrent jobs that need the same
+//! warmup share one simulation of it through the store. A sweep that
+//! panics ends its job as `JobFailed`; the dispatcher lives on.
 //! Connections and dispatchers are plain threads — no async runtime — and
 //! graceful shutdown (a [`Request::Shutdown`] frame, which the `mtvar serve`
 //! binary also sends on SIGINT/SIGTERM, or [`ServerHandle::shutdown`])
@@ -15,13 +16,14 @@
 //! socket.
 //!
 //! [`Executor`]: mtvar_core::runspace::Executor
-//! [`Executor::run_space`]: mtvar_core::runspace::Executor::run_space
+//! [`SweepSpec::run`]: crate::protocol::SweepSpec::run
 //! [`CheckpointStore`]: mtvar_core::checkpoint::CheckpointStore
 //! [`Request::Shutdown`]: crate::protocol::Request::Shutdown
 //! [`ErrorCode::Draining`]: crate::protocol::ErrorCode::Draining
 
 use std::collections::{HashMap, HashSet};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -30,16 +32,12 @@ use std::time::Duration;
 
 use mtvar_core::checkpoint::CheckpointStore;
 use mtvar_core::golden::run_digest;
-use mtvar_core::runspace::{Executor, ProgressCounters, RunProgress, RunSpace};
-use mtvar_core::CoreError;
-use mtvar_sim::checkpoint::Snap;
+use mtvar_core::runspace::{Executor, ProgressCounters, RunProgress};
 use mtvar_sim::stats::RunResult;
-use mtvar_sim::workload::{SharingWorkload, Workload};
 
 use crate::job::{AdmissionError, JobQueue, JobRecord, JobRegistry};
 use crate::protocol::{
-    decode_message, fold_digest, read_frame, ErrorCode, FrameKind, FrameSink, JobState, Request,
-    Response, ServerStats, WorkloadSpec,
+    fold_digest, read_message, write_message, ErrorCode, JobState, Request, Response, ServerStats,
 };
 use crate::ServeError;
 
@@ -218,26 +216,6 @@ impl RunProgress for JobObserver {
     }
 }
 
-/// Executes one sweep through the shared executor, with the job's observer
-/// attached.
-fn run_sweep<W, F>(
-    shared: &Shared,
-    job: &JobRecord,
-    observer: Arc<JobObserver>,
-    config: &mtvar_sim::config::MachineConfig,
-    factory: F,
-) -> mtvar_core::Result<RunSpace>
-where
-    W: Workload + Snap + Clone + Send + Sync,
-    F: Fn() -> W + Sync,
-{
-    shared
-        .executor
-        .clone()
-        .with_progress(observer as Arc<dyn RunProgress>)
-        .run_space(config, factory, &job.spec.plan.build())
-}
-
 fn dispatch_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop_blocking() {
         // Each outcome is counted before its terminal frame goes out, so a
@@ -254,36 +232,23 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             Arc::clone(&job),
             Arc::clone(&shared.counters),
         ));
-        let config = job.spec.config.build();
-        let outcome = match job.spec.workload.clone() {
-            WorkloadSpec::Sharing {
-                threads,
-                seed,
-                ops_per_txn,
-                footprint_blocks,
-                lock_every,
-            } => run_sweep(shared, &job, Arc::clone(&observer), &config, move || {
-                SharingWorkload::new(
-                    threads as usize,
-                    seed,
-                    ops_per_txn as u32,
-                    footprint_blocks,
-                    lock_every as u32,
-                )
-            }),
-            WorkloadSpec::Benchmark { name, cpus, seed } => {
-                match WorkloadSpec::resolve_benchmark(&name) {
-                    Some(bench) => {
-                        run_sweep(shared, &job, Arc::clone(&observer), &config, move || {
-                            bench.workload(cpus as usize, seed)
-                        })
-                    }
-                    // Unreachable past admission validation, but a dispatch
-                    // must never panic on a record it popped.
-                    None => Err(CoreError::InvalidExperiment {
-                        what: format!("unknown benchmark {name:?}"),
-                    }),
-                }
+        let executor = shared
+            .executor
+            .clone()
+            .with_progress(Arc::clone(&observer) as Arc<dyn RunProgress>);
+        // A sweep that panics (a workload or simulator assert on a hostile
+        // spec) fails its job instead of killing this dispatcher: a dead
+        // dispatcher would leave the job's stream open forever, so its
+        // client would wait and the drain would never complete.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| job.spec.run(&executor))) {
+            Ok(result) => result.map_err(|e| e.to_string()),
+            Err(payload) => {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("a non-string payload");
+                Err(format!("sweep panicked: {what}"))
             }
         };
         match outcome {
@@ -315,12 +280,12 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     mean_cpt,
                 });
             }
-            Err(e) => {
+            Err(message) => {
                 job.set_state(JobState::Failed);
                 shared.failed.fetch_add(1, Ordering::Relaxed);
                 job.send(Response::JobFailed {
                     job: job.id,
-                    message: e.to_string(),
+                    message,
                 });
             }
         }
@@ -328,15 +293,10 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
-    // One reusable frame writer per connection: every response on this
-    // stream — above all the per-run `RunDone` frames a Submit drains —
-    // encodes into the same recycled body buffer and goes out as a single
-    // vectored write.
-    let mut sink = FrameSink::new();
     // A failing client write is the client's problem; a malformed request
     // earns a typed BadRequest frame (best-effort) and a closed connection.
-    if let Err(ServeError::Protocol(e)) = serve_connection(shared, &mut stream, &mut sink) {
-        let _ = sink.write_response(
+    if let Err(ServeError::Protocol(e)) = serve_connection(shared, &mut stream) {
+        let _ = write_message(
             &mut stream,
             &Response::Error {
                 code: ErrorCode::BadRequest,
@@ -346,16 +306,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
     }
 }
 
-fn serve_connection(
-    shared: &Arc<Shared>,
-    stream: &mut UnixStream,
-    sink: &mut FrameSink,
-) -> crate::Result<()> {
-    let (kind, body) = read_frame(stream)?;
-    match decode_message(FrameKind::Request, (kind, &body))? {
+fn serve_connection(shared: &Arc<Shared>, stream: &mut UnixStream) -> crate::Result<()> {
+    match read_message(stream)? {
         Request::Submit(spec) => {
             if let Err(what) = spec.workload.validate() {
-                sink.write_response(
+                write_message(
                     stream,
                     &Response::Error {
                         code: ErrorCode::BadRequest,
@@ -365,7 +320,7 @@ fn serve_connection(
                 return Ok(());
             }
             if spec.plan.runs == 0 || spec.plan.transactions == 0 {
-                sink.write_response(
+                write_message(
                     stream,
                     &Response::Error {
                         code: ErrorCode::BadRequest,
@@ -387,12 +342,12 @@ fn serve_connection(
                             "server is draining for shutdown".to_string(),
                         ),
                     };
-                    sink.write_response(stream, &Response::Error { code, message })?;
+                    write_message(stream, &Response::Error { code, message })?;
                 }
                 Ok(job) => {
                     shared.registry.register(Arc::clone(&job));
                     shared.submitted.fetch_add(1, Ordering::Relaxed);
-                    let acked = sink.write_response(stream, &Response::Submitted { job: job.id });
+                    let acked = write_message(stream, &Response::Submitted { job: job.id });
                     // Stream events until the job's terminal frame. If the
                     // client hangs up, the job still runs to completion —
                     // its results land in the shared cache either way.
@@ -403,7 +358,7 @@ fn serve_connection(
                                 | Response::JobFailed { .. }
                                 | Response::Cancelled { .. }
                         );
-                        if sink.write_response(stream, &event).is_err() {
+                        if write_message(stream, &event).is_err() {
                             break;
                         }
                         if terminal {
@@ -432,7 +387,7 @@ fn serve_connection(
                     message: format!("no job {job}"),
                 },
             };
-            sink.write_response(stream, &reply)?;
+            write_message(stream, &reply)?;
         }
         Request::Cancel { job } => {
             let reply = match shared.registry.get(job) {
@@ -445,15 +400,15 @@ fn serve_connection(
                     message: format!("no job {job}"),
                 },
             };
-            sink.write_response(stream, &reply)?;
+            write_message(stream, &reply)?;
         }
         Request::Stats => {
-            sink.write_response(stream, &Response::StatsReport(shared.stats_snapshot()))?;
+            write_message(stream, &Response::StatsReport(shared.stats_snapshot()))?;
         }
         Request::Shutdown => {
             shared.queue.drain();
             shared.wake_acceptor_if_drained();
-            sink.write_response(stream, &Response::ShuttingDown)?;
+            write_message(stream, &Response::ShuttingDown)?;
         }
     }
     Ok(())

@@ -5,13 +5,17 @@
 //! error — never a panic, and never an allocation sized by attacker bytes.
 //!
 //! Both directions are covered: request frames (what the server decodes)
-//! and response frames (what the client decodes).
+//! and response frames (what the client decodes). Both travel in the
+//! workspace's one frame (`mtvar_sim::checkpoint::frame`), under their own
+//! magic.
 
 use mtvar_serve::protocol::{
-    decode_request, decode_response, encode_frame, encode_request, encode_response, read_frame,
-    ConfigSpec, ErrorCode, FrameKind, PlanSpec, Priority, Request, Response, ServerStats,
-    SweepSpec, WorkloadSpec, FRAME_HEADER, MAX_FRAME_BODY,
+    decode_request, decode_response, encode_request, encode_response, read_message, ConfigSpec,
+    ErrorCode, PlanSpec, Priority, Request, Response, ServerStats, SweepSpec, WorkloadSpec,
+    MAX_FRAME_BODY, PROTOCOL_VERSION, REQUEST_MAGIC, RESPONSE_MAGIC,
 };
+use mtvar_serve::ServeError;
+use mtvar_sim::checkpoint::{frame, unframe, CheckpointError, FRAME_HEADER_BYTES};
 use mtvar_sim::rng::SplitMix64;
 
 fn below(rng: &mut SplitMix64, n: usize) -> usize {
@@ -57,8 +61,8 @@ fn sample_response() -> Response {
     })
 }
 
-/// Every single-bit flip anywhere in either frame — magic, version, kind,
-/// reserved, length, body, checksum — must be rejected. One pseudo-random
+/// Every single-bit flip anywhere in either frame — magic, version, length,
+/// fingerprint, body — must be rejected. One pseudo-random
 /// bit per byte position keeps the sweep exhaustive over fields.
 #[test]
 fn every_bit_flip_is_rejected() {
@@ -90,8 +94,8 @@ fn every_bit_flip_is_rejected() {
     }
 }
 
-/// Every proper prefix must be rejected — a cut can land mid-header,
-/// mid-body, or mid-checksum. Trailing garbage is rejected too: a frame is
+/// Every proper prefix must be rejected — a cut can land mid-header or
+/// mid-body. Trailing garbage is rejected too: a frame is
 /// exactly as long as its header says.
 #[test]
 fn every_truncation_and_extension_is_rejected() {
@@ -158,7 +162,7 @@ fn random_splices_are_rejected() {
             _ => {
                 // Head of the request frame + tail of the response frame.
                 // Even a clean 0/0 cut yields a whole response frame, which
-                // decode_request must still reject on kind.
+                // decode_request must still reject on its magic.
                 let cut_a = below(&mut rng, a.len());
                 let cut_b = below(&mut rng, b.len());
                 buf = a[..cut_a].to_vec();
@@ -175,53 +179,75 @@ fn random_splices_are_rejected() {
     }
 }
 
-/// Hostile body lengths must be rejected from the 12-byte header alone,
-/// before any allocation — on the slice path and the stream path alike.
+/// A frame sent to the wrong side fails on its magic, on the slice path and
+/// the stream path alike.
+#[test]
+fn a_request_decoded_as_a_response_is_bad_magic() {
+    let request = encode_request(&sample_request());
+    assert_eq!(decode_response(&request), Err(CheckpointError::BadMagic));
+    match read_message::<Response>(&mut std::io::Cursor::new(request)) {
+        Err(ServeError::Protocol(CheckpointError::BadMagic)) => {}
+        other => panic!("expected BadMagic, got {other:?}"),
+    }
+    let response = encode_response(&sample_response());
+    assert_eq!(decode_request(&response), Err(CheckpointError::BadMagic));
+}
+
+/// Hostile `payload_len` values must be rejected from the 28-byte header
+/// alone, before any allocation. The stream reader is handed the header and
+/// nothing more: had it sized a buffer and tried to read the body, it would
+/// report `Truncated`; rejecting from the header it reports `Corrupt` — over
+/// [`MAX_FRAME_BODY`], or over `usize` where that is narrower than `u64`.
 #[test]
 fn hostile_lengths_are_rejected_before_allocation() {
     let frame = encode_request(&sample_request());
-    for value in [u32::MAX, u32::MAX / 2, (MAX_FRAME_BODY + 1) as u32, 1 << 30] {
+    for value in [
+        u64::MAX,
+        u64::MAX / 2,
+        1 << 40,
+        u64::from(u32::MAX),
+        1 << 30,
+        (MAX_FRAME_BODY + 1) as u64,
+    ] {
         let mut buf = frame.clone();
-        buf[8..12].copy_from_slice(&value.to_le_bytes());
+        buf[12..20].copy_from_slice(&value.to_le_bytes());
         assert!(
             decode_request(&buf).is_err(),
-            "body_len {value} accepted on the slice path"
+            "payload_len {value} accepted on the slice path"
         );
-        // The stream reader sees only the header before deciding: a frame
-        // claiming a huge body must error out of the header validation, not
-        // try to size a buffer from it.
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(
-            read_frame(&mut cursor).is_err(),
-            "body_len {value} accepted on the stream path"
-        );
+        let header = buf[..FRAME_HEADER_BYTES].to_vec();
+        match read_message::<Request>(&mut std::io::Cursor::new(header)) {
+            Err(ServeError::Protocol(CheckpointError::Corrupt { what })) => assert!(
+                what.contains("exceeds"),
+                "payload_len {value}: unexpected rejection {what}"
+            ),
+            other => panic!("payload_len {value} not rejected from the header: {other:?}"),
+        }
     }
-    // A header-only stream that dries up mid-body is Truncated, not a hang
-    // or a panic.
-    let mut cursor = std::io::Cursor::new(frame[..FRAME_HEADER + 3].to_vec());
-    assert!(read_frame(&mut cursor).is_err());
+    // A stream that dries up mid-body is Truncated, not a hang or a panic.
+    let mut cursor = std::io::Cursor::new(frame[..FRAME_HEADER_BYTES + 3].to_vec());
+    assert!(matches!(
+        read_message::<Request>(&mut cursor),
+        Err(ServeError::Protocol(CheckpointError::Truncated))
+    ));
 }
 
-/// Body-level corruption re-wrapped in a *valid* frame (fresh checksum, so
-/// the frame layer passes) must never panic the message decoder, and length
-/// fields inside the body must never drive an allocation past the body's
-/// own size — the Snap decoder's `decode_len` discipline.
+/// Body-level corruption re-wrapped in a *valid* frame (fresh fingerprint,
+/// so the frame layer passes) must never panic the message decoder, and
+/// length fields inside the body must never drive an allocation past the
+/// body's own size — the Snap decoder's `decode_len` discipline.
 #[test]
 fn mutated_bodies_never_panic_the_message_decoder() {
-    let req_body = {
-        let frame = encode_request(&sample_request());
-        frame[FRAME_HEADER..frame.len() - 8].to_vec()
-    };
-    let resp_body = {
-        let frame = encode_response(&sample_response());
-        frame[FRAME_HEADER..frame.len() - 8].to_vec()
-    };
+    let body_of =
+        |magic, frame: Vec<u8>| unframe(magic, PROTOCOL_VERSION, &frame).unwrap().0.to_vec();
+    let req_body = body_of(REQUEST_MAGIC, encode_request(&sample_request()));
+    let resp_body = body_of(RESPONSE_MAGIC, encode_response(&sample_response()));
     let mut rng = SplitMix64::new(0xDEC0DE);
     for round in 0..600 {
-        let (body, kind) = if round % 2 == 0 {
-            (&req_body, FrameKind::Request)
+        let (body, magic) = if round % 2 == 0 {
+            (&req_body, REQUEST_MAGIC)
         } else {
-            (&resp_body, FrameKind::Response)
+            (&resp_body, RESPONSE_MAGIC)
         };
         let mut mutated = body.clone();
         match below(&mut rng, 3) {
@@ -242,16 +268,13 @@ fn mutated_bodies_never_panic_the_message_decoder() {
                 mutated.splice(at..at, chunk);
             }
         }
-        let frame = encode_frame(kind, &mutated);
+        let framed = frame(magic, PROTOCOL_VERSION, &mutated);
         // Err is the expected outcome; Ok means the mutation happened to
         // produce a coherent encoding. A panic fails the harness either way.
-        match kind {
-            FrameKind::Request => {
-                let _ = decode_request(&frame);
-            }
-            FrameKind::Response => {
-                let _ = decode_response(&frame);
-            }
+        if magic == REQUEST_MAGIC {
+            let _ = decode_request(&framed);
+        } else {
+            let _ = decode_response(&framed);
         }
     }
 }
@@ -270,13 +293,13 @@ fn random_bodies_decode_to_errors() {
         // Tags 0..=4 (requests) and 0..=10 (responses) exist, so a random
         // first byte frequently names a real variant — the inner field
         // decode still has to fail gracefully on the noise that follows.
-        let _ = decode_request(&encode_frame(FrameKind::Request, &body));
-        let _ = decode_response(&encode_frame(FrameKind::Response, &body));
+        let _ = decode_request(&frame(REQUEST_MAGIC, PROTOCOL_VERSION, &body));
+        let _ = decode_response(&frame(RESPONSE_MAGIC, PROTOCOL_VERSION, &body));
     }
     // Spot-check a specifically nasty body: a valid Error tag followed by a
     // string length claiming the whole address space.
     let mut body = vec![10u8, 0u8]; // Response::Error, ErrorCode::QueueFull
     body.extend_from_slice(&u64::MAX.to_le_bytes());
-    assert!(decode_response(&encode_frame(FrameKind::Response, &body)).is_err());
+    assert!(decode_response(&frame(RESPONSE_MAGIC, PROTOCOL_VERSION, &body)).is_err());
     let _ = ErrorCode::QueueFull; // keep the import honest
 }

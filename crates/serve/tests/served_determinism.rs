@@ -13,7 +13,8 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use mtvar_core::golden::run_digest;
 use mtvar_core::runspace::Executor;
@@ -267,6 +268,77 @@ fn queries_and_rejections_are_typed() {
 
     client.shutdown().expect("shutdown");
     handle.join();
+}
+
+/// A hostile `Submit` cannot wedge the daemon. A workload count beyond the
+/// simulator's `u32` is a typed `BadRequest` (it once wrapped to 0 and
+/// panicked the dispatcher); a sweep that panics anyway ends as `JobFailed`
+/// with the dispatcher still serving; `stats` counts the failure and the
+/// drain completes. Every call runs on a helper thread under a deadline, so
+/// a wedged server fails the test instead of hanging it.
+#[test]
+fn a_hostile_submit_is_rejected_or_failed_never_wedged() {
+    fn within_deadline<T: Send + 'static>(
+        what: &str,
+        call: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done, answer) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = done.send(call());
+        });
+        // Past the deadline the helper stays blocked on the wedged server
+        // and is left behind; the test fails either way.
+        let value = answer
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what}: no answer within 30 s, the daemon is wedged"));
+        helper.join().expect("helper thread");
+        value
+    }
+    let socket = socket_path("hostile");
+    let handle = Server::start(ServeConfig {
+        dispatchers: 1,
+        ..ServeConfig::new(&socket)
+    })
+    .expect("start server");
+    let submit = |spec: SweepSpec| {
+        let socket = socket.clone();
+        within_deadline("submit", move || Client::new(&socket).submit(spec, |_| {}))
+    };
+    let sharing = |threads, ops_per_txn, lock_every| SweepSpec {
+        workload: WorkloadSpec::Sharing {
+            threads,
+            seed: 42,
+            ops_per_txn,
+            footprint_blocks: 2048,
+            lock_every,
+        },
+        ..sweep()
+    };
+
+    for spec in [sharing(4, 1 << 32, 10), sharing(4, 40, 1 << 32)] {
+        match submit(spec) {
+            Err(ServeError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+    match submit(sharing(u64::MAX, 40, 10)) {
+        Err(ServeError::JobFailed { message, .. }) => {
+            assert!(message.contains("panicked"), "{message}");
+        }
+        other => panic!("expected JobFailed, got {other:?}"),
+    }
+    // The dispatcher survived: the next sweep still completes.
+    let mut quick = sweep();
+    quick.plan.runs = 2;
+    assert!(matches!(submit(quick), Ok(SweepOutcome::Done(_))));
+
+    let client = Client::new(&socket);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 1);
+    client.shutdown().expect("shutdown");
+    within_deadline("drain", move || handle.join());
+    assert!(!socket.exists(), "socket file removed after drain");
 }
 
 /// Graceful shutdown: a drain requested while a job is running lets that

@@ -15,12 +15,13 @@
 //!   [`Machine`](crate::machine::Machine): a payload plus a content
 //!   fingerprint, persisted with [`Checkpoint::to_bytes`] /
 //!   [`Checkpoint::from_bytes`].
-//! * [`frame`] / [`unframe`] — the workspace's one spill frame, `magic |
+//! * [`frame`] / [`unframe`] — the workspace's one frame, `magic |
 //!   version | payload_len | payload_fingerprint | payload`, shared by
-//!   checkpoint files and run-result records. Magic, version, length and
-//!   fingerprint are all validated on load, so a truncated or corrupted
-//!   file is rejected with a [`CheckpointError`] instead of yielding a
-//!   broken machine or a wrong result.
+//!   checkpoint files, run-result records and the service's wire messages
+//!   ([`frame_payload_len`] is its one header check). Magic, version,
+//!   length and fingerprint are all validated on load, so a truncated or
+//!   corrupted frame is rejected with a [`CheckpointError`] instead of
+//!   yielding a broken machine or a wrong result.
 //!
 //! Determinism contract: restoring a checkpoint and continuing must be
 //! bit-identical to never having snapshotted. Every RNG stream, LRU clock,
@@ -130,16 +131,6 @@ impl Encoder {
         Encoder {
             buf: Vec::with_capacity(capacity),
         }
-    }
-
-    /// Creates an encoder that writes into `buf`, reusing its capacity.
-    /// The buffer is cleared first — this is the recycle-a-scratch-buffer
-    /// constructor (`into_bytes` hands the buffer back), used by streaming
-    /// writers that encode one frame after another into the same
-    /// allocation.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Encoder { buf }
     }
 
     /// Appends one byte.
@@ -671,18 +662,18 @@ impl<T: Snap> Snap for Box<T> {
 
 /// Bytes ahead of the payload in a [`frame`]: `magic(8) | version(4) |
 /// payload_len(8) | payload_fingerprint(8)`.
-const FRAME_HEADER_BYTES: usize = 28;
+pub const FRAME_HEADER_BYTES: usize = 28;
 
-/// Wraps `payload` in the workspace's one spill frame:
+/// Wraps `payload` in the workspace's one frame:
 ///
 /// ```text
 /// magic(8) | version(4) | payload_len(8) | payload_fingerprint(8) | payload
 /// ```
 ///
 /// Integers are little-endian and the fingerprint is [`Fnv1a::hash`] of the
-/// payload. Checkpoint files ([`Checkpoint::to_bytes`]) and run-result
-/// records both write through here, each under its own magic and version;
-/// [`unframe`] is the matching reader.
+/// payload. Checkpoint files ([`Checkpoint::to_bytes`]), run-result records
+/// and the service's wire messages all write through here, each under its
+/// own magic and version; [`unframe`] is the matching reader.
 pub fn frame(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&magic);
@@ -693,14 +684,50 @@ pub fn frame(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Checks the header of a [`frame`] written under `magic` and `version` and
+/// returns its payload length: the one parse of the header layout, shared by
+/// [`unframe`] and by stream readers that must size a buffer from the
+/// [`FRAME_HEADER_BYTES`] they have read so far.
+///
+/// The checks run in field order — the magic, the version (an older layout
+/// is rejected, never misread), the payload length against `usize` (so a
+/// wrapped length cannot mis-slice on 32-bit targets) — and a `header`
+/// shorter than [`FRAME_HEADER_BYTES`] is [`CheckpointError::Truncated`].
+///
+/// # Errors
+///
+/// Returns a [`CheckpointError`] describing the first failed check.
+pub fn frame_payload_len(
+    magic: [u8; 8],
+    version: u32,
+    header: &[u8],
+) -> Result<usize, CheckpointError> {
+    let mut dec = Decoder::new(header);
+    if dec.get_bytes(8)? != magic {
+        return Err(CheckpointError::BadMagic);
+    }
+    let found = dec.get_u32()?;
+    if found != version {
+        return Err(CheckpointError::UnsupportedVersion { found });
+    }
+    let payload_len = dec.get_u64()?;
+    let payload_len = payload_len
+        .try_into()
+        .map_err(|_| CheckpointError::Corrupt {
+            what: format!("payload length {payload_len} exceeds this platform's usize"),
+        })?;
+    // The fingerprint closes the header; `unframe` checks it.
+    dec.get_u64()?;
+    Ok(payload_len)
+}
+
 /// Validates a [`frame`] written under `magic` and `version`, returning its
 /// payload and the payload's fingerprint.
 ///
-/// Any single corruption fails at least one check: the magic; the version
-/// (an older layout is rejected, never misread); the payload length,
-/// against `usize` (so a wrapped length cannot mis-slice on 32-bit targets)
-/// and then against the bytes actually present, before anything is sized
-/// from it — short is [`CheckpointError::Truncated`], trailing bytes are
+/// Any single corruption fails at least one check: the header
+/// ([`frame_payload_len`]); the payload length against the bytes actually
+/// present, before anything is sized from it — short is
+/// [`CheckpointError::Truncated`], trailing bytes are
 /// [`CheckpointError::Corrupt`]; and the fingerprint over the payload.
 ///
 /// # Errors
@@ -711,20 +738,8 @@ pub fn unframe(
     version: u32,
     bytes: &[u8],
 ) -> Result<(&[u8], u64), CheckpointError> {
-    let mut dec = Decoder::new(bytes);
-    if dec.get_bytes(8)? != magic {
-        return Err(CheckpointError::BadMagic);
-    }
-    let found = dec.get_u32()?;
-    if found != version {
-        return Err(CheckpointError::UnsupportedVersion { found });
-    }
-    let payload_len = dec.get_u64()?;
-    let payload_len: usize = payload_len
-        .try_into()
-        .map_err(|_| CheckpointError::Corrupt {
-            what: format!("payload length {payload_len} exceeds this platform's usize"),
-        })?;
+    let payload_len = frame_payload_len(magic, version, bytes)?;
+    let mut dec = Decoder::new(&bytes[FRAME_HEADER_BYTES - 8..]);
     let stored = dec.get_u64()?;
     let payload = dec.get_bytes(payload_len)?;
     dec.finish()?;

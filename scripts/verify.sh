@@ -30,9 +30,13 @@ cd "$(dirname "$0")/.."
 # experiment's arms launch as one batch, so non-test experiment.rs never
 # calls run_space per arm. Snapshots have one frame and one decode path: the
 # sectioned format (its section types, sectioned encode/decode, the
-# MachineParts split, the fused update_both hash) stays gone, and the spill
-# frame has one writer, checkpoint::frame, so no magic is framed by hand
-# outside crates/sim/src/checkpoint.rs. Tagged encodings have one home:
+# MachineParts split, the fused update_both hash) stays gone. There is one
+# frame, on disk and on the wire: checkpoint::frame / unframe write and read
+# checkpoint files, result records and serve messages alike, so no magic is
+# framed by hand and no frame/unframe is defined outside
+# crates/sim/src/checkpoint.rs, and the wire's own frame (its kind byte,
+# frame sink, split checksum, vectored write, read_frame/write_frame) stays
+# gone. Tagged encodings have one home:
 # impl_snap! derives every enum and newtype codec, so `fn encode_snap` is
 # written out only in checkpoint.rs and the four types with real format
 # logic (CacheArray, MemorySystem, InvariantMonitor, Counter2); and the
@@ -40,7 +44,7 @@ cd "$(dirname "$0")/.."
 # handling in the mtvar binary, so non-test server.rs neither sleeps nor
 # holds a signal module. A second copy or a revived entry point anywhere
 # else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, snapshot frame, tagged encodings, blocking accept"
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, one frame, tagged encodings, blocking accept"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -83,7 +87,12 @@ stray=$(
     grep -rln -e 'SectionKind' -e 'SectionEncoder' -e 'SectionReader' -e 'decode_sectioned' \
         -e 'encode_snap_sectioned' -e 'MachineParts' -e 'update_both' \
         crates src tests examples || true
-    grep -rlnE -e 'extend_from_slice\(.*(RESULT|CHECKPOINT)_MAGIC' crates src tests examples |
+    grep -rlnE -e 'extend_from_slice\(.*(RESULT|CHECKPOINT|REQUEST|RESPONSE)_MAGIC' \
+        crates src tests examples | grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
+    grep -rln -e 'FrameKind' -e 'FrameSink' -e 'checksum_parts' -e 'write_vectored' \
+        -e 'fn read_frame' -e 'fn write_frame' crates src tests examples || true
+    # Free functions only: `SamplingStudy::frame(&self)` names something else.
+    grep -rlnE -e 'fn (un)?frame\([^&)]' crates src tests examples |
         grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
     grep -rln -e 'fn encode_snap' crates src tests examples |
         grep -v -x -e 'crates/sim/src/checkpoint.rs' -e 'crates/sim/src/mem/cache.rs' \
@@ -95,7 +104,7 @@ stray=$(
     fi
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch, snapshot frame, hand-written codec or accept-path code outside its one home:" >&2
+    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch, second frame, hand-written codec or accept-path code outside its one home:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -106,53 +115,33 @@ cargo build --release --offline
 echo "==> cargo build --release --features invariant-monitor"
 cargo build --release --offline --features invariant-monitor
 
-echo "==> cargo test -q"
-cargo test -q --offline
-
+# Every test target of every crate, root package included, in debug with
+# no features: this is the one debug, monitor-off run of each suite named
+# below (oracle, proptests, statistical self-checks, fuzz suites, checkpoint
+# identity, executor violations, served determinism, ...). The gates after
+# it add only what this run cannot: the invariant monitor, release builds,
+# and the end-to-end service smoke.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
-
-echo "==> oracle differential suite"
-cargo test -q --offline -p mtvar-sim --test oracle_diff
 
 echo "==> golden-run digests (invariant monitor forced on)"
 cargo test -q --offline --features invariant-monitor --test golden_runs
 
-echo "==> executor violations channel (invariant monitor off)"
-cargo test -q --offline --test executor_violations
-
 echo "==> executor violations channel (invariant monitor on)"
 cargo test -q --offline --features invariant-monitor --test executor_violations
-
-echo "==> checkpoint bit-identity gate (invariant monitor off)"
-cargo test -q --offline --test checkpoint_identity
 
 echo "==> checkpoint bit-identity gate (invariant monitor on)"
 cargo test -q --offline --features invariant-monitor --test checkpoint_identity
 
 # Scaling gate: the directory transport and the bitset snoop filter must
 # agree with their references at every size — snooping-vs-directory in
-# lockstep plus the directory-vs-oracle diff (monitor off and on), and the
-# filter against a naive residency model at 8/17/64/128 nodes. The 64-CPU
-# directory configs themselves are pinned by the golden (+dir64 digests)
-# and checkpoint suites above and in release below.
-echo "==> scaling gate: snoop-vs-directory transport differential (monitor off)"
-cargo test -q --offline -p mtvar-sim --test coherence_diff
-
+# lockstep plus the directory-vs-oracle diff (monitor off in the workspace
+# run, on here), and the filter against a naive residency model at
+# 8/17/64/128 nodes (proptests, workspace run). The 64-CPU directory
+# configs themselves are pinned by the golden (+dir64 digests) and
+# checkpoint suites above and in release below.
 echo "==> scaling gate: snoop-vs-directory transport differential (monitor on)"
 cargo test -q --offline -p mtvar-sim --features invariant-monitor --test coherence_diff
-
-echo "==> scaling gate: bitset snoop-filter property tests (8/17/64/128 nodes)"
-cargo test -q --offline -p mtvar-sim --test proptests
-
-echo "==> statistical self-validation"
-cargo test -q --offline -p mtvar-stats --test selfcheck
-
-echo "==> sampling estimators: CI coverage self-validation"
-cargo test -q --offline -p mtvar-stats --test sampling_selfcheck
-
-echo "==> sampling estimators: fast accuracy/cost gate vs full-run truth"
-cargo test -q --offline --test sampling_eval
 
 # Kernel-parity gate: the optimized event queue, snoop filter, and
 # directory transport must reproduce every golden digest and checkpoint
@@ -167,31 +156,16 @@ cargo test -q --offline --release --test golden_runs
 echo "==> kernel parity: checkpoint bit-identity, release"
 cargo test -q --offline --release --test checkpoint_identity
 
-echo "==> kernel parity: event-queue differential fuzz"
-cargo test -q --offline -p mtvar-sim --test equeue_fuzz
-
-echo "==> kernel parity: snoop-filter checkpoint round-trip"
-cargo test -q --offline --test snoop_filter_checkpoint
-
-echo "==> kernel parity: steady-state allocation budget"
-cargo test -q --offline --test alloc_steady_state
-
 # Snapshot gate: the checkpoint frame and copy-on-write fork path. Decode
 # fuzz proves every frame mutation is an error, never a panic; the
-# bounded-retry suite pins the corrupt-spill fallback (including stale
-# version-2 files) in the checkpoint store; the alloc-budget suite
-# (release, so capacity seeds face real payload sizes) pins
-# encode-fits-seed and fork-vs-restore cost. Feature off and on: the
-# invariant monitor rides inside the payload, so both payload shapes must
-# hold the line.
-echo "==> snapshot gate: decode fuzz over frames and payloads"
-cargo test -q --offline -p mtvar-sim --test checkpoint_fuzz
-
+# bounded-retry suite (mtvar-core's checkpoint:: tests, workspace run) pins
+# the corrupt-spill fallback (including stale version-2 files) in the
+# checkpoint store; the alloc-budget suite (release, so capacity seeds face
+# real payload sizes) pins encode-fits-seed and fork-vs-restore cost.
+# Feature off (workspace run) and on: the invariant monitor rides inside
+# the payload, so both payload shapes must hold the line.
 echo "==> snapshot gate: decode fuzz (invariant monitor on)"
 cargo test -q --offline -p mtvar-sim --features invariant-monitor --test checkpoint_fuzz
-
-echo "==> snapshot gate: bounded retry over corrupt spill files"
-cargo test -q --offline -p mtvar-core checkpoint::
 
 echo "==> snapshot gate: restore/fork allocation budget, release"
 cargo test -q --offline --release --test alloc_steady_state
@@ -222,19 +196,15 @@ cargo test -q --offline --release --test experiment_batch
 echo "==> batch gate: experiment arms as one batch, release (invariant monitor on)"
 cargo test -q --offline --release --features invariant-monitor --test experiment_batch
 
-# Service gate: the run-space daemon. Frame fuzz proves every mutated or
-# hostile request/response frame errors without panicking or allocating
-# attacker-sized buffers; the determinism suite proves N concurrent clients
-# get bit-identical digests with N-1 sweeps cache-hit, drains reject new
-# submissions with typed errors, and disk spill replays across a restart;
-# the smoke run pins the headline claim end to end — a digest streamed
-# through the socket equals the batch executor's for the same sweep.
-echo "==> service gate: protocol frame fuzz"
-cargo test -q --offline -p mtvar-serve --test protocol_fuzz
-
-echo "==> service gate: served determinism, drain, cancel, spill replay"
-cargo test -q --offline -p mtvar-serve --test served_determinism
-
+# Service gate: the run-space daemon. Frame fuzz (workspace run) proves
+# every mutated or hostile request/response frame errors without panicking
+# or allocating attacker-sized buffers; the determinism suite (workspace
+# run, and monitor on here) proves N concurrent clients get bit-identical
+# digests with N-1 sweeps cache-hit, drains reject new submissions with
+# typed errors, a hostile submit is rejected or failed but never wedges the
+# daemon, and disk spill replays across a restart; the smoke run pins the
+# headline claim end to end — a digest streamed through the socket equals
+# the batch executor's for the same sweep.
 echo "==> service gate: served determinism (invariant monitor on)"
 cargo test -q --offline -p mtvar-serve --features invariant-monitor --test served_determinism
 
