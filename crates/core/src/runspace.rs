@@ -794,8 +794,27 @@ impl Executor {
     where
         W: Workload + Snap + Clone + Send + Sync,
     {
+        self.run_space_from_template::<W>(snapshot, None, perturbation_max_ns, plan)
+    }
+
+    /// [`Executor::run_space_from_snapshot`] with the template supplied:
+    /// when the caller holds a machine in the very state `snapshot` was
+    /// taken of (a [`WarmChain`]'s live machine, shared and forked), every
+    /// run forks from it and nothing is decoded. Runs, seeds and results are
+    /// those of the decoded template — a machine, its restore and its fork
+    /// launch one run space.
+    pub(crate) fn run_space_from_template<W>(
+        &self,
+        snapshot: &Checkpoint,
+        template: Option<&Machine<W>>,
+        perturbation_max_ns: Nanos,
+        plan: &RunPlan,
+    ) -> Result<RunSpace>
+    where
+        W: Workload + Snap + Clone + Send + Sync,
+    {
         plan.validate()?;
-        let start = Start::<W>::Snapshot(snapshot, perturbation_max_ns);
+        let start = Start::Snapshot(snapshot, perturbation_max_ns, template);
         let mut spaces = self.launch_arms(plan, 0, &[start])?;
         Ok(spaces.pop().expect("one space per snapshot"))
     }
@@ -816,7 +835,9 @@ impl Executor {
     /// use; and the templates are dropped on the workers, so their arrays
     /// park in the arenas that decode and fork the next ones instead of in
     /// the caller's, which never takes them back. A batch of one job, and
-    /// every batch at T = 1, runs on the calling thread.
+    /// every batch at T = 1, runs on the calling thread. An arm whose
+    /// caller supplies its template is neither decoded nor retired: the
+    /// caller keeps it.
     ///
     /// Returns one space per arm, or the first error of the sequential
     /// reading: arm by arm, its warmup before its runs.
@@ -844,7 +865,8 @@ impl Executor {
                     )?;
                     &*warmed
                 }
-                Start::Snapshot(snapshot, _) => snapshot,
+                Start::Snapshot(_, _, Some(_)) => return Ok(None),
+                Start::Snapshot(snapshot, _, None) => snapshot,
             };
             self.restore_template(snapshot).map(Some)
         });
@@ -1079,8 +1101,9 @@ enum Start<'a, W> {
     Cold(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
     /// The configuration's shared warmup, warmed once and decoded once.
     Warmed(&'a MachineConfig, &'a (dyn Fn() -> W + Sync)),
-    /// A caller-held snapshot, decoded once, perturbed at this magnitude.
-    Snapshot(&'a Checkpoint, Nanos),
+    /// A caller-held snapshot, perturbed at this magnitude: decoded once,
+    /// or not at all when the caller also holds a machine in its state.
+    Snapshot(&'a Checkpoint, Nanos, Option<&'a Machine<W>>),
 }
 
 impl<'a, W> Start<'a, W> {
@@ -1094,7 +1117,7 @@ impl<'a, W> Start<'a, W> {
     where
         'a: 't,
     {
-        let template = || template.expect("a decoded template");
+        let decoded = || template.expect("a decoded template");
         // The fingerprint (and hence every derived seed) comes from the
         // caller's configuration; strict mode flips check_invariants on the
         // per-run clone only, so it can never change the seeds.
@@ -1113,12 +1136,12 @@ impl<'a, W> Start<'a, W> {
             Start::Warmed(config, _) => (
                 config_fingerprint(config) ^ SHARED_WARMUP_DOMAIN,
                 0,
-                Source::Snapshot(template(), config.perturbation_max_ns),
+                Source::Snapshot(decoded(), config.perturbation_max_ns),
             ),
-            Start::Snapshot(snapshot, perturbation_max_ns) => (
+            Start::Snapshot(snapshot, perturbation_max_ns, given) => (
                 snapshot.fingerprint(),
                 plan.warmup_transactions,
-                Source::Snapshot(template(), perturbation_max_ns),
+                Source::Snapshot(given.unwrap_or_else(decoded), perturbation_max_ns),
             ),
         }
     }
@@ -1129,7 +1152,11 @@ impl<'a, W> Start<'a, W> {
 /// and of a [`timesample`](crate::timesample) sweep, which advances one
 /// chain through every position. The chain keeps the machine it warmed
 /// alive, so the next position simulates only the transactions in between
-/// instead of decoding the snapshot the same machine has just encoded.
+/// instead of decoding the snapshot the same machine has just encoded, and
+/// hands out forks of that live machine ([`WarmChain::template`]) as the
+/// template of every position it simulated, so the sweep does not decode
+/// them either. This is the one place a live machine is
+/// [`share`](Machine::share)d.
 pub(crate) struct WarmChain<'a, W, F> {
     executor: &'a Executor,
     warm_cfg: MachineConfig,
@@ -1190,6 +1217,26 @@ where
             Some(store) => store.get_or_warm(key, || self.warm(&key, from)),
             None => self.warm(&key, from),
         }
+    }
+
+    /// A fork of the live machine, if the last advance simulated `warmup`
+    /// (a store hit leaves the live machine where it was, and gets `None`):
+    /// the template a sweep forks that position's runs from instead of
+    /// decoding the snapshot just encoded. The live machine is shared first,
+    /// so the template and the runs forked from it copy pointers, not
+    /// arrays. Callers drop the previous template before asking for the next
+    /// one: with no other holder, the share folds the chunks the chain wrote
+    /// since back into the arrays in place instead of copying them whole.
+    pub(crate) fn template(&mut self, warmup: u64) -> Option<Machine<W>>
+    where
+        W: Clone,
+    {
+        let (done, machine) = self.live.as_mut()?;
+        if *done != warmup {
+            return None;
+        }
+        machine.share();
+        Some(machine.fork())
     }
 
     fn warm(

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use mtvar_sim::checkpoint::{Checkpoint, Snap};
 use mtvar_sim::config::MachineConfig;
+use mtvar_sim::machine::Machine;
 use mtvar_sim::rng::Xoshiro256StarStar;
 use mtvar_sim::workload::Workload;
 use mtvar_stats::infer::{anova_one_way, Anova};
@@ -183,23 +184,31 @@ impl TimeSampleStudy {
 /// behind [`Executor::warm_checkpoint`] — so an attached
 /// [`CheckpointStore`](crate::checkpoint::CheckpointStore) memoizes the
 /// warmed states across sweeps and processes — and forks each position's
-/// perturbed run space from the restored snapshot with
-/// [`Executor::run_space_from_snapshot`].
+/// perturbed run space as [`Executor::run_space_from_snapshot`] would from
+/// that position's snapshot.
 ///
 /// Consecutive positions chain even without a store: the machine that
 /// warmed position `p[i]` is snapshotted and then simply keeps running to
 /// `p[i+1]` (a stored snapshot deeper than that machine is restored
 /// instead), so one sweep simulates `max(positions)` warmup transactions in
-/// total rather than their sum.
+/// total rather than their sum. Nor does the sweep decode the snapshots it
+/// takes: a position the chain simulated forks its runs from the chain's
+/// live machine, shared in place ([`Machine::share`]) and forked, and only
+/// a position found in the store is decoded. The snapshot still goes to
+/// the store and still seeds the runs, and a machine and its restore launch
+/// one run space, so results are those of decoded templates.
 ///
 /// On an executor of two or more threads the chain runs on a thread of its
 /// own, exactly one position ahead: while the executor's workers run the
 /// forks of `p[i]`, the chain thread warms `p[i+1]` and then waits to hand
-/// it over. The warmups themselves stay strictly serial, one machine
-/// advancing through the positions in order, so every snapshot — and with
-/// it every seed and result — is the one a single-threaded sweep takes. On
-/// an executor of one thread the chain is advanced on the calling thread
-/// and the sweep starts no thread at all.
+/// it over. Each live template goes back to the chain thread once its runs
+/// are done, before the chain shares its machine again, so the share folds
+/// the chain's writes back into the arrays in place, and every buffer is
+/// freed on the thread that allocated it. The warmups themselves stay
+/// strictly serial, one machine advancing through the positions in order,
+/// so every snapshot — and with it every seed and result — is the one a
+/// single-threaded sweep takes. On an executor of one thread the chain is
+/// advanced on the calling thread and the sweep starts no thread at all.
 ///
 /// Seeds derive from each snapshot's content fingerprint, so the positions'
 /// seed streams are decorrelated without manual seed blocking. Warmup is
@@ -235,18 +244,27 @@ where
         });
     }
     let mut chain = WarmChain::new(executor, config, &make_workload, plan.base_seed);
-    // The one sweep loop: fork each position's runs from its snapshot, in
-    // order, stopping at the first failure — wherever the snapshots come from.
-    let fork_each = |snapshots: &mut dyn Iterator<Item = Result<Arc<Checkpoint>>>| {
+    // The one sweep loop: fork each position's runs from its template, in
+    // order, stopping at the first failure — wherever the positions come
+    // from. Each template the chain lent is handed back through `give_back`
+    // as soon as its runs are done: before the loop waits for the next
+    // position, and before it returns an error.
+    let fork_each = |handoffs: &mut dyn Iterator<Item = Handoff<W>>,
+                     give_back: &mut dyn FnMut(Machine<W>)| {
         let mut groups = Vec::with_capacity(positions.len());
         let mut violations = Vec::with_capacity(positions.len());
-        for snapshot in snapshots {
-            let snapshot = snapshot?;
-            let space = executor.run_space_from_snapshot::<W>(
+        for handoff in handoffs {
+            let (snapshot, template) = handoff?;
+            let space = executor.run_space_from_template(
                 &snapshot,
+                template.as_ref(),
                 config.perturbation_max_ns,
                 plan,
-            )?;
+            );
+            if let Some(template) = template {
+                give_back(template);
+            }
+            let space = space?;
             groups.push(space.runtimes());
             violations.push(space.total_violations());
         }
@@ -255,26 +273,61 @@ where
         Ok(study)
     };
     if executor.threads() == 1 {
-        return fork_each(&mut positions.iter().map(|&pos| chain.advance(pos, None)));
+        // Each template is dropped as soon as its runs are done, so the
+        // live machine holds its arrays alone again when it next writes
+        // them and takes them back without a copy.
+        let mut handoffs = positions.iter().map(|&pos| {
+            let snapshot = chain.advance(pos, None)?;
+            Ok((snapshot, chain.template(pos)))
+        });
+        return fork_each(&mut handoffs, &mut drop);
     }
     std::thread::scope(|scope| {
-        // A rendezvous: the chain thread warms position i+1 while the loop
-        // above forks position i, then blocks here until the loop comes back
-        // for it — never more than one snapshot ahead.
-        let (ahead, snapshots) = std::sync::mpsc::sync_channel(0);
+        // Two channels. `ahead` is a rendezvous: the chain thread warms
+        // position i+1 while the loop above forks position i, then blocks
+        // until the loop comes back for it — never more than one position
+        // ahead. `returned` carries each lent template back, and the chain
+        // waits for it before it shares its live machine again: with the
+        // template gone (its runs are done) nobody else holds the machine's
+        // arrays, so the share folds them in place, and the template's
+        // buffers retire into the arena of the thread that allocated them.
+        let (ahead, handoffs) = std::sync::mpsc::sync_channel::<Handoff<W>>(0);
+        let (give_back, returned) = std::sync::mpsc::channel::<Machine<W>>();
         let chain_thread = scope.spawn(move || {
+            let mut lent = false;
             for &pos in positions {
                 let snapshot = chain.advance(pos, None);
-                let failed = snapshot.is_err();
-                // The receiver is gone once the loop has failed: stop warming.
-                if ahead.send(snapshot).is_err() || failed {
-                    break;
+                // The previous template is dropped here, on the thread that
+                // built it; if the loop has ended instead (failed), stop.
+                if lent && returned.recv().is_err() {
+                    return;
                 }
+                let handoff = snapshot.map(|snapshot| (snapshot, chain.template(pos)));
+                let failed = handoff.is_err();
+                let lends = matches!(handoff, Ok((_, Some(_))));
+                // The receiver is gone once the loop has failed: stop warming
+                // (a template that never left is dropped right here).
+                if ahead.send(handoff).is_err() || failed {
+                    return;
+                }
+                lent = lends;
+            }
+            // The last template comes back once its runs are done, or the
+            // loop fails and drops the sender.
+            if lent {
+                let _ = returned.recv();
             }
         });
-        // Dropping the receiver when the loop ends (early or not) is what
-        // releases a chain thread blocked in `send`.
-        let study = fork_each(&mut snapshots.into_iter());
+        // The loop hands each template back before it waits for the next
+        // position, so the chain thread is never waiting for a template
+        // while the loop waits for a position. When the loop ends (early or
+        // not), dropping the receiver and the sender releases a chain thread
+        // blocked in `send` or in `recv`.
+        let study = fork_each(&mut handoffs.into_iter(), &mut |template| {
+            // A chain thread that has already stopped no longer takes it.
+            let _ = give_back.send(template);
+        });
+        drop(give_back);
         // Joined by hand rather than left to the scope: the thread has then
         // exited, its decode arena freed, before the sweep returns, and a
         // panic inside a warmup resurfaces as itself.
@@ -284,6 +337,12 @@ where
         study
     })
 }
+
+/// One position as the warm chain hands it to the fork side: the snapshot,
+/// and — when the chain simulated the position rather than finding it in
+/// the store — a fork of its live machine in that state, the template the
+/// position's runs fork from instead of a decode of the snapshot.
+type Handoff<W> = Result<(Arc<Checkpoint>, Option<Machine<W>>)>;
 
 #[cfg(test)]
 mod tests {

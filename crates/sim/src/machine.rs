@@ -781,18 +781,38 @@ impl<W: Workload + Clone> Machine<W> {
     /// checkpoint facility (§3.2.2): restarting forks of one machine with
     /// different perturbation seeds ([`Machine::set_perturbation`]) is the
     /// paper's mechanism for exploring the space of executions. This is a
-    /// `clone`, but the dominant state — every cache's line array and the
-    /// snoop filter's counts — is copy-on-write in small chunks: forking a decoded
-    /// ([`Machine::restore`]d) template is a pointer copy per array, and the
-    /// fork then copies a chunk (16 cache sets, or one filter region row)
-    /// the first time it writes into it, so a short run pays for the few
-    /// percent of the machine it touches and never writes what it shares.
-    /// Forks may outlive the template and be forked again. A machine that
-    /// was built rather than restored has nothing in shareable form and is
-    /// copied whole. The shared-warmup executor restores each snapshot
-    /// **once** and calls `fork` per run.
+    /// `clone`, but the dominant state — every cache's line array and
+    /// residency bitmap, and the snoop filter's counts — is copy-on-write in
+    /// small chunks: forking a machine whose arrays are shared (a
+    /// [`Machine::restore`]d one, or a live one after [`Machine::share`]) is
+    /// a pointer copy per array, and the fork then copies a chunk (16 cache
+    /// sets, 512 bitmap bits, or one filter region row) the first time it
+    /// writes into it, so a short run pays for the few percent of the
+    /// machine it touches and never writes what it shares. Forks may outlive
+    /// the machine they came from and be forked again. Arrays that are not
+    /// shared — those of a built machine that was never shared, or written
+    /// since it was, with nobody else holding them — are copied whole. The
+    /// shared-warmup executor forks every run from one template: a decoded
+    /// snapshot, or the warm chain's live machine, shared.
     pub fn fork(&self) -> Machine<W> {
         self.clone()
+    }
+
+    /// Turns the machine's big arrays — every cache's line array and
+    /// residency bitmap, and the snoop filter's counts — into shared ones in
+    /// place, so that [`Machine::fork`] copies pointers instead of the whole
+    /// machine. Nothing observable changes: equality, snapshot bytes and
+    /// every later run are those of the unshared machine.
+    ///
+    /// An array is wrapped as it is when this machine owns it. An array
+    /// that was shared before and written since is folded: when nobody else
+    /// holds its shared base any more, the chunks written since are copied
+    /// back into the base; when some fork still holds it, the array is
+    /// copied into a new base. Callers that fork a live machine again and
+    /// again (the warm chain of a checkpoint sweep) drop the previous
+    /// template before calling this, so the fold is the path taken.
+    pub fn share(&mut self) {
+        self.mem.share();
     }
 
     /// Returns a copy with a fresh environmental-noise seed (for simulated
@@ -990,6 +1010,43 @@ mod tests {
             template.snapshot().fingerprint(),
             m.snapshot().fingerprint()
         );
+    }
+
+    #[test]
+    fn forks_of_a_shared_live_machine_run_like_forks_of_its_restore() {
+        type M = Machine<crate::workload::SharingWorkload>;
+        let cfg = MachineConfig::hpca2003()
+            .with_cpus(4)
+            .with_perturbation(4, 1);
+        let wl = crate::workload::SharingWorkload::new(8, 7, 40, 4096, 10);
+        let run = |template: &M, seed| {
+            let mut m = template.fork();
+            m.set_perturbation(4, seed);
+            m.run_transactions(40).unwrap()
+        };
+        let mut live = Machine::new(cfg, wl).unwrap();
+        let mut template: Option<M> = None;
+        for (step, warm) in [30, 20, 25].into_iter().enumerate() {
+            // The first advance writes owned arrays; the later ones write
+            // arrays the previous template still shares, so `share` folds
+            // (the template is dropped first) or flattens (it is kept).
+            live.run_transactions(warm).unwrap();
+            let ck = live.snapshot();
+            if step == 1 {
+                drop(template.take());
+            }
+            live.share();
+            let shared = live.fork();
+            let restored: M = Machine::restore(&ck).unwrap();
+            assert_eq!(shared.snapshot().fingerprint(), ck.fingerprint());
+            for seed in [11, 12] {
+                assert_eq!(run(&shared, seed), run(&restored, seed), "step {step}");
+            }
+            if let Some(previous) = &template {
+                assert_ne!(previous.snapshot().fingerprint(), ck.fingerprint());
+            }
+            template = Some(shared);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! fork launch.
 //!
 //! The buffers that dominate a launch round are the dense line arrays a
-//! template decode fills (megabytes per L2), the resident-line seeds built
-//! alongside them, the snoop filter's count and presence arrays, and — per
+//! template decode fills (megabytes per L2), the resident-line seeds and
+//! residency bitmaps built alongside them, the snoop filter's count and
+//! presence arrays, and — per
 //! fork — the private chunk buffers and chunk maps of the copy-on-write
 //! arrays (`mem::cow`). All have the same lifetime shape in a sweep:
 //! decode a template, fork it N times, run the forks, drop everything,
@@ -14,10 +15,10 @@
 //!
 //! The arena breaks that cycle. Each worker thread keeps a small pool of
 //! retired buffers per element type; every copy-on-write buffer (base,
-//! private and map alike), the filter's presence words and every resident
-//! seed is a `Recycled` vector that returns its backing storage here on
-//! drop, and the decode, clone and first-write paths take a recycled buffer
-//! when one fits. Steady-state sweep launches therefore hit the
+//! private and map alike, residency bitmaps included), the filter's presence
+//! words and every resident seed is a `Recycled` vector that returns its
+//! backing storage here on drop, and the decode, clone and first-write paths
+//! take a recycled buffer when one fits. Steady-state sweep launches therefore hit the
 //! allocator only for the small per-run containers (event wheel, scheduler
 //! queues) — the arrays circulate through the pool.
 //!
@@ -34,10 +35,10 @@ use std::cell::RefCell;
 use super::cache::Line;
 
 /// Most buffers one thread will pool per element type. The paper's 16-CPU
-/// machine needs 48 line arrays per template and 48 private buffers per
-/// live fork; a 64-CPU template's 192 fit too. Anything beyond this is a
-/// workload churning through geometries, and fresh allocation is the right
-/// answer there.
+/// machine needs 48 line arrays (and 48 residency bitmaps) per template and
+/// 48 private buffers of each per written fork; a 64-CPU template's 192
+/// fit too. Anything beyond this is a workload churning through
+/// geometries, and fresh allocation is the right answer there.
 const MAX_POOLED_BUFS: usize = 256;
 
 /// Byte ceiling per pool per thread. A 64-CPU machine's line arrays total
@@ -121,7 +122,8 @@ impl<T: Copy> Pool<T> {
 pub(crate) struct DecodeArena {
     lines: Pool<Line>,
     resident: Pool<(u32, Line)>,
-    /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`).
+    /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`) and the
+    /// cache arrays' residency bitmaps (whole and private).
     words: Pool<u64>,
     /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`, 4 MB for
     /// the paper's 16-CPU machine) and every copy-on-write chunk map.
@@ -207,6 +209,15 @@ pub(crate) fn take<T: Pooled>(min_capacity: usize) -> Option<Vec<T>> {
 /// after the run-length walk, so "largest available" is the fit policy.
 pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
     take_with(Pool::take_largest).unwrap_or_default()
+}
+
+/// Takes a zero-filled buffer of exactly `len` elements, recycled through
+/// the arena when a retired buffer fits. Recycled buffers are dirty, so the
+/// resize-from-empty writes the zeros.
+pub(crate) fn zeroed<T: Pooled + Default>(len: usize) -> Vec<T> {
+    let mut buf = take(len).unwrap_or_default();
+    buf.resize(len, T::default());
+    buf
 }
 
 /// Retires a buffer into this thread's pool (or frees it if the pool is

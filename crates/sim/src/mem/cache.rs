@@ -188,13 +188,19 @@ fn zeroed_lines(len: usize) -> Vec<Line> {
 const CHUNK_SETS: usize = 16;
 
 /// The snapshot decoder's list of `(index, line)` for every non-Invalid
-/// line, in index order — a free byproduct of its run-length walk that lets
-/// [`CacheArray::for_each_resident`] (the snoop-filter / directory rebuild
-/// that follows every decode) skip the dense scan. It describes the array as
+/// line, in index order — a byproduct of its run-length walk that the
+/// residency rebuild following every decode ([`CacheArray::for_each_resident`]
+/// → snoop filter or directory) reads instead of the dense array, whose
+/// resident lines lie scattered over megabytes: measured, the bitmap walk
+/// alone made a 16-CPU template decode 15% slower. It describes the array as
 /// decoded, so it is consulted only while the array is unwritten, is not
-/// handed to clones, and never takes part in equality.
+/// handed to clones, is dropped when the array is shared again, and never
+/// takes part in equality. Boxed: most arrays have none, and every byte of
+/// `CacheArray` sits beside the fields the access path reads — measured,
+/// holding the seed inline made one kernel machine (`slashcode16-simple`,
+/// workload seed 7) 30% slower per event.
 #[derive(Debug, Default)]
-struct DecodeSeed(Option<Recycled<(u32, Line)>>);
+struct DecodeSeed(Option<Box<Recycled<(u32, Line)>>>);
 
 impl Clone for DecodeSeed {
     fn clone(&self) -> Self {
@@ -208,22 +214,38 @@ impl PartialEq for DecodeSeed {
     }
 }
 
+/// Words per copy-on-write chunk of a residency bitmap: 512 lines, one
+/// 64-byte host cache line of bits. A fork copies that much of an array's
+/// bitmap the first time a fill or an invalidation lands in it.
+const BITMAP_CHUNK_WORDS: usize = 8;
+
 /// A set-associative, LRU-replacement cache tag array carrying MOSI state.
 ///
 /// Stores metadata only (tags and states); the simulator never models data
 /// values, just their movement.
 ///
 /// The line array is copy-on-write in chunks of 16 sets (`CHUNK_SETS`,
-/// `mem::cow`): cloning a decoded array is a pointer copy, even for a
-/// 65,536-line L2, and the clone then copies each chunk the first time it
-/// writes a set in it — a fork costs what it touches. An array that was
+/// `mem::cow`): cloning a shared array (a decoded one, or one shared in
+/// place by [`Machine::share`](crate::machine::Machine::share)) is a
+/// pointer copy, even for a 65,536-line L2, and the clone then copies each
+/// chunk the first time it writes a set in it — a fork costs what it
+/// touches. An array that was
 /// never shared (a fresh one, or a restore that nobody forked) is a plain
 /// `Vec` behind one enum branch. Equality, snapshot bytes and residency
 /// walks see the logical contents and are unaffected by sharing.
+///
+/// Beside the lines sits a residency bitmap, one bit per line, set iff the
+/// line is not Invalid, copy-on-write the same way. Snapshot encode and
+/// [`CacheArray::for_each_resident`] walk its set bits instead of scanning
+/// every line of a megabyte-sized array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheArray {
     config: CacheConfig,
     lines: ChunkCow<Line>,
+    /// Bit `i` (word `i / 64`, bit `i % 64`) is set iff line `i` is not
+    /// Invalid. Derived (never serialized; rebuilt on decode), maintained
+    /// wherever `resident_count` is.
+    resident: ChunkCow<u64>,
     seed: DecodeSeed,
     sets: u64,
     ways: usize,
@@ -265,6 +287,10 @@ impl CacheArray {
         Ok(CacheArray {
             config,
             lines: ChunkCow::owned(zeroed_lines((sets as usize) * ways), CHUNK_SETS * ways),
+            resident: ChunkCow::owned(
+                arena::zeroed((sets as usize * ways).div_ceil(64)),
+                BITMAP_CHUNK_WORDS,
+            ),
             seed: DecodeSeed::default(),
             sets,
             ways,
@@ -307,6 +333,71 @@ impl CacheArray {
             .slice(set / CHUNK_SETS, set % CHUNK_SETS * self.ways, self.ways)
     }
 
+    /// Records that way `way` of set `set` became resident (`true`) or
+    /// Invalid (`false`): the residency bitmap and counter move together.
+    #[inline]
+    fn note_residency(&mut self, set: usize, way: usize, resident: bool) {
+        let index = set * self.ways + way;
+        let w = index / 64;
+        let word = &mut self
+            .resident
+            .slice_mut(w / BITMAP_CHUNK_WORDS, w % BITMAP_CHUNK_WORDS, 1)[0];
+        let bit = 1u64 << (index % 64);
+        if resident {
+            *word |= bit;
+            self.resident_count += 1;
+        } else {
+            *word &= !bit;
+            self.resident_count -= 1;
+        }
+    }
+
+    /// Calls `f` with the index of every resident line in `[start, end)`,
+    /// ascending: a walk over the bitmap's set bits, one word per 64 lines.
+    #[inline]
+    fn resident_in(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
+        let mut w = start / 64;
+        while w * 64 < end {
+            let lo = w * 64;
+            let mut word = self
+                .resident
+                .slice(w / BITMAP_CHUNK_WORDS, w % BITMAP_CHUNK_WORDS, 1)[0];
+            if lo < start {
+                word &= u64::MAX << (start - lo);
+            }
+            if end - lo < 64 {
+                word &= (1u64 << (end - lo)) - 1;
+            }
+            while word != 0 {
+                f(lo + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+            w += 1;
+        }
+    }
+
+    /// Calls `f` with the index and contents of every resident line, in
+    /// index order, reading each piece of the line array (one, or one per
+    /// chunk of a forked array) against its stretch of the bitmap.
+    #[inline]
+    fn for_each_resident_line(&self, mut f: impl FnMut(usize, &Line)) {
+        let mut base = 0usize;
+        for piece in self.lines.pieces() {
+            self.resident_in(base, base + piece.len(), |i| f(i, &piece[i - base]));
+            base += piece.len();
+        }
+    }
+
+    /// Turns the line array and the bitmap into shared arrays in place, so
+    /// that clones made from here on share them ([`ChunkCow::share`]): a
+    /// fork of the machine holding this array copies pointers, not lines.
+    pub(crate) fn share(&mut self) {
+        self.lines.share();
+        self.resident.share();
+        // An array shared again may have been written since its decode.
+        self.seed = DecodeSeed::default();
+    }
+
     /// Returns the current state of `addr` without touching LRU (a snoop
     /// probe).
     pub fn probe(&self, addr: BlockAddr) -> CoherenceState {
@@ -340,18 +431,21 @@ impl CacheArray {
     pub fn set_state(&mut self, addr: BlockAddr, state: CoherenceState) -> bool {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let mut found = false;
-        for line in self.set_slice_mut(set) {
+        let mut found = None;
+        for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
             if line.state != CoherenceState::Invalid && line.tag == tag {
                 line.state = state;
-                found = true;
+                found = Some(way);
                 break;
             }
         }
-        if found && state == CoherenceState::Invalid {
-            self.resident_count -= 1;
+        let Some(way) = found else {
+            return false;
+        };
+        if state == CoherenceState::Invalid {
+            self.note_residency(set, way, false);
         }
-        found
+        true
     }
 
     /// Inserts `addr` with `state`, evicting the LRU victim if the set is
@@ -388,12 +482,12 @@ impl CacheArray {
             return None;
         }
         // Free way?
-        if let Some(line) = slice
-            .iter_mut()
-            .find(|l| l.state == CoherenceState::Invalid)
+        if let Some(way) = slice
+            .iter()
+            .position(|l| l.state == CoherenceState::Invalid)
         {
-            *line = new;
-            self.resident_count += 1;
+            slice[way] = new;
+            self.note_residency(set, way, true);
             return None;
         }
         // Evict LRU.
@@ -412,24 +506,36 @@ impl CacheArray {
     pub fn invalidate(&mut self, addr: BlockAddr) -> CoherenceState {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let mut old = CoherenceState::Invalid;
-        for line in self.set_slice_mut(set) {
+        let mut found = None;
+        for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
             if line.state != CoherenceState::Invalid && line.tag == tag {
-                old = line.state;
-                line.state = CoherenceState::Invalid;
+                found = Some((
+                    way,
+                    std::mem::replace(&mut line.state, CoherenceState::Invalid),
+                ));
                 break;
             }
         }
-        if old != CoherenceState::Invalid {
-            self.resident_count -= 1;
-        }
+        let Some((way, old)) = found else {
+            return CoherenceState::Invalid;
+        };
+        self.note_residency(set, way, false);
         old
     }
 
     /// Number of resident (non-Invalid) blocks — for stats and the snapshot
-    /// capacity seed. O(1): a live counter, checked against the line array
-    /// in debug builds.
+    /// capacity seed. O(1): a live counter, checked against the bitmap and
+    /// the line array in debug builds.
     pub fn resident_blocks(&self) -> usize {
+        debug_assert_eq!(
+            self.resident_count,
+            self.resident
+                .pieces()
+                .flatten()
+                .map(|w| w.count_ones() as usize)
+                .sum(),
+            "resident counter drifted from the bitmap"
+        );
         debug_assert_eq!(
             self.resident_count,
             self.lines
@@ -445,33 +551,19 @@ impl CacheArray {
     /// Calls `f` with the address and state of every resident block, in line
     /// index order. Used to rebuild residency summaries (the snoop filter)
     /// after a checkpoint restore, where only the cache contents are
-    /// serialized.
+    /// serialized. Reads the decoder's seed while the array is as decoded,
+    /// and walks the residency bitmap otherwise, so Invalid lines cost
+    /// nothing either way.
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr, CoherenceState)) {
         if let (Some(list), true) = (&self.seed.0, self.lines.is_unwritten()) {
-            // The decoder's seed skips the dense scan entirely (the list is
-            // built in index order, matching the scan below).
             for &(i, line) in list.0.iter() {
-                let set = i as usize / self.ways;
-                f(self.addr_of(set, line.tag), line.state);
+                f(self.addr_of(i as usize / self.ways, line.tag), line.state);
             }
             return;
         }
-        // No seed, or the array has been written since it was decoded:
-        // skip Invalid stretches with the same word-at-a-time run scan the
-        // snapshot encoder uses, instead of branching on every one of a
-        // mostly empty L2's lines.
-        let mut base = 0usize;
-        for piece in self.lines.pieces() {
-            let mut i = 0usize;
-            loop {
-                i += invalid_run_len(&piece[i..]);
-                let Some(line) = piece.get(i) else { break };
-                let set = (base + i) / self.ways;
-                f(self.addr_of(set, line.tag), line.state);
-                i += 1;
-            }
-            base += piece.len();
-        }
+        self.for_each_resident_line(|i, line| {
+            f(self.addr_of(i / self.ways, line.tag), line.state);
+        });
     }
 }
 
@@ -493,34 +585,6 @@ crate::impl_snap!(Line { tag, state, lru });
 /// encoding; the [`CoherenceState`] tags occupy 0–4.
 const SNAP_INVALID_RUN: u8 = 5;
 
-/// Length of the Invalid-line run starting at `lines[0]` (zero when the
-/// first line is resident). Scans eight lines per iteration, folding their
-/// states into one occupancy word and using `trailing_zeros` to locate the
-/// first resident line, instead of a branch per line — a mostly-empty L2 is
-/// hundreds of thousands of lines, and this scan dominates snapshot encode.
-#[inline]
-fn invalid_run_len(lines: &[Line]) -> usize {
-    let mut n = 0usize;
-    let mut chunks = lines.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut occ = 0u32;
-        for (j, line) in chunk.iter().enumerate() {
-            occ |= u32::from(line.state != CoherenceState::Invalid) << j;
-        }
-        if occ != 0 {
-            return n + occ.trailing_zeros() as usize;
-        }
-        n += 8;
-    }
-    for line in chunks.remainder() {
-        if line.state != CoherenceState::Invalid {
-            return n;
-        }
-        n += 1;
-    }
-    n
-}
-
 /// Hand-written [`Snap`](crate::checkpoint::Snap) for [`CacheArray`]: the
 /// line array dominates whole-machine checkpoints (a 4 MB L2 is 65,536
 /// lines), and most lines in a warmed machine are Invalid. Invalid lines are
@@ -533,32 +597,24 @@ impl crate::checkpoint::Snap for CacheArray {
     fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
         self.config.encode_snap(enc);
         enc.put_u64(self.lines.len() as u64);
-        // An Invalid run may continue across the pieces of a forked array,
-        // so it is carried and emitted when a resident line (or the end)
-        // closes it: the bytes are those of the flat array.
-        let mut run = 0u64;
-        let flush = |enc: &mut crate::checkpoint::Encoder, run: &mut u64| {
-            if *run > 0 {
+        // The gaps between consecutive resident lines (and after the last)
+        // are the Invalid runs; they may span the pieces of a forked array,
+        // so the bytes are those of the flat array.
+        let put_run = |enc: &mut crate::checkpoint::Encoder, run: usize| {
+            if run > 0 {
                 enc.put_u8(SNAP_INVALID_RUN);
-                enc.put_u64(*run);
-                *run = 0;
+                enc.put_u64(run as u64);
             }
         };
-        for piece in self.lines.pieces() {
-            let mut i = 0usize;
-            loop {
-                let skip = invalid_run_len(&piece[i..]);
-                run += skip as u64;
-                i += skip;
-                let Some(line) = piece.get(i) else { break };
-                flush(enc, &mut run);
-                line.state.encode_snap(enc);
-                enc.put_u64(line.tag);
-                enc.put_u64(line.lru);
-                i += 1;
-            }
-        }
-        flush(enc, &mut run);
+        let mut next = 0usize;
+        self.for_each_resident_line(|i, line| {
+            put_run(enc, i - next);
+            line.state.encode_snap(enc);
+            enc.put_u64(line.tag);
+            enc.put_u64(line.lru);
+            next = i + 1;
+        });
+        put_run(enc, self.lines.len() - next);
         self.sets.encode_snap(enc);
         self.ways.encode_snap(enc);
         self.use_clock.encode_snap(enc);
@@ -585,14 +641,16 @@ impl crate::checkpoint::Snap for CacheArray {
         // advance the cursor; a recycled buffer is dirty, so runs are
         // zeroed in bulk (`write_bytes`, the decode-side counterpart of
         // the encoder's word-at-a-time run scan) as the run-length walk
-        // passes over them. Each resident line is written in place and
-        // recorded in the resident seed, which powers the residency
-        // rebuild that follows (`for_each_resident`).
+        // passes over them. Each resident line is written in place, its
+        // bit set in the residency bitmap, and recorded in the resident
+        // seed, which powers the residency rebuild that follows
+        // (`for_each_resident`).
         let (mut dense, zero_gaps) = match arena::take(len) {
             Some(buf) => (buf, true),
             None => (zeroed_lines(len), false),
         };
         let ptr = dense.as_mut_ptr();
+        let mut bits: Vec<u64> = arena::zeroed(len.div_ceil(64));
         let mut resident = arena::take_largest();
         let mut filled = 0usize;
         while filled < len {
@@ -633,6 +691,7 @@ impl crate::checkpoint::Snap for CacheArray {
                     // the recycled path it initializes the slot (`Line`
                     // is `Copy`, so no drop is skipped either way).
                     unsafe { ptr.add(filled).write(line) };
+                    bits[filled / 64] |= 1u64 << (filled % 64);
                     // `len` is capped at 1 << 28 above, so indices fit u32.
                     resident.push((filled as u32, line));
                     filled += 1;
@@ -655,21 +714,22 @@ impl crate::checkpoint::Snap for CacheArray {
                 what: "CacheArray geometry does not match its line count".into(),
             });
         }
-        let resident_count = resident.len();
         // A decoded array is a fork template: clones share it.
-        let mut lines = ChunkCow::owned(dense, CHUNK_SETS * ways);
-        lines.share();
-        Ok(CacheArray {
+        let mut array = CacheArray {
             config,
-            lines,
-            seed: DecodeSeed(Some(Recycled(resident))),
+            lines: ChunkCow::owned(dense, CHUNK_SETS * ways),
+            resident: ChunkCow::owned(bits, BITMAP_CHUNK_WORDS),
+            seed: DecodeSeed::default(),
             sets,
             ways,
             use_clock,
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
-            resident_count,
-        })
+            resident_count: resident.len(),
+        };
+        array.share();
+        array.seed = DecodeSeed(Some(Box::new(Recycled(resident))));
+        Ok(array)
     }
 
     fn snap_size_hint(&self) -> usize {
@@ -784,6 +844,66 @@ mod tests {
         assert!(CoherenceState::Owned.is_dirty() && !CoherenceState::Shared.is_dirty());
     }
 
+    /// Length of the Invalid-line run starting at `lines[0]`, eight lines
+    /// per step: the dense scan the encoder used before the residency
+    /// bitmap, kept as the reference its bytes are checked against.
+    fn invalid_run_len(lines: &[Line]) -> usize {
+        let mut n = 0usize;
+        let mut chunks = lines.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut occ = 0u32;
+            for (j, line) in chunk.iter().enumerate() {
+                occ |= u32::from(line.state != CoherenceState::Invalid) << j;
+            }
+            if occ != 0 {
+                return n + occ.trailing_zeros() as usize;
+            }
+            n += 8;
+        }
+        for line in chunks.remainder() {
+            if line.state != CoherenceState::Invalid {
+                return n;
+            }
+            n += 1;
+        }
+        n
+    }
+
+    /// The array's encoding by the dense invalid-run scan (the reference).
+    fn scanned_bytes(c: &CacheArray) -> Vec<u8> {
+        use crate::checkpoint::{Encoder, Snap};
+        let mut enc = Encoder::new();
+        c.config.encode_snap(&mut enc);
+        enc.put_u64(c.lines.len() as u64);
+        let mut run = 0u64;
+        let flush = |enc: &mut Encoder, run: &mut u64| {
+            if *run > 0 {
+                enc.put_u8(SNAP_INVALID_RUN);
+                enc.put_u64(*run);
+                *run = 0;
+            }
+        };
+        for piece in c.lines.pieces() {
+            let mut i = 0usize;
+            loop {
+                let skip = invalid_run_len(&piece[i..]);
+                run += skip as u64;
+                i += skip;
+                let Some(line) = piece.get(i) else { break };
+                flush(&mut enc, &mut run);
+                line.state.encode_snap(&mut enc);
+                enc.put_u64(line.tag);
+                enc.put_u64(line.lru);
+                i += 1;
+            }
+        }
+        flush(&mut enc, &mut run);
+        c.sets.encode_snap(&mut enc);
+        c.ways.encode_snap(&mut enc);
+        c.use_clock.encode_snap(&mut enc);
+        enc.into_bytes()
+    }
+
     #[test]
     fn invalid_run_len_matches_naive_scan() {
         // Exercise runs that end inside a chunk, at chunk boundaries, and in
@@ -868,8 +988,123 @@ mod tests {
         assert!(fork.clone() == fork && fork != template);
     }
 
+    /// The residency walk by a dense line-at-a-time scan.
+    fn scanned_residents(c: &CacheArray) -> Vec<(BlockAddr, CoherenceState)> {
+        let lines: Vec<Line> = c.lines.pieces().flatten().copied().collect();
+        (0..lines.len())
+            .filter(|&i| lines[i].state != CoherenceState::Invalid)
+            .map(|i| (c.addr_of(i / c.ways, lines[i].tag), lines[i].state))
+            .collect()
+    }
+
+    /// Checks the bitmap against the counter and the line array, and the
+    /// bitmap walks (encode, residency) against the dense scans.
+    fn assert_bitmap_consistent(c: &CacheArray, what: &str) {
+        let popcount: usize = c
+            .resident
+            .pieces()
+            .flatten()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        let dense = c
+            .lines
+            .pieces()
+            .flatten()
+            .filter(|l| l.state != CoherenceState::Invalid)
+            .count();
+        assert_eq!(popcount, c.resident_count, "{what}: popcount vs counter");
+        assert_eq!(dense, c.resident_count, "{what}: dense count vs counter");
+        assert_eq!(snap_bytes(c), scanned_bytes(c), "{what}: encoding");
+        assert_eq!(residents(c), scanned_residents(c), "{what}: residency walk");
+    }
+
+    /// Random fills, state changes and invalidations over four times the
+    /// array's capacity of addresses: resident hits, free-way fills and
+    /// evictions alike.
+    fn churn(c: &mut CacheArray, rng: &mut crate::rng::Xoshiro256StarStar, ops: usize) {
+        const STATES: [CoherenceState; 4] = [
+            CoherenceState::Modified,
+            CoherenceState::Exclusive,
+            CoherenceState::Owned,
+            CoherenceState::Shared,
+        ];
+        let span = 4 * c.config.blocks();
+        for _ in 0..ops {
+            let addr = BlockAddr(rng.next_below(span));
+            match rng.next_below(8) {
+                0..=3 => {
+                    c.insert(addr, STATES[rng.next_below(4) as usize]);
+                }
+                4 | 5 => {
+                    c.invalidate(addr);
+                }
+                6 => {
+                    c.set_state(addr, CoherenceState::Invalid);
+                }
+                _ => {
+                    c.set_state(addr, STATES[rng.next_below(4) as usize]);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn decode_seeds_the_resident_list() {
+    fn bitmap_tracks_residency_on_owned_shared_and_forked_arrays() {
+        use crate::checkpoint::{Decoder, Snap};
+        // 1, 2 and 8 ways: line-array chunks of 16, 32 and 128 lines, so
+        // a forked array's pieces start inside, at and across bitmap words;
+        // 2048 lines is four bitmap chunks.
+        for ways in [1u32, 2, 8] {
+            let mut rng = crate::rng::Xoshiro256StarStar::new(u64::from(ways));
+            let cfg = CacheConfig::new(2048 * 64, ways, 64).unwrap();
+            let mut owned = CacheArray::new(cfg).unwrap();
+            churn(&mut owned, &mut rng, 3000);
+            assert_bitmap_consistent(&owned, "owned");
+
+            // A decoded array that its holder alone keeps: shared until the
+            // first write makes it owned again.
+            let bytes = snap_bytes(&owned);
+            let mut sole = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
+            assert_bitmap_consistent(&sole, "decoded");
+            churn(&mut sole, &mut rng, 500);
+            assert_bitmap_consistent(&sole, "decoded, written");
+
+            // Forks of a held template, then a fork shared again in place
+            // (folded: the template is gone) and one flattened (a sibling
+            // still holds the base), each written once more.
+            let template = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
+            let mut sibling = template.clone();
+            let mut fork = template.clone();
+            churn(&mut sibling, &mut rng, 200);
+            churn(&mut fork, &mut rng, 200);
+            assert_bitmap_consistent(&fork, "forked");
+            let (template_bytes, sibling_bytes) = (snap_bytes(&template), snap_bytes(&sibling));
+            let fork_bytes = snap_bytes(&fork);
+            let mut flattened = fork.clone();
+            flattened.share();
+            assert_eq!(
+                snap_bytes(&flattened),
+                fork_bytes,
+                "flattening keeps the contents"
+            );
+            assert_eq!(snap_bytes(&template), template_bytes);
+            assert_eq!(snap_bytes(&sibling), sibling_bytes);
+            assert_bitmap_consistent(&sibling, "sibling");
+            drop((template, sibling));
+            fork.share();
+            assert_eq!(snap_bytes(&fork), fork_bytes, "folding keeps the contents");
+            for (c, what) in [(&mut fork, "folded"), (&mut flattened, "flattened")] {
+                let mut child = c.clone();
+                churn(&mut child, &mut rng, 200);
+                churn(c, &mut rng, 200);
+                assert_bitmap_consistent(c, what);
+                assert_bitmap_consistent(&child, "fork of a re-shared array");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_seeds_the_resident_list_and_the_bitmap() {
         use crate::checkpoint::{Decoder, Snap};
         let mut a = small();
         a.insert(BlockAddr(12), CoherenceState::Modified);
@@ -877,10 +1112,14 @@ mod tests {
         let bytes = snap_bytes(&a);
         let mut restored = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
 
-        // The decoder records every resident line as it fills the array.
+        // The decoder records every resident line as it fills the array, and
+        // sets its bit: set 0 way 0 and set 1 way 0 of the 2-way array,
+        // lines 0 and 2.
         let seed = &restored.seed.0.as_ref().expect("decode seeds").0;
         assert_eq!(seed.len(), 2);
         assert!(seed.windows(2).all(|w| w[0].0 < w[1].0), "index order");
+        let bits: Vec<u64> = restored.resident.pieces().flatten().copied().collect();
+        assert_eq!(bits, [0b101]);
 
         // The seeded fast paths agree with a dense scan, and a clone (which
         // is not handed the seed) agrees with both.
@@ -890,11 +1129,15 @@ mod tests {
         assert_eq!(residents(&restored.clone()), residents(&a));
 
         // A write retires the seed from use (it no longer describes the
-        // array).
+        // array), and sharing the array again drops it.
         restored.insert(BlockAddr(1), CoherenceState::Exclusive);
         a.insert(BlockAddr(1), CoherenceState::Exclusive);
         assert_eq!(restored.resident_blocks(), 3);
         assert_eq!(residents(&restored), residents(&a));
+        restored.share();
+        assert!(restored.seed.0.is_none() && restored.lines.is_unwritten());
+        assert_eq!(residents(&restored), residents(&a));
+        assert_bitmap_consistent(&restored, "restored, written, shared");
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //!
 //! Whether a shared array is uniquely held is decided **once**, at the first
 //! write after a fork or restore ([`ChunkCow::begin_writes`]); from then on
-//! the access path branches on the enum and touches no atomic. Private
+//! the access path branches on the enum and touches no atomic.
+//! [`ChunkCow::share`] goes the other way: it makes any array shared again
+//! in place, folding a forked array's private chunks back into its base
+//! when it is the base's last holder — how a live machine that keeps
+//! running between forks is shared again without a whole copy. Private
 //! buffers and maps come from and retire to the thread's decode arena
 //! ([`super::arena`]): growing fresh memory per fork costs more in page
 //! faults than the copying it saves.
@@ -83,14 +87,36 @@ impl<T: Pooled> ChunkCow<T> {
         }
     }
 
-    /// Turns an owned array into a shared one in place (no copy): what a
-    /// decode does to an array that is expected to be forked. Clones made
-    /// from here on share it, and its holder keeps it to itself only if it
-    /// is still the sole holder at its first write.
+    /// Turns the array into a shared one in place: what a decode does to an
+    /// array that is expected to be forked, and what a warm chain does to
+    /// its live machine before forking it. Clones made from here on share
+    /// it, and its holder keeps it to itself only if it is still the sole
+    /// holder at its first write.
+    ///
+    /// An owned array is wrapped (no copy). A forked array whose base no
+    /// one else holds any more folds its private chunks back into the base
+    /// (a copy of the chunks written since the fork); if another holder
+    /// still has the base, the logical contents are copied into a new one.
     pub(crate) fn share(&mut self) {
         self.state = match self.replace_state() {
             State::Owned(buf) => State::Shared(Arc::new(buf)),
-            other => other,
+            State::Forked { base, map, private } => {
+                let mut flat = match Arc::try_unwrap(base) {
+                    Ok(flat) => flat,
+                    // Someone else still holds the base: fold into a copy.
+                    Err(base) => Recycled::copy_of(&base.0, self.len),
+                };
+                for (c, &at) in map.0.iter().enumerate() {
+                    if at != CHUNK_UNMAPPED {
+                        let start = c * self.chunk;
+                        let n = self.chunk.min(self.len - start);
+                        let at = at as usize;
+                        flat.0[start..start + n].copy_from_slice(&private.0[at..at + n]);
+                    }
+                }
+                State::Shared(Arc::new(flat))
+            }
+            shared => shared,
         };
     }
 
@@ -277,6 +303,56 @@ mod tests {
         fork.slice_mut(1, 1, 1)[0] = 50;
         assert_eq!(contents(&fork), [0, 1, 2, 3, 40, 50, 6, 7, 8, 9]);
         assert_eq!(contents(&grandchild), [0, 1, 2, 30, 40, 5, 6, 7, 8, 9]);
+    }
+
+    /// Where the array's (base) elements live.
+    fn base_ptr(cow: &ChunkCow<u32>) -> *const u32 {
+        match &cow.state {
+            State::Owned(buf) => buf.0.as_ptr(),
+            State::Shared(base) | State::Forked { base, .. } => base.0.as_ptr(),
+        }
+    }
+
+    #[test]
+    fn share_folds_a_forked_array_in_place_when_the_base_is_unique() {
+        let template = decoded();
+        let mut fork = template.clone();
+        fork.slice_mut(2, 1, 1)[0] = 90; // the short last chunk
+        fork.slice_mut(0, 3, 1)[0] = 30;
+        let base = base_ptr(&fork);
+        drop(template);
+        fork.share();
+        assert!(fork.is_unwritten(), "shared again");
+        assert_eq!(base_ptr(&fork), base, "folded into the base, not copied");
+        assert_eq!(contents(&fork), [0, 1, 2, 30, 4, 5, 6, 7, 8, 90]);
+        // And it forks again like a decoded array.
+        let mut child = fork.clone();
+        child.slice_mut(1, 0, 1)[0] = 40;
+        assert_eq!(contents(&child), [0, 1, 2, 30, 40, 5, 6, 7, 8, 90]);
+        assert_eq!(contents(&fork), [0, 1, 2, 30, 4, 5, 6, 7, 8, 90]);
+    }
+
+    #[test]
+    fn share_flattens_when_a_sibling_still_holds_the_base() {
+        let template = decoded();
+        let mut sibling = template.clone();
+        sibling.slice_mut(1, 1, 1)[0] = 50;
+        let mut fork = template.clone();
+        fork.slice_mut(0, 0, 1)[0] = 10;
+        fork.slice_mut(2, 0, 1)[0] = 80;
+        fork.share();
+        assert!(fork.is_unwritten());
+        assert_ne!(base_ptr(&fork), base_ptr(&template), "a new base");
+        assert_eq!(contents(&fork), [10, 1, 2, 3, 4, 5, 6, 7, 80, 9]);
+        assert_eq!(contents(&template), (0..10).collect::<Vec<_>>());
+        assert_eq!(contents(&sibling), [0, 1, 2, 3, 4, 50, 6, 7, 8, 9]);
+        // Sharing an owned or an already shared array copies nothing.
+        let mut owned = ChunkCow::owned((0..10).collect(), 4);
+        let base = base_ptr(&owned);
+        owned.share();
+        owned.share();
+        assert_eq!(base_ptr(&owned), base);
+        assert_eq!(contents(&owned), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

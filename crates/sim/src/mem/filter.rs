@@ -34,7 +34,7 @@
 //! exact per-block [`Directory`](super::Directory) and construct it
 //! [`disabled`](SnoopFilter::disabled).
 
-use super::arena::{self, Pooled, Recycled};
+use super::arena::{zeroed, Recycled};
 use super::cow::ChunkCow;
 use crate::ids::BlockAddr;
 
@@ -57,15 +57,6 @@ pub fn region_of(addr: BlockAddr) -> usize {
 #[inline]
 pub(crate) fn words_for(cpus: usize) -> usize {
     cpus.div_ceil(64)
-}
-
-/// Takes a zero-filled buffer of exactly `len` elements, recycled through
-/// the decode arena when a retired filter's array fits. Recycled buffers are
-/// dirty, so the resize-from-empty writes the zeros.
-fn zeroed<T: Pooled + Default>(len: usize) -> Vec<T> {
-    let mut buf = arena::take(len).unwrap_or_default();
-    buf.resize(len, T::default());
-    buf
 }
 
 /// Conservative per-region summary of which nodes' L2 caches may hold a

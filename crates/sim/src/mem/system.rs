@@ -478,6 +478,19 @@ impl MemorySystem {
         self.probes = ProbeStats::default();
     }
 
+    /// Turns every cache's line array and residency bitmap, and the snoop
+    /// filter's counts, into shared arrays in place, so that clones made
+    /// from here on copy pointers rather than arrays
+    /// ([`Machine::share`](crate::machine::Machine::share)).
+    pub(crate) fn share(&mut self) {
+        for node in &mut self.nodes {
+            node.l1i.share();
+            node.l1d.share();
+            node.l2.share();
+        }
+        self.filter.share();
+    }
+
     /// Replaces the perturbation stream — the per-run knob of §3.3. Cache
     /// contents are untouched, so two machines that differ only here start
     /// from identical initial conditions.

@@ -26,7 +26,10 @@ cd "$(dirname "$0")/.."
 # snapshot — is WarmChain::warm in runspace.rs, once, shared by
 # warm_checkpoint and the sweep. Templates have one home too: the launch
 # body (Executor::launch_arms) decodes a sweep's templates and WarmChain::warm
-# a chain's restores, and nothing else calls restore_template; an
+# a chain's restores, and nothing else calls restore_template; the one
+# template that is not decoded is the warm chain's live machine, shared and
+# forked, so outside the simulator crate no non-test code but WarmChain's
+# impl calls Machine::share; an
 # experiment's arms launch as one batch, so non-test experiment.rs never
 # calls run_space per arm. Snapshots have one frame and one decode path: the
 # sectioned format (its section types, sectioned encode/decode, the
@@ -44,7 +47,7 @@ cd "$(dirname "$0")/.."
 # handling in the mtvar binary, so non-test server.rs neither sleeps nor
 # holds a signal module. A second copy or a revived entry point anywhere
 # else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, experiment batch, one frame, tagged encodings, blocking accept"
+echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, live template sharing, experiment batch, one frame, tagged encodings, blocking accept"
 stray=$(
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
@@ -81,6 +84,16 @@ stray=$(
              /restore_template\(/ { print f }' | sort | tr '\n' ' ')
     [ "$callers" = "launch_arms warm " ] ||
         echo "crates/core/src/runspace.rs: restore_template( called from: $callers(want the launch body and WarmChain::warm)"
+    # Non-test code calling .share() outside crates/sim, with the impl
+    # block it sits in: every one must be WarmChain's.
+    for f in $(grep -rl --include='*.rs' -e '\.share()' crates src examples |
+        grep -v -e '^crates/sim/' -e '/tests/' -e '/benches/'); do
+        sed '/^#\[cfg(test)\]/,$d' "$f" |
+            awk -v f="$f" '/^impl/ { block = $0 }
+                /\.share\(\)/ && block !~ /WarmChain/ {
+                    print f ": Machine::share called outside WarmChain: " $0
+                }'
+    done
     if sed '/^#\[cfg(test)\]/,$d' crates/core/src/experiment.rs | grep -q -e 'run_space('; then
         echo "crates/core/src/experiment.rs: an experiment's arms launch as one batch, not one run_space per arm"
     fi

@@ -305,6 +305,59 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     drop(template);
 }
 
+/// A checkpoint sweep forks each position's runs from its warm chain's live
+/// machine instead of decoding the snapshot the chain just took: share the
+/// live machine, fork a template, fork the position's runs from that, and
+/// once they are done hand the template back and advance the chain, which
+/// writes overlays on the arrays the template held and folds them back in
+/// at the next share. After one warm-up round has parked every buffer of
+/// such a round in this thread's arena, a whole round — template, eight
+/// forks with their 25-transaction runs, the chain's next advance and
+/// share — stays inside the warm-fork budget above, a megabyte per fork,
+/// and never asks for a megabyte at once: a share that copied an L2
+/// (1.5 MB) or the filter's counts (4 MB) instead of folding, a template
+/// fork that copied the live machine whole, or forks that stopped drawing
+/// their buffers from the pool fail it.
+#[test]
+fn live_template_rounds_stay_in_the_fork_budget() {
+    const FORKS: u64 = 8;
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    mtvar_sim::mem::arena::clear();
+    let mut live = warmed_reference_machine();
+    let round = |live: &mut Machine<ProfiledWorkload>| {
+        live.share();
+        let template = live.fork();
+        for seed in 0..FORKS {
+            let mut fork = template.fork();
+            fork.set_perturbation(fork.config().perturbation_max_ns, seed);
+            fork.run_transactions(25).expect("forked run");
+        }
+        live.run_transactions(25).expect("chain advance");
+        drop(template);
+        live.share();
+    };
+    round(&mut live);
+
+    let stats_before = mtvar_sim::mem::arena::stats();
+    LARGEST_ALLOCATION.store(0, Ordering::Relaxed);
+    let (allocs_0, bytes_0) = counters();
+    round(&mut live);
+    let (allocs_1, bytes_1) = counters();
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    let (allocs, bytes) = (allocs_1 - allocs_0, bytes_1 - bytes_0);
+    assert!(
+        mtvar_sim::mem::arena::stats().hits > stats_before.hits,
+        "the round reused no pooled buffer"
+    );
+    assert!(
+        largest < 1 << 20 && bytes <= (FORKS + 1) << 20,
+        "a live-template round (share, template, {FORKS} forks with runs, \
+         advance, share) allocated {bytes} bytes in {allocs} requests, the \
+         largest {largest}; the share or the forks have stopped reusing \
+         what the previous round left"
+    );
+}
+
 /// The executor's workers are persistent, so their decode arenas are too:
 /// the first fork sweep on a T = 2 executor finds both workers' arenas
 /// empty and allocates every fork's presence words, chunk maps and private

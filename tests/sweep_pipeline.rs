@@ -11,12 +11,17 @@
 //!    store, an empty one, a full one and partly filled ones (which force
 //!    the chain to switch between its live machine and a restore), the
 //!    studies are equal and every stored snapshot is byte-equal to a
-//!    straight warmup from cycle zero.
+//!    straight warmup from cycle zero. The chain hands each position it
+//!    simulates to the forks as its shared live machine and a store hit is
+//!    decoded, so the partly filled stores also mix live and decoded
+//!    templates, and make the chain share a machine it restored from a
+//!    stored prefix.
 //! 2. **Live chain == restore-extended chain** — on the paper's 16-CPU
 //!    snooping OLTP machine and on a 64-CPU directory machine.
 //! 3. **Failure order and shutdown** — the error returned is the earliest
 //!    position's, whatever the chain thread met further ahead; the call
-//!    returns, and the chain thread is gone when it does.
+//!    returns, and the chain thread is gone when it does — also when the
+//!    forks hold a lent template the chain is waiting to get back.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -98,15 +103,21 @@ fn sweeps_are_thread_count_and_store_invariant() {
         .collect();
 
     // Which positions the store holds before the sweep; `None` is no store.
+    // A position the sweep simulates forks from the chain's live machine, a
+    // stored one from a decode.
     let every: Vec<usize> = (0..positions.len()).collect();
-    let prefills: [(&str, Option<&[usize]>); 5] = [
+    let prefills: [(&str, Option<&[usize]>); 7] = [
         ("no store", None),
         ("empty store", Some(&[])),
         ("full store", Some(&every)),
         // p0 built, p1 hit, p2 restored from p1, p3 hit, p4 restored, p5 hit.
         ("every other position", Some(&[1, 3, 5])),
+        // p0 hit, p1 restored from p0, p2 hit, p3 restored, p4 hit, p5 restored.
+        ("every other position from the first", Some(&[0, 2, 4])),
         // p0 built, p1 hit, p2 restored, p3 live, p4 hit, p5 restored.
         ("two positions", Some(&[1, 4])),
+        // p0 hit, p1 restored from p0, then live to the end.
+        ("first position", Some(&[0])),
     ];
 
     let mut reference: Option<TimeSampleStudy> = None;
@@ -363,5 +374,72 @@ fn the_earliest_positions_error_wins_over_a_failure_further_ahead() {
             "T = {threads}: position 20's violation must win, got {error}"
         );
         assert_eq!(chain_exits, usize::from(threads > 1), "T = {threads}");
+    }
+}
+
+/// Runs `call` on a helper thread and fails the test if it has not returned
+/// within two minutes: a sweep whose chain waits for a template while its
+/// forks wait for a position would otherwise stall the suite.
+fn within_deadline<T: Send + 'static>(what: &str, call: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, answer) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = done.send(call());
+    });
+    // Past the deadline the helper stays blocked and is left behind; the
+    // test fails either way.
+    let value = answer
+        .recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("{what}: no answer within 120 s, the sweep hangs"));
+    helper.join().expect("helper thread");
+    value
+}
+
+/// Position `k` of four fails — in its runs, or in its warmup — at T = 2
+/// and T = 4, where the forks hold the template the chain lent them while
+/// the chain warms the next position and then waits to get it back. The
+/// sweep returns, within the deadline, exactly the error the sequential
+/// reading meets first (the T = 1 sweep's).
+#[test]
+fn a_pipelined_sweep_failing_at_any_position_returns_the_earliest_error() {
+    // Runs of 3 from positions 5, 9, 13 and 17 span commits p+1..=p+3.
+    const POSITIONS: [u64; 4] = [5, 9, 13, 17];
+    let plan = RunPlan::new(3).with_runs(3);
+    let sweep = |threads: usize, config: MachineConfig, limit: u32| {
+        let what = format!("T = {threads}, {limit}-commit workload");
+        within_deadline(&what, move || {
+            let exec = Executor::with_threads(threads)
+                .without_cache()
+                .with_invariant_checks();
+            sweep_positions_with(&exec, &config, || Wedging::new(limit), &POSITIONS, &plan)
+                .unwrap_err()
+        })
+    };
+    for (k, &position) in POSITIONS.iter().enumerate() {
+        // Runs fail: a coherence fault planted at commit p_k + 2 lies in
+        // position k's runs, and in no earlier position's runs or warmup.
+        let faulted = wedging_config().with_fault(FaultSpec::coherence(
+            position + 2,
+            1,
+            0xFA11,
+            CoherenceState::Exclusive,
+        ));
+        // Warmup fails: 2 x limit = p_k - 1 commits fit, so the chain wedges
+        // on its way to p_k, after the runs of p_(k-1) have used them all.
+        let wedge_limit = ((position - 1) / 2) as u32;
+        for (config, limit) in [(faulted, 100), (wedging_config(), wedge_limit)] {
+            let reference = sweep(1, config.clone(), limit);
+            match &reference {
+                CoreError::InvariantViolation { run: 0, .. } if limit == 100 => {}
+                CoreError::Sim(SimError::Deadlock { .. }) if limit != 100 => {}
+                other => panic!("position {k}: unexpected reference error {other}"),
+            }
+            for threads in [2, 4] {
+                assert_eq!(
+                    sweep(threads, config.clone(), limit),
+                    reference,
+                    "position {k}, T = {threads}, {limit}-commit workload"
+                );
+            }
+        }
     }
 }
