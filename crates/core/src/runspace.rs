@@ -280,8 +280,7 @@ pub fn derive_run_seed(source_id: u64, base_seed: u64, run_index: u64) -> u64 {
 /// (perturbation starts at measurement, not cycle zero), so their seed
 /// streams and cache keys must not collide — and deriving from the *config*
 /// rather than the snapshot keeps seeds independent of snapshot payload
-/// details (such as whether the `invariant-monitor` feature compiled a
-/// monitor into it).
+/// details (such as whether a strict executor's warmup carried a monitor).
 const SHARED_WARMUP_DOMAIN: u64 = 0x5EED_C4EC_4901_4B75;
 
 /// A stable-within-process fingerprint of a machine configuration, used both
@@ -1128,8 +1127,8 @@ impl<'a, W> Start<'a, W> {
                 Source::Cold(config, make_workload),
             ),
             // Seeds stay a pure function of the *caller's* configuration —
-            // not of the snapshot bytes, which differ between feature
-            // builds — so shared-warmup sweeps are reproducible everywhere.
+            // not of the snapshot bytes, which differ between strict and
+            // observing warmups — so strict sweeps keep the observing seeds.
             // The domain constant keeps them decorrelated from (and the
             // cache disjoint with) the legacy path's seed stream. The
             // snapshot already embodies the plan's warmup: no settling.
@@ -1570,83 +1569,6 @@ mod tests {
         );
         assert_eq!(a.violations(), b.violations());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn strict_mode_fails_with_lowest_violating_run() {
-        let exec = Executor::with_threads(4).with_invariant_checks();
-        assert!(exec.strict_invariants());
-        let plan = RunPlan::new(30).with_runs(5);
-        let err = exec
-            .run_space(&faulted_config(), small_workload, &plan)
-            .unwrap_err();
-        match err {
-            CoreError::InvariantViolation { run, report } => {
-                assert_eq!(run, 0, "lowest violating index wins");
-                assert!(!report.is_empty());
-            }
-            other => panic!("expected InvariantViolation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn strict_mode_forces_monitoring_without_config_flag() {
-        use mtvar_sim::config::FaultSpec;
-        use mtvar_sim::mem::CoherenceState;
-        // The config does NOT request invariant checks; strict mode must
-        // monitor anyway and catch the planted fault.
-        let cfg = small_config().with_fault(FaultSpec::coherence(
-            12,
-            1,
-            0xFA11,
-            CoherenceState::Exclusive,
-        ));
-        let exec = Executor::sequential().with_invariant_checks();
-        let plan = RunPlan::new(30).with_runs(2);
-        let err = exec.run_space(&cfg, small_workload, &plan).unwrap_err();
-        assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
-    }
-
-    #[test]
-    fn strict_mode_refuses_unmonitored_cache_entries() {
-        let progress = Arc::new(ProgressCounters::new());
-        let observing = Executor::with_threads(2).with_progress(progress.clone());
-        let plan = RunPlan::new(25).with_runs(3);
-        let a = observing
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
-        assert_eq!(progress.completed(), 3);
-
-        // Same cache, strict clone. With the invariant-monitor feature
-        // compiled in, the entries were monitored and are trusted; without
-        // it they were not, and strict re-simulates every one.
-        let strict = observing.clone().with_invariant_checks();
-        let b = strict
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
-        assert_eq!(a.results(), b.results(), "strict must not change results");
-        assert!(b.is_clean());
-        if cfg!(feature = "invariant-monitor") {
-            assert_eq!(progress.completed(), 3, "monitored entries are trusted");
-            assert_eq!(progress.cached(), 3);
-        } else {
-            assert_eq!(progress.completed(), 6, "unmonitored entries re-simulate");
-            assert_eq!(progress.cached(), 0);
-        }
-    }
-
-    #[test]
-    fn strict_clean_sweep_is_bit_identical_to_observing() {
-        let plan = RunPlan::new(30).with_runs(4).with_warmup(5);
-        let observing = Executor::with_threads(3)
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
-        let strict = Executor::with_threads(3)
-            .with_invariant_checks()
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
-        assert_eq!(observing.results(), strict.results());
-        assert!(strict.is_clean());
     }
 
     #[test]

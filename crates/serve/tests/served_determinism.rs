@@ -8,6 +8,9 @@
 //! submissions with a typed `Draining` error, and disk spill carries both
 //! warmed checkpoints and run results across a full server restart.
 //!
+//! The digest tests also run on a strict server (`mtvar serve --strict`)
+//! against a strict batch executor, so every served run is monitored.
+//!
 //! [`Executor`]: mtvar_core::runspace::Executor
 
 use std::collections::BTreeMap;
@@ -60,7 +63,7 @@ fn sweep() -> SweepSpec {
     }
 }
 
-fn batch_digest(spec: &SweepSpec) -> u64 {
+fn batch_digest(spec: &SweepSpec, strict: bool) -> u64 {
     let config = spec.config.build();
     let plan = spec.plan.build();
     let WorkloadSpec::Sharing {
@@ -73,7 +76,11 @@ fn batch_digest(spec: &SweepSpec) -> u64 {
     else {
         panic!("test sweep is a sharing workload");
     };
-    let space = Executor::with_threads(2)
+    let mut executor = Executor::with_threads(2);
+    if strict {
+        executor = executor.with_invariant_checks();
+    }
+    let space = executor
         .run_space(
             &config,
             move || {
@@ -100,85 +107,88 @@ fn batch_digest(spec: &SweepSpec) -> u64 {
 /// for run.
 #[test]
 fn concurrent_clients_get_identical_digests_and_share_one_simulation() {
-    const CLIENTS: usize = 3;
-    let socket = socket_path("det");
-    // One dispatcher serializes the identical jobs, so the first simulates
-    // and the rest replay from the shared result cache.
-    let handle = Server::start(ServeConfig {
-        dispatchers: 1,
-        executor_threads: 2,
-        ..ServeConfig::new(&socket)
-    })
-    .expect("start server");
+    for strict in [false, true] {
+        const CLIENTS: usize = 3;
+        let socket = socket_path("det");
+        // One dispatcher serializes the identical jobs, so the first simulates
+        // and the rest replay from the shared result cache.
+        let handle = Server::start(ServeConfig {
+            dispatchers: 1,
+            executor_threads: 2,
+            strict,
+            ..ServeConfig::new(&socket)
+        })
+        .expect("start server");
 
-    let spec = sweep();
-    let outcomes: Vec<(JobOutcome, BTreeMap<u64, u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let spec = spec.clone();
-                let socket = socket.clone();
-                scope.spawn(move || {
-                    let per_run = Mutex::new(BTreeMap::new());
-                    let outcome = Client::new(&socket)
-                        .submit(spec, |event| {
-                            if let Response::RunDone {
-                                run_index, digest, ..
-                            } = event
-                            {
-                                per_run.lock().unwrap().insert(*run_index, *digest);
-                            }
-                        })
-                        .expect("submit");
-                    let SweepOutcome::Done(done) = outcome else {
-                        panic!("sweep did not complete: {outcome:?}");
-                    };
-                    (done, per_run.into_inner().unwrap())
+        let spec = sweep();
+        let outcomes: Vec<(JobOutcome, BTreeMap<u64, u64>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    let spec = spec.clone();
+                    let socket = socket.clone();
+                    scope.spawn(move || {
+                        let per_run = Mutex::new(BTreeMap::new());
+                        let outcome = Client::new(&socket)
+                            .submit(spec, |event| {
+                                if let Response::RunDone {
+                                    run_index, digest, ..
+                                } = event
+                                {
+                                    per_run.lock().unwrap().insert(*run_index, *digest);
+                                }
+                            })
+                            .expect("submit");
+                        let SweepOutcome::Done(done) = outcome else {
+                            panic!("sweep did not complete: {outcome:?}");
+                        };
+                        (done, per_run.into_inner().unwrap())
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-    let runs = spec.plan.runs;
-    let reference = batch_digest(&spec);
-    for (done, per_run) in &outcomes {
-        assert_eq!(
-            done.digest, reference,
-            "served digest differs from the batch executor's"
+        let runs = spec.plan.runs;
+        let reference = batch_digest(&spec, strict);
+        for (done, per_run) in &outcomes {
+            assert_eq!(
+                done.digest, reference,
+                "served digest differs from the batch executor's"
+            );
+            assert_eq!(done.runs, runs);
+            assert_eq!(done.violations, outcomes[0].0.violations);
+            assert_eq!(
+                per_run.len(),
+                runs as usize,
+                "every run streamed a RunDone frame"
+            );
+            assert_eq!(
+                per_run, &outcomes[0].1,
+                "per-run digest streams disagree between clients"
+            );
+        }
+        // Exactly one sweep simulated; the other N-1 replayed from the cache.
+        let simulated: u64 = outcomes.iter().map(|(d, _)| d.completed).sum();
+        let cached: u64 = outcomes.iter().map(|(d, _)| d.cached).sum();
+        assert_eq!(simulated, runs, "exactly one sweep's runs simulated");
+        assert_eq!(cached, (CLIENTS as u64 - 1) * runs, "N-1 sweeps cache-hit");
+
+        let client = Client::new(&socket);
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.submitted, CLIENTS as u64);
+        assert_eq!(stats.completed, CLIENTS as u64);
+        assert_eq!(stats.failed, 0);
+        assert_eq!(stats.runs_completed, runs);
+        assert_eq!(stats.runs_cached, (CLIENTS as u64 - 1) * runs);
+        assert!(
+            stats.checkpoints_in_memory >= 1,
+            "the shared warmup snapshot is resident"
         );
-        assert_eq!(done.runs, runs);
-        assert_eq!(done.violations, outcomes[0].0.violations);
-        assert_eq!(
-            per_run.len(),
-            runs as usize,
-            "every run streamed a RunDone frame"
-        );
-        assert_eq!(
-            per_run, &outcomes[0].1,
-            "per-run digest streams disagree between clients"
-        );
+
+        client.shutdown().expect("shutdown");
+        handle.join();
+        assert!(!socket.exists(), "socket file removed after drain");
     }
-    // Exactly one sweep simulated; the other N-1 replayed from the cache.
-    let simulated: u64 = outcomes.iter().map(|(d, _)| d.completed).sum();
-    let cached: u64 = outcomes.iter().map(|(d, _)| d.cached).sum();
-    assert_eq!(simulated, runs, "exactly one sweep's runs simulated");
-    assert_eq!(cached, (CLIENTS as u64 - 1) * runs, "N-1 sweeps cache-hit");
-
-    let client = Client::new(&socket);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.submitted, CLIENTS as u64);
-    assert_eq!(stats.completed, CLIENTS as u64);
-    assert_eq!(stats.failed, 0);
-    assert_eq!(stats.runs_completed, runs);
-    assert_eq!(stats.runs_cached, (CLIENTS as u64 - 1) * runs);
-    assert!(
-        stats.checkpoints_in_memory >= 1,
-        "the shared warmup snapshot is resident"
-    );
-
-    client.shutdown().expect("shutdown");
-    handle.join();
-    assert!(!socket.exists(), "socket file removed after drain");
 }
 
 /// Two concurrent sweeps that differ only in perturbation magnitude need the
@@ -186,38 +196,41 @@ fn concurrent_clients_get_identical_digests_and_share_one_simulation() {
 /// other waits on it or finds it stored — and both still match batch.
 #[test]
 fn sweeps_differing_only_in_perturbation_simulate_one_warmup() {
-    let socket = socket_path("warm");
-    let handle = Server::start(ServeConfig {
-        dispatchers: 2,
-        executor_threads: 1,
-        ..ServeConfig::new(&socket)
-    })
-    .expect("start server");
+    for strict in [false, true] {
+        let socket = socket_path("warm");
+        let handle = Server::start(ServeConfig {
+            dispatchers: 2,
+            executor_threads: 1,
+            strict,
+            ..ServeConfig::new(&socket)
+        })
+        .expect("start server");
 
-    let specs = [2u64, 8].map(|magnitude| {
-        let mut spec = sweep();
-        spec.config.perturbation_max_ns = magnitude;
-        spec
-    });
-    std::thread::scope(|scope| {
-        for spec in &specs {
-            let socket = &socket;
-            scope.spawn(move || {
-                let outcome = Client::new(socket).submit(spec.clone(), |_| {});
-                let SweepOutcome::Done(done) = outcome.expect("submit") else {
-                    panic!("sweep did not complete");
-                };
-                assert_eq!(done.digest, batch_digest(spec));
-            });
-        }
-    });
+        let specs = [2u64, 8].map(|magnitude| {
+            let mut spec = sweep();
+            spec.config.perturbation_max_ns = magnitude;
+            spec
+        });
+        std::thread::scope(|scope| {
+            for spec in &specs {
+                let socket = &socket;
+                scope.spawn(move || {
+                    let outcome = Client::new(socket).submit(spec.clone(), |_| {});
+                    let SweepOutcome::Done(done) = outcome.expect("submit") else {
+                        panic!("sweep did not complete");
+                    };
+                    assert_eq!(done.digest, batch_digest(spec, strict));
+                });
+            }
+        });
 
-    let client = Client::new(&socket);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.coalesce_leaders, 1, "one warmup simulated");
-    assert_eq!(stats.coalesce_followers, 1, "the other sweep shared it");
-    client.shutdown().expect("shutdown");
-    handle.join();
+        let client = Client::new(&socket);
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.coalesce_leaders, 1, "one warmup simulated");
+        assert_eq!(stats.coalesce_followers, 1, "the other sweep shared it");
+        client.shutdown().expect("shutdown");
+        handle.join();
+    }
 }
 
 /// Unknown jobs and malformed submissions earn typed errors, and `status` /
@@ -479,47 +492,51 @@ fn sequential_requests_are_not_paced_by_the_acceptor() {
 /// replays the whole sweep from disk — same digest, all runs cached.
 #[test]
 fn spill_replays_results_across_a_server_restart() {
-    let base = std::env::temp_dir().join(format!("mtv-spill-{}", std::process::id()));
-    let ck_dir = base.join("ck");
-    let rr_dir = base.join("rr");
-    let _ = std::fs::remove_dir_all(&base);
+    for strict in [false, true] {
+        let base = std::env::temp_dir().join(format!("mtv-spill-{}", std::process::id()));
+        let ck_dir = base.join("ck");
+        let rr_dir = base.join("rr");
+        let _ = std::fs::remove_dir_all(&base);
 
-    let config_for = |socket: &PathBuf| ServeConfig {
-        dispatchers: 1,
-        executor_threads: 2,
-        checkpoint_spill: Some(ck_dir.clone()),
-        result_spill: Some(rr_dir.clone()),
-        ..ServeConfig::new(socket)
-    };
+        let config_for = |socket: &PathBuf| ServeConfig {
+            dispatchers: 1,
+            executor_threads: 2,
+            strict,
+            checkpoint_spill: Some(ck_dir.clone()),
+            result_spill: Some(rr_dir.clone()),
+            ..ServeConfig::new(socket)
+        };
 
-    let socket = socket_path("spill1");
-    let handle = Server::start(config_for(&socket)).expect("start server");
-    let client = Client::new(&socket);
-    let SweepOutcome::Done(first) = client.submit(sweep(), |_| {}).expect("submit") else {
-        panic!("sweep did not complete");
-    };
-    assert_eq!(first.cached, 0);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.results_on_disk, sweep().plan.runs);
-    client.shutdown().expect("shutdown");
-    handle.join();
+        let socket = socket_path("spill1");
+        let handle = Server::start(config_for(&socket)).expect("start server");
+        let client = Client::new(&socket);
+        let SweepOutcome::Done(first) = client.submit(sweep(), |_| {}).expect("submit") else {
+            panic!("sweep did not complete");
+        };
+        assert_eq!(first.cached, 0);
+        assert_eq!(first.digest, batch_digest(&sweep(), strict));
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.results_on_disk, sweep().plan.runs);
+        client.shutdown().expect("shutdown");
+        handle.join();
 
-    // A fresh server process-equivalent: new executor, new caches, same
-    // spill directories.
-    let socket = socket_path("spill2");
-    let handle = Server::start(config_for(&socket)).expect("restart server");
-    let client = Client::new(&socket);
-    let SweepOutcome::Done(second) = client.submit(sweep(), |_| {}).expect("submit") else {
-        panic!("sweep did not complete");
-    };
-    assert_eq!(second.digest, first.digest, "digest survives the restart");
-    assert_eq!(
-        second.cached,
-        sweep().plan.runs,
-        "every run replayed from the disk spill"
-    );
-    assert_eq!(second.completed, 0);
-    client.shutdown().expect("shutdown");
-    handle.join();
-    let _ = std::fs::remove_dir_all(&base);
+        // A fresh server process-equivalent: new executor, new caches, same
+        // spill directories.
+        let socket = socket_path("spill2");
+        let handle = Server::start(config_for(&socket)).expect("restart server");
+        let client = Client::new(&socket);
+        let SweepOutcome::Done(second) = client.submit(sweep(), |_| {}).expect("submit") else {
+            panic!("sweep did not complete");
+        };
+        assert_eq!(second.digest, first.digest, "digest survives the restart");
+        assert_eq!(
+            second.cached,
+            sweep().plan.runs,
+            "every run replayed from the disk spill"
+        );
+        assert_eq!(second.completed, 0);
+        client.shutdown().expect("shutdown");
+        handle.join();
+        let _ = std::fs::remove_dir_all(&base);
+    }
 }

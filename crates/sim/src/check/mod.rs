@@ -7,11 +7,12 @@
 //! trust earned:
 //!
 //! * [`InvariantMonitor`] — a strictly read-only observer wired into the
-//!   machine's event loop (behind [`MachineConfig::check_invariants`] or the
-//!   `invariant-monitor` cargo feature) that re-verifies, after every memory
-//!   operation, the protocol invariants of the block just touched, L1/L2
-//!   inclusion, event-time monotonicity, and — at the end of each measurement
-//!   interval — the stat conservation laws (hits + misses == accesses).
+//!   machine's event loop (behind the run-time switch
+//!   [`MachineConfig::check_invariants`]) that re-verifies, after every
+//!   memory operation, the protocol invariants of the block just touched,
+//!   L1/L2 inclusion, event-time monotonicity, and — at the end of each
+//!   measurement interval — the stat conservation laws (hits + misses ==
+//!   accesses).
 //!   Violations are recorded as structured [`Violation`] reports naming the
 //!   block, the CPUs involved, and the cycle.
 //! * [`oracle::CoherenceOracle`] — a small untimed functional reference model

@@ -113,10 +113,11 @@ pub struct MachineConfig {
     /// simulation results are identical either way; expect a modest
     /// slowdown.
     ///
-    /// Always defaults to `false` — the `invariant-monitor` cargo feature is
-    /// ORed in at machine construction instead of changing this default, so
-    /// a configuration's `Debug` fingerprint (and every run seed derived
-    /// from it) is identical whether or not the feature is compiled in.
+    /// Defaults to `false`. A strict executor
+    /// (`Executor::with_invariant_checks` in `mtvar-core`) monitors every
+    /// run without setting this flag on the caller's configuration, so the
+    /// configuration's `Debug` fingerprint, and every run seed derived from
+    /// it, is the same in strict and observing sweeps.
     pub check_invariants: bool,
     /// Test hook: deterministic coherence-fault injection (see [`FaultSpec`]).
     /// Always `None` outside the invariant-channel test suites.

@@ -86,9 +86,8 @@ pub struct Machine<W> {
     sched: Scheduler,
     locks: LockTable,
     noise: Option<NoiseState>,
-    /// Read-only invariant checker; present when
-    /// `config.check_invariants` is set or the `invariant-monitor` cargo
-    /// feature is enabled.
+    /// Read-only invariant checker; present when `config.check_invariants`
+    /// is set.
     monitor: Option<InvariantMonitor>,
     workload: W,
     committed: u64,
@@ -138,14 +137,9 @@ impl<W: Workload> Machine<W> {
                 busy_ns: 0,
             })
             .collect();
-        // The feature ORs in at construction rather than changing the config
-        // default, so the config's Debug fingerprint (and the run seeds
-        // derived from it) stays identical across feature-on/off builds.
-        let monitor = if config.check_invariants || cfg!(feature = "invariant-monitor") {
-            Some(InvariantMonitor::new(config.memory.protocol))
-        } else {
-            None
-        };
+        let monitor = config
+            .check_invariants
+            .then(|| InvariantMonitor::new(config.memory.protocol));
         let mut machine = Machine {
             config,
             now: 0,
@@ -210,8 +204,8 @@ impl<W: Workload> Machine<W> {
     }
 
     /// The invariant monitor, when one is enabled (via
-    /// [`MachineConfig::check_invariants`] or the `invariant-monitor`
-    /// feature).
+    /// [`MachineConfig::check_invariants`] or
+    /// [`Machine::enable_invariant_checks`]).
     pub fn invariant_monitor(&self) -> Option<&InvariantMonitor> {
         self.monitor.as_ref()
     }
@@ -683,10 +677,10 @@ impl<W: Workload + Snap> Machine<W> {
     /// against each other (configuration, CPU and thread counts) before the
     /// machine is assembled.
     ///
-    /// Like [`Machine::new`], the `invariant-monitor` cargo feature ORs a
-    /// fresh monitor in when the snapshot carried none, so a checkpoint
-    /// taken by a feature-off build stays checkable in a feature-on build.
-    /// The monitor is read-only, so simulation results are unaffected.
+    /// A snapshot that carried no monitor but whose configuration asks for
+    /// invariant checks restores with a fresh one, as [`Machine::new`] would
+    /// build it. The monitor is read-only, so simulation results are
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -733,13 +727,11 @@ impl<W: Workload + Snap> Machine<W> {
             }
             .into());
         }
-        let monitor = match monitor {
-            Some(m) => Some(m),
-            None if config.check_invariants || cfg!(feature = "invariant-monitor") => {
-                Some(InvariantMonitor::new(config.memory.protocol))
-            }
-            None => None,
-        };
+        let monitor = monitor.or_else(|| {
+            config
+                .check_invariants
+                .then(|| InvariantMonitor::new(config.memory.protocol))
+        });
         let idle_cpus = cpus.iter().filter(|c| c.idle).count();
         Ok(Machine {
             config,
@@ -1119,10 +1111,7 @@ mod tests {
             }
             let mut m = Machine::new(cfg, wl.clone()).unwrap();
             let r = m.run_transactions(60).unwrap();
-            assert_eq!(
-                m.invariant_monitor().is_some(),
-                checked || cfg!(feature = "invariant-monitor")
-            );
+            assert_eq!(m.invariant_monitor().is_some(), checked);
             assert!(
                 m.invariant_violations().is_empty(),
                 "violations: {:?}",

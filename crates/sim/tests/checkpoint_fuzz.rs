@@ -12,6 +12,9 @@
 //! recomputes the fingerprint, so the frame validates and the corruption
 //! must instead be caught (or harmlessly absorbed) by `Machine::restore`'s
 //! structural decode — which must not panic regardless of input.
+//!
+//! Every test fuzzes two frames: a plain machine's, and a monitored one's,
+//! whose invariant monitor rides inside the payload.
 
 use mtvar_sim::checkpoint::Checkpoint;
 use mtvar_sim::config::MachineConfig;
@@ -23,14 +26,22 @@ fn below(rng: &mut SplitMix64, n: usize) -> usize {
     (rng.next_u64() % n as u64) as usize
 }
 
-fn warmed_frame() -> (Checkpoint, Vec<u8>) {
-    let cfg = MachineConfig::hpca2003()
-        .with_cpus(4)
-        .with_perturbation(4, 9);
+/// The monitor arms: off, then on.
+const MONITOR: [bool; 2] = [false, true];
+
+fn warmed_frame(monitored: bool) -> (Checkpoint, Vec<u8>) {
+    let cfg = MachineConfig {
+        check_invariants: monitored,
+        ..MachineConfig::hpca2003()
+            .with_cpus(4)
+            .with_perturbation(4, 9)
+    };
     let wl = SharingWorkload::new(8, 7, 40, 4096, 10);
     let mut m = Machine::new(cfg, wl).unwrap();
     m.run_transactions(40).unwrap();
     let ck = m.snapshot();
+    let restored = Machine::<SharingWorkload>::restore(&ck).unwrap();
+    assert_eq!(restored.invariant_monitor().is_some(), monitored);
     let bytes = ck.to_bytes();
     (ck, bytes)
 }
@@ -40,46 +51,45 @@ fn warmed_frame() -> (Checkpoint, Vec<u8>) {
 /// (one pseudo-random bit per byte) so no field escapes coverage.
 #[test]
 fn every_bit_flip_in_the_frame_is_rejected() {
-    let (ck, bytes) = warmed_frame();
-    let mut rng = SplitMix64::new(0xF1A9);
-    let mut buf = bytes.clone();
-    for i in 0..bytes.len() {
-        let bit = 1u8 << below(&mut rng, 8);
-        buf[i] ^= bit;
-        match Checkpoint::from_bytes(&buf) {
-            Err(_) => {}
-            Ok(got) => panic!(
-                "bit flip at byte {i} decoded Ok (fingerprint {:#x} vs original {:#x})",
-                got.fingerprint(),
-                ck.fingerprint()
-            ),
+    for monitored in MONITOR {
+        let (ck, bytes) = warmed_frame(monitored);
+        let mut rng = SplitMix64::new(0xF1A9);
+        let mut buf = bytes.clone();
+        for i in 0..bytes.len() {
+            let bit = 1u8 << below(&mut rng, 8);
+            buf[i] ^= bit;
+            match Checkpoint::from_bytes(&buf) {
+                Err(_) => {}
+                Ok(got) => panic!(
+                    "bit flip at byte {i} decoded Ok (fingerprint {:#x} vs original {:#x})",
+                    got.fingerprint(),
+                    ck.fingerprint()
+                ),
+            }
+            buf[i] ^= bit; // restore for the next position
         }
-        buf[i] ^= bit; // restore for the next position
+        // Sanity: the unmutated frame still parses.
+        assert_eq!(Checkpoint::from_bytes(&buf).unwrap(), ck);
     }
-    // Sanity: the unmutated frame still parses.
-    assert_eq!(Checkpoint::from_bytes(&buf).unwrap(), ck);
 }
 
 /// Every proper prefix must be rejected as truncated/corrupt — an
 /// interrupted write can cut the frame anywhere, including mid-header.
 #[test]
 fn every_truncation_is_rejected() {
-    let (_, bytes) = warmed_frame();
-    let mut rng = SplitMix64::new(0x7249);
-    // All short prefixes exhaustively (they exercise header parsing), then
-    // random cuts across the body.
-    for len in 0..256.min(bytes.len()) {
-        assert!(
-            Checkpoint::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes decoded Ok"
-        );
-    }
-    for _ in 0..500 {
-        let len = below(&mut rng, bytes.len() - 1);
-        assert!(
-            Checkpoint::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes decoded Ok"
-        );
+    for monitored in MONITOR {
+        let (_, bytes) = warmed_frame(monitored);
+        let mut rng = SplitMix64::new(0x7249);
+        // All short prefixes exhaustively (they exercise header parsing),
+        // then random cuts across the body.
+        for len in
+            (0..256.min(bytes.len())).chain((0..500).map(|_| below(&mut rng, bytes.len() - 1)))
+        {
+            assert!(
+                Checkpoint::from_bytes(&bytes[..len]).is_err(),
+                "prefix of {len} bytes decoded Ok"
+            );
+        }
     }
 }
 
@@ -87,7 +97,6 @@ fn every_truncation_is_rejected() {
 /// cross-splices of two distinct valid frames — must be rejected.
 #[test]
 fn random_splices_are_rejected() {
-    let (_, a) = warmed_frame();
     // A second, different machine: same format, different content.
     let cfg = MachineConfig::hpca2003()
         .with_cpus(2)
@@ -96,55 +105,58 @@ fn random_splices_are_rejected() {
     m2.run_transactions(25).unwrap();
     let b = m2.snapshot().to_bytes();
 
-    let mut rng = SplitMix64::new(0x0057_11CE);
-    for round in 0..400 {
-        let mut buf = a.clone();
-        match below(&mut rng, 4) {
-            0 => {
-                // Insert 1..32 random bytes at a random offset.
-                let at = below(&mut rng, buf.len() + 1);
-                let n = 1 + below(&mut rng, 32);
-                let mut chunk = Vec::with_capacity(n);
-                for _ in 0..n {
-                    chunk.push(rng.next_u64() as u8);
+    for monitored in MONITOR {
+        let (_, a) = warmed_frame(monitored);
+        let mut rng = SplitMix64::new(0x0057_11CE);
+        for round in 0..400 {
+            let mut buf = a.clone();
+            match below(&mut rng, 4) {
+                0 => {
+                    // Insert 1..32 random bytes at a random offset.
+                    let at = below(&mut rng, buf.len() + 1);
+                    let n = 1 + below(&mut rng, 32);
+                    let mut chunk = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        chunk.push(rng.next_u64() as u8);
+                    }
+                    buf.splice(at..at, chunk);
                 }
-                buf.splice(at..at, chunk);
-            }
-            1 => {
-                // Delete a random nonempty range.
-                let at = below(&mut rng, buf.len());
-                let n = 1 + below(&mut rng, (buf.len() - at).min(64));
-                buf.drain(at..at + n);
-            }
-            2 => {
-                // Duplicate a range over another (simulates torn pages).
-                let src = below(&mut rng, buf.len());
-                let n = 1 + below(&mut rng, (buf.len() - src).min(64));
-                let chunk: Vec<u8> = buf[src..src + n].to_vec();
-                let dst = below(&mut rng, buf.len() - n + 1);
-                if dst == src {
-                    continue; // identity overwrite: not a mutation
+                1 => {
+                    // Delete a random nonempty range.
+                    let at = below(&mut rng, buf.len());
+                    let n = 1 + below(&mut rng, (buf.len() - at).min(64));
+                    buf.drain(at..at + n);
                 }
-                buf[dst..dst + n].copy_from_slice(&chunk);
-                if buf == a {
-                    continue; // overwrote with identical bytes
+                2 => {
+                    // Duplicate a range over another (simulates torn pages).
+                    let src = below(&mut rng, buf.len());
+                    let n = 1 + below(&mut rng, (buf.len() - src).min(64));
+                    let chunk: Vec<u8> = buf[src..src + n].to_vec();
+                    let dst = below(&mut rng, buf.len() - n + 1);
+                    if dst == src {
+                        continue; // identity overwrite: not a mutation
+                    }
+                    buf[dst..dst + n].copy_from_slice(&chunk);
+                    if buf == a {
+                        continue; // overwrote with identical bytes
+                    }
+                }
+                _ => {
+                    // Head of one valid frame + tail of the other.
+                    let cut_a = below(&mut rng, a.len());
+                    let cut_b = below(&mut rng, b.len());
+                    buf = a[..cut_a].to_vec();
+                    buf.extend_from_slice(&b[cut_b..]);
+                    if buf == a || buf == b {
+                        continue;
+                    }
                 }
             }
-            _ => {
-                // Head of one valid frame + tail of the other.
-                let cut_a = below(&mut rng, a.len());
-                let cut_b = below(&mut rng, b.len());
-                buf = a[..cut_a].to_vec();
-                buf.extend_from_slice(&b[cut_b..]);
-                if buf == a || buf == b {
-                    continue;
-                }
-            }
+            assert!(
+                Checkpoint::from_bytes(&buf).is_err(),
+                "splice round {round} decoded Ok"
+            );
         }
-        assert!(
-            Checkpoint::from_bytes(&buf).is_err(),
-            "splice round {round} decoded Ok"
-        );
     }
 }
 
@@ -154,15 +166,17 @@ fn random_splices_are_rejected() {
 /// platform the length is rejected, not wrapped.)
 #[test]
 fn hostile_lengths_are_rejected() {
-    let (_, bytes) = warmed_frame();
-    for (offset, value) in [
-        (12u64, u64::MAX),  // payload_len
-        (12, u64::MAX / 2), // payload_len (positive i64 range)
-        (12, 1u64 << 33),   // payload_len just past 32-bit usize
-    ] {
-        let mut buf = bytes.clone();
-        buf[offset as usize..offset as usize + 8].copy_from_slice(&value.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&buf).is_err());
+    for monitored in MONITOR {
+        let (_, bytes) = warmed_frame(monitored);
+        for (offset, value) in [
+            (12u64, u64::MAX),  // payload_len
+            (12, u64::MAX / 2), // payload_len (positive i64 range)
+            (12, 1u64 << 33),   // payload_len just past 32-bit usize
+        ] {
+            let mut buf = bytes.clone();
+            buf[offset as usize..offset as usize + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(Checkpoint::from_bytes(&buf).is_err());
+        }
     }
 }
 
@@ -171,32 +185,34 @@ fn hostile_lengths_are_rejected() {
 /// it either errors or decodes into some structurally valid machine.
 #[test]
 fn mutated_payloads_never_panic_restore() {
-    let (ck, _) = warmed_frame();
-    let mut rng = SplitMix64::new(0xDEC0DE);
-    for _ in 0..300 {
-        let mut payload = ck.payload().to_vec();
-        match below(&mut rng, 3) {
-            0 => {
-                let i = below(&mut rng, payload.len());
-                payload[i] ^= 1 << below(&mut rng, 8);
-            }
-            1 => {
-                payload.truncate(below(&mut rng, payload.len()));
-            }
-            _ => {
-                let at = below(&mut rng, payload.len());
-                let n = 1 + below(&mut rng, 16);
-                let mut chunk = Vec::with_capacity(n);
-                for _ in 0..n {
-                    chunk.push(rng.next_u64() as u8);
+    for monitored in MONITOR {
+        let (ck, _) = warmed_frame(monitored);
+        let mut rng = SplitMix64::new(0xDEC0DE);
+        for _ in 0..300 {
+            let mut payload = ck.payload().to_vec();
+            match below(&mut rng, 3) {
+                0 => {
+                    let i = below(&mut rng, payload.len());
+                    payload[i] ^= 1 << below(&mut rng, 8);
                 }
-                payload.splice(at..at, chunk);
+                1 => {
+                    payload.truncate(below(&mut rng, payload.len()));
+                }
+                _ => {
+                    let at = below(&mut rng, payload.len());
+                    let n = 1 + below(&mut rng, 16);
+                    let mut chunk = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        chunk.push(rng.next_u64() as u8);
+                    }
+                    payload.splice(at..at, chunk);
+                }
             }
+            let rewrapped = Checkpoint::from_payload(payload);
+            // Err is the expected outcome; Ok means the mutation happened to
+            // produce a coherent encoding, which restore validated. A panic
+            // fails the test harness either way.
+            let _ = Machine::<SharingWorkload>::restore(&rewrapped);
         }
-        let rewrapped = Checkpoint::from_payload(payload);
-        // Err is the expected outcome; Ok means the mutation happened to
-        // produce a coherent encoding, which restore validated. A panic
-        // fails the test harness either way.
-        let _ = Machine::<SharingWorkload>::restore(&rewrapped);
     }
 }

@@ -125,42 +125,27 @@ fi
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo build --release --features invariant-monitor"
-cargo build --release --offline --features invariant-monitor
-
-# Every test target of every crate, root package included, in debug with
-# no features: this is the one debug, monitor-off run of each suite named
-# below (oracle, proptests, statistical self-checks, fuzz suites, checkpoint
-# identity, executor violations, served determinism, ...). The gates after
-# it add only what this run cannot: the invariant monitor, release builds,
-# and the end-to-end service smoke.
+# Every test target of every crate, root package included, in debug: the
+# one debug run of each suite named below (oracle, proptests, statistical
+# self-checks, fuzz suites, checkpoint identity, executor violations, served
+# determinism, ...). Suites that must also hold with the invariant monitor
+# on check both arms in one process (MachineConfig::with_invariant_checks,
+# or a strict executor). The gates after it add only release builds and the
+# end-to-end service smoke.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "==> golden-run digests (invariant monitor forced on)"
-cargo test -q --offline --features invariant-monitor --test golden_runs
-
-echo "==> executor violations channel (invariant monitor on)"
-cargo test -q --offline --features invariant-monitor --test executor_violations
-
-echo "==> checkpoint bit-identity gate (invariant monitor on)"
-cargo test -q --offline --features invariant-monitor --test checkpoint_identity
-
-# Scaling gate: the directory transport and the bitset snoop filter must
-# agree with their references at every size — snooping-vs-directory in
-# lockstep plus the directory-vs-oracle diff (monitor off in the workspace
-# run, on here), and the filter against a naive residency model at
-# 8/17/64/128 nodes (proptests, workspace run). The 64-CPU directory
-# configs themselves are pinned by the golden (+dir64 digests) and
-# checkpoint suites above and in release below.
-echo "==> scaling gate: snoop-vs-directory transport differential (monitor on)"
-cargo test -q --offline -p mtvar-sim --features invariant-monitor --test coherence_diff
-
+# Scaling gate (workspace run): snooping-vs-directory in lockstep, the
+# directory-vs-oracle diff under the invariant monitor (coherence_diff), and
+# the snoop filter against a naive residency model at 8/17/64/128 nodes
+# (proptests); the golden (+dir64) and checkpoint suites pin 64-CPU
+# directory machines there and in release below.
+#
 # Kernel-parity gate: the optimized event queue, snoop filter, and
 # directory transport must reproduce every golden digest and checkpoint
 # fingerprint in release mode, where the filter's and directory's debug
 # differentials against full broadcast are compiled out and the filtered
-# paths run alone. Debug builds covered the same suites above (including
+# paths run alone. The workspace run covered the same suites (including
 # the +dir64 digests and the 64-CPU directory checkpoint case) with the
 # differential asserts active.
 echo "==> kernel parity: golden digests, release (pure filtered snoop path)"
@@ -170,21 +155,14 @@ echo "==> kernel parity: checkpoint bit-identity, release"
 cargo test -q --offline --release --test checkpoint_identity
 
 # Snapshot gate: the checkpoint frame and copy-on-write fork path. Decode
-# fuzz proves every frame mutation is an error, never a panic; the
-# bounded-retry suite (mtvar-core's checkpoint:: tests, workspace run) pins
-# the corrupt-spill fallback (including stale version-2 files) in the
-# checkpoint store; the alloc-budget suite (release, so capacity seeds face
-# real payload sizes) pins encode-fits-seed and fork-vs-restore cost.
-# Feature off (workspace run) and on: the invariant monitor rides inside
-# the payload, so both payload shapes must hold the line.
-echo "==> snapshot gate: decode fuzz (invariant monitor on)"
-cargo test -q --offline -p mtvar-sim --features invariant-monitor --test checkpoint_fuzz
-
+# fuzz (workspace run, plain and monitored frames) proves every frame
+# mutation is an error, never a panic; the bounded-retry suite
+# (mtvar-core's checkpoint:: tests, workspace run) pins the corrupt-spill
+# fallback (including stale version-2 files) in the checkpoint store; the
+# alloc-budget suite (release, so capacity seeds face real payload sizes)
+# pins encode-fits-seed and fork-vs-restore cost.
 echo "==> snapshot gate: restore/fork allocation budget, release"
 cargo test -q --offline --release --test alloc_steady_state
-
-echo "==> snapshot gate: restore/fork allocation budget, release (invariant monitor on)"
-cargo test -q --offline --release --features invariant-monitor --test alloc_steady_state
 
 # Pipeline gate: a checkpoint sweep warms on a chain thread one position
 # ahead of the forks and keeps its warmed machine live between positions;
@@ -195,9 +173,6 @@ cargo test -q --offline --release --features invariant-monitor --test alloc_stea
 echo "==> pipeline gate: sweep thread-count/store invariance, failure order, release"
 cargo test -q --offline --release --test sweep_pipeline
 
-echo "==> pipeline gate: sweep pipeline, release (invariant monitor on)"
-cargo test -q --offline --release --features invariant-monitor --test sweep_pipeline
-
 # Batch gate: an experiment's arms warm side by side and fan out as one
 # batch; the report must equal the arm-by-arm one at every thread count,
 # with and without a store, equal arms must simulate once on a cached
@@ -206,21 +181,15 @@ cargo test -q --offline --release --features invariant-monitor --test sweep_pipe
 echo "==> batch gate: experiment arms as one batch, release"
 cargo test -q --offline --release --test experiment_batch
 
-echo "==> batch gate: experiment arms as one batch, release (invariant monitor on)"
-cargo test -q --offline --release --features invariant-monitor --test experiment_batch
-
 # Service gate: the run-space daemon. Frame fuzz (workspace run) proves
 # every mutated or hostile request/response frame errors without panicking
 # or allocating attacker-sized buffers; the determinism suite (workspace
-# run, and monitor on here) proves N concurrent clients get bit-identical
-# digests with N-1 sweeps cache-hit, drains reject new submissions with
-# typed errors, a hostile submit is rejected or failed but never wedges the
-# daemon, and disk spill replays across a restart; the smoke run pins the
-# headline claim end to end — a digest streamed through the socket equals
-# the batch executor's for the same sweep.
-echo "==> service gate: served determinism (invariant monitor on)"
-cargo test -q --offline -p mtvar-serve --features invariant-monitor --test served_determinism
-
+# run, relaxed and strict servers) proves N concurrent clients get
+# bit-identical digests with N-1 sweeps cache-hit, drains reject new
+# submissions with typed errors, a hostile submit is rejected or failed but
+# never wedges the daemon, and disk spill replays across a restart; the
+# smoke run pins the headline claim end to end — a digest streamed through
+# the socket equals the batch executor's for the same sweep.
 echo "==> service gate: daemon + CLI smoke (served digest == batch digest)"
 cargo build -q --release --offline -p mtvar-serve --bin mtvar
 MTVAR_BIN=target/release/mtvar

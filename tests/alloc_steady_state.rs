@@ -417,7 +417,9 @@ fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
 /// every run from buffers the first one parked in the workers' arenas. A
 /// template dropped on the calling thread parks its arrays in an arena that
 /// never decodes again, so each comparison would allocate both templates
-/// afresh — and the caller's arena would grow towards its cap.
+/// afresh — and the caller's arena would grow towards its cap. The budget
+/// holds on an observing executor and on a strict one, whose warmups and
+/// runs carry the invariant monitor.
 #[test]
 fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
     use mtvar_core::checkpoint::CheckpointStore;
@@ -425,7 +427,6 @@ fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
     use mtvar_sim::proc::{OooConfig, ProcessorConfig};
 
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    mtvar_sim::mem::arena::clear();
     let arm = |name: &str, dram_ns| Arm {
         name: name.to_owned(),
         config: MachineConfig::hpca2003()
@@ -436,23 +437,29 @@ fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
     let plan = RunPlan::new(20).with_runs(4).with_warmup(60);
     let experiment = Experiment::new("dram", vec![arm("80ns", 80), arm("150ns", 150)], plan)
         .expect("two distinct arms");
-    let exec = Executor::with_threads(2)
-        .without_cache()
-        .with_checkpoint_store(Arc::new(CheckpointStore::new()));
-    let comparison_bytes = || {
-        let (_, bytes_0) = counters();
-        experiment
-            .run_with(&exec, || Benchmark::Oltp.workload(16, 42))
-            .expect("comparison");
-        counters().1 - bytes_0
-    };
-    // Measured: 142 MB, then 11-42 MB; with the templates dropped on the
-    // calling thread the second comparison allocates 74 MB.
-    let first = comparison_bytes();
-    let second = comparison_bytes();
-    assert!(
-        second < first / 2,
-        "the second comparison allocated {second} bytes against the first's {first}; \
-         its templates did not retire into the workers' arenas"
-    );
+    for strict in [false, true] {
+        mtvar_sim::mem::arena::clear();
+        let mut exec = Executor::with_threads(2)
+            .without_cache()
+            .with_checkpoint_store(Arc::new(CheckpointStore::new()));
+        if strict {
+            exec = exec.with_invariant_checks();
+        }
+        let comparison_bytes = || {
+            let (_, bytes_0) = counters();
+            experiment
+                .run_with(&exec, || Benchmark::Oltp.workload(16, 42))
+                .expect("comparison");
+            counters().1 - bytes_0
+        };
+        // Measured: 142 MB, then 11-42 MB; with the templates dropped on the
+        // calling thread the second comparison allocates 74 MB.
+        let first = comparison_bytes();
+        let second = comparison_bytes();
+        assert!(
+            second < first / 2,
+            "the second comparison allocated {second} bytes against the first's {first} \
+             (strict: {strict}); its templates did not retire into the workers' arenas"
+        );
+    }
 }

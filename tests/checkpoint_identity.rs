@@ -1,5 +1,8 @@
-//! The checkpoint subsystem's bit-identity gate, run by `scripts/verify.sh`
-//! with the `invariant-monitor` feature both off and on:
+//! The checkpoint subsystem's bit-identity gate. Every test runs twice in
+//! one process, monitor off and on: on through
+//! `MachineConfig::with_invariant_checks` where it builds machines, through
+//! a strict executor where it only drives one. A monitored machine carries
+//! its monitor inside every snapshot, and the on arms must stay clean.
 //!
 //! 1. **Snapshot/restore transparency** — for every benchmark, running
 //!    `WARMUP + MEASURE` transactions straight must equal snapshotting at
@@ -36,51 +39,77 @@ const WORKLOAD_SEED: u64 = 42;
 const WARMUP: u64 = 10;
 const MEASURE: u64 = 30;
 
-fn config() -> MachineConfig {
-    MachineConfig::hpca2003()
-        .with_cpus(CPUS)
-        .with_perturbation(4, 0x1DE7)
+/// The monitor arms: off, then on.
+const MONITOR: [bool; 2] = [false, true];
+
+fn config(monitored: bool) -> MachineConfig {
+    MachineConfig {
+        check_invariants: monitored,
+        ..MachineConfig::hpca2003()
+            .with_cpus(CPUS)
+            .with_perturbation(4, 0x1DE7)
+    }
+}
+
+/// An executor of `threads` threads without a result cache, strict when
+/// `monitored`.
+fn executor(threads: usize, monitored: bool) -> Executor {
+    let exec = Executor::with_threads(threads).without_cache();
+    if monitored {
+        exec.with_invariant_checks()
+    } else {
+        exec
+    }
+}
+
+/// Runs `WARMUP + MEASURE` transactions straight, and again through a
+/// snapshot taken at `WARMUP`, restored and continued: identical results,
+/// digests, restored snapshot and post-measurement state, and a monitored
+/// machine that stays clean.
+fn assert_restore_is_transparent(cfg: MachineConfig, workload: ProfiledWorkload, what: &str) {
+    let monitored = cfg.check_invariants;
+    let mut straight = Machine::new(cfg.clone(), workload.clone()).unwrap();
+    straight.run_transactions(WARMUP).expect("straight warmup");
+    let want = straight
+        .run_transactions(MEASURE)
+        .expect("straight measure");
+
+    let mut warmed = Machine::new(cfg, workload).unwrap();
+    warmed.run_transactions(WARMUP).expect("warmup");
+    let snapshot = warmed.snapshot();
+    let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
+    assert_eq!(
+        restored.snapshot().fingerprint(),
+        snapshot.fingerprint(),
+        "{what}: restore must reproduce the snapshot byte-for-byte"
+    );
+    let got = restored
+        .run_transactions(MEASURE)
+        .expect("restored measure");
+
+    assert_eq!(
+        want, got,
+        "{what}: a run continued from a restored snapshot diverged"
+    );
+    assert_eq!(run_digest(&want), run_digest(&got), "{what}");
+    // The machines remain interchangeable after the measurement too.
+    assert_eq!(
+        straight.snapshot().fingerprint(),
+        restored.snapshot().fingerprint(),
+        "{what}: post-measurement state diverged"
+    );
+    assert_eq!(restored.invariant_monitor().is_some(), monitored, "{what}");
+    assert!(restored.invariant_violations().is_empty(), "{what}");
 }
 
 #[test]
 fn snapshot_restore_is_bit_identical_for_every_benchmark() {
     for bench in Benchmark::ALL {
-        let workload = bench.workload(CPUS, WORKLOAD_SEED);
-
-        let mut straight = Machine::new(config(), workload.clone()).unwrap();
-        straight.run_transactions(WARMUP).expect("straight warmup");
-        let want = straight
-            .run_transactions(MEASURE)
-            .expect("straight measure");
-
-        let mut warmed = Machine::new(config(), workload).unwrap();
-        warmed.run_transactions(WARMUP).expect("warmup");
-        let snapshot = warmed.snapshot();
-        let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
-        assert_eq!(
-            restored.snapshot().fingerprint(),
-            snapshot.fingerprint(),
-            "{}: restore must reproduce the snapshot byte-for-byte",
-            bench.name()
-        );
-        let got = restored
-            .run_transactions(MEASURE)
-            .expect("restored measure");
-
-        assert_eq!(
-            want,
-            got,
-            "{}: a run continued from a restored snapshot diverged",
-            bench.name()
-        );
-        assert_eq!(run_digest(&want), run_digest(&got), "{}", bench.name());
-        // The machines remain interchangeable after the measurement too.
-        assert_eq!(
-            straight.snapshot().fingerprint(),
-            restored.snapshot().fingerprint(),
-            "{}: post-measurement state diverged",
-            bench.name()
-        );
+        for monitored in MONITOR {
+            let what = format!("{} (monitored: {monitored})", bench.name());
+            let workload = bench.workload(CPUS, WORKLOAD_SEED);
+            assert_restore_is_transparent(config(monitored), workload, &what);
+        }
     }
 }
 
@@ -93,53 +122,29 @@ fn snapshot_restore_is_bit_identical_for_every_benchmark() {
 #[test]
 fn warmed_64_cpu_directory_machine_restores_bit_identically() {
     const DIR_CPUS: usize = 64;
-    let cfg = MachineConfig::hpca2003()
-        .with_cpus(DIR_CPUS)
-        .with_directory_coherence()
-        .with_perturbation(4, 0x1DE7);
-    let workload = Benchmark::Oltp.workload(DIR_CPUS, WORKLOAD_SEED);
+    for monitored in MONITOR {
+        let cfg = MachineConfig {
+            check_invariants: monitored,
+            ..MachineConfig::hpca2003()
+                .with_cpus(DIR_CPUS)
+                .with_directory_coherence()
+                .with_perturbation(4, 0x1DE7)
+        };
+        let workload = Benchmark::Oltp.workload(DIR_CPUS, WORKLOAD_SEED);
+        let what = format!("64-CPU directory machine (monitored: {monitored})");
+        assert_restore_is_transparent(cfg.clone(), workload, &what);
 
-    let mut straight = Machine::new(cfg.clone(), workload.clone()).unwrap();
-    straight.run_transactions(WARMUP).expect("straight warmup");
-    let want = straight
-        .run_transactions(MEASURE)
-        .expect("straight measure");
-
-    let mut warmed = Machine::new(cfg.clone(), workload).unwrap();
-    warmed.run_transactions(WARMUP).expect("warmup");
-    let snapshot = warmed.snapshot();
-    let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
-    assert_eq!(
-        restored.snapshot().fingerprint(),
-        snapshot.fingerprint(),
-        "restore must reproduce the 64-CPU directory snapshot byte-for-byte"
-    );
-    let got = restored
-        .run_transactions(MEASURE)
-        .expect("restored measure");
-    assert_eq!(want, got, "continued 64-CPU directory run diverged");
-    assert_eq!(
-        straight.snapshot().fingerprint(),
-        restored.snapshot().fingerprint(),
-        "post-measurement 64-CPU directory state diverged"
-    );
-
-    // Executor-level: the same configuration swept with 1 and 4 worker
-    // threads must produce identical statistics.
-    let plan = RunPlan::new(20).with_runs(2).with_warmup(WARMUP);
-    let make = move || Benchmark::Oltp.workload(DIR_CPUS, WORKLOAD_SEED);
-    let reference = Executor::sequential()
-        .without_cache()
-        .run_space(&cfg, make, &plan)
-        .unwrap();
-    let parallel = Executor::with_threads(4)
-        .without_cache()
-        .run_space(&cfg, make, &plan)
-        .unwrap();
-    assert_eq!(
-        reference, parallel,
-        "64-CPU directory sweep depends on executor thread count"
-    );
+        // Executor-level: the same configuration swept with 1 and 4 worker
+        // threads must produce identical statistics.
+        let plan = RunPlan::new(20).with_runs(2).with_warmup(WARMUP);
+        let make = move || Benchmark::Oltp.workload(DIR_CPUS, WORKLOAD_SEED);
+        let reference = executor(1, monitored).run_space(&cfg, make, &plan).unwrap();
+        let parallel = executor(4, monitored).run_space(&cfg, make, &plan).unwrap();
+        assert_eq!(
+            reference, parallel,
+            "64-CPU directory sweep depends on executor thread count"
+        );
+    }
 }
 
 #[test]
@@ -147,21 +152,20 @@ fn shared_warmup_sweeps_are_thread_count_and_store_invariant() {
     let plan = RunPlan::new(MEASURE).with_runs(4).with_warmup(WARMUP);
     for bench in [Benchmark::Oltp, Benchmark::Barnes] {
         let make = move || bench.workload(CPUS, WORKLOAD_SEED);
-        let reference = Executor::sequential()
-            .without_cache()
-            .run_space(&config(), make, &plan)
+        let reference = executor(1, false)
+            .run_space(&config(false), make, &plan)
             .unwrap();
-        for threads in [1, 4] {
+        // A strict executor derives the same seeds from the same config.
+        for (threads, monitored) in [1, 4].into_iter().flat_map(|t| MONITOR.map(|m| (t, m))) {
             let store = Arc::new(CheckpointStore::new());
-            let with_store = Executor::with_threads(threads)
-                .without_cache()
+            let with_store = executor(threads, monitored)
                 .with_checkpoint_store(store.clone())
-                .run_space(&config(), make, &plan)
+                .run_space(&config(false), make, &plan)
                 .unwrap();
             assert_eq!(
                 reference,
                 with_store,
-                "{}: {threads}-thread store-backed sweep diverged",
+                "{}: {threads}-thread store-backed sweep diverged (monitored: {monitored})",
                 bench.name()
             );
             assert_eq!(store.len(), 1, "{}", bench.name());
@@ -174,32 +178,36 @@ fn shared_warmup_sweeps_are_thread_count_and_store_invariant() {
 /// spaces launched from their snapshots must be equal result for result.
 #[test]
 fn original_restored_and_forked_machines_launch_one_run_space() {
-    let mut original =
-        Machine::new(config(), Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED)).unwrap();
-    original.run_transactions(WARMUP).expect("warmup");
-    let restored: Machine<ProfiledWorkload> =
-        Machine::restore(&original.snapshot()).expect("restore");
-    let forked = original.fork();
+    for monitored in MONITOR {
+        let mut original = Machine::new(
+            config(monitored),
+            Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED),
+        )
+        .unwrap();
+        original.run_transactions(WARMUP).expect("warmup");
+        let restored: Machine<ProfiledWorkload> =
+            Machine::restore(&original.snapshot()).expect("restore");
+        let forked = original.fork();
 
-    let plan = RunPlan::new(MEASURE).with_runs(4);
-    let launch = |threads, machine: &Machine<ProfiledWorkload>| {
-        Executor::with_threads(threads)
-            .without_cache()
-            .run_space_from_snapshot::<ProfiledWorkload>(&machine.snapshot(), 4, &plan)
-            .unwrap()
-    };
-    let want = launch(1, &original);
-    for threads in [1, 4] {
-        for (label, machine) in [
-            ("original", &original),
-            ("restored", &restored),
-            ("forked", &forked),
-        ] {
-            assert_eq!(
-                want.results(),
-                launch(threads, machine).results(),
-                "the {label} machine launched a different run space on {threads} thread(s)"
-            );
+        let plan = RunPlan::new(MEASURE).with_runs(4);
+        let launch = |threads, machine: &Machine<ProfiledWorkload>| {
+            executor(threads, monitored)
+                .run_space_from_snapshot::<ProfiledWorkload>(&machine.snapshot(), 4, &plan)
+                .unwrap()
+        };
+        let want = launch(1, &original);
+        for threads in [1, 4] {
+            for (label, machine) in [
+                ("original", &original),
+                ("restored", &restored),
+                ("forked", &forked),
+            ] {
+                assert_eq!(
+                    want.results(),
+                    launch(threads, machine).results(),
+                    "the {label} machine launched a different run space on {threads} thread(s)"
+                );
+            }
         }
     }
 }
@@ -208,144 +216,159 @@ const FORK_WINDOW: u64 = 25;
 
 /// A decoded template of the warmed OLTP machine, and the snapshot it was
 /// decoded from.
-fn fork_template() -> (
+fn fork_template(
+    monitored: bool,
+) -> (
     Machine<ProfiledWorkload>,
     mtvar::sim::checkpoint::Checkpoint,
 ) {
-    let mut warmed = Machine::new(config(), Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED)).unwrap();
+    let mut warmed = Machine::new(
+        config(monitored),
+        Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED),
+    )
+    .unwrap();
     warmed.run_transactions(WARMUP).expect("warmup");
     let snapshot = warmed.snapshot();
     (Machine::restore(&snapshot).expect("restore"), snapshot)
 }
 
 /// One perturbed window on `machine`: its result, digest and the bytes of
-/// the state it leaves behind.
+/// the state it leaves behind. The window must stay clean.
 fn perturbed_window(
     machine: &mut Machine<ProfiledWorkload>,
     seed: u64,
 ) -> (mtvar::sim::stats::RunResult, u64, Vec<u8>) {
     machine.set_perturbation(4, seed);
     let result = machine.run_transactions(FORK_WINDOW).expect("window");
+    assert!(machine.invariant_violations().is_empty());
     let digest = run_digest(&result);
     (result, digest, machine.snapshot().payload().to_vec())
 }
 
 #[test]
 fn running_forks_leaves_the_template_untouched() {
-    let (template, snapshot) = fork_template();
-    for seed in 0..8 {
-        let mut fork = template.fork();
-        perturbed_window(&mut fork, seed);
+    for monitored in MONITOR {
+        let (template, snapshot) = fork_template(monitored);
+        for seed in 0..8 {
+            let mut fork = template.fork();
+            perturbed_window(&mut fork, seed);
+        }
+        let after = template.snapshot();
+        assert_eq!(after.fingerprint(), snapshot.fingerprint());
+        assert_eq!(after.payload(), snapshot.payload());
     }
-    let after = template.snapshot();
-    assert_eq!(after.fingerprint(), snapshot.fingerprint());
-    assert_eq!(after.payload(), snapshot.payload());
 }
 
 #[test]
 fn outliving_and_second_generation_forks_run_like_a_fresh_restore() {
-    let (template, snapshot) = fork_template();
-    let fresh = || -> Machine<ProfiledWorkload> { Machine::restore(&snapshot).expect("restore") };
+    for monitored in MONITOR {
+        let (template, snapshot) = fork_template(monitored);
+        let fresh =
+            || -> Machine<ProfiledWorkload> { Machine::restore(&snapshot).expect("restore") };
 
-    // The reference never shares anything: a restore nobody forks owns its
-    // arrays outright from its first write.
-    let mut reference = fresh();
-    let want_first = perturbed_window(&mut reference, 11);
-    let want_second = perturbed_window(&mut reference, 12);
+        // The reference never shares anything: a restore nobody forks owns
+        // its arrays outright from its first write.
+        let mut reference = fresh();
+        let want_first = perturbed_window(&mut reference, 11);
+        let want_second = perturbed_window(&mut reference, 12);
 
-    let mut parent = template.fork();
-    let mut outliving = template.fork();
-    drop(template);
-    assert_eq!(
-        perturbed_window(&mut outliving, 11),
-        want_first,
-        "a fork that outlived its template diverged from a fresh restore"
-    );
+        let mut parent = template.fork();
+        let mut outliving = template.fork();
+        drop(template);
+        assert_eq!(
+            perturbed_window(&mut outliving, 11),
+            want_first,
+            "a fork that outlived its template diverged from a fresh restore"
+        );
 
-    // Second generation: forked from a fork that already carries an overlay
-    // of its own, and run after that fork has moved on.
-    assert_eq!(perturbed_window(&mut parent, 11), want_first);
-    let mut grandchild = parent.fork();
-    perturbed_window(&mut parent, 99);
-    assert_eq!(
-        perturbed_window(&mut grandchild, 12),
-        want_second,
-        "a fork of a fork diverged from a fresh restore"
-    );
+        // Second generation: forked from a fork that already carries an
+        // overlay of its own, and run after that fork has moved on.
+        assert_eq!(perturbed_window(&mut parent, 11), want_first);
+        let mut grandchild = parent.fork();
+        perturbed_window(&mut parent, 99);
+        assert_eq!(
+            perturbed_window(&mut grandchild, 12),
+            want_second,
+            "a fork of a fork diverged from a fresh restore"
+        );
+    }
 }
 
 #[test]
 fn sibling_forks_on_two_threads_match_the_same_forks_run_in_turn() {
-    let (template, snapshot) = fork_template();
-    let in_turn: Vec<_> = [21, 22]
-        .map(|seed| perturbed_window(&mut template.fork(), seed))
-        .into();
+    for monitored in MONITOR {
+        let (template, snapshot) = fork_template(monitored);
+        let in_turn: Vec<_> = [21, 22]
+            .map(|seed| perturbed_window(&mut template.fork(), seed))
+            .into();
 
-    // Both siblings make their first write — the moment each decides it
-    // shares the template — and run their windows at the same time.
-    let start = std::sync::Barrier::new(2);
-    let at_once: Vec<_> = std::thread::scope(|scope| {
-        let handles = [21, 22].map(|seed| {
-            let mut fork = template.fork();
-            let start = &start;
-            scope.spawn(move || {
-                start.wait();
-                perturbed_window(&mut fork, seed)
-            })
+        // Both siblings make their first write — the moment each decides it
+        // shares the template — and run their windows at the same time.
+        let start = std::sync::Barrier::new(2);
+        let at_once: Vec<_> = std::thread::scope(|scope| {
+            let handles = [21, 22].map(|seed| {
+                let mut fork = template.fork();
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    perturbed_window(&mut fork, seed)
+                })
+            });
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sibling fork panicked"))
+                .collect()
         });
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sibling fork panicked"))
-            .collect()
-    });
-    assert_eq!(at_once, in_turn);
-    assert_eq!(template.snapshot().payload(), snapshot.payload());
+        assert_eq!(at_once, in_turn);
+        assert_eq!(template.snapshot().payload(), snapshot.payload());
+    }
 }
 
 #[test]
 fn corrupt_spill_files_fall_back_to_resimulation() {
     let dir = std::env::temp_dir().join(format!("mtvar-ckpt-gate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let make = || Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED);
     let plan = RunPlan::new(MEASURE).with_runs(3).with_warmup(WARMUP);
+    for monitored in MONITOR {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::new().with_disk_spill(&dir));
+        let want = executor(1, monitored)
+            .with_checkpoint_store(store.clone())
+            .run_space(&config(false), make, &plan)
+            .unwrap();
 
-    let store = Arc::new(CheckpointStore::new().with_disk_spill(&dir));
-    let exec = Executor::sequential()
-        .without_cache()
-        .with_checkpoint_store(store.clone());
-    let want = exec.run_space(&config(), make, &plan).unwrap();
+        // Truncate every spilled snapshot mid-payload, as an interrupted
+        // write would have (without the fsync-and-rename protocol).
+        let mut corrupted = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+            corrupted += 1;
+        }
+        assert!(corrupted > 0, "expected at least one spilled snapshot");
 
-    // Truncate every spilled snapshot mid-payload, as an interrupted write
-    // would have (without the fsync-and-rename protocol).
-    let mut corrupted = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        corrupted += 1;
+        // A fresh store over the same directory sees only corrupt files: it
+        // must delete them, warm from scratch, and produce identical
+        // statistics.
+        let fresh = Arc::new(CheckpointStore::new().with_disk_spill(&dir));
+        let key_count_before = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(key_count_before, corrupted);
+        let got = executor(1, monitored)
+            .with_checkpoint_store(fresh.clone())
+            .run_space(&config(false), make, &plan)
+            .unwrap();
+        assert_eq!(want, got, "corrupt spill changed statistics");
+
+        // And the re-simulated snapshot was re-spilled, replacing the corpse.
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(
+            names.iter().all(|n| n.ends_with(".ckpt")),
+            "unexpected files in spill dir: {names:?}"
+        );
     }
-    assert!(corrupted > 0, "expected at least one spilled snapshot");
-
-    // A fresh store over the same directory sees only corrupt files: it must
-    // delete them, warm from scratch, and produce identical statistics.
-    let fresh = Arc::new(CheckpointStore::new().with_disk_spill(&dir));
-    let key_count_before = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(key_count_before, corrupted);
-    let got = Executor::sequential()
-        .without_cache()
-        .with_checkpoint_store(fresh.clone())
-        .run_space(&config(), make, &plan)
-        .unwrap();
-    assert_eq!(want, got, "corrupt spill changed statistics");
-
-    // And the re-simulated snapshot was re-spilled, replacing the corpse.
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    assert!(
-        names.iter().all(|n| n.ends_with(".ckpt")),
-        "unexpected files in spill dir: {names:?}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,9 +5,9 @@
 //! executors with [`CoreError::InvariantViolation`] — never silently
 //! dropped.
 //!
-//! `scripts/verify.sh` runs this suite with the `invariant-monitor` cargo
-//! feature both off and on; the expectations that depend on whether
-//! unmonitored runs exist branch on `cfg!(feature = "invariant-monitor")`.
+//! The expectations that depend on whether a run was monitored test both
+//! arms in one process: the same sweep with and without
+//! `MachineConfig::with_invariant_checks`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -134,8 +134,9 @@ fn cache_hits_replay_the_same_violations() {
 fn strict_mode_turns_violations_into_typed_errors() {
     let plan = RunPlan::new(30).with_runs(4);
     for threads in [1, 4] {
-        let err = Executor::with_threads(threads)
-            .with_invariant_checks()
+        let exec = Executor::with_threads(threads).with_invariant_checks();
+        assert!(exec.strict_invariants());
+        let err = exec
             .run_space(&faulted_config(), workload, &plan)
             .unwrap_err();
         match err {
@@ -150,9 +151,9 @@ fn strict_mode_turns_violations_into_typed_errors() {
 
 #[test]
 fn strict_mode_monitors_even_unmonitored_configs() {
-    // No with_invariant_checks on the config: observing mode only catches
-    // the fault when the invariant-monitor feature forces a monitor, but
-    // strict mode must always catch it.
+    // No with_invariant_checks on the config: observing mode catches the
+    // fault only once the config asks for a monitor, but strict mode must
+    // always catch it.
     let cfg = MachineConfig::hpca2003()
         .with_cpus(4)
         .with_perturbation(4, 0)
@@ -165,37 +166,37 @@ fn strict_mode_monitors_even_unmonitored_configs() {
         .unwrap_err();
     assert!(matches!(err, CoreError::InvariantViolation { run: 0, .. }));
 
+    // Its monitored twin is faulted_config(), whose observing sweeps report
+    // every run in observing_mode_reports_identically_across_thread_counts.
     let space = Executor::with_threads(2)
         .without_cache()
         .run_space(&cfg, workload, &plan)
         .unwrap();
-    if cfg!(feature = "invariant-monitor") {
-        assert_eq!(space.violations().len(), 2, "feature forces monitoring");
-    } else {
-        assert!(space.is_clean(), "unmonitored sweeps are vacuously clean");
-    }
+    assert!(space.is_clean(), "unmonitored sweeps are vacuously clean");
 }
 
+/// An observing sweep fills the cache, then a strict clone of the executor
+/// repeats it: entries a monitor watched are trusted, unmonitored ones
+/// re-simulate.
 #[test]
 fn strict_mode_distrusts_unmonitored_cache_entries() {
-    let counters = Arc::new(ProgressCounters::new());
-    let observing = Executor::with_threads(2).with_progress(counters.clone());
     let plan = RunPlan::new(25).with_runs(3);
-    let cfg = MachineConfig::hpca2003()
+    let unmonitored = MachineConfig::hpca2003()
         .with_cpus(4)
         .with_perturbation(4, 0);
-    let a = observing.run_space(&cfg, workload, &plan).unwrap();
-    assert_eq!(counters.completed(), 3);
+    for (cfg, trusted) in [(clean_config(), true), (unmonitored, false)] {
+        let counters = Arc::new(ProgressCounters::new());
+        let observing = Executor::with_threads(2).with_progress(counters.clone());
+        let a = observing.run_space(&cfg, workload, &plan).unwrap();
+        assert_eq!(counters.completed(), 3);
 
-    let strict = observing.clone().with_invariant_checks();
-    let b = strict.run_space(&cfg, workload, &plan).unwrap();
-    assert_eq!(a.results(), b.results(), "strict must not change results");
-    if cfg!(feature = "invariant-monitor") {
-        assert_eq!(counters.completed(), 3, "monitored entries are trusted");
-        assert_eq!(counters.cached(), 3);
-    } else {
-        assert_eq!(counters.completed(), 6, "unmonitored entries re-simulate");
-        assert_eq!(counters.cached(), 0);
+        let strict = observing.clone().with_invariant_checks();
+        let b = strict.run_space(&cfg, workload, &plan).unwrap();
+        assert_eq!(a.results(), b.results(), "strict must not change results");
+        assert!(b.is_clean());
+        let (completed, cached) = if trusted { (3, 3) } else { (6, 0) };
+        assert_eq!(counters.completed(), completed, "trusted: {trusted}");
+        assert_eq!(counters.cached(), cached, "trusted: {trusted}");
     }
 }
 

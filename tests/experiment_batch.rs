@@ -1,8 +1,9 @@
 //! `Experiment::run_with` runs its arms as one batch — every arm's shared
 //! warmup at once, one pool job per arm, then every arm's runs in one
 //! fan-out — and none of that may show in a result. `scripts/verify.sh`
-//! runs this suite in release with the `invariant-monitor` feature off and
-//! on.
+//! runs this suite in debug and in release. Items 1 and 3 run each batch on
+//! an observing executor and on a strict one, which monitors every warmup
+//! and run.
 //!
 //! 1. **Batch == arm by arm** — at T = 1 / 2 / 4, with no store and with a
 //!    `CheckpointStore`, the report equals the one assembled from one
@@ -75,13 +76,25 @@ fn rob_trio() -> Vec<Arm> {
 }
 
 /// An executor of `threads` threads, without a result cache (so that every
-/// comparison re-simulates), with `store` attached if given.
-fn executor(threads: usize, store: Option<&Arc<CheckpointStore>>) -> Executor {
-    let exec = Executor::with_threads(threads).without_cache();
-    match store {
-        Some(store) => exec.with_checkpoint_store(Arc::clone(store)),
-        None => exec,
+/// comparison re-simulates), with `store` attached if given, strict when
+/// `strict`.
+fn executor(threads: usize, store: Option<&Arc<CheckpointStore>>, strict: bool) -> Executor {
+    let mut exec = Executor::with_threads(threads).without_cache();
+    if let Some(store) = store {
+        exec = exec.with_checkpoint_store(Arc::clone(store));
     }
+    if strict {
+        exec = exec.with_invariant_checks();
+    }
+    exec
+}
+
+/// Every `(threads, stored, strict)` combination the batch tests run.
+fn variants() -> impl Iterator<Item = (usize, bool, bool)> {
+    THREADS.into_iter().flat_map(|threads| {
+        [(false, false), (true, false), (false, true), (true, true)]
+            .map(|(stored, strict)| (threads, stored, strict))
+    })
 }
 
 /// What `Experiment::run_with` must return, read arm by arm: one
@@ -129,7 +142,8 @@ fn experiment(arms: Vec<Arm>, plan: RunPlan) -> Experiment {
 }
 
 /// Checks the batch against the arm-by-arm reading at every thread count,
-/// without and with a store, and returns the warmups each fresh store
+/// without and with a store, observing and strict (a strict executor
+/// derives the same seeds), and returns the warmups each fresh store
 /// simulated.
 fn batch_matches_arm_by_arm(arms: Vec<Arm>, plan: RunPlan) -> Vec<u64> {
     let exp = experiment(arms.clone(), plan);
@@ -141,17 +155,15 @@ fn batch_matches_arm_by_arm(arms: Vec<Arm>, plan: RunPlan) -> Vec<u64> {
     )
     .unwrap();
     let mut warmups = Vec::new();
-    for threads in THREADS {
-        for stored in [false, true] {
-            let store = stored.then(|| Arc::new(CheckpointStore::new()));
-            let report = exp
-                .run_with(&executor(threads, store.as_ref()), oltp16)
-                .unwrap();
-            let what = format!("T = {threads}, store: {stored}");
-            assert_eq!(report.arms(), want_arms.as_slice(), "{what}");
-            assert_eq!(report.pairs(), want_pairs.as_slice(), "{what}");
-            warmups.extend(store.map(|s| s.warmups_simulated()));
-        }
+    for (threads, stored, strict) in variants() {
+        let store = stored.then(|| Arc::new(CheckpointStore::new()));
+        let report = exp
+            .run_with(&executor(threads, store.as_ref(), strict), oltp16)
+            .unwrap();
+        let what = format!("T = {threads}, store: {stored}, strict: {strict}");
+        assert_eq!(report.arms(), want_arms.as_slice(), "{what}");
+        assert_eq!(report.pairs(), want_pairs.as_slice(), "{what}");
+        warmups.extend(store.map(|s| s.warmups_simulated()));
     }
     warmups
 }
@@ -160,14 +172,14 @@ fn batch_matches_arm_by_arm(arms: Vec<Arm>, plan: RunPlan) -> Vec<u64> {
 fn the_dram_pair_equals_its_arm_by_arm_report() {
     let plan = RunPlan::new(20).with_runs(4).with_warmup(60);
     let warmups = batch_matches_arm_by_arm(dram_pair(), plan);
-    assert_eq!(warmups, [2; 3], "one warmup per arm");
+    assert_eq!(warmups, [2; 6], "one warmup per arm");
 }
 
 #[test]
 fn a_three_arm_rob_experiment_equals_its_arm_by_arm_report() {
     let plan = RunPlan::new(15).with_runs(3).with_warmup(40);
     let warmups = batch_matches_arm_by_arm(rob_trio(), plan);
-    assert_eq!(warmups, [3; 3], "one warmup per arm");
+    assert_eq!(warmups, [3; 6], "one warmup per arm");
 }
 
 #[test]
@@ -178,7 +190,7 @@ fn arms_differing_only_in_perturbation_share_one_warmup() {
         .collect();
     let plan = RunPlan::new(15).with_runs(3).with_warmup(40);
     let warmups = batch_matches_arm_by_arm(arms, plan);
-    assert_eq!(warmups, [1; 3], "the store's single-flight warms once");
+    assert_eq!(warmups, [1; 6], "the store's single-flight warms once");
 }
 
 // ---------------------------------------------------------------------------
@@ -326,14 +338,15 @@ fn an_earlier_arms_run_error_beats_a_later_arms_warmup_error() {
             "the arm-by-arm reading meets arm 0's error first, met {want}"
         );
         let exp = experiment(arms, plan);
-        for threads in THREADS {
-            for stored in [false, true] {
-                let store = stored.then(|| Arc::new(CheckpointStore::new()));
-                let got = exp
-                    .run_with(&executor(threads, store.as_ref()), make)
-                    .unwrap_err();
-                assert_eq!(got, want, "T = {threads}, store: {stored}");
-            }
+        for (threads, stored, strict) in variants() {
+            let store = stored.then(|| Arc::new(CheckpointStore::new()));
+            let got = exp
+                .run_with(&executor(threads, store.as_ref(), strict), make)
+                .unwrap_err();
+            assert_eq!(
+                got, want,
+                "T = {threads}, store: {stored}, strict: {strict}"
+            );
         }
     }
 }
@@ -423,21 +436,21 @@ fn a_panicking_warmup_resurfaces_and_leaves_the_executor_usable() {
         vec![arm("two-cpus", cpus(2)), arm("four-cpus", cpus(4))],
         plan,
     );
-    for threads in THREADS {
-        for stored in [false, true] {
-            let what = format!("T = {threads}, store: {stored}");
-            let store = stored.then(|| Arc::new(CheckpointStore::new()));
-            let exec = executor(threads, store.as_ref());
-            let payload = catch_unwind(AssertUnwindSafe(|| tripping.run_with(&exec, make)))
-                .expect_err("the four-CPU warmup panics");
-            assert_eq!(
-                payload.downcast_ref::<&str>(),
-                Some(&"a third thread was dispatched"),
-                "{what}: the warmup's own panic"
-            );
-            let after = two.run_with(&exec, make).unwrap();
-            let fresh = two.run_with(&executor(threads, None), make).unwrap();
-            assert_eq!(after, fresh, "{what}: the executor must stay usable");
-        }
+    for (threads, stored, strict) in variants() {
+        let what = format!("T = {threads}, store: {stored}, strict: {strict}");
+        let store = stored.then(|| Arc::new(CheckpointStore::new()));
+        let exec = executor(threads, store.as_ref(), strict);
+        let payload = catch_unwind(AssertUnwindSafe(|| tripping.run_with(&exec, make)))
+            .expect_err("the four-CPU warmup panics");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"a third thread was dispatched"),
+            "{what}: the warmup's own panic"
+        );
+        let after = two.run_with(&exec, make).unwrap();
+        let fresh = two
+            .run_with(&executor(threads, None, strict), make)
+            .unwrap();
+        assert_eq!(after, fresh, "{what}: the executor must stay usable");
     }
 }

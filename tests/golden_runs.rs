@@ -20,7 +20,8 @@
 //!
 //! Two literals ride alongside the file, both at the paper's 16 CPUs: the
 //! kernel's reference interval, and the one pin of `Executor::run_space`
-//! end to end.
+//! end to end. Each is checked twice, monitor off and on, and must not move:
+//! the monitor is read-only.
 //!
 //! [`RunResult`]: mtvar::sim::stats::RunResult
 
@@ -192,11 +193,22 @@ fn golden_digests_are_stable_across_repeat_runs() {
 /// which the 4-CPU file above can miss, fails here.
 #[test]
 fn sixteen_cpu_oltp_interval_matches_its_pinned_digest() {
-    let config = MachineConfig::hpca2003().with_perturbation(4, 1);
-    let mut m = Machine::new(config, Benchmark::Oltp.workload(16, WORKLOAD_SEED)).expect("machine");
-    m.run_transactions(100).expect("warmup");
-    let result = m.run_transactions(2000).expect("measurement");
-    assert_eq!(run_digest(&result), 0x3169_0f97_be50_30cb);
+    for monitored in [false, true] {
+        let config = MachineConfig {
+            check_invariants: monitored,
+            ..MachineConfig::hpca2003().with_perturbation(4, 1)
+        };
+        let mut m =
+            Machine::new(config, Benchmark::Oltp.workload(16, WORKLOAD_SEED)).expect("machine");
+        m.run_transactions(100).expect("warmup");
+        let result = m.run_transactions(2000).expect("measurement");
+        let outcome = (run_digest(&result), m.invariant_violations().len());
+        assert_eq!(
+            outcome,
+            (0x3169_0f97_be50_30cb, 0),
+            "monitored: {monitored}"
+        );
+    }
 }
 
 /// Checkpoint fingerprints of four warmed machines: the 16-CPU OLTP machine
@@ -204,25 +216,29 @@ fn sixteen_cpu_oltp_interval_matches_its_pinned_digest() {
 /// machine, and a monitored 4-CPU machine whose planted coherence fault has
 /// been recorded. The fingerprint hashes the whole snapshot payload, so a
 /// change to any type's encoding — a tag byte, a field order, a
-/// length prefix — fails here. The `invariant-monitor` feature puts a
-/// monitor into the three unmonitored machines, so each of them pins one
-/// fingerprint per build.
+/// length prefix — fails here. The last two machines are monitored, so
+/// they pin the monitor's encoding too.
+///
+/// The two 16-CPU machines are warmed again with the monitor on. A monitor
+/// and its config flag ride in the snapshot, so that arm checks the warmup
+/// interval's run digest instead: the monitored warmup must be clean and
+/// identical to the pinned one.
 #[test]
 fn warmed_machines_match_their_pinned_checkpoint_fingerprints() {
-    let per_build = |off: u64, on: u64| {
-        if cfg!(feature = "invariant-monitor") {
-            on
-        } else {
-            off
-        }
-    };
-    let fingerprint = |config: MachineConfig, cpus: usize, warmup: u64| {
+    let warm = |config: MachineConfig, cpus: usize, warmup: u64| {
         let mut m =
             Machine::new(config, Benchmark::Oltp.workload(cpus, WORKLOAD_SEED)).expect("machine");
-        m.run_transactions(warmup).expect("warmup");
-        (m.snapshot().fingerprint(), m.invariant_violations().len())
+        let interval = m.run_transactions(warmup).expect("warmup");
+        (
+            m.snapshot().fingerprint(),
+            run_digest(&interval),
+            m.invariant_violations().len(),
+        )
     };
     let sixteen = MachineConfig::hpca2003().with_perturbation(4, 1);
+    let rob64 = sixteen
+        .clone()
+        .with_processor(ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(64)));
     let faulted = golden_config().with_fault(FaultSpec::coherence(
         12,
         1,
@@ -230,24 +246,26 @@ fn warmed_machines_match_their_pinned_checkpoint_fingerprints() {
         CoherenceState::Exclusive,
     ));
     let actual = [
-        fingerprint(sixteen.clone(), 16, 100),
-        fingerprint(
-            sixteen.with_processor(ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(64))),
-            16,
-            100,
-        ),
-        fingerprint(dir64_config(), DIR64_CPUS, 40),
-        fingerprint(faulted, CPUS, 40),
+        warm(sixteen.clone(), 16, 100),
+        warm(rob64.clone(), 16, 100),
+        warm(dir64_config(), DIR64_CPUS, 40),
+        warm(faulted, CPUS, 40),
     ];
-    assert!(actual[3].1 > 0, "the planted fault must be recorded");
-    let actual = actual.map(|(fp, _)| fp);
+    assert!(actual[3].2 > 0, "the planted fault must be recorded");
+    let fingerprints = actual.map(|(fp, ..)| fp);
     let expected = [
-        per_build(0x0575_b3ae_f912_b8bb, 0xf669_a32f_e8eb_822a),
-        per_build(0x63fd_2636_c295_fc90, 0x842b_6d8e_489a_2604),
+        0x0575_b3ae_f912_b8bb,
+        0x63fd_2636_c295_fc90,
         0xe144_a9e5_345a_3511,
         0xaa26_6e4e_2b5c_0544,
     ];
-    assert_eq!(actual, expected, "fingerprints {actual:#018x?}");
+    assert_eq!(fingerprints, expected, "fingerprints {fingerprints:#018x?}");
+
+    for (i, config) in [sixteen, rob64].into_iter().enumerate() {
+        let (_, interval, violations) = warm(config.with_invariant_checks(), 16, 100);
+        assert_eq!(violations, 0, "machine {i}: monitored warmup");
+        assert_eq!(interval, actual[i].1, "machine {i}: monitored warmup");
+    }
 }
 
 /// The executor's launch pipeline end to end — per-run seed derivation,
@@ -261,17 +279,24 @@ fn sixteen_run_rob32_space_matches_its_pinned_digest() {
         .with_processor(ProcessorConfig::OutOfOrder(OooConfig::with_rob_size(32)))
         .with_perturbation(4, 0);
     let plan = RunPlan::new(50).with_runs(16).with_warmup(400);
-    let space = Executor::sequential()
-        .without_cache()
-        .run_space(
-            &config,
-            || Benchmark::Oltp.workload(16, WORKLOAD_SEED),
-            &plan,
-        )
-        .expect("run space");
-    let digest = space
-        .results()
-        .iter()
-        .fold(0, |acc, r| fold_digest(acc, run_digest(r)));
-    assert_eq!(digest, 0xbe34_42eb_b53d_bdc1);
+    // The on arm is a strict executor: it monitors every run and fails on
+    // any violation, but derives the same seeds from the caller's config.
+    for strict in [false, true] {
+        let mut executor = Executor::sequential().without_cache();
+        if strict {
+            executor = executor.with_invariant_checks();
+        }
+        let space = executor
+            .run_space(
+                &config,
+                || Benchmark::Oltp.workload(16, WORKLOAD_SEED),
+                &plan,
+            )
+            .expect("run space");
+        let digest = space
+            .results()
+            .iter()
+            .fold(0, |acc, r| fold_digest(acc, run_digest(r)));
+        assert_eq!(digest, 0xbe34_42eb_b53d_bdc1, "strict: {strict}");
+    }
 }

@@ -1,5 +1,7 @@
 //! The checkpoint sweep's pipeline gate, run by `scripts/verify.sh` in
-//! release with the `invariant-monitor` feature both off and on.
+//! debug and in release. The invariance and shutdown checks run on an
+//! observing executor and on a strict one, whose warm chain and runs carry
+//! the invariant monitor.
 //!
 //! `sweep_positions_with` warms its starting points with one chain — a
 //! machine that is snapshotted and keeps running, restored only when the
@@ -44,15 +46,27 @@ use mtvar::workloads::Benchmark;
 
 const WORKLOAD_SEED: u64 = 42;
 
+/// An executor of `threads` threads without a result cache, strict when
+/// `strict`.
+fn executor(threads: usize, strict: bool) -> Executor {
+    let exec = Executor::with_threads(threads).without_cache();
+    if strict {
+        exec.with_invariant_checks()
+    } else {
+        exec
+    }
+}
+
 /// Each position's snapshot as the store holds it after a sweep. Every
 /// lookup must be a hit: asking may not simulate anything.
 fn stored_snapshots(
     store: &Arc<CheckpointStore>,
+    strict: bool,
     config: &MachineConfig,
     make: &impl Fn() -> ProfiledWorkload,
     positions: &[u64],
 ) -> Vec<Arc<Checkpoint>> {
-    let exec = Executor::sequential().with_checkpoint_store(Arc::clone(store));
+    let exec = executor(1, strict).with_checkpoint_store(Arc::clone(store));
     let simulated = store.warmups_simulated();
     let snapshots = positions
         .iter()
@@ -91,17 +105,6 @@ fn sweeps_are_thread_count_and_store_invariant() {
     let positions: Vec<u64> = (1..=6).map(|i| i * 10).collect();
     let plan = RunPlan::new(15).with_runs(4);
 
-    // The reference snapshots: each position warmed straight from cycle
-    // zero, no store, no chain.
-    let straight: Vec<Arc<Checkpoint>> = positions
-        .iter()
-        .map(|&pos| {
-            Executor::sequential()
-                .warm_checkpoint(&config, &make, 0, pos, None)
-                .unwrap()
-        })
-        .collect();
-
     // Which positions the store holds before the sweep; `None` is no store.
     // A position the sweep simulates forks from the chain's live machine, a
     // stored one from a decode.
@@ -120,45 +123,58 @@ fn sweeps_are_thread_count_and_store_invariant() {
         ("first position", Some(&[0])),
     ];
 
-    let mut reference: Option<TimeSampleStudy> = None;
-    for (what, prefill) in prefills {
-        for threads in [1, 2, 4] {
-            let what = format!("{what}, T = {threads}");
-            let mut exec = Executor::with_threads(threads).without_cache();
-            let store = prefill.map(|held| {
-                let store = Arc::new(CheckpointStore::new());
-                let filler = Executor::sequential().with_checkpoint_store(Arc::clone(&store));
-                for &i in held {
-                    filler
-                        .warm_checkpoint(&config, &make, 0, positions[i], None)
-                        .unwrap();
+    for strict in [false, true] {
+        // The reference snapshots: each position warmed straight from cycle
+        // zero, no store, no chain.
+        let straight: Vec<Arc<Checkpoint>> = positions
+            .iter()
+            .map(|&pos| {
+                executor(1, strict)
+                    .warm_checkpoint(&config, &make, 0, pos, None)
+                    .unwrap()
+            })
+            .collect();
+
+        let mut reference: Option<TimeSampleStudy> = None;
+        for (what, prefill) in prefills {
+            for threads in [1, 2, 4] {
+                let what = format!("{what}, T = {threads}, strict: {strict}");
+                let mut exec = executor(threads, strict);
+                let store = prefill.map(|held| {
+                    let store = Arc::new(CheckpointStore::new());
+                    let filler = executor(1, strict).with_checkpoint_store(Arc::clone(&store));
+                    for &i in held {
+                        filler
+                            .warm_checkpoint(&config, &make, 0, positions[i], None)
+                            .unwrap();
+                    }
+                    assert_eq!(store.len(), held.len());
+                    store
+                });
+                if let Some(store) = &store {
+                    exec = exec.with_checkpoint_store(Arc::clone(store));
                 }
-                assert_eq!(store.len(), held.len());
-                store
-            });
-            if let Some(store) = &store {
-                exec = exec.with_checkpoint_store(Arc::clone(store));
-            }
 
-            let study = sweep_positions_with(&exec, &config, make, &positions, &plan).unwrap();
-            assert_eq!(study.checkpoints(), positions, "{what}");
-            // Equal studies are equal snapshots too: every run's seed derives
-            // from its snapshot's fingerprint.
-            assert_eq!(
-                reference.get_or_insert_with(|| study.clone()),
-                &study,
-                "{what}"
-            );
-
-            if let Some(store) = &store {
-                assert_eq!(store.len(), positions.len(), "{what}");
+                let study = sweep_positions_with(&exec, &config, make, &positions, &plan).unwrap();
+                assert_eq!(study.checkpoints(), positions, "{what}");
+                // Equal studies are equal snapshots too: every run's seed
+                // derives from its snapshot's fingerprint.
                 assert_eq!(
-                    store.warmups_simulated(),
-                    positions.len() as u64,
-                    "{what}: each position is simulated once, before or by the sweep"
+                    reference.get_or_insert_with(|| study.clone()),
+                    &study,
+                    "{what}"
                 );
-                let stored = stored_snapshots(store, &config, &make, &positions);
-                assert_byte_equal(&stored, &straight, &what);
+
+                if let Some(store) = &store {
+                    assert_eq!(store.len(), positions.len(), "{what}");
+                    assert_eq!(
+                        store.warmups_simulated(),
+                        positions.len() as u64,
+                        "{what}: each position is simulated once, before or by the sweep"
+                    );
+                    let stored = stored_snapshots(store, strict, &config, &make, &positions);
+                    assert_byte_equal(&stored, &straight, &what);
+                }
             }
         }
     }
@@ -173,30 +189,29 @@ fn live_chain_matches_restore_extension(config: &MachineConfig, cpus: usize) {
     let positions = [4, 8, 12];
     let plan = RunPlan::new(5).with_runs(2);
 
-    let live = Arc::new(CheckpointStore::new());
-    let exec = Executor::with_threads(2)
-        .without_cache()
-        .with_checkpoint_store(Arc::clone(&live));
-    let study = sweep_positions_with(&exec, config, make, &positions, &plan).unwrap();
-    assert_eq!(live.warmups_simulated(), 3);
+    for strict in [false, true] {
+        let live = Arc::new(CheckpointStore::new());
+        let exec = executor(2, strict).with_checkpoint_store(Arc::clone(&live));
+        let study = sweep_positions_with(&exec, config, make, &positions, &plan).unwrap();
+        assert_eq!(live.warmups_simulated(), 3);
 
-    let extended = Arc::new(CheckpointStore::new());
-    let stepwise = Executor::sequential()
-        .without_cache()
-        .with_checkpoint_store(Arc::clone(&extended));
-    for pos in positions {
-        stepwise
-            .warm_checkpoint(config, &make, 0, pos, None)
-            .unwrap();
+        let extended = Arc::new(CheckpointStore::new());
+        let stepwise = executor(1, strict).with_checkpoint_store(Arc::clone(&extended));
+        for pos in positions {
+            stepwise
+                .warm_checkpoint(config, &make, 0, pos, None)
+                .unwrap();
+        }
+        assert_byte_equal(
+            &stored_snapshots(&live, strict, config, &make, &positions),
+            &stored_snapshots(&extended, strict, config, &make, &positions),
+            "live chain vs restore-extended",
+        );
+        // And the forks of those snapshots, single-threaded, are the same
+        // study.
+        let again = sweep_positions_with(&stepwise, config, make, &positions, &plan).unwrap();
+        assert_eq!(study, again, "strict: {strict}");
     }
-    assert_byte_equal(
-        &stored_snapshots(&live, config, &make, &positions),
-        &stored_snapshots(&extended, config, &make, &positions),
-        "live chain vs restore-extended",
-    );
-    // And the forks of those snapshots, single-threaded, are the same study.
-    let again = sweep_positions_with(&stepwise, config, make, &positions, &plan).unwrap();
-    assert_eq!(study, again);
 }
 
 #[test]
@@ -332,20 +347,22 @@ fn wedging_config() -> MachineConfig {
 
 #[test]
 fn the_wedging_workload_commits_exactly_its_limit() {
-    let mut machine = Machine::new(wedging_config(), Wedging::new(15)).unwrap();
-    machine.run_transactions(30).expect("2 x 15 commits");
-    let err = machine.run_transactions(1).unwrap_err();
-    assert!(matches!(err, SimError::Deadlock { .. }), "got {err}");
+    for config in [wedging_config(), wedging_config().with_invariant_checks()] {
+        let mut machine = Machine::new(config, Wedging::new(15)).unwrap();
+        machine.run_transactions(30).expect("2 x 15 commits");
+        let err = machine.run_transactions(1).unwrap_err();
+        assert!(matches!(err, SimError::Deadlock { .. }), "got {err}");
+        assert!(machine.invariant_violations().is_empty());
+    }
 }
 
 #[test]
 fn a_failing_warmup_ends_the_sweep_and_the_chain_thread() {
-    for threads in [1, 2, 4] {
-        let exec = Executor::with_threads(threads).without_cache();
-        let (error, chain_exits) = wedged_sweep(exec, wedging_config());
+    for (threads, strict) in [1, 2, 4].into_iter().flat_map(|t| [(t, false), (t, true)]) {
+        let (error, chain_exits) = wedged_sweep(executor(threads, strict), wedging_config());
         assert!(
             matches!(error, CoreError::Sim(SimError::Deadlock { .. })),
-            "T = {threads}: got {error}"
+            "T = {threads}, strict: {strict}: got {error}"
         );
         // T = 1 never leaves the calling thread; above it there is exactly
         // one chain thread, and the sweep does not return before it ends.
@@ -365,10 +382,7 @@ fn the_earliest_positions_error_wins_over_a_failure_further_ahead() {
         CoherenceState::Exclusive,
     ));
     for threads in [1, 2, 4] {
-        let exec = Executor::with_threads(threads)
-            .without_cache()
-            .with_invariant_checks();
-        let (error, chain_exits) = wedged_sweep(exec, faulted.clone());
+        let (error, chain_exits) = wedged_sweep(executor(threads, true), faulted.clone());
         assert!(
             matches!(error, CoreError::InvariantViolation { run: 0, .. }),
             "T = {threads}: position 20's violation must win, got {error}"
@@ -407,11 +421,14 @@ fn a_pipelined_sweep_failing_at_any_position_returns_the_earliest_error() {
     let sweep = |threads: usize, config: MachineConfig, limit: u32| {
         let what = format!("T = {threads}, {limit}-commit workload");
         within_deadline(&what, move || {
-            let exec = Executor::with_threads(threads)
-                .without_cache()
-                .with_invariant_checks();
-            sweep_positions_with(&exec, &config, || Wedging::new(limit), &POSITIONS, &plan)
-                .unwrap_err()
+            sweep_positions_with(
+                &executor(threads, true),
+                &config,
+                || Wedging::new(limit),
+                &POSITIONS,
+                &plan,
+            )
+            .unwrap_err()
         })
     };
     for (k, &position) in POSITIONS.iter().enumerate() {
