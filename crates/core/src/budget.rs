@@ -135,6 +135,7 @@ impl CovModel {
     /// Propagates simulator errors, and [`CovModel::fit`]'s conditions on
     /// the measured points (at least two distinct lengths with positive
     /// CoV).
+    #[expect(clippy::disallowed_methods, reason = "one pilot space per length")]
     pub fn fit_by_pilot<W, F>(
         executor: &Executor,
         config: &MachineConfig,

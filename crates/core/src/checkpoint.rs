@@ -462,6 +462,7 @@ mod tests {
     /// in-flight mark or arrives after it cleared is up to the scheduler;
     /// the store must give the same answers either way. Returns the first
     /// caller's join result and the others' results.
+    #[expect(clippy::disallowed_methods, reason = "callers race on threads")]
     fn race_one_key(
         store: &CheckpointStore,
         others: usize,

@@ -248,6 +248,7 @@ impl Pool {
     }
 
     /// Starts workers until `wanted` (at most `threads`) are running.
+    #[expect(clippy::disallowed_methods, reason = "the pool's workers start here")]
     fn ensure_workers(&self, wanted: usize) {
         debug_assert!(wanted <= self.threads);
         let mut workers = lock(&self.workers);
@@ -303,6 +304,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "submitters race on threads")]
     fn concurrent_submitters_share_the_workers() {
         let pool = Pool::new(2);
         let items: Vec<usize> = (0..40).collect();

@@ -818,14 +818,6 @@ impl Executor {
         Ok(spaces.pop().expect("one space per snapshot"))
     }
 
-    /// Decodes `snapshot` once into the machine a sweep forks every run
-    /// from (or a warmup extends). A decoded machine holds its cache arrays
-    /// and snoop filter in shareable form, so each fork is a pointer copy
-    /// per array that copies only the chunks its run writes.
-    fn restore_template<W: Workload + Snap>(&self, snapshot: &Checkpoint) -> Result<Machine<W>> {
-        Ok(Machine::restore(snapshot)?)
-    }
-
     /// The launch body of every sweep. Three pool batches: each arm's
     /// template is warmed (or fetched from the store) and decoded, one job
     /// per arm, so the arms' warmups run side by side and equal warmups
@@ -836,10 +828,14 @@ impl Executor {
     /// the caller's, which never takes them back. A batch of one job, and
     /// every batch at T = 1, runs on the calling thread. An arm whose
     /// caller supplies its template is neither decoded nor retired: the
-    /// caller keeps it.
+    /// caller keeps it. Decoding is `Machine::restore`, called only here
+    /// and in [`WarmChain`]'s restores; a decoded machine holds its cache
+    /// arrays and snoop filter in shareable form, so each fork is a pointer
+    /// copy per array that copies only the chunks its run writes.
     ///
     /// Returns one space per arm, or the first error of the sequential
     /// reading: arm by arm, its warmup before its runs.
+    #[expect(clippy::disallowed_methods, reason = "templates are decoded here")]
     fn launch_arms<W>(
         &self,
         plan: &RunPlan,
@@ -867,7 +863,7 @@ impl Executor {
                 Start::Snapshot(_, _, Some(_)) => return Ok(None),
                 Start::Snapshot(snapshot, _, None) => snapshot,
             };
-            self.restore_template(snapshot).map(Some)
+            Ok(Some(Machine::restore(snapshot)?))
         });
         // Read in sequence, the first failed warmup ends the batch: the
         // arms before it launch, the ones after it never would.
@@ -1226,6 +1222,7 @@ where
     /// arrays. Callers drop the previous template before asking for the next
     /// one: with no other holder, the share folds the chunks the chain wrote
     /// since back into the arrays in place instead of copying them whole.
+    #[expect(clippy::disallowed_methods, reason = "the one live-machine share")]
     pub(crate) fn template(&mut self, warmup: u64) -> Option<Machine<W>>
     where
         W: Clone,
@@ -1262,7 +1259,9 @@ where
             Some((done, ck)) if done == warmup => return Ok(Arc::new(ck.clone())),
             // Restore only what is deeper than the machine already in hand.
             Some((done, ck)) if live.as_ref().is_none_or(|(at, _)| done > *at) => {
-                live = Some((done, self.executor.restore_template(ck)?));
+                #[expect(clippy::disallowed_methods, reason = "chain restores decode here")]
+                let restored = Machine::restore(ck)?;
+                live = Some((done, restored));
             }
             _ => {}
         }
@@ -1279,6 +1278,7 @@ where
         // only on the warmed architectural state, never on whether it was
         // reached in one warmup call, by extending a restored prefix, or by
         // a machine that has been snapshotted before and kept running.
+        #[expect(clippy::disallowed_methods, reason = "the one warmup body")]
         machine.normalize_measurement();
         let snapshot = Arc::new(machine.snapshot());
         self.live = Some((warmup, machine));
@@ -1297,6 +1297,7 @@ where
 /// # Errors
 ///
 /// Propagates configuration and deadlock errors from the simulator.
+#[expect(clippy::disallowed_methods, reason = "the single-space entry point")]
 pub fn run_space<W, F>(config: &MachineConfig, make_workload: F, plan: &RunPlan) -> Result<RunSpace>
 where
     W: Workload + Snap + Clone + Send + Sync,
@@ -1312,6 +1313,26 @@ mod tests {
     use super::*;
     use mtvar_sim::workload::SharingWorkload;
     use std::collections::HashSet;
+
+    /// [`Executor::run_space`]: the one call of it in these tests, so the
+    /// crate's clippy rule still holds for the rest of the module.
+    trait Sweep {
+        fn sweep<W, F>(&self, config: &MachineConfig, make: F, plan: &RunPlan) -> Result<RunSpace>
+        where
+            W: Workload + Snap + Clone + Send + Sync,
+            F: Fn() -> W + Sync;
+    }
+
+    impl Sweep for Executor {
+        #[expect(clippy::disallowed_methods, reason = "the executor's own tests")]
+        fn sweep<W, F>(&self, config: &MachineConfig, make: F, plan: &RunPlan) -> Result<RunSpace>
+        where
+            W: Workload + Snap + Clone + Send + Sync,
+            F: Fn() -> W + Sync,
+        {
+            self.run_space(config, make, plan)
+        }
+    }
 
     fn small_config() -> MachineConfig {
         MachineConfig::hpca2003()
@@ -1359,7 +1380,7 @@ mod tests {
         let seq = run_space(&small_config(), small_workload, &plan).unwrap();
         for threads in [1, 2, 3, 8] {
             let par = Executor::with_threads(threads)
-                .run_space(&small_config(), small_workload, &plan)
+                .sweep(&small_config(), small_workload, &plan)
                 .unwrap();
             assert_eq!(seq, par, "thread count {threads} changed results");
         }
@@ -1370,16 +1391,12 @@ mod tests {
         let progress = Arc::new(ProgressCounters::new());
         let exec = Executor::with_threads(2).with_progress(progress.clone());
         let plan = RunPlan::new(20).with_runs(4);
-        let a = exec
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
+        let a = exec.sweep(&small_config(), small_workload, &plan).unwrap();
         assert_eq!(progress.completed(), 4);
         assert_eq!(progress.cached(), 0);
         assert_eq!(exec.cache_len(), 4);
 
-        let b = exec
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
+        let b = exec.sweep(&small_config(), small_workload, &plan).unwrap();
         assert_eq!(a, b, "cached results must be identical");
         assert_eq!(progress.completed(), 4, "no re-simulation on second call");
         assert_eq!(progress.cached(), 4);
@@ -1387,14 +1404,14 @@ mod tests {
         // A longer plan re-uses nothing (transactions are part of the key)...
         let longer = RunPlan::new(21).with_runs(4);
         let _ = exec
-            .run_space(&small_config(), small_workload, &longer)
+            .sweep(&small_config(), small_workload, &longer)
             .unwrap();
         assert_eq!(progress.completed(), 8);
 
         // ...and an extended run count re-uses the shared prefix.
         let extended = plan.with_runs(6);
         let c = exec
-            .run_space(&small_config(), small_workload, &extended)
+            .sweep(&small_config(), small_workload, &extended)
             .unwrap();
         assert_eq!(progress.cached(), 8, "first 4 runs of the extension hit");
         assert_eq!(&c.runtimes()[..4], &a.runtimes()[..], "prefix must match");
@@ -1409,14 +1426,14 @@ mod tests {
         let exec = Executor::sequential().with_progress(progress.clone());
         let plan = RunPlan::new(15).with_runs(2);
         let a = exec
-            .run_space(
+            .sweep(
                 &small_config(),
                 || SharingWorkload::new(8, 1, 40, 4096, 10),
                 &plan,
             )
             .unwrap();
         let b = exec
-            .run_space(
+            .sweep(
                 &small_config(),
                 || SharingWorkload::new(8, 2, 40, 4096, 10),
                 &plan,
@@ -1539,7 +1556,7 @@ mod tests {
             .with_progress(progress.clone());
         let plan = RunPlan::new(30).with_runs(3);
         let space = exec
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap();
         assert!(!space.is_clean());
         assert!(space.total_violations() > 0);
@@ -1555,11 +1572,11 @@ mod tests {
         let exec = Executor::with_threads(2).with_progress(progress.clone());
         let plan = RunPlan::new(30).with_runs(3);
         let a = exec
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(progress.violating_runs(), 3);
         let b = exec
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(progress.cached(), 3, "second sweep is all cache hits");
         assert_eq!(
@@ -1682,10 +1699,7 @@ mod tests {
             .without_cache()
             .with_progress(watch.clone() as Arc<dyn RunProgress>);
         let plan = RunPlan::new(20).with_runs(8);
-        let sweep = |exec: &Executor| {
-            exec.run_space(&small_config(), small_workload, &plan)
-                .unwrap()
-        };
+        let sweep = |exec: &Executor| exec.sweep(&small_config(), small_workload, &plan).unwrap();
         let reference = sweep(&exec);
         let first = watch.take_threads();
         assert!(
@@ -1749,7 +1763,7 @@ mod tests {
             .without_cache()
             .with_progress(tripwire.clone() as Arc<dyn RunProgress>);
         let plan = RunPlan::new(20).with_runs(6);
-        let sweep = |exec: &Executor| exec.run_space(&small_config(), small_workload, &plan);
+        let sweep = |exec: &Executor| exec.sweep(&small_config(), small_workload, &plan);
         let payload =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep(&exec))).unwrap_err();
         assert_eq!(
@@ -1769,12 +1783,12 @@ mod tests {
         assert!(plan.shared_warmup, "shared warmup is the default");
         let seq = Executor::sequential()
             .without_cache()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         for threads in [2, 4, 8] {
             let par = Executor::with_threads(threads)
                 .without_cache()
-                .run_space(&small_config(), small_workload, &plan)
+                .sweep(&small_config(), small_workload, &plan)
                 .unwrap();
             assert_eq!(seq, par, "thread count {threads} changed results");
         }
@@ -1786,19 +1800,19 @@ mod tests {
         let legacy = shared.with_shared_warmup(false);
         let exec = Executor::sequential().without_cache();
         let a = exec
-            .run_space(&small_config(), small_workload, &shared)
+            .sweep(&small_config(), small_workload, &shared)
             .unwrap();
         let b = exec
-            .run_space(&small_config(), small_workload, &legacy)
+            .sweep(&small_config(), small_workload, &legacy)
             .unwrap();
         // Different protocols (perturbed vs unperturbed warmup, disjoint seed
         // domains) — but each is individually reproducible.
         assert_ne!(a.runtimes(), b.runtimes());
         let a2 = exec
-            .run_space(&small_config(), small_workload, &shared)
+            .sweep(&small_config(), small_workload, &shared)
             .unwrap();
         let b2 = exec
-            .run_space(&small_config(), small_workload, &legacy)
+            .sweep(&small_config(), small_workload, &legacy)
             .unwrap();
         assert_eq!(a, a2);
         assert_eq!(b, b2);
@@ -1812,7 +1826,7 @@ mod tests {
             .with_shared_warmup(false);
         let space = Executor::sequential()
             .without_cache()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         let config_id = config_fingerprint(&small_config());
         for (i, &rt) in space.runtimes().iter().enumerate() {
@@ -1830,20 +1844,20 @@ mod tests {
         let plan = RunPlan::new(25).with_runs(5).with_warmup(20);
         let bare = Executor::sequential()
             .without_cache()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         let store = Arc::new(CheckpointStore::new());
         let stored_exec = Executor::with_threads(4)
             .without_cache()
             .with_checkpoint_store(store.clone());
         let stored = stored_exec
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(bare, stored, "the store must be invisible to statistics");
         assert_eq!(store.len(), 1, "one warmed snapshot memoized");
         // Second sweep hits the stored snapshot; results stay identical.
         let again = stored_exec
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(bare, again);
         assert_eq!(store.len(), 1);
@@ -1889,12 +1903,12 @@ mod tests {
         let plan = RunPlan::new(25).with_runs(4).with_warmup(15);
         let observing = Executor::sequential()
             .without_cache()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         let strict = Executor::sequential()
             .without_cache()
             .with_invariant_checks()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(observing, strict, "the monitor must be read-only");
     }
@@ -1905,7 +1919,7 @@ mod tests {
         let plan = RunPlan::new(20).with_runs(4).with_warmup(5);
         let baseline = Executor::sequential()
             .without_cache()
-            .run_space(&small_config(), small_workload, &plan)
+            .sweep(&small_config(), small_workload, &plan)
             .unwrap();
         {
             let progress = Arc::new(ProgressCounters::new());
@@ -1913,9 +1927,7 @@ mod tests {
                 .with_result_spill(&dir)
                 .with_progress(progress.clone());
             assert!(exec.result_store().is_some());
-            let first = exec
-                .run_space(&small_config(), small_workload, &plan)
-                .unwrap();
+            let first = exec.sweep(&small_config(), small_workload, &plan).unwrap();
             assert_eq!(first, baseline);
             assert_eq!(progress.completed(), 4);
             assert_eq!(exec.result_store().unwrap().len_on_disk(), 4);
@@ -1925,9 +1937,7 @@ mod tests {
         let fresh = Executor::with_threads(2)
             .with_result_spill(&dir)
             .with_progress(progress.clone());
-        let replayed = fresh
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
+        let replayed = fresh.sweep(&small_config(), small_workload, &plan).unwrap();
         assert_eq!(replayed, baseline, "spilled results must be bit-identical");
         assert_eq!(progress.completed(), 0, "nothing re-simulates");
         assert_eq!(progress.cached(), 4);
@@ -1940,7 +1950,7 @@ mod tests {
         let plan = RunPlan::new(30).with_runs(2);
         let first = Executor::sequential()
             .with_result_spill(&dir)
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap();
         assert!(!first.is_clean());
         let progress = Arc::new(ProgressCounters::new());
@@ -1948,7 +1958,7 @@ mod tests {
             .with_result_spill(&dir)
             .with_progress(progress.clone());
         let replayed = fresh
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap();
         assert_eq!(progress.cached(), 2);
         assert_eq!(
@@ -1976,9 +1986,7 @@ mod tests {
         let exec =
             Executor::with_threads(2).with_progress(observer.clone() as Arc<dyn RunProgress>);
         let plan = RunPlan::new(20).with_runs(3);
-        let space = exec
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
+        let space = exec.sweep(&small_config(), small_workload, &plan).unwrap();
         let expected: Vec<(usize, u64)> = space
             .results()
             .iter()
@@ -1990,9 +1998,7 @@ mod tests {
         assert_eq!(seen, expected, "simulated completions stream results");
         observer.0.lock().unwrap().clear();
         // Second sweep: all cache hits, same digests.
-        let _ = exec
-            .run_space(&small_config(), small_workload, &plan)
-            .unwrap();
+        let _ = exec.sweep(&small_config(), small_workload, &plan).unwrap();
         let mut seen = observer.0.lock().unwrap().clone();
         seen.sort_unstable();
         assert_eq!(seen, expected, "cache hits stream identical results");
@@ -2006,7 +2012,7 @@ mod tests {
         let plan = RunPlan::new(20).with_runs(3).with_warmup(15);
         let err = Executor::sequential()
             .with_invariant_checks()
-            .run_space(&faulted_config(), small_workload, &plan)
+            .sweep(&faulted_config(), small_workload, &plan)
             .unwrap_err();
         assert!(
             matches!(err, CoreError::InvariantViolation { run: 0, .. }),

@@ -126,7 +126,8 @@ where
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidExperiment`] for an empty frame, zero
-    /// spacing, or a degenerate plan.
+    /// spacing, a degenerate plan, or a frame whose deepest position plus
+    /// the measured transactions overflows `u64`.
     pub fn new(
         executor: &Executor,
         config: MachineConfig,
@@ -147,6 +148,16 @@ where
         if plan.runs == 0 || plan.transactions == 0 {
             return Err(CoreError::InvalidExperiment {
                 what: "a sampling plan needs runs >= 1 and transactions >= 1".into(),
+            });
+        }
+        if frame
+            .positions
+            .checked_mul(frame.spacing)
+            .and_then(|span| span.checked_add(plan.transactions))
+            .is_none()
+        {
+            return Err(CoreError::InvalidExperiment {
+                what: "positions * spacing + transactions overflows u64".into(),
             });
         }
         let executor = if executor.checkpoint_store().is_some() {
@@ -804,12 +815,19 @@ mod tests {
         assert!(SamplingStudy::new(&ex, cfg.clone(), wl, SamplingFrame::new(4, 0), &plan).is_err());
         assert!(SamplingStudy::new(
             &ex,
-            cfg,
+            cfg.clone(),
             wl,
             SamplingFrame::new(4, 5),
             &RunPlan::new(10).with_runs(0)
         )
         .is_err());
+        // Deepest position, or it plus the measured transactions, past u64.
+        for frame in [
+            SamplingFrame::new(u64::MAX / 2, 3),
+            SamplingFrame::new(2, u64::MAX / 2),
+        ] {
+            assert!(SamplingStudy::new(&ex, cfg.clone(), wl, frame, &plan).is_err());
+        }
     }
 
     #[test]

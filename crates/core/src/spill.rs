@@ -217,6 +217,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "writers race on threads")]
     fn concurrent_writers_of_one_name_never_publish_a_partial_entry() {
         const WRITERS: u8 = 8;
         let spill = SpillDir::new("test store", temp_dir("spill-race"));

@@ -65,8 +65,10 @@ pub fn checkpoint_positions(
         });
     }
     let n = points as u64;
+    // `i * span / n` in u128: the product overflows u64 on long spans.
+    let at = |i: u64| (u128::from(i) * u128::from(span_txns) / u128::from(n)) as u64;
     let mut positions: Vec<u64> = match strategy {
-        SamplingStrategy::Systematic => (1..=n).map(|i| i * span_txns / n).collect(),
+        SamplingStrategy::Systematic => (1..=n).map(at).collect(),
         SamplingStrategy::Random { seed } => {
             let mut rng = Xoshiro256StarStar::new(seed ^ 0x7153_A3B1_E5EE_DF1C);
             (0..n).map(|_| 1 + rng.next_below(span_txns)).collect()
@@ -75,19 +77,24 @@ pub fn checkpoint_positions(
             let mut rng = Xoshiro256StarStar::new(seed ^ 0x7153_A3B1_E5EE_DF1C);
             (0..n)
                 .map(|i| {
-                    let lo = i * span_txns / n;
-                    let hi = (i + 1) * span_txns / n;
+                    let (lo, hi) = (at(i), at(i + 1));
                     lo + 1 + rng.next_below((hi - lo).max(1))
                 })
                 .collect()
         }
     };
     positions.sort_unstable();
-    // Force strict monotonicity (random draws may collide).
+    // Force strict monotonicity (random draws may collide), then pull the
+    // positions the bump pushed past the span back under it from the top.
     for i in 1..positions.len() {
         if positions[i] <= positions[i - 1] {
-            positions[i] = positions[i - 1] + 1;
+            positions[i] = positions[i - 1].saturating_add(1);
         }
+    }
+    let mut ceiling = span_txns;
+    for pos in positions.iter_mut().rev() {
+        *pos = (*pos).min(ceiling);
+        ceiling = *pos - 1;
     }
     Ok(positions)
 }
@@ -222,6 +229,7 @@ impl TimeSampleStudy {
 /// non-increasing positions, and propagates simulator errors: the error of
 /// the earliest position that failed, whether in its warmup or in its runs,
 /// regardless of what the chain thread met further ahead.
+#[expect(clippy::disallowed_methods, reason = "the chain thread starts here")]
 pub fn sweep_positions_with<W, F>(
     executor: &Executor,
     config: &MachineConfig,
@@ -433,6 +441,12 @@ mod tests {
         assert_eq!(p, q);
         let r = checkpoint_positions(SamplingStrategy::Random { seed: 8 }, 10, 5000).unwrap();
         assert_ne!(p, r);
+        // Colliding draws are bumped forward, never past the span's end:
+        // eight points over a span of eight fill it exactly.
+        for seed in 0..200 {
+            let p = checkpoint_positions(SamplingStrategy::Random { seed }, 8, 8).unwrap();
+            assert_eq!(p, (1..=8).collect::<Vec<u64>>(), "seed {seed}");
+        }
     }
 
     #[test]
@@ -455,6 +469,23 @@ mod tests {
     fn positions_validation() {
         assert!(checkpoint_positions(SamplingStrategy::Systematic, 1, 100).is_err());
         assert!(checkpoint_positions(SamplingStrategy::Systematic, 10, 5).is_err());
+        // Spans near u64::MAX place points without overflowing.
+        let span = u64::MAX / 2;
+        let p = checkpoint_positions(SamplingStrategy::Systematic, 4, span).unwrap();
+        let exact = [
+            2_305_843_009_213_693_951,
+            4_611_686_018_427_387_903,
+            6_917_529_027_641_081_855,
+            9_223_372_036_854_775_807,
+        ];
+        assert_eq!(p, exact);
+        for strategy in [
+            SamplingStrategy::Stratified { seed: 5 },
+            SamplingStrategy::Random { seed: 5 },
+        ] {
+            let p = checkpoint_positions(strategy, 4, span).unwrap();
+            assert!(p.windows(2).all(|w| w[1] > w[0]) && p[0] >= 1 && p[3] <= span);
+        }
     }
 
     #[test]

@@ -7,120 +7,64 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# One-home guard: the hash and mixer constants live in mtvar_sim::hash (the
-# dependency-free stats crate keeps its own SplitMix64), the serde feature is
-# gone, snapshots are the only checkpoint, and warm_checkpoint over the
-# store's single-flight is the only warmup (so nothing outside mtvar-core
-# rebuilds a CheckpointKey). Evidence has one home per kind too: timings in
-# benchmark/ (BENCHMARK.json metric names), identities in tests/, paper and
-# methodology tables in crates/bench/benches/ — so no BENCH_*.json record or
-# examples/bench_* stopwatch comes back — and snapshot decode is
-# single-threaded (restore_with_threads is a forward kept in machine.rs for
-# the frozen benchmark/ alone). Copy-on-write has one home as well:
-# mem::cow's chunk map (found by its sentinel constant) is the only way an
-# array is shared, so whole-array Arc::make_mut and the CowLines seeded clone
-# stay gone. Threads have one home each in mtvar-core: the executor's
-# persistent workers are started in pool.rs and a sweep's warm-ahead chain
-# thread in timesample.rs, so no other non-test code there spawns or scopes
-# a thread; and the warmup body — run to the position, normalize_measurement,
-# snapshot — is WarmChain::warm in runspace.rs, once, shared by
-# warm_checkpoint and the sweep. Templates have one home too: the launch
-# body (Executor::launch_arms) decodes a sweep's templates and WarmChain::warm
-# a chain's restores, and nothing else calls restore_template; the one
-# template that is not decoded is the warm chain's live machine, shared and
-# forked, so outside the simulator crate no non-test code but WarmChain's
-# impl calls Machine::share; an
-# experiment's arms launch as one batch, so non-test experiment.rs never
-# calls run_space per arm. Snapshots have one frame and one decode path: the
-# sectioned format (its section types, sectioned encode/decode, the
-# MachineParts split, the fused update_both hash) stays gone. There is one
-# frame, on disk and on the wire: checkpoint::frame / unframe write and read
-# checkpoint files, result records and serve messages alike, so no magic is
-# framed by hand and no frame/unframe is defined outside
-# crates/sim/src/checkpoint.rs, and the wire's own frame (its kind byte,
-# frame sink, split checksum, vectored write, read_frame/write_frame) stays
-# gone. Tagged encodings have one home:
-# impl_snap! derives every enum and newtype codec, so `fn encode_snap` is
-# written out only in checkpoint.rs and the four types with real format
-# logic (CacheArray, MemorySystem, InvariantMonitor, Counter2); and the
-# daemon's acceptor blocks in accept, woken by the drain, with signal
-# handling in the mtvar binary, so non-test server.rs neither sleeps nor
-# holds a signal module. A second copy or a revived entry point anywhere
-# else fails here, before any build.
-echo "==> one-home guard: hash constants, serde feature, launch pipeline entry points, evidence, copy-on-write, threads, warmup body, templates, live template sharing, experiment batch, one frame, tagged encodings, blocking accept"
+# One-home guard: the text rules of DESIGN.md §5 "One home each". Rules on
+# who may call a method are clippy disallowed-methods (the clippy.toml files),
+# checked right after it.
+echo "==> one-home guard"
 stray=$(
+    # Hash constants live in mtvar_sim::hash (stats keeps its own SplitMix64).
     grep -rlni --include='*.rs' -e '0xBF58_476D_1CE4_E5B9' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' -e 'crates/stats/src/sampling/mod.rs' || true
     grep -rlni --include='*.rs' -e '0xCBF2_9CE4_8422_2325' crates src tests examples |
         grep -v -x -e 'crates/sim/src/hash.rs' || true
     grep -rln -e 'feature = "serde"' crates src tests examples Cargo.toml || true
+    # Superseded entry points, copy-on-write schemes, snapshot formats and frames.
     grep -rln -e 'machine_fingerprint' -e 'run_space_from_checkpoint' -e 'sweep_checkpoints' \
-        -e 'with_perturbation_seed' -e 'WarmupCoalescer' -e 'no-coalesce' \
-        crates src tests examples || true
+        -e 'with_perturbation_seed' -e 'WarmupCoalescer' -e 'no-coalesce' -e 'CowLines' \
+        -e 'SectionKind' -e 'SectionEncoder' -e 'SectionReader' -e 'decode_sectioned' \
+        -e 'encode_snap_sectioned' -e 'MachineParts' -e 'update_both' \
+        -e 'FrameKind' -e 'FrameSink' -e 'checksum_parts' -e 'write_vectored' \
+        -e 'fn read_frame' -e 'fn write_frame' crates src tests examples || true
+    # Only mtvar-core builds a CheckpointKey (benchmark/ does too: fields stay public).
     grep -rlnF -e 'CheckpointKey {' crates src tests examples | grep -v '^crates/core/' || true
+    # restore_with_threads is a forward kept for benchmark/ alone.
     grep -rln -e 'restore_with_threads' -e 'note_region_fill' -e 'ResidencySeed' \
         crates src tests examples | grep -v -x -e 'crates/sim/src/machine.rs' || true
+    # Timings live in benchmark/.
     ls BENCH_*.json examples/bench_* 2>/dev/null || true
-    grep -rln -e 'make_mut' -e 'CowLines' crates/sim/src || true
     grep -rln -e 'CHUNK_UNMAPPED' crates src tests examples |
         grep -v -x -e 'crates/sim/src/mem/cow.rs' || true
-    for f in crates/core/src/*.rs; do
-        # Non-test code only: everything above the file's test module.
-        sed '/^#\[cfg(test)\]/,$d' "$f" |
-            grep -q -e 'thread::scope' -e 'thread::spawn' -e 'thread::Builder' &&
-            echo "$f"
-    done | grep -v -x -e 'crates/core/src/pool.rs' -e 'crates/core/src/timesample.rs' || true
-    grep -rln -e 'normalize_measurement' crates src tests examples |
-        grep -v -x -e 'crates/sim/src/machine.rs' -e 'crates/core/src/runspace.rs' || true
-    [ "$(grep -c -e 'normalize_measurement()' crates/core/src/runspace.rs)" -eq 1 ] ||
-        echo "crates/core/src/runspace.rs: the warmup body must appear exactly once"
-    grep -rln -e 'restore_template' crates src tests examples |
-        grep -v -x -e 'crates/core/src/runspace.rs' || true
-    # The functions calling restore_template( in non-test runspace.rs.
-    callers=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/runspace.rs |
-        awk '/^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?fn [a-z_]+/ {
-                 match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3)
-             }
-             /restore_template\(/ { print f }' | sort | tr '\n' ' ')
-    [ "$callers" = "launch_arms warm " ] ||
-        echo "crates/core/src/runspace.rs: restore_template( called from: $callers(want the launch body and WarmChain::warm)"
-    # Non-test code calling .share() outside crates/sim, with the impl
-    # block it sits in: every one must be WarmChain's.
-    for f in $(grep -rl --include='*.rs' -e '\.share()' crates src examples |
-        grep -v -e '^crates/sim/' -e '/tests/' -e '/benches/'); do
-        sed '/^#\[cfg(test)\]/,$d' "$f" |
-            awk -v f="$f" '/^impl/ { block = $0 }
-                /\.share\(\)/ && block !~ /WarmChain/ {
-                    print f ": Machine::share called outside WarmChain: " $0
-                }'
-    done
-    if sed '/^#\[cfg(test)\]/,$d' crates/core/src/experiment.rs | grep -q -e 'run_space('; then
-        echo "crates/core/src/experiment.rs: an experiment's arms launch as one batch, not one run_space per arm"
-    fi
-    grep -rln -e 'SectionKind' -e 'SectionEncoder' -e 'SectionReader' -e 'decode_sectioned' \
-        -e 'encode_snap_sectioned' -e 'MachineParts' -e 'update_both' \
-        crates src tests examples || true
     grep -rlnE -e 'extend_from_slice\(.*(RESULT|CHECKPOINT|REQUEST|RESPONSE)_MAGIC' \
-        crates src tests examples | grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
-    grep -rln -e 'FrameKind' -e 'FrameSink' -e 'checksum_parts' -e 'write_vectored' \
-        -e 'fn read_frame' -e 'fn write_frame' crates src tests examples || true
-    # Free functions only: `SamplingStudy::frame(&self)` names something else.
-    grep -rlnE -e 'fn (un)?frame\([^&)]' crates src tests examples |
+        -e 'fn (un)?frame\([^&)]' crates src tests examples |
         grep -v -x -e 'crates/sim/src/checkpoint.rs' || true
+    # impl_snap! writes the rest.
     grep -rln -e 'fn encode_snap' crates src tests examples |
         grep -v -x -e 'crates/sim/src/checkpoint.rs' -e 'crates/sim/src/mem/cache.rs' \
             -e 'crates/sim/src/mem/system.rs' -e 'crates/sim/src/check/mod.rs' \
             -e 'crates/sim/src/proc/predictor/mod.rs' || true
-    if sed '/^#\[cfg(test)\]/,$d' crates/serve/src/server.rs |
-        grep -q -e 'thread::sleep' -e 'mod signal'; then
-        echo "crates/serve/src/server.rs: the acceptor blocks in accept and signal handling lives in the mtvar binary"
-    fi
+    # The acceptor blocks in accept; signals belong to the mtvar binary.
+    grep -ln -e 'thread::sleep' -e 'mod signal' crates/serve/src/server.rs || true
 )
 if [ -n "$stray" ]; then
-    echo "hash constant, serde feature, superseded entry point, retired bench record, copy-on-write mechanism, thread, warmup body, template decode, per-arm launch, second frame, hand-written codec or accept-path code outside its one home:" >&2
+    echo "outside its one home (DESIGN.md §5):" >&2
     echo "$stray" >&2
     exit 1
 fi
+
+echo "==> cargo fmt --check"
+cargo fmt --all --check
+
+# A disallowed-methods path that does not resolve only warns: fail on it,
+# so a rename cannot switch a rule off.
+echo "==> cargo clippy -- -D warnings"
+clippy=$(cargo clippy --workspace --all-targets --offline -- -D warnings 2>&1) && ok=1 || ok=0
+printf '%s\n' "$clippy"
+case "$clippy" in *'does not refer to a reachable function'*)
+    echo "a clippy.toml path does not resolve, so its rule is off" >&2
+    exit 1
+    ;;
+esac
+[ "$ok" = 1 ]
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -223,12 +167,6 @@ echo "==> stand-alone benchmark: build, unit tests, tree untouched"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 git diff --exit-code -- benchmark BENCHMARK.json
-
-echo "==> cargo fmt --check"
-cargo fmt --all --check
-
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc --no-deps (rustdoc must be warning-free)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet

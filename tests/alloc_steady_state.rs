@@ -319,6 +319,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
 /// fork that copied the live machine whole, or forks that stopped drawing
 /// their buffers from the pool fail it.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "replays WarmChain::template")]
 fn live_template_rounds_stay_in_the_fork_budget() {
     const FORKS: u64 = 8;
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
