@@ -13,9 +13,19 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 
 use crate::protocol::{JobState, Response, SweepSpec};
+
+/// Takes a lock (or wakes from a condvar wait) even if a thread panicked
+/// while holding it. A panic in one connection or dispatcher must not
+/// cascade into every later user of the queue, the registry or a job: each
+/// critical section guarded this way makes one flag, counter, state or
+/// single-container write, so its data is whole at every point where it can
+/// panic.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Everything the server tracks about one submitted job. Shared between the
 /// submitting connection, the dispatcher executing it, and any `status` /
@@ -60,12 +70,12 @@ impl JobRecord {
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        *self.state.lock().expect("job poisoned")
+        *unpoisoned(self.state.lock())
     }
 
     /// Moves the job to `state`.
     pub fn set_state(&self, state: JobState) {
-        *self.state.lock().expect("job poisoned") = state;
+        *unpoisoned(self.state.lock()) = state;
     }
 
     /// Requests cancellation. Returns `true` if the job had not yet reached
@@ -169,7 +179,7 @@ impl JobQueue {
         spec: SweepSpec,
         events: Sender<Response>,
     ) -> std::result::Result<Arc<JobRecord>, AdmissionError> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.draining {
             return Err(AdmissionError::Draining);
         }
@@ -192,14 +202,14 @@ impl JobQueue {
     /// carry a cancellation request — the dispatcher checks the flag and
     /// reports `Cancelled` without executing the sweep.
     pub fn pop_blocking(&self) -> Option<Arc<JobRecord>> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = unpoisoned(self.inner.lock());
         loop {
             let next = inner.lanes.iter_mut().find_map(|lane| lane.pop_front());
             match next {
                 Some(job) => return Some(job),
                 None if inner.draining => return None,
                 None => {
-                    inner = self.ready.wait(inner).expect("queue poisoned");
+                    inner = unpoisoned(self.ready.wait(inner));
                 }
             }
         }
@@ -208,32 +218,32 @@ impl JobQueue {
     /// Marks an admitted job's stream closed: its terminal frame is
     /// written, or its client is gone. Pairs with [`JobQueue::submit`].
     pub fn note_closed(&self) {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = unpoisoned(self.inner.lock());
         inner.open = inner.open.saturating_sub(1);
     }
 
     /// Switches to draining: new submissions are rejected, queued jobs still
     /// execute, and dispatchers exit once the lanes are dry.
     pub fn drain(&self) {
-        self.inner.lock().expect("queue poisoned").draining = true;
+        unpoisoned(self.inner.lock()).draining = true;
         self.ready.notify_all();
     }
 
     /// Whether the queue is draining.
     pub fn is_draining(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").draining
+        unpoisoned(self.inner.lock()).draining
     }
 
     /// Jobs currently queued (not counting the one a dispatcher holds).
     pub fn depth(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").depth()
+        unpoisoned(self.inner.lock()).depth()
     }
 
     /// Whether the drain is complete: draining, and every admitted job's
     /// stream closed (nothing queued, no terminal frame unwritten). Once
     /// true it stays true: a draining queue admits nothing.
     pub fn is_drained(&self) -> bool {
-        let inner = self.inner.lock().expect("queue poisoned");
+        let inner = unpoisoned(self.inner.lock());
         inner.draining && inner.open == 0
     }
 }
@@ -252,19 +262,12 @@ impl JobRegistry {
 
     /// Registers a job under its id.
     pub fn register(&self, job: Arc<JobRecord>) {
-        self.jobs
-            .lock()
-            .expect("registry poisoned")
-            .insert(job.id, job);
+        unpoisoned(self.jobs.lock()).insert(job.id, job);
     }
 
     /// Looks a job up by id.
     pub fn get(&self, id: u64) -> Option<Arc<JobRecord>> {
-        self.jobs
-            .lock()
-            .expect("registry poisoned")
-            .get(&id)
-            .cloned()
+        unpoisoned(self.jobs.lock()).get(&id).cloned()
     }
 }
 
@@ -379,6 +382,36 @@ mod tests {
         reg.register(Arc::clone(&job));
         assert_eq!(reg.get(job.id).unwrap().id, job.id);
         assert!(reg.get(9999).is_none());
+    }
+
+    #[test]
+    fn a_panic_holding_the_queue_lock_does_not_poison_the_queue() {
+        let q = Arc::new(JobQueue::new(4));
+        let first = q.submit(spec(Priority::Normal), sink()).unwrap();
+        let q2 = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || {
+            let _held = q2.inner.lock().unwrap();
+            panic!("dies holding the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err() && q.inner.is_poisoned());
+
+        let second = q.submit(spec(Priority::High), sink()).unwrap();
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop_blocking().unwrap().id, second.id);
+        assert_eq!(q.pop_blocking().unwrap().id, first.id);
+        // A dispatcher parked on the condvar wakes through the poison too.
+        let q3 = Arc::clone(&q);
+        let parked = std::thread::spawn(move || q3.pop_blocking().map(|j| j.id));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let third = q.submit(spec(Priority::Low), sink()).unwrap();
+        assert_eq!(parked.join().unwrap(), Some(third.id));
+        q.drain();
+        assert!(q.is_draining() && q.pop_blocking().is_none());
+        for _ in 0..3 {
+            q.note_closed();
+        }
+        assert!(q.is_drained() && q.depth() == 0);
     }
 
     #[test]

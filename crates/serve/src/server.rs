@@ -35,7 +35,7 @@ use mtvar_core::golden::run_digest;
 use mtvar_core::runspace::{Executor, ProgressCounters, RunProgress};
 use mtvar_sim::stats::RunResult;
 
-use crate::job::{AdmissionError, JobQueue, JobRecord, JobRegistry};
+use crate::job::{unpoisoned, AdmissionError, JobQueue, JobRecord, JobRegistry};
 use crate::protocol::{
     fold_digest, read_message, write_message, ErrorCode, JobState, Request, Response, ServerStats,
 };
@@ -175,34 +175,21 @@ impl RunProgress for JobObserver {
     }
 
     fn run_cached(&self, run_index: usize) {
-        self.cached
-            .lock()
-            .expect("observer poisoned")
-            .insert(run_index);
+        unpoisoned(self.cached.lock()).insert(run_index);
         self.local.run_cached(run_index);
         self.global.run_cached(run_index);
     }
 
     fn run_violations(&self, run_index: usize, violations: &[mtvar_sim::check::Violation]) {
-        self.violations
-            .lock()
-            .expect("observer poisoned")
-            .insert(run_index, violations.len() as u64);
+        unpoisoned(self.violations.lock()).insert(run_index, violations.len() as u64);
         self.local.run_violations(run_index, violations);
         self.global.run_violations(run_index, violations);
     }
 
     fn run_result(&self, run_index: usize, result: &RunResult) {
         self.job.note_run_done();
-        let cached = self
-            .cached
-            .lock()
-            .expect("observer poisoned")
-            .contains(&run_index);
-        let violations = self
-            .violations
-            .lock()
-            .expect("observer poisoned")
+        let cached = unpoisoned(self.cached.lock()).contains(&run_index);
+        let violations = unpoisoned(self.violations.lock())
             .get(&run_index)
             .copied()
             .unwrap_or(0);

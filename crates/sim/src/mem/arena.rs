@@ -42,7 +42,7 @@ use super::cache::Line;
 const MAX_POOLED_BUFS: usize = 256;
 
 /// Byte ceiling per pool per thread. A 64-CPU machine's line arrays total
-/// ~100 MB; one full machine's worth of recycled buffers is the working
+/// ~71 MB; one full machine's worth of recycled buffers is the working
 /// set the arena exists to serve, and the cap keeps a pathological mix of
 /// geometries from pinning unbounded memory.
 const MAX_POOLED_BYTES: usize = 192 << 20;

@@ -19,7 +19,8 @@ use crate::SimError;
 pub enum CoherenceState {
     /// Invalid: no copy. Discriminant 0 so an all-zero `Line` is a default
     /// (empty) line and zeroed allocations are valid line arrays — see
-    /// `zeroed_lines`. The snapshot byte for each state is an explicit
+    /// `zeroed_lines`. The discriminants are the state bits of a `Line`, so
+    /// they must fit in `STATE_BITS`. The snapshot byte for each state is an explicit
     /// tag in the `impl_snap!` invocation below, independent of these
     /// discriminants, so checkpoint bytes do not depend on declaration
     /// order.
@@ -140,14 +141,72 @@ impl CacheConfig {
     }
 }
 
-/// One cache line's metadata. Crate-visible so the decode arena
+/// Low bits of [`Line`]'s `meta` word that hold the [`CoherenceState`].
+const STATE_BITS: u32 = 3;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+/// Every LRU stamp, and so every array's `use_clock`, is below this: the
+/// stamp shares its word with the state and must not shift into it. Decode
+/// rejects a stamp at or above it; a clock that reached it would take 2^61
+/// accesses to one array.
+const STAMP_BOUND: u64 = 1 << (64 - STATE_BITS);
+
+/// One cache line's metadata, 16 bytes: the tag and one word `meta =
+/// lru << 3 | state`, the monotonic last-use stamp (below `STAMP_BOUND`)
+/// above the [`CoherenceState`] discriminant. An all-zero line is Invalid
+/// with stamp 0, and a 4-way set is one 64-byte host cache line. Only the
+/// accessors below read or write `meta`. Crate-visible so the decode arena
 /// ([`super::arena`]) can pool retired line buffers by type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Line {
     tag: u64,
-    state: CoherenceState,
-    /// Monotonic last-use stamp for LRU.
-    lru: u64,
+    meta: u64,
+}
+
+impl Line {
+    #[inline]
+    fn new(tag: u64, state: CoherenceState, lru: u64) -> Line {
+        debug_assert!(lru < STAMP_BOUND, "LRU stamp {lru} out of range");
+        Line {
+            tag,
+            meta: lru << STATE_BITS | state as u64,
+        }
+    }
+
+    /// Whether the line holds a block (its state is not Invalid).
+    #[inline]
+    fn valid(&self) -> bool {
+        self.meta & STATE_MASK != 0
+    }
+
+    #[inline]
+    fn state(&self) -> CoherenceState {
+        match self.meta & STATE_MASK {
+            1 => CoherenceState::Modified,
+            2 => CoherenceState::Exclusive,
+            3 => CoherenceState::Owned,
+            4 => CoherenceState::Shared,
+            _ => CoherenceState::Invalid,
+        }
+    }
+
+    #[inline]
+    fn lru(&self) -> u64 {
+        self.meta >> STATE_BITS
+    }
+
+    /// Sets the state and keeps the stamp (an invalidated line keeps its
+    /// tag and stamp, which no lookup or victim choice reads).
+    #[inline]
+    fn set_state(&mut self, state: CoherenceState) {
+        self.meta = self.meta & !STATE_MASK | state as u64;
+    }
+
+    #[inline]
+    fn set_lru(&mut self, lru: u64) {
+        debug_assert!(lru < STAMP_BOUND, "LRU stamp {lru} out of range");
+        self.meta = lru << STATE_BITS | self.meta & STATE_MASK;
+    }
 }
 
 /// Allocates `len` default (all-Invalid) lines from zeroed memory.
@@ -162,9 +221,10 @@ fn zeroed_lines(len: usize) -> Vec<Line> {
         return Vec::new();
     }
     let layout = std::alloc::Layout::array::<Line>(len).expect("line array layout");
-    // SAFETY: an all-zero `Line` is a valid default line — `tag` and `lru`
-    // are plain integers and `CoherenceState` is `repr(u8)` with
-    // `Invalid = 0` (pinned by the `zeroed_lines_are_default_lines` test).
+    // SAFETY: `Line` is two plain `u64`s, so every bit pattern is a
+    // `Line`, and an all-zero one is the default line: Invalid (the state
+    // bits of `meta` are `Invalid = 0`) with tag 0 and stamp 0 (pinned by
+    // the `zeroed_lines_are_default_lines` test).
     // The pointer/len/capacity triple hands the exact
     // `Layout::array::<Line>` allocation to `Vec`, which frees it with the
     // same layout.
@@ -178,13 +238,13 @@ fn zeroed_lines(len: usize) -> Vec<Line> {
 }
 
 /// Sets per copy-on-write chunk of a line array: a fork copies
-/// `CHUNK_SETS × ways` lines (64 lines, 1.5 KB, for the paper's 4-way L2)
+/// `CHUNK_SETS × ways` lines (64 lines, 1 KiB, for the paper's 4-way L2)
 /// the first time it writes any of them. Short runs write scattered sets,
 /// so the bytes a fork copies grow with the chunk — a 25-transaction OLTP
-/// run from a template warmed 1000 transactions copies 4.6 MB of the
-/// 16-CPU machine's 26.7 MB at 16 sets, 9.5 MB at 64 — while below 16 the
-/// smaller copies stop paying for the larger map (EXPERIMENTS.md,
-/// "Snapshot forks").
+/// run from a template warmed 1000 transactions copies 3.1 MB of the
+/// 16-CPU machine's 17.8 MB of line arrays at 16 sets, 6.3 MB at 64 — while
+/// below 16 the smaller copies stop paying for the larger map
+/// (EXPERIMENTS.md, "Snapshot forks" and "Compact lines").
 const CHUNK_SETS: usize = 16;
 
 /// The snapshot decoder's list of `(index, line)` for every non-Invalid
@@ -398,14 +458,23 @@ impl CacheArray {
         self.seed = DecodeSeed::default();
     }
 
+    /// Advances the use clock and returns it as the new LRU stamp, which
+    /// must stay below `STAMP_BOUND` to leave the state bits alone.
+    #[inline]
+    fn next_stamp(&mut self) -> u64 {
+        self.use_clock += 1;
+        assert!(self.use_clock < STAMP_BOUND, "cache use clock overflow");
+        self.use_clock
+    }
+
     /// Returns the current state of `addr` without touching LRU (a snoop
     /// probe).
     pub fn probe(&self, addr: BlockAddr) -> CoherenceState {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         for line in self.set_slice(set) {
-            if line.state != CoherenceState::Invalid && line.tag == tag {
-                return line.state;
+            if line.valid() && line.tag == tag {
+                return line.state();
             }
         }
         CoherenceState::Invalid
@@ -415,12 +484,11 @@ impl CacheArray {
     pub fn touch(&mut self, addr: BlockAddr) -> CoherenceState {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        self.use_clock += 1;
-        let clock = self.use_clock;
+        let clock = self.next_stamp();
         for line in self.set_slice_mut(set) {
-            if line.state != CoherenceState::Invalid && line.tag == tag {
-                line.lru = clock;
-                return line.state;
+            if line.valid() && line.tag == tag {
+                line.set_lru(clock);
+                return line.state();
             }
         }
         CoherenceState::Invalid
@@ -433,8 +501,8 @@ impl CacheArray {
         let tag = self.tag_of(addr);
         let mut found = None;
         for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
-            if line.state != CoherenceState::Invalid && line.tag == tag {
-                line.state = state;
+            if line.valid() && line.tag == tag {
+                line.set_state(state);
                 found = Some(way);
                 break;
             }
@@ -464,28 +532,15 @@ impl CacheArray {
         );
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        self.use_clock += 1;
-        let clock = self.use_clock;
-
-        let new = Line {
-            tag,
-            state,
-            lru: clock,
-        };
+        let new = Line::new(tag, state, self.next_stamp());
         let slice = self.set_slice_mut(set);
         // Already resident?
-        if let Some(line) = slice
-            .iter_mut()
-            .find(|l| l.state != CoherenceState::Invalid && l.tag == tag)
-        {
+        if let Some(line) = slice.iter_mut().find(|l| l.valid() && l.tag == tag) {
             *line = new;
             return None;
         }
         // Free way?
-        if let Some(way) = slice
-            .iter()
-            .position(|l| l.state == CoherenceState::Invalid)
-        {
+        if let Some(way) = slice.iter().position(|l| !l.valid()) {
             slice[way] = new;
             self.note_residency(set, way, true);
             return None;
@@ -493,12 +548,12 @@ impl CacheArray {
         // Evict LRU.
         let victim = slice
             .iter_mut()
-            .min_by_key(|l| l.lru)
+            .min_by_key(|l| l.lru())
             .expect("associativity >= 1");
-        let Line { tag, state, .. } = std::mem::replace(victim, new);
+        let old = std::mem::replace(victim, new);
         Some(Eviction {
-            addr: self.addr_of(set, tag),
-            state,
+            addr: self.addr_of(set, old.tag),
+            state: old.state(),
         })
     }
 
@@ -508,11 +563,9 @@ impl CacheArray {
         let tag = self.tag_of(addr);
         let mut found = None;
         for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
-            if line.state != CoherenceState::Invalid && line.tag == tag {
-                found = Some((
-                    way,
-                    std::mem::replace(&mut line.state, CoherenceState::Invalid),
-                ));
+            if line.valid() && line.tag == tag {
+                found = Some((way, line.state()));
+                line.set_state(CoherenceState::Invalid);
                 break;
             }
         }
@@ -538,11 +591,7 @@ impl CacheArray {
         );
         debug_assert_eq!(
             self.resident_count,
-            self.lines
-                .pieces()
-                .flatten()
-                .filter(|l| l.state != CoherenceState::Invalid)
-                .count(),
+            self.lines.pieces().flatten().filter(|l| l.valid()).count(),
             "resident counter drifted from the line array"
         );
         self.resident_count
@@ -557,12 +606,12 @@ impl CacheArray {
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr, CoherenceState)) {
         if let (Some(list), true) = (&self.seed.0, self.lines.is_unwritten()) {
             for &(i, line) in list.0.iter() {
-                f(self.addr_of(i as usize / self.ways, line.tag), line.state);
+                f(self.addr_of(i as usize / self.ways, line.tag), line.state());
             }
             return;
         }
         self.for_each_resident_line(|i, line| {
-            f(self.addr_of(i / self.ways, line.tag), line.state);
+            f(self.addr_of(i / self.ways, line.tag), line.state());
         });
     }
 }
@@ -579,7 +628,6 @@ crate::impl_snap!(CacheConfig {
     associativity,
     block_bytes,
 });
-crate::impl_snap!(Line { tag, state, lru });
 
 /// Run-length tag byte marking a run of Invalid lines in a [`CacheArray`]
 /// encoding; the [`CoherenceState`] tags occupy 0–4.
@@ -609,9 +657,9 @@ impl crate::checkpoint::Snap for CacheArray {
         let mut next = 0usize;
         self.for_each_resident_line(|i, line| {
             put_run(enc, i - next);
-            line.state.encode_snap(enc);
+            line.state().encode_snap(enc);
             enc.put_u64(line.tag);
-            enc.put_u64(line.lru);
+            enc.put_u64(line.lru());
             next = i + 1;
         });
         put_run(enc, self.lines.len() - next);
@@ -665,7 +713,8 @@ impl crate::checkpoint::Snap for CacheArray {
                     if zero_gaps {
                         // SAFETY: `filled + run <= len`, and the arena
                         // guarantees `capacity >= len`. Zero bytes are a
-                        // valid all-Invalid `Line` (see `zeroed_lines`).
+                        // valid `Line`, Invalid with stamp 0 (see
+                        // `zeroed_lines`).
                         unsafe { ptr.add(filled).write_bytes(0u8, run) };
                     }
                     filled += run;
@@ -681,11 +730,14 @@ impl crate::checkpoint::Snap for CacheArray {
                             })
                         }
                     };
-                    let line = Line {
-                        tag: dec.get_u64()?,
-                        state,
-                        lru: dec.get_u64()?,
-                    };
+                    let tag = dec.get_u64()?;
+                    let lru = dec.get_u64()?;
+                    if lru >= STAMP_BOUND {
+                        return Err(CheckpointError::Corrupt {
+                            what: "CacheArray line LRU stamp".into(),
+                        });
+                    }
+                    let line = Line::new(tag, state, lru);
                     // SAFETY: `filled < len <= capacity`; on the fresh
                     // path this overwrites an initialized zero line, on
                     // the recycled path it initializes the slot (`Line`
@@ -706,7 +758,12 @@ impl crate::checkpoint::Snap for CacheArray {
         unsafe { dense.set_len(len) };
         let sets: u64 = Snap::decode_snap(dec)?;
         let ways = Snap::decode_snap(dec)?;
-        let use_clock = Snap::decode_snap(dec)?;
+        let use_clock: u64 = Snap::decode_snap(dec)?;
+        if use_clock >= STAMP_BOUND {
+            return Err(CheckpointError::Corrupt {
+                what: "CacheArray use clock".into(),
+            });
+        }
         // The chunk map and the set mask are derived from these: they must
         // describe the array that was just read.
         if !sets.is_power_of_two() || ways == 0 || (sets as usize).checked_mul(ways) != Some(len) {
@@ -853,7 +910,7 @@ mod tests {
         for chunk in &mut chunks {
             let mut occ = 0u32;
             for (j, line) in chunk.iter().enumerate() {
-                occ |= u32::from(line.state != CoherenceState::Invalid) << j;
+                occ |= u32::from(line.valid()) << j;
             }
             if occ != 0 {
                 return n + occ.trailing_zeros() as usize;
@@ -861,7 +918,7 @@ mod tests {
             n += 8;
         }
         for line in chunks.remainder() {
-            if line.state != CoherenceState::Invalid {
+            if line.valid() {
                 return n;
             }
             n += 1;
@@ -891,9 +948,9 @@ mod tests {
                 i += skip;
                 let Some(line) = piece.get(i) else { break };
                 flush(&mut enc, &mut run);
-                line.state.encode_snap(&mut enc);
+                line.state().encode_snap(&mut enc);
                 enc.put_u64(line.tag);
-                enc.put_u64(line.lru);
+                enc.put_u64(line.lru());
                 i += 1;
             }
         }
@@ -912,11 +969,11 @@ mod tests {
             for first_valid in 0..=total {
                 let mut lines = vec![Line::default(); total];
                 if first_valid < total {
-                    lines[first_valid].state = CoherenceState::Shared;
+                    lines[first_valid].set_state(CoherenceState::Shared);
                 }
                 let naive = lines
                     .iter()
-                    .take_while(|l| l.state == CoherenceState::Invalid)
+                    .take_while(|l| l.state() == CoherenceState::Invalid)
                     .count();
                 assert_eq!(
                     invalid_run_len(&lines),
@@ -930,19 +987,100 @@ mod tests {
     #[test]
     fn zeroed_lines_are_default_lines() {
         // Pins the layout contract behind `zeroed_lines`: all-zero bytes
-        // must be a valid default (Invalid) line. If `CoherenceState` ever
-        // loses `Invalid = 0` or `Line` gains a non-zero-default field,
-        // this fails before any cache misbehaves.
+        // must be a valid default line, Invalid with tag 0 and stamp 0. If
+        // `CoherenceState` ever loses `Invalid = 0` or `Line` gains a
+        // non-zero-default field, this fails before any cache misbehaves.
         for n in [0usize, 1, 7, 64] {
             let lines = zeroed_lines(n);
             assert_eq!(lines.len(), n);
             assert!(lines.iter().all(|l| *l == Line::default()));
+            assert!(lines.iter().all(|l| !l.valid()
+                && l.state() == CoherenceState::Invalid
+                && l.lru() == 0
+                && l.tag == 0));
         }
-        assert_eq!(std::mem::discriminant(&CoherenceState::Invalid), {
-            // An all-zero byte pattern decodes as Invalid.
-            let state: CoherenceState = CoherenceState::default();
-            std::mem::discriminant(&state)
-        });
+        assert_eq!(CoherenceState::default() as u8, 0);
+    }
+
+    #[test]
+    fn a_line_is_16_bytes_and_a_seed_entry_24() {
+        // A 4-way set is one 64-byte host cache line.
+        assert_eq!(size_of::<Line>(), 16);
+        assert_eq!(size_of::<(u32, Line)>(), 24);
+    }
+
+    const ALL_STATES: [CoherenceState; 5] = [
+        CoherenceState::Invalid,
+        CoherenceState::Modified,
+        CoherenceState::Exclusive,
+        CoherenceState::Owned,
+        CoherenceState::Shared,
+    ];
+    const STAMPS: [u64; 3] = [0, 1, STAMP_BOUND - 1];
+
+    #[test]
+    fn state_and_stamp_pack_without_touching_each_other() {
+        for state in ALL_STATES {
+            for lru in STAMPS {
+                let mut line = Line::new(u64::MAX, state, lru);
+                assert_eq!(
+                    (line.tag, line.state(), line.lru(), line.valid()),
+                    (u64::MAX, state, lru, state != CoherenceState::Invalid)
+                );
+                for other in STAMPS {
+                    line.set_lru(other);
+                    assert_eq!((line.state(), line.lru()), (state, other));
+                }
+                for other in ALL_STATES {
+                    line.set_state(other);
+                    assert_eq!((line.state(), line.lru()), (other, STAMP_BOUND - 1));
+                }
+            }
+        }
+    }
+
+    /// An 8-set, 2-way array holding every state at every pinned stamp, one
+    /// per line, and a use clock at the last stamp below the bound.
+    fn every_state_at_every_stamp() -> CacheArray {
+        let mut c = CacheArray::new(CacheConfig::new(1024, 2, 64).unwrap()).unwrap();
+        let mut k = 0usize;
+        for state in ALL_STATES {
+            for lru in STAMPS {
+                let (set, way) = (k / c.ways, k % c.ways);
+                c.set_slice_mut(set)[way] = Line::new(100 + k as u64, state, lru);
+                if state != CoherenceState::Invalid {
+                    c.note_residency(set, way, true);
+                }
+                k += 1;
+            }
+        }
+        c.use_clock = STAMP_BOUND - 1;
+        c
+    }
+
+    #[test]
+    fn every_state_and_stamp_round_trips_through_the_encoding() {
+        use crate::checkpoint::{Decoder, Snap};
+        let c = every_state_at_every_stamp();
+        assert_bitmap_consistent(&c, "packed");
+        let bytes = snap_bytes(&c);
+        let back = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
+        assert_bitmap_consistent(&back, "decoded");
+        assert_eq!(snap_bytes(&back), bytes);
+        assert_eq!(back.use_clock, STAMP_BOUND - 1);
+        // Resident lines come back whole; Invalid ones canonicalized.
+        let lines = |c: &CacheArray| -> Vec<Line> { c.lines.pieces().flatten().copied().collect() };
+        for (was, got) in lines(&c).iter().zip(lines(&back)) {
+            let want = if was.valid() { *was } else { Line::default() };
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache use clock overflow")]
+    fn the_use_clock_stops_at_the_bound() {
+        let mut c = every_state_at_every_stamp();
+        c.touch(BlockAddr(0));
     }
 
     fn snap_bytes(c: &CacheArray) -> Vec<u8> {
@@ -992,8 +1130,8 @@ mod tests {
     fn scanned_residents(c: &CacheArray) -> Vec<(BlockAddr, CoherenceState)> {
         let lines: Vec<Line> = c.lines.pieces().flatten().copied().collect();
         (0..lines.len())
-            .filter(|&i| lines[i].state != CoherenceState::Invalid)
-            .map(|i| (c.addr_of(i / c.ways, lines[i].tag), lines[i].state))
+            .filter(|&i| lines[i].valid())
+            .map(|i| (c.addr_of(i / c.ways, lines[i].tag), lines[i].state()))
             .collect()
     }
 
@@ -1006,12 +1144,7 @@ mod tests {
             .flatten()
             .map(|w| w.count_ones() as usize)
             .sum();
-        let dense = c
-            .lines
-            .pieces()
-            .flatten()
-            .filter(|l| l.state != CoherenceState::Invalid)
-            .count();
+        let dense = c.lines.pieces().flatten().filter(|l| l.valid()).count();
         assert_eq!(popcount, c.resident_count, "{what}: popcount vs counter");
         assert_eq!(dense, c.resident_count, "{what}: dense count vs counter");
         assert_eq!(snap_bytes(c), scanned_bytes(c), "{what}: encoding");

@@ -21,6 +21,7 @@ use mtvar_sim::config::MachineConfig;
 use mtvar_sim::machine::Machine;
 use mtvar_sim::rng::SplitMix64;
 use mtvar_sim::workload::SharingWorkload;
+use mtvar_sim::SimError;
 
 fn below(rng: &mut SplitMix64, n: usize) -> usize {
     (rng.next_u64() % n as u64) as usize
@@ -213,6 +214,67 @@ fn mutated_payloads_never_panic_restore() {
             // produce a coherent encoding, which restore validated. A panic
             // fails the test harness either way.
             let _ = Machine::<SharingWorkload>::restore(&rewrapped);
+        }
+    }
+}
+
+/// Offsets in `payload` of CPU 0's L2 array's first resident line stamp and
+/// of its use clock: the first `CacheConfig` + line count of the paper's
+/// L2, then its run-length walk (an invalid run is a marker byte and a
+/// length; a resident line a state byte, its tag and its stamp), then
+/// `sets`, `ways` and the use clock.
+fn l2_stamp_offsets(payload: &[u8]) -> (usize, usize) {
+    let l2 = MachineConfig::hpca2003().memory.l2;
+    let mut head = Vec::new();
+    head.extend_from_slice(&l2.size_bytes.to_le_bytes());
+    head.extend_from_slice(&l2.associativity.to_le_bytes());
+    head.extend_from_slice(&l2.block_bytes.to_le_bytes());
+    head.extend_from_slice(&l2.blocks().to_le_bytes());
+    let start = payload
+        .windows(head.len())
+        .position(|w| w == head)
+        .expect("an L2 array in the payload");
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    let (mut at, mut filled, mut first_lru) = (start + head.len(), 0, None);
+    while filled < l2.blocks() {
+        if payload[at] == 5 {
+            filled += word(at + 1);
+            at += 9;
+        } else {
+            first_lru.get_or_insert(at + 9);
+            filled += 1;
+            at += 17;
+        }
+    }
+    (first_lru.expect("a resident L2 line"), at + 16)
+}
+
+/// A stamp at or above the bound (2^61: stamps share a word with the
+/// three state bits) in a frame re-fingerprinted so it reaches the decoder
+/// is a corrupt checkpoint — an error, never a panic and never a machine
+/// whose stamps have spilled into their lines' states.
+#[test]
+fn stamps_at_or_above_the_bound_are_corrupt() {
+    const BOUND: u64 = 1 << 61;
+    for monitored in MONITOR {
+        let (ck, _) = warmed_frame(monitored);
+        let (lru_at, clock_at) = l2_stamp_offsets(ck.payload());
+        for (at, what) in [(lru_at, "LRU stamp"), (clock_at, "use clock")] {
+            for value in [BOUND - 1, BOUND, BOUND | 1, u64::MAX] {
+                let mut payload = ck.payload().to_vec();
+                payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let got = Machine::<SharingWorkload>::restore(&Checkpoint::from_payload(payload));
+                match got {
+                    Ok(_) if value < BOUND => {}
+                    Err(SimError::BadCheckpoint { what: e })
+                        if value >= BOUND && e.starts_with("corrupt checkpoint") =>
+                    {
+                        assert!(e.contains(what), "{what} {value:#x}: {e}");
+                    }
+                    Ok(_) => panic!("{what} {value:#x} decoded Ok"),
+                    Err(e) => panic!("{what} {value:#x}: {e}"),
+                }
+            }
         }
     }
 }

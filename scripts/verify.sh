@@ -51,6 +51,30 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# clippy resolves a disallowed-methods path only within crates it knows, so
+# a misspelled crate segment switches a rule off without a word; and a
+# crate's own clippy.toml replaces the root one, so mtvar-core's must repeat
+# every root rule. Check both on the text of the files.
+echo "==> clippy.toml rules: known crates, root rules repeated in core"
+crates=" std $(cargo metadata --offline --no-deps --format-version 1 |
+    grep -o '"kind":\["lib"\][^}]*"name":"[^"]*"' | sed 's/.*"name":"//; s/"$//' | tr '\n' ' ')"
+rule_paths() { sed -n 's/.*path = "\([^"]*\)".*/\1/p' "$1"; }
+for toml in clippy.toml crates/*/clippy.toml; do
+    for path in $(rule_paths "$toml"); do
+        case "$crates" in *" ${path%%::*} "*) ;; *)
+            echo "$toml: $path names neither std nor a workspace library" >&2
+            exit 1
+            ;;
+        esac
+    done
+done
+for path in $(rule_paths clippy.toml); do
+    if ! rule_paths crates/core/clippy.toml | grep -qxF "$path"; then
+        echo "crates/core/clippy.toml replaces the root file but lacks $path" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -197,8 +197,9 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
 /// perturbed window, drop the fork — asks the allocator for under a megabyte
 /// in total (the per-run containers of the test below, plus their regrowth
 /// during the window) and never for a megabyte at once. Growing a fresh
-/// private buffer for one L2 (1.5 MB of capacity), or copying the snoop
-/// filter's count array (4 MB) past the arena, fails both bounds on its own.
+/// private buffer for one L2 (1 MiB of capacity: the strict `<` on the
+/// largest request catches exactly that), or copying the snoop filter's
+/// count array (4 MB) past the arena, fails both bounds on its own.
 #[test]
 fn warm_fork_and_short_run_allocate_under_a_megabyte() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -232,7 +233,7 @@ fn warm_fork_and_short_run_allocate_under_a_megabyte() {
 /// The decode arena's claim for steady-state sweep launches: once the
 /// thread's pools hold one round's worth of retired buffers, a template
 /// decode never re-allocates the multi-megabyte recycled buffers — the
-/// dense line arrays (~25 MB across the reference machine's 48 caches) and
+/// dense line arrays (~17 MB across the reference machine's 48 caches) and
 /// the snoop filter's 4 MB count + 0.5 MB presence arrays — and the arena's
 /// hit counter proves the pooled buffers were actually reused rather than
 /// the working set merely shrinking. The 32 forks that follow share the
@@ -282,20 +283,21 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
         "the round did not reuse a single pooled buffer \
          ({stats_before:?} -> {stats_after:?}); the arena has regressed"
     );
-    // A warm decode allocates ~1.5 MB of container state (measured ~405
-    // allocations). The budget's teeth: re-allocating even one retired L2
-    // line array (1.5 MB dense) or the filter's 4 MB count array blows
-    // straight through it.
+    // A warm decode allocates ~1.1 MB of container state (measured
+    // 1,118,208 bytes in 483 allocations). The budget's teeth: re-allocating
+    // even one retired L2 line array (65,536 16-byte lines, 1 MiB dense) or
+    // the filter's 4 MB count array blows straight through it.
+    const L2_LINE_ARRAY: u64 = 16 * 65_536;
     assert!(
-        decode_allocs <= 800 && decode_bytes <= 2_500_000,
+        decode_allocs <= 800 && decode_bytes <= L2_LINE_ARRAY * 3 / 2,
         "warm template decode allocated {decode_allocs} times / \
          {decode_bytes} bytes; the arena stopped recycling decode buffers"
     );
     // A fork allocates ~600 KB of per-run containers (~290 allocations):
-    // 19.2 MB for the batch, plus a quarter. A fork that copied the
-    // filter's counts (4 MB) or a single L2 (1.5 MB) instead of sharing
+    // 19.3 MB for the batch, plus a quarter. A fork that copied the
+    // filter's counts (4 MB) or a single L2 (1 MiB) instead of sharing
     // them, or took its presence words (0.5 MB) past the arena, would land
-    // the batch at 147 MB, 67 MB or 36 MB.
+    // the batch at 147 MB, 53 MB or 36 MB.
     assert!(
         fork_allocs <= 12_000 && (fork_bytes as usize) <= 24_000_000,
         "{FORKS} forks allocated {fork_allocs} times / {fork_bytes} bytes; \
@@ -315,7 +317,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
 /// forks with their 25-transaction runs, the chain's next advance and
 /// share — stays inside the warm-fork budget above, a megabyte per fork,
 /// and never asks for a megabyte at once: a share that copied an L2
-/// (1.5 MB) or the filter's counts (4 MB) instead of folding, a template
+/// (1 MiB) or the filter's counts (4 MB) instead of folding, a template
 /// fork that copied the live machine whole, or forks that stopped drawing
 /// their buffers from the pool fail it.
 #[test]
