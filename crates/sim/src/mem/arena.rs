@@ -1,5 +1,5 @@
-//! Thread-local decode arena: recycled buffers for snapshot restore and
-//! fork launch.
+//! Thread-local decode arena: recycled buffers for machine builds, snapshot
+//! restore and fork launch.
 //!
 //! The buffers that dominate a launch round are the dense line arrays a
 //! template decode fills (megabytes per L2), the resident-line seeds and
@@ -17,18 +17,26 @@
 //! retired buffers per element type; every copy-on-write buffer (base,
 //! private and map alike, residency bitmaps included), the filter's presence
 //! words and every resident seed is a `Recycled` vector that returns its
-//! backing storage here on drop, and the decode, clone and first-write paths
-//! take a recycled buffer when one fits. Steady-state sweep launches therefore hit the
+//! backing storage here on drop. Everything that takes one of those buffers
+//! takes it from here when one fits: `Machine::new` (every cache array and
+//! the snoop filter, through `zeroed`), the snapshot decode, clones and
+//! first writes. A thread that builds a machine after dropping one — a
+//! daemon worker warming job after job — reuses the dropped machine's
+//! arrays instead of faulting in fresh pages while its pool fills with
+//! arrays nobody takes. Steady-state sweep launches therefore hit the
 //! allocator only for the small per-run containers (event wheel, scheduler
 //! queues) — the arrays circulate through the pool.
 //!
 //! Pools are strictly thread-local, so every thread that decodes or forks
 //! gets its own arena by construction: no locks, no cross-thread traffic, and
 //! a thread that decodes the same node sizes every round reaches a 100%
-//! hit rate. Buffers are handed out *dirty* (the decode path zeroes the
-//! gaps between resident lines itself, word-at-a-time; a fork's private
-//! buffer is only ever appended to), which is what makes recycling free: no
-//! memset on return, no memset on take.
+//! hit rate. Buffers are handed out *dirty* and retired as they are: no
+//! memset on return. A caller that appends (a fork's private buffer, a
+//! resident seed) writes every element it exposes itself; `zeroed`, the
+//! one door for zero-filled buffers, refills a pool hit with zeros and
+//! serves a miss with a lazily zeroed allocation, whose pages the kernel
+//! faults in on first touch — so a thread with an empty arena pays no dense
+//! write for the mostly-empty arrays of a fresh machine.
 
 use std::cell::RefCell;
 
@@ -149,15 +157,52 @@ thread_local! {
     static ARENA: RefCell<DecodeArena> = const { RefCell::new(DecodeArena::new()) };
 }
 
-/// An element type the arena pools buffers of; names its pool.
-pub(crate) trait Pooled: Copy + 'static {
+/// An element type the arena pools buffers of; names its pool and how a
+/// pool miss allocates zeros.
+pub(crate) trait Pooled: Copy + Default + 'static {
     /// The pool of `Vec<Self>` buffers inside one thread's arena.
     fn pool(arena: &mut DecodeArena) -> &mut Pool<Self>;
+
+    /// `len` default elements in a fresh allocation: the miss path of
+    /// [`zeroed`]. For the integer types `vec!` asks the allocator for
+    /// zeroed memory, which the kernel faults in only on first touch.
+    fn fresh_zeroed(len: usize) -> Vec<Self> {
+        vec![Self::default(); len]
+    }
 }
 
 impl Pooled for Line {
     fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
         &mut arena.lines
+    }
+
+    /// Default (all-Invalid) lines from zeroed memory.
+    ///
+    /// `alloc_zeroed` hands back kernel-zeroed pages that are faulted in only
+    /// on first touch, so a line array built on a pool miss (a fresh cache, a
+    /// snapshot decode) costs no dense write — the scatter of resident lines
+    /// touches only the pages it actually lands on, and a 4 MB L2's
+    /// 65,536-line array skips the memset entirely. (`vec!` would write every
+    /// line: only integer element types get the zeroed allocation.)
+    fn fresh_zeroed(len: usize) -> Vec<Self> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let layout = std::alloc::Layout::array::<Line>(len).expect("line array layout");
+        // SAFETY: `Line` is two plain `u64`s, so every bit pattern is a
+        // `Line`, and an all-zero one is the default line: Invalid (the state
+        // bits of `meta` are `Invalid = 0`) with tag 0 and stamp 0 (pinned by
+        // the `zeroed_lines_are_default_lines` test).
+        // The pointer/len/capacity triple hands the exact
+        // `Layout::array::<Line>` allocation to `Vec`, which frees it with the
+        // same layout.
+        unsafe {
+            let ptr = std::alloc::alloc_zeroed(layout).cast::<Line>();
+            if ptr.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            Vec::from_raw_parts(ptr, len, len)
+        }
     }
 }
 
@@ -211,13 +256,18 @@ pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
     take_with(Pool::take_largest).unwrap_or_default()
 }
 
-/// Takes a zero-filled buffer of exactly `len` elements, recycled through
-/// the arena when a retired buffer fits. Recycled buffers are dirty, so the
-/// resize-from-empty writes the zeros.
-pub(crate) fn zeroed<T: Pooled + Default>(len: usize) -> Vec<T> {
-    let mut buf = take(len).unwrap_or_default();
-    buf.resize(len, T::default());
-    buf
+/// Takes a zero-filled buffer of exactly `len` elements: the one door for
+/// every zero-filled simulator buffer. A retired buffer that fits is dirty,
+/// so the resize-from-empty writes its zeros; a pool miss is a fresh, lazily
+/// zeroed allocation ([`Pooled::fresh_zeroed`]).
+pub(crate) fn zeroed<T: Pooled>(len: usize) -> Vec<T> {
+    match take(len) {
+        Some(mut buf) => {
+            buf.resize(len, T::default());
+            buf
+        }
+        None => T::fresh_zeroed(len),
+    }
 }
 
 /// Retires a buffer into this thread's pool (or frees it if the pool is
@@ -335,6 +385,19 @@ mod tests {
             assert!(pool.give(Vec::with_capacity(1)));
         }
         assert!(!pool.give(Vec::with_capacity(1)));
+    }
+
+    #[test]
+    fn zeroed_refills_a_dirty_hit_and_serves_a_miss_with_zeros() {
+        clear();
+        give::<u64>(vec![u64::MAX; 32]);
+        let words: Vec<u64> = zeroed(20);
+        assert_eq!(stats().hits, 1, "the dirty buffer is reused");
+        assert_eq!(words, vec![0; 20]);
+        let missed: Vec<u64> = zeroed(64);
+        assert_eq!(stats().hits, 1, "nothing pooled fits 64 words");
+        assert_eq!(missed, vec![0; 64]);
+        clear();
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::SimError;
 pub enum CoherenceState {
     /// Invalid: no copy. Discriminant 0 so an all-zero `Line` is a default
     /// (empty) line and zeroed allocations are valid line arrays — see
-    /// `zeroed_lines`. The discriminants are the state bits of a `Line`, so
+    /// `arena::zeroed`. The discriminants are the state bits of a `Line`, so
     /// they must fit in `STATE_BITS`. The snapshot byte for each state is an explicit
     /// tag in the `impl_snap!` invocation below, independent of these
     /// discriminants, so checkpoint bytes do not depend on declaration
@@ -209,34 +209,6 @@ impl Line {
     }
 }
 
-/// Allocates `len` default (all-Invalid) lines from zeroed memory.
-///
-/// `alloc_zeroed` hands back kernel-zeroed pages that are faulted in only on
-/// first touch, so building a mostly-empty line array (a fresh cache, a
-/// snapshot decode) costs no dense write — the scatter of resident lines
-/// touches only the pages it actually lands on, and a 4 MB L2's 65,536-line
-/// array skips the memset entirely.
-fn zeroed_lines(len: usize) -> Vec<Line> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<Line>(len).expect("line array layout");
-    // SAFETY: `Line` is two plain `u64`s, so every bit pattern is a
-    // `Line`, and an all-zero one is the default line: Invalid (the state
-    // bits of `meta` are `Invalid = 0`) with tag 0 and stamp 0 (pinned by
-    // the `zeroed_lines_are_default_lines` test).
-    // The pointer/len/capacity triple hands the exact
-    // `Layout::array::<Line>` allocation to `Vec`, which frees it with the
-    // same layout.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout).cast::<Line>();
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, len, len)
-    }
-}
-
 /// Sets per copy-on-write chunk of a line array: a fork copies
 /// `CHUNK_SETS × ways` lines (64 lines, 1 KiB, for the paper's 4-way L2)
 /// the first time it writes any of them. Short runs write scattered sets,
@@ -346,7 +318,7 @@ impl CacheArray {
         let ways = config.associativity as usize;
         Ok(CacheArray {
             config,
-            lines: ChunkCow::owned(zeroed_lines((sets as usize) * ways), CHUNK_SETS * ways),
+            lines: ChunkCow::owned(arena::zeroed((sets as usize) * ways), CHUNK_SETS * ways),
             resident: ChunkCow::owned(
                 arena::zeroed((sets as usize * ways).div_ceil(64)),
                 BITMAP_CHUNK_WORDS,
@@ -683,21 +655,14 @@ impl crate::checkpoint::Snap for CacheArray {
                 what: "CacheArray line count".into(),
             });
         }
-        // The dense array comes from the thread-local decode arena when a
-        // retired buffer fits, and from `zeroed_lines` otherwise. A fresh
-        // zeroed allocation is all-Invalid already, so invalid runs just
-        // advance the cursor; a recycled buffer is dirty, so runs are
-        // zeroed in bulk (`write_bytes`, the decode-side counterpart of
-        // the encoder's word-at-a-time run scan) as the run-length walk
-        // passes over them. Each resident line is written in place, its
+        // The dense array and the residency bitmap come zero-filled from the
+        // thread-local decode arena (`arena::zeroed`: a recycled buffer is
+        // refilled, a fresh one is lazily zeroed), so invalid runs just
+        // advance the cursor. Each resident line is written in place, its
         // bit set in the residency bitmap, and recorded in the resident
         // seed, which powers the residency rebuild that follows
         // (`for_each_resident`).
-        let (mut dense, zero_gaps) = match arena::take(len) {
-            Some(buf) => (buf, true),
-            None => (zeroed_lines(len), false),
-        };
-        let ptr = dense.as_mut_ptr();
+        let mut dense: Vec<Line> = arena::zeroed(len);
         let mut bits: Vec<u64> = arena::zeroed(len.div_ceil(64));
         let mut resident = arena::take_largest();
         let mut filled = 0usize;
@@ -709,13 +674,6 @@ impl crate::checkpoint::Snap for CacheArray {
                         return Err(CheckpointError::Corrupt {
                             what: "CacheArray invalid-run length".into(),
                         });
-                    }
-                    if zero_gaps {
-                        // SAFETY: `filled + run <= len`, and the arena
-                        // guarantees `capacity >= len`. Zero bytes are a
-                        // valid `Line`, Invalid with stamp 0 (see
-                        // `zeroed_lines`).
-                        unsafe { ptr.add(filled).write_bytes(0u8, run) };
                     }
                     filled += run;
                 }
@@ -738,11 +696,7 @@ impl crate::checkpoint::Snap for CacheArray {
                         });
                     }
                     let line = Line::new(tag, state, lru);
-                    // SAFETY: `filled < len <= capacity`; on the fresh
-                    // path this overwrites an initialized zero line, on
-                    // the recycled path it initializes the slot (`Line`
-                    // is `Copy`, so no drop is skipped either way).
-                    unsafe { ptr.add(filled).write(line) };
+                    dense[filled] = line;
                     bits[filled / 64] |= 1u64 << (filled % 64);
                     // `len` is capped at 1 << 28 above, so indices fit u32.
                     resident.push((filled as u32, line));
@@ -750,12 +704,6 @@ impl crate::checkpoint::Snap for CacheArray {
                 }
             }
         }
-        // SAFETY: the loop above ran until `filled == len`, writing (or,
-        // on the fresh path, inheriting from `zeroed_lines`) every element
-        // of `[0, len)`; a recycled buffer's capacity covers `len`. Early
-        // error returns leave a recycled buffer at `len == 0`, which drops
-        // safely — `Line` is `Copy`.
-        unsafe { dense.set_len(len) };
         let sets: u64 = Snap::decode_snap(dec)?;
         let ways = Snap::decode_snap(dec)?;
         let use_clock: u64 = Snap::decode_snap(dec)?;
@@ -986,12 +934,13 @@ mod tests {
 
     #[test]
     fn zeroed_lines_are_default_lines() {
-        // Pins the layout contract behind `zeroed_lines`: all-zero bytes
-        // must be a valid default line, Invalid with tag 0 and stamp 0. If
-        // `CoherenceState` ever loses `Invalid = 0` or `Line` gains a
-        // non-zero-default field, this fails before any cache misbehaves.
+        // Pins the layout contract behind the arena's lazily zeroed line
+        // arrays: all-zero bytes must be a valid default line, Invalid with
+        // tag 0 and stamp 0. If `CoherenceState` ever loses `Invalid = 0` or
+        // `Line` gains a non-zero-default field, this fails before any cache
+        // misbehaves.
         for n in [0usize, 1, 7, 64] {
-            let lines = zeroed_lines(n);
+            let lines = <Line as arena::Pooled>::fresh_zeroed(n);
             assert_eq!(lines.len(), n);
             assert!(lines.iter().all(|l| *l == Line::default()));
             assert!(lines.iter().all(|l| !l.valid()
@@ -999,6 +948,13 @@ mod tests {
                 && l.lru() == 0
                 && l.tag == 0));
         }
+        // A pool hit is dirty: `arena::zeroed` must refill it.
+        arena::clear();
+        arena::give(vec![Line::new(7, CoherenceState::Modified, 9); 64]);
+        let refilled: Vec<Line> = arena::zeroed(40);
+        assert_eq!(arena::stats().hits, 1);
+        assert_eq!(refilled, vec![Line::default(); 40]);
+        arena::clear();
         assert_eq!(CoherenceState::default() as u8, 0);
     }
 

@@ -36,6 +36,7 @@
 use std::collections::HashMap;
 
 use super::filter::{region_of, words_for};
+use crate::hash::BuildMix64;
 use crate::ids::BlockAddr;
 
 /// The home node of `addr` on a `cpus`-node machine: the region hash spread
@@ -53,7 +54,10 @@ pub struct Directory {
     /// Sharer bitset per block, one `u64` word per 64 nodes. Entries whose
     /// bits have all cleared are kept (zeroed) rather than removed, so the
     /// steady state never reallocates; equality treats them as absent.
-    entries: HashMap<BlockAddr, Box<[u64]>>,
+    /// Keys hash with [`mix64`](crate::hash::mix64), the same in every
+    /// process; they are the simulated machine's own block addresses, not
+    /// input from outside the program.
+    entries: HashMap<BlockAddr, Box<[u64]>, BuildMix64>,
     /// Node count.
     cpus: usize,
     /// `u64` words per sharer bitset: `ceil(cpus / 64)`.
@@ -68,7 +72,7 @@ impl Directory {
     pub fn new(cpus: usize) -> Self {
         let words = words_for(cpus);
         Directory {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             cpus,
             words,
             zeros: vec![0; words].into_boxed_slice(),

@@ -42,6 +42,10 @@ stray=$(
         grep -v -x -e 'crates/sim/src/checkpoint.rs' -e 'crates/sim/src/mem/cache.rs' \
             -e 'crates/sim/src/mem/system.rs' -e 'crates/sim/src/check/mod.rs' \
             -e 'crates/sim/src/proc/predictor/mod.rs' || true
+    # Lazily zeroed memory is the decode arena's miss path.
+    grep -rln -e 'alloc_zeroed' crates | grep -v -x -e 'crates/sim/src/mem/arena.rs' || true
+    grep -rlnw -e 'fn zeroed_lines' crates src tests examples |
+        grep -v -x -e 'crates/sim/src/mem/arena.rs' || true
     # The acceptor blocks in accept; signals belong to the mtvar binary.
     grep -ln -e 'thread::sleep' -e 'mod signal' crates/serve/src/server.rs || true
 )

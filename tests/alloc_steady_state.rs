@@ -83,6 +83,9 @@ fn counters() -> (u64, u64) {
     )
 }
 
+/// One L2's line array: 65,536 16-byte lines, 1 MiB dense.
+const L2_LINE_ARRAY: u64 = 16 * 65_536;
+
 fn warmed_reference_machine() -> Machine<mtvar_workloads::profile::ProfiledWorkload> {
     let cfg = MachineConfig::hpca2003().with_perturbation(4, 1);
     let mut machine = Machine::new(cfg, Benchmark::Oltp.workload(16, 42)).expect("machine");
@@ -191,6 +194,43 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     drop(template);
 }
 
+/// A machine is built from the arena too: once a build, run and drop has
+/// left this thread's pool holding the reference machine's line arrays,
+/// residency bitmaps and filter arrays, building a second machine of the
+/// same geometry takes all of them back instead of asking the allocator
+/// for fresh ones. What remains is the machine's small containers (event
+/// wheel, scheduler, cores), never a megabyte at once: a fresh L2 line array
+/// (exactly 1 MiB) or the filter's 4 MB count array fails both bounds.
+#[test]
+fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    mtvar_sim::mem::arena::clear();
+    drop(warmed_reference_machine());
+    let cfg = MachineConfig::hpca2003().with_perturbation(4, 1);
+    let workload = Benchmark::Oltp.workload(16, 42);
+
+    let stats_before = mtvar_sim::mem::arena::stats();
+    LARGEST_ALLOCATION.store(0, Ordering::Relaxed);
+    let (allocs_0, bytes_0) = counters();
+    let machine = Machine::new(cfg, workload).expect("machine");
+    let (allocs_1, bytes_1) = counters();
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    let (allocs, bytes) = (allocs_1 - allocs_0, bytes_1 - bytes_0);
+    assert!(
+        mtvar_sim::mem::arena::stats().hits > stats_before.hits,
+        "the build reused no pooled buffer"
+    );
+    // Measured: 149,288 bytes in 11 requests, the largest 131,072; one
+    // fresh L2 line array alone is 1 MiB.
+    assert!(
+        largest < 1 << 20 && bytes <= L2_LINE_ARRAY / 4,
+        "building a machine on a warm arena allocated {bytes} bytes in \
+         {allocs} requests, the largest {largest}; Machine::new has stopped \
+         taking its arrays from the pool"
+    );
+    drop(machine);
+}
+
 /// A fork costs what it touches, and what it touches is recycled: after one
 /// warm-up round has left this thread's pool holding a fork's private chunk
 /// buffers and chunk maps, a whole launch — fork the template, run a short
@@ -285,9 +325,8 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     );
     // A warm decode allocates ~1.1 MB of container state (measured
     // 1,118,208 bytes in 483 allocations). The budget's teeth: re-allocating
-    // even one retired L2 line array (65,536 16-byte lines, 1 MiB dense) or
-    // the filter's 4 MB count array blows straight through it.
-    const L2_LINE_ARRAY: u64 = 16 * 65_536;
+    // even one retired L2 line array (`L2_LINE_ARRAY`) or the filter's 4 MB
+    // count array blows straight through it.
     assert!(
         decode_allocs <= 800 && decode_bytes <= L2_LINE_ARRAY * 3 / 2,
         "warm template decode allocated {decode_allocs} times / \

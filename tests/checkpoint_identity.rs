@@ -21,6 +21,10 @@
 //!    exactly as a fresh restore does (results, digests and post-run
 //!    snapshot bytes — the encoder walking a forked array); and siblings
 //!    running at once on two threads never see each other.
+//! 5. **Dirty arenas** — machines take their arrays from the thread's decode
+//!    arena, where retired buffers wait with another machine's contents: a
+//!    machine built, run, snapshotted and restored on such an arena matches
+//!    the same machine on a cleared one, digest and bytes.
 //!
 //! [`RunResult`]: mtvar::sim::stats::RunResult
 
@@ -31,6 +35,7 @@ use mtvar::core::golden::run_digest;
 use mtvar::core::runspace::{Executor, RunPlan};
 use mtvar::sim::config::MachineConfig;
 use mtvar::sim::machine::Machine;
+use mtvar::sim::mem::{arena, CoherenceProtocol};
 use mtvar::workloads::profile::ProfiledWorkload;
 use mtvar::workloads::Benchmark;
 
@@ -371,4 +376,92 @@ fn corrupt_spill_files_fall_back_to_resimulation() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The paper's 16-CPU machine, whose arrays fill a decode arena with
+/// megabytes of line arrays, bitmaps and filter arrays.
+const DIRTY_CPUS: usize = 16;
+
+/// Builds, runs and drops a 16-CPU MESI machine on another workload seed,
+/// so this thread's arena holds the dirty line arrays, residency bitmaps,
+/// filter counts and presence words of a machine unlike the reference.
+fn dirty_the_arena(monitored: bool) {
+    let cfg = MachineConfig {
+        check_invariants: monitored,
+        ..MachineConfig::hpca2003()
+            .with_protocol(CoherenceProtocol::Mesi)
+            .with_perturbation(4, 0xD1E7)
+    };
+    let mut machine = Machine::new(cfg, Benchmark::Oltp.workload(DIRTY_CPUS, 7)).unwrap();
+    machine
+        .run_transactions(WARMUP + MEASURE)
+        .expect("dirtying run");
+    assert!(machine.invariant_violations().is_empty());
+    drop(machine);
+    assert!(arena::stats().pooled_bytes > 0, "nothing was retired");
+}
+
+/// What the reference machine leaves: its warmup's digest and snapshot
+/// bytes, then the digest and final snapshot bytes of a run restored from
+/// that snapshot.
+type Outcome = (u64, Vec<u8>, u64, Vec<u8>);
+
+/// The reference machine built and run for `WARMUP` transactions, then
+/// restored from its snapshot and run for `MEASURE` more, each step on the
+/// arena `prepare` leaves; with the pool hits of the build and of the
+/// restore.
+fn reference_on(monitored: bool, prepare: impl Fn()) -> (Outcome, [u64; 2]) {
+    let cfg = MachineConfig {
+        check_invariants: monitored,
+        ..MachineConfig::hpca2003().with_perturbation(4, 0x1DE7)
+    };
+    prepare();
+    let hits = arena::stats().hits;
+    let mut built = Machine::new(cfg, Benchmark::Oltp.workload(DIRTY_CPUS, WORKLOAD_SEED)).unwrap();
+    let build_hits = arena::stats().hits - hits;
+    let warm = built.run_transactions(WARMUP).expect("warmup");
+    assert!(built.invariant_violations().is_empty());
+    let snapshot = built.snapshot();
+    drop(built);
+
+    prepare();
+    let hits = arena::stats().hits;
+    let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
+    let restore_hits = arena::stats().hits - hits;
+    let measured = restored.run_transactions(MEASURE).expect("measure");
+    assert!(restored.invariant_violations().is_empty());
+    let outcome = (
+        run_digest(&warm),
+        snapshot.payload().to_vec(),
+        run_digest(&measured),
+        restored.snapshot().payload().to_vec(),
+    );
+    (outcome, [build_hits, restore_hits])
+}
+
+#[test]
+fn machines_built_and_restored_on_a_dirty_arena_match_a_clean_one() {
+    for monitored in MONITOR {
+        let (clean, _) = reference_on(monitored, arena::clear);
+        let (dirty, [build_hits, restore_hits]) = reference_on(monitored, || {
+            arena::clear();
+            dirty_the_arena(monitored);
+        });
+        assert!(
+            build_hits > 0 && restore_hits > 0,
+            "the dirty buffers went unused: {build_hits} build hits, \
+             {restore_hits} restore hits (monitored: {monitored})"
+        );
+        let what = format!("monitored: {monitored}");
+        assert_eq!(clean.0, dirty.0, "built machine's digest ({what})");
+        assert!(
+            clean.1 == dirty.1,
+            "built machine's snapshot bytes ({what})"
+        );
+        assert_eq!(clean.2, dirty.2, "restored machine's digest ({what})");
+        assert!(
+            clean.3 == dirty.3,
+            "restored machine's snapshot bytes ({what})"
+        );
+    }
 }
