@@ -1,10 +1,12 @@
 //! The executor's persistent worker pool.
 //!
 //! A [`Pool`] owns up to `threads` OS threads, started the first time a
-//! batch needs them and parked between batches, so whatever a worker keeps
-//! per thread — the simulator's thread-local decode arena, the allocator's
+//! batch needs them and parked between batches, so a sweep pays no thread
+//! spawn and whatever a worker keeps per thread — the allocator's
 //! per-thread caches — stays warm from one sweep to the next instead of
-//! dying with a scoped thread. Work is handed out the way it always was:
+//! dying with a scoped thread. (The simulator's decode arena is one pool
+//! for the process, so what a worker retires there serves every thread
+//! either way.) Work is handed out the way it always was:
 //! the workers of a batch claim the next unclaimed position from one shared
 //! counter until it runs past the end, and every outcome lands in the slot
 //! of its position, so the order of *results* is the input order whatever

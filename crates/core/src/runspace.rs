@@ -12,20 +12,21 @@
 //! parallel — so an [`Executor`] of `T >= 2` threads fans runs out across
 //! `T` persistent worker threads (std only, no external crates) that claim
 //! run indices from one shared atomic counter. The workers start with the
-//! first sweep that needs them, park between sweeps — so their thread-local
-//! decode arenas stay warm from sweep to sweep — are shared by the
+//! first sweep that needs them, park between sweeps, are shared by the
 //! executor's clones, and are joined when the last clone drops. A
 //! [`timesample`](crate::timesample) checkpoint sweep adds one more thread,
 //! which warms the next starting point while the workers run the forks of
 //! the current one. An [`Experiment`](crate::experiment::Experiment) hands
 //! all its arms to the workers as one batch: every arm's shared warmup and
 //! template decode at once, one job per arm, then every arm's runs in one
-//! fan-out, then every template dropped on a worker, so that its arrays
-//! park in an arena that decodes again. A lone sweep is the same batch with
-//! one arm, whose warmup and template stay on the calling thread. An
-//! executor of one thread is strictly single-threaded: every warmup and
-//! every run happens on the calling thread. Three properties make the
-//! parallel path safe to adopt everywhere:
+//! fan-out. A lone sweep is the same batch with one arm, whose warmup and
+//! template stay on the calling thread. Which thread drops a template does
+//! not matter: the simulator's decode arena is one pool for the process, so
+//! the arrays a template retires on the caller serve the next decode or
+//! fork on any worker. An executor of one thread is strictly
+//! single-threaded: every warmup and every run happens on the calling
+//! thread. Three properties make the parallel path safe to adopt
+//! everywhere:
 //!
 //! 1. **Deterministic seeding.** Each run's perturbation seed is derived by
 //!    [`derive_run_seed`], a SplitMix64-style mix of `(config_id, base_seed,
@@ -818,17 +819,17 @@ impl Executor {
         Ok(spaces.pop().expect("one space per snapshot"))
     }
 
-    /// The launch body of every sweep. Three pool batches: each arm's
+    /// The launch body of every sweep. Two pool batches: each arm's
     /// template is warmed (or fetched from the store) and decoded, one job
     /// per arm, so the arms' warmups run side by side and equal warmups
-    /// meet in the store's single-flight; every arm's runs fan out
+    /// meet in the store's single-flight; and every arm's runs fan out
     /// together, so the tail of one arm never idles a worker the next could
-    /// use; and the templates are dropped on the workers, so their arrays
-    /// park in the arenas that decode and fork the next ones instead of in
-    /// the caller's, which never takes them back. A batch of one job, and
-    /// every batch at T = 1, runs on the calling thread. An arm whose
-    /// caller supplies its template is neither decoded nor retired: the
-    /// caller keeps it. Decoding is `Machine::restore`, called only here
+    /// use. The templates drop on the calling thread when the batch is
+    /// done; their arrays retire into the process's decode arena, where the
+    /// next decode or fork takes them on whichever thread it runs. A batch
+    /// of one job, and every batch at T = 1, runs on the calling thread. An
+    /// arm whose caller supplies its template is not decoded: the caller
+    /// keeps it. Decoding is `Machine::restore`, called only here
     /// and in [`WarmChain`]'s restores; a decoded machine holds its cache
     /// arrays and snoop filter in shareable form, so each fork is a pointer
     /// copy per array that copies only the chunks its run writes.
@@ -884,8 +885,6 @@ impl Executor {
             .map(|(start, template)| start.source(plan, template.as_ref()))
             .collect();
         let mut spaces = self.execute(plan, workload_id, &arms);
-        drop(arms);
-        self.retire(templates);
         spaces.extend(warm_error.map(Err));
         spaces.into_iter().collect()
     }
@@ -1033,17 +1032,6 @@ impl Executor {
             }
             p.run_result(run_index, &hit.result);
         }
-    }
-
-    /// Drops `templates` inside one pool batch, so that their arrays park
-    /// in the arenas of the threads that decode and fork the next ones.
-    fn retire<W: Send + Sync>(&self, templates: Vec<Option<Machine<W>>>) {
-        let templates: Vec<Mutex<Option<Machine<W>>>> =
-            templates.into_iter().map(Mutex::new).collect();
-        let every: Vec<usize> = (0..templates.len()).collect();
-        self.pool.run(&every, |k| {
-            drop(templates[k].lock().expect("template lock poisoned").take());
-        });
     }
 
     /// Assembles one arm's space from its slots in run-index order. A

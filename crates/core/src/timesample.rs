@@ -297,16 +297,18 @@ where
         // ahead. `returned` carries each lent template back, and the chain
         // waits for it before it shares its live machine again: with the
         // template gone (its runs are done) nobody else holds the machine's
-        // arrays, so the share folds them in place, and the template's
-        // buffers retire into the arena of the thread that allocated them.
+        // arrays, so the share folds them in place instead of copying them
+        // whole. (Where the template drops does not matter to the arena,
+        // which is one pool for the process.)
         let (ahead, handoffs) = std::sync::mpsc::sync_channel::<Handoff<W>>(0);
         let (give_back, returned) = std::sync::mpsc::channel::<Machine<W>>();
         let chain_thread = scope.spawn(move || {
             let mut lent = false;
             for &pos in positions {
                 let snapshot = chain.advance(pos, None);
-                // The previous template is dropped here, on the thread that
-                // built it; if the loop has ended instead (failed), stop.
+                // Wait for the previous template before the next share, so
+                // the share folds in place; if the loop has ended instead
+                // (failed), stop.
                 if lent && returned.recv().is_err() {
                     return;
                 }
@@ -337,8 +339,9 @@ where
         });
         drop(give_back);
         // Joined by hand rather than left to the scope: the thread has then
-        // exited, its decode arena freed, before the sweep returns, and a
-        // panic inside a warmup resurfaces as itself.
+        // exited, its live machine's arrays retired to the decode arena,
+        // before the sweep returns, and a panic inside a warmup resurfaces
+        // as itself.
         if let Err(panic) = chain_thread.join() {
             std::panic::resume_unwind(panic);
         }

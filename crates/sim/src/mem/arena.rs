@@ -1,4 +1,4 @@
-//! Thread-local decode arena: recycled buffers for machine builds, snapshot
+//! Process-wide decode arena: recycled buffers for machine builds, snapshot
 //! restore and fork launch.
 //!
 //! The buffers that dominate a launch round are the dense line arrays a
@@ -13,46 +13,50 @@
 //! on the launch path of every run: a fork that grew a fresh private buffer
 //! per array ran slower than one that copied every array whole.
 //!
-//! The arena breaks that cycle. Each worker thread keeps a small pool of
-//! retired buffers per element type; every copy-on-write buffer (base,
-//! private and map alike, residency bitmaps included), the filter's presence
-//! words and every resident seed is a `Recycled` vector that returns its
-//! backing storage here on drop. Everything that takes one of those buffers
-//! takes it from here when one fits: `Machine::new` (every cache array and
-//! the snoop filter, through `zeroed`), the snapshot decode, clones and
-//! first writes. A thread that builds a machine after dropping one — a
-//! daemon worker warming job after job — reuses the dropped machine's
-//! arrays instead of faulting in fresh pages while its pool fills with
-//! arrays nobody takes. Steady-state sweep launches therefore hit the
+//! The arena breaks that cycle. The process keeps one small pool of retired
+//! buffers per element type; every copy-on-write buffer (base, private and
+//! map alike, residency bitmaps included), the filter's presence words and
+//! every resident seed is a `Recycled` vector that returns its backing
+//! storage here on drop, whichever thread drops it. Everything that takes
+//! one of those buffers takes it from here when one fits, on whichever
+//! thread it runs: `Machine::new` (every cache array and the snoop filter,
+//! through `zeroed`) on a warming worker or a sweep's caller, the snapshot
+//! decode, clones and first writes on the executor's workers, the live
+//! chain's advances on its own thread. So a buffer retired on a thread that
+//! never builds or decodes again — the caller of a one-thread sweep, a
+//! daemon dispatcher between jobs, a chain thread that has exited — serves
+//! the next thread that does, instead of sitting resident while that thread
+//! faults in fresh pages. Steady-state sweep launches therefore hit the
 //! allocator only for the small per-run containers (event wheel, scheduler
 //! queues) — the arrays circulate through the pool.
 //!
-//! Pools are strictly thread-local, so every thread that decodes or forks
-//! gets its own arena by construction: no locks, no cross-thread traffic, and
-//! a thread that decodes the same node sizes every round reaches a 100%
-//! hit rate. Buffers are handed out *dirty* and retired as they are: no
-//! memset on return. A caller that appends (a fork's private buffer, a
-//! resident seed) writes every element it exposes itself; `zeroed`, the
-//! one door for zero-filled buffers, refills a pool hit with zeros and
-//! serves a miss with a lazily zeroed allocation, whose pages the kernel
-//! faults in on first touch — so a thread with an empty arena pays no dense
-//! write for the mostly-empty arrays of a fresh machine.
+//! The pools sit behind one mutex, held only to pick or park a buffer,
+//! never while one is written. The caps bound each pool for the whole
+//! process: that is the bound on what a long-lived process keeps parked.
+//! Buffers are handed out *dirty* and retired as they are: no memset on
+//! return. A caller that appends (a fork's private buffer, a resident seed)
+//! writes every element it exposes itself; `zeroed`, the one door for
+//! zero-filled buffers, refills a pool hit with zeros and serves a miss
+//! with a lazily zeroed allocation, whose pages the kernel faults in on
+//! first touch — so an empty arena costs no dense write for the
+//! mostly-empty arrays of a fresh machine.
 
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use super::cache::Line;
 
-/// Most buffers one thread will pool per element type. The paper's 16-CPU
+/// Most buffers the process pools per element type. The paper's 16-CPU
 /// machine needs 48 line arrays (and 48 residency bitmaps) per template and
 /// 48 private buffers of each per written fork; a 64-CPU template's 192
 /// fit too. Anything beyond this is a workload churning through
 /// geometries, and fresh allocation is the right answer there.
 const MAX_POOLED_BUFS: usize = 256;
 
-/// Byte ceiling per pool per thread. A 64-CPU machine's line arrays total
-/// ~71 MB; one full machine's worth of recycled buffers is the working
-/// set the arena exists to serve, and the cap keeps a pathological mix of
-/// geometries from pinning unbounded memory.
+/// Byte ceiling per pool for the whole process. A 64-CPU machine's line
+/// arrays total ~71 MB; one full machine's worth of recycled buffers is the
+/// working set the arena exists to serve, and the cap keeps a pathological
+/// mix of geometries from pinning unbounded memory.
 const MAX_POOLED_BYTES: usize = 192 << 20;
 
 /// A free list of retired `Vec<T>` buffers, reused by capacity.
@@ -105,29 +109,29 @@ impl<T: Copy> Pool<T> {
         Some(buf)
     }
 
-    /// Accepts a retired buffer unless the pool is at capacity; returns
-    /// whether it was kept. Rejected buffers just drop (a plain free).
-    fn give(&mut self, buf: Vec<T>) -> bool {
+    /// Accepts a retired buffer unless the pool is at capacity; a rejected
+    /// buffer comes back, for the caller to free once it has let go of the
+    /// arena's lock.
+    fn give(&mut self, buf: Vec<T>) -> Option<Vec<T>> {
         let bytes = buf.capacity() * size_of::<T>();
         if bytes == 0 || self.bufs.len() >= MAX_POOLED_BUFS || self.bytes + bytes > MAX_POOLED_BYTES
         {
-            return false;
+            return Some(buf);
         }
         self.bytes += bytes;
         self.bufs.push(buf);
-        true
-    }
-
-    fn clear(&mut self) {
-        self.bufs.clear();
-        self.bytes = 0;
+        None
     }
 }
 
-/// One thread's decode arena: pooled line arrays (whole and private),
-/// resident seeds, the snoop filter's presence/count arrays and the
-/// copy-on-write chunk maps, plus reuse counters for the observability API.
-pub(crate) struct DecodeArena {
+/// The arena's pools: line arrays (whole and private), resident seeds, the
+/// snoop filter's presence/count arrays and the copy-on-write chunk maps.
+///
+/// Every pool holds plain `Vec`s of `Copy` elements, so nothing the pools
+/// drop runs arena code. Keep it that way: a `Recycled` dropped while the
+/// lock is held would re-enter `give` and deadlock on the lock — a
+/// thread-local `RefCell` arena only panicked there.
+pub(crate) struct Pools {
     lines: Pool<Line>,
     resident: Pool<(u32, Line)>,
     /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`) and the
@@ -136,32 +140,108 @@ pub(crate) struct DecodeArena {
     /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`, 4 MB for
     /// the paper's 16-CPU machine) and every copy-on-write chunk map.
     counts: Pool<u32>,
-    takes: u64,
-    hits: u64,
 }
 
-impl DecodeArena {
+impl Pools {
     const fn new() -> Self {
-        DecodeArena {
+        Pools {
             lines: Pool::new(),
             resident: Pool::new(),
             words: Pool::new(),
             counts: Pool::new(),
-            takes: 0,
-            hits: 0,
         }
     }
 }
 
+/// A set of pools any thread may take from and retire into. The process has
+/// one, behind [`take`], [`give`], [`zeroed`] and `Recycled`; a test can
+/// drive a private one without other tests' machines drawing from it.
+pub(crate) struct DecodeArena(Mutex<Pools>);
+
+/// The process's arena.
+static ARENA: DecodeArena = DecodeArena::new();
+
 thread_local! {
-    static ARENA: RefCell<DecodeArena> = const { RefCell::new(DecodeArena::new()) };
+    /// This thread's requests against any arena, and how many were hits.
+    static TAKES: Cell<u64> = const { Cell::new(0) };
+    static HITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one request by the calling thread (nothing while it tears down).
+fn count_take(hit: bool) {
+    let _ = TAKES.try_with(|n| n.set(n.get() + 1));
+    if hit {
+        let _ = HITS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+impl DecodeArena {
+    pub(crate) const fn new() -> Self {
+        DecodeArena(Mutex::new(Pools::new()))
+    }
+
+    /// The pools, whatever a thread that panicked while holding them left:
+    /// every pool operation updates a buffer list and its byte count
+    /// together, and no pool operation panics between the two.
+    fn pools(&self) -> MutexGuard<'_, Pools> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One counted request: `None` when the pool has nothing suitable.
+    fn take_with<T: Pooled>(
+        &self,
+        pick: impl FnOnce(&mut Pool<T>) -> Option<Vec<T>>,
+    ) -> Option<Vec<T>> {
+        let got = pick(T::pool(&mut self.pools()));
+        count_take(got.is_some());
+        got
+    }
+
+    /// See [`take`].
+    pub(crate) fn take<T: Pooled>(&self, min_capacity: usize) -> Option<Vec<T>> {
+        self.take_with(|pool| pool.take(min_capacity))
+    }
+
+    /// See [`zeroed`]. The refill runs after the lock is released.
+    pub(crate) fn zeroed<T: Pooled>(&self, len: usize) -> Vec<T> {
+        match self.take(len) {
+            Some(mut buf) => {
+                buf.resize(len, T::default());
+                buf
+            }
+            None => T::fresh_zeroed(len),
+        }
+    }
+
+    /// See [`give`]. A rejected buffer is freed after the lock is released.
+    pub(crate) fn give<T: Pooled>(&self, buf: Vec<T>) {
+        let rejected = T::pool(&mut self.pools()).give(buf);
+        drop(rejected);
+    }
+
+    /// The calling thread's counters and this arena's parked buffers.
+    fn stats(&self) -> ArenaStats {
+        let pools = self.pools();
+        ArenaStats {
+            takes: TAKES.try_with(Cell::get).unwrap_or(0),
+            hits: HITS.try_with(Cell::get).unwrap_or(0),
+            pooled_buffers: pools.lines.bufs.len()
+                + pools.resident.bufs.len()
+                + pools.words.bufs.len()
+                + pools.counts.bufs.len(),
+            pooled_bytes: pools.lines.bytes
+                + pools.resident.bytes
+                + pools.words.bytes
+                + pools.counts.bytes,
+        }
+    }
 }
 
 /// An element type the arena pools buffers of; names its pool and how a
 /// pool miss allocates zeros.
 pub(crate) trait Pooled: Copy + Default + 'static {
-    /// The pool of `Vec<Self>` buffers inside one thread's arena.
-    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self>;
+    /// The pool of `Vec<Self>` buffers inside an arena.
+    fn pool(pools: &mut Pools) -> &mut Pool<Self>;
 
     /// `len` default elements in a fresh allocation: the miss path of
     /// [`zeroed`]. For the integer types `vec!` asks the allocator for
@@ -172,8 +252,8 @@ pub(crate) trait Pooled: Copy + Default + 'static {
 }
 
 impl Pooled for Line {
-    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
-        &mut arena.lines
+    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+        &mut pools.lines
     }
 
     /// Default (all-Invalid) lines from zeroed memory.
@@ -207,38 +287,21 @@ impl Pooled for Line {
 }
 
 impl Pooled for (u32, Line) {
-    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
-        &mut arena.resident
+    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+        &mut pools.resident
     }
 }
 
 impl Pooled for u64 {
-    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
-        &mut arena.words
+    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+        &mut pools.words
     }
 }
 
 impl Pooled for u32 {
-    fn pool(arena: &mut DecodeArena) -> &mut Pool<Self> {
-        &mut arena.counts
+    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+        &mut pools.counts
     }
-}
-
-/// One counted request against this thread's arena: `None` when the pool
-/// has nothing suitable or the thread is tearing down.
-fn take_with<T: Pooled>(pick: impl FnOnce(&mut Pool<T>) -> Option<Vec<T>>) -> Option<Vec<T>> {
-    ARENA
-        .try_with(|arena| {
-            let mut arena = arena.borrow_mut();
-            arena.takes += 1;
-            let got = pick(T::pool(&mut arena));
-            if got.is_some() {
-                arena.hits += 1;
-            }
-            got
-        })
-        .ok()
-        .flatten()
 }
 
 /// Takes a recycled buffer with at least `min_capacity` capacity, or `None`
@@ -246,14 +309,14 @@ fn take_with<T: Pooled>(pick: impl FnOnce(&mut Pool<T>) -> Option<Vec<T>>) -> Op
 /// comes back empty but **dirty** — the caller must write every element it
 /// exposes.
 pub(crate) fn take<T: Pooled>(min_capacity: usize) -> Option<Vec<T>> {
-    take_with(|pool| pool.take(min_capacity))
+    ARENA.take(min_capacity)
 }
 
 /// Takes the largest recycled buffer, or an empty `Vec` when the pool is
 /// dry — for the decoder's resident seed, whose final size is only known
 /// after the run-length walk, so "largest available" is the fit policy.
 pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
-    take_with(Pool::take_largest).unwrap_or_default()
+    ARENA.take_with(Pool::take_largest).unwrap_or_default()
 }
 
 /// Takes a zero-filled buffer of exactly `len` elements: the one door for
@@ -261,25 +324,17 @@ pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
 /// so the resize-from-empty writes its zeros; a pool miss is a fresh, lazily
 /// zeroed allocation ([`Pooled::fresh_zeroed`]).
 pub(crate) fn zeroed<T: Pooled>(len: usize) -> Vec<T> {
-    match take(len) {
-        Some(mut buf) => {
-            buf.resize(len, T::default());
-            buf
-        }
-        None => T::fresh_zeroed(len),
-    }
+    ARENA.zeroed(len)
 }
 
-/// Retires a buffer into this thread's pool (or frees it if the pool is
-/// full / the thread is tearing down).
+/// Retires a buffer into the process's pool (or frees it if the pool is
+/// full).
 pub(crate) fn give<T: Pooled>(buf: Vec<T>) {
-    let _kept = ARENA
-        .try_with(|arena| T::pool(&mut arena.borrow_mut()).give(buf))
-        .unwrap_or(false);
+    ARENA.give(buf);
 }
 
-/// A `Vec` that lives in the arena's cycle: it retires into the dropping
-/// thread's pool, and its clones are drawn from the cloning thread's.
+/// A `Vec` that lives in the arena's cycle: it retires into the process's
+/// pool on drop, and its clones are drawn from it.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Recycled<T: Pooled>(pub(crate) Vec<T>);
 
@@ -310,54 +365,34 @@ impl<T: Pooled> Drop for Recycled<T> {
     }
 }
 
-/// A point-in-time view of this thread's arena, for tests and benches that
-/// assert the pools are actually being reused.
+/// A point-in-time view of the arena, for tests and benches that assert the
+/// pools are actually being reused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Buffer requests served by this thread's arena (hit or miss).
+    /// Buffer requests the calling thread made (hit or miss).
     pub takes: u64,
-    /// Requests satisfied from the pool instead of the allocator.
+    /// The calling thread's requests satisfied from the pool instead of the
+    /// allocator.
     pub hits: u64,
-    /// Retired buffers currently parked in the pools.
+    /// Retired buffers currently parked in the process's pools.
     pub pooled_buffers: usize,
-    /// Total capacity (in bytes) parked in the pools.
+    /// Total capacity (in bytes) parked in the process's pools.
     pub pooled_bytes: usize,
 }
 
-/// Snapshot of the calling thread's arena counters.
+/// The calling thread's request counters and the process's parked buffers.
 pub fn stats() -> ArenaStats {
-    ARENA
-        .try_with(|arena| {
-            let arena = arena.borrow();
-            ArenaStats {
-                takes: arena.takes,
-                hits: arena.hits,
-                pooled_buffers: arena.lines.bufs.len()
-                    + arena.resident.bufs.len()
-                    + arena.words.bufs.len()
-                    + arena.counts.bufs.len(),
-                pooled_bytes: arena.lines.bytes
-                    + arena.resident.bytes
-                    + arena.words.bytes
-                    + arena.counts.bytes,
-            }
-        })
-        .unwrap_or_default()
+    ARENA.stats()
 }
 
-/// Frees every buffer pooled by the calling thread and resets its
+/// Frees every buffer pooled in the process and resets the calling thread's
 /// counters. Allocation-measuring tests call this to start from a cold
 /// arena; there is never a correctness reason to call it.
 pub fn clear() {
-    let _ = ARENA.try_with(|arena| {
-        let mut arena = arena.borrow_mut();
-        arena.lines.clear();
-        arena.resident.clear();
-        arena.words.clear();
-        arena.counts.clear();
-        arena.takes = 0;
-        arena.hits = 0;
-    });
+    let parked = std::mem::replace(&mut *ARENA.pools(), Pools::new());
+    drop(parked);
+    let _ = TAKES.try_with(|n| n.set(0));
+    let _ = HITS.try_with(|n| n.set(0));
 }
 
 #[cfg(test)]
@@ -367,9 +402,9 @@ mod tests {
     #[test]
     fn pool_best_fit_prefers_smallest_sufficient_buffer() {
         let mut pool: Pool<Line> = Pool::new();
-        assert!(pool.give(Vec::with_capacity(64)));
-        assert!(pool.give(Vec::with_capacity(16)));
-        assert!(pool.give(Vec::with_capacity(32)));
+        assert!(pool.give(Vec::with_capacity(64)).is_none());
+        assert!(pool.give(Vec::with_capacity(16)).is_none());
+        assert!(pool.give(Vec::with_capacity(32)).is_none());
         let got = pool.take(20).expect("a buffer fits");
         assert_eq!(got.capacity(), 32);
         let got = pool.take(20).expect("the 64 remains");
@@ -380,38 +415,107 @@ mod tests {
     #[test]
     fn pool_rejects_empty_and_respects_buffer_cap() {
         let mut pool: Pool<Line> = Pool::new();
-        assert!(!pool.give(Vec::new()));
+        assert!(pool.give(Vec::new()).is_some());
         for _ in 0..MAX_POOLED_BUFS {
-            assert!(pool.give(Vec::with_capacity(1)));
+            assert!(pool.give(Vec::with_capacity(1)).is_none());
         }
-        assert!(!pool.give(Vec::with_capacity(1)));
+        assert!(pool.give(Vec::with_capacity(1)).is_some());
     }
+
+    // The tests below drive a private arena: every other test in this crate
+    // that builds a machine takes from and retires into the process's one.
 
     #[test]
     fn zeroed_refills_a_dirty_hit_and_serves_a_miss_with_zeros() {
-        clear();
-        give::<u64>(vec![u64::MAX; 32]);
-        let words: Vec<u64> = zeroed(20);
-        assert_eq!(stats().hits, 1, "the dirty buffer is reused");
+        let arena = DecodeArena::new();
+        let hits = stats().hits;
+        arena.give::<u64>(vec![u64::MAX; 32]);
+        let words: Vec<u64> = arena.zeroed(20);
+        assert_eq!(stats().hits, hits + 1, "the dirty buffer is reused");
         assert_eq!(words, vec![0; 20]);
-        let missed: Vec<u64> = zeroed(64);
-        assert_eq!(stats().hits, 1, "nothing pooled fits 64 words");
+        let missed: Vec<u64> = arena.zeroed(64);
+        assert_eq!(stats().hits, hits + 1, "nothing pooled fits 64 words");
         assert_eq!(missed, vec![0; 64]);
-        clear();
     }
 
     #[test]
-    fn clear_resets_stats_and_drops_pools() {
-        clear();
-        give::<Line>(Vec::with_capacity(8));
-        let before = stats();
+    fn counters_are_the_calling_threads_and_parked_buffers_the_arenas() {
+        let arena = DecodeArena::new();
+        arena.give::<Line>(Vec::with_capacity(8));
+        let before = arena.stats();
         assert_eq!(before.pooled_buffers, 1);
-        let took = take::<Line>(4).expect("pooled buffer fits");
+        assert_eq!(before.pooled_bytes, 8 * size_of::<Line>());
+        let took = arena.take::<Line>(4).expect("pooled buffer fits");
         assert_eq!(took.capacity(), 8);
-        let after = stats();
-        assert_eq!(after.takes, 1);
-        assert_eq!(after.hits, 1);
+        let after = arena.stats();
+        assert_eq!(after.takes, before.takes + 1);
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!((after.pooled_buffers, after.pooled_bytes), (0, 0));
+        // Another thread's requests count on that thread alone.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(arena.take::<Line>(4).is_none());
+                assert_eq!((stats().takes, stats().hits), (1, 0));
+            });
+        });
+        assert_eq!(arena.stats(), after);
+    }
+
+    #[test]
+    fn clear_resets_the_calling_threads_counters() {
+        drop(take::<u32>(1));
+        assert!(stats().takes > 0);
         clear();
-        assert_eq!(stats(), ArenaStats::default());
+        assert_eq!((stats().takes, stats().hits), (0, 0));
+    }
+
+    /// Floods one pool from four threads at once with more buffers and more
+    /// bytes than its caps admit, then takes one back on this thread, which
+    /// retired nothing.
+    fn flood<T: Pooled>() {
+        const THREADS: usize = 4;
+        // 60 buffers of 1 MiB per thread: 240 MiB against the byte cap;
+        // 40 one-element buffers per thread on top: 400 against the count
+        // cap.
+        let big = (1 << 20) / size_of::<T>();
+        let arena = DecodeArena::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let arena = &arena;
+                s.spawn(move || {
+                    for i in 0..100 {
+                        let capacity = if i % 5 < 3 { big + t } else { 1 };
+                        arena.give(Vec::<T>::with_capacity(capacity));
+                    }
+                });
+            }
+        });
+        {
+            let mut pools = arena.pools();
+            let pool = T::pool(&mut pools);
+            let parked: usize = pool.bufs.iter().map(|b| b.capacity()).sum();
+            assert_eq!(pool.bytes, parked * size_of::<T>());
+            assert!(
+                pool.bytes <= MAX_POOLED_BYTES && pool.bufs.len() <= MAX_POOLED_BUFS,
+                "{} bytes in {} buffers",
+                pool.bytes,
+                pool.bufs.len()
+            );
+            // However the threads interleaved, the small buffers fill
+            // whatever the byte cap leaves of the count.
+            assert_eq!(pool.bufs.len(), MAX_POOLED_BUFS);
+        }
+        let hits = stats().hits;
+        let buf: Vec<T> = arena.take(big).expect("a buffer retired on another thread");
+        assert!((big..big + THREADS).contains(&buf.capacity()));
+        assert_eq!(stats().hits, hits + 1);
+    }
+
+    #[test]
+    fn four_threads_retiring_at_once_stay_within_both_caps() {
+        flood::<Line>();
+        flood::<(u32, Line)>();
+        flood::<u64>();
+        flood::<u32>();
     }
 }

@@ -656,8 +656,8 @@ impl crate::checkpoint::Snap for CacheArray {
             });
         }
         // The dense array and the residency bitmap come zero-filled from the
-        // thread-local decode arena (`arena::zeroed`: a recycled buffer is
-        // refilled, a fresh one is lazily zeroed), so invalid runs just
+        // decode arena (`arena::zeroed`: a recycled buffer is refilled, a
+        // fresh one is lazily zeroed), so invalid runs just
         // advance the cursor. Each resident line is written in place, its
         // bit set in the residency bitmap, and recorded in the resident
         // seed, which powers the residency rebuild that follows
@@ -948,13 +948,14 @@ mod tests {
                 && l.lru() == 0
                 && l.tag == 0));
         }
-        // A pool hit is dirty: `arena::zeroed` must refill it.
-        arena::clear();
-        arena::give(vec![Line::new(7, CoherenceState::Modified, 9); 64]);
-        let refilled: Vec<Line> = arena::zeroed(40);
-        assert_eq!(arena::stats().hits, 1);
+        // A pool hit is dirty: `arena::zeroed` must refill it. (A private
+        // arena: other tests' machines draw from the process's one.)
+        let private = arena::DecodeArena::new();
+        private.give(vec![Line::new(7, CoherenceState::Modified, 9); 64]);
+        let hits = arena::stats().hits;
+        let refilled: Vec<Line> = private.zeroed(40);
+        assert_eq!(arena::stats().hits, hits + 1);
         assert_eq!(refilled, vec![Line::default(); 40]);
-        arena::clear();
         assert_eq!(CoherenceState::default() as u8, 0);
     }
 

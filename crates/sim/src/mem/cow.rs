@@ -26,7 +26,7 @@
 //! in place, folding a forked array's private chunks back into its base
 //! when it is the base's last holder — how a live machine that keeps
 //! running between forks is shared again without a whole copy. Private
-//! buffers and maps come from and retire to the thread's decode arena
+//! buffers and maps come from and retire to the process's decode arena
 //! ([`super::arena`]): growing fresh memory per fork costs more in page
 //! faults than the copying it saves.
 //!

@@ -17,8 +17,8 @@
 //!
 //! These tests live in their own integration-test binary because a global
 //! allocator is per-binary; they additionally serialize on a mutex because
-//! the test harness runs them on concurrent threads and the counters are
-//! process-global.
+//! the test harness runs them on concurrent threads and the counters — and
+//! the decode arena's pools — are process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,8 +37,8 @@ static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Largest single request since it was last reset.
 static LARGEST_ALLOCATION: AtomicU64 = AtomicU64::new(0);
 
-/// Serializes the tests in this binary: the counters above are
-/// process-global, and the harness runs `#[test]`s concurrently.
+/// Serializes the tests in this binary: the counters above and the decode
+/// arena are process-global, and the harness runs `#[test]`s concurrently.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn count(bytes: usize) {
@@ -195,7 +195,7 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
 }
 
 /// A machine is built from the arena too: once a build, run and drop has
-/// left this thread's pool holding the reference machine's line arrays,
+/// left the pool holding the reference machine's line arrays,
 /// residency bitmaps and filter arrays, building a second machine of the
 /// same geometry takes all of them back instead of asking the allocator
 /// for fresh ones. What remains is the machine's small containers (event
@@ -232,7 +232,7 @@ fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
 }
 
 /// A fork costs what it touches, and what it touches is recycled: after one
-/// warm-up round has left this thread's pool holding a fork's private chunk
+/// warm-up round has left the pool holding a fork's private chunk
 /// buffers and chunk maps, a whole launch — fork the template, run a short
 /// perturbed window, drop the fork — asks the allocator for under a megabyte
 /// in total (the per-run containers of the test below, plus their regrowth
@@ -271,7 +271,7 @@ fn warm_fork_and_short_run_allocate_under_a_megabyte() {
 }
 
 /// The decode arena's claim for steady-state sweep launches: once the
-/// thread's pools hold one round's worth of retired buffers, a template
+/// pools hold one round's worth of retired buffers, a template
 /// decode never re-allocates the multi-megabyte recycled buffers — the
 /// dense line arrays (~17 MB across the reference machine's 48 caches) and
 /// the snoop filter's 4 MB count + 0.5 MB presence arrays — and the arena's
@@ -291,7 +291,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     arena::clear();
     let machine = warmed_reference_machine();
     let ck = machine.snapshot();
-    // Retire the warmed machine's line arrays into this thread's arena.
+    // Retire the warmed machine's line arrays into the arena.
     drop(machine);
 
     // Warmup round: one decode + fork batch, fully dropped, leaves every
@@ -352,7 +352,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
 /// once they are done hand the template back and advance the chain, which
 /// writes overlays on the arrays the template held and folds them back in
 /// at the next share. After one warm-up round has parked every buffer of
-/// such a round in this thread's arena, a whole round — template, eight
+/// such a round in the arena, a whole round — template, eight
 /// forks with their 25-transaction runs, the chain's next advance and
 /// share — stays inside the warm-fork budget above, a megabyte per fork,
 /// and never asks for a megabyte at once: a share that copied an L2
@@ -400,17 +400,18 @@ fn live_template_rounds_stay_in_the_fork_budget() {
     );
 }
 
-/// The executor's workers are persistent, so their decode arenas are too:
-/// the first fork sweep on a T = 2 executor finds both workers' arenas
-/// empty and allocates every fork's presence words, chunk maps and private
-/// chunk buffers fresh; the second finds them parked where the first left
-/// them. (The calling thread's arena is warmed beforehand, so the template
-/// decode costs both sweeps the same.) Workers that died with their sweep —
-/// scoped threads — would make the two sweeps allocate alike.
+/// A fork sweep's buffers outlive it: the first fork sweep on a T = 2
+/// executor finds nothing in the arena for its forks and allocates every
+/// fork's presence words, chunk maps and private chunk buffers fresh; the
+/// second finds them parked where the first left them, whichever worker
+/// retired them. (The arena is warmed with a decode beforehand, so the
+/// template decode costs both sweeps the same.) Measured: 51.1 MB, then
+/// 4.8 MB.
 #[test]
 fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
     /// Makes the first two runs overlap, so that both workers fork — and
-    /// fill their arenas — in the first sweep however the host schedules.
+    /// each retire a fork's buffers — in the first sweep however the host
+    /// schedules.
     struct BothWorkers {
         arrivals: AtomicU64,
         together: Barrier,
@@ -449,19 +450,19 @@ fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
     assert!(
         second < first / 2,
         "the second sweep allocated {second} bytes against the first's {first}; \
-         the workers' arenas did not survive from one sweep to the next"
+         the forks' buffers did not survive from one sweep to the next"
     );
 }
 
-/// An experiment's arms warm and decode their templates on the workers, so
-/// the templates must retire there too: the second comparison on one T = 2
-/// executor (its warmups now store hits) decodes both templates and forks
-/// every run from buffers the first one parked in the workers' arenas. A
-/// template dropped on the calling thread parks its arrays in an arena that
-/// never decodes again, so each comparison would allocate both templates
-/// afresh — and the caller's arena would grow towards its cap. The budget
-/// holds on an observing executor and on a strict one, whose warmups and
-/// runs carry the invariant monitor.
+/// An experiment's arms warm and decode their templates on the workers and
+/// drop them on the calling thread, which never decodes: the second
+/// comparison on one T = 2 executor (its warmups now store hits) decodes
+/// both templates and forks every run from buffers the first one retired,
+/// wherever it retired them. An arena per thread would park the templates'
+/// arrays in the caller's pool, out of the workers' reach, so each
+/// comparison would allocate both templates afresh. The budget holds on an
+/// observing executor and on a strict one, whose warmups and runs carry the
+/// invariant monitor.
 #[test]
 fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
     use mtvar_core::checkpoint::CheckpointStore;
@@ -494,14 +495,13 @@ fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
                 .expect("comparison");
             counters().1 - bytes_0
         };
-        // Measured: 142 MB, then 11-42 MB; with the templates dropped on the
-        // calling thread the second comparison allocates 74 MB.
+        // Measured: 107 MB, then 10.6 MB.
         let first = comparison_bytes();
         let second = comparison_bytes();
         assert!(
             second < first / 2,
             "the second comparison allocated {second} bytes against the first's {first} \
-             (strict: {strict}); its templates did not retire into the workers' arenas"
+             (strict: {strict}); the workers did not reuse its retired templates"
         );
     }
 }

@@ -21,14 +21,15 @@
 //!    exactly as a fresh restore does (results, digests and post-run
 //!    snapshot bytes — the encoder walking a forked array); and siblings
 //!    running at once on two threads never see each other.
-//! 5. **Dirty arenas** — machines take their arrays from the thread's decode
-//!    arena, where retired buffers wait with another machine's contents: a
+//! 5. **Dirty arenas** — machines take their arrays from the process's
+//!    decode arena, where retired buffers wait with another machine's
+//!    contents, retired on this thread or on one that has since exited: a
 //!    machine built, run, snapshotted and restored on such an arena matches
 //!    the same machine on a cleared one, digest and bytes.
 //!
 //! [`RunResult`]: mtvar::sim::stats::RunResult
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mtvar::core::checkpoint::CheckpointStore;
 use mtvar::core::golden::run_digest;
@@ -382,9 +383,15 @@ fn corrupt_spill_files_fall_back_to_resimulation() {
 /// megabytes of line arrays, bitmaps and filter arrays.
 const DIRTY_CPUS: usize = 16;
 
+/// Serializes the tests that clear the arena and count its hits: the arena
+/// is the process's, and the harness runs tests on concurrent threads. (The
+/// other tests here may still park buffers between a clear and a build; that
+/// only makes a clean arm dirtier, and the arms must match either way.)
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Builds, runs and drops a 16-CPU MESI machine on another workload seed,
-/// so this thread's arena holds the dirty line arrays, residency bitmaps,
-/// filter counts and presence words of a machine unlike the reference.
+/// so the arena holds the dirty line arrays, residency bitmaps, filter
+/// counts and presence words of a machine unlike the reference.
 fn dirty_the_arena(monitored: bool) {
     let cfg = MachineConfig {
         check_invariants: monitored,
@@ -439,13 +446,17 @@ fn reference_on(monitored: bool, prepare: impl Fn()) -> (Outcome, [u64; 2]) {
     (outcome, [build_hits, restore_hits])
 }
 
-#[test]
-fn machines_built_and_restored_on_a_dirty_arena_match_a_clean_one() {
+/// Monitor off and on: the reference machine built and restored after
+/// `dirty` has filled the arena matches it on a cleared arena, and both the
+/// build and the restore took buffers from the pool (counted on this
+/// thread).
+fn matches_a_clean_arena(dirty: impl Fn(bool)) {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for monitored in MONITOR {
         let (clean, _) = reference_on(monitored, arena::clear);
         let (dirty, [build_hits, restore_hits]) = reference_on(monitored, || {
             arena::clear();
-            dirty_the_arena(monitored);
+            dirty(monitored);
         });
         assert!(
             build_hits > 0 && restore_hits > 0,
@@ -464,4 +475,20 @@ fn machines_built_and_restored_on_a_dirty_arena_match_a_clean_one() {
             "restored machine's snapshot bytes ({what})"
         );
     }
+}
+
+#[test]
+fn machines_built_and_restored_on_a_dirty_arena_match_a_clean_one() {
+    matches_a_clean_arena(dirty_the_arena);
+}
+
+/// The arena is one pool for the process: the buffers a machine retires on
+/// a thread that then exits serve the next build and restore on any other.
+#[test]
+fn buffers_retired_on_an_exited_thread_serve_this_ones_build_and_restore() {
+    matches_a_clean_arena(|monitored| {
+        std::thread::scope(|s| {
+            s.spawn(|| dirty_the_arena(monitored));
+        });
+    });
 }
