@@ -819,20 +819,24 @@ impl Executor {
         Ok(spaces.pop().expect("one space per snapshot"))
     }
 
-    /// The launch body of every sweep. Two pool batches: each arm's
-    /// template is warmed (or fetched from the store) and decoded, one job
-    /// per arm, so the arms' warmups run side by side and equal warmups
-    /// meet in the store's single-flight; and every arm's runs fan out
-    /// together, so the tail of one arm never idles a worker the next could
-    /// use. The templates drop on the calling thread when the batch is
-    /// done; their arrays retire into the process's decode arena, where the
-    /// next decode or fork takes them on whichever thread it runs. A batch
-    /// of one job, and every batch at T = 1, runs on the calling thread. An
-    /// arm whose caller supplies its template is not decoded: the caller
-    /// keeps it. Decoding is `Machine::restore`, called only here
-    /// and in [`WarmChain`]'s restores; a decoded machine holds its cache
-    /// arrays and snoop filter in shareable form, so each fork is a pointer
-    /// copy per array that copies only the chunks its run writes.
+    /// The launch body of every sweep. The runs' keys come first: they
+    /// depend on the arms' configurations and snapshots, not on any
+    /// template, so the result cache is consulted before anything is warmed
+    /// or decoded. Then two pool batches: the template of each arm that
+    /// still has a run to simulate is warmed (or fetched from the store)
+    /// and decoded, one job per arm, so the arms' warmups run side by side
+    /// and equal warmups meet in the store's single-flight; and every arm's
+    /// runs fan out together, so the tail of one arm never idles a worker
+    /// the next could use. An arm whose runs are all cache hits is neither
+    /// warmed nor decoded. The templates drop on the calling thread when
+    /// the batch is done; their arrays retire into the process's decode
+    /// arena, where the next decode or fork takes them on whichever thread
+    /// it runs. A batch of one job, and every batch at T = 1, runs on the
+    /// calling thread. An arm whose caller supplies its template is not
+    /// decoded: the caller keeps it. Decoding is `Machine::restore`, called
+    /// only here and in [`WarmChain`]'s restores; a decoded machine holds
+    /// its cache arrays and snoop filter in shareable form, so each fork is
+    /// a pointer copy per array that copies only the chunks its run writes.
     ///
     /// Returns one space per arm, or the first error of the sequential
     /// reading: arm by arm, its warmup before its runs.
@@ -846,8 +850,14 @@ impl Executor {
     where
         W: Workload + Snap + Clone + Send + Sync,
     {
-        let every_arm: Vec<usize> = (0..starts.len()).collect();
-        let decoded = self.pool.run(&every_arm, |arm| {
+        let source_ids: Vec<u64> = starts.iter().map(Start::source_id).collect();
+        let batch = self.look_up(plan, workload_id, &source_ids);
+        let mut simulates = vec![false; starts.len()];
+        for &slot in &batch.misses {
+            simulates[slot / plan.runs] = true;
+        }
+        let simulating: Vec<usize> = (0..starts.len()).filter(|&arm| simulates[arm]).collect();
+        let decoded = self.pool.run(&simulating, |arm| {
             let warmed;
             let snapshot = match starts[arm] {
                 Start::Cold(..) => return Ok(None),
@@ -868,23 +878,25 @@ impl Executor {
         });
         // Read in sequence, the first failed warmup ends the batch: the
         // arms before it launch, the ones after it never would.
-        let mut templates: Vec<Option<Machine<W>>> = Vec::with_capacity(starts.len());
+        let mut templates: Vec<Option<Machine<W>>> = starts.iter().map(|_| None).collect();
+        let mut launched = starts.len();
         let mut warm_error = None;
-        for decoded in decoded {
+        for (&arm, decoded) in simulating.iter().zip(decoded) {
             match decoded {
-                Ok(template) => templates.push(template),
+                Ok(template) => templates[arm] = template,
                 Err(e) => {
                     warm_error = Some(e);
+                    launched = arm;
                     break;
                 }
             }
         }
-        let arms: Vec<(u64, u64, Source<'_, W>)> = starts
+        let arms: Vec<(u64, Option<Source<'_, W>>)> = starts[..launched]
             .iter()
             .zip(&templates)
             .map(|(start, template)| start.source(plan, template.as_ref()))
             .collect();
-        let mut spaces = self.execute(plan, workload_id, &arms);
+        let mut spaces = self.execute(plan, batch, &arms);
         spaces.extend(warm_error.map(Err));
         spaces.into_iter().collect()
     }
@@ -926,29 +938,17 @@ impl Executor {
         })
     }
 
-    /// Shared execution core for a batch of arms, each `(source_id, settle,
-    /// source)`: derive seeds, satisfy runs from the cache (replaying their
-    /// recorded violations), fan every arm's misses out over the pool as
-    /// one batch, reassemble in run-index order, then resolve each arm's
-    /// errors and violations with the lowest run index winning. With a
-    /// cache, a run key that several arms share (equal configurations under
-    /// different names) is simulated once and its repeats are served as the
-    /// cache hits they would have been, arm after arm; without one, every
-    /// arm simulates its own runs.
-    fn execute<W>(
-        &self,
-        plan: &RunPlan,
-        workload_id: u64,
-        arms: &[(u64, u64, Source<'_, W>)],
-    ) -> Vec<Result<RunSpace>>
-    where
-        W: Workload + Clone + Send + Sync,
-    {
-        // Slot `arm * runs + i` holds run `i` of `arm`.
+    /// Derives every run's key for arms of these source ids and looks each
+    /// up in the result cache, reporting nothing yet. With a cache, a run
+    /// key that several arms share (equal configurations under different
+    /// names) is simulated once and its repeats are served as the cache
+    /// hits they would have been, arm after arm; without one, every arm
+    /// simulates its own runs.
+    fn look_up(&self, plan: &RunPlan, workload_id: u64, source_ids: &[u64]) -> Batch {
         let runs = plan.runs;
-        let keys: Vec<RunKey> = arms
+        let keys: Vec<RunKey> = source_ids
             .iter()
-            .flat_map(|&(source_id, ..)| {
+            .flat_map(|&source_id| {
                 (0..runs).map(move |i| RunKey {
                     source: source_id,
                     workload: workload_id,
@@ -961,8 +961,6 @@ impl Executor {
 
         let mut slots: Vec<Option<Result<RunRecord>>> = keys.iter().map(|_| None).collect();
         let mut misses: Vec<usize> = Vec::with_capacity(keys.len());
-        // Slots whose key an earlier miss of this batch simulates, with the
-        // position of that miss.
         let mut repeats: Vec<(usize, usize)> = Vec::new();
         let mut first_miss: HashMap<RunKey, usize> = HashMap::new();
         for (slot, key) in keys.iter().enumerate() {
@@ -970,7 +968,6 @@ impl Executor {
                 // A strict executor cannot vouch for a run that was cached
                 // without a monitor watching it; treat it as a miss.
                 Some(hit) if !self.strict_invariants || hit.monitored => {
-                    self.report_cached(slot % runs, &hit);
                     slots[slot] = Some(Ok(hit));
                 }
                 _ if self.cache.is_some() => match first_miss.entry(*key) {
@@ -983,10 +980,56 @@ impl Executor {
                 _ => misses.push(slot),
             }
         }
+        Batch {
+            keys,
+            slots,
+            misses,
+            repeats,
+        }
+    }
+
+    /// Shared execution core for a looked-up batch of arms, each `(settle,
+    /// source)`: report the cache's hits (replaying their recorded
+    /// violations), fan every arm's misses out over the pool as one batch,
+    /// reassemble in run-index order, then resolve each arm's errors and
+    /// violations with the lowest run index winning. `arms` may stop short
+    /// of the batch (a failed warmup ended it): the runs of the arms past
+    /// it are neither reported nor simulated. An arm's source is `None`
+    /// only when it has no run to simulate.
+    fn execute<W>(
+        &self,
+        plan: &RunPlan,
+        batch: Batch,
+        arms: &[(u64, Option<Source<'_, W>>)],
+    ) -> Vec<Result<RunSpace>>
+    where
+        W: Workload + Clone + Send + Sync,
+    {
+        let runs = plan.runs;
+        let Batch {
+            keys,
+            mut slots,
+            mut misses,
+            mut repeats,
+        } = batch;
+        // Misses ascend and repeats name earlier misses, so the runs of the
+        // launched arms keep a prefix of the misses and their own repeats.
+        let end = arms.len() * runs;
+        slots.truncate(end);
+        misses.retain(|&slot| slot < end);
+        repeats.retain(|&(slot, _)| slot < end);
+        for (slot, hit) in slots.iter().enumerate() {
+            if let Some(Ok(hit)) = hit {
+                self.report_cached(slot % runs, hit);
+            }
+        }
 
         let outcomes = self.pool.run(&misses, |slot| {
             let run_index = slot % runs;
-            let (_, settle, source) = &arms[slot / runs];
+            let (settle, source) = &arms[slot / runs];
+            let source = source
+                .as_ref()
+                .expect("an arm with a run to simulate has a source");
             if let Some(p) = &self.progress {
                 p.run_started(run_index);
             }
@@ -1090,44 +1133,66 @@ enum Start<'a, W> {
 }
 
 impl<'a, W> Start<'a, W> {
-    /// The arm's `(source_id, settle, source)`, its runs forking from
-    /// `template` unless they start cold.
-    fn source<'t>(
-        &self,
-        plan: &RunPlan,
-        template: Option<&'t Machine<W>>,
-    ) -> (u64, u64, Source<'t, W>)
-    where
-        'a: 't,
-    {
-        let decoded = || template.expect("a decoded template");
+    /// The id the arm's run seeds and cache keys derive from, known before
+    /// anything is warmed or decoded.
+    fn source_id(&self) -> u64 {
         // The fingerprint (and hence every derived seed) comes from the
         // caller's configuration; strict mode flips check_invariants on the
         // per-run clone only, so it can never change the seeds.
         match *self {
-            Start::Cold(config, make_workload) => (
-                config_fingerprint(config),
-                plan.warmup_transactions,
-                Source::Cold(config, make_workload),
-            ),
+            Start::Cold(config, _) => config_fingerprint(config),
             // Seeds stay a pure function of the *caller's* configuration —
             // not of the snapshot bytes, which differ between strict and
             // observing warmups — so strict sweeps keep the observing seeds.
             // The domain constant keeps them decorrelated from (and the
-            // cache disjoint with) the legacy path's seed stream. The
-            // snapshot already embodies the plan's warmup: no settling.
-            Start::Warmed(config, _) => (
-                config_fingerprint(config) ^ SHARED_WARMUP_DOMAIN,
-                0,
-                Source::Snapshot(decoded(), config.perturbation_max_ns),
-            ),
-            Start::Snapshot(snapshot, perturbation_max_ns, given) => (
-                snapshot.fingerprint(),
+            // cache disjoint with) the legacy path's seed stream.
+            Start::Warmed(config, _) => config_fingerprint(config) ^ SHARED_WARMUP_DOMAIN,
+            Start::Snapshot(snapshot, ..) => snapshot.fingerprint(),
+        }
+    }
+
+    /// The arm's `(settle, source)`, its runs forking from `template`
+    /// unless they start cold; no source when the arm needs a template and
+    /// has none (it simulates no run).
+    fn source<'t>(
+        &self,
+        plan: &RunPlan,
+        template: Option<&'t Machine<W>>,
+    ) -> (u64, Option<Source<'t, W>>)
+    where
+        'a: 't,
+    {
+        match *self {
+            Start::Cold(config, make_workload) => (
                 plan.warmup_transactions,
-                Source::Snapshot(given.unwrap_or_else(decoded), perturbation_max_ns),
+                Some(Source::Cold(config, make_workload)),
+            ),
+            // The snapshot already embodies the plan's warmup: no settling.
+            Start::Warmed(config, _) => (
+                0,
+                template.map(|t| Source::Snapshot(t, config.perturbation_max_ns)),
+            ),
+            Start::Snapshot(_, perturbation_max_ns, given) => (
+                plan.warmup_transactions,
+                given
+                    .or(template)
+                    .map(|t| Source::Snapshot(t, perturbation_max_ns)),
             ),
         }
     }
+}
+
+/// A batch's runs after the result-cache lookup, before anything is
+/// simulated. Slot `arm * runs + i` is run `i` of `arm`.
+struct Batch {
+    keys: Vec<RunKey>,
+    /// The cache's hits; every other slot is filled by the launch.
+    slots: Vec<Option<Result<RunRecord>>>,
+    /// The slots to simulate, ascending.
+    misses: Vec<usize>,
+    /// Slots whose key an earlier miss of this batch simulates, with the
+    /// position of that miss in `misses`.
+    repeats: Vec<(usize, usize)>,
 }
 
 /// One warmup that advances from starting point to starting point: the
@@ -1849,6 +1914,32 @@ mod tests {
             .unwrap();
         assert_eq!(bare, again);
         assert_eq!(store.len(), 1);
+    }
+
+    /// A repeat sweep that the result cache answers whole warms, fetches
+    /// and decodes nothing: the store counts no warmup, shared or
+    /// simulated, and this thread, which runs everything at T = 1, takes no
+    /// buffer from the decode arena.
+    #[test]
+    fn a_fully_cached_sweep_decodes_nothing() {
+        let store = Arc::new(CheckpointStore::new());
+        let exec = Executor::sequential().with_checkpoint_store(store.clone());
+        let plan = RunPlan::new(20).with_runs(4).with_warmup(20);
+        let first = exec.sweep(&small_config(), small_workload, &plan).unwrap();
+        let warmups = (store.warmups_simulated(), store.warmups_shared());
+        let takes = mtvar_sim::mem::arena::stats().takes;
+        let again = exec.sweep(&small_config(), small_workload, &plan).unwrap();
+        assert_eq!(again, first);
+        assert_eq!(
+            (store.warmups_simulated(), store.warmups_shared()),
+            warmups,
+            "the repeat consulted the store"
+        );
+        assert_eq!(
+            mtvar_sim::mem::arena::stats().takes,
+            takes,
+            "the repeat decoded a template"
+        );
     }
 
     #[test]

@@ -773,13 +773,13 @@ impl<W: Workload + Clone> Machine<W> {
     /// checkpoint facility (§3.2.2): restarting forks of one machine with
     /// different perturbation seeds ([`Machine::set_perturbation`]) is the
     /// paper's mechanism for exploring the space of executions. This is a
-    /// `clone`, but the dominant state — every cache's line array and
-    /// residency bitmap, and the snoop filter's counts — is copy-on-write in
-    /// small chunks: forking a machine whose arrays are shared (a
+    /// `clone`, but the dominant state — every cache's slot table and slot
+    /// storage, and the snoop filter's counts — is copy-on-write in small
+    /// chunks: forking a machine whose arrays are shared (a
     /// [`Machine::restore`]d one, or a live one after [`Machine::share`]) is
     /// a pointer copy per array, and the fork then copies a chunk (16 cache
-    /// sets, 512 bitmap bits, or one filter region row) the first time it
-    /// writes into it, so a short run pays for the few percent of the
+    /// sets or slots, or one filter region row) the first time it writes
+    /// into it, and keeps the slots it adds to itself, so a short run pays for the few percent of the
     /// machine it touches and never writes what it shares. Forks may outlive
     /// the machine they came from and be forked again. Arrays that are not
     /// shared — those of a built machine that was never shared, or written
@@ -790,8 +790,8 @@ impl<W: Workload + Clone> Machine<W> {
         self.clone()
     }
 
-    /// Turns the machine's big arrays — every cache's line array and
-    /// residency bitmap, and the snoop filter's counts — into shared ones in
+    /// Turns the machine's big arrays — every cache's slot table and slot
+    /// storage, and the snoop filter's counts — into shared ones in
     /// place, so that [`Machine::fork`] copies pointers instead of the whole
     /// machine. Nothing observable changes: equality, snapshot bytes and
     /// every later run are those of the unshared machine.

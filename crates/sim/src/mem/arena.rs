@@ -1,26 +1,24 @@
 //! Process-wide decode arena: recycled buffers for machine builds, snapshot
 //! restore and fork launch.
 //!
-//! The buffers that dominate a launch round are the dense line arrays a
-//! template decode fills (megabytes per L2), the resident-line seeds and
-//! residency bitmaps built alongside them, the snoop filter's count and
-//! presence arrays, and — per
-//! fork — the private chunk buffers and chunk maps of the copy-on-write
-//! arrays (`mem::cow`). All have the same lifetime shape in a sweep:
-//! decode a template, fork it N times, run the forks, drop everything,
-//! decode the next template. Allocating them fresh every round puts
-//! `alloc`/`free` pairs, and worse the page faults of never-touched memory,
-//! on the launch path of every run: a fork that grew a fresh private buffer
-//! per array ran slower than one that copied every array whole.
+//! The buffers that dominate a launch round are the cache arrays' slot
+//! storage and slot tables (`mem::cache`), the snoop filter's count and
+//! presence arrays, and — per fork — the private chunk buffers and chunk
+//! maps of the copy-on-write arrays (`mem::cow`). All have the same lifetime
+//! shape in a sweep: decode a template, fork it N times, run the forks, drop
+//! everything, decode the next template. Allocating them fresh every round
+//! puts `alloc`/`free` pairs, and worse the page faults of never-touched
+//! memory, on the launch path of every run: a fork that grew a fresh
+//! private buffer per array ran slower than one that copied every array
+//! whole.
 //!
 //! The arena breaks that cycle. The process keeps one small pool of retired
 //! buffers per element type; every copy-on-write buffer (base, private and
-//! map alike, residency bitmaps included), the filter's presence words and
-//! every resident seed is a `Recycled` vector that returns its backing
-//! storage here on drop, whichever thread drops it. Everything that takes
-//! one of those buffers takes it from here when one fits, on whichever
-//! thread it runs: `Machine::new` (every cache array and the snoop filter,
-//! through `zeroed`) on a warming worker or a sweep's caller, the snapshot
+//! map alike) and the filter's presence words is a `Recycled` vector that
+//! returns its backing storage here on drop, whichever thread drops it.
+//! Everything that takes one of those buffers takes it from here when one
+//! fits, on whichever thread it runs: `Machine::new` (every cache array and
+//! the snoop filter) on a warming worker or a sweep's caller, the snapshot
 //! decode, clones and first writes on the executor's workers, the live
 //! chain's advances on its own thread. So a buffer retired on a thread that
 //! never builds or decodes again — the caller of a one-thread sweep, a
@@ -30,32 +28,40 @@
 //! allocator only for the small per-run containers (event wheel, scheduler
 //! queues) — the arrays circulate through the pool.
 //!
+//! Line storage is never zero-filled. A cache array (built or decoded) takes
+//! its slot storage with `Recycled::with_capacity` at room for every set, and
+//! a fork its private buffer at the size of the storage it forks; each grows
+//! by appending a chunk of default lines, which it writes itself. So a
+//! pooled line buffer is only as resident as the slot prefixes its earlier
+//! users wrote, and a fresh one only as resident as its own.
+//!
 //! The pools sit behind one mutex, held only to pick or park a buffer,
 //! never while one is written. The caps bound each pool for the whole
 //! process: that is the bound on what a long-lived process keeps parked.
 //! Buffers are handed out *dirty* and retired as they are: no memset on
-//! return. A caller that appends (a fork's private buffer, a resident seed)
+//! return. A caller that appends (slot storage, a fork's private buffer)
 //! writes every element it exposes itself; `zeroed`, the one door for
-//! zero-filled buffers, refills a pool hit with zeros and serves a miss
-//! with a lazily zeroed allocation, whose pages the kernel faults in on
-//! first touch — so an empty arena costs no dense write for the
-//! mostly-empty arrays of a fresh machine.
+//! zero-filled buffers (slot tables, the filter's arrays), refills a pool
+//! hit with zeros and serves a miss with a lazily zeroed allocation, whose
+//! pages the kernel faults in on first touch.
 
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use super::cache::Line;
+use super::cow::MapEntry;
 
 /// Most buffers the process pools per element type. The paper's 16-CPU
-/// machine needs 48 line arrays (and 48 residency bitmaps) per template and
-/// 48 private buffers of each per written fork; a 64-CPU template's 192
+/// machine needs 48 slot storages (and 48 slot tables) per template and up
+/// to 48 private buffers of each per written fork; a 64-CPU template's 192
 /// fit too. Anything beyond this is a workload churning through
 /// geometries, and fresh allocation is the right answer there.
 const MAX_POOLED_BUFS: usize = 256;
 
-/// Byte ceiling per pool for the whole process. A 64-CPU machine's line
-/// arrays total ~71 MB; one full machine's worth of recycled buffers is the
-/// working set the arena exists to serve, and the cap keeps a pathological
+/// Byte ceiling per pool for the whole process, counted by capacity. A
+/// 64-CPU machine's slot storages have room for ~71 MB of lines (of which a
+/// run writes a few percent); one full machine's worth of recycled buffers
+/// is the working set the arena exists to serve, and the cap keeps a pathological
 /// mix of geometries from pinning unbounded memory.
 const MAX_POOLED_BYTES: usize = 192 << 20;
 
@@ -91,24 +97,6 @@ impl<T: Copy> Pool<T> {
         Some(buf)
     }
 
-    /// Takes the largest pooled buffer, if any — for callers that cannot
-    /// size the request up front (the decoder's resident seed grows as the
-    /// run-length walk discovers lines).
-    fn take_largest(&mut self) -> Option<Vec<T>> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, buf) in self.bufs.iter().enumerate() {
-            let cap = buf.capacity();
-            if best.is_none_or(|(_, c)| cap > c) {
-                best = Some((i, cap));
-            }
-        }
-        let (i, _) = best?;
-        let mut buf = self.bufs.swap_remove(i);
-        self.bytes -= buf.capacity() * size_of::<T>();
-        buf.clear();
-        Some(buf)
-    }
-
     /// Accepts a retired buffer unless the pool is at capacity; a rejected
     /// buffer comes back, for the caller to free once it has let go of the
     /// arena's lock.
@@ -124,7 +112,7 @@ impl<T: Copy> Pool<T> {
     }
 }
 
-/// The arena's pools: line arrays (whole and private), resident seeds, the
+/// The arena's pools: slot storage and slot tables (whole and private), the
 /// snoop filter's presence/count arrays and the copy-on-write chunk maps.
 ///
 /// Every pool holds plain `Vec`s of `Copy` elements, so nothing the pools
@@ -132,23 +120,25 @@ impl<T: Copy> Pool<T> {
 /// lock is held would re-enter `give` and deadlock on the lock — a
 /// thread-local `RefCell` arena only panicked there.
 pub(crate) struct Pools {
+    /// Cache arrays' slot storage (whole and private).
     lines: Pool<Line>,
-    resident: Pool<(u32, Line)>,
-    /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`) and the
-    /// cache arrays' residency bitmaps (whole and private).
+    /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`).
     words: Pool<u64>,
     /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`, 4 MB for
-    /// the paper's 16-CPU machine) and every copy-on-write chunk map.
+    /// the paper's 16-CPU machine) and cache arrays' slot tables (whole and
+    /// private).
     counts: Pool<u32>,
+    /// Every copy-on-write chunk map.
+    maps: Pool<MapEntry>,
 }
 
 impl Pools {
     const fn new() -> Self {
         Pools {
             lines: Pool::new(),
-            resident: Pool::new(),
             words: Pool::new(),
             counts: Pool::new(),
+            maps: Pool::new(),
         }
     }
 }
@@ -209,7 +199,9 @@ impl DecodeArena {
                 buf.resize(len, T::default());
                 buf
             }
-            None => T::fresh_zeroed(len),
+            // For the integer types `vec!` asks the allocator for zeroed
+            // memory, which the kernel faults in only on first touch.
+            None => vec![T::default(); len],
         }
     }
 
@@ -226,69 +218,26 @@ impl DecodeArena {
             takes: TAKES.try_with(Cell::get).unwrap_or(0),
             hits: HITS.try_with(Cell::get).unwrap_or(0),
             pooled_buffers: pools.lines.bufs.len()
-                + pools.resident.bufs.len()
                 + pools.words.bufs.len()
-                + pools.counts.bufs.len(),
+                + pools.counts.bufs.len()
+                + pools.maps.bufs.len(),
             pooled_bytes: pools.lines.bytes
-                + pools.resident.bytes
                 + pools.words.bytes
-                + pools.counts.bytes,
+                + pools.counts.bytes
+                + pools.maps.bytes,
         }
     }
 }
 
-/// An element type the arena pools buffers of; names its pool and how a
-/// pool miss allocates zeros.
+/// An element type the arena pools buffers of; names its pool.
 pub(crate) trait Pooled: Copy + Default + 'static {
     /// The pool of `Vec<Self>` buffers inside an arena.
     fn pool(pools: &mut Pools) -> &mut Pool<Self>;
-
-    /// `len` default elements in a fresh allocation: the miss path of
-    /// [`zeroed`]. For the integer types `vec!` asks the allocator for
-    /// zeroed memory, which the kernel faults in only on first touch.
-    fn fresh_zeroed(len: usize) -> Vec<Self> {
-        vec![Self::default(); len]
-    }
 }
 
 impl Pooled for Line {
     fn pool(pools: &mut Pools) -> &mut Pool<Self> {
         &mut pools.lines
-    }
-
-    /// Default (all-Invalid) lines from zeroed memory.
-    ///
-    /// `alloc_zeroed` hands back kernel-zeroed pages that are faulted in only
-    /// on first touch, so a line array built on a pool miss (a fresh cache, a
-    /// snapshot decode) costs no dense write — the scatter of resident lines
-    /// touches only the pages it actually lands on, and a 4 MB L2's
-    /// 65,536-line array skips the memset entirely. (`vec!` would write every
-    /// line: only integer element types get the zeroed allocation.)
-    fn fresh_zeroed(len: usize) -> Vec<Self> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let layout = std::alloc::Layout::array::<Line>(len).expect("line array layout");
-        // SAFETY: `Line` is two plain `u64`s, so every bit pattern is a
-        // `Line`, and an all-zero one is the default line: Invalid (the state
-        // bits of `meta` are `Invalid = 0`) with tag 0 and stamp 0 (pinned by
-        // the `zeroed_lines_are_default_lines` test).
-        // The pointer/len/capacity triple hands the exact
-        // `Layout::array::<Line>` allocation to `Vec`, which frees it with the
-        // same layout.
-        unsafe {
-            let ptr = std::alloc::alloc_zeroed(layout).cast::<Line>();
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Vec::from_raw_parts(ptr, len, len)
-        }
-    }
-}
-
-impl Pooled for (u32, Line) {
-    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
-        &mut pools.resident
     }
 }
 
@@ -304,6 +253,12 @@ impl Pooled for u32 {
     }
 }
 
+impl Pooled for MapEntry {
+    fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+        &mut pools.maps
+    }
+}
+
 /// Takes a recycled buffer with at least `min_capacity` capacity, or `None`
 /// when the pool has nothing suitable (caller allocates fresh). The buffer
 /// comes back empty but **dirty** — the caller must write every element it
@@ -312,17 +267,10 @@ pub(crate) fn take<T: Pooled>(min_capacity: usize) -> Option<Vec<T>> {
     ARENA.take(min_capacity)
 }
 
-/// Takes the largest recycled buffer, or an empty `Vec` when the pool is
-/// dry — for the decoder's resident seed, whose final size is only known
-/// after the run-length walk, so "largest available" is the fit policy.
-pub(crate) fn take_largest<T: Pooled>() -> Vec<T> {
-    ARENA.take_with(Pool::take_largest).unwrap_or_default()
-}
-
 /// Takes a zero-filled buffer of exactly `len` elements: the one door for
 /// every zero-filled simulator buffer. A retired buffer that fits is dirty,
 /// so the resize-from-empty writes its zeros; a pool miss is a fresh, lazily
-/// zeroed allocation ([`Pooled::fresh_zeroed`]).
+/// zeroed allocation.
 pub(crate) fn zeroed<T: Pooled>(len: usize) -> Vec<T> {
     ARENA.zeroed(len)
 }
@@ -350,6 +298,16 @@ impl<T: Pooled> Recycled<T> {
         let mut buf = Self::with_capacity(capacity);
         buf.0.extend_from_slice(src);
         buf
+    }
+
+    /// Makes room for `extra` more elements, growing through the arena: a
+    /// full buffer moves into one of at least twice its capacity (a pool
+    /// hit when an earlier user retired a grown one), and retires.
+    pub(crate) fn reserve(&mut self, extra: usize) {
+        let need = self.0.len() + extra;
+        if need > self.0.capacity() {
+            *self = Self::copy_of(&self.0, need.max(2 * self.0.capacity()));
+        }
     }
 }
 
@@ -514,8 +472,8 @@ mod tests {
     #[test]
     fn four_threads_retiring_at_once_stay_within_both_caps() {
         flood::<Line>();
-        flood::<(u32, Line)>();
         flood::<u64>();
         flood::<u32>();
+        flood::<MapEntry>();
     }
 }

@@ -6,7 +6,7 @@
 //! MESI/MOSI/MOESI family. [`CoherenceState`] carries the per-block state
 //! and [`CacheArray`] the tag/LRU bookkeeping shared by the L1 and L2 models.
 
-use super::arena::{self, Recycled};
+use super::arena;
 use super::cow::ChunkCow;
 use crate::ids::BlockAddr;
 use crate::SimError;
@@ -18,9 +18,8 @@ use crate::SimError;
 #[repr(u8)]
 pub enum CoherenceState {
     /// Invalid: no copy. Discriminant 0 so an all-zero `Line` is a default
-    /// (empty) line and zeroed allocations are valid line arrays — see
-    /// `arena::zeroed`. The discriminants are the state bits of a `Line`, so
-    /// they must fit in `STATE_BITS`. The snapshot byte for each state is an explicit
+    /// (empty) line, as a new slot's lines are. The discriminants are the
+    /// state bits of a `Line`, so they must fit in `STATE_BITS`. The snapshot byte for each state is an explicit
     /// tag in the `impl_snap!` invocation below, independent of these
     /// discriminants, so checkpoint bytes do not depend on declaration
     /// order.
@@ -209,76 +208,60 @@ impl Line {
     }
 }
 
-/// Sets per copy-on-write chunk of a line array: a fork copies
-/// `CHUNK_SETS × ways` lines (64 lines, 1 KiB, for the paper's 4-way L2)
-/// the first time it writes any of them. Short runs write scattered sets,
-/// so the bytes a fork copies grow with the chunk — a 25-transaction OLTP
-/// run from a template warmed 1000 transactions copies 3.1 MB of the
-/// 16-CPU machine's 17.8 MB of line arrays at 16 sets, 6.3 MB at 64 — while
-/// below 16 the smaller copies stop paying for the larger map
-/// (EXPERIMENTS.md, "Snapshot forks" and "Compact lines").
+/// Slots per copy-on-write chunk of a cache array's slot storage, sets per
+/// chunk of its slot table, and slots per step of the storage's growth. A
+/// fork copies `CHUNK_SETS × ways` lines (64 lines, 1 KiB, for the paper's
+/// 4-way L2) the first time it writes any of them, and 64 bytes of table
+/// the first time it gives one of 16 sets its first slot. Short runs write
+/// scattered sets, so the bytes a fork copies grow with the chunk — a
+/// 25-transaction OLTP run from a template warmed 1000 transactions copied
+/// 3.1 MB of the 16-CPU machine's then 17.8 MB of dense line arrays at 16
+/// sets, 6.3 MB at 64 — while below 16 the smaller copies stop paying for
+/// the larger map. From a template warmed 300 such a run copies 1.0 MB of
+/// slots and 80 KB of table; table chunks of 256 sets copied 516 KB of
+/// table (EXPERIMENTS.md, "Snapshot forks", "Compact lines" and
+/// "Slot-indexed cache sets").
 const CHUNK_SETS: usize = 16;
-
-/// The snapshot decoder's list of `(index, line)` for every non-Invalid
-/// line, in index order — a byproduct of its run-length walk that the
-/// residency rebuild following every decode ([`CacheArray::for_each_resident`]
-/// → snoop filter or directory) reads instead of the dense array, whose
-/// resident lines lie scattered over megabytes: measured, the bitmap walk
-/// alone made a 16-CPU template decode 15% slower. It describes the array as
-/// decoded, so it is consulted only while the array is unwritten, is not
-/// handed to clones, is dropped when the array is shared again, and never
-/// takes part in equality. Boxed: most arrays have none, and every byte of
-/// `CacheArray` sits beside the fields the access path reads — measured,
-/// holding the seed inline made one kernel machine (`slashcode16-simple`,
-/// workload seed 7) 30% slower per event.
-#[derive(Debug, Default)]
-struct DecodeSeed(Option<Box<Recycled<(u32, Line)>>>);
-
-impl Clone for DecodeSeed {
-    fn clone(&self) -> Self {
-        DecodeSeed(None)
-    }
-}
-
-impl PartialEq for DecodeSeed {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-/// Words per copy-on-write chunk of a residency bitmap: 512 lines, one
-/// 64-byte host cache line of bits. A fork copies that much of an array's
-/// bitmap the first time a fill or an invalidation lands in it.
-const BITMAP_CHUNK_WORDS: usize = 8;
 
 /// A set-associative, LRU-replacement cache tag array carrying MOSI state.
 ///
 /// Stores metadata only (tags and states); the simulator never models data
 /// values, just their movement.
 ///
-/// The line array is copy-on-write in chunks of 16 sets (`CHUNK_SETS`,
-/// `mem::cow`): cloning a shared array (a decoded one, or one shared in
-/// place by [`Machine::share`](crate::machine::Machine::share)) is a
-/// pointer copy, even for a 65,536-line L2, and the clone then copies each
-/// chunk the first time it writes a set in it — a fork costs what it
-/// touches. An array that was
-/// never shared (a fresh one, or a restore that nobody forked) is a plain
-/// `Vec` behind one enum branch. Equality, snapshot bytes and residency
-/// walks see the logical contents and are unaffected by sharing.
+/// Lines are stored per *slot*, not per set: a warmed 4 MB L2 holds lines
+/// in a few percent to a quarter of its 16,384 sets, so a dense array would
+/// be mostly Invalid lines. A slot table with one `u32` per set names each
+/// set's slot (0: the set has none, and every way is Invalid), and the slot
+/// storage holds `ways` lines per slot, growing by `CHUNK_SETS` slots at a
+/// time. A set takes the next slot at its first `insert`, and the new
+/// slot's lines are written as default (Invalid) lines there, so storage is
+/// only as large, and only as resident, as the sets a run has filled. A
+/// lookup in a set without a slot allocates nothing and finds Invalid.
+/// Slots are never given back: a set whose lines all go Invalid keeps its
+/// slot, as its dense set kept its lines.
 ///
-/// Beside the lines sits a residency bitmap, one bit per line, set iff the
-/// line is not Invalid, copy-on-write the same way. Snapshot encode and
-/// [`CacheArray::for_each_resident`] walk its set bits instead of scanning
-/// every line of a megabyte-sized array.
-#[derive(Debug, Clone, PartialEq)]
+/// Both the table and the slot storage are copy-on-write in chunks
+/// (`mem::cow`): cloning a shared array (a decoded one, or one shared in
+/// place by [`Machine::share`](crate::machine::Machine::share)) is a
+/// pointer copy, and the clone then copies each chunk the first time it
+/// writes in it — a fork costs what it touches, and the slots it adds live
+/// in its own overlay. An array that was never shared (a fresh one, or a
+/// restore that nobody forked) is a plain `Vec` behind one enum branch.
+///
+/// Equality, snapshot bytes and residency walks see the logical per-set
+/// contents, whatever slot each set landed in: they walk the table in set
+/// order. The snapshot decoder hands out slots in set order, so a decoded
+/// array's walk reads its slot storage front to back.
+#[derive(Debug, Clone)]
 pub struct CacheArray {
     config: CacheConfig,
+    /// Per set: 1 + the index of its slot, or 0 for a set without one.
+    table: ChunkCow<u32>,
+    /// Slot `s` holds lines `[s × ways, (s + 1) × ways)`, its set's ways in
+    /// order; `CHUNK_SETS` slots per chunk.
     lines: ChunkCow<Line>,
-    /// Bit `i` (word `i / 64`, bit `i % 64`) is set iff line `i` is not
-    /// Invalid. Derived (never serialized; rebuilt on decode), maintained
-    /// wherever `resident_count` is.
-    resident: ChunkCow<u64>,
-    seed: DecodeSeed,
+    /// Slots handed out so far (the storage may hold up to a chunk more).
+    slots: usize,
     sets: u64,
     ways: usize,
     use_clock: u64,
@@ -292,8 +275,7 @@ pub struct CacheArray {
     /// Live count of non-Invalid lines, maintained by every state
     /// transition. Derived (never serialized; recomputed on decode) — it
     /// makes [`CacheArray::resident_blocks`], and therefore the snapshot
-    /// capacity seed, O(1) instead of a dense scan of megabytes of line
-    /// arrays per snapshot.
+    /// capacity seed, O(1) instead of a walk of every array per snapshot.
     resident_count: usize,
 }
 
@@ -314,23 +296,27 @@ impl CacheArray {
     /// Returns [`SimError::InvalidConfig`] if the geometry is inconsistent.
     pub fn new(config: CacheConfig) -> Result<Self, SimError> {
         config.validate()?;
+        Ok(Self::empty(config))
+    }
+
+    /// An empty array of a validated geometry: a zeroed slot table from the
+    /// arena, and slot storage with room for every set, of which nothing is
+    /// written until sets take slots.
+    fn empty(config: CacheConfig) -> Self {
         let sets = config.sets();
         let ways = config.associativity as usize;
-        Ok(CacheArray {
+        CacheArray {
             config,
-            lines: ChunkCow::owned(arena::zeroed((sets as usize) * ways), CHUNK_SETS * ways),
-            resident: ChunkCow::owned(
-                arena::zeroed((sets as usize * ways).div_ceil(64)),
-                BITMAP_CHUNK_WORDS,
-            ),
-            seed: DecodeSeed::default(),
+            table: ChunkCow::owned(arena::zeroed(sets as usize), CHUNK_SETS),
+            lines: ChunkCow::with_capacity(sets as usize * ways, CHUNK_SETS * ways),
+            slots: 0,
             sets,
             ways,
             use_clock: 0,
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
             resident_count: 0,
-        })
+        }
     }
 
     /// The geometry this array was built with.
@@ -353,81 +339,96 @@ impl CacheArray {
         BlockAddr((tag << self.set_shift) | set as u64)
     }
 
-    #[inline]
-    fn set_slice_mut(&mut self, set: usize) -> &mut [Line] {
+    /// The slot of `set`, if it has one.
+    #[inline(always)]
+    fn slot_of(&self, set: usize) -> Option<usize> {
+        let entry = self.table.slice(set / CHUNK_SETS, set % CHUNK_SETS, 1)[0];
+        (entry as usize).checked_sub(1)
+    }
+
+    #[inline(always)]
+    fn slot(&self, slot: usize) -> &[Line] {
         self.lines
-            .slice_mut(set / CHUNK_SETS, set % CHUNK_SETS * self.ways, self.ways)
+            .slice(slot / CHUNK_SETS, slot % CHUNK_SETS * self.ways, self.ways)
     }
 
-    #[inline]
-    fn set_slice(&self, set: usize) -> &[Line] {
+    #[inline(always)]
+    fn slot_mut(&mut self, slot: usize) -> &mut [Line] {
         self.lines
-            .slice(set / CHUNK_SETS, set % CHUNK_SETS * self.ways, self.ways)
+            .slice_mut(slot / CHUNK_SETS, slot % CHUNK_SETS * self.ways, self.ways)
     }
 
-    /// Records that way `way` of set `set` became resident (`true`) or
-    /// Invalid (`false`): the residency bitmap and counter move together.
-    #[inline]
-    fn note_residency(&mut self, set: usize, way: usize, resident: bool) {
-        let index = set * self.ways + way;
-        let w = index / 64;
-        let word = &mut self
-            .resident
-            .slice_mut(w / BITMAP_CHUNK_WORDS, w % BITMAP_CHUNK_WORDS, 1)[0];
-        let bit = 1u64 << (index % 64);
-        if resident {
-            *word |= bit;
-            self.resident_count += 1;
-        } else {
-            *word &= !bit;
-            self.resident_count -= 1;
+    /// The lines of `set`, if it has a slot.
+    #[inline(always)]
+    fn set_lines(&self, set: usize) -> Option<&[Line]> {
+        self.slot_of(set).map(|slot| self.slot(slot))
+    }
+
+    /// The lines of `set`, if it has a slot, for writing.
+    #[inline(always)]
+    fn set_lines_mut(&mut self, set: usize) -> Option<&mut [Line]> {
+        self.slot_of(set).map(|slot| self.slot_mut(slot))
+    }
+
+    /// Gives `set`, which has no slot, the next one: its lines are default
+    /// lines, written when the storage grows by a chunk to make room.
+    fn take_slot(&mut self, set: usize) -> usize {
+        let slot = self.slots;
+        if slot.is_multiple_of(CHUNK_SETS) {
+            self.lines.append_chunk();
         }
+        self.slots += 1;
+        // Slots are below the set count, which a `u32` entry holds: decode
+        // caps the line count at 2^28.
+        self.table.slice_mut(set / CHUNK_SETS, set % CHUNK_SETS, 1)[0] = slot as u32 + 1;
+        slot
     }
 
-    /// Calls `f` with the index of every resident line in `[start, end)`,
-    /// ascending: a walk over the bitmap's set bits, one word per 64 lines.
-    #[inline]
-    fn resident_in(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
-        let mut w = start / 64;
-        while w * 64 < end {
-            let lo = w * 64;
-            let mut word = self
-                .resident
-                .slice(w / BITMAP_CHUNK_WORDS, w % BITMAP_CHUNK_WORDS, 1)[0];
-            if lo < start {
-                word &= u64::MAX << (start - lo);
-            }
-            if end - lo < 64 {
-                word &= (1u64 << (end - lo)) - 1;
-            }
-            while word != 0 {
-                f(lo + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-            w += 1;
-        }
-    }
-
-    /// Calls `f` with the index and contents of every resident line, in
-    /// index order, reading each piece of the line array (one, or one per
-    /// chunk of a forked array) against its stretch of the bitmap.
+    /// Calls `f` with the index (`set × ways + way`) and contents of every
+    /// resident line, in index order: a walk of the slot table in set
+    /// order, reading the slot of each set that has one. The table is read
+    /// 64 entries at a time into a mask of the sets with a slot, so empty
+    /// sets cost no branch each.
     #[inline]
     fn for_each_resident_line(&self, mut f: impl FnMut(usize, &Line)) {
-        let mut base = 0usize;
-        for piece in self.lines.pieces() {
-            self.resident_in(base, base + piece.len(), |i| f(i, &piece[i - base]));
-            base += piece.len();
+        let mut first = 0usize;
+        for piece in self.table.pieces() {
+            for block in piece.chunks(64) {
+                let mut slotted = block
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |mask, (i, &entry)| mask | u64::from(entry != 0) << i);
+                while slotted != 0 {
+                    let i = slotted.trailing_zeros() as usize;
+                    slotted &= slotted - 1;
+                    let base = (first + i) * self.ways;
+                    for (way, line) in self.slot(block[i] as usize - 1).iter().enumerate() {
+                        if line.valid() {
+                            f(base + way, line);
+                        }
+                    }
+                }
+                first += block.len();
+            }
         }
     }
 
-    /// Turns the line array and the bitmap into shared arrays in place, so
-    /// that clones made from here on share them ([`ChunkCow::share`]): a
-    /// fork of the machine holding this array copies pointers, not lines.
-    pub(crate) fn share(&mut self) {
+    /// Turns the slot table and the slot storage into shared arrays in
+    /// place, so that clones made from here on share them
+    /// ([`ChunkCow::share`]): a fork of the machine holding this array
+    /// copies pointers, not lines. Invisible to every lookup, equality and
+    /// snapshot byte; public for the property tests, which fold forks.
+    #[doc(hidden)]
+    pub fn share(&mut self) {
+        self.table.share();
         self.lines.share();
-        self.resident.share();
-        // An array shared again may have been written since its decode.
-        self.seed = DecodeSeed::default();
+    }
+
+    /// Bytes of slot storage and slot table this array holds (its length,
+    /// not its capacity): what the slot layout keeps below a dense array's
+    /// `sets × ways` lines.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.lines.len() * size_of::<Line>() + self.table.len() * size_of::<u32>()
     }
 
     /// Advances the use clock and returns it as the new LRU stamp, which
@@ -442,11 +443,12 @@ impl CacheArray {
     /// Returns the current state of `addr` without touching LRU (a snoop
     /// probe).
     pub fn probe(&self, addr: BlockAddr) -> CoherenceState {
-        let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        for line in self.set_slice(set) {
-            if line.valid() && line.tag == tag {
-                return line.state();
+        if let Some(lines) = self.set_lines(self.set_of(addr)) {
+            for line in lines {
+                if line.valid() && line.tag == tag {
+                    return line.state();
+                }
             }
         }
         CoherenceState::Invalid
@@ -457,10 +459,12 @@ impl CacheArray {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let clock = self.next_stamp();
-        for line in self.set_slice_mut(set) {
-            if line.valid() && line.tag == tag {
-                line.set_lru(clock);
-                return line.state();
+        if let Some(lines) = self.set_lines_mut(set) {
+            for line in lines {
+                if line.valid() && line.tag == tag {
+                    line.set_lru(clock);
+                    return line.state();
+                }
             }
         }
         CoherenceState::Invalid
@@ -471,19 +475,15 @@ impl CacheArray {
     pub fn set_state(&mut self, addr: BlockAddr, state: CoherenceState) -> bool {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let mut found = None;
-        for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
-            if line.valid() && line.tag == tag {
-                line.set_state(state);
-                found = Some(way);
-                break;
-            }
-        }
-        let Some(way) = found else {
+        let Some(lines) = self.set_lines_mut(set) else {
             return false;
         };
+        let Some(line) = lines.iter_mut().find(|l| l.valid() && l.tag == tag) else {
+            return false;
+        };
+        line.set_state(state);
         if state == CoherenceState::Invalid {
-            self.note_residency(set, way, false);
+            self.resident_count -= 1;
         }
         true
     }
@@ -505,16 +505,20 @@ impl CacheArray {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let new = Line::new(tag, state, self.next_stamp());
-        let slice = self.set_slice_mut(set);
+        let slot = match self.slot_of(set) {
+            Some(slot) => slot,
+            None => self.take_slot(set),
+        };
+        let slice = self.slot_mut(slot);
         // Already resident?
         if let Some(line) = slice.iter_mut().find(|l| l.valid() && l.tag == tag) {
             *line = new;
             return None;
         }
         // Free way?
-        if let Some(way) = slice.iter().position(|l| !l.valid()) {
-            slice[way] = new;
-            self.note_residency(set, way, true);
+        if let Some(line) = slice.iter_mut().find(|l| !l.valid()) {
+            *line = new;
+            self.resident_count += 1;
             return None;
         }
         // Evict LRU.
@@ -533,38 +537,26 @@ impl CacheArray {
     pub fn invalidate(&mut self, addr: BlockAddr) -> CoherenceState {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let mut found = None;
-        for (way, line) in self.set_slice_mut(set).iter_mut().enumerate() {
-            if line.valid() && line.tag == tag {
-                found = Some((way, line.state()));
-                line.set_state(CoherenceState::Invalid);
-                break;
-            }
-        }
-        let Some((way, old)) = found else {
+        let Some(lines) = self.set_lines_mut(set) else {
             return CoherenceState::Invalid;
         };
-        self.note_residency(set, way, false);
+        let Some(line) = lines.iter_mut().find(|l| l.valid() && l.tag == tag) else {
+            return CoherenceState::Invalid;
+        };
+        let old = line.state();
+        line.set_state(CoherenceState::Invalid);
+        self.resident_count -= 1;
         old
     }
 
     /// Number of resident (non-Invalid) blocks — for stats and the snapshot
-    /// capacity seed. O(1): a live counter, checked against the bitmap and
-    /// the line array in debug builds.
+    /// capacity seed. O(1): a live counter, checked against the slot
+    /// storage in debug builds.
     pub fn resident_blocks(&self) -> usize {
         debug_assert_eq!(
             self.resident_count,
-            self.resident
-                .pieces()
-                .flatten()
-                .map(|w| w.count_ones() as usize)
-                .sum(),
-            "resident counter drifted from the bitmap"
-        );
-        debug_assert_eq!(
-            self.resident_count,
             self.lines.pieces().flatten().filter(|l| l.valid()).count(),
-            "resident counter drifted from the line array"
+            "resident counter drifted from the slot storage"
         );
         self.resident_count
     }
@@ -572,19 +564,30 @@ impl CacheArray {
     /// Calls `f` with the address and state of every resident block, in line
     /// index order. Used to rebuild residency summaries (the snoop filter)
     /// after a checkpoint restore, where only the cache contents are
-    /// serialized. Reads the decoder's seed while the array is as decoded,
-    /// and walks the residency bitmap otherwise, so Invalid lines cost
-    /// nothing either way.
+    /// serialized. Sets without a slot cost one table entry each.
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr, CoherenceState)) {
-        if let (Some(list), true) = (&self.seed.0, self.lines.is_unwritten()) {
-            for &(i, line) in list.0.iter() {
-                f(self.addr_of(i as usize / self.ways, line.tag), line.state());
-            }
-            return;
-        }
         self.for_each_resident_line(|i, line| {
             f(self.addr_of(i / self.ways, line.tag), line.state());
         });
+    }
+}
+
+/// Equality of logical contents: geometry, clock, and every set's lines,
+/// whichever slot holds them (a set without a slot equals a set of default
+/// lines).
+impl PartialEq for CacheArray {
+    fn eq(&self, other: &Self) -> bool {
+        let empty = |lines: &[Line]| lines.iter().all(|l| *l == Line::default());
+        self.config == other.config
+            && self.use_clock == other.use_clock
+            && self.resident_count == other.resident_count
+            && (0..self.sets as usize).all(|set| {
+                match (self.set_lines(set), other.set_lines(set)) {
+                    (Some(a), Some(b)) => a == b,
+                    (Some(lines), None) | (None, Some(lines)) => empty(lines),
+                    (None, None) => true,
+                }
+            })
     }
 }
 
@@ -616,10 +619,12 @@ const SNAP_INVALID_RUN: u8 = 5;
 impl crate::checkpoint::Snap for CacheArray {
     fn encode_snap(&self, enc: &mut crate::checkpoint::Encoder) {
         self.config.encode_snap(enc);
-        enc.put_u64(self.lines.len() as u64);
+        let len = self.sets as usize * self.ways;
+        enc.put_u64(len as u64);
         // The gaps between consecutive resident lines (and after the last)
-        // are the Invalid runs; they may span the pieces of a forked array,
-        // so the bytes are those of the flat array.
+        // are the Invalid runs: the lines of sets without a slot, and the
+        // Invalid ways of sets with one. The bytes are those of the dense
+        // array in set order, whatever order the sets took their slots in.
         let put_run = |enc: &mut crate::checkpoint::Encoder, run: usize| {
             if run > 0 {
                 enc.put_u8(SNAP_INVALID_RUN);
@@ -634,7 +639,7 @@ impl crate::checkpoint::Snap for CacheArray {
             enc.put_u64(line.lru());
             next = i + 1;
         });
-        put_run(enc, self.lines.len() - next);
+        put_run(enc, len - next);
         self.sets.encode_snap(enc);
         self.ways.encode_snap(enc);
         self.use_clock.encode_snap(enc);
@@ -644,36 +649,36 @@ impl crate::checkpoint::Snap for CacheArray {
         dec: &mut crate::checkpoint::Decoder<'_>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{CheckpointError, Decoder, Snap};
+        let corrupt = |what: &str| CheckpointError::Corrupt { what: what.into() };
         let config = CacheConfig::decode_snap(dec)?;
-        let len = dec.get_u64()? as usize;
+        let len = dec.get_u64()?;
         // Largest plausible array: a 16 GB cache of 64-byte lines. Anything
         // bigger is a corrupt length, not a machine we ever built — and
         // rejecting it here keeps a flipped bit from requesting a huge
         // allocation before the fingerprint check would catch it.
         if len > 1 << 28 {
-            return Err(CheckpointError::Corrupt {
-                what: "CacheArray line count".into(),
-            });
+            return Err(corrupt("CacheArray line count"));
         }
-        // The dense array and the residency bitmap come zero-filled from the
-        // decode arena (`arena::zeroed`: a recycled buffer is refilled, a
-        // fresh one is lazily zeroed), so invalid runs just
-        // advance the cursor. Each resident line is written in place, its
-        // bit set in the residency bitmap, and recorded in the resident
-        // seed, which powers the residency rebuild that follows
-        // (`for_each_resident`).
-        let mut dense: Vec<Line> = arena::zeroed(len);
-        let mut bits: Vec<u64> = arena::zeroed(len.div_ceil(64));
-        let mut resident = arena::take_largest();
+        // The table and the storage are sized from the geometry, which
+        // must describe the lines that follow.
+        if config.validate().is_err() || config.blocks() != len {
+            return Err(corrupt("CacheArray geometry does not match its line count"));
+        }
+        let len = len as usize;
+        let mut array = CacheArray::empty(config);
+        let way_bits = array.ways.trailing_zeros();
+        // Invalid runs just advance the cursor; each resident line goes
+        // into its set's slot, which the set takes at its first resident
+        // line: sets ascend, so slots come out in set order, and the last
+        // set to take one is the only set a line can share a slot with.
         let mut filled = 0usize;
+        let mut last: Option<(usize, usize)> = None;
         while filled < len {
             match dec.get_u8()? {
                 SNAP_INVALID_RUN => {
                     let run = dec.get_u64()? as usize;
                     if run == 0 || run > len - filled {
-                        return Err(CheckpointError::Corrupt {
-                            what: "CacheArray invalid-run length".into(),
-                        });
+                        return Err(corrupt("CacheArray invalid-run length"));
                     }
                     filled += run;
                 }
@@ -682,58 +687,37 @@ impl crate::checkpoint::Snap for CacheArray {
                     // lines only ever appear inside runs.
                     let state = match CoherenceState::decode_snap(&mut Decoder::new(&[tag_byte])) {
                         Ok(state) if state != CoherenceState::Invalid => state,
-                        _ => {
-                            return Err(CheckpointError::Corrupt {
-                                what: "CacheArray line tag".into(),
-                            })
-                        }
+                        _ => return Err(corrupt("CacheArray line tag")),
                     };
                     let tag = dec.get_u64()?;
                     let lru = dec.get_u64()?;
                     if lru >= STAMP_BOUND {
-                        return Err(CheckpointError::Corrupt {
-                            what: "CacheArray line LRU stamp".into(),
-                        });
+                        return Err(corrupt("CacheArray line LRU stamp"));
                     }
-                    let line = Line::new(tag, state, lru);
-                    dense[filled] = line;
-                    bits[filled / 64] |= 1u64 << (filled % 64);
-                    // `len` is capped at 1 << 28 above, so indices fit u32.
-                    resident.push((filled as u32, line));
+                    let set = filled >> way_bits;
+                    let slot = match last {
+                        Some((last_set, slot)) if last_set == set => slot,
+                        _ => array.take_slot(set),
+                    };
+                    last = Some((set, slot));
+                    let way = filled & (array.ways - 1);
+                    array.slot_mut(slot)[way] = Line::new(tag, state, lru);
+                    array.resident_count += 1;
                     filled += 1;
                 }
             }
         }
         let sets: u64 = Snap::decode_snap(dec)?;
-        let ways = Snap::decode_snap(dec)?;
-        let use_clock: u64 = Snap::decode_snap(dec)?;
-        if use_clock >= STAMP_BOUND {
-            return Err(CheckpointError::Corrupt {
-                what: "CacheArray use clock".into(),
-            });
+        let ways: usize = Snap::decode_snap(dec)?;
+        array.use_clock = Snap::decode_snap(dec)?;
+        if array.use_clock >= STAMP_BOUND {
+            return Err(corrupt("CacheArray use clock"));
         }
-        // The chunk map and the set mask are derived from these: they must
-        // describe the array that was just read.
-        if !sets.is_power_of_two() || ways == 0 || (sets as usize).checked_mul(ways) != Some(len) {
-            return Err(CheckpointError::Corrupt {
-                what: "CacheArray geometry does not match its line count".into(),
-            });
+        if (sets, ways) != (array.sets, array.ways) {
+            return Err(corrupt("CacheArray geometry does not match its line count"));
         }
         // A decoded array is a fork template: clones share it.
-        let mut array = CacheArray {
-            config,
-            lines: ChunkCow::owned(dense, CHUNK_SETS * ways),
-            resident: ChunkCow::owned(bits, BITMAP_CHUNK_WORDS),
-            seed: DecodeSeed::default(),
-            sets,
-            ways,
-            use_clock,
-            set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
-            resident_count: resident.len(),
-        };
         array.share();
-        array.seed = DecodeSeed(Some(Box::new(Recycled(resident))));
         Ok(array)
     }
 
@@ -849,37 +833,25 @@ mod tests {
         assert!(CoherenceState::Owned.is_dirty() && !CoherenceState::Shared.is_dirty());
     }
 
-    /// Length of the Invalid-line run starting at `lines[0]`, eight lines
-    /// per step: the dense scan the encoder used before the residency
-    /// bitmap, kept as the reference its bytes are checked against.
-    fn invalid_run_len(lines: &[Line]) -> usize {
-        let mut n = 0usize;
-        let mut chunks = lines.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut occ = 0u32;
-            for (j, line) in chunk.iter().enumerate() {
-                occ |= u32::from(line.valid()) << j;
-            }
-            if occ != 0 {
-                return n + occ.trailing_zeros() as usize;
-            }
-            n += 8;
-        }
-        for line in chunks.remainder() {
-            if line.valid() {
-                return n;
-            }
-            n += 1;
-        }
-        n
+    /// The array as the dense layout held it: every set's ways in set
+    /// order, default lines for sets without a slot.
+    fn dense_lines(c: &CacheArray) -> Vec<Line> {
+        (0..c.sets as usize)
+            .flat_map(|set| match c.set_lines(set) {
+                Some(lines) => lines.to_vec(),
+                None => vec![Line::default(); c.ways],
+            })
+            .collect()
     }
 
-    /// The array's encoding by the dense invalid-run scan (the reference).
+    /// The array's encoding by a line-at-a-time scan of its dense form
+    /// (the reference the table walk is checked against).
     fn scanned_bytes(c: &CacheArray) -> Vec<u8> {
         use crate::checkpoint::{Encoder, Snap};
         let mut enc = Encoder::new();
         c.config.encode_snap(&mut enc);
-        enc.put_u64(c.lines.len() as u64);
+        let lines = dense_lines(c);
+        enc.put_u64(lines.len() as u64);
         let mut run = 0u64;
         let flush = |enc: &mut Encoder, run: &mut u64| {
             if *run > 0 {
@@ -888,19 +860,15 @@ mod tests {
                 *run = 0;
             }
         };
-        for piece in c.lines.pieces() {
-            let mut i = 0usize;
-            loop {
-                let skip = invalid_run_len(&piece[i..]);
-                run += skip as u64;
-                i += skip;
-                let Some(line) = piece.get(i) else { break };
-                flush(&mut enc, &mut run);
-                line.state().encode_snap(&mut enc);
-                enc.put_u64(line.tag);
-                enc.put_u64(line.lru());
-                i += 1;
+        for line in &lines {
+            if !line.valid() {
+                run += 1;
+                continue;
             }
+            flush(&mut enc, &mut run);
+            line.state().encode_snap(&mut enc);
+            enc.put_u64(line.tag);
+            enc.put_u64(line.lru());
         }
         flush(&mut enc, &mut run);
         c.sets.encode_snap(&mut enc);
@@ -910,60 +878,21 @@ mod tests {
     }
 
     #[test]
-    fn invalid_run_len_matches_naive_scan() {
-        // Exercise runs that end inside a chunk, at chunk boundaries, and in
-        // the sub-chunk remainder, against a line-at-a-time reference.
-        for total in [0usize, 1, 7, 8, 9, 16, 23, 64] {
-            for first_valid in 0..=total {
-                let mut lines = vec![Line::default(); total];
-                if first_valid < total {
-                    lines[first_valid].set_state(CoherenceState::Shared);
-                }
-                let naive = lines
-                    .iter()
-                    .take_while(|l| l.state() == CoherenceState::Invalid)
-                    .count();
-                assert_eq!(
-                    invalid_run_len(&lines),
-                    naive,
-                    "total={total} first_valid={first_valid}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zeroed_lines_are_default_lines() {
-        // Pins the layout contract behind the arena's lazily zeroed line
-        // arrays: all-zero bytes must be a valid default line, Invalid with
-        // tag 0 and stamp 0. If `CoherenceState` ever loses `Invalid = 0` or
-        // `Line` gains a non-zero-default field, this fails before any cache
-        // misbehaves.
-        for n in [0usize, 1, 7, 64] {
-            let lines = <Line as arena::Pooled>::fresh_zeroed(n);
-            assert_eq!(lines.len(), n);
-            assert!(lines.iter().all(|l| *l == Line::default()));
-            assert!(lines.iter().all(|l| !l.valid()
-                && l.state() == CoherenceState::Invalid
-                && l.lru() == 0
-                && l.tag == 0));
-        }
-        // A pool hit is dirty: `arena::zeroed` must refill it. (A private
-        // arena: other tests' machines draw from the process's one.)
-        let private = arena::DecodeArena::new();
-        private.give(vec![Line::new(7, CoherenceState::Modified, 9); 64]);
-        let hits = arena::stats().hits;
-        let refilled: Vec<Line> = private.zeroed(40);
-        assert_eq!(arena::stats().hits, hits + 1);
-        assert_eq!(refilled, vec![Line::default(); 40]);
+    fn a_default_line_is_invalid_with_stamp_zero() {
+        // Pins the layout contract behind a new slot's lines and a decoded
+        // array's canonical Invalid lines: the default line is Invalid with
+        // tag 0 and stamp 0, and is all-zero bytes. If `CoherenceState`
+        // ever loses `Invalid = 0`, this fails before any cache misbehaves.
+        let line = Line::default();
+        assert!(!line.valid() && line.state() == CoherenceState::Invalid);
+        assert_eq!((line.tag, line.meta, line.lru()), (0, 0, 0));
         assert_eq!(CoherenceState::default() as u8, 0);
     }
 
     #[test]
-    fn a_line_is_16_bytes_and_a_seed_entry_24() {
+    fn a_line_is_16_bytes() {
         // A 4-way set is one 64-byte host cache line.
         assert_eq!(size_of::<Line>(), 16);
-        assert_eq!(size_of::<(u32, Line)>(), 24);
     }
 
     const ALL_STATES: [CoherenceState; 5] = [
@@ -1004,9 +933,10 @@ mod tests {
         for state in ALL_STATES {
             for lru in STAMPS {
                 let (set, way) = (k / c.ways, k % c.ways);
-                c.set_slice_mut(set)[way] = Line::new(100 + k as u64, state, lru);
+                let slot = c.slot_of(set).unwrap_or_else(|| c.take_slot(set));
+                c.slot_mut(slot)[way] = Line::new(100 + k as u64, state, lru);
                 if state != CoherenceState::Invalid {
-                    c.note_residency(set, way, true);
+                    c.resident_count += 1;
                 }
                 k += 1;
             }
@@ -1019,15 +949,14 @@ mod tests {
     fn every_state_and_stamp_round_trips_through_the_encoding() {
         use crate::checkpoint::{Decoder, Snap};
         let c = every_state_at_every_stamp();
-        assert_bitmap_consistent(&c, "packed");
+        assert_consistent(&c, "packed");
         let bytes = snap_bytes(&c);
         let back = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
-        assert_bitmap_consistent(&back, "decoded");
+        assert_consistent(&back, "decoded");
         assert_eq!(snap_bytes(&back), bytes);
         assert_eq!(back.use_clock, STAMP_BOUND - 1);
         // Resident lines come back whole; Invalid ones canonicalized.
-        let lines = |c: &CacheArray| -> Vec<Line> { c.lines.pieces().flatten().copied().collect() };
-        for (was, got) in lines(&c).iter().zip(lines(&back)) {
+        for (was, got) in dense_lines(&c).iter().zip(dense_lines(&back)) {
             let want = if was.valid() { *was } else { Line::default() };
             assert_eq!(got, want);
         }
@@ -1056,7 +985,7 @@ mod tests {
     #[test]
     fn forked_array_encodes_and_walks_like_a_flat_one() {
         use crate::checkpoint::{Decoder, Snap};
-        // 64 sets x 2 ways: four copy-on-write chunks.
+        // 64 sets x 2 ways: four slot chunks once every set is filled.
         let build = || CacheArray::new(CacheConfig::new(8192, 2, 64).unwrap()).unwrap();
         let warm = |c: &mut CacheArray| {
             for a in [3u64, 67, 20, 40, 63] {
@@ -1068,8 +997,9 @@ mod tests {
         };
         let run = |c: &mut CacheArray| {
             c.insert(BlockAddr(131), CoherenceState::Modified); // set 3: evicts
-            c.touch(BlockAddr(63)); // last chunk
-            c.invalidate(BlockAddr(40)); // third chunk; second stays shared
+            c.touch(BlockAddr(63)); // the template's last slot
+            c.invalidate(BlockAddr(40));
+            c.insert(BlockAddr(50), CoherenceState::Exclusive); // a new slot
         };
         let mut flat = build();
         warm(&mut flat);
@@ -1081,29 +1011,27 @@ mod tests {
         assert_eq!(residents(&fork), residents(&flat));
         assert_eq!(fork.resident_blocks(), flat.resident_blocks());
         assert!(fork.clone() == fork && fork != template);
+        // Set 20 is invalidated in `flat` (junk kept) and has no slot in
+        // the decoded fork: equality is of contents, so they differ there
+        // only while that junk is kept.
+        assert!(fork != flat);
     }
 
     /// The residency walk by a dense line-at-a-time scan.
     fn scanned_residents(c: &CacheArray) -> Vec<(BlockAddr, CoherenceState)> {
-        let lines: Vec<Line> = c.lines.pieces().flatten().copied().collect();
+        let lines = dense_lines(c);
         (0..lines.len())
             .filter(|&i| lines[i].valid())
             .map(|i| (c.addr_of(i / c.ways, lines[i].tag), lines[i].state()))
             .collect()
     }
 
-    /// Checks the bitmap against the counter and the line array, and the
-    /// bitmap walks (encode, residency) against the dense scans.
-    fn assert_bitmap_consistent(c: &CacheArray, what: &str) {
-        let popcount: usize = c
-            .resident
-            .pieces()
-            .flatten()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        let dense = c.lines.pieces().flatten().filter(|l| l.valid()).count();
-        assert_eq!(popcount, c.resident_count, "{what}: popcount vs counter");
+    /// Checks the counter against the slot storage and the table walks
+    /// (encode, residency) against the dense scans.
+    fn assert_consistent(c: &CacheArray, what: &str) {
+        let dense = dense_lines(c).iter().filter(|l| l.valid()).count();
         assert_eq!(dense, c.resident_count, "{what}: dense count vs counter");
+        assert_eq!(c.resident_blocks(), c.resident_count, "{what}: storage");
         assert_eq!(snap_bytes(c), scanned_bytes(c), "{what}: encoding");
         assert_eq!(residents(c), scanned_residents(c), "{what}: residency walk");
     }
@@ -1139,35 +1067,36 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_tracks_residency_on_owned_shared_and_forked_arrays() {
+    fn slots_track_residency_on_owned_shared_and_forked_arrays() {
         use crate::checkpoint::{Decoder, Snap};
-        // 1, 2 and 8 ways: line-array chunks of 16, 32 and 128 lines, so
-        // a forked array's pieces start inside, at and across bitmap words;
-        // 2048 lines is four bitmap chunks.
+        // 1, 2 and 8 ways over 2048 lines: slot chunks of 16, 32 and 128
+        // lines, eight table chunks of sets at one way.
         for ways in [1u32, 2, 8] {
             let mut rng = crate::rng::Xoshiro256StarStar::new(u64::from(ways));
             let cfg = CacheConfig::new(2048 * 64, ways, 64).unwrap();
             let mut owned = CacheArray::new(cfg).unwrap();
-            churn(&mut owned, &mut rng, 3000);
-            assert_bitmap_consistent(&owned, "owned");
+            churn(&mut owned, &mut rng, 300);
+            assert_consistent(&owned, "owned");
 
             // A decoded array that its holder alone keeps: shared until the
             // first write makes it owned again.
             let bytes = snap_bytes(&owned);
             let mut sole = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
-            assert_bitmap_consistent(&sole, "decoded");
+            assert_consistent(&sole, "decoded");
             churn(&mut sole, &mut rng, 500);
-            assert_bitmap_consistent(&sole, "decoded, written");
+            assert_consistent(&sole, "decoded, written");
 
             // Forks of a held template, then a fork shared again in place
             // (folded: the template is gone) and one flattened (a sibling
-            // still holds the base), each written once more.
+            // still holds the base), each written once more. The churn
+            // fills new sets, so the forks grow their slot storage too.
             let template = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
             let mut sibling = template.clone();
             let mut fork = template.clone();
             churn(&mut sibling, &mut rng, 200);
             churn(&mut fork, &mut rng, 200);
-            assert_bitmap_consistent(&fork, "forked");
+            assert!(fork.lines.len() > template.lines.len(), "the fork grew");
+            assert_consistent(&fork, "forked");
             let (template_bytes, sibling_bytes) = (snap_bytes(&template), snap_bytes(&sibling));
             let fork_bytes = snap_bytes(&fork);
             let mut flattened = fork.clone();
@@ -1179,7 +1108,7 @@ mod tests {
             );
             assert_eq!(snap_bytes(&template), template_bytes);
             assert_eq!(snap_bytes(&sibling), sibling_bytes);
-            assert_bitmap_consistent(&sibling, "sibling");
+            assert_consistent(&sibling, "sibling");
             drop((template, sibling));
             fork.share();
             assert_eq!(snap_bytes(&fork), fork_bytes, "folding keeps the contents");
@@ -1187,47 +1116,70 @@ mod tests {
                 let mut child = c.clone();
                 churn(&mut child, &mut rng, 200);
                 churn(c, &mut rng, 200);
-                assert_bitmap_consistent(c, what);
-                assert_bitmap_consistent(&child, "fork of a re-shared array");
+                assert_consistent(c, what);
+                assert_consistent(&child, "fork of a re-shared array");
             }
         }
     }
 
     #[test]
-    fn decode_seeds_the_resident_list_and_the_bitmap() {
+    fn decode_gives_slots_in_set_order() {
         use crate::checkpoint::{Decoder, Snap};
         let mut a = small();
-        a.insert(BlockAddr(12), CoherenceState::Modified);
-        a.insert(BlockAddr(5), CoherenceState::Shared);
-        let bytes = snap_bytes(&a);
-        let mut restored = CacheArray::decode_snap(&mut Decoder::new(&bytes)).unwrap();
-
-        // The decoder records every resident line as it fills the array, and
-        // sets its bit: set 0 way 0 and set 1 way 0 of the 2-way array,
-        // lines 0 and 2.
-        let seed = &restored.seed.0.as_ref().expect("decode seeds").0;
-        assert_eq!(seed.len(), 2);
-        assert!(seed.windows(2).all(|w| w[0].0 < w[1].0), "index order");
-        let bits: Vec<u64> = restored.resident.pieces().flatten().copied().collect();
-        assert_eq!(bits, [0b101]);
-
-        // The seeded fast paths agree with a dense scan, and a clone (which
-        // is not handed the seed) agrees with both.
-        assert_eq!(restored.resident_blocks(), a.resident_blocks());
+        a.insert(BlockAddr(13), CoherenceState::Modified); // set 1
+        a.insert(BlockAddr(6), CoherenceState::Shared); // set 2
+        a.insert(BlockAddr(2), CoherenceState::Owned); // set 2
+        a.insert(BlockAddr(4), CoherenceState::Shared); // set 0
+        assert_eq!(
+            (a.slot_of(1), a.slot_of(2), a.slot_of(0), a.slot_of(3)),
+            (Some(0), Some(1), Some(2), None),
+            "first-fill order"
+        );
+        let restored = CacheArray::decode_snap(&mut Decoder::new(&snap_bytes(&a))).unwrap();
+        assert_eq!(
+            (0..4).map(|set| restored.slot_of(set)).collect::<Vec<_>>(),
+            [Some(0), Some(1), Some(2), None]
+        );
+        assert_eq!(restored, a);
+        assert_eq!(restored.resident_blocks(), 4);
         assert_eq!(residents(&restored), residents(&a));
-        assert!(restored.clone().seed.0.is_none());
-        assert_eq!(residents(&restored.clone()), residents(&a));
+        assert_eq!(snap_bytes(&restored), snap_bytes(&a));
+        assert_consistent(&restored, "restored");
+    }
 
-        // A write retires the seed from use (it no longer describes the
-        // array), and sharing the array again drops it.
-        restored.insert(BlockAddr(1), CoherenceState::Exclusive);
-        a.insert(BlockAddr(1), CoherenceState::Exclusive);
-        assert_eq!(restored.resident_blocks(), 3);
-        assert_eq!(residents(&restored), residents(&a));
-        restored.share();
-        assert!(restored.seed.0.is_none() && restored.lines.is_unwritten());
-        assert_eq!(residents(&restored), residents(&a));
-        assert_bitmap_consistent(&restored, "restored, written, shared");
+    #[test]
+    fn filling_k_sets_takes_one_slot_chunk_per_sixteen() {
+        // 256 sets x 4 ways. Probes, touches, state changes and
+        // invalidations of sets without a slot take nothing; the first
+        // fill of each set takes one slot, and the storage grows a chunk
+        // of CHUNK_SETS slots when its last slot is taken.
+        let cfg = CacheConfig::new(256 * 4 * 64, 4, 64).unwrap();
+        let chunk_bytes = CHUNK_SETS * 4 * size_of::<Line>();
+        let table_bytes = 256 * size_of::<u32>();
+        for k in [0usize, 1, 15, 16, 17, 100, 256] {
+            let mut c = CacheArray::new(cfg).unwrap();
+            for set in 0..256u64 {
+                let addr = BlockAddr(set + 256 * 9);
+                assert_eq!(c.probe(addr), CoherenceState::Invalid);
+                assert_eq!(c.touch(addr), CoherenceState::Invalid);
+                assert!(!c.set_state(addr, CoherenceState::Shared));
+                assert_eq!(c.invalidate(addr), CoherenceState::Invalid);
+            }
+            assert_eq!((c.slots, c.lines.len(), c.use_clock), (0, 0, 256));
+            // Two blocks per filled set: the second reuses the set's slot.
+            for set in 0..k as u64 {
+                c.insert(BlockAddr(set * 7 % 256), CoherenceState::Shared);
+                c.insert(BlockAddr(set * 7 % 256 + 256), CoherenceState::Shared);
+            }
+            assert_eq!(c.slots, k);
+            assert_eq!(
+                c.storage_bytes(),
+                k.div_ceil(CHUNK_SETS) * chunk_bytes + table_bytes,
+                "{k} sets filled"
+            );
+            assert_eq!(c.resident_blocks(), 2 * k);
+            assert_consistent(&c, "filled");
+        }
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //!
 //! The slow paths (snapshot encode, residency walks, equality) read the
 //! logical contents through [`ChunkCow::pieces`] — no flattening copy.
+//!
+//! An array may also grow, one whole chunk of default elements at a time
+//! ([`ChunkCow::append_chunk`]): how a cache array's slot storage takes
+//! room for sets it fills for the first time. An owned array appends to its
+//! buffer; a shared one first decides ownership like any write; a forked
+//! one appends the chunk to its private buffer and maps it there, so the
+//! base never grows and never sees it. [`ChunkCow::share`] folds appended
+//! chunks like written ones, onto the end of the base.
 
 use std::sync::Arc;
 
@@ -42,6 +50,14 @@ use super::arena::{Pooled, Recycled};
 /// [`ChunkCow`]'s constructors keep below this value.
 const CHUNK_UNMAPPED: u32 = u32::MAX;
 
+/// A chunk map entry: where the chunk's private copy starts, or
+/// [`CHUNK_UNMAPPED`]. A type of its own so that the arena pools chunk maps
+/// apart from the `u32` arrays (slot tables, filter counts): a written fork
+/// of the 16-CPU machine holds up to 97 maps, which would crowd those
+/// arrays out of a shared pool's buffer cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct MapEntry(u32);
+
 #[derive(Debug)]
 enum State<T: Pooled> {
     Owned(Recycled<T>),
@@ -50,20 +66,23 @@ enum State<T: Pooled> {
         base: Arc<Recycled<T>>,
         /// Per chunk: offset of its private copy in `private`, or
         /// [`CHUNK_UNMAPPED`].
-        map: Recycled<u32>,
-        /// Written chunks, in first-write order. Capacity covers the whole
-        /// array, so copying a chunk in never reallocates.
+        map: Recycled<MapEntry>,
+        /// Written and appended chunks, in first-write order. Capacity
+        /// covers the array as it was forked, rounded up to a power of two;
+        /// what outgrows it grows through the arena.
         private: Recycled<T>,
     },
 }
 
-/// A fixed-length array of `T` that is copied on write one chunk at a time;
-/// see the module docs. Every access names its chunk and stays inside it.
+/// An array of `T` that is copied on write one chunk at a time and grows
+/// only by whole chunks; see the module docs. Every access names its chunk
+/// and stays inside it.
 #[derive(Debug)]
 pub(crate) struct ChunkCow<T: Pooled> {
     state: State<T>,
     len: usize,
-    /// Elements per chunk (the last chunk may be shorter).
+    /// Elements per chunk (the last chunk may be shorter, unless the array
+    /// grows: [`ChunkCow::append_chunk`] needs whole chunks).
     chunk: usize,
 }
 
@@ -87,6 +106,17 @@ impl<T: Pooled> ChunkCow<T> {
         }
     }
 
+    /// An empty owned array with room for `capacity` elements, drawn from
+    /// the arena, that grows by [`ChunkCow::append_chunk`].
+    pub(crate) fn with_capacity(capacity: usize, chunk: usize) -> Self {
+        assert!(chunk > 0, "a chunk holds at least one element");
+        ChunkCow {
+            len: 0,
+            state: State::Owned(Recycled::with_capacity(capacity)),
+            chunk,
+        }
+    }
+
     /// Turns the array into a shared one in place: what a decode does to an
     /// array that is expected to be forked, and what a warm chain does to
     /// its live machine before forking it. Clones made from here on share
@@ -95,8 +125,9 @@ impl<T: Pooled> ChunkCow<T> {
     ///
     /// An owned array is wrapped (no copy). A forked array whose base no
     /// one else holds any more folds its private chunks back into the base
-    /// (a copy of the chunks written since the fork); if another holder
-    /// still has the base, the logical contents are copied into a new one.
+    /// (a copy of the chunks written or appended since the fork); if another
+    /// holder still has the base, the logical contents are copied into a new
+    /// one.
     pub(crate) fn share(&mut self) {
         self.state = match self.replace_state() {
             State::Owned(buf) => State::Shared(Arc::new(buf)),
@@ -106,12 +137,19 @@ impl<T: Pooled> ChunkCow<T> {
                     // Someone else still holds the base: fold into a copy.
                     Err(base) => Recycled::copy_of(&base.0, self.len),
                 };
-                for (c, &at) in map.0.iter().enumerate() {
+                for (c, &MapEntry(at)) in map.0.iter().enumerate() {
                     if at != CHUNK_UNMAPPED {
                         let start = c * self.chunk;
                         let n = self.chunk.min(self.len - start);
-                        let at = at as usize;
-                        flat.0[start..start + n].copy_from_slice(&private.0[at..at + n]);
+                        let chunk = &private.0[at as usize..][..n];
+                        if start < flat.0.len() {
+                            flat.0[start..start + n].copy_from_slice(chunk);
+                        } else {
+                            // Appended since the fork: chunks are mapped in
+                            // index order, so this one ends the base so far.
+                            flat.reserve(n);
+                            flat.0.extend_from_slice(chunk);
+                        }
                     }
                 }
                 State::Shared(Arc::new(flat))
@@ -148,26 +186,65 @@ impl<T: Pooled> ChunkCow<T> {
                 Err(base) => {
                     let chunks = self.len.div_ceil(self.chunk);
                     let mut map = Recycled::with_capacity(chunks);
-                    map.0.resize(chunks, CHUNK_UNMAPPED);
-                    State::Forked {
-                        base,
-                        map,
-                        private: Recycled::with_capacity(self.len),
-                    }
+                    map.0.resize(chunks, MapEntry(CHUNK_UNMAPPED));
+                    // Rounded up, so that an array that grows between forks
+                    // (a live chain machine's slot storage) still fits the
+                    // buffer its previous fork retired.
+                    let private = Recycled::with_capacity(self.len.next_power_of_two());
+                    State::Forked { base, map, private }
                 }
             },
             written => written,
         };
     }
 
+    /// Appends one chunk of default elements, written here, for the caller
+    /// to fill through [`ChunkCow::slice_mut`]. On a forked array the chunk
+    /// lives in the private buffer from the start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array would outgrow the `u32` chunk map; debug builds
+    /// also check that the array holds whole chunks.
+    pub(crate) fn append_chunk(&mut self) {
+        debug_assert!(
+            self.len.is_multiple_of(self.chunk),
+            "a growing array holds whole chunks"
+        );
+        assert!(
+            self.len + self.chunk < CHUNK_UNMAPPED as usize,
+            "array too long for the chunk map"
+        );
+        if self.is_unwritten() {
+            self.begin_writes();
+        }
+        let fill = std::iter::repeat_n(T::default(), self.chunk);
+        match &mut self.state {
+            State::Owned(buf) => {
+                buf.reserve(self.chunk);
+                buf.0.extend(fill);
+            }
+            State::Forked { map, private, .. } => {
+                map.reserve(1);
+                map.0.push(MapEntry(private.0.len() as u32));
+                private.reserve(self.chunk);
+                private.0.extend(fill);
+            }
+            State::Shared(_) => unreachable!("begin_writes left the array shared"),
+        }
+        self.len += self.chunk;
+    }
+
     /// Elements `[offset, offset + len)` of chunk `chunk`, for reading.
-    #[inline]
+    /// Always inlined: every cache lookup takes two of these, a table
+    /// entry and a slot.
+    #[inline(always)]
     pub(crate) fn slice(&self, chunk: usize, offset: usize, len: usize) -> &[T] {
         let flat = chunk * self.chunk + offset;
         match &self.state {
             State::Owned(buf) => &buf.0[flat..][..len],
             State::Shared(base) => &base.0[flat..][..len],
-            State::Forked { base, map, private } => match map.0[chunk] {
+            State::Forked { base, map, private } => match map.0[chunk].0 {
                 CHUNK_UNMAPPED => &base.0[flat..][..len],
                 at => &private.0[at as usize + offset..][..len],
             },
@@ -176,7 +253,7 @@ impl<T: Pooled> ChunkCow<T> {
 
     /// Elements `[offset, offset + len)` of chunk `chunk`, for writing. On a
     /// forked array the first call per chunk copies the chunk in.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn slice_mut(&mut self, chunk: usize, offset: usize, len: usize) -> &mut [T] {
         if self.is_unwritten() {
             self.begin_writes();
@@ -185,12 +262,11 @@ impl<T: Pooled> ChunkCow<T> {
         match &mut self.state {
             State::Owned(buf) => &mut buf.0[start + offset..][..len],
             State::Forked { base, map, private } => {
-                let mut at = map.0[chunk];
+                let mut at = map.0[chunk].0;
                 if at == CHUNK_UNMAPPED {
-                    at = private.0.len() as u32;
-                    map.0[chunk] = at;
                     let end = (start + self.chunk).min(self.len);
-                    private.0.extend_from_slice(&base.0[start..end]);
+                    at = copy_in(&base.0[start..end], private);
+                    map.0[chunk] = MapEntry(at);
                 }
                 &mut private.0[at as usize + offset..][..len]
             }
@@ -210,6 +286,17 @@ impl<T: Pooled> ChunkCow<T> {
             .enumerate()
             .map(move |(i, start)| self.slice(i, 0, step.min(self.len - start)))
     }
+}
+
+/// A forked array's first write to a chunk: copies the chunk onto the end
+/// of the private buffer and returns where it starts.
+#[cold]
+#[inline(never)]
+fn copy_in<T: Pooled>(chunk: &[T], private: &mut Recycled<T>) -> u32 {
+    let at = private.0.len() as u32;
+    private.reserve(chunk.len());
+    private.0.extend_from_slice(chunk);
+    at
 }
 
 /// A clone holds the same logical contents and shares what can be shared:
@@ -286,7 +373,7 @@ mod tests {
             panic!("a fork of a held template overlays it");
         };
         assert_eq!(private.0.len(), 2 + 4, "chunks 2 (short) and 0 only");
-        assert_eq!(map.0, [2, CHUNK_UNMAPPED, 0]);
+        assert_eq!(map.0, [2, CHUNK_UNMAPPED, 0].map(MapEntry));
         assert_eq!(contents(&fork), [10, 11, 2, 3, 4, 5, 6, 7, 80, 90]);
         assert_eq!(contents(&template), (0..10).collect::<Vec<_>>());
         assert!(template.is_unwritten());
@@ -353,6 +440,55 @@ mod tests {
         owned.share();
         assert_eq!(base_ptr(&owned), base);
         assert_eq!(contents(&owned), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn appended_chunks_grow_every_state_and_fold_onto_the_base() {
+        // Owned: the buffer grows in place, the new chunk default-filled.
+        let mut array = ChunkCow::owned((0..8).collect(), 4);
+        array.append_chunk();
+        array.slice_mut(2, 1, 1)[0] = 9;
+        assert_eq!(contents(&array), [0, 1, 2, 3, 4, 5, 6, 7, 0, 9, 0, 0]);
+        // Shared, sole holder: the holder takes the array, then grows it.
+        array.share();
+        array.append_chunk();
+        assert!(matches!(array.state, State::Owned(_)));
+        assert_eq!(array.len(), 16);
+        // Forked: the chunk is private from the start; the base never
+        // grows and siblings never see it.
+        array.share();
+        let template = array;
+        let mut fork = template.clone();
+        fork.append_chunk();
+        fork.slice_mut(4, 0, 1)[0] = 7;
+        fork.slice_mut(0, 0, 1)[0] = 5;
+        let State::Forked { map, private, .. } = &fork.state else {
+            panic!("a fork of a held template overlays it");
+        };
+        let unmapped = MapEntry(CHUNK_UNMAPPED);
+        assert_eq!(
+            map.0,
+            [MapEntry(4), unmapped, unmapped, unmapped, MapEntry(0)]
+        );
+        assert_eq!(private.0, [7, 0, 0, 0, 5, 1, 2, 3]);
+        assert_eq!((template.len(), fork.len()), (16, 20));
+        let want = [5, 1, 2, 3, 4, 5, 6, 7, 0, 9, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0];
+        assert_eq!(contents(&fork), want);
+        // Shared again: flattened while the template holds the base, folded
+        // onto it once the template is gone; both fork again.
+        let mut flattened = fork.clone();
+        flattened.share();
+        drop(template);
+        fork.share();
+        for array in [&mut fork, &mut flattened] {
+            assert!(array.is_unwritten());
+            assert_eq!(contents(array), want);
+            let mut child = array.clone();
+            child.append_chunk();
+            child.slice_mut(5, 3, 1)[0] = 8;
+            assert_eq!(contents(&child)[20..], [0, 0, 0, 8]);
+            assert_eq!(contents(array), want);
+        }
     }
 
     #[test]

@@ -478,7 +478,7 @@ impl MemorySystem {
         self.probes = ProbeStats::default();
     }
 
-    /// Turns every cache's line array and residency bitmap, and the snoop
+    /// Turns every cache's slot table and slot storage, and the snoop
     /// filter's counts, into shared arrays in place, so that clones made
     /// from here on copy pointers rather than arrays
     /// ([`Machine::share`](crate::machine::Machine::share)).
@@ -891,6 +891,16 @@ impl MemorySystem {
         self.nodes
             .iter()
             .map(|n| n.l1i.resident_blocks() + n.l1d.resident_blocks() + n.l2.resident_blocks())
+            .sum()
+    }
+
+    /// Bytes of slot storage and slot tables across every cache array:
+    /// the footprint of the line state, for the allocation tests' gate.
+    #[doc(hidden)]
+    pub fn line_storage_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| n.l1i.storage_bytes() + n.l1d.storage_bytes() + n.l2.storage_bytes())
             .sum()
     }
 

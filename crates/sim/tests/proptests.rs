@@ -651,3 +651,243 @@ fn wide_machine_filtered_snooping_matches_broadcast() {
         );
     }
 }
+
+/// A plain dense cache array: every set's ways side by side in one flat
+/// `Vec` of `(tag, state, stamp)`, under the array's replacement rules (the
+/// matching way, else the first Invalid way, else the least stamp) with an
+/// invalidated line keeping its tag and stamp. The reference the
+/// slot-indexed [`CacheArray`] is checked against, lookup by lookup and
+/// byte by byte.
+#[derive(Clone)]
+struct DenseCache {
+    cfg: CacheConfig,
+    sets: u64,
+    ways: usize,
+    lines: Vec<(u64, CoherenceState, u64)>,
+    clock: u64,
+}
+
+impl DenseCache {
+    fn new(cfg: CacheConfig) -> Self {
+        let ways = cfg.associativity as usize;
+        DenseCache {
+            cfg,
+            sets: cfg.sets(),
+            ways,
+            lines: vec![(0, CoherenceState::Invalid, 0); cfg.blocks() as usize],
+            clock: 0,
+        }
+    }
+
+    /// The line indices of `addr`'s set, and its tag.
+    fn set(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let first = (addr % self.sets) as usize * self.ways;
+        (first..first + self.ways, addr / self.sets)
+    }
+
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (ways, tag) = self.set(addr);
+        ways.into_iter()
+            .find(|&i| self.lines[i].1 != CoherenceState::Invalid && self.lines[i].0 == tag)
+    }
+
+    fn probe(&self, addr: u64) -> CoherenceState {
+        self.find(addr)
+            .map_or(CoherenceState::Invalid, |i| self.lines[i].1)
+    }
+
+    fn touch(&mut self, addr: u64) -> CoherenceState {
+        self.clock += 1;
+        let Some(i) = self.find(addr) else {
+            return CoherenceState::Invalid;
+        };
+        self.lines[i].2 = self.clock;
+        self.lines[i].1
+    }
+
+    fn set_state(&mut self, addr: u64, state: CoherenceState) -> bool {
+        let Some(i) = self.find(addr) else {
+            return false;
+        };
+        self.lines[i].1 = state;
+        true
+    }
+
+    fn insert(&mut self, addr: u64, state: CoherenceState) -> Option<(u64, CoherenceState)> {
+        self.clock += 1;
+        let (ways, tag) = self.set(addr);
+        let new = (tag, state, self.clock);
+        if let Some(i) = self.find(addr) {
+            self.lines[i] = new;
+            return None;
+        }
+        if let Some(i) = ways
+            .clone()
+            .find(|&i| self.lines[i].1 == CoherenceState::Invalid)
+        {
+            self.lines[i] = new;
+            return None;
+        }
+        let victim = ways.min_by_key(|&i| self.lines[i].2).expect("a way");
+        let (old_tag, old_state, _) = std::mem::replace(&mut self.lines[victim], new);
+        Some((old_tag * self.sets + addr % self.sets, old_state))
+    }
+
+    fn invalidate(&mut self, addr: u64) -> CoherenceState {
+        let Some(i) = self.find(addr) else {
+            return CoherenceState::Invalid;
+        };
+        std::mem::replace(&mut self.lines[i].1, CoherenceState::Invalid)
+    }
+
+    fn resident(&self) -> usize {
+        self.lines
+            .iter()
+            .filter(|l| l.1 != CoherenceState::Invalid)
+            .count()
+    }
+
+    /// The snapshot encoding of the dense array: geometry, line count, the
+    /// lines in set order with every Invalid stretch as one run (marker
+    /// byte 5, then its length), then sets, ways and the use clock.
+    fn bytes(&self) -> Vec<u8> {
+        use mtvar_sim::checkpoint::{Encoder, Snap};
+        let mut enc = Encoder::new();
+        self.cfg.encode_snap(&mut enc);
+        enc.put_u64(self.lines.len() as u64);
+        let mut run = 0u64;
+        let flush = |enc: &mut Encoder, run: &mut u64| {
+            if *run > 0 {
+                enc.put_u8(5);
+                enc.put_u64(std::mem::take(run));
+            }
+        };
+        for &(tag, state, stamp) in &self.lines {
+            if state == CoherenceState::Invalid {
+                run += 1;
+                continue;
+            }
+            flush(&mut enc, &mut run);
+            state.encode_snap(&mut enc);
+            enc.put_u64(tag);
+            enc.put_u64(stamp);
+        }
+        flush(&mut enc, &mut run);
+        self.sets.encode_snap(&mut enc);
+        self.ways.encode_snap(&mut enc);
+        self.clock.encode_snap(&mut enc);
+        enc.into_bytes()
+    }
+}
+
+/// One random operation, applied to the array and the dense reference
+/// alike: every return value must agree.
+fn apply_dense_op(cache: &mut CacheArray, dense: &mut DenseCache, rng: &mut Xoshiro256StarStar) {
+    const STATES: [CoherenceState; 5] = [
+        CoherenceState::Modified,
+        CoherenceState::Exclusive,
+        CoherenceState::Owned,
+        CoherenceState::Shared,
+        CoherenceState::Invalid,
+    ];
+    // Four times the capacity: fills of new sets, hits and evictions alike.
+    let addr = rng.next_below(4 * dense.cfg.blocks());
+    let state = STATES[rng.next_below(5) as usize];
+    match rng.next_below(10) {
+        0..=3 if state != CoherenceState::Invalid => {
+            let got = cache.insert(BlockAddr(addr), state);
+            let want = dense.insert(addr, state);
+            assert_eq!(got.map(|e| (e.addr.0, e.state)), want, "insert({addr})");
+        }
+        // An Invalid pick of a fill touches instead.
+        0..=5 => assert_eq!(cache.touch(BlockAddr(addr)), dense.touch(addr)),
+        6 => assert_eq!(cache.probe(BlockAddr(addr)), dense.probe(addr)),
+        7 | 8 => assert_eq!(
+            cache.set_state(BlockAddr(addr), state),
+            dense.set_state(addr, state),
+            "set_state({addr}, {state:?})"
+        ),
+        _ => assert_eq!(cache.invalidate(BlockAddr(addr)), dense.invalidate(addr)),
+    }
+}
+
+/// Every probe, the resident count and the snapshot bytes of `cache` equal
+/// the dense reference's.
+fn assert_dense(cache: &CacheArray, dense: &DenseCache, what: &str) {
+    for addr in 0..4 * dense.cfg.blocks() {
+        assert_eq!(
+            cache.probe(BlockAddr(addr)),
+            dense.probe(addr),
+            "{what}: probe({addr})"
+        );
+    }
+    assert_eq!(
+        cache.resident_blocks(),
+        dense.resident(),
+        "{what}: residents"
+    );
+    assert_eq!(cache_bytes(cache), dense.bytes(), "{what}: snapshot bytes");
+}
+
+#[test]
+fn slot_indexed_array_matches_a_dense_reference() {
+    // Random fill, touch, probe, set_state and invalidate sequences over
+    // 1, 2, 4 and 8 ways and 1 to 256 sets, against the dense array. Half
+    // way, the array is shared in place and restored from its bytes, and
+    // both are forked; the sequences go on in every copy, each against its
+    // own reference, then the forks are folded back (one flattened while
+    // a sibling holds its base) and go on again. The array takes its slots
+    // in first-fill order and a restore in set order, so equal bytes show
+    // that the encoding does not depend on the order sets were filled in.
+    let mut rng = Xoshiro256StarStar::new(0x51_000B);
+    for round in 0..96 {
+        let ways = 1u32 << (round % 4);
+        let sets = [1u64, 2, 16, 64, 256][round / 4 % 5];
+        let cfg = CacheConfig::new(sets * u64::from(ways) * 64, ways, 64).unwrap();
+        let mut cache = CacheArray::new(cfg).unwrap();
+        let mut dense = DenseCache::new(cfg);
+        let steps = |rng: &mut Xoshiro256StarStar| rng.next_range(1, 6 * cfg.blocks().max(8));
+        for _ in 0..steps(&mut rng) {
+            apply_dense_op(&mut cache, &mut dense, &mut rng);
+        }
+        assert_dense(&cache, &dense, "built");
+
+        // Share in place and restore; fork both.
+        cache.share();
+        let restored = decode_cache(&cache_bytes(&cache));
+        assert_dense(&restored, &dense, "restored");
+        let mut copies = vec![
+            (cache.clone(), dense.clone()),
+            (restored.clone(), dense.clone()),
+            (restored.clone(), dense.clone()),
+            (cache, dense.clone()),
+            (restored, dense),
+        ];
+        for (copy, dense) in &mut copies {
+            for _ in 0..steps(&mut rng) {
+                apply_dense_op(copy, dense, &mut rng);
+            }
+            assert_dense(copy, dense, "forked");
+        }
+
+        // Fold: the first fork while the shared array still holds its
+        // base (flattened), the last copy of the restore once its forks
+        // are folded, flattened or gone.
+        let mut folded = copies.pop().expect("five copies");
+        copies[0].0.share();
+        copies[1].0.share();
+        drop(copies.remove(2));
+        folded.0.share();
+        copies.push(folded);
+        for (copy, dense) in &mut copies {
+            assert_dense(copy, dense, "re-shared");
+            let (mut child, mut child_dense) = (copy.clone(), dense.clone());
+            for _ in 0..steps(&mut rng) {
+                apply_dense_op(copy, dense, &mut rng);
+                apply_dense_op(&mut child, &mut child_dense, &mut rng);
+            }
+            assert_dense(copy, dense, "re-shared, written");
+            assert_dense(&child, &child_dense, "fork of a re-shared array");
+        }
+    }
+}

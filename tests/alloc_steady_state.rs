@@ -65,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // Fresh cache line arrays are calloc-backed; count those
+        // Fresh slot tables and filter arrays are calloc-backed; count those
         // allocations the same as the rest so the fork-vs-restore budget
         // below measures them faithfully.
         count(layout.size());
@@ -83,7 +83,8 @@ fn counters() -> (u64, u64) {
     )
 }
 
-/// One L2's line array: 65,536 16-byte lines, 1 MiB dense.
+/// One L2's slot storage at its full capacity: room for 65,536 16-byte
+/// lines, 1 MiB, what a fresh one asks the allocator for.
 const L2_LINE_ARRAY: u64 = 16 * 65_536;
 
 fn warmed_reference_machine() -> Machine<mtvar_workloads::profile::ProfiledWorkload> {
@@ -175,7 +176,7 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     let fork_allocs = fork_allocs_1 - fork_allocs_0;
     let fork_bytes = fork_bytes_1 - fork_bytes_0;
 
-    // The line arrays and the snoop filter's counts — the dominant decoded
+    // The slot storage and tables and the snoop filter's counts — the dominant decoded
     // state — are shared until written, so a fork allocates only the
     // filter's presence words (512 KB; the arena is cold here) and the small
     // per-run containers (event wheel, scheduler state, workload queues), a
@@ -195,11 +196,11 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
 }
 
 /// A machine is built from the arena too: once a build, run and drop has
-/// left the pool holding the reference machine's line arrays,
-/// residency bitmaps and filter arrays, building a second machine of the
+/// left the pool holding the reference machine's slot storage, slot
+/// tables and filter arrays, building a second machine of the
 /// same geometry takes all of them back instead of asking the allocator
 /// for fresh ones. What remains is the machine's small containers (event
-/// wheel, scheduler, cores), never a megabyte at once: a fresh L2 line array
+/// wheel, scheduler, cores), never a megabyte at once: a fresh L2 slot storage
 /// (exactly 1 MiB) or the filter's 4 MB count array fails both bounds.
 #[test]
 fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
@@ -221,7 +222,7 @@ fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
         "the build reused no pooled buffer"
     );
     // Measured: 149,288 bytes in 11 requests, the largest 131,072; one
-    // fresh L2 line array alone is 1 MiB.
+    // fresh L2 slot storage alone is 1 MiB.
     assert!(
         largest < 1 << 20 && bytes <= L2_LINE_ARRAY / 4,
         "building a machine on a warm arena allocated {bytes} bytes in \
@@ -229,6 +230,25 @@ fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
          taking its arrays from the pool"
     );
     drop(machine);
+}
+
+/// A cache array stores only the sets a run has filled: the 16-CPU OLTP
+/// machine warmed 1,000 transactions holds at most 6 MiB of slot storage
+/// and slot tables across its 48 arrays. Dense line arrays, a MiB per L2
+/// and 32 KiB per L1, are 17.8 MB: nearly three times the gate.
+#[test]
+fn a_warmed_machine_stores_only_the_sets_it_filled() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MachineConfig::hpca2003();
+    let mut machine = Machine::new(cfg, Benchmark::Oltp.workload(16, 42)).expect("machine");
+    machine.run_transactions(1_000).expect("warmup");
+    let bytes = machine.memory().line_storage_bytes();
+    // Measured: 4,335,616 bytes, 1.1 MB of them slot tables.
+    assert!(
+        bytes <= 6 << 20,
+        "a warmed 16-CPU machine holds {bytes} bytes of line storage and slot \
+         tables; cache arrays have stopped storing only the sets they filled"
+    );
 }
 
 /// A fork costs what it touches, and what it touches is recycled: after one
@@ -273,11 +293,11 @@ fn warm_fork_and_short_run_allocate_under_a_megabyte() {
 /// The decode arena's claim for steady-state sweep launches: once the
 /// pools hold one round's worth of retired buffers, a template
 /// decode never re-allocates the multi-megabyte recycled buffers — the
-/// dense line arrays (~17 MB across the reference machine's 48 caches) and
+/// slot storages (room for ~17 MB of lines across the reference machine's 48 caches) and
 /// the snoop filter's 4 MB count + 0.5 MB presence arrays — and the arena's
 /// hit counter proves the pooled buffers were actually reused rather than
 /// the working set merely shrinking. The 32 forks that follow share the
-/// line arrays and the counts with the template (a pointer copy each) and
+/// slot storage and tables and the counts with the template (a pointer copy each) and
 /// draw their presence words from the pool, so what remains inside the
 /// budgets is the honest per-round container churn: the decoded event list,
 /// scheduler and workload state, and each fork's private wheel/core/queue
@@ -291,11 +311,11 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     arena::clear();
     let machine = warmed_reference_machine();
     let ck = machine.snapshot();
-    // Retire the warmed machine's line arrays into the arena.
+    // Retire the warmed machine's slot storage and tables into the arena.
     drop(machine);
 
     // Warmup round: one decode + fork batch, fully dropped, leaves every
-    // buffer a decode takes (line arrays, resident seeds, filter arrays) in
+    // buffer a decode takes (slot storage, slot tables, filter arrays) in
     // the pool.
     {
         let template: Machine<mtvar_workloads::profile::ProfiledWorkload> =
@@ -323,9 +343,9 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
         "the round did not reuse a single pooled buffer \
          ({stats_before:?} -> {stats_after:?}); the arena has regressed"
     );
-    // A warm decode allocates ~1.1 MB of container state (measured
-    // 1,118,208 bytes in 483 allocations). The budget's teeth: re-allocating
-    // even one retired L2 line array (`L2_LINE_ARRAY`) or the filter's 4 MB
+    // A warm decode allocates ~0.6 MB of container state (measured
+    // 605,568 bytes in 388 allocations). The budget's teeth: re-allocating
+    // even one retired L2 slot storage (`L2_LINE_ARRAY`) or the filter's 4 MB
     // count array blows straight through it.
     assert!(
         decode_allocs <= 800 && decode_bytes <= L2_LINE_ARRAY * 3 / 2,
@@ -405,8 +425,8 @@ fn live_template_rounds_stay_in_the_fork_budget() {
 /// fork's presence words, chunk maps and private chunk buffers fresh; the
 /// second finds them parked where the first left them, whichever worker
 /// retired them. (The arena is warmed with a decode beforehand, so the
-/// template decode costs both sweeps the same.) Measured: 51.1 MB, then
-/// 4.8 MB.
+/// template decode costs both sweeps the same.) Measured: 20.4 MB, then
+/// 4.6 MB.
 #[test]
 fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
     /// Makes the first two runs overlap, so that both workers fork — and
@@ -495,7 +515,7 @@ fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
                 .expect("comparison");
             counters().1 - bytes_0
         };
-        // Measured: 107 MB, then 10.6 MB.
+        // Measured: 76 MB, then 10.4 MB.
         let first = comparison_bytes();
         let second = comparison_bytes();
         assert!(
