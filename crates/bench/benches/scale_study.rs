@@ -1,13 +1,14 @@
 //! Scaling study: the machine past the paper's 16 processors.
 //!
-//! The paper's snooping bus stops at 16 CPUs; the bitset snoop filter and
-//! the directory transport carry the same protocols to 64 nodes. This bench
-//! quantifies what the transports cost and whether the paper's methodology
-//! conclusions survive the scale-up:
+//! The paper's snooping bus stops at 16 CPUs; the exact sharer table and
+//! the directory transport carry the same protocols to 64 nodes, the most a
+//! machine may have. This bench quantifies what the transports cost and
+//! whether the paper's methodology conclusions survive the scale-up:
 //!
-//! 1. **Probe traffic** — measured coherence probes per transport (filtered
-//!    snooping vs directory) against the analytic broadcast-snooping
-//!    equivalent `(cpus − 1) × (misses + upgrades)`, at 16 and 64 CPUs.
+//! 1. **Probe traffic** — measured coherence probes per transport (snooping
+//!    vs directory, both probing exact sharers) against the analytic
+//!    broadcast-snooping equivalent `(cpus − 1) × (misses + upgrades)`, at
+//!    16 and 64 CPUs.
 //! 2. **WCR at 64 CPUs** — Experiment 1's L2-associativity comparison
 //!    re-run on a 64-CPU directory machine: perturbed run spaces per
 //!    associativity and the pairwise wrong-conclusion ratio, showing that
@@ -70,10 +71,9 @@ fn main() {
                 .with_directory_coherence(),
             cpus,
         );
-        for (label, (misses, upgrades, scans, invals)) in
-            [("filtered snoop", snoop), ("directory", dir)]
+        for (label, (misses, upgrades, scans, invals)) in [("snooping", snoop), ("directory", dir)]
         {
-            // What an unfiltered broadcast bus would have probed for the
+            // What a broadcast bus would have probed for the
             // same protocol events: every other node on every miss and
             // every explicit upgrade.
             let broadcast = (cpus as u64 - 1) * (misses + upgrades);

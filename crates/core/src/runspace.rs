@@ -835,8 +835,8 @@ impl Executor {
     /// calling thread. An arm whose caller supplies its template is not
     /// decoded: the caller keeps it. Decoding is `Machine::restore`, called
     /// only here and in [`WarmChain`]'s restores; a decoded machine holds
-    /// its cache arrays and snoop filter in shareable form, so each fork is
-    /// a pointer copy per array that copies only the chunks its run writes.
+    /// its cache arrays in shareable form, so each fork is a pointer copy
+    /// per array that copies only the chunks its run writes.
     ///
     /// Returns one space per arm, or the first error of the sequential
     /// reading: arm by arm, its warmup before its runs.

@@ -223,7 +223,7 @@ fn parse_sweep_flags(args: &[String]) -> Result<SweepFlags, String> {
             seed: wl.1,
         }
     };
-    out.spec.workload.validate()?;
+    out.spec.validate()?;
     Ok(out)
 }
 

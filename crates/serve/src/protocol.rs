@@ -24,6 +24,7 @@ use mtvar_core::CoreError;
 use mtvar_sim::checkpoint::{
     frame, frame_payload_len, unframe, CheckpointError, Decoder, Encoder, Snap, FRAME_HEADER_BYTES,
 };
+use mtvar_sim::config::MAX_CPUS;
 use mtvar_sim::hash::Fnv1a;
 use mtvar_sim::workload::SharingWorkload;
 
@@ -235,7 +236,7 @@ impl WorkloadSpec {
 
     /// Validates the spec without building anything: nonzero sizing,
     /// `ops_per_txn` and `lock_every` within the simulator's `u32`, a
-    /// resolvable benchmark name.
+    /// resolvable benchmark name generated for 1 to [`MAX_CPUS`] CPUs.
     pub fn validate(&self) -> std::result::Result<(), String> {
         match self {
             WorkloadSpec::Sharing {
@@ -262,8 +263,10 @@ impl WorkloadSpec {
                 if Self::resolve_benchmark(name).is_none() {
                     return Err(format!("unknown benchmark {name:?}"));
                 }
-                if *cpus == 0 {
-                    return Err("benchmark workload needs cpus >= 1".into());
+                if !(1..=MAX_CPUS as u64).contains(cpus) {
+                    return Err(format!(
+                        "benchmark workload needs cpus 1 to {MAX_CPUS}, not {cpus}"
+                    ));
                 }
                 Ok(())
             }
@@ -357,17 +360,38 @@ mtvar_sim::impl_snap!(SweepSpec {
 });
 
 impl SweepSpec {
+    /// The one admission check for a sweep, made before anything is built
+    /// or queued: the machine's CPU count within 1 to [`MAX_CPUS`], the
+    /// workload's counts ([`WorkloadSpec::validate`]) and a plan with runs
+    /// and transactions >= 1. The daemon checks every `Submit` with it, and
+    /// [`Self::run`] (so `mtvar batch`) begins with it, so no size from the
+    /// wire reaches an allocation unchecked.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first field out of range.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        let cpus = self.config.cpus;
+        if !(1..=MAX_CPUS as u64).contains(&cpus) {
+            return Err(format!("machine needs cpus 1 to {MAX_CPUS}, not {cpus}"));
+        }
+        self.workload.validate()?;
+        if self.plan.runs == 0 || self.plan.transactions == 0 {
+            return Err("plan needs runs and transactions >= 1".into());
+        }
+        Ok(())
+    }
+
     /// Runs the sweep on `executor`: the one way from a spec to a run
     /// space, taken by the daemon's dispatchers and by `mtvar batch` alike,
     /// so a served digest equals the batch one by construction.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidExperiment`] if the workload fails
-    /// [`WorkloadSpec::validate`]; otherwise the executor's error.
+    /// [`CoreError::InvalidExperiment`] if the spec fails
+    /// [`Self::validate`]; otherwise the executor's error.
     pub fn run(&self, executor: &Executor) -> mtvar_core::Result<RunSpace> {
-        self.workload
-            .validate()
+        self.validate()
             .map_err(|what| CoreError::InvalidExperiment { what })?;
         let config = self.config.build();
         let plan = self.plan.build();
@@ -717,6 +741,47 @@ mod tests {
             },
             priority: Priority::Normal,
         }
+    }
+
+    /// Oversized CPU counts, in the machine or in a benchmark workload, and
+    /// an empty plan fail the one admission check; `run` (the batch path)
+    /// refuses them before it builds anything.
+    #[test]
+    fn the_admission_check_bounds_cpus_and_the_plan() {
+        assert_eq!(sample_spec().validate(), Ok(()));
+        let bench = |cpus| WorkloadSpec::Benchmark {
+            name: "oltp".into(),
+            cpus,
+            seed: 7,
+        };
+        let mut rejected = Vec::new();
+        for cpus in [0, 65, u64::MAX] {
+            let mut spec = sample_spec();
+            spec.config.cpus = cpus;
+            rejected.push(spec);
+            rejected.push(SweepSpec {
+                workload: bench(cpus),
+                ..sample_spec()
+            });
+        }
+        let mut spec = sample_spec();
+        spec.plan.runs = 0;
+        rejected.push(spec);
+        let executor = Executor::with_threads(1);
+        for spec in rejected {
+            assert!(spec.validate().is_err(), "{spec:?}");
+            assert!(
+                matches!(
+                    spec.run(&executor),
+                    Err(CoreError::InvalidExperiment { .. })
+                ),
+                "{spec:?}"
+            );
+        }
+        let mut widest = sample_spec();
+        widest.config.cpus = MAX_CPUS as u64;
+        widest.workload = bench(MAX_CPUS as u64);
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     /// The [`Fnv1a::hash`] of every frame and of its body, in that order.

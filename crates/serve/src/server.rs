@@ -296,22 +296,12 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
 fn serve_connection(shared: &Arc<Shared>, stream: &mut UnixStream) -> crate::Result<()> {
     match read_message(stream)? {
         Request::Submit(spec) => {
-            if let Err(what) = spec.workload.validate() {
+            if let Err(what) = spec.validate() {
                 write_message(
                     stream,
                     &Response::Error {
                         code: ErrorCode::BadRequest,
                         message: what,
-                    },
-                )?;
-                return Ok(());
-            }
-            if spec.plan.runs == 0 || spec.plan.transactions == 0 {
-                write_message(
-                    stream,
-                    &Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: "plan needs runs and transactions >= 1".into(),
                     },
                 )?;
                 return Ok(());

@@ -285,7 +285,9 @@ fn queries_and_rejections_are_typed() {
 
 /// A hostile `Submit` cannot wedge the daemon. A workload count beyond the
 /// simulator's `u32` is a typed `BadRequest` (it once wrapped to 0 and
-/// panicked the dispatcher); a sweep that panics anyway ends as `JobFailed`
+/// panicked the dispatcher), and so is a CPU count past the 64-node cap,
+/// in the machine or in a benchmark workload (either once sized an
+/// allocation straight from the wire); a sweep that panics anyway ends as `JobFailed`
 /// with the dispatcher still serving; `stats` counts the failure and the
 /// drain completes. Every call runs on a helper thread under a deadline, so
 /// a wedged server fails the test instead of hanging it.
@@ -328,7 +330,27 @@ fn a_hostile_submit_is_rejected_or_failed_never_wedged() {
         ..sweep()
     };
 
-    for spec in [sharing(4, 1 << 32, 10), sharing(4, 40, 1 << 32)] {
+    let cpus = |machine: u64, workload: u64| SweepSpec {
+        config: ConfigSpec {
+            cpus: machine,
+            ..sweep().config
+        },
+        workload: WorkloadSpec::Benchmark {
+            name: "oltp".into(),
+            cpus: workload,
+            seed: 42,
+        },
+        ..sweep()
+    };
+
+    for spec in [
+        sharing(4, 1 << 32, 10),
+        sharing(4, 40, 1 << 32),
+        cpus(65, 4),
+        cpus(u64::MAX, 4),
+        cpus(4, 65),
+        cpus(4, u64::MAX),
+    ] {
         match submit(spec) {
             Err(ServeError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
             other => panic!("expected BadRequest, got {other:?}"),

@@ -74,6 +74,12 @@ impl FaultSpec {
     }
 }
 
+/// Most processor nodes a machine may have: the memory system keeps one
+/// `u64` of sharer bits per block (see [`SharerTable`]).
+///
+/// [`SharerTable`]: crate::mem::SharerTable
+pub const MAX_CPUS: usize = 64;
+
 /// Complete configuration of a simulated machine.
 ///
 /// Construct via [`MachineConfig::hpca2003`] (the paper's 16-node E10000-like
@@ -195,7 +201,7 @@ impl MachineConfig {
     }
 
     /// Switches the coherence transport from the snooping bus to per-region
-    /// home-node directories (see [`Directory`](crate::mem::Directory)),
+    /// home-node directories (see [`home_of`](crate::mem::home_of)),
     /// keeping the protocol state machine (MOSI/MESI/MOESI) as configured —
     /// the organization that scales the machine past the paper's 16 CPUs.
     /// The resulting configuration is fingerprint-distinct from every
@@ -246,9 +252,9 @@ impl MachineConfig {
     ///
     /// Returns [`SimError::InvalidConfig`] naming the first inconsistency.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.cpus == 0 {
+        if self.cpus == 0 || self.cpus > MAX_CPUS {
             return Err(SimError::InvalidConfig {
-                what: "machine needs at least one CPU".into(),
+                what: format!("machine needs 1 to {MAX_CPUS} CPUs, not {}", self.cpus),
             });
         }
         self.memory.validate()?;
@@ -350,8 +356,24 @@ mod tests {
     fn validation_catches_bad_fields() {
         let cfg = MachineConfig::hpca2003().with_cpus(0);
         assert!(cfg.validate().is_err());
+        let cfg = MachineConfig::hpca2003().with_cpus(MAX_CPUS);
+        assert!(cfg.validate().is_ok());
         let cfg = MachineConfig::hpca2003().with_l2_associativity(3);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn sixty_five_cpus_is_an_invalid_config() {
+        let cfg = MachineConfig::hpca2003().with_cpus(65);
+        assert!(matches!(
+            cfg.validate(),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        let cfg = cfg.with_directory_coherence();
+        assert!(matches!(
+            cfg.validate(),
+            Err(SimError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! spilled result and golden digest; the known-answer tests below pin them.
 
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The SplitMix64 increment (2⁶⁴ / φ, odd).
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -92,37 +91,6 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// A [`Hasher`] for integer keys: each written word is folded in with
-/// [`mix64`]. Unlike std's default (SipHash under a random per-process
-/// key) it hashes a key the same way in every process, and a single `u64`
-/// key costs one mix.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mix64Hasher(u64);
-
-impl Hasher for Mix64Hasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = mix64(self.0 ^ n);
-    }
-}
-
-/// Builds [`Mix64Hasher`]s: the `S` of a `HashMap` keyed by addresses.
-pub type BuildMix64 = BuildHasherDefault<Mix64Hasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +107,6 @@ mod tests {
         assert_eq!(Fnv1a::hash(&pattern()), 0xF88C_FB1E_BBAC_3CEF);
         assert_eq!(finalize64(7), 0x63CB_E1E4_5932_0DD7);
         assert_eq!(fold_digest(1, 2), 0x82);
-    }
-
-    #[test]
-    fn mix64_hasher_hashes_a_word_to_its_mix() {
-        use std::hash::BuildHasher;
-        for key in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-            assert_eq!(BuildMix64::default().hash_one(key), mix64(key));
-        }
-        let mut bytes = Mix64Hasher::default();
-        bytes.write(&7u64.to_le_bytes());
-        assert_eq!(bytes.finish(), mix64(7));
     }
 
     #[test]

@@ -774,13 +774,14 @@ impl<W: Workload + Clone> Machine<W> {
     /// different perturbation seeds ([`Machine::set_perturbation`]) is the
     /// paper's mechanism for exploring the space of executions. This is a
     /// `clone`, but the dominant state — every cache's slot table and slot
-    /// storage, and the snoop filter's counts — is copy-on-write in small
-    /// chunks: forking a machine whose arrays are shared (a
-    /// [`Machine::restore`]d one, or a live one after [`Machine::share`]) is
-    /// a pointer copy per array, and the fork then copies a chunk (16 cache
-    /// sets or slots, or one filter region row) the first time it writes
-    /// into it, and keeps the slots it adds to itself, so a short run pays for the few percent of the
-    /// machine it touches and never writes what it shares. Forks may outlive
+    /// storage — is copy-on-write in small chunks: forking a machine whose
+    /// arrays are shared (a [`Machine::restore`]d one, or a live one after
+    /// [`Machine::share`]) is a pointer copy per array, and the fork then
+    /// copies a chunk (16 cache sets or slots) the first time it writes into
+    /// it, and keeps the slots it adds to itself, so a short run pays for
+    /// the few percent of the machine it touches and never writes what it
+    /// shares. The sharer table, one `[key, sharers]` pair per L2-resident
+    /// block, is copied whole through the decode arena. Forks may outlive
     /// the machine they came from and be forked again. Arrays that are not
     /// shared — those of a built machine that was never shared, or written
     /// since it was, with nobody else holding them — are copied whole. The
@@ -791,8 +792,7 @@ impl<W: Workload + Clone> Machine<W> {
     }
 
     /// Turns the machine's big arrays — every cache's slot table and slot
-    /// storage, and the snoop filter's counts — into shared ones in
-    /// place, so that [`Machine::fork`] copies pointers instead of the whole
+    /// storage — into shared ones in place, so that [`Machine::fork`] copies pointers instead of the whole
     /// machine. Nothing observable changes: equality, snapshot bytes and
     /// every later run are those of the unshared machine.
     ///

@@ -2,8 +2,8 @@
 //! restore and fork launch.
 //!
 //! The buffers that dominate a launch round are the cache arrays' slot
-//! storage and slot tables (`mem::cache`), the snoop filter's count and
-//! presence arrays, and — per fork — the private chunk buffers and chunk
+//! storage and slot tables (`mem::cache`), the sharer table
+//! (`mem::sharers`), and — per fork — the private chunk buffers and chunk
 //! maps of the copy-on-write arrays (`mem::cow`). All have the same lifetime
 //! shape in a sweep: decode a template, fork it N times, run the forks, drop
 //! everything, decode the next template. Allocating them fresh every round
@@ -14,11 +14,11 @@
 //!
 //! The arena breaks that cycle. The process keeps one small pool of retired
 //! buffers per element type; every copy-on-write buffer (base, private and
-//! map alike) and the filter's presence words is a `Recycled` vector that
+//! map alike) and the sharer table's slots is a `Recycled` vector that
 //! returns its backing storage here on drop, whichever thread drops it.
 //! Everything that takes one of those buffers takes it from here when one
 //! fits, on whichever thread it runs: `Machine::new` (every cache array and
-//! the snoop filter) on a warming worker or a sweep's caller, the snapshot
+//! the sharer table) on a warming worker or a sweep's caller, the snapshot
 //! decode, clones and first writes on the executor's workers, the live
 //! chain's advances on its own thread. So a buffer retired on a thread that
 //! never builds or decodes again — the caller of a one-thread sweep, a
@@ -41,7 +41,7 @@
 //! Buffers are handed out *dirty* and retired as they are: no memset on
 //! return. A caller that appends (slot storage, a fork's private buffer)
 //! writes every element it exposes itself; `zeroed`, the one door for
-//! zero-filled buffers (slot tables, the filter's arrays), refills a pool
+//! zero-filled buffers (slot tables, sharer tables), refills a pool
 //! hit with zeros and serves a miss with a lazily zeroed allocation, whose
 //! pages the kernel faults in on first touch.
 
@@ -112,8 +112,8 @@ impl<T: Copy> Pool<T> {
     }
 }
 
-/// The arena's pools: slot storage and slot tables (whole and private), the
-/// snoop filter's presence/count arrays and the copy-on-write chunk maps.
+/// The arena's pools: slot storage and slot tables (whole and private),
+/// sharer tables and the copy-on-write chunk maps.
 ///
 /// Every pool holds plain `Vec`s of `Copy` elements, so nothing the pools
 /// drop runs arena code. Keep it that way: a `Recycled` dropped while the
@@ -122,12 +122,12 @@ impl<T: Copy> Pool<T> {
 pub(crate) struct Pools {
     /// Cache arrays' slot storage (whole and private).
     lines: Pool<Line>,
-    /// Snoop-filter presence bitsets (`REGIONS x words` of `u64`).
-    words: Pool<u64>,
-    /// Snoop-filter residency counts (`REGIONS x cpus` of `u32`, 4 MB for
-    /// the paper's 16-CPU machine) and cache arrays' slot tables (whole and
-    /// private).
-    counts: Pool<u32>,
+    /// Sharer tables (`[key, sharers]` pairs of `u64`, 16 bytes a slot):
+    /// 0.25–1 MB for the paper's 16-CPU machine warmed 300–1,000
+    /// transactions.
+    sharers: Pool<u64>,
+    /// Cache arrays' slot tables (whole and private), one `u32` per set.
+    slot_tables: Pool<u32>,
     /// Every copy-on-write chunk map.
     maps: Pool<MapEntry>,
 }
@@ -136,8 +136,8 @@ impl Pools {
     const fn new() -> Self {
         Pools {
             lines: Pool::new(),
-            words: Pool::new(),
-            counts: Pool::new(),
+            sharers: Pool::new(),
+            slot_tables: Pool::new(),
             maps: Pool::new(),
         }
     }
@@ -218,12 +218,12 @@ impl DecodeArena {
             takes: TAKES.try_with(Cell::get).unwrap_or(0),
             hits: HITS.try_with(Cell::get).unwrap_or(0),
             pooled_buffers: pools.lines.bufs.len()
-                + pools.words.bufs.len()
-                + pools.counts.bufs.len()
+                + pools.sharers.bufs.len()
+                + pools.slot_tables.bufs.len()
                 + pools.maps.bufs.len(),
             pooled_bytes: pools.lines.bytes
-                + pools.words.bytes
-                + pools.counts.bytes
+                + pools.sharers.bytes
+                + pools.slot_tables.bytes
                 + pools.maps.bytes,
         }
     }
@@ -243,13 +243,13 @@ impl Pooled for Line {
 
 impl Pooled for u64 {
     fn pool(pools: &mut Pools) -> &mut Pool<Self> {
-        &mut pools.words
+        &mut pools.sharers
     }
 }
 
 impl Pooled for u32 {
     fn pool(pools: &mut Pools) -> &mut Pool<Self> {
-        &mut pools.counts
+        &mut pools.slot_tables
     }
 }
 

@@ -562,9 +562,9 @@ impl CacheArray {
     }
 
     /// Calls `f` with the address and state of every resident block, in line
-    /// index order. Used to rebuild residency summaries (the snoop filter)
-    /// after a checkpoint restore, where only the cache contents are
-    /// serialized. Sets without a slot cost one table entry each.
+    /// index order. Used to rebuild the sharer table after a checkpoint
+    /// restore, where only the cache contents are serialized. Sets without
+    /// a slot cost one table entry each.
     pub fn for_each_resident(&self, mut f: impl FnMut(BlockAddr, CoherenceState)) {
         self.for_each_resident_line(|i, line| {
             f(self.addr_of(i / self.ways, line.tag), line.state());

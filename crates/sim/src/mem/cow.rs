@@ -52,7 +52,7 @@ const CHUNK_UNMAPPED: u32 = u32::MAX;
 
 /// A chunk map entry: where the chunk's private copy starts, or
 /// [`CHUNK_UNMAPPED`]. A type of its own so that the arena pools chunk maps
-/// apart from the `u32` arrays (slot tables, filter counts): a written fork
+/// apart from the `u32` slot tables: a written fork
 /// of the 16-CPU machine holds up to 97 maps, which would crowd those
 /// arrays out of a shared pool's buffer cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

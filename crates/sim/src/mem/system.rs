@@ -10,8 +10,8 @@
 //! per-region home instead of one global root switch.
 
 use super::cache::{CacheArray, CacheConfig, CoherenceState};
-use super::directory::{home_of, Directory};
-use super::filter::{words_for, SnoopFilter};
+use super::sharers::{home_of, SharerTable};
+use crate::config::MAX_CPUS;
 use crate::ids::{BlockAddr, CpuId, Cycle, Nanos};
 use crate::ops::AccessKind;
 use crate::rng::Xoshiro256StarStar;
@@ -24,7 +24,7 @@ use crate::SimError;
 /// broad range of protocols (§3.2.3), and the ablation benches compare the
 /// three classic variants. The `Dir*` variants run the *same* protocol
 /// state machine over a per-region home-node directory (see
-/// [`Directory`](super::Directory)) instead of a broadcast bus — the
+/// [`home_of`](super::home_of)) instead of a broadcast bus — the
 /// scalable organization for machines past the paper's 16 nodes. Directory
 /// and snooping variants are distinct here (rather than a separate config
 /// field) so every derived configuration fingerprint, golden key, and
@@ -347,9 +347,9 @@ impl Perturbation {
 
 /// Interconnect-probe counters: how many remote tag probes (owner scans)
 /// and point-to-point invalidation messages the coherence transport issued.
-/// Purely diagnostic — the broadcast-vs-filtered-vs-directory comparison in
-/// EXPERIMENTS.md is built from these. Never serialized, never part of run
-/// results, and excluded from machine equality (always-equal `PartialEq`,
+/// Purely diagnostic — the probes-vs-broadcast comparison in EXPERIMENTS.md
+/// is built from these. Never serialized, never part of run results, and
+/// excluded from machine equality (always-equal `PartialEq`,
 /// like the invariant monitor's scratch state), so a restored machine whose
 /// counters restart at zero still compares equal to the live one.
 #[derive(Debug, Clone, Copy, Default)]
@@ -368,19 +368,6 @@ impl PartialEq for ProbeStats {
 
 impl Eq for ProbeStats {}
 
-/// Reusable candidate-bitset buffer for scans that mutate the machine while
-/// iterating. Sized once at construction (`ceil(cpus / 64)` words), so the
-/// steady-state hot path never allocates. Contents are dead outside a single
-/// scan; equality always holds so leftover bits never distinguish machines.
-#[derive(Debug, Clone, Default)]
-struct ScanScratch(Vec<u64>);
-
-impl PartialEq for ScanScratch {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
 /// The full coherent memory system shared by all processors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
@@ -392,24 +379,16 @@ pub struct MemorySystem {
     /// Timestamp of the most recent access; the bus model requires callers
     /// to present non-decreasing timestamps (checked in debug builds).
     last_access: Cycle,
-    /// Conservative L2-residency summary narrowing snoop scans; derived
-    /// state, maintained at every residency transition and rebuilt on
-    /// checkpoint restore (never serialized, so snapshot bytes are those of
-    /// the broadcast implementation). Disabled under directory protocols,
-    /// which track residency exactly in `directory` instead.
-    filter: SnoopFilter,
-    /// Exact per-block sharer directory (`Some` iff the protocol is a
-    /// `Dir*` variant). Derived state like the filter: rebuilt from cache
-    /// contents on restore, never serialized.
-    directory: Option<Directory>,
+    /// Exact L2 residency, for every protocol: the nodes a miss probes and
+    /// a write invalidates. Derived state, kept in step at every residency
+    /// transition and rebuilt on checkpoint restore (never serialized).
+    sharers: SharerTable,
     /// Per-home occupancy registers for the directory transport (empty for
     /// snooping protocols, which serialize at the single root switch via
     /// `bus_free_at`). Architectural timing state: serialized, but only for
     /// directory configurations, so snooping snapshot encodings are
     /// byte-identical to the pre-directory implementation.
     home_free_at: Vec<Cycle>,
-    /// Scratch bitset for candidate scans (see [`ScanScratch`]).
-    scan_scratch: ScanScratch,
     /// Diagnostic probe counters (see [`ProbeStats`]).
     probes: ProbeStats,
 }
@@ -419,16 +398,16 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if `cpus == 0` or the memory
-    /// configuration is inconsistent.
+    /// Returns [`SimError::InvalidConfig`] unless `cpus` is 1 to
+    /// [`MAX_CPUS`], or if the memory configuration is inconsistent.
     pub fn new(
         config: MemoryConfig,
         cpus: usize,
         perturbation: Perturbation,
     ) -> Result<Self, SimError> {
-        if cpus == 0 {
+        if cpus == 0 || cpus > MAX_CPUS {
             return Err(SimError::InvalidConfig {
-                what: "memory system needs at least one node".into(),
+                what: format!("memory system needs 1 to {MAX_CPUS} nodes, not {cpus}"),
             });
         }
         config.validate()?;
@@ -448,14 +427,8 @@ impl MemorySystem {
             perturbation,
             stats: MemStats::default(),
             last_access: 0,
-            filter: if dir {
-                SnoopFilter::disabled()
-            } else {
-                SnoopFilter::new(cpus)
-            },
-            directory: dir.then(|| Directory::new(cpus)),
+            sharers: SharerTable::with_room_for(0),
             home_free_at: if dir { vec![0; cpus] } else { Vec::new() },
-            scan_scratch: ScanScratch(Vec::with_capacity(words_for(cpus))),
             probes: ProbeStats::default(),
         })
     }
@@ -478,17 +451,15 @@ impl MemorySystem {
         self.probes = ProbeStats::default();
     }
 
-    /// Turns every cache's slot table and slot storage, and the snoop
-    /// filter's counts, into shared arrays in place, so that clones made
-    /// from here on copy pointers rather than arrays
-    /// ([`Machine::share`](crate::machine::Machine::share)).
+    /// Turns every cache's slot table and slot storage into shared arrays
+    /// in place, so that clones made from here on copy pointers rather than
+    /// arrays ([`Machine::share`](crate::machine::Machine::share)).
     pub(crate) fn share(&mut self) {
         for node in &mut self.nodes {
             node.l1i.share();
             node.l1d.share();
             node.l2.share();
         }
-        self.filter.share();
     }
 
     /// Replaces the perturbation stream — the per-run knob of §3.3. Cache
@@ -625,10 +596,8 @@ impl MemorySystem {
         self.stats.perturbation_ns += pert;
 
         // Locate a remote owner (M/O/E copy) and whether any copy exists,
-        // probing only the candidate holders: the snoop filter's region
-        // summary (conservative, clear bit proves absence) or the
-        // directory's exact sharer set. Differentially checked against the
-        // full broadcast in debug builds either way.
+        // probing only the exact sharers. Differentially checked against
+        // the full broadcast in debug builds.
         let (owner, any_remote_copy) = self.scan_candidates(n, addr);
 
         // Data supply: cache-to-cache is two traversals on the snooping bus
@@ -694,78 +663,44 @@ impl MemorySystem {
             if ev.state.is_dirty() {
                 self.stats.writebacks += 1;
             }
-            self.residency_evict(n, ev.addr);
+            self.sharers.note_evict(n, ev.addr);
             // Inclusion: the victim leaves our L1s too.
             self.nodes[n].l1d.invalidate(ev.addr);
             self.nodes[n].l1i.invalidate(ev.addr);
         }
         // A full miss only runs when our own L2 held no copy, so the insert
         // is always a fresh fill.
-        self.residency_fill(n, addr);
+        self.sharers.note_fill(n, addr);
 
         AccessOutcome { latency, source }
     }
 
-    /// Records a fresh L2 fill in whichever residency tracker the transport
-    /// uses: the snoop filter's region summary or the exact directory.
+    /// The nodes other than `n` holding a valid copy of `addr`.
     #[inline]
-    fn residency_fill(&mut self, n: usize, addr: BlockAddr) {
-        match &mut self.directory {
-            Some(dir) => dir.note_fill(n, addr),
-            None => self.filter.note_fill(n, addr),
-        }
+    fn load_candidates(&self, n: usize, addr: BlockAddr) -> u64 {
+        self.sharers.sharers(addr) & !(1u64 << n)
     }
 
-    /// Records the loss of a resident L2 copy (eviction or invalidation) in
-    /// the active residency tracker.
-    #[inline]
-    fn residency_evict(&mut self, n: usize, addr: BlockAddr) {
-        match &mut self.directory {
-            Some(dir) => dir.note_evict(n, addr),
-            None => self.filter.note_evict(n, addr),
-        }
-    }
-
-    /// Loads the candidate-holder bitset for `addr` (filter region bits or
-    /// exact directory sharers) into the scan scratch, with requester `n`
-    /// masked out. The scratch is pre-sized at construction, so this never
-    /// allocates.
-    fn load_candidates(&mut self, n: usize, addr: BlockAddr) {
-        let words: &[u64] = match &self.directory {
-            Some(dir) => dir.candidates(addr),
-            None => self.filter.candidates(addr),
-        };
-        self.scan_scratch.0.clear();
-        self.scan_scratch.0.extend_from_slice(words);
-        self.scan_scratch.0[n / 64] &= !(1u64 << (n % 64));
-    }
-
-    /// Probes the candidate holders of `addr` (requester `n` excluded) for
-    /// a remote owner (M/O/E copy) and whether any valid copy exists. Exact
-    /// by the trackers' contracts — a clear filter bit proves absence, and
-    /// directory sharer sets are exact — which debug builds verify against
-    /// the full broadcast scan.
+    /// Probes the sharers of `addr` (requester `n` excluded) for a remote
+    /// owner (M/O/E copy) and whether any valid copy exists. Exact by the
+    /// table's contract, which debug builds verify against the full
+    /// broadcast scan.
     fn scan_candidates(&mut self, n: usize, addr: BlockAddr) -> (Option<usize>, bool) {
-        self.load_candidates(n, addr);
+        let mut bits = self.load_candidates(n, addr);
+        self.probes.scan_probes += u64::from(bits.count_ones());
         let mut owner: Option<usize> = None;
         let mut any_remote_copy = false;
-        let mut probed = 0u64;
-        for w in 0..self.scan_scratch.0.len() {
-            let mut bits = self.scan_scratch.0[w];
-            while bits != 0 {
-                let i = (w << 6) | (bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                probed += 1;
-                let st = self.nodes[i].l2.probe(addr);
-                if st != CoherenceState::Invalid {
-                    any_remote_copy = true;
-                    if st.is_owner() && owner.is_none() {
-                        owner = Some(i);
-                    }
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let st = self.nodes[i].l2.probe(addr);
+            if st != CoherenceState::Invalid {
+                any_remote_copy = true;
+                if st.is_owner() && owner.is_none() {
+                    owner = Some(i);
                 }
             }
         }
-        self.probes.scan_probes += probed;
         debug_assert_eq!(
             (owner, any_remote_copy),
             self.broadcast_scan(n, addr),
@@ -813,9 +748,8 @@ impl MemorySystem {
         wait
     }
 
-    /// Owner/sharer scan probing every remote node — the reference the
-    /// filtered path must agree with, and the fallback for machines too
-    /// large for the presence vector.
+    /// Owner/sharer scan probing every remote node: the reference the
+    /// sharer scan must agree with.
     fn broadcast_scan(&self, n: usize, addr: BlockAddr) -> (Option<usize>, bool) {
         let mut owner: Option<usize> = None;
         let mut any_remote_copy = false;
@@ -835,37 +769,27 @@ impl MemorySystem {
     }
 
     /// Invalidates every remote copy of `addr` (L2 + both L1s), counting
-    /// invalidations. Only the candidate holders are visited — the filter's
-    /// region summary or the directory's exact sharers; an invalidate on a
-    /// non-resident node is a no-op, so skipping proven non-holders changes
-    /// nothing (checked in debug builds).
+    /// invalidations. Only the sharers are visited; an invalidate on a
+    /// non-resident node is a no-op, so skipping them changes nothing
+    /// (checked in debug builds).
     fn invalidate_others(&mut self, n: usize, addr: BlockAddr) {
-        self.load_candidates(n, addr);
+        let mut bits = self.load_candidates(n, addr);
         #[cfg(debug_assertions)]
         for (i, node) in self.nodes.iter().enumerate() {
-            if i != n && self.scan_scratch.0[i / 64] & (1u64 << (i % 64)) == 0 {
+            if i != n && bits & (1u64 << i) == 0 {
                 debug_assert_eq!(
                     node.l2.probe(addr),
                     CoherenceState::Invalid,
-                    "node {i} skipped by the candidate scan holds a copy"
+                    "node {i} skipped by the sharer scan holds a copy"
                 );
             }
         }
-        // Invalidation mutates the directory entry being iterated, so walk a
-        // detached scratch (no allocation: ownership moves out and back).
-        let scratch = std::mem::take(&mut self.scan_scratch.0);
-        let mut probed = 0u64;
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = (w << 6) | (bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                probed += 1;
-                self.invalidate_node(i, addr);
-            }
+        self.probes.invalidate_probes += u64::from(bits.count_ones());
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.invalidate_node(i, addr);
         }
-        self.probes.invalidate_probes += probed;
-        self.scan_scratch.0 = scratch;
     }
 
     /// Invalidates node `i`'s copy of `addr` across its cache stack,
@@ -874,7 +798,7 @@ impl MemorySystem {
         let old = self.nodes[i].l2.invalidate(addr);
         if old != CoherenceState::Invalid {
             self.stats.invalidations += 1;
-            self.residency_evict(i, addr);
+            self.sharers.note_evict(i, addr);
             self.nodes[i].l1d.invalidate(addr);
             self.nodes[i].l1i.invalidate(addr);
         }
@@ -932,28 +856,21 @@ impl MemorySystem {
         let n = cpu.index();
         if state == CoherenceState::Invalid {
             if self.nodes[n].l2.invalidate(addr) != CoherenceState::Invalid {
-                self.residency_evict(n, addr);
+                self.sharers.note_evict(n, addr);
             }
         } else if !self.nodes[n].l2.set_state(addr, state) {
             let evicted = self.nodes[n].l2.insert(addr, state);
             if let Some(ev) = evicted {
-                self.residency_evict(n, ev.addr);
+                self.sharers.note_evict(n, ev.addr);
             }
-            self.residency_fill(n, addr);
+            self.sharers.note_fill(n, addr);
         }
     }
 
-    /// The snoop filter's residency summary (for tests asserting that a
-    /// restored machine rebuilds the identical filter). Disabled — empty —
-    /// under directory protocols.
-    pub fn snoop_filter(&self) -> &SnoopFilter {
-        &self.filter
-    }
-
-    /// The home-node directory (`Some` iff the protocol is a `Dir*`
-    /// variant); for tests asserting the rebuilt-on-restore contract.
-    pub fn directory(&self) -> Option<&Directory> {
-        self.directory.as_ref()
+    /// The L2 residency table (for tests asserting that a restored machine
+    /// rebuilds it identically).
+    pub fn sharer_table(&self) -> &SharerTable {
+        &self.sharers
     }
 
     /// Diagnostic interconnect-probe counters accumulated since the last
@@ -1037,9 +954,8 @@ crate::impl_snap!(Perturbation { max_ns, rng });
 
 /// Hand-written [`Snap`](crate::checkpoint::Snap): encodes exactly the six
 /// architectural fields the derived implementation always encoded, in the
-/// same order — the snoop filter and the directory are derived state,
-/// rebuilt from the restored cache contents, keeping snooping checkpoint
-/// bytes (and fingerprints) identical to the pre-filter encoding. The only
+/// same order — the sharer table is derived state, rebuilt from the
+/// restored cache contents, so it adds no checkpoint byte. The only
 /// addition the directory organization makes — its per-home occupancy
 /// registers — is appended *after* those six fields and *only* for `Dir*`
 /// protocols, so every snooping configuration's encoding is untouched.
@@ -1072,29 +988,26 @@ impl crate::checkpoint::Snap for MemorySystem {
         } else {
             Vec::new()
         };
-        // Validate the directory register count, then rebuild the derived
-        // residency state (snoop filter or directory) from the restored
-        // cache contents.
+        // Validate the node and directory register counts, then rebuild the
+        // derived sharer table from the restored L2 contents, with room for
+        // every resident copy so the rebuild never rehashes.
         let cpus = nodes.len();
+        if cpus == 0 || cpus > MAX_CPUS {
+            return Err(CheckpointError::Corrupt {
+                what: format!("memory system of {cpus} nodes"),
+            });
+        }
         if dir && home_free_at.len() != cpus {
             return Err(CheckpointError::Corrupt {
                 what: "home occupancy register count".into(),
             });
         }
-        let (mut filter, mut directory) = if dir {
-            (SnoopFilter::disabled(), Some(Directory::new(cpus)))
-        } else {
-            (SnoopFilter::new(cpus), None)
-        };
+        let mut sharers =
+            SharerTable::with_room_for(nodes.iter().map(|n| n.l2.resident_blocks()).sum());
         for (i, node) in nodes.iter().enumerate() {
-            node.l2.for_each_resident(|addr, _| match &mut directory {
-                Some(d) => d.note_fill(i, addr),
-                None => filter.note_fill(i, addr),
-            });
+            node.l2
+                .for_each_resident(|addr, _| sharers.note_fill(i, addr));
         }
-        // A decoded machine is a fork template: its filter's counts, like
-        // its line arrays, are shared by the forks until they write them.
-        filter.share();
         Ok(MemorySystem {
             config,
             nodes,
@@ -1102,10 +1015,8 @@ impl crate::checkpoint::Snap for MemorySystem {
             perturbation,
             stats,
             last_access,
-            filter,
-            directory,
+            sharers,
             home_free_at,
-            scan_scratch: ScanScratch(Vec::with_capacity(words_for(cpus))),
             probes: ProbeStats::default(),
         })
     }
@@ -1306,9 +1217,13 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_nodes() {
+    fn rejects_zero_nodes_and_more_than_the_cap() {
+        for cpus in [0, MAX_CPUS + 1] {
+            let cfg = MemoryConfig::hpca2003();
+            assert!(MemorySystem::new(cfg, cpus, Perturbation::disabled()).is_err());
+        }
         let cfg = MemoryConfig::hpca2003();
-        assert!(MemorySystem::new(cfg, 0, Perturbation::disabled()).is_err());
+        assert!(MemorySystem::new(cfg, MAX_CPUS, Perturbation::disabled()).is_ok());
     }
 
     fn sys_with(protocol: CoherenceProtocol, cpus: usize) -> MemorySystem {

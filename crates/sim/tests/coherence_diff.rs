@@ -3,12 +3,13 @@
 //! system in lockstep, for all three protocol state machines, on ≤16-CPU
 //! configurations where both transports are defined.
 //!
-//! The directory organization changes *where* transactions serialize and
-//! how many probes they cost — never what the protocol decides. So given
-//! the same access sequence the two backends must agree on every access's
-//! source class, every cache state at every level, and every statistic
-//! except bus waiting time (the only quantity the transport's arbitration
-//! structure is allowed to move). A second suite pins the directory side
+//! The directory organization changes *where* transactions serialize —
+//! never what the protocol decides, nor whom it probes: both transports
+//! consult the same exact sharer table. So given the same access sequence
+//! the two backends must agree on every access's source class, every cache
+//! state at every level, every probe count, and every statistic except bus
+//! waiting time (the only quantity the transport's arbitration structure is
+//! allowed to move). A second suite pins the directory side
 //! against the untimed [`CoherenceOracle`] inside the no-eviction envelope,
 //! with the invariant monitor watching throughout — the same discipline
 //! `oracle_diff.rs` applies to snooping.
@@ -76,6 +77,14 @@ fn diff_transports(base: CoherenceProtocol, cpus: usize, trace: &[(CpuId, BlockA
             "{base:?} cpus={cpus} step {step}: transports served {cpu} {kind:?} \
              block {} from different classes",
             addr.0,
+        );
+        // `ProbeStats` equality always holds (it is diagnostic), so compare
+        // the counters themselves.
+        let (sp, dp) = (snoop.probe_stats(), dir.probe_stats());
+        assert_eq!(
+            (sp.scan_probes, sp.invalidate_probes),
+            (dp.scan_probes, dp.invalidate_probes),
+            "{base:?} cpus={cpus} step {step}: transports probed different nodes",
         );
         for i in 0..cpus {
             let c = CpuId(i as u32);

@@ -10,7 +10,7 @@ use mtvar_sim::config::MachineConfig;
 use mtvar_sim::ids::{BlockAddr, CpuId};
 use mtvar_sim::machine::Machine;
 use mtvar_sim::mem::{
-    CacheArray, CacheConfig, CoherenceState, MemoryConfig, MemorySystem, Perturbation,
+    CacheArray, CacheConfig, CoherenceState, MemoryConfig, MemorySystem, Perturbation, SharerTable,
 };
 use mtvar_sim::ops::AccessKind;
 use mtvar_sim::rng::Xoshiro256StarStar;
@@ -506,122 +506,135 @@ fn commit_log_is_sorted_and_complete() {
     }
 }
 
-/// Naive reference model for the snoop filter: each node's exact resident
-/// set, answering candidate queries by scanning for any resident block in
-/// the queried address's region.
-#[derive(Clone)]
-struct FilterModel {
-    resident: Vec<std::collections::HashSet<u64>>,
-}
+/// The exact model of a sharer table: each block's sharer bits, a block
+/// removed once its last sharer leaves.
+type SharerModel = std::collections::HashMap<u64, u64>;
 
-impl FilterModel {
-    fn new(cpus: usize) -> Self {
-        FilterModel {
-            resident: vec![std::collections::HashSet::new(); cpus],
-        }
-    }
-
-    fn may_hold(&self, cpu: usize, addr: BlockAddr) -> bool {
-        let region = mtvar_sim::mem::filter::region_of(addr);
-        self.resident[cpu]
-            .iter()
-            .any(|&a| mtvar_sim::mem::filter::region_of(BlockAddr(a)) == region)
+/// A block from `pool`, or one of the two extreme keys one time in ten.
+fn pick(rng: &mut Xoshiro256StarStar, pool: &[u64]) -> u64 {
+    match rng.next_below(20) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => pool[rng.next_below(pool.len() as u64) as usize],
     }
 }
 
-/// One random fill-or-evict of a pool address on `filter`, `model` and the
-/// `flat` rebuild, followed by an exactness check of the full candidate
-/// bitset for a random probe address (resident or not) against the model.
-fn step_filter(
+/// One random fill or evict on `table` and `model`, then the sharers of a
+/// random block checked against the model.
+fn step_sharers(
     rng: &mut Xoshiro256StarStar,
     pool: &[u64],
     cpus: usize,
-    filter: &mut mtvar_sim::mem::SnoopFilter,
-    flat: &mut mtvar_sim::mem::SnoopFilter,
-    model: &mut FilterModel,
+    table: &mut SharerTable,
+    model: &mut SharerModel,
 ) {
     let cpu = rng.next_below(cpus as u64) as usize;
-    let addr = pool[rng.next_below(pool.len() as u64) as usize];
-    if model.resident[cpu].remove(&addr) {
-        filter.note_evict(cpu, BlockAddr(addr));
-        flat.note_evict(cpu, BlockAddr(addr));
+    let bit = 1u64 << cpu;
+    let addr = pick(rng, pool);
+    let held = model.get(&addr).copied().unwrap_or(0);
+    if held & bit != 0 {
+        table.note_evict(cpu, BlockAddr(addr));
+        match held & !bit {
+            0 => model.remove(&addr),
+            left => model.insert(addr, left),
+        };
     } else {
-        filter.note_fill(cpu, BlockAddr(addr));
-        flat.note_fill(cpu, BlockAddr(addr));
-        model.resident[cpu].insert(addr);
+        table.note_fill(cpu, BlockAddr(addr));
+        model.insert(addr, held | bit);
     }
-    let probe = BlockAddr(pool[rng.next_below(pool.len() as u64) as usize]);
+    let probe = pick(rng, pool);
     assert_eq!(
-        filter.candidates(probe).len(),
-        cpus.div_ceil(64),
-        "{cpus} cpus: candidate bitset has the wrong width"
+        table.sharers(BlockAddr(probe)),
+        model.get(&probe).copied().unwrap_or(0),
+        "{cpus} cpus: sharers of block {probe:#x} diverged"
     );
-    for c in 0..cpus {
+}
+
+/// A table built from `model` alone, with no emptied entries.
+fn rebuilt(model: &SharerModel) -> SharerTable {
+    let mut table = SharerTable::with_room_for(model.len());
+    for (&addr, &sharers) in model {
+        for cpu in (0..64).filter(|c| sharers & (1 << c) != 0) {
+            table.note_fill(cpu, BlockAddr(addr));
+        }
+    }
+    table
+}
+
+/// Checks every block of `pool`, both extreme keys and the live count
+/// against `model`, and equality with a table rebuilt from it. Returns
+/// whether `table` held emptied entries that the equality ignored.
+fn check_sharers(pool: &[u64], cpus: usize, table: &SharerTable, model: &SharerModel) -> bool {
+    for &addr in pool.iter().chain(&[0, u64::MAX]) {
         assert_eq!(
-            filter.may_hold(c, probe),
-            model.may_hold(c, probe),
-            "{cpus} cpus: node {c} presence bit diverged for block {:#x}",
-            probe.0,
+            table.sharers(BlockAddr(addr)),
+            model.get(&addr).copied().unwrap_or(0),
+            "{cpus} cpus: sharers of block {addr:#x} diverged"
         );
-        if !filter.may_hold(c, probe) {
-            assert!(
-                !model.resident[c].contains(&probe.0),
-                "{cpus} cpus: clear bit was a false negative",
-            );
-        }
     }
+    assert_eq!(table.live_blocks(), model.len(), "{cpus} cpus: live blocks");
+    let fresh = rebuilt(model);
+    assert!(
+        *table == fresh,
+        "{cpus} cpus: a table differs from its rebuild"
+    );
+    table.entries() > fresh.entries()
 }
 
-/// Random fill/evict/query sequences against the reference model, at node
-/// counts on both sides of the old u16 limit and both sides of a bitset
-/// word boundary. The filter must be *exact at region granularity*: bit set
-/// iff the node holds at least one block in the region — which subsumes the
-/// conservative-exact property (a clear bit is never a false negative: the
-/// node provably holds no copy of the queried address). Mid-trace the filter
-/// is made shareable, as a restore leaves it, and cloned twice; the three
-/// sharers then copy region rows on write while each continues on a random
-/// suffix of its own, and each must still match its own model and a flat
-/// filter rebuilt from the same operations.
+/// Random fill/evict churn against the exact model at 1, 17 and 64 nodes,
+/// over a pool of 1,500 structured and random blocks plus the extreme keys
+/// 0 and `u64::MAX`. The pool keeps the table up to three quarters full,
+/// so probe chains are long, emptied slots are taken again and the table
+/// rehashes. Mid-trace the table is cloned twice; the three copies then
+/// each continue on a random suffix of their own and must each match their
+/// own model, also after the others have run. Equality with a table rebuilt
+/// from the model must ignore the emptied entries churn leaves behind.
 #[test]
-fn snoop_filter_matches_reference_model_at_every_scale() {
-    use mtvar_sim::mem::SnoopFilter;
-    for cpus in [8usize, 17, 64, 128] {
-        let mut rng = Xoshiro256StarStar::new(0x51_F1_7E ^ (cpus as u64));
-        for _ in 0..8 {
-            let mut filter = SnoopFilter::new(cpus);
-            let mut flat = SnoopFilter::new(cpus);
-            assert!(filter.enabled(), "{cpus} cpus: filter must stay enabled");
-            let mut model = FilterModel::new(cpus);
-            // Structured pool like the workload generators': widely spaced
-            // bases with small offsets, so region collisions do occur.
-            let pool: Vec<u64> = (0..96u64)
+fn sharer_table_matches_an_exact_model() {
+    for cpus in [1usize, 17, 64] {
+        let mut rng = Xoshiro256StarStar::new(0x51_54A3 ^ (cpus as u64));
+        let mut saw_emptied = false;
+        for _ in 0..4 {
+            // Widely spaced bases with small offsets, like the workload
+            // generators', and as many arbitrary keys.
+            let pool: Vec<u64> = (0..750u64)
                 .map(|i| 0x10_0000_0000 + (i % 6) * 0x4000_0000 + (i / 6) * 64)
+                .chain((0..750).map(|_| rng.next_u64() | 1))
                 .collect();
-            for _ in 0..300 {
-                step_filter(&mut rng, &pool, cpus, &mut filter, &mut flat, &mut model);
+            let mut table = SharerTable::with_room_for(0);
+            let mut model = SharerModel::new();
+            for _ in 0..6_000 {
+                step_sharers(&mut rng, &pool, cpus, &mut table, &mut model);
             }
-            filter.share();
-            let mut sharers = [filter.clone(), filter.clone(), filter];
-            for sharer in &mut sharers {
-                let (mut flat, mut model) = (flat.clone(), model.clone());
-                for _ in 0..100 {
-                    step_filter(&mut rng, &pool, cpus, sharer, &mut flat, &mut model);
+            saw_emptied |= check_sharers(&pool, cpus, &table, &model);
+            let mut copies = [
+                (table.clone(), model.clone()),
+                (table.clone(), model.clone()),
+                (table, model),
+            ];
+            for (table, model) in &mut copies {
+                for _ in 0..2_000 {
+                    step_sharers(&mut rng, &pool, cpus, table, model);
                 }
-                assert!(
-                    *sharer == flat,
-                    "{cpus} cpus: sharer differs from a flat rebuild"
-                );
+            }
+            for (table, model) in &copies {
+                saw_emptied |= check_sharers(&pool, cpus, table, model);
             }
         }
+        assert!(
+            saw_emptied,
+            "{cpus} cpus: churn never left an emptied entry"
+        );
     }
 }
 
-/// End-to-end filtered coherence on machines wider than the old u16 limit:
-/// the memory system's own debug differential (every filtered miss and
-/// invalidation checked against the full broadcast) runs on every access in
-/// these debug-built tests, and the single-writer invariant must hold.
+/// End-to-end snooping coherence on machines wider than 16 nodes, up to
+/// the 64-node cap: the memory system's own debug differential (every miss
+/// and invalidation checked against the full broadcast) runs on every
+/// access in these debug-built tests, and the single-writer invariant must
+/// hold.
 #[test]
-fn wide_machine_filtered_snooping_matches_broadcast() {
+fn wide_machine_snooping_matches_broadcast() {
     for cpus in [17usize, 64] {
         let mut rng = Xoshiro256StarStar::new(0x51_0B1D ^ (cpus as u64));
         let mut mem = small_mem(cpus);
@@ -644,7 +657,7 @@ fn wide_machine_filtered_snooping_matches_broadcast() {
         let p = mem.probe_stats();
         assert!(
             p.scan_probes < mem.stats().l2_misses * (cpus as u64 - 1),
-            "{cpus} cpus: the filter should beat full broadcast on these traces \
+            "{cpus} cpus: exact sharers should beat full broadcast on these traces \
              ({} probes over {} misses)",
             p.scan_probes,
             mem.stats().l2_misses,

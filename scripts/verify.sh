@@ -42,6 +42,9 @@ stray=$(
         grep -v -x -e 'crates/sim/src/checkpoint.rs' -e 'crates/sim/src/mem/cache.rs' \
             -e 'crates/sim/src/mem/system.rs' -e 'crates/sim/src/check/mod.rs' \
             -e 'crates/sim/src/proc/predictor/mod.rs' || true
+    # One exact sharer table tracks L2 residency for every protocol.
+    grep -rlnw -e 'SnoopFilter' -e 'words_for' -e 'ScanScratch' -e 'BuildMix64' \
+        -e 'Mix64Hasher' crates src tests examples || true
     # Lazily zeroed memory is the decode arena's miss path.
     grep -rln -e 'alloc_zeroed' crates | grep -v -x -e 'crates/sim/src/mem/arena.rs' || true
     grep -rlnw -e 'fn zeroed_lines' crates src tests examples |
@@ -107,20 +110,20 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-# Scaling gate (workspace run): snooping-vs-directory in lockstep, the
-# directory-vs-oracle diff under the invariant monitor (coherence_diff), and
-# the snoop filter against a naive residency model at 8/17/64/128 nodes
-# (proptests); the golden (+dir64) and checkpoint suites pin 64-CPU
+# Scaling gate (workspace run): snooping-vs-directory in lockstep, probe
+# counts included, the directory-vs-oracle diff under the invariant monitor
+# (coherence_diff), and the sharer table against an exact model at 1/17/64
+# nodes (proptests); the golden (+dir64) and checkpoint suites pin 64-CPU
 # directory machines there and in release below.
 #
-# Kernel-parity gate: the optimized event queue, snoop filter, and
+# Kernel-parity gate: the optimized event queue, sharer table and
 # directory transport must reproduce every golden digest and checkpoint
-# fingerprint in release mode, where the filter's and directory's debug
-# differentials against full broadcast are compiled out and the filtered
-# paths run alone. The workspace run covered the same suites (including
-# the +dir64 digests and the 64-CPU directory checkpoint case) with the
-# differential asserts active.
-echo "==> kernel parity: golden digests, release (pure filtered snoop path)"
+# fingerprint in release mode, where the sharer scan's debug differential
+# against full broadcast is compiled out and the sharer scan runs alone.
+# The workspace run covered the same suites (including the +dir64 digests
+# and the 64-CPU directory checkpoint case) with the differential asserts
+# active.
+echo "==> kernel parity: golden digests, release (sharer scan alone)"
 cargo test -q --offline --release --test golden_runs
 
 echo "==> kernel parity: checkpoint bit-identity, release"

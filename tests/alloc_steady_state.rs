@@ -2,7 +2,7 @@
 //!
 //! The kernel overhaul's zero-alloc claim: once a machine is warmed — event
 //! wheel buckets sized, workload op queues filled, scheduler scratch grown —
-//! the hot loop (event dispatch, cache access, snoop filtering, scheduling,
+//! the hot loop (event dispatch, cache access, sharer lookup, scheduling,
 //! invariant checking on clean runs) performs no heap allocation. A counting
 //! `#[global_allocator]` measures a >= 10k-event window on the 16-CPU OLTP
 //! reference machine; the budget tolerates only the rare amortized regrowth
@@ -65,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // Fresh slot tables and filter arrays are calloc-backed; count those
+        // Fresh slot tables and sharer tables are calloc-backed; count those
         // allocations the same as the rest so the fork-vs-restore budget
         // below measures them faithfully.
         count(layout.size());
@@ -176,11 +176,11 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
     let fork_allocs = fork_allocs_1 - fork_allocs_0;
     let fork_bytes = fork_bytes_1 - fork_bytes_0;
 
-    // The slot storage and tables and the snoop filter's counts — the dominant decoded
-    // state — are shared until written, so a fork allocates only the
-    // filter's presence words (512 KB; the arena is cold here) and the small
-    // per-run containers (event wheel, scheduler state, workload queues), a
-    // fraction of what a full decode pays.
+    // The slot storage and tables — the dominant decoded state — are
+    // shared until written, so a fork allocates only its sharer table
+    // (512 KB; the arena is cold here) and the small per-run containers
+    // (event wheel, scheduler state, workload queues), a fraction of what a
+    // full decode pays.
     assert!(
         fork_bytes <= restore_bytes / 4,
         "fork allocated {fork_bytes} bytes vs {restore_bytes} for a full \
@@ -197,11 +197,11 @@ fn forking_a_template_is_far_cheaper_than_restoring() {
 
 /// A machine is built from the arena too: once a build, run and drop has
 /// left the pool holding the reference machine's slot storage, slot
-/// tables and filter arrays, building a second machine of the
+/// tables and sharer table, building a second machine of the
 /// same geometry takes all of them back instead of asking the allocator
 /// for fresh ones. What remains is the machine's small containers (event
 /// wheel, scheduler, cores), never a megabyte at once: a fresh L2 slot storage
-/// (exactly 1 MiB) or the filter's 4 MB count array fails both bounds.
+/// (exactly 1 MiB) fails both bounds.
 #[test]
 fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -221,7 +221,7 @@ fn a_machine_built_after_one_was_dropped_reuses_its_arrays() {
         mtvar_sim::mem::arena::stats().hits > stats_before.hits,
         "the build reused no pooled buffer"
     );
-    // Measured: 149,288 bytes in 11 requests, the largest 131,072; one
+    // Measured: 149,280 bytes in 10 requests, the largest 131,072; one
     // fresh L2 slot storage alone is 1 MiB.
     assert!(
         largest < 1 << 20 && bytes <= L2_LINE_ARRAY / 4,
@@ -258,8 +258,7 @@ fn a_warmed_machine_stores_only_the_sets_it_filled() {
 /// in total (the per-run containers of the test below, plus their regrowth
 /// during the window) and never for a megabyte at once. Growing a fresh
 /// private buffer for one L2 (1 MiB of capacity: the strict `<` on the
-/// largest request catches exactly that), or copying the snoop filter's
-/// count array (4 MB) past the arena, fails both bounds on its own.
+/// largest request catches exactly that) fails both bounds on its own.
 #[test]
 fn warm_fork_and_short_run_allocate_under_a_megabyte() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -294,11 +293,11 @@ fn warm_fork_and_short_run_allocate_under_a_megabyte() {
 /// pools hold one round's worth of retired buffers, a template
 /// decode never re-allocates the multi-megabyte recycled buffers — the
 /// slot storages (room for ~17 MB of lines across the reference machine's 48 caches) and
-/// the snoop filter's 4 MB count + 0.5 MB presence arrays — and the arena's
+/// the sharer table — and the arena's
 /// hit counter proves the pooled buffers were actually reused rather than
 /// the working set merely shrinking. The 32 forks that follow share the
-/// slot storage and tables and the counts with the template (a pointer copy each) and
-/// draw their presence words from the pool, so what remains inside the
+/// slot storage and tables with the template (a pointer copy each) and
+/// draw their sharer tables from the pool, so what remains inside the
 /// budgets is the honest per-round container churn: the decoded event list,
 /// scheduler and workload state, and each fork's private wheel/core/queue
 /// clones.
@@ -315,7 +314,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
     drop(machine);
 
     // Warmup round: one decode + fork batch, fully dropped, leaves every
-    // buffer a decode takes (slot storage, slot tables, filter arrays) in
+    // buffer a decode takes (slot storage, slot tables, sharer table) in
     // the pool.
     {
         let template: Machine<mtvar_workloads::profile::ProfiledWorkload> =
@@ -344,19 +343,18 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
          ({stats_before:?} -> {stats_after:?}); the arena has regressed"
     );
     // A warm decode allocates ~0.6 MB of container state (measured
-    // 605,568 bytes in 388 allocations). The budget's teeth: re-allocating
-    // even one retired L2 slot storage (`L2_LINE_ARRAY`) or the filter's 4 MB
-    // count array blows straight through it.
+    // 605,520 bytes in 386 allocations). The budget's teeth: re-allocating
+    // even one retired L2 slot storage (`L2_LINE_ARRAY`) blows straight
+    // through it.
     assert!(
         decode_allocs <= 800 && decode_bytes <= L2_LINE_ARRAY * 3 / 2,
         "warm template decode allocated {decode_allocs} times / \
          {decode_bytes} bytes; the arena stopped recycling decode buffers"
     );
     // A fork allocates ~600 KB of per-run containers (~290 allocations):
-    // 19.3 MB for the batch, plus a quarter. A fork that copied the
-    // filter's counts (4 MB) or a single L2 (1 MiB) instead of sharing
-    // them, or took its presence words (0.5 MB) past the arena, would land
-    // the batch at 147 MB, 53 MB or 36 MB.
+    // 19.3 MB for the batch, plus a quarter. A fork that copied a single
+    // L2 (1 MiB) instead of sharing it, or took its sharer table (0.5 MB)
+    // past the arena, would land the batch at 53 MB or 36 MB.
     assert!(
         fork_allocs <= 12_000 && (fork_bytes as usize) <= 24_000_000,
         "{FORKS} forks allocated {fork_allocs} times / {fork_bytes} bytes; \
@@ -376,7 +374,7 @@ fn arena_warm_template_decode_and_forks_stay_in_budget() {
 /// forks with their 25-transaction runs, the chain's next advance and
 /// share — stays inside the warm-fork budget above, a megabyte per fork,
 /// and never asks for a megabyte at once: a share that copied an L2
-/// (1 MiB) or the filter's counts (4 MB) instead of folding, a template
+/// (1 MiB) instead of folding, a template
 /// fork that copied the live machine whole, or forks that stopped drawing
 /// their buffers from the pool fail it.
 #[test]
@@ -422,10 +420,10 @@ fn live_template_rounds_stay_in_the_fork_budget() {
 
 /// A fork sweep's buffers outlive it: the first fork sweep on a T = 2
 /// executor finds nothing in the arena for its forks and allocates every
-/// fork's presence words, chunk maps and private chunk buffers fresh; the
+/// fork's sharer table, chunk maps and private chunk buffers fresh; the
 /// second finds them parked where the first left them, whichever worker
 /// retired them. (The arena is warmed with a decode beforehand, so the
-/// template decode costs both sweeps the same.) Measured: 20.4 MB, then
+/// template decode costs both sweeps the same.) Measured: 11.2 MB, then
 /// 4.6 MB.
 #[test]
 fn second_fork_sweep_on_one_executor_finds_the_worker_arenas_warm() {
@@ -515,7 +513,7 @@ fn a_second_experiment_on_one_executor_reuses_the_retired_templates() {
                 .expect("comparison");
             counters().1 - bytes_0
         };
-        // Measured: 76 MB, then 10.4 MB.
+        // Measured: 57 MB, then 10.4 MB.
         let first = comparison_bytes();
         let second = comparison_bytes();
         assert!(

@@ -15,8 +15,8 @@
 //! 3. **Crash safety** — a truncated or bit-flipped spill file is detected
 //!    by content fingerprint and falls back to re-simulation with the same
 //!    results.
-//! 4. **Fork isolation** — forks share their template's cache arrays and
-//!    snoop filter chunk by chunk, so: running forks never changes the
+//! 4. **Fork isolation** — forks share their template's cache arrays
+//!    chunk by chunk, so: running forks never changes the
 //!    template; a fork that outlives its template, and a fork of a fork, run
 //!    exactly as a fresh restore does (results, digests and post-run
 //!    snapshot bytes — the encoder walking a forked array); and siblings
@@ -380,7 +380,7 @@ fn corrupt_spill_files_fall_back_to_resimulation() {
 }
 
 /// The paper's 16-CPU machine, whose arrays fill a decode arena with
-/// megabytes of slot storage, slot tables and filter arrays.
+/// megabytes of slot storage, slot tables and sharer tables.
 const DIRTY_CPUS: usize = 16;
 
 /// Serializes the tests that clear the arena and count its hits: the arena
@@ -390,8 +390,8 @@ const DIRTY_CPUS: usize = 16;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Builds, runs and drops a 16-CPU MESI machine on another workload seed,
-/// so the arena holds the dirty slot storage, slot tables, filter counts
-/// and presence words of a machine unlike the reference.
+/// so the arena holds the dirty slot storage, slot tables and sharer table
+/// of a machine unlike the reference.
 fn dirty_the_arena(monitored: bool) {
     let cfg = MachineConfig {
         check_invariants: monitored,

@@ -1,167 +1,120 @@
-//! Residency-tracker checkpoint coverage: the sharer-presence filter and
-//! the home-node directory are derived state, rebuilt from cache contents
-//! on restore rather than serialized. A machine checkpointed mid-run with a
-//! warm tracker must therefore restore to one identical to a machine that
-//! was never checkpointed — for every coherence protocol, snooping and
-//! directory, at any node count — and the continued run must stay
-//! digest-identical.
+//! Residency checkpoint coverage: the sharer table is derived state,
+//! rebuilt from the L2 contents on restore rather than serialized. A machine
+//! checkpointed mid-run with a warm table must therefore restore to one
+//! equal to the table of a machine that was never checkpointed — for every
+//! coherence protocol, snooping and directory, on either side of 16 CPUs —
+//! and the continued run must stay digest-identical.
+//!
+//! The file and test names predate the sharer table, which replaced the
+//! snooping protocols' presence filter and the directory protocols' block
+//! map; the three tests between them cover all six protocols at 8 and at
+//! 24 CPUs.
 
 use mtvar::core::golden::run_digest;
 use mtvar::sim::config::MachineConfig;
 use mtvar::sim::machine::Machine;
-use mtvar::sim::mem::{CoherenceProtocol, SnoopFilter};
+use mtvar::sim::mem::CoherenceProtocol;
 use mtvar::workloads::profile::ProfiledWorkload;
 use mtvar::workloads::Benchmark;
 
-const CPUS: usize = 8;
 const WORKLOAD_SEED: u64 = 42;
 const WARMUP: u64 = 40;
 const MEASURE: u64 = 40;
 
-fn config(protocol: CoherenceProtocol) -> MachineConfig {
-    MachineConfig::hpca2003()
-        .with_cpus(CPUS)
+const SNOOPING: [CoherenceProtocol; 3] = [
+    CoherenceProtocol::Mosi,
+    CoherenceProtocol::Mesi,
+    CoherenceProtocol::Moesi,
+];
+
+const DIRECTORY: [CoherenceProtocol; 3] = [
+    CoherenceProtocol::DirMosi,
+    CoherenceProtocol::DirMesi,
+    CoherenceProtocol::DirMoesi,
+];
+
+/// Runs one machine straight through and one across a mid-run checkpoint,
+/// and asserts the restored sharer table, the continued run and the final
+/// state all match the never-checkpointed machine.
+fn assert_restore_matches_a_straight_run(cpus: usize, protocol: CoherenceProtocol) {
+    let config = MachineConfig::hpca2003()
+        .with_cpus(cpus)
         .with_protocol(protocol)
-        .with_perturbation(4, 0x1DE7)
+        .with_perturbation(4, 0x1DE7);
+    let workload = Benchmark::Oltp.workload(cpus, WORKLOAD_SEED);
+
+    // Reference: never checkpointed.
+    let mut straight = Machine::new(config.clone(), workload.clone()).unwrap();
+    straight.run_transactions(WARMUP).expect("straight warmup");
+
+    // Checkpointed mid-run, with the table warm from the warmup.
+    let mut warmed = Machine::new(config, workload).unwrap();
+    warmed.run_transactions(WARMUP).expect("warmup");
+    assert!(
+        warmed.memory().sharer_table().live_blocks() > 0,
+        "{protocol:?} at {cpus} cpus: warmup must fill the sharer table, \
+         or this test proves nothing"
+    );
+    let snapshot = warmed.snapshot();
+    drop(warmed);
+    let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
+
+    // The rebuilt table must equal the never-checkpointed one...
+    assert_eq!(
+        restored.memory().sharer_table(),
+        straight.memory().sharer_table(),
+        "{protocol:?} at {cpus} cpus: table rebuilt on restore diverged"
+    );
+    // ...and the continued run must be indistinguishable from never
+    // having checkpointed: same statistics, same digest, same final
+    // table, same follow-up snapshot bytes.
+    let want = straight
+        .run_transactions(MEASURE)
+        .expect("straight measure");
+    let got = restored
+        .run_transactions(MEASURE)
+        .expect("restored measure");
+    assert_eq!(
+        want, got,
+        "{protocol:?} at {cpus} cpus: continued run diverged"
+    );
+    assert_eq!(
+        run_digest(&want),
+        run_digest(&got),
+        "{protocol:?} at {cpus} cpus"
+    );
+    assert_eq!(
+        restored.memory().sharer_table(),
+        straight.memory().sharer_table(),
+        "{protocol:?} at {cpus} cpus: post-measurement table diverged"
+    );
+    assert_eq!(
+        restored.snapshot().fingerprint(),
+        straight.snapshot().fingerprint(),
+        "{protocol:?} at {cpus} cpus: post-measurement state diverged"
+    );
 }
 
 #[test]
 fn restored_filter_matches_a_never_checkpointed_run_for_every_protocol() {
-    for protocol in [
-        CoherenceProtocol::Mosi,
-        CoherenceProtocol::Mesi,
-        CoherenceProtocol::Moesi,
-    ] {
-        let workload = Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED);
-
-        // Reference: never checkpointed.
-        let mut straight = Machine::new(config(protocol), workload.clone()).unwrap();
-        straight.run_transactions(WARMUP).expect("straight warmup");
-        let want = straight
-            .run_transactions(MEASURE)
-            .expect("straight measure");
-
-        // Checkpointed mid-run, with the filter warm from the warmup misses.
-        let mut warmed = Machine::new(config(protocol), workload).unwrap();
-        warmed.run_transactions(WARMUP).expect("warmup");
-        assert_ne!(
-            *warmed.memory().snoop_filter(),
-            SnoopFilter::new(CPUS),
-            "{protocol:?}: warmup must leave presence bits in the filter, \
-             or this test proves nothing"
-        );
-        let snapshot = warmed.snapshot();
-        let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
-
-        // The rebuilt filter must equal the live one bit-for-bit...
-        assert_eq!(
-            restored.memory().snoop_filter(),
-            warmed.memory().snoop_filter(),
-            "{protocol:?}: filter rebuilt on restore diverged from the live filter"
-        );
-        // ...and the continued run must be indistinguishable from never
-        // having checkpointed: same statistics, same digest, same final
-        // filter, same follow-up snapshot bytes.
-        let got = restored
-            .run_transactions(MEASURE)
-            .expect("restored measure");
-        assert_eq!(want, got, "{protocol:?}: continued run diverged");
-        assert_eq!(run_digest(&want), run_digest(&got), "{protocol:?}");
-        assert_eq!(
-            restored.memory().snoop_filter(),
-            straight.memory().snoop_filter(),
-            "{protocol:?}: post-measurement filter diverged"
-        );
-        assert_eq!(
-            restored.snapshot().fingerprint(),
-            straight.snapshot().fingerprint(),
-            "{protocol:?}: post-measurement state diverged"
-        );
+    for protocol in SNOOPING {
+        assert_restore_matches_a_straight_run(8, protocol);
     }
 }
 
 #[test]
 fn filter_stays_enabled_above_sixteen_cpus_and_checkpoints_round_trip() {
-    // The presence vector was once a u16, capping the filter at 16 nodes;
-    // the bitset widening keeps it engaged on any machine size. A 24-CPU
-    // machine must run filtered, restore an identical filter from a
-    // checkpoint, and continue bit-identically.
-    let cfg = MachineConfig::hpca2003()
-        .with_cpus(24)
-        .with_perturbation(4, 0x1DE7);
-    let workload = Benchmark::Oltp.workload(24, WORKLOAD_SEED);
-
-    let mut machine = Machine::new(cfg, workload).unwrap();
-    machine.run_transactions(WARMUP).expect("warmup");
-    assert!(
-        machine.memory().snoop_filter().enabled(),
-        "the widened filter must stay engaged beyond 16 CPUs"
-    );
-    assert_ne!(
-        *machine.memory().snoop_filter(),
-        SnoopFilter::new(24),
-        "warmup must leave presence bits in the filter"
-    );
-    let snapshot = machine.snapshot();
-    let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
-    assert_eq!(
-        restored.memory().snoop_filter(),
-        machine.memory().snoop_filter(),
-        "filter rebuilt on restore diverged from the live filter"
-    );
-    let want = machine.run_transactions(MEASURE).expect("straight");
-    let got = restored.run_transactions(MEASURE).expect("restored");
-    assert_eq!(
-        want, got,
-        "wide filtered machine diverged across a checkpoint"
-    );
+    // Residency tracking once stopped at 16 nodes; the table holds up to 64,
+    // so a 24-CPU machine must track sharers under every protocol, restore
+    // an equal table and continue bit-identically.
+    for protocol in SNOOPING.into_iter().chain(DIRECTORY) {
+        assert_restore_matches_a_straight_run(24, protocol);
+    }
 }
 
 #[test]
 fn restored_directory_matches_a_never_checkpointed_run() {
-    // Directory machines track residency in the exact per-block directory
-    // instead of the filter; it is derived state under the same contract —
-    // rebuilt from restored cache contents, never serialized — and the
-    // continued run must stay identical.
-    for protocol in [
-        CoherenceProtocol::DirMosi,
-        CoherenceProtocol::DirMesi,
-        CoherenceProtocol::DirMoesi,
-    ] {
-        let workload = Benchmark::Oltp.workload(CPUS, WORKLOAD_SEED);
-
-        let mut straight = Machine::new(config(protocol), workload.clone()).unwrap();
-        straight.run_transactions(WARMUP).expect("straight warmup");
-        let want = straight
-            .run_transactions(MEASURE)
-            .expect("straight measure");
-
-        let mut warmed = Machine::new(config(protocol), workload).unwrap();
-        warmed.run_transactions(WARMUP).expect("warmup");
-        let dir = warmed.memory().directory().expect("directory protocol");
-        assert!(
-            !warmed.memory().snoop_filter().enabled(),
-            "{protocol:?}: directory machines must not also run the filter"
-        );
-        assert!(
-            dir.tracked_blocks() > 0,
-            "{protocol:?}: warmup must populate the directory"
-        );
-        let snapshot = warmed.snapshot();
-        let mut restored: Machine<ProfiledWorkload> = Machine::restore(&snapshot).expect("restore");
-        assert_eq!(
-            restored.memory().directory(),
-            warmed.memory().directory(),
-            "{protocol:?}: directory rebuilt on restore diverged from the live one"
-        );
-        let got = restored
-            .run_transactions(MEASURE)
-            .expect("restored measure");
-        assert_eq!(want, got, "{protocol:?}: continued run diverged");
-        assert_eq!(
-            restored.snapshot().fingerprint(),
-            straight.snapshot().fingerprint(),
-            "{protocol:?}: post-measurement state diverged"
-        );
+    for protocol in DIRECTORY {
+        assert_restore_matches_a_straight_run(8, protocol);
     }
 }
